@@ -127,11 +127,13 @@ func TestProfileAccuracyReport(t *testing.T) {
 	if acc.RecommendedBytes == 0 || acc.ShadowBytes == 0 {
 		t.Errorf("memory pricing missing: %+v", acc)
 	}
-	if acc.FillRatio <= 0 || acc.FillRatio > 1 {
-		t.Errorf("FillRatio = %v", acc.FillRatio)
+	// 8 threads run on exact reader masks: there is no bloom to fill, and
+	// the alarm comes from the slot-collision FPR alone.
+	if acc.FillRatio != 0 {
+		t.Errorf("FillRatio = %v on the mask layout, want 0", acc.FillRatio)
 	}
-	if acc.Alarm == "" {
-		t.Error("saturated run did not alarm")
+	if !strings.Contains(acc.Alarm, "estimated signature FPR") {
+		t.Errorf("saturated run did not alarm on its FPR: %q", acc.Alarm)
 	}
 	sum := rep.Summary()
 	if !strings.Contains(sum, "accuracy monitor: 1/2 of granules shadowed") {
@@ -139,6 +141,61 @@ func TestProfileAccuracyReport(t *testing.T) {
 	}
 	if !strings.Contains(sum, "ACCURACY ALARM:") {
 		t.Errorf("summary missing alarm line:\n%s", sum)
+	}
+}
+
+// TestFullReaderMasksDoNotAlarm is the all-to-all regression for the mask
+// layout: every address is read by all 32 threads, so every live reader mask
+// has all its bits set. That is exact state, not saturation — the paper's
+// bloom filters sit at fill ≈ 0.50 under the same pattern and trip the "bloom
+// fill ratio > 0.5 … filters are saturating" clause — so the report must
+// carry no bloom fill and no alarm, on the serial and the sharded path.
+func TestFullReaderMasksDoNotAlarm(t *testing.T) {
+	const threads, addrs = 32, 512
+	var accesses []Access
+	now := uint64(0)
+	for a := 0; a < addrs; a++ {
+		now++
+		accesses = append(accesses, Access{
+			Kind: WriteAccess, Addr: uint64(a) * 8, Size: 8, Thread: int32(a % threads), Region: -1, Time: now,
+		})
+	}
+	for tid := 0; tid < threads; tid++ {
+		for a := 0; a < addrs; a++ {
+			now++
+			accesses = append(accesses, Access{
+				Kind: ReadAccess, Addr: uint64(a) * 8, Size: 8, Thread: int32(tid), Region: -1, Time: now,
+			})
+		}
+	}
+	opts := Options{SignatureSlots: 1 << 16, AccuracyTargetFPR: 0.05}
+	for name, run := range map[string]func() (*Report, error){
+		"serial": func() (*Report, error) { return ProfileTrace(accesses, nil, threads, opts) },
+		"sharded": func() (*Report, error) {
+			o := opts
+			o.AnalysisShards = 2
+			return ProfileTraceParallel(accesses, nil, threads, o)
+		},
+	} {
+		rep, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		acc := rep.Accuracy
+		if acc == nil {
+			t.Fatalf("%s: Report.Accuracy nil on a monitored run", name)
+		}
+		// Each address communicates to the 31 threads that did not write it,
+		// less the few a slot collision hides.
+		if want := uint64(addrs * (threads - 1)); rep.Dependencies < want*9/10 {
+			t.Errorf("%s: %d dependencies, want about %d: reader sets not filled", name, rep.Dependencies, want)
+		}
+		if acc.FillRatio != 0 {
+			t.Errorf("%s: FillRatio = %v with every reader bit set, want 0", name, acc.FillRatio)
+		}
+		if acc.Alarm != "" {
+			t.Errorf("%s: full reader masks raised an alarm: %s", name, acc.Alarm)
+		}
 	}
 }
 

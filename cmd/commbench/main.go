@@ -28,7 +28,6 @@ import (
 
 	"commprof/internal/experiments"
 	"commprof/internal/obs"
-	"commprof/internal/sig"
 	"commprof/internal/splash"
 )
 
@@ -162,18 +161,7 @@ var runners = map[string]runner{
 		return r.Render(), nil
 	},
 	"eq2": func(env experiments.Env) (string, error) {
-		var b strings.Builder
-		b.WriteString("Eq. 2 — SigMem(n, t, FPRate) in MB\n")
-		fmt.Fprintf(&b, "%12s %8s %8s %12s\n", "slots", "threads", "FPRate", "MB")
-		for _, n := range []uint64{1_000_000, 4_000_000, 10_000_000, 100_000_000} {
-			for _, t := range []int{16, 32, 64} {
-				mb := float64(sig.SigMem(n, t, env.FPRate)) / (1 << 20)
-				fmt.Fprintf(&b, "%12d %8d %8g %12.1f\n", n, t, env.FPRate, mb)
-			}
-		}
-		b.WriteString("\npaper operating point: n=1e7, t=32, FPRate=0.001 -> ")
-		fmt.Fprintf(&b, "%.1f MB (paper: ≈580 MB)\n", float64(sig.SigMem(10_000_000, 32, 0.001))/(1<<20))
-		return b.String(), nil
+		return experiments.Eq2(env), nil
 	},
 }
 

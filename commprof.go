@@ -53,10 +53,14 @@ type Options struct {
 	// SignatureSlots is the signature size n (default 2^20). Larger means
 	// fewer false dependencies and more memory (Eq. 2).
 	SignatureSlots uint64
-	// BloomFPRate is the per-slot bloom-filter false-positive rate. The
-	// zero value is a sentinel meaning "unset" and becomes the paper's
-	// 0.001; an explicit 0 is not a valid rate (sig rejects rates outside
-	// (0,1)), so the sentinel loses no expressible configuration.
+	// BloomFPRate is the per-slot bloom-filter false-positive rate. It
+	// applies when the thread count exceeds 64: up to 64 threads each slot's
+	// reader set is one exact 64-bit mask with no second-level false
+	// positives, and Eq. 2 / SignatureMemoryBytes remains the paper's upper
+	// bound on the footprint. The zero value is a sentinel meaning "unset"
+	// and becomes the paper's 0.001; an explicit 0 is not a valid rate (sig
+	// rejects rates outside (0,1)), so the sentinel loses no expressible
+	// configuration.
 	BloomFPRate float64
 	// PhaseWindow, when non-zero, enables windowed phase observability with
 	// the given logical-time window length: §V-A4 phase segmentation
@@ -256,6 +260,17 @@ func SignatureMemoryBytes(slots uint64, threads int, fpRate float64) uint64 {
 	return sig.SigMem(slots, threads, fpRate)
 }
 
+// newSignature builds the serial entry points' signature memory from the
+// facade options; the sharded ones split the same budget with
+// pipeline.AsymmetricFactory. Either way sig picks the reader-set layout from
+// the thread count.
+func (o Options) newSignature(threads int, probes *obs.Probes) (*sig.Asymmetric, error) {
+	return sig.NewAsymmetric(sig.Options{
+		Slots: o.SignatureSlots, Threads: threads, FPRate: o.BloomFPRate,
+		Probes: probes.SigProbes(),
+	})
+}
+
 // Profile runs the named bundled workload under the profiler.
 func Profile(opts Options) (*Report, error) {
 	opts.setDefaults()
@@ -275,10 +290,7 @@ func Profile(opts Options) (*Report, error) {
 	if opts.AnalysisShards > 0 {
 		return profileSharded(opts, prog, tel, probes, setup)
 	}
-	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: opts.Threads, FPRate: opts.BloomFPRate,
-		Probes: probes.SigProbes(),
-	})
+	backend, err := opts.newSignature(opts.Threads, probes)
 	if err != nil {
 		return nil, err
 	}

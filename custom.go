@@ -7,7 +7,6 @@ import (
 	"commprof/internal/detect"
 	"commprof/internal/exec"
 	"commprof/internal/metrics"
-	"commprof/internal/sig"
 	"commprof/internal/trace"
 )
 
@@ -78,10 +77,7 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 	}
 	tel := opts.Telemetry
 	probes := tel.probes()
-	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: threads, FPRate: opts.BloomFPRate,
-		Probes: probes.SigProbes(),
-	})
+	backend, err := opts.newSignature(threads, probes)
 	if err != nil {
 		return nil, err
 	}
@@ -204,10 +200,7 @@ func Run(threads int, regions []Region, body func(*Thread), opts Options) (*Repo
 	}
 	tel := opts.Telemetry
 	probes := tel.probes()
-	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: threads, FPRate: opts.BloomFPRate,
-		Probes: probes.SigProbes(),
-	})
+	backend, err := opts.newSignature(threads, probes)
 	if err != nil {
 		return nil, err
 	}

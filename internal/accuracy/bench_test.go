@@ -95,7 +95,7 @@ func benchMonitored(b *testing.B, bits int) {
 		}
 		last = d
 		b.StartTimer()
-		d.ProcessStream(stream)
+		d.ProcessBatch(stream)
 	}
 	if s := b.Elapsed().Nanoseconds(); s > 0 && len(stream) > 0 {
 		b.ReportMetric(float64(s)/float64(len(stream)*b.N), "ns/access")

@@ -38,7 +38,7 @@ func TestAccuracyExactBackendAllConfirmed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.ProcessStream(stream)
+			d.ProcessBatch(stream)
 			st := mon.Stats()
 			if st.FalsePositives != 0 || st.MissedEvents != 0 {
 				t.Errorf("exact backend disagreed with exact shadow: %+v", st)
@@ -99,7 +99,7 @@ func TestAccuracyMatchesOfflineLockstep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.ProcessStream(stream)
+			d.ProcessBatch(stream)
 
 			st := mon.Stats()
 			if st.SigEvents != sigEvents || st.FalsePositives != falsePos {
@@ -126,7 +126,7 @@ func TestAccuracySampledSliceIsSubset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.ProcessStream(stream)
+		d.ProcessBatch(stream)
 		return mon.Stats()
 	}
 	full := run(0)
@@ -161,7 +161,7 @@ func TestAccuracyComposesWithRedundancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.ProcessStream(stream)
+	d.ProcessBatch(stream)
 	rst, ok := d.RedundancyStats()
 	if !ok || rst.Hits == 0 {
 		t.Fatalf("fast path inert on ocean_cp (stats %+v ok=%v); test needs skips to mean anything", rst, ok)

@@ -245,18 +245,9 @@ func (d *Detector) Probe() exec.Probe {
 	return func(a trace.Access) { d.Process(a) }
 }
 
-// ProcessStream runs the detector over a recorded access stream in temporal
-// order (offline mode).
-func (d *Detector) ProcessStream(accesses []trace.Access) {
-	for _, a := range accesses {
-		d.Process(a)
-	}
-}
-
-// ProcessBatch runs the detector over one drained queue batch in order — the
-// shard worker's unit of work in the sharded pipeline. Identical to
-// ProcessStream; the distinct name records that a batch is a window of one
-// shard's FIFO, not a whole temporally ordered stream.
+// ProcessBatch runs the detector over accesses in order: a whole recorded
+// stream in temporal order (offline mode), one decoded block of it, or one
+// drained batch of a shard's FIFO in the sharded pipeline.
 func (d *Detector) ProcessBatch(batch []trace.Access) {
 	for _, a := range batch {
 		d.Process(a)

@@ -348,7 +348,7 @@ func TestGranularityCoarseningMergesNeighbours(t *testing.T) {
 		{Time: 2, Addr: 0x1008, Size: 8, Thread: 1, Kind: trace.Read, Region: trace.NoRegion},
 	}
 	fine := newDetector(t, 2, nil)
-	fine.ProcessStream(accesses)
+	fine.ProcessBatch(accesses)
 	if fine.Stats().Detected != 0 {
 		t.Fatalf("word granularity found %d deps across distinct words", fine.Stats().Detected)
 	}
@@ -361,7 +361,7 @@ func TestGranularityCoarseningMergesNeighbours(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse.ProcessStream(accesses)
+	coarse.ProcessBatch(accesses)
 	if coarse.Stats().Detected != 1 {
 		t.Fatalf("line granularity found %d deps, want 1 (false sharing)", coarse.Stats().Detected)
 	}

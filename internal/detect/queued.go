@@ -128,3 +128,62 @@ func (q *Queued) PeakQueueBytes() uint64 {
 
 // Detector returns the wrapped detector (read results only after Close).
 func (q *Queued) Detector() *Detector { return q.d }
+
+// ClockedQueue is the same queued architecture on a virtual clock, for
+// results that must not depend on the Go scheduler: no analyser goroutine
+// runs, and the caller plays the producer. Issuing an access (Process) takes
+// one tick and computing without memory traffic (Compute) takes as many as it
+// is given; the analyser needs cost ticks per access and works through every
+// tick the queue is non-empty. Peak depth is then a function of the
+// producer's burst/compute pattern and cost alone — the rate mismatch the
+// §V-A2 critique is about — and repeats exactly on any host. Not safe for
+// concurrent use.
+type ClockedQueue struct {
+	d      *Detector
+	queue  []trace.Access
+	head   int // queue[head:] is waiting
+	peak   int
+	cost   int
+	credit int // analyser ticks not yet spent on an access
+}
+
+// NewClockedQueue wraps d with an unbounded queue whose analyser takes cost
+// producer ticks per access (cost < 1 is taken as 1: it keeps pace with a
+// producer that does nothing but issue accesses).
+func NewClockedQueue(d *Detector, cost int) *ClockedQueue {
+	return &ClockedQueue{d: d, cost: max(cost, 1)}
+}
+
+// Process enqueues one access and lets the tick it took pass.
+func (q *ClockedQueue) Process(a trace.Access) {
+	q.queue = append(q.queue, a)
+	q.peak = max(q.peak, len(q.queue)-q.head)
+	q.Compute(1)
+}
+
+// Compute lets ticks pass with the producer issuing nothing.
+func (q *ClockedQueue) Compute(ticks int) {
+	q.credit += ticks
+	for q.credit >= q.cost && q.head < len(q.queue) {
+		q.d.Process(q.queue[q.head])
+		q.head++
+		q.credit -= q.cost
+	}
+	if q.head == len(q.queue) {
+		// An idle analyser banks no time against a later burst.
+		q.queue, q.head, q.credit = q.queue[:0], 0, 0
+	}
+}
+
+// Close analyses whatever is still queued; call it before reading results
+// from the wrapped detector.
+func (q *ClockedQueue) Close() {
+	q.d.ProcessBatch(q.queue[q.head:])
+	q.queue, q.head = nil, 0
+}
+
+// PeakQueueLength reports the maximum number of accesses ever waiting.
+func (q *ClockedQueue) PeakQueueLength() int { return q.peak }
+
+// PeakQueueBytes reports the memory the queue held at its peak.
+func (q *ClockedQueue) PeakQueueBytes() uint64 { return uint64(q.peak) * queuedRecordBytes }

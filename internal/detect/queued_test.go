@@ -2,7 +2,6 @@ package detect
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"commprof/internal/trace"
@@ -28,7 +27,7 @@ func TestQueuedMatchesInline(t *testing.T) {
 	stream := genAccesses(20000, 9)
 
 	inline := newDetector(t, 8, nil)
-	inline.ProcessStream(stream)
+	inline.ProcessBatch(stream)
 
 	qd := newDetector(t, 8, nil)
 	q := NewQueued(qd, 0)
@@ -75,23 +74,51 @@ func TestQueueGrowsUnderBurst(t *testing.T) {
 }
 
 func TestQueuedFastAnalyserStaysSmall(t *testing.T) {
-	// With a full-speed analyser and a slow producer, the queue stays tiny
-	// relative to the stream: the burst problem is about rate mismatch.
+	// The burst problem is about rate mismatch, not about queueing as such.
+	// On the virtual clock the same producer — 16 accesses back to back, then
+	// 48 ticks of computation — meets an analyser that keeps pace within the
+	// burst (queue never deeper than the access in flight), one that falls
+	// behind in the burst but catches up in the pause (bounded by the burst),
+	// and one slower than the producer's average rate (grows with the
+	// stream). Every peak is exact: nothing here asks the scheduler anything.
 	stream := genAccesses(20000, 11)
-	qd := newDetector(t, 8, nil)
-	q := NewQueued(qd, 0)
-	for i, a := range stream {
-		q.Process(a)
-		if i%16 == 0 {
-			// A producer that yields (simulating real compute between
-			// accesses) gives the analyser scheduler time to drain — the
-			// explicit yield matters on single-CPU hosts.
-			runtime.Gosched()
+	inline := newDetector(t, 8, nil)
+	inline.ProcessBatch(stream)
+
+	const burst, pause = 16, 48
+	peakAt := func(cost int) int {
+		qd := newDetector(t, 8, nil)
+		q := NewClockedQueue(qd, cost)
+		for i, a := range stream {
+			q.Process(a)
+			if (i+1)%burst == 0 {
+				q.Compute(pause)
+			}
 		}
+		q.Close()
+		if !inline.Global().Equal(qd.Global()) {
+			t.Fatalf("cost %d: clocked queue diverged from inline analysis", cost)
+		}
+		if qd.Stats().Processed != uint64(len(stream)) {
+			t.Fatalf("cost %d: processed %d of %d", cost, qd.Stats().Processed, len(stream))
+		}
+		if q.PeakQueueBytes() != uint64(q.PeakQueueLength())*queuedRecordBytes {
+			t.Fatalf("cost %d: PeakQueueBytes inconsistent", cost)
+		}
+		return q.PeakQueueLength()
 	}
-	q.Close()
-	if peak := q.PeakQueueLength(); peak > len(stream)/2 {
-		t.Fatalf("peak %d too large for a paced producer", peak)
+	if peak := peakAt(1); peak != 1 {
+		t.Errorf("full-speed analyser: peak %d, want 1", peak)
+	}
+	// 4 ticks per access: the 15 ticks before the burst's last access retire
+	// 3, the 48-tick pause retires the rest.
+	if peak := peakAt(4); peak != burst-(burst-1)/4 {
+		t.Errorf("analyser at 1/4 burst rate: peak %d, want %d", peak, burst-(burst-1)/4)
+	}
+	// 8 ticks per access against one access per 4 ticks on average: half the
+	// stream is still queued when the producer finishes.
+	if peak := peakAt(8); peak < len(stream)/2 {
+		t.Errorf("analyser slower than the producer: peak %d, want at least %d", peak, len(stream)/2)
 	}
 }
 
@@ -104,7 +131,7 @@ func TestBoundedQueueBurstStaysWithinCapacity(t *testing.T) {
 	stream := genAccesses(20000, 10)
 
 	inline := newDetector(t, 8, nil)
-	inline.ProcessStream(stream)
+	inline.ProcessBatch(stream)
 
 	qd := newDetector(t, 8, nil)
 	q := NewQueuedBounded(qd, 2000, capacity) // same slow analyser as the burst test

@@ -64,7 +64,7 @@ func TestRedundancyFilterBitIdenticalAllWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d.ProcessStream(stream)
+				d.ProcessBatch(stream)
 				return d, events
 			}
 			ref, refEvents := run(0)
@@ -198,7 +198,7 @@ func TestRedundancyGranularityAliasing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.ProcessStream(stream)
+		d.ProcessBatch(stream)
 		return d, events
 	}
 	_, refEvents := run(0)
@@ -296,7 +296,7 @@ func benchProcessStream(b *testing.B, cacheBits uint) {
 		}
 		last = d
 		b.StartTimer()
-		d.ProcessStream(stream)
+		d.ProcessBatch(stream)
 	}
 	if s := b.Elapsed().Nanoseconds(); s > 0 && len(stream) > 0 {
 		b.ReportMetric(float64(s)/float64(len(stream)*b.N), "ns/access")

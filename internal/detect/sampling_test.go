@@ -39,7 +39,7 @@ func TestFullSamplingMatchesDetector(t *testing.T) {
 		return as
 	}
 	d1 := newDetector(t, 4, nil)
-	d1.ProcessStream(gen())
+	d1.ProcessBatch(gen())
 
 	d2 := newDetector(t, 4, nil)
 	s, err := NewSampler(d2, 7, 7)

@@ -213,7 +213,7 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 	}
 
 	add("discopop", func() uint64 {
-		asym, err := sig.NewAsymmetric(sig.Options{Slots: env.SigSlots, Threads: env.Threads, FPRate: env.FPRate})
+		asym, err := env.newSignature(env.SigSlots, sig.HashMurmur)
 		if err != nil {
 			return 0
 		}
@@ -221,11 +221,11 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 		if err != nil {
 			return 0
 		}
-		d.ProcessStream(stream)
+		d.ProcessBatch(stream)
 		return asym.FootprintBytes()
 	})
 	add("discopop-sampled-1/8", func() uint64 {
-		asym, err := sig.NewAsymmetric(sig.Options{Slots: env.SigSlots, Threads: env.Threads, FPRate: env.FPRate})
+		asym, err := env.newSignature(env.SigSlots, sig.HashMurmur)
 		if err != nil {
 			return 0
 		}
@@ -245,9 +245,12 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 	for _, k := range []int{2, 4, 8} {
 		k := k
 		add(fmt.Sprintf("discopop-sharded-%d", k), func() uint64 {
+			// The split pipeline.AsymmetricFactory makes, over this
+			// package's signature: ceil(slots/K) per shard.
+			perShard := (env.SigSlots + uint64(k) - 1) / uint64(k)
 			e, err := pipeline.New(pipeline.Options{
 				Shards: k, Threads: env.Threads,
-				NewBackend: pipeline.AsymmetricFactory(env.SigSlots, k, env.Threads, env.FPRate, env.Probes.SigProbes()),
+				NewBackend: func(int) (sig.Backend, error) { return env.newSignature(perShard, sig.HashMurmur) },
 				Probes:     env.Probes.PipelineProbes(),
 			})
 			if err != nil {
@@ -264,7 +267,7 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 		if err != nil {
 			return 0
 		}
-		d.ProcessStream(stream)
+		d.ProcessBatch(stream)
 		return p.FootprintBytes()
 	})
 	for _, name := range []string{"memcheck", "helgrind", "helgrind+", "ipm", "sd3", "pairwise"} {

@@ -177,6 +177,17 @@ func TestQueueArchitecture(t *testing.T) {
 	if paced.PeakQueueLen*4 > bursty.PeakQueueLen {
 		t.Fatalf("paced peak %d not clearly below bursty %d", paced.PeakQueueLen, bursty.PeakQueueLen)
 	}
+	// On the virtual clock both peaks follow from the rate model: when the
+	// n-th access of a run is issued the analyser has retired one per
+	// queueAnalyserCost of the n-1 before it — over a paced run, and over the
+	// whole bursty stream.
+	peakAfter := func(n int) int { return n - (n-1)/queueAnalyserCost }
+	if want := peakAfter(queuePacedBurst); paced.PeakQueueLen != want {
+		t.Errorf("paced peak %d, rate model says %d", paced.PeakQueueLen, want)
+	}
+	if want := peakAfter(int(res.Events)); bursty.PeakQueueLen != want {
+		t.Errorf("bursty peak %d, rate model says %d", bursty.PeakQueueLen, want)
+	}
 	if !strings.Contains(res.Render(), "peak queue") {
 		t.Error("render incomplete")
 	}

@@ -19,7 +19,7 @@ func monitoredFPR(t *testing.T, env Env, app string, size splash.Size, slots uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	asym, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: env.Threads, FPRate: env.FPRate})
+	asym, err := env.newSignature(slots, sig.HashMurmur)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,13 +71,24 @@ func (e Env) validate() error {
 	return nil
 }
 
+// newSignature builds the asymmetric signature every experiment in this
+// package runs against: the paper's, with per-slot bloom filters at any
+// thread count. The experiments reproduce the paper's figures — Fig. 5's
+// memory, Eq. 2, the §V-A3 sweep, the hash ablation — so they measure its
+// structure, not the exact reader masks the profiler itself uses up to 64
+// threads. This is the only place that forces the choice.
+func (e Env) newSignature(slots uint64, hash sig.HashKind) (*sig.Asymmetric, error) {
+	return sig.NewAsymmetric(sig.Options{
+		Slots: slots, Threads: e.Threads, FPRate: e.FPRate, Hash: hash,
+		PaperBloom: true,
+		Probes:     e.Probes.SigProbes(),
+	})
+}
+
 // newDetector builds the standard asymmetric-signature detector for a
 // program.
 func (e Env) newDetector(table *trace.Table) (*detect.Detector, *sig.Asymmetric, error) {
-	s, err := sig.NewAsymmetric(sig.Options{
-		Slots: e.SigSlots, Threads: e.Threads, FPRate: e.FPRate,
-		Probes: e.Probes.SigProbes(),
-	})
+	s, err := e.newSignature(e.SigSlots, sig.HashMurmur)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -31,11 +31,12 @@ func Fig2(env Env) (*Fig2Result, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
-	asym, err := sig.NewAsymmetric(sig.Options{Slots: 4096, Threads: 4, FPRate: env.FPRate})
+	env.Threads = 4 // the figure's T1..T3, whatever the sweep runs with
+	asym, err := env.newSignature(4096, sig.HashMurmur)
 	if err != nil {
 		return nil, err
 	}
-	d, err := detect.New(detect.Options{Threads: 4, Backend: asym})
+	d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
 	if err != nil {
 		return nil, err
 	}

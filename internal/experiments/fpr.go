@@ -72,7 +72,7 @@ func fprOne(env Env, app string, size splash.Size, slots uint64) (FPRCell, error
 	if err != nil {
 		return FPRCell{}, err
 	}
-	asym, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: env.Threads, FPRate: env.FPRate})
+	asym, err := env.newSignature(slots, sig.HashMurmur)
 	if err != nil {
 		return FPRCell{}, err
 	}

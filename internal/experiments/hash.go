@@ -59,7 +59,7 @@ func hashFPROne(env Env, app string, size splash.Size, slots uint64, kind sig.Ha
 	if err != nil {
 		return 0, err
 	}
-	asym, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: env.Threads, FPRate: env.FPRate, Hash: kind})
+	asym, err := env.newSignature(slots, kind)
 	if err != nil {
 		return 0, err
 	}

@@ -71,7 +71,7 @@ func Phases(env Env, app string, size splash.Size) (*PhasesResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	serial.ProcessStream(stream)
+	serial.ProcessBatch(stream)
 	res := &PhasesResult{
 		App: app, Window: window, Shards: shards,
 		Phases: seg.Finish(),

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"commprof/internal/detect"
@@ -29,9 +28,21 @@ type QueueResult struct {
 	Rows           []QueueRow
 }
 
+// The queue experiment's rate model, in producer ticks (detect.ClockedQueue):
+// issuing an access takes one tick and analysing one takes queueAnalyserCost,
+// the order of Fig. 4's slowdown of analysis over the bare access. The paced
+// producer computes between short runs of accesses for as long as the
+// analyser needs to retire them; the bursty one only issues accesses.
+const (
+	queueAnalyserCost = 4
+	queuePacedBurst   = 32
+	queuePacedCompute = queuePacedBurst * queueAnalyserCost
+)
+
 // Queue records one application's stream, replays it through the queued
-// architecture at several analyser speeds, and reports peak queue growth
-// against the in-thread design's fixed footprint.
+// architecture under a paced and a bursty producer, and reports peak queue
+// growth against the in-thread design's fixed footprint. The replays run on a
+// virtual clock, so the peaks depend on the stream alone and repeat exactly.
 func Queue(env Env, app string, size splash.Size) (*QueueResult, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
@@ -42,7 +53,7 @@ func Queue(env Env, app string, size splash.Size) (*QueueResult, error) {
 	}
 
 	// Reference: in-thread analysis.
-	refSig, err := sig.NewAsymmetric(sig.Options{Slots: env.SigSlots, Threads: env.Threads, FPRate: env.FPRate})
+	refSig, err := env.newSignature(env.SigSlots, sig.HashMurmur)
 	if err != nil {
 		return nil, err
 	}
@@ -50,11 +61,11 @@ func Queue(env Env, app string, size splash.Size) (*QueueResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref.ProcessStream(stream)
+	ref.ProcessBatch(stream)
 
 	res := &QueueResult{App: app, Events: uint64(len(stream)), SignatureBytes: refSig.FootprintBytes()}
 	for _, regime := range []string{"paced", "bursty"} {
-		qSig, err := sig.NewAsymmetric(sig.Options{Slots: env.SigSlots, Threads: env.Threads, FPRate: env.FPRate})
+		qSig, err := env.newSignature(env.SigSlots, sig.HashMurmur)
 		if err != nil {
 			return nil, err
 		}
@@ -62,15 +73,14 @@ func Queue(env Env, app string, size splash.Size) (*QueueResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		q := detect.NewQueued(qd, 0)
+		q := detect.NewClockedQueue(qd, queueAnalyserCost)
 		for i, a := range stream {
 			q.Process(a)
-			// A paced producer interleaves computation with its accesses and
-			// yields the processor, so the analyser keeps up; a bursty
-			// producer issues its accesses back to back — the regime the
-			// paper's §V-A2 critique targets.
-			if regime == "paced" && i%32 == 0 {
-				runtime.Gosched()
+			// A paced producer interleaves computation with its accesses, so
+			// the analyser keeps up; a bursty producer issues its accesses
+			// back to back — the regime the paper's §V-A2 critique targets.
+			if regime == "paced" && (i+1)%queuePacedBurst == 0 {
+				q.Compute(queuePacedCompute)
 			}
 		}
 		q.Close()

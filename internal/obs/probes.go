@@ -8,14 +8,17 @@ package obs
 
 // SigProbes instruments the asymmetric signature memory.
 type SigProbes struct {
-	// FilterAllocs counts second-level bloom filters allocated (slot
-	// occupancy is FilterAllocs relative to the slot count).
+	// FilterAllocs counts second-level bloom filters allocated (on the
+	// bloom layout slot occupancy is FilterAllocs relative to the slot
+	// count). Stays 0 on the mask layout, which allocates nothing.
 	FilterAllocs *Counter
-	// CASRetries counts lost filter-allocation CAS races in parallel mode:
-	// a thread built a filter but another thread's install won.
+	// CASRetries counts lost CAS races in parallel mode: a thread built a
+	// filter but another thread's install won, or another thread changed a
+	// reader mask between this thread's load and its update.
 	CASRetries *Counter
-	// ReaderResets counts write-triggered bloom-filter invalidations
-	// (Fig. 2's communicating-access rule clearing the reader set).
+	// ReaderResets counts writes that cleared a recorded reader set — a
+	// slot's bloom filter or its non-empty mask (Fig. 2's
+	// communicating-access rule).
 	ReaderResets *Counter
 }
 

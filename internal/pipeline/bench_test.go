@@ -79,7 +79,7 @@ func BenchmarkSerialProcessStream(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		d.ProcessStream(stream)
+		d.ProcessBatch(stream)
 	}
 	reportEventRate(b, len(stream))
 }

@@ -55,7 +55,7 @@ func TestEquivalenceAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial.ProcessStream(stream)
+			serial.ProcessBatch(stream)
 			refTree, err := serial.Tree()
 			if err != nil {
 				t.Fatal(err)

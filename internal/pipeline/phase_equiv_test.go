@@ -46,7 +46,7 @@ func TestPhaseIdentityAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial.ProcessStream(stream)
+			serial.ProcessBatch(stream)
 			serialPhases := seg.Finish()
 
 			var emitted []uint64

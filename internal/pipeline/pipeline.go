@@ -705,10 +705,10 @@ func (e *Engine) Probe() exec.Probe {
 // Producer is a per-producer staging handle in front of the shard queues:
 // accesses accumulate in private per-shard buffers and are enqueued as whole
 // batches, amortising queue locking across BatchSize accesses the way
-// ProcessStream always did for replay. A Producer is not safe for concurrent
-// use — give each producing goroutine its own (its buffers are private, so
-// parallel producers never contend on staging). Call Flush before Close to
-// push out any staged remainder.
+// Engine.ProcessStream always did for replay. A Producer is not safe for
+// concurrent use — give each producing goroutine its own (its buffers are
+// private, so parallel producers never contend on staging). Call Flush before
+// Close to push out any staged remainder.
 //
 // Staged accesses are invisible to shard workers until a flush, so a
 // producer's resident footprint is at most Shards×BatchSize accesses and the

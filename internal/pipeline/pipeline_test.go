@@ -53,7 +53,7 @@ func TestShardedMatchesSerialOnSyntheticStream(t *testing.T) {
 	stream := synthetic(threads, 20, 64)
 
 	ref := serialDetector(t, threads, nil)
-	ref.ProcessStream(stream)
+	ref.ProcessBatch(stream)
 
 	for _, shards := range []int{1, 2, 3, 4, 8} {
 		e, err := New(Options{
@@ -98,7 +98,7 @@ func TestShardedTreeMatchesSerial(t *testing.T) {
 	}
 
 	ref := serialDetector(t, threads, table)
-	ref.ProcessStream(stream)
+	ref.ProcessBatch(stream)
 	refTree, err := ref.Tree()
 	if err != nil {
 		t.Fatalf("serial Tree: %v", err)

@@ -8,9 +8,11 @@
 // access kinds:
 //
 //   - the READ signature is two-level: a fixed array of n slots addressed by
-//     MurmurHash, each slot holding a lazily allocated bloom filter that
-//     records the set of thread IDs which have read addresses hashing to the
-//     slot (Fig. 3a);
+//     MurmurHash, each slot holding the set of thread IDs which have read
+//     addresses hashing to the slot (Fig. 3a). The paper stores that set in
+//     a lazily allocated bloom filter; thread IDs are a dense universe of t
+//     values, so for t ≤ 64 this package stores it exactly in one 64-bit
+//     mask per slot instead (see Asymmetric);
 //
 //   - the WRITE signature is one-level: a fixed array of slots, each holding
 //     only the ID of the last thread that wrote an address hashing to the
@@ -61,12 +63,18 @@ type Options struct {
 	// first-level read array and the write array. The paper evaluates
 	// 1e6, 4e6, 1e7 and 1e8; 1e7 is its standard operating point.
 	Slots uint64
-	// Threads is t, the thread count of the target program; it sizes each
-	// slot's bloom filter.
+	// Threads is t, the thread count of the target program. It selects the
+	// reader-set layout (one exact mask word per slot up to MaskThreads,
+	// per-slot bloom filters beyond) and sizes the bloom filters.
 	Threads int
 	// FPRate is the acceptable false-positive rate of the per-slot bloom
-	// filters (the paper uses 0.001 throughout its evaluation).
+	// filters (the paper uses 0.001 throughout its evaluation). It has no
+	// effect on the mask layout, which is exact.
 	FPRate float64
+	// PaperBloom forces the paper's per-slot bloom filters at any thread
+	// count. The reproduction experiments set it so Fig. 5, Eq. 2 and the
+	// §V-A3 sweep keep measuring the paper's structure; nothing else does.
+	PaperBloom bool
 	// SeedRead / SeedWrite select independent hash functions for the two
 	// arrays; zero values get deterministic defaults.
 	SeedRead, SeedWrite uint64
@@ -112,16 +120,36 @@ func (o *Options) setDefaults() error {
 	return nil
 }
 
+// MaskThreads is the largest thread count whose reader sets fit one mask
+// word: bit tid of a slot's word records that thread tid has read.
+const MaskThreads = 64
+
 // Asymmetric is the paper's asymmetric signature memory. All operations are
 // lock-free: slot values use atomics and bloom filters use an atomic bitset,
 // mirroring the paper's C++11 lock-free primitives.
+//
+// The second level of the read signature has two layouts, chosen once by
+// NewAsymmetric. Up to MaskThreads threads each slot is one exact 64-bit
+// reader mask in a flat array: t bits against the bloom filter's 14.4·t at
+// FPRate 0.001, no second-level false positives, no allocation and no second
+// hash pass. Beyond that, and when Options.PaperBloom asks for the paper's
+// structure, each slot points at a lazily allocated bloom filter. Slot
+// addressing, and so every first-level collision, is the same in both.
 type Asymmetric struct {
 	opts   Options
 	bloomP bloom.Params
+	// pow2 marks a power-of-two slot count, reduced with slotMask instead of
+	// a 64-bit division; h&(n-1) == h%n there, so no address moves.
+	pow2     bool
+	slotMask uint64
 
 	// write signature: slot -> last writer tid (+1, so 0 means empty).
 	write []atomic.Int32
-	// read signature level 1: slot -> *bloom.Filter (nil until first use).
+	// read signature, mask layout: slot -> reader bitmask. Nil on the bloom
+	// layout.
+	masks []atomic.Uint64
+	// read signature, bloom layout: slot -> *bloom.Filter (nil until first
+	// use). Nil on the mask layout.
 	read []atomic.Pointer[bloom.Filter]
 
 	allocated atomic.Uint64 // number of live second-level filters
@@ -132,12 +160,19 @@ func NewAsymmetric(opts Options) (*Asymmetric, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
-	return &Asymmetric{
-		opts:   opts,
-		bloomP: bloom.Derive(uint64(opts.Threads), opts.FPRate),
-		write:  make([]atomic.Int32, opts.Slots),
-		read:   make([]atomic.Pointer[bloom.Filter], opts.Slots),
-	}, nil
+	s := &Asymmetric{
+		opts:     opts,
+		bloomP:   bloom.Derive(uint64(opts.Threads), opts.FPRate),
+		pow2:     opts.Slots&(opts.Slots-1) == 0,
+		slotMask: opts.Slots - 1,
+		write:    make([]atomic.Int32, opts.Slots),
+	}
+	if opts.Threads <= MaskThreads && !opts.PaperBloom {
+		s.masks = make([]atomic.Uint64, opts.Slots)
+	} else {
+		s.read = make([]atomic.Pointer[bloom.Filter], opts.Slots)
+	}
+	return s, nil
 }
 
 // Name implements Backend.
@@ -158,14 +193,19 @@ func (s *Asymmetric) Options() Options { return s.opts }
 // per-access hash cost relative to the old two-pass scheme (a finalizer is
 // three shifts and two multiplies, not a hash pass).
 func (s *Asymmetric) slots(addr uint64) (rs, ws uint64) {
+	var h1, h2 uint64
 	if s.opts.Hash == HashFold {
 		// Weak fold: mixes poorly, so regular access strides map to
 		// clustered slots. Exists only to quantify what MurmurHash buys.
-		return foldHash(addr, s.opts.SeedRead) % s.opts.Slots,
-			foldHash(addr, s.opts.SeedWrite) % s.opts.Slots
+		h1, h2 = foldHash(addr, s.opts.SeedRead), foldHash(addr, s.opts.SeedWrite)
+	} else {
+		h1, h2 = murmur.HashAddrPair(addr, s.opts.SeedRead)
+		h2 = murmur.Mix64(h2 ^ s.opts.SeedWrite)
 	}
-	h1, h2 := murmur.HashAddrPair(addr, s.opts.SeedRead)
-	return h1 % s.opts.Slots, murmur.Mix64(h2^s.opts.SeedWrite) % s.opts.Slots
+	if s.pow2 {
+		return h1 & s.slotMask, h2 & s.slotMask
+	}
+	return h1 % s.opts.Slots, h2 % s.opts.Slots
 }
 
 func foldHash(addr, seed uint64) uint64 {
@@ -200,36 +240,62 @@ func (s *Asymmetric) ObserveRead(addr uint64, tid int32) (int32, bool) {
 	if v := s.write[ws].Load(); v != 0 {
 		writer = v - 1
 	}
-	already := s.filterAt(rs).Add(uint64(tid))
-	return writer, !already
+	if s.masks == nil {
+		already := s.filterAt(rs).Add(uint64(tid))
+		return writer, !already
+	}
+	// Test before set: a repeat read, the common case, is one load and
+	// leaves the cache line shared.
+	m, bit := &s.masks[rs], uint64(1)<<(uint(tid)&63)
+	for {
+		old := m.Load()
+		if old&bit != 0 {
+			return writer, false
+		}
+		if m.CompareAndSwap(old, old|bit) {
+			return writer, true
+		}
+		if p := s.opts.Probes; p != nil {
+			p.CASRetries.Inc()
+		}
+	}
 }
 
 // ObserveWrite implements Backend. One fused hash pass yields both slots.
 func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
 	rs, ws := s.slots(addr)
-	// Clear the correspondent bloom filter in the read signature: the write
+	// Clear the correspondent reader set in the read signature: the write
 	// produces a new value, so earlier readers must count again (Fig. 2's
 	// communicating-access rule).
-	if f := s.read[rs].Load(); f != nil {
-		f.Reset()
-		if p := s.opts.Probes; p != nil {
-			p.ReaderResets.Inc()
+	cleared := false
+	if s.masks != nil {
+		if m := &s.masks[rs]; m.Load() != 0 {
+			m.Store(0)
+			cleared = true
 		}
+	} else if f := s.read[rs].Load(); f != nil {
+		f.Reset()
+		cleared = true
+	}
+	if p := s.opts.Probes; cleared && p != nil {
+		p.ReaderResets.Inc()
 	}
 	s.write[ws].Store(tid + 1)
 }
 
 // FootprintBytes implements Backend: the live heap held by the two arrays
-// plus every allocated second-level filter.
+// plus every allocated second-level filter. Both layouts spend 8 bytes per
+// slot on the read array (a mask word or a filter pointer), so the mask
+// layout's footprint is the constant 12·Slots.
 func (s *Asymmetric) FootprintBytes() uint64 {
 	perFilter := (s.bloomP.Bits + 63) / 64 * 8
 	return s.opts.Slots*4 + // write array (4-byte slots, as in Eq. 2)
-		s.opts.Slots*8 + // read level-1 pointer array
+		s.opts.Slots*8 + // read array
 		s.allocated.Load()*perFilter
 }
 
 // ModelBytes returns Eq. 2's closed-form memory bound for this configuration:
-// every slot's filter allocated.
+// every slot's filter allocated. The mask layout sits well below it.
 func (s *Asymmetric) ModelBytes() uint64 {
 	return SigMem(s.opts.Slots, s.opts.Threads, s.opts.FPRate)
 }
@@ -239,21 +305,42 @@ func (s *Asymmetric) Reset() {
 	for i := range s.write {
 		s.write[i].Store(0)
 	}
+	for i := range s.masks {
+		s.masks[i].Store(0)
+	}
 	for i := range s.read {
 		s.read[i].Store(nil)
 	}
 	s.allocated.Store(0)
 }
 
-// AllocatedFilters reports how many second-level bloom filters exist.
+// AllocatedFilters reports how many second-level bloom filters exist; always
+// 0 on the mask layout, which has none.
 func (s *Asymmetric) AllocatedFilters() uint64 { return s.allocated.Load() }
 
-// Occupancy reports the fraction of read-signature slots whose second-level
-// bloom filter has been allocated — the signature saturation a live
-// telemetry consumer watches to see whether the configured slot count is
-// undersized for the workload's working set.
+// occupancySample is how many slots Occupancy probes on the mask layout.
+const occupancySample = 4096
+
+// Occupancy reports the fraction of read-signature slots in use — the
+// signature saturation a live telemetry consumer watches to see whether the
+// configured slot count is undersized for the workload's working set. On the
+// bloom layout a slot is in use once its filter is allocated (an exact
+// count); on the mask layout it is in use while its reader set is non-empty,
+// estimated from occupancySample slots at a fixed stride over the whole
+// range. Safe to call concurrently with a run.
 func (s *Asymmetric) Occupancy() float64 {
-	return float64(s.allocated.Load()) / float64(s.opts.Slots)
+	if s.masks == nil {
+		return float64(s.allocated.Load()) / float64(s.opts.Slots)
+	}
+	stride := max(len(s.masks)/occupancySample, 1)
+	probed, used := 0, 0
+	for slot := 0; slot < len(s.masks); slot += stride {
+		probed++
+		if s.masks[slot].Load() != 0 {
+			used++
+		}
+	}
+	return float64(used) / float64(probed)
 }
 
 // FillRatio probes up to sample slots spread at a fixed stride across the
@@ -263,8 +350,10 @@ func (s *Asymmetric) Occupancy() float64 {
 // sample filters, so whenever more than sample filters were live the estimate
 // was computed exclusively from the lowest slots — a biased sample, since
 // address-hash locality makes slot position correlate with allocation age and
-// workload structure.) Returns 0 when no probed slot holds a filter. Safe to
-// call concurrently with a run; the result is a racy estimate.
+// workload structure.) Returns 0 when no probed slot holds a filter, and
+// always on the mask layout: a mask with every thread's bit set is exact, not
+// saturated, so it must not read as bloom fill. Safe to call concurrently
+// with a run; the result is a racy estimate.
 func (s *Asymmetric) FillRatio(sample int) float64 {
 	if sample <= 0 {
 		sample = 64

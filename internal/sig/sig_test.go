@@ -1,23 +1,39 @@
 package sig
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-
-	"commprof/internal/bloom"
-	"commprof/internal/murmur"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"commprof/internal/bloom"
+	"commprof/internal/murmur"
 )
 
+// newTestSig builds the layout NewAsymmetric picks by itself at t = 32: masks.
 func newTestSig(t *testing.T, slots uint64) *Asymmetric {
 	t.Helper()
-	s, err := NewAsymmetric(Options{Slots: slots, Threads: 32, FPRate: 0.001})
+	return newLayoutSig(t, slots, false)
+}
+
+func newLayoutSig(t *testing.T, slots uint64, paperBloom bool) *Asymmetric {
+	t.Helper()
+	s, err := NewAsymmetric(Options{Slots: slots, Threads: 32, FPRate: 0.001, PaperBloom: paperBloom})
 	if err != nil {
 		t.Fatalf("NewAsymmetric: %v", err)
 	}
+	if (s.masks == nil) != paperBloom {
+		t.Fatalf("PaperBloom=%v built masks=%v", paperBloom, s.masks != nil)
+	}
 	return s
+}
+
+// eachLayout runs f against a mask-backed and a bloom-backed signature.
+func eachLayout(t *testing.T, slots uint64, f func(t *testing.T, s *Asymmetric)) {
+	t.Run("mask", func(t *testing.T) { f(t, newLayoutSig(t, slots, false)) })
+	t.Run("bloom", func(t *testing.T) { f(t, newLayoutSig(t, slots, true)) })
 }
 
 func TestOptionsValidation(t *testing.T) {
@@ -86,16 +102,29 @@ func TestThreadZeroIsValidWriter(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	s := newTestSig(t, 1<<12)
-	s.ObserveWrite(0x10, 2)
-	s.ObserveRead(0x10, 3)
-	s.Reset()
-	if w, first := s.ObserveRead(0x10, 3); w != NoWriter || !first {
-		t.Fatalf("after Reset: (%d,%v)", w, first)
-	}
-	if s.AllocatedFilters() != 1 { // the read above re-allocated exactly one
-		t.Fatalf("AllocatedFilters = %d, want 1", s.AllocatedFilters())
-	}
+	eachLayout(t, 1<<12, func(t *testing.T, s *Asymmetric) {
+		s.ObserveWrite(0x10, 2)
+		s.ObserveRead(0x10, 3)
+		s.Reset()
+		if got := s.Occupancy(); got != 0 {
+			t.Fatalf("Occupancy after Reset = %v, want 0", got)
+		}
+		if w, first := s.ObserveRead(0x10, 3); w != NoWriter || !first {
+			t.Fatalf("after Reset: (%d,%v)", w, first)
+		}
+		// The read above is the only reader state: one slot of 2^12 in use,
+		// held in one re-allocated filter on the bloom layout.
+		if got, want := s.Occupancy(), 1.0/(1<<12); got != want {
+			t.Fatalf("Occupancy = %v, want %v", got, want)
+		}
+		wantFilters := uint64(1)
+		if s.masks != nil {
+			wantFilters = 0
+		}
+		if s.AllocatedFilters() != wantFilters {
+			t.Fatalf("AllocatedFilters = %d, want %d", s.AllocatedFilters(), wantFilters)
+		}
+	})
 }
 
 func TestMatchesPerfectWhenLarge(t *testing.T) {
@@ -183,28 +212,45 @@ func TestSigMemMonotonic(t *testing.T) {
 }
 
 func TestFootprintBoundedByModel(t *testing.T) {
-	s := newTestSig(t, 1<<14)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100000; i++ {
-		addr := uint64(rng.Int63())
-		if i%4 == 0 {
-			s.ObserveWrite(addr, int32(i%32))
-		} else {
-			s.ObserveRead(addr, int32(i%32))
+	const slots = 1 << 14
+	eachLayout(t, slots, func(t *testing.T, s *Asymmetric) {
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 100000; i++ {
+			addr := uint64(rng.Int63())
+			if i%4 == 0 {
+				s.ObserveWrite(addr, int32(i%32))
+			} else {
+				s.ObserveRead(addr, int32(i%32))
+			}
 		}
-	}
-	foot := s.FootprintBytes()
-	// Upper bound from the actual geometry: both arrays plus every slot's
-	// filter rounded up to whole 64-bit words (Eq. 2 models the unrounded
-	// bit count, so it sits slightly below this rounded-up bound).
-	perFilter := (bloom.Derive(32, 0.001).Bits + 63) / 64 * 8
-	bound := uint64(1<<14)*(4+8) + uint64(1<<14)*perFilter
-	if foot > bound {
-		t.Fatalf("footprint %d exceeds geometry bound %d", foot, bound)
-	}
-	if s.AllocatedFilters() == 0 {
-		t.Fatal("no filters allocated after 100k accesses")
-	}
+		foot := s.FootprintBytes()
+		if s.masks != nil {
+			// No second level to grow: 4 B writer + 8 B mask per slot, far
+			// under Eq. 2's 61.5 B/slot at t = 32.
+			if foot != slots*12 {
+				t.Fatalf("mask footprint %d, want %d", foot, slots*12)
+			}
+			if foot >= s.ModelBytes() {
+				t.Fatalf("mask footprint %d not below Eq. 2 bound %d", foot, s.ModelBytes())
+			}
+			if s.AllocatedFilters() != 0 {
+				t.Fatalf("mask layout allocated %d filters", s.AllocatedFilters())
+			}
+			return
+		}
+		// Upper bound from the actual geometry: both arrays plus every
+		// slot's filter rounded up to whole 64-bit words (Eq. 2 models the
+		// unrounded bit count, so it sits slightly below this rounded-up
+		// bound).
+		perFilter := (bloom.Derive(32, 0.001).Bits + 63) / 64 * 8
+		bound := uint64(slots)*(4+8) + uint64(slots)*perFilter
+		if foot > bound {
+			t.Fatalf("footprint %d exceeds geometry bound %d", foot, bound)
+		}
+		if s.AllocatedFilters() == 0 {
+			t.Fatal("no filters allocated after 100k accesses")
+		}
+	})
 }
 
 func TestFootprintFixedUnderGrowingWorkingSet(t *testing.T) {
@@ -243,23 +289,54 @@ func TestPerfectFootprintGrows(t *testing.T) {
 func TestConcurrentObserveNoRace(t *testing.T) {
 	// Lock-freedom smoke test: hammer one signature from many goroutines.
 	// Run with -race to validate the atomic design.
+	eachLayout(t, 1<<12, func(t *testing.T, s *Asymmetric) {
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 5000; i++ {
+					addr := uint64((w*5000 + i) % 997 * 8)
+					if i%3 == 0 {
+						s.ObserveWrite(addr, int32(w))
+					} else {
+						s.ObserveRead(addr, int32(w))
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	})
+}
+
+func TestConcurrentReadersCountOncePerThread(t *testing.T) {
+	// The Options.Parallel contract on the mask layout: program threads call
+	// the one signature directly, so 8 of them racing to set their bit in
+	// the same few mask words must each see exactly one first read per
+	// address — a lost update in the CAS loop would show as a second one.
+	const workers, addrs, rounds = 8, 16, 2000
 	s := newTestSig(t, 1<<12)
+	var firsts [workers]int
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				addr := uint64((w*5000 + i) % 997 * 8)
-				if i%3 == 0 {
-					s.ObserveWrite(addr, int32(w))
-				} else {
-					s.ObserveRead(addr, int32(w))
+			for i := 0; i < rounds; i++ {
+				for a := 0; a < addrs; a++ {
+					if _, first := s.ObserveRead(uint64(a*8), int32(w)); first {
+						firsts[w]++
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	for w, n := range firsts {
+		if n != addrs {
+			t.Errorf("thread %d: %d first reads over %d addresses", w, n, addrs)
+		}
+	}
 }
 
 func TestBackendInterfaceCompliance(t *testing.T) {
@@ -301,31 +378,229 @@ func TestFillRatioSamplesWholeSlotRange(t *testing.T) {
 	// from the lowest slots. Allocate near-empty filters in the low half and
 	// heavily-filled ones in the high half; a stride over the whole range
 	// must see both populations.
-	s := newTestSig(t, 1024)
-	for slot := uint64(0); slot < 256; slot++ {
-		s.filterAt(slot).Add(0) // one bit: fill ≈ 1/filterBits
-	}
-	for slot := uint64(512); slot < 768; slot++ {
-		f := s.filterAt(slot)
-		for tid := uint64(0); tid < 32; tid++ {
-			f.Add(tid) // saturated for the configured thread count
+	t.Run("bloom", func(t *testing.T) {
+		s := newLayoutSig(t, 1024, true)
+		for slot := uint64(0); slot < 256; slot++ {
+			s.filterAt(slot).Add(0) // one bit: fill ≈ 1/filterBits
 		}
-	}
-	lowOnly := float64(s.filterAt(0).PopCount()) / float64(s.filterAt(0).Bits())
-	got := s.FillRatio(64)
-	if got <= 2*lowOnly {
-		t.Fatalf("FillRatio(64) = %v, indistinguishable from the low-slot population %v: high slots not sampled", got, lowOnly)
-	}
-	high := float64(s.filterAt(512).PopCount()) / float64(s.filterAt(512).Bits())
-	if want := (lowOnly + high) / 2; got < want/2 || got > want*2 {
-		t.Errorf("FillRatio(64) = %v, not within 2x of the two-population mean %v", got, want)
-	}
+		for slot := uint64(512); slot < 768; slot++ {
+			f := s.filterAt(slot)
+			for tid := uint64(0); tid < 32; tid++ {
+				f.Add(tid) // saturated for the configured thread count
+			}
+		}
+		lowOnly := float64(s.filterAt(0).PopCount()) / float64(s.filterAt(0).Bits())
+		got := s.FillRatio(64)
+		if got <= 2*lowOnly {
+			t.Fatalf("FillRatio(64) = %v, indistinguishable from the low-slot population %v: high slots not sampled", got, lowOnly)
+		}
+		high := float64(s.filterAt(512).PopCount()) / float64(s.filterAt(512).Bits())
+		if want := (lowOnly + high) / 2; got < want/2 || got > want*2 {
+			t.Errorf("FillRatio(64) = %v, not within 2x of the two-population mean %v", got, want)
+		}
+	})
+	// The mask layout's sampled figure is Occupancy, which must stride the
+	// whole range the same way (here more slots than it samples, a quarter
+	// of them in use, all in one high band). Full masks — every thread a
+	// reader — are exact state, so they must not read as bloom fill.
+	t.Run("mask", func(t *testing.T) {
+		const slots = 4 * occupancySample
+		s := newLayoutSig(t, slots, false)
+		for slot := slots / 2; slot < slots*3/4; slot++ {
+			s.masks[slot].Store(1<<32 - 1)
+		}
+		if got := s.Occupancy(); got != 0.25 {
+			t.Errorf("Occupancy = %v, want 0.25", got)
+		}
+		if got := s.FillRatio(64); got != 0 {
+			t.Errorf("FillRatio on full masks = %v, want 0 (bloom fill only)", got)
+		}
+	})
 }
 
 func TestFillRatioNoFilters(t *testing.T) {
-	s := newTestSig(t, 1024)
-	if got := s.FillRatio(64); got != 0 {
-		t.Fatalf("FillRatio on empty signature = %v, want 0", got)
+	eachLayout(t, 1024, func(t *testing.T, s *Asymmetric) {
+		if got := s.FillRatio(64); got != 0 {
+			t.Fatalf("FillRatio on empty signature = %v, want 0", got)
+		}
+	})
+}
+
+// maskModel is the naive reference for the mask layout: the same two-array
+// structure held in maps, addressed through the signature's own slots().
+type maskModel struct {
+	readers map[uint64]uint64
+	writers map[uint64]int32
+}
+
+func (m *maskModel) read(rs, ws uint64, tid int32) (int32, bool) {
+	w, ok := m.writers[ws]
+	if !ok {
+		w = NoWriter
+	}
+	first := m.readers[rs]&(1<<uint(tid)) == 0
+	m.readers[rs] |= 1 << uint(tid)
+	return w, first
+}
+
+func (m *maskModel) write(rs, ws uint64, tid int32) {
+	delete(m.readers, rs)
+	m.writers[ws] = tid
+}
+
+func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
+	for _, threads := range []int{1, 2, 32, 64} {
+		for _, slots := range []uint64{1, 64, 1 << 10, 1000, 37} {
+			for _, hash := range []HashKind{HashMurmur, HashFold} {
+				name := fmt.Sprintf("t=%d/slots=%d/hash=%d", threads, slots, hash)
+				t.Run(name, func(t *testing.T) {
+					s, err := NewAsymmetric(Options{Slots: slots, Threads: threads, FPRate: 0.001, Hash: hash})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.masks == nil {
+						t.Fatal("not mask-backed")
+					}
+					seed := int64(threads)*1_000_003 + int64(slots)*31 + int64(hash)
+					rng := rand.New(rand.NewSource(seed))
+					ref := maskModel{readers: map[uint64]uint64{}, writers: map[uint64]int32{}}
+					for i := 0; i < 20000; i++ {
+						// ~4 addresses per slot: collisions are the rule.
+						addr := uint64(0x7000 + 8*rng.Intn(int(4*slots)))
+						tid := int32(rng.Intn(threads))
+						rs, ws := s.slots(addr)
+						if rng.Intn(4) == 0 {
+							s.ObserveWrite(addr, tid)
+							ref.write(rs, ws, tid)
+							continue
+						}
+						gw, gf := s.ObserveRead(addr, tid)
+						ww, wf := ref.read(rs, ws, tid)
+						if gw != ww || gf != wf {
+							t.Fatalf("seed %d op %d: read(%#x, T%d) = (%d,%v), model (%d,%v)",
+								seed, i, addr, tid, gw, gf, ww, wf)
+						}
+					}
+					if got, want := s.FootprintBytes(), slots*12; got != want {
+						t.Errorf("FootprintBytes = %d, want %d", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+func TestPow2ReductionMatchesModulo(t *testing.T) {
+	// h&(n-1) must pick the slot h%n picked before, at every power-of-two n,
+	// so the fast reduction moves no address and changes no collision.
+	rng := rand.New(rand.NewSource(11))
+	addrs := make([]uint64, 100000)
+	for i := range addrs {
+		addrs[i] = rng.Uint64()
+	}
+	for _, hash := range []HashKind{HashMurmur, HashFold} {
+		for k := 0; k <= 24; k++ {
+			opts := Options{Slots: 1 << k, Threads: 32, FPRate: 0.001, Hash: hash}
+			if err := opts.setDefaults(); err != nil {
+				t.Fatal(err)
+			}
+			// Bare structs: slots() touches no array, and 2^24 real slots
+			// would cost 200 MB per size.
+			and := &Asymmetric{opts: opts, pow2: true, slotMask: opts.Slots - 1}
+			mod := &Asymmetric{opts: opts}
+			for _, a := range addrs {
+				ar, aw := and.slots(a)
+				mr, mw := mod.slots(a)
+				if ar != mr || aw != mw {
+					t.Fatalf("hash %d, 2^%d slots, addr %#x: & gives (%d,%d), %% gives (%d,%d)",
+						hash, k, a, ar, aw, mr, mw)
+				}
+			}
+		}
+	}
+	for _, n := range []uint64{1, 2, 1 << 20} {
+		if s := newTestSig(t, n); !s.pow2 {
+			t.Errorf("Slots=%d not recognised as a power of two", n)
+		}
+	}
+	for _, n := range []uint64{3, 1000, 1<<20 + 1} {
+		if s := newTestSig(t, n); s.pow2 {
+			t.Errorf("Slots=%d taken for a power of two", n)
+		}
+	}
+}
+
+func TestBloomLayoutKeptBeyondMaskThreads(t *testing.T) {
+	// Past one mask word, and when the paper's structure is forced, the
+	// per-slot bloom filters stay, with the footprint they always had.
+	const slots = 1 << 10
+	cases := []Options{
+		{Slots: slots, Threads: MaskThreads + 1, FPRate: 0.001},
+		{Slots: slots, Threads: 32, FPRate: 0.001, PaperBloom: true},
+		{Slots: slots, Threads: 1, FPRate: 0.001, PaperBloom: true},
+	}
+	for _, opts := range cases {
+		s, err := NewAsymmetric(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.masks != nil || s.read == nil {
+			t.Fatalf("%+v: mask layout selected", opts)
+		}
+		const reads = 100
+		for i := 0; i < reads; i++ {
+			s.ObserveRead(uint64(i*8), int32(i%opts.Threads))
+		}
+		live := uint64(0)
+		for i := range s.read {
+			if s.read[i].Load() != nil {
+				live++
+			}
+		}
+		if live == 0 || s.AllocatedFilters() != live {
+			t.Fatalf("%+v: AllocatedFilters = %d, %d filters live", opts, s.AllocatedFilters(), live)
+		}
+		perFilter := (bloom.Derive(uint64(opts.Threads), opts.FPRate).Bits + 63) / 64 * 8
+		if got, want := s.FootprintBytes(), slots*(4+8)+live*perFilter; got != want {
+			t.Errorf("%+v: FootprintBytes = %d, want %d", opts, got, want)
+		}
+		if got, want := s.ModelBytes(), SigMem(slots, opts.Threads, opts.FPRate); got != want {
+			t.Errorf("%+v: ModelBytes = %d, want Eq. 2's %d", opts, got, want)
+		}
+		if s.Occupancy() != float64(live)/slots {
+			t.Errorf("%+v: Occupancy = %v, want %v", opts, s.Occupancy(), float64(live)/slots)
+		}
+	}
+	if s := newTestSig(t, slots); s.masks == nil {
+		t.Fatal("t = 32 did not select the mask layout")
+	}
+	s, err := NewAsymmetric(Options{Slots: slots, Threads: MaskThreads, FPRate: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.masks == nil {
+		t.Fatalf("t = %d did not select the mask layout", MaskThreads)
+	}
+	if _, first := s.ObserveRead(8, MaskThreads-1); !first {
+		t.Error("highest thread's first read not recorded")
+	}
+	if _, first := s.ObserveRead(8, MaskThreads-1); first {
+		t.Error("highest thread's repeat read reported as first")
+	}
+}
+
+func TestMaskObserveDoesNotAllocate(t *testing.T) {
+	s := newTestSig(t, 1<<16)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		addr := uint64(i) * 8
+		s.ObserveRead(addr, int32(i&31))
+		s.ObserveWrite(addr+8, int32(i&31))
+		s.ObserveRead(addr+8, int32((i+1)&31))
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("mask layout allocated %v times per read/write/read", allocs)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"commprof/internal/exec"
 	"commprof/internal/interp"
 	"commprof/internal/passes"
-	"commprof/internal/sig"
 	"commprof/internal/trace"
 )
 
@@ -61,10 +60,7 @@ func ProfileMiniPar(src string, threads int, onlyFuncs []string, opts Options) (
 	}
 	tel := opts.Telemetry
 	probes := tel.probes()
-	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: threads, FPRate: opts.BloomFPRate,
-		Probes: probes.SigProbes(),
-	})
+	backend, err := opts.newSignature(threads, probes)
 	if err != nil {
 		return nil, nil, err
 	}

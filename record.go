@@ -8,7 +8,6 @@ import (
 	"commprof/internal/detect"
 	"commprof/internal/exec"
 	"commprof/internal/metrics"
-	"commprof/internal/sig"
 	"commprof/internal/splash"
 	"commprof/internal/trace"
 )
@@ -36,10 +35,7 @@ func Record(opts Options, w io.Writer) (*Report, error) {
 	}
 	tel := opts.Telemetry
 	probes := tel.probes()
-	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: opts.Threads, FPRate: opts.BloomFPRate,
-		Probes: probes.SigProbes(),
-	})
+	backend, err := opts.newSignature(opts.Threads, probes)
 	if err != nil {
 		return nil, err
 	}
@@ -208,10 +204,7 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 		tel.finishRun(rep, tree)
 		return rep, nil
 	}
-	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: threads, FPRate: opts.BloomFPRate,
-		Probes: probes.SigProbes(),
-	})
+	backend, err := opts.newSignature(threads, probes)
 	if err != nil {
 		return nil, err
 	}

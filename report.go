@@ -267,9 +267,10 @@ type AccuracyReport struct {
 	CurrentSlots     uint64
 	RecommendedSlots uint64
 	RecommendedBytes uint64
-	// FillRatio is the production read signature's final mean bloom fill;
-	// FillTrajectory its sampled course over the run (present when the run
-	// had Options.Telemetry, which owns the periodic sampler).
+	// FillRatio is the production read signature's final mean bloom fill
+	// (0 up to 64 threads, where reader sets are exact masks with nothing to
+	// saturate); FillTrajectory its sampled course over the run (present
+	// when the run had Options.Telemetry, which owns the periodic sampler).
 	FillRatio      float64
 	FillTrajectory []FillSample `json:",omitempty"`
 	// Alarm carries the warn-once saturation message, "" when none fired.

@@ -7,7 +7,10 @@
 # algebra (comm), the static-coalescing differential wall (passes) and the
 # observability primitives (obs timelines, tracers, histograms) plus a
 # facade-level race pass scraping /metrics and /progress during a live
-# sharded run, plus
+# sharded run, a -cpu 1,2,4 pass over the packages whose tests involve more
+# than one goroutine (no result may depend on how many cores the host has), a
+# vet+test of the nested bench/ module (it compiles against internal APIs that
+# `go build ./...` from the root does not reach), plus
 # a short fuzz smoke over the trace codec, the source instrumenter and the
 # coalescing pass, and an instrument+vet check of every example program
 # under testdata/ via the commtrace driver.
@@ -40,6 +43,13 @@ go test -race ./internal/sig/... ./internal/exec/... ./internal/pipeline/... ./i
 
 echo "== go test -race (facade timeline + live concurrent scrape) =="
 go test -race -run 'TestTimeline|TestTelemetryConcurrentScrape|TestReportOverheadAttribution|TestProgressStageLatencies' .
+
+echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, experiments queue) =="
+go test -cpu 1,2,4 -count 3 ./internal/detect/... ./internal/pipeline/... ./internal/sig/...
+go test -cpu 1,2,4 -count 3 -run 'TestQueueArchitecture' ./internal/experiments
+
+echo "== bench module: go vet + go test =="
+(cd bench && go vet . && go test .)
 
 echo "== commtrace -mode check (instrument + vet every example program) =="
 for pkg in workerpool chanpipe striped; do

@@ -132,7 +132,7 @@ func profileSharded(opts Options, prog splash.Program, tel *Telemetry, probes *o
 		return nil, err
 	}
 	// Producer-side staging amortises shard-queue locking the way
-	// ProcessStream always did for replay. In parallel engine mode each
+	// Engine.ProcessStream always did for replay. In parallel engine mode each
 	// thread produces only its own accesses, so a per-thread producer is
 	// contention-free; staging merely widens the enqueue-order race the mode
 	// already accepts. The deterministic scheduler funnels every thread's

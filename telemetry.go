@@ -382,7 +382,9 @@ type ProgressSnapshot struct {
 	DroppedReads uint64 `json:"dropped_reads"`
 	// SigFilters / SigOccupancy / SigFillRatio describe signature
 	// saturation: allocated second-level bloom filters, the fraction of
-	// slots occupied, and the mean fill of a sample of filters.
+	// slots occupied, and the mean fill of a sample of filters. Up to 64
+	// threads reader sets are exact masks, not blooms: SigFilters and
+	// SigFillRatio stay 0 and SigOccupancy is a strided-sample estimate.
 	SigFilters   uint64  `json:"sig_filters"`
 	SigOccupancy float64 `json:"sig_occupancy"`
 	SigFillRatio float64 `json:"sig_fill_ratio"`

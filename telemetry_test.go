@@ -29,8 +29,13 @@ func TestTelemetryReportAttached(t *testing.T) {
 	if tr.Counters["detect_events_total"] == 0 {
 		t.Errorf("detect_events_total = 0; counters: %v", tr.Counters)
 	}
-	if tr.Counters["sig_filter_allocs_total"] == 0 {
-		t.Error("sig_filter_allocs_total = 0: no bloom filters allocated?")
+	// 8 threads run on exact reader masks: no bloom filter is ever allocated,
+	// and slot use shows in the occupancy gauge below instead.
+	if n := tr.Counters["sig_filter_allocs_total"]; n != 0 {
+		t.Errorf("sig_filter_allocs_total = %d on the mask layout, want 0", n)
+	}
+	if tr.Counters["sig_reader_resets_total"] == 0 {
+		t.Error("sig_reader_resets_total = 0: no write cleared a reader mask?")
 	}
 	if tr.Counters["exec_quantum_switches_total"] == 0 {
 		t.Error("exec_quantum_switches_total = 0 on deterministic run")
@@ -125,8 +130,8 @@ func TestTelemetryProgressSnapshot(t *testing.T) {
 	if sum != rep.Accesses {
 		t.Errorf("per-thread accesses sum to %d, report says %d", sum, rep.Accesses)
 	}
-	if p.SigFilters == 0 || p.SigOccupancy <= 0 {
-		t.Errorf("signature stats empty: filters=%d occupancy=%v", p.SigFilters, p.SigOccupancy)
+	if p.SigFilters != 0 || p.SigOccupancy <= 0 || p.SigOccupancy > 1 {
+		t.Errorf("mask-layout signature stats wrong: filters=%d (want 0) occupancy=%v (want in (0,1])", p.SigFilters, p.SigOccupancy)
 	}
 	if p.Phase != "" {
 		t.Errorf("Phase = %q after run completed, want idle", p.Phase)
