@@ -1,0 +1,322 @@
+package commprof
+
+import (
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"commprof/internal/accuracy"
+	"commprof/internal/comm"
+	"commprof/internal/detect"
+	"commprof/internal/exec"
+	"commprof/internal/metrics"
+	"commprof/internal/obs"
+	"commprof/internal/pipeline"
+	"commprof/internal/trace"
+)
+
+// analysis is one run's analyser, and the only way an entry point reaches
+// one: every entry point is a source of accesses (a simulated-thread engine,
+// an access slice, a trace decoder) feeding this value. The engine runs
+// Algorithm 1 in the source's own threads (AnalysisShards 0, the paper's mode)
+// or on K shard workers; the gate thins reads in front of it; ps is the
+// windowed phase layer's facade wiring. Every Options field that shapes the
+// analysis is read here and nowhere else, so no entry point can drop one.
+type analysis struct {
+	opts    Options
+	threads int
+	// concurrent: the source calls the probe from several goroutines at once
+	// (an engine source under Options.Parallel).
+	concurrent bool
+	tel        *Telemetry
+	pe         *pipeline.Engine
+	ps         *phaseState // nil without PhaseWindow
+
+	gate    *detect.Gate  // nil without read sampling
+	skipped atomic.Uint64 // reads the gate turned away
+
+	// producers are the staging handles probe and producer handed out;
+	// finish flushes them before closing the engine.
+	producers []*pipeline.Producer
+}
+
+// newAnalysis builds the analyser for a run over threads threads and the
+// given region table. Close its engine (idempotent; finish does) on every
+// path, or a sharded run's workers outlive a failed source.
+func newAnalysis(opts Options, threads int, table *trace.Table, concurrent bool) (*analysis, error) {
+	if opts.AnalysisShards < 0 {
+		return nil, fmt.Errorf("commprof: AnalysisShards must be non-negative, got %d", opts.AnalysisShards)
+	}
+	if concurrent && opts.AnalysisShards == 0 && (opts.RedundancyCacheBits > 0 || opts.AccuracyTargetFPR > 0) {
+		// In-thread, the program's threads are the analyser's callers; the
+		// redundancy cache and the accuracy monitor's verdict pairing both
+		// belong to exactly one. A shard worker is such an owner.
+		return nil, fmt.Errorf("commprof: RedundancyCacheBits and AccuracyTargetFPR need a single-consumer analyser: with Parallel set AnalysisShards ≥ 1")
+	}
+	policy, err := opts.ShardPolicy.toInternal()
+	if err != nil {
+		return nil, err
+	}
+	tel := opts.Telemetry
+	probes := tel.probes()
+	an := &analysis{opts: opts, threads: threads, concurrent: concurrent, tel: tel}
+	if an.ps, err = newPhaseState(opts, table, tel, probes); err != nil {
+		return nil, err
+	}
+	if opts.SamplePeriod > 0 {
+		if an.gate, err = detect.NewGate(threads, opts.SampleBurst, opts.SamplePeriod); err != nil {
+			return nil, err
+		}
+	}
+	an.pe, err = pipeline.New(pipeline.Options{
+		Shards:              opts.AnalysisShards,
+		Threads:             threads,
+		Table:               table,
+		GranularityBits:     opts.GranularityBits,
+		QueueCapacity:       opts.ShardQueueCapacity,
+		BatchSize:           opts.ShardBatchSize,
+		Policy:              policy,
+		RedundancyCacheBits: opts.RedundancyCacheBits,
+		Accuracy:            opts.accuracyOptions(threads, probes),
+		NewBackend:          pipeline.AsymmetricFactory(opts.SignatureSlots, opts.AnalysisShards, threads, opts.BloomFPRate, probes.SigProbes()),
+		Probes:              probes.PipelineProbes(),
+		DetectProbes:        probes.DetectProbes(),
+		PhaseWindow:         opts.PhaseWindow,
+		OnWindowClose:       an.ps.onClose(),
+		PhaseProbes:         probes.PhaseProbes(),
+		Stages:              probes.StageProbes(),
+		Overhead:            probes.OverheadProbes(),
+		Timeline:            tel.Timeline(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return an, nil
+}
+
+// sampledOut applies read sampling to one access: true for a read the
+// burst/period gate turns away (and counts). Writes always pass — skipping
+// one would corrupt last-writer attribution rather than merely lose volume.
+func (an *analysis) sampledOut(kind trace.Kind, thread int32) bool {
+	if an.gate == nil || kind != trace.Read || an.gate.Admit(thread) {
+		return false
+	}
+	an.skipped.Add(1)
+	return true
+}
+
+// producer returns a staging handle for one producing goroutine that finish
+// will flush. In-thread it stages nothing and runs the detector directly.
+func (an *analysis) producer(flushOnThreadSwitch bool) *pipeline.Producer {
+	p := an.pe.NewProducer(flushOnThreadSwitch)
+	an.producers = append(an.producers, p)
+	return p
+}
+
+// probe returns the per-access hook a simulated-thread engine drives.
+// In-thread it is the detector's own probe. Sharded, producer-side staging
+// amortises shard-queue locking: under the parallel scheduler each thread
+// produces only its own accesses, so a per-thread producer is contention-free
+// (staging merely widens the enqueue-order race the mode already accepts);
+// the deterministic scheduler funnels every thread through one serialized
+// probe, so a single producer flushed on thread switches (= quantum
+// boundaries) preserves the exact global arrival order. tap, when non-nil,
+// records every access in front of the sampling gate.
+func (an *analysis) probe(tap *trace.Stream) exec.Probe {
+	var process exec.Probe
+	switch d := an.pe.InThread(); {
+	case d != nil:
+		process = d.Probe()
+	case an.concurrent:
+		producers := make([]*pipeline.Producer, an.threads)
+		for i := range producers {
+			producers[i] = an.producer(false)
+		}
+		process = func(a trace.Access) { producers[a.Thread].Process(a) }
+	default:
+		process = an.producer(true).Process
+	}
+	if an.gate == nil && tap == nil {
+		return process
+	}
+	return func(a trace.Access) {
+		if tap != nil {
+			tap.Accesses = append(tap.Accesses, a)
+		}
+		if !an.sampledOut(a.Kind, a.Thread) {
+			process(a)
+		}
+	}
+}
+
+// feedBatch hands one decoded batch to the analyser through p, thinning
+// sampled-out reads in place first (the batch buffer is the caller's to
+// reuse; only its length shrinks).
+func (an *analysis) feedBatch(p *pipeline.Producer, batch []trace.Access) {
+	if an.gate != nil {
+		kept := batch[:0]
+		for _, a := range batch {
+			if !an.sampledOut(a.Kind, a.Thread) {
+				kept = append(kept, a)
+			}
+		}
+		batch = kept
+	}
+	p.ProcessBatch(batch)
+}
+
+// wire binds the run's live surfaces — gauges, /progress, the periodic
+// sampler, the phase fields — to the analyser and, when the source has one,
+// its simulated-thread engine. Call before the source starts. No-op without
+// telemetry.
+func (an *analysis) wire(eng *exec.Engine) {
+	an.tel.wireRun(eng, an)
+	an.ps.wire()
+}
+
+// finish drains the analyser and renders the report — the one report
+// builder: region tree and hotspots, then one section per layer the run had
+// on (Pipeline, Redundancy, Accuracy, Phases/PhaseTimeline, SampleFraction,
+// Telemetry/Overhead). stats is the source's own access tally.
+func (an *analysis) finish(name string, stats exec.Stats) (*Report, error) {
+	tel, pe, opts := an.tel, an.pe, an.opts
+	var drain *obs.SpanHandle
+	if pe.Shards() > 0 {
+		drain = tel.span("pipeline-drain")
+	}
+	for _, p := range an.producers {
+		p.Flush()
+	}
+	pe.Close()
+	drain.End()
+
+	build := tel.span("tree-build")
+	stages := tel.probes().StageProbes()
+	var t0 time.Time
+	if stages != nil {
+		t0 = time.Now()
+	}
+	tree, err := pe.Tree()
+	if err != nil {
+		return nil, err
+	}
+	if err := tree.CheckSummationLaw(); err != nil {
+		return nil, fmt.Errorf("commprof: internal invariant violated: %w", err)
+	}
+	if stages != nil {
+		stages.Merge.Observe(uint64(time.Since(t0)))
+	}
+	build.End()
+
+	report := tel.span("report")
+	st := pe.Stats()
+	rep := &Report{
+		Workload:       name,
+		Threads:        an.threads,
+		Accesses:       stats.Accesses,
+		Dependencies:   st.Detected,
+		CommBytes:      st.CommBytes,
+		SignatureBytes: pe.SigFootprintBytes(),
+		SampleFraction: 1,
+	}
+	rep.fillTree(tree, opts.MaxHotspots)
+	report.End()
+	if pe.Shards() > 0 {
+		rep.Pipeline = pipelineReport(pe)
+	}
+	if rst, ok := pe.RedundancyStats(); ok {
+		rep.Redundancy = redundancyReport(rst)
+	}
+	if est, ok := pe.AccuracyEstimate(); ok {
+		// The final alarm evaluation runs against the production signature's
+		// closing fill ratio, so the alarm works without telemetry too.
+		fill := pe.FillRatio(256)
+		pe.EvaluateAccuracy(fill)
+		rec := accuracy.Recommend(est, opts.SignatureSlots, an.threads, opts.BloomFPRate)
+		alarm, _ := pe.AccuracyAlarm()
+		rep.Accuracy = accuracyReport(est, rec, pe.AccuracyShadowBytes(), fill, tel.fillTrajectory(), alarm)
+	}
+	if an.ps != nil {
+		ws, err := pe.PhaseWindows()
+		if err != nil {
+			return nil, err
+		}
+		an.ps.attach(rep, ws)
+	}
+	if an.gate != nil {
+		rep.SampleFraction = an.gate.Fraction()
+	}
+	tel.finishRun(rep, tree)
+	return rep, nil
+}
+
+// engineSource is a program that runs on the simulated thread engine: a
+// bundled SPLASH workload, a custom Run body, a compiled MiniPar module.
+type engineSource struct {
+	name    string
+	threads int
+	table   *trace.Table
+	run     func(*exec.Engine) (exec.Stats, error)
+	// setup, when non-nil, is the span the caller opened before building the
+	// source; it ends once the analyser is wired and the run can start.
+	setup *obs.SpanHandle
+	// record, when non-nil, receives every access the program issues, in
+	// issue order (Record's tap). It needs the deterministic scheduler.
+	record *trace.Stream
+}
+
+// profileEngine runs an engine source with the analyser attached: build the
+// analyser, hand its probe to the engine, run, finish.
+func profileEngine(opts Options, src engineSource) (*Report, error) {
+	an, err := newAnalysis(opts, src.threads, src.table, opts.Parallel)
+	if err != nil {
+		return nil, err
+	}
+	defer an.pe.Close()
+	eng := exec.New(exec.Options{
+		Threads: src.threads, Probe: an.probe(src.record), Parallel: opts.Parallel,
+		Probes: an.tel.probes().EngineProbes(),
+	})
+	an.wire(eng)
+	src.setup.End()
+	run := an.tel.span("engine-run")
+	stats, err := src.run(eng)
+	run.End()
+	if err != nil {
+		return nil, err
+	}
+	return an.finish(src.name, stats)
+}
+
+// fillTree renders a finished communication tree into the report's Global,
+// Regions and Hotspots.
+func (rep *Report) fillTree(tree *comm.Tree, maxHotspots int) {
+	rep.Global = fromInternal(tree.Global)
+	tree.Walk(func(n *comm.Node, depth int) {
+		rep.Regions = append(rep.Regions, RegionReport{
+			Name:            n.Region.Label(),
+			File:            n.Region.File,
+			Line:            n.Region.Line,
+			Kind:            n.Region.Kind.String(),
+			Depth:           depth,
+			Accesses:        n.Accesses,
+			OwnBytes:        n.Own.Total(),
+			CumulativeBytes: n.Cumulative.Total(),
+			Matrix:          fromInternal(n.Cumulative),
+		})
+	})
+	if maxHotspots < 0 {
+		maxHotspots = tree.NodeCount() // negative lifts the cap: rank every loop
+	}
+	for _, h := range tree.Hotspots(maxHotspots) {
+		load := metrics.ThreadLoad(h.Node.Cumulative)
+		rep.Hotspots = append(rep.Hotspots, HotspotReport{
+			Region:        h.Node.Region.Label(),
+			Bytes:         h.Bytes,
+			Share:         h.Share,
+			Load:          load,
+			ActiveThreads: metrics.ActiveThreads(load),
+			BalanceIndex:  metrics.BalanceIndex(load),
+		})
+	}
+}

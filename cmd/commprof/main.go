@@ -45,11 +45,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csv      = fs.Bool("csv", false, "print the global matrix as CSV")
 		classify = fs.Bool("classify", false, "classify the global matrix's parallel pattern")
 		jsonOut  = fs.Bool("json", false, "emit the full report as JSON instead of text")
-		parallel = fs.Bool("parallel", false, "run threads as free goroutines (non-deterministic)")
+		parallel = fs.Bool("parallel", false, "run threads as free goroutines (non-deterministic); the threads then share the in-thread analyser, so -redundancy-bits and -accuracy-* additionally need -shards >= 1")
 		sample   = fs.Uint("sample", 0, "read-sampling period: analyse 1 of every N reads (0 = all)")
 		gran     = fs.Uint("granularity", 0, "analysis granularity in address bits (0 = per address, 6 = 64B lines)")
 		coalesce = fs.Bool("coalesce", true, "statically coalesce provably redundant probes before execution (MiniPar pipeline; -coalesce=false disables)")
-		shards   = fs.Int("shards", 0, "analysis shards for the parallel pipeline (0 = serial in-thread analysis)")
+		shards   = fs.Int("shards", 0, "analysis shards K of the analysis engine (0 = the paper's in-thread analysis, K > 0 = K shard workers)")
 		shardQ   = fs.Int("shard-queue", 0, "per-shard bounded queue capacity in accesses (0 = default 8192)")
 		shardB   = fs.Int("shard-batch", 0, "producer staging batch / worker drain limit in accesses (0 = default 256)")
 		shardPol = fs.String("shard-policy", "block", "shard overload policy: block (backpressure), degrade (thin reads while saturated) or auto (degrade only under sustained overload)")

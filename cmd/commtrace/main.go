@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		threads = fs.Int("threads", 0, "override the goroutine count (0 = the recorded trace's own)")
 		coal    = fs.Bool("coalesce", true, "statically coalesce provably redundant probes during instrumentation (-coalesce=false disables)")
 
-		shards      = fs.Int("shards", 0, "analysis shards for the parallel pipeline (0 = serial)")
+		shards      = fs.Int("shards", 0, "analysis shards of the analysis engine (0 = in-thread analysis)")
 		phases      = fs.Uint64("phases", 0, "phase window in logical time units (0 = off)")
 		gran        = fs.Uint("granularity", 0, "analysis granularity in address bits (0 = per address, 6 = 64B lines)")
 		slots       = fs.Uint64("sig", 1<<20, "signature slots")

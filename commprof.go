@@ -20,14 +20,7 @@
 package commprof
 
 import (
-	"fmt"
-	"time"
-
 	"commprof/internal/accuracy"
-	"commprof/internal/comm"
-	"commprof/internal/detect"
-	"commprof/internal/exec"
-	"commprof/internal/metrics"
 	"commprof/internal/obs"
 	"commprof/internal/sig"
 	"commprof/internal/splash"
@@ -70,17 +63,23 @@ type Options struct {
 	// in /progress. Windows are bucketed by the global access index every
 	// access already carries, so the layer composes with AnalysisShards:
 	// shard partials merge by summation into exactly the window set the
-	// serial analyser builds.
+	// in-thread analyser builds.
 	PhaseWindow uint64
 	// Parallel runs threads as free goroutines instead of the deterministic
 	// round-robin scheduler. Results remain correct but are no longer
-	// bit-reproducible across runs.
+	// bit-reproducible across runs. With in-thread analysis (AnalysisShards
+	// 0) the threads then call the detector concurrently, which
+	// RedundancyCacheBits and AccuracyTargetFPR cannot share: combining them
+	// is an error unless AnalysisShards ≥ 1. Record always runs the
+	// deterministic scheduler (a trace needs one temporal order).
 	Parallel bool
 	// SampleBurst/SamplePeriod enable read sampling (the paper's §VII
 	// overhead-reduction outlook): of every SamplePeriod reads per thread,
 	// the first SampleBurst are analysed; writes are always analysed. Zero
 	// values disable sampling. Detected volumes scale by roughly
-	// SampleBurst/SamplePeriod.
+	// SampleBurst/SamplePeriod. The gate sits in front of the analyser on
+	// every entry point; Record's trace is written ahead of it and stays
+	// complete.
 	SampleBurst, SamplePeriod uint32
 	// GranularityBits coarsens the analysis granularity: addresses are
 	// shifted right by this amount before consulting the signature (0 =
@@ -104,29 +103,30 @@ type Options struct {
 	// MaxHotspots caps the number of ranked hotspot loops in the report.
 	// 0 means the default of 10; a negative value lifts the cap entirely.
 	MaxHotspots int
-	// AnalysisShards, when positive, replaces the serial in-thread analyser
-	// with the sharded parallel pipeline (internal/pipeline): each access is
-	// routed by address hash to one of AnalysisShards shards, each owning a
-	// private partition of the signature slot budget, a bounded queue and a
-	// dedicated worker goroutine; shard matrices merge into the standard
-	// report at the end of the run. 0 (the default) keeps the paper's serial
-	// analysis. Composes with PhaseWindow: shard workers bucket events by
-	// the global access index and the per-shard window partials merge to the
-	// serial analyser's exact window set.
+	// AnalysisShards is the analysis engine's shard count K
+	// (internal/pipeline), honoured by every entry point. 0 (the default) is
+	// the paper's in-thread analysis: Algorithm 1 runs in the program's own
+	// threads over one signature. When positive, each access is routed by
+	// address hash to one of K shards, each owning a private partition of the
+	// signature slot budget, a bounded queue and a dedicated worker
+	// goroutine; shard matrices merge into the standard report at the end of
+	// the run. Composes with PhaseWindow: shard workers bucket events by the
+	// global access index and the per-shard window partials merge to the
+	// in-thread analyser's exact window set.
 	AnalysisShards int
 	// ShardQueueCapacity bounds each shard's queue in accesses when
 	// AnalysisShards is active (0 = the pipeline default of 8192).
 	ShardQueueCapacity int
 	// ShardPolicy selects the sharded analyser's overload behaviour:
 	// ShardPolicyBlock (default) applies backpressure, ShardPolicyDegrade
-	// thins reads while a queue is saturated. Ignored when AnalysisShards
-	// is 0.
+	// thins reads while a queue is saturated. In-thread analysis
+	// (AnalysisShards 0) has no queue to overload.
 	ShardPolicy ShardPolicy
 	// ShardBatchSize sets the sharded analyser's producer staging batch and
 	// worker drain limit in accesses (0 = the pipeline default of 256).
 	// Larger batches amortise shard-queue locking further; smaller ones
-	// reduce detection latency and staging residency. Ignored when
-	// AnalysisShards is 0.
+	// reduce detection latency and staging residency. In-thread analysis
+	// (AnalysisShards 0) stages nothing.
 	ShardBatchSize int
 	// RedundancyCacheBits, when non-zero, enables the redundancy-filtering
 	// fast path: a 2^bits-entry direct-mapped cache of the last (thread,
@@ -137,11 +137,10 @@ type Options struct {
 	// are unchanged on a collision-free backend and statistically unchanged
 	// on the asymmetric signature; Report.Redundancy carries the hit-rate
 	// telemetry. 10–14 bits (a cache that fits in L1/L2) is the sweet spot.
-	// The serial analyser uses the cache only under the deterministic
-	// scheduler — with Parallel the target threads call the detector
-	// concurrently and the single-consumer cache would race, so it is
-	// silently disabled; the sharded analyser (AnalysisShards > 0) gives
-	// every shard worker a private cache and filters in any mode.
+	// The cache has a single consumer: in-thread that is the deterministic
+	// scheduler's serialized probe or the replay loop, sharded each worker
+	// owns a private one. Parallel with in-thread analysis has no such owner
+	// and is rejected with an error — set AnalysisShards ≥ 1.
 	RedundancyCacheBits uint
 	// AccuracyTargetFPR, when positive (and < 1), enables the online
 	// signature-accuracy monitor: a deterministically hash-selected
@@ -154,10 +153,11 @@ type Options struct {
 	// a warn-once saturation alarm — at the cost of shadowing the sampled
 	// slice exactly. Zero (the default) disables the monitor. The value is
 	// the FPR the run is expected to stay under; DefaultAccuracyTargetFPR
-	// is a reasonable starting point. Like RedundancyCacheBits, the serial
-	// analyser monitors only under the deterministic scheduler — with
-	// Parallel the single-consumer shadow pairing would race — while the
-	// sharded analyser (AnalysisShards > 0) monitors per shard in any mode.
+	// is a reasonable starting point. Like RedundancyCacheBits, the monitor
+	// has a single consumer (the production and shadow verdicts of a granule
+	// must interleave in one temporal order to stay paired): Parallel with
+	// in-thread analysis is rejected with an error — set AnalysisShards ≥ 1,
+	// which monitors per shard in any mode.
 	AccuracyTargetFPR float64
 	// AccuracySampleBits is k in the 1/2^k accuracy sample: 0 shadows every
 	// granule (exact — Report.Accuracy.EstimatedFPR equals the offline
@@ -223,34 +223,6 @@ func (o Options) accuracyOptions(threads int, probes *obs.Probes) *accuracy.Opti
 	}
 }
 
-// newAccuracyMonitor builds the serial analyser's monitor, or nil when the
-// monitor is disabled.
-func newAccuracyMonitor(o Options, threads int, probes *obs.Probes) (*accuracy.Monitor, error) {
-	ao := o.accuracyOptions(threads, probes)
-	if ao == nil {
-		return nil, nil
-	}
-	return accuracy.New(*ao)
-}
-
-// attachAccuracy renders a serial detector's monitor into Report.Accuracy:
-// it runs the final alarm evaluation against the production signature's
-// closing fill ratio, derives the estimate and the Eq. 2 recommendation, and
-// (when the run had telemetry) attaches the recorded fill trajectory. A
-// no-op when the run was unmonitored.
-func attachAccuracy(rep *Report, d *detect.Detector, opts Options, threads int, backend *sig.Asymmetric, tel *Telemetry) {
-	mon := d.Accuracy()
-	if mon == nil {
-		return
-	}
-	fill := backend.FillRatio(256)
-	mon.Evaluate(fill)
-	est := mon.Estimate()
-	rec := accuracy.Recommend(est, opts.SignatureSlots, threads, opts.BloomFPRate)
-	alarm, _ := mon.Alarm()
-	rep.Accuracy = accuracyReport(est, rec, mon.ShadowFootprintBytes(), fill, tel.fillTrajectory(), alarm)
-}
-
 // Workloads returns the names of the bundled SPLASH-2-style benchmarks.
 func Workloads() []string { return splash.Names() }
 
@@ -260,189 +232,30 @@ func SignatureMemoryBytes(slots uint64, threads int, fpRate float64) uint64 {
 	return sig.SigMem(slots, threads, fpRate)
 }
 
-// newSignature builds the serial entry points' signature memory from the
-// facade options; the sharded ones split the same budget with
-// pipeline.AsymmetricFactory. Either way sig picks the reader-set layout from
-// the thread count.
-func (o Options) newSignature(threads int, probes *obs.Probes) (*sig.Asymmetric, error) {
-	return sig.NewAsymmetric(sig.Options{
-		Slots: o.SignatureSlots, Threads: threads, FPRate: o.BloomFPRate,
-		Probes: probes.SigProbes(),
-	})
-}
-
-// Profile runs the named bundled workload under the profiler.
-func Profile(opts Options) (*Report, error) {
-	opts.setDefaults()
-	tel := opts.Telemetry
-	setup := tel.span("workload-setup")
+// splashSource builds the bundled workload Options names as an engine
+// source (Profile's and Record's program).
+func splashSource(opts Options) (engineSource, error) {
 	size, err := splash.ParseSize(opts.InputSize)
 	if err != nil {
-		return nil, err
+		return engineSource{}, err
 	}
 	prog, err := splash.New(opts.Workload, splash.Config{
 		Threads: opts.Threads, Size: size, Seed: opts.Seed,
 	})
 	if err != nil {
-		return nil, err
+		return engineSource{}, err
 	}
-	probes := tel.probes()
-	if opts.AnalysisShards > 0 {
-		return profileSharded(opts, prog, tel, probes, setup)
-	}
-	backend, err := opts.newSignature(opts.Threads, probes)
-	if err != nil {
-		return nil, err
-	}
-	var seg *metrics.PhaseSegmenter
-	dopts := detect.Options{
-		Threads: opts.Threads, Backend: backend, Table: prog.Table(),
-		GranularityBits: opts.GranularityBits,
-		Probes:          probes.DetectProbes(),
-	}
-	if !opts.Parallel {
-		// Parallel mode would drive the single-consumer cache from many
-		// goroutines at once; see the Options.RedundancyCacheBits contract.
-		// The accuracy monitor has the same single-consumer contract: the
-		// production and shadow verdicts of a granule must interleave in one
-		// temporal order to stay paired.
-		dopts.RedundancyCacheBits = opts.RedundancyCacheBits
-		dopts.Accuracy, err = newAccuracyMonitor(opts, opts.Threads, probes)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ps, err := newPhaseState(opts, prog.Table(), tel, probes)
-	if err != nil {
-		return nil, err
-	}
-	if ps != nil {
-		// The windowed layer tolerates out-of-order events behind one mutex,
-		// so the segmenter runs under the parallel scheduler too (windows may
-		// then close before all their events land; the final report
-		// recomputes from the complete set).
-		seg, err = metrics.NewPhaseSegmenter(opts.Threads, opts.PhaseWindow, phaseThreshold)
-		if err != nil {
-			return nil, err
-		}
-		dopts.OnEvent = seg.Observe
-	}
-	d, err := detect.New(dopts)
-	if err != nil {
-		return nil, err
-	}
-	probe := d.Probe()
-	sampleFraction := 1.0
-	var smp *detect.Sampler
-	if opts.SamplePeriod > 0 {
-		smp, err = detect.NewSampler(d, opts.SampleBurst, opts.SamplePeriod)
-		if err != nil {
-			return nil, err
-		}
-		probe = smp.Probe()
-		sampleFraction = smp.SampleFraction()
-	}
-	eng := exec.New(exec.Options{
-		Threads: opts.Threads, Probe: probe, Parallel: opts.Parallel,
-		Probes: probes.EngineProbes(),
-	})
-	tel.wireRun(eng, d, backend, smp)
-	if seg != nil {
-		onClose := ps.onClose()
-		ps.wire(func() int { return seg.Advance(onClose) })
-	}
-	setup.End()
-	run := tel.span("engine-run")
-	stats, err := prog.Run(eng)
-	run.End()
-	if err != nil {
-		return nil, err
-	}
-	rep, tree, err := buildReport(opts.Workload, opts.Threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
-	if err != nil {
-		return nil, err
-	}
-	attachAccuracy(rep, d, opts, opts.Threads, backend, tel)
-	rep.SampleFraction = sampleFraction
-	if seg != nil {
-		seg.Flush(ps.onClose())
-		ps.attach(rep, seg.WindowSet())
-	}
-	tel.finishRun(rep, tree)
-	return rep, nil
+	return engineSource{name: opts.Workload, threads: opts.Threads, table: prog.Table(), run: prog.Run}, nil
 }
 
-func buildReport(name string, threads int, d *detect.Detector, stats exec.Stats, sigBytes uint64, maxHotspots int, tel *Telemetry) (*Report, *comm.Tree, error) {
-	build := tel.span("tree-build")
-	stages := tel.probes().StageProbes()
-	var t0 time.Time
-	if stages != nil {
-		t0 = time.Now()
-	}
-	tree, err := d.Tree()
+// Profile runs the named bundled workload under the profiler.
+func Profile(opts Options) (*Report, error) {
+	opts.setDefaults()
+	setup := opts.Telemetry.span("workload-setup")
+	src, err := splashSource(opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := tree.CheckSummationLaw(); err != nil {
-		return nil, nil, fmt.Errorf("commprof: internal invariant violated: %w", err)
-	}
-	if stages != nil {
-		stages.Merge.Observe(uint64(time.Since(t0)))
-	}
-	build.End()
-	dstats := d.Stats()
-	rep, tree, err := reportFromTree(name, threads, tree, dstats.Detected, dstats.CommBytes, stats, sigBytes, maxHotspots, tel)
-	if err != nil {
-		return nil, nil, err
-	}
-	if st, ok := d.RedundancyStats(); ok {
-		rep.Redundancy = redundancyReport(st)
-	}
-	return rep, tree, nil
-}
-
-// reportFromTree renders a finished communication tree into the public report
-// form. Both analysers end here: the serial detector via buildReport, the
-// sharded pipeline via buildReportSharded.
-func reportFromTree(name string, threads int, tree *comm.Tree, detected, commBytes uint64, stats exec.Stats, sigBytes uint64, maxHotspots int, tel *Telemetry) (*Report, *comm.Tree, error) {
-	report := tel.span("report")
-	defer report.End()
-	rep := &Report{
-		Workload:       name,
-		Threads:        threads,
-		Accesses:       stats.Accesses,
-		Dependencies:   detected,
-		CommBytes:      commBytes,
-		SignatureBytes: sigBytes,
-		SampleFraction: 1,
-		Global:         fromInternal(tree.Global),
-	}
-	tree.Walk(func(n *comm.Node, depth int) {
-		rep.Regions = append(rep.Regions, RegionReport{
-			Name:            n.Region.Label(),
-			File:            n.Region.File,
-			Line:            n.Region.Line,
-			Kind:            n.Region.Kind.String(),
-			Depth:           depth,
-			Accesses:        n.Accesses,
-			OwnBytes:        n.Own.Total(),
-			CumulativeBytes: n.Cumulative.Total(),
-			Matrix:          fromInternal(n.Cumulative),
-		})
-	})
-	if maxHotspots < 0 {
-		maxHotspots = tree.NodeCount() // negative lifts the cap: rank every loop
-	}
-	for _, h := range tree.Hotspots(maxHotspots) {
-		load := metrics.ThreadLoad(h.Node.Cumulative)
-		rep.Hotspots = append(rep.Hotspots, HotspotReport{
-			Region:        h.Node.Region.Label(),
-			Bytes:         h.Bytes,
-			Share:         h.Share,
-			Load:          load,
-			ActiveThreads: metrics.ActiveThreads(load),
-			BalanceIndex:  metrics.BalanceIndex(load),
-		})
-	}
-	return rep, tree, nil
+	src.setup = setup
+	return profileEngine(opts, src)
 }

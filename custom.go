@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"commprof/internal/detect"
 	"commprof/internal/exec"
-	"commprof/internal/metrics"
 	"commprof/internal/trace"
 )
 
@@ -75,45 +73,17 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 	if err != nil {
 		return nil, err
 	}
-	tel := opts.Telemetry
-	probes := tel.probes()
-	backend, err := opts.newSignature(threads, probes)
+	an, err := newAnalysis(opts, threads, table, false)
 	if err != nil {
 		return nil, err
 	}
-	mon, err := newAccuracyMonitor(opts, threads, probes)
-	if err != nil {
-		return nil, err
-	}
-	// The replay loop below is the cache's and the monitor's single consumer.
-	dopts := detect.Options{
-		Threads: threads, Backend: backend, Table: table,
-		GranularityBits:     opts.GranularityBits,
-		RedundancyCacheBits: opts.RedundancyCacheBits,
-		Accuracy:            mon,
-		Probes:              probes.DetectProbes(),
-	}
-	ps, err := newPhaseState(opts, table, tel, probes)
-	if err != nil {
-		return nil, err
-	}
-	var seg *metrics.PhaseSegmenter
-	if ps != nil {
-		seg, err = metrics.NewPhaseSegmenter(threads, opts.PhaseWindow, phaseThreshold)
-		if err != nil {
-			return nil, err
-		}
-		dopts.OnEvent = seg.Observe
-	}
-	d, err := detect.New(dopts)
-	if err != nil {
-		return nil, err
-	}
-	tel.wireRun(nil, d, backend, nil)
-	if seg != nil {
-		onClose := ps.onClose()
-		ps.wire(func() int { return seg.Advance(onClose) })
-	}
+	defer an.pe.Close()
+	an.wire(nil)
+	// The caller's slice is the only O(accesses) state: each access is
+	// converted and analysed (or staged) on the spot, never copied into a
+	// second stream. In-thread the loop calls the detector itself — one call
+	// per access, as a bare detector costs.
+	d, p := an.pe.InThread(), an.producer(false)
 	var stats exec.Stats
 	for i, a := range accesses {
 		if a.Thread < 0 || int(a.Thread) >= threads {
@@ -130,22 +100,20 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 			stats.Reads++
 		}
 		stats.Accesses++
-		d.Process(trace.Access{
+		if an.sampledOut(k, a.Thread) {
+			continue
+		}
+		ta := trace.Access{
 			Time: a.Time, Addr: a.Addr, Size: a.Size,
 			Thread: a.Thread, Region: a.Region, Kind: k,
-		})
+		}
+		if d != nil {
+			d.Process(ta)
+		} else {
+			p.Process(ta)
+		}
 	}
-	rep, tree, err := buildReport("trace", threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
-	if err != nil {
-		return nil, err
-	}
-	attachAccuracy(rep, d, opts, threads, backend, tel)
-	if seg != nil {
-		seg.Flush(ps.onClose())
-		ps.attach(rep, seg.WindowSet())
-	}
-	tel.finishRun(rep, tree)
-	return rep, nil
+	return an.finish("trace", stats)
 }
 
 // Thread is the handle a custom workload body uses inside Run: it mirrors
@@ -198,48 +166,12 @@ func Run(threads int, regions []Region, body func(*Thread), opts Options) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	tel := opts.Telemetry
-	probes := tel.probes()
-	backend, err := opts.newSignature(threads, probes)
-	if err != nil {
-		return nil, err
-	}
-	dopts := detect.Options{
-		Threads: threads, Backend: backend, Table: table,
-		GranularityBits: opts.GranularityBits,
-		Probes:          probes.DetectProbes(),
-	}
-	if !opts.Parallel {
-		// Same contract as Profile: the single-consumer cache and accuracy
-		// monitor need the deterministic scheduler's serialized probe.
-		dopts.RedundancyCacheBits = opts.RedundancyCacheBits
-		dopts.Accuracy, err = newAccuracyMonitor(opts, threads, probes)
-		if err != nil {
-			return nil, err
-		}
-	}
-	d, err := detect.New(dopts)
-	if err != nil {
-		return nil, err
-	}
-	eng := exec.New(exec.Options{
-		Threads: threads, Probe: d.Probe(), Parallel: opts.Parallel,
-		Probes: probes.EngineProbes(),
+	return profileEngine(opts, engineSource{
+		name: "custom", threads: threads, table: table,
+		run: func(eng *exec.Engine) (exec.Stats, error) {
+			return eng.Run(func(et *exec.Thread) { body(&Thread{t: et}) })
+		},
 	})
-	tel.wireRun(eng, d, backend, nil)
-	run := tel.span("engine-run")
-	stats, err := eng.Run(func(et *exec.Thread) { body(&Thread{t: et}) })
-	run.End()
-	if err != nil {
-		return nil, err
-	}
-	rep, tree, err := buildReport("custom", threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
-	if err != nil {
-		return nil, err
-	}
-	attachAccuracy(rep, d, opts, threads, backend, tel)
-	tel.finishRun(rep, tree)
-	return rep, nil
 }
 
 // newSeededRand isolates math/rand construction so the facade has a single

@@ -171,8 +171,12 @@ func (r *SparseResult) Render() string {
 
 // ThroughputRow is one profiler's analysis rate over a common access stream.
 type ThroughputRow struct {
-	Name        string
-	Events      uint64
+	Name   string
+	Events uint64
+	// Analysed is how many of the Events reached the profiler's analysis —
+	// all of them except under read sampling, whose skipped reads are what
+	// its throughput gain is made of.
+	Analysed    uint64
 	WallNs      int64
 	MEventsPerS float64
 	MemoryBytes uint64
@@ -201,50 +205,51 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 	_ = prog
 	res := &ThroughputResult{App: app}
 
-	add := func(name string, run func() uint64) {
+	// run returns the profiler's memory and how many accesses it analysed.
+	add := func(name string, run func() (mem, analysed uint64)) {
 		t0 := time.Now()
-		mem := run()
+		mem, analysed := run()
 		wall := time.Since(t0).Nanoseconds()
-		row := ThroughputRow{Name: name, Events: uint64(len(stream)), WallNs: wall, MemoryBytes: mem}
+		row := ThroughputRow{Name: name, Events: uint64(len(stream)), Analysed: analysed, WallNs: wall, MemoryBytes: mem}
 		if wall > 0 {
 			row.MEventsPerS = float64(len(stream)) / (float64(wall) / 1e9) / 1e6
 		}
 		res.Rows = append(res.Rows, row)
 	}
 
-	add("discopop", func() uint64 {
+	add("discopop", func() (uint64, uint64) {
 		asym, err := env.newSignature(env.SigSlots, sig.HashMurmur)
 		if err != nil {
-			return 0
+			return 0, 0
 		}
 		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
 		if err != nil {
-			return 0
+			return 0, 0
 		}
 		d.ProcessBatch(stream)
-		return asym.FootprintBytes()
+		return asym.FootprintBytes(), d.Stats().Processed
 	})
-	add("discopop-sampled-1/8", func() uint64 {
+	add("discopop-sampled-1/8", func() (uint64, uint64) {
 		asym, err := env.newSignature(env.SigSlots, sig.HashMurmur)
 		if err != nil {
-			return 0
+			return 0, 0
 		}
 		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
 		if err != nil {
-			return 0
+			return 0, 0
 		}
 		smp, err := detect.NewSampler(d, 1, 8)
 		if err != nil {
-			return 0
+			return 0, 0
 		}
 		for _, a := range stream {
 			smp.Process(a)
 		}
-		return asym.FootprintBytes()
+		return asym.FootprintBytes(), d.Stats().Processed
 	})
 	for _, k := range []int{2, 4, 8} {
 		k := k
-		add(fmt.Sprintf("discopop-sharded-%d", k), func() uint64 {
+		add(fmt.Sprintf("discopop-sharded-%d", k), func() (uint64, uint64) {
 			// The split pipeline.AsymmetricFactory makes, over this
 			// package's signature: ceil(slots/K) per shard.
 			perShard := (env.SigSlots + uint64(k) - 1) / uint64(k)
@@ -254,33 +259,33 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 				Probes:     env.Probes.PipelineProbes(),
 			})
 			if err != nil {
-				return 0
+				return 0, 0
 			}
 			e.ProcessStream(stream)
 			e.Close()
-			return e.SigFootprintBytes()
+			return e.SigFootprintBytes(), e.Stats().Processed
 		})
 	}
-	add("perfect", func() uint64 {
+	add("perfect", func() (uint64, uint64) {
 		p := sig.NewPerfect(env.Threads)
 		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: p})
 		if err != nil {
-			return 0
+			return 0, 0
 		}
 		d.ProcessBatch(stream)
-		return p.FootprintBytes()
+		return p.FootprintBytes(), d.Stats().Processed
 	})
 	for _, name := range []string{"memcheck", "helgrind", "helgrind+", "ipm", "sd3", "pairwise"} {
 		name := name
-		add(name, func() uint64 {
+		add(name, func() (uint64, uint64) {
 			p, err := baselines.NewByName(name)
 			if err != nil {
-				return 0
+				return 0, 0
 			}
 			for _, a := range stream {
 				p.ProcessAccess(a)
 			}
-			return p.Result().MemoryBytes
+			return p.Result().MemoryBytes, uint64(len(stream))
 		})
 	}
 	return res, nil
@@ -290,10 +295,10 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 func (r *ThroughputResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "profiler analysis throughput — %s stream (%d events)\n", r.App, r.Rows[0].Events)
-	fmt.Fprintf(&b, "%-22s %12s %12s %14s\n", "profiler", "wall ms", "Mevents/s", "memory KB")
+	fmt.Fprintf(&b, "%-22s %12s %12s %12s %14s\n", "profiler", "analysed", "wall ms", "Mevents/s", "memory KB")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-22s %12.1f %12.2f %14d\n",
-			row.Name, float64(row.WallNs)/1e6, row.MEventsPerS, row.MemoryBytes/1024)
+		fmt.Fprintf(&b, "%-22s %12d %12.1f %12.2f %14d\n",
+			row.Name, row.Analysed, float64(row.WallNs)/1e6, row.MEventsPerS, row.MemoryBytes/1024)
 	}
 	return b.String()
 }

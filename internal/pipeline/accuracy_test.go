@@ -30,7 +30,7 @@ func TestShardedAccuracyMergeMatchesSerial(t *testing.T) {
 		ref.ProcessBatch(stream)
 		want := mon.Stats()
 
-		for _, shards := range []int{1, 2, 4} {
+		for _, shards := range []int{0, 1, 2, 4} {
 			e, err := New(Options{
 				Shards: shards, Threads: threads,
 				NewBackend: PerfectFactory(threads),

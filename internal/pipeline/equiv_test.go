@@ -30,9 +30,23 @@ func recordStream(t *testing.T, name string, threads int) ([]trace.Access, *trac
 	return stream, prog.Table()
 }
 
+// treeMismatches counts the region nodes of want that got lacks or holds with
+// different matrices or access counts.
+func treeMismatches(want, got *comm.Tree) int {
+	mismatches := 0
+	want.Walk(func(n *comm.Node, _ int) {
+		m, ok := got.Node(n.Region.ID)
+		if !ok || !m.Own.Equal(n.Own) || !m.Cumulative.Equal(n.Cumulative) || m.Accesses != n.Accesses {
+			mismatches++
+		}
+	})
+	return mismatches
+}
+
 // TestEquivalenceAllWorkloads is the subsystem's acceptance test: on the
-// deterministic simdev stream of every bundled SPLASH workload, the sharded
-// pipeline with exact (perfect-signature) shard partitions produces
+// deterministic simdev stream of every bundled SPLASH workload, the engine —
+// in-thread (K = 0) and sharded (K = 8) — with exact (perfect-signature) shard
+// partitions produces
 // bit-identical global matrices and a summation-law-valid tree identical to
 // the serial detector. This is the regime where sharding provably preserves
 // Algorithm 1 semantics: the detection rule is per-address and address
@@ -41,7 +55,7 @@ func recordStream(t *testing.T, name string, threads int) ([]trace.Access, *trac
 // test also pins the fast path's exactness through the sharded engine
 // (unfiltered serial vs filtered sharded).
 func TestEquivalenceAllWorkloads(t *testing.T) {
-	const threads, shards = 16, 8
+	const threads = 16
 	rng := rand.New(rand.NewSource(0xcace))
 	for _, name := range splash.Names() {
 		name := name
@@ -61,40 +75,35 @@ func TestEquivalenceAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			e, err := New(Options{
-				Shards: shards, Threads: threads, Table: table,
-				RedundancyCacheBits: cacheBits,
-				NewBackend:          PerfectFactory(threads),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.ProcessStream(stream)
-			e.Close()
-
-			g, err := e.Global()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !g.Equal(serial.Global()) {
-				t.Fatalf("%s: sharded global matrix differs from serial detector", name)
-			}
-			tree, err := e.Tree()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tree.CheckSummationLaw(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			mismatches := 0
-			refTree.Walk(func(n *comm.Node, _ int) {
-				m, ok := tree.Node(n.Region.ID)
-				if !ok || !m.Own.Equal(n.Own) || !m.Cumulative.Equal(n.Cumulative) || m.Accesses != n.Accesses {
-					mismatches++
+			for _, shards := range []int{0, 8} {
+				e, err := New(Options{
+					Shards: shards, Threads: threads, Table: table,
+					RedundancyCacheBits: cacheBits,
+					NewBackend:          PerfectFactory(threads),
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-			if mismatches > 0 {
-				t.Fatalf("%s: %d region nodes differ between serial and sharded trees", name, mismatches)
+				e.ProcessStream(stream)
+				e.Close()
+
+				g, err := e.Global()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !g.Equal(serial.Global()) {
+					t.Fatalf("%s: K=%d global matrix differs from serial detector", name, shards)
+				}
+				tree, err := e.Tree()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tree.CheckSummationLaw(); err != nil {
+					t.Fatalf("%s: K=%d: %v", name, shards, err)
+				}
+				if n := treeMismatches(refTree, tree); n > 0 {
+					t.Fatalf("%s: %d region nodes differ between serial and K=%d trees", name, n, shards)
+				}
 			}
 		})
 	}

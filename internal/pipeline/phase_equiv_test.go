@@ -13,9 +13,9 @@ import (
 
 // TestPhaseIdentityAllWorkloads is the windowed-matrix acceptance test: on
 // the deterministic simdev stream of every bundled SPLASH workload, under a
-// randomized (shards, queue capacity, window size) configuration, the
-// sharded pipeline's merged window set is bit-identical to the serial
-// PhaseSegmenter's — global and per-region sub-matrices alike — and the
+// randomized (shards, queue capacity, window size) configuration and again
+// in-thread (K = 0), the engine's merged window set is bit-identical to the
+// serial PhaseSegmenter's — global and per-region sub-matrices alike — and the
 // segmented phase timelines agree exactly. Exact (perfect-signature)
 // partitions isolate the windowed layer: any difference is a bucketing or
 // merge bug, not a signature collision.
@@ -49,67 +49,65 @@ func TestPhaseIdentityAllWorkloads(t *testing.T) {
 			serial.ProcessBatch(stream)
 			serialPhases := seg.Finish()
 
-			var emitted []uint64
-			var late bool
-			e, err := New(Options{
-				Shards: shards, Threads: threads, Table: table,
-				QueueCapacity: queue,
-				PhaseWindow:   window,
-				NewBackend:    PerfectFactory(threads),
-				OnWindowClose: func(w *comm.Window, end uint64) {
-					emitted = append(emitted, w.Start)
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Feed in chunks with interleaved advances so the live path (not
-			// just the final flush) carries most of the windows.
-			p := e.NewProducer(false)
-			for i, a := range stream {
-				p.Process(a)
-				if i%5000 == 4999 {
-					p.Flush()
-					e.AdvancePhases()
+			for _, shards := range []int{shards, 0} {
+				var emitted []uint64
+				e, err := New(Options{
+					Shards: shards, Threads: threads, Table: table,
+					QueueCapacity: queue,
+					PhaseWindow:   window,
+					NewBackend:    PerfectFactory(threads),
+					OnWindowClose: func(w *comm.Window, end uint64) {
+						emitted = append(emitted, w.Start)
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			p.Flush()
-			e.Close()
-			if e.PhaseLateWindows() > 0 {
-				late = true
-			}
-
-			ws, err := e.PhaseWindows()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ws.Equal(seg.WindowSet()) {
-				t.Fatalf("%s: sharded window set differs from serial segmenter (shards=%d queue=%d window=%d)",
-					name, shards, queue, window)
-			}
-			shardedPhases := metrics.SegmentWindows(ws.Sorted(), window, 0.7)
-			if len(shardedPhases) != len(serialPhases) {
-				t.Fatalf("%s: %d sharded phases vs %d serial", name, len(shardedPhases), len(serialPhases))
-			}
-			for i := range shardedPhases {
-				a, b := shardedPhases[i], serialPhases[i]
-				if a.Start != b.Start || a.End != b.End || a.Windows != b.Windows || !a.Matrix.Equal(b.Matrix) {
-					t.Fatalf("%s: phase %d differs between sharded and serial timelines", name, i)
+				// Feed in chunks with interleaved advances so the live path (not
+				// just the final flush) carries most of the windows.
+				p := e.NewProducer(false)
+				for i, a := range stream {
+					p.Process(a)
+					if i%5000 == 4999 {
+						p.Flush()
+						e.AdvancePhases()
+					}
 				}
-			}
+				p.Flush()
+				e.Close()
 
-			// Live-emission invariants: exactly once, in order, none late,
-			// and complete.
-			if late {
-				t.Fatalf("%s: late windows on a replay feed", name)
-			}
-			wins := ws.Sorted()
-			if len(emitted) != len(wins) {
-				t.Fatalf("%s: emitted %d windows live, final set holds %d", name, len(emitted), len(wins))
-			}
-			for i, start := range emitted {
-				if start != wins[i].Start {
-					t.Fatalf("%s: emission %d start %d, want %d", name, i, start, wins[i].Start)
+				ws, err := e.PhaseWindows()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ws.Equal(seg.WindowSet()) {
+					t.Fatalf("%s: engine window set differs from serial segmenter (shards=%d queue=%d window=%d)",
+						name, shards, queue, window)
+				}
+				enginePhases := metrics.SegmentWindows(ws.Sorted(), window, 0.7)
+				if len(enginePhases) != len(serialPhases) {
+					t.Fatalf("%s: K=%d: %d engine phases vs %d serial", name, shards, len(enginePhases), len(serialPhases))
+				}
+				for i := range enginePhases {
+					a, b := enginePhases[i], serialPhases[i]
+					if a.Start != b.Start || a.End != b.End || a.Windows != b.Windows || !a.Matrix.Equal(b.Matrix) {
+						t.Fatalf("%s: K=%d: phase %d differs between engine and serial timelines", name, shards, i)
+					}
+				}
+
+				// Live-emission invariants: exactly once, in order, none late,
+				// and complete.
+				if e.PhaseLateWindows() > 0 {
+					t.Fatalf("%s: K=%d: late windows on a replay feed", name, shards)
+				}
+				wins := ws.Sorted()
+				if len(emitted) != len(wins) {
+					t.Fatalf("%s: K=%d: emitted %d windows live, final set holds %d", name, shards, len(emitted), len(wins))
+				}
+				for i, start := range emitted {
+					if start != wins[i].Start {
+						t.Fatalf("%s: K=%d: emission %d start %d, want %d", name, shards, i, start, wins[i].Start)
+					}
 				}
 			}
 		})

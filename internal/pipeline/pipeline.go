@@ -1,5 +1,8 @@
-// Package pipeline is the sharded parallel analysis engine: the scale-out
-// successor to the single serial detect.Detector funnel.
+// Package pipeline is the analysis engine every profiling entry point feeds:
+// with K = 0 shards it is the paper's in-thread analyser (§IV-D3, §V-A2) — one
+// detect.Detector over the whole signature, run on the caller's goroutine,
+// bit-identical to a bare detector — and with K > 0 the sharded parallel
+// engine, the scale-out successor to that single funnel.
 //
 // The paper's in-thread analysis (§V-A2) rejects the original DiscoPoP's
 // analysis queue because "the queue size may increase dramatically if there
@@ -34,7 +37,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -44,7 +46,6 @@ import (
 	"commprof/internal/accuracy"
 	"commprof/internal/comm"
 	"commprof/internal/detect"
-	"commprof/internal/exec"
 	"commprof/internal/murmur"
 	"commprof/internal/obs"
 	"commprof/internal/redundancy"
@@ -95,9 +96,14 @@ const autoWindow = 200 * time.Millisecond
 // collisions.
 const shardSeed uint64 = 0xA0761D6478BD642F
 
-// Options configures a sharded analysis engine.
+// Options configures an analysis engine.
 type Options struct {
-	// Shards is the number of analysis shards K (default GOMAXPROCS).
+	// Shards is the number of analysis shards K. 0 is the in-thread analyser:
+	// one shard that owns the whole slot budget and runs Algorithm 1 on the
+	// calling goroutine — no ring, no worker, no producer staging — so
+	// QueueCapacity, BatchSize and Policy do not apply, and a
+	// RedundancyCacheBits or Accuracy setting needs a single calling
+	// goroutine (see detect.Options).
 	Shards int
 	// Threads is the target program's thread count (matrix dimension).
 	Threads int
@@ -189,11 +195,8 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() error {
-	if o.Shards == 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards < 1 {
-		return fmt.Errorf("pipeline: Shards must be positive, got %d", o.Shards)
+	if o.Shards < 0 {
+		return fmt.Errorf("pipeline: Shards must be non-negative, got %d", o.Shards)
 	}
 	if o.Threads <= 0 {
 		return fmt.Errorf("pipeline: Threads must be positive, got %d", o.Threads)
@@ -237,8 +240,12 @@ func (o *Options) setDefaults() error {
 // AsymmetricFactory returns a NewBackend that partitions a total asymmetric
 // signature budget evenly across shards: each shard gets ceil(slots/K) slots,
 // so total signature memory matches a serial analyser with the full budget
-// (Eq. 2 is linear in n).
+// (Eq. 2 is linear in n). The in-thread engine (shards 0) is one partition
+// holding the whole budget.
 func AsymmetricFactory(totalSlots uint64, shards, threads int, fpRate float64, probes *obs.SigProbes) func(int) (sig.Backend, error) {
+	if shards < 1 {
+		shards = 1
+	}
 	perShard := (totalSlots + uint64(shards) - 1) / uint64(shards)
 	return func(int) (sig.Backend, error) {
 		return sig.NewAsymmetric(sig.Options{
@@ -255,7 +262,8 @@ func PerfectFactory(threads int) func(int) (sig.Backend, error) {
 }
 
 // shard owns one address partition: a bounded ring queue, a worker, a
-// private detector and a private signature partition.
+// private detector and a private signature partition. The in-thread engine's
+// single shard has no ring and no worker: callers run its detector directly.
 type shard struct {
 	d       *detect.Detector
 	backend sig.Backend
@@ -272,8 +280,7 @@ type shard struct {
 	peak     int
 
 	// depth mirrors n atomically for lock-free saturation checks and gauges.
-	depth     atomic.Int64
-	processed atomic.Uint64
+	depth atomic.Int64
 
 	// windows accumulates this shard's time-windowed sub-matrices (nil when
 	// Options.PhaseWindow is 0); maxTime is the largest access time the
@@ -281,7 +288,9 @@ type shard struct {
 	// window-close frontier. evbuf stages detected events between worker
 	// drains — written only from the detector's OnEvent on the worker
 	// goroutine, flushed into windows once per batch so the windowed layer
-	// costs one lock per drain, not one per event.
+	// costs one lock per drain, not one per event. In-thread, events go
+	// straight into the locked window set (any of the program's threads may
+	// be the caller) and evbuf and maxTime stay unused.
 	windows *comm.WindowSet
 	evbuf   []comm.WindowEvent
 	maxTime atomic.Uint64
@@ -412,7 +421,6 @@ func (s *shard) drainLoop(batch int, p *obs.PipelineProbes) {
 			t2 = time.Now()
 			st.BatchService.Observe(uint64(t2.Sub(t1)))
 		}
-		s.processed.Add(uint64(k))
 		if s.windows != nil {
 			if len(s.evbuf) > 0 {
 				s.windows.ObserveBatch(s.evbuf)
@@ -450,13 +458,17 @@ func (s *shard) drainLoop(batch int, p *obs.PipelineProbes) {
 	}
 }
 
-// Engine is the sharded analysis pipeline. Enqueue accesses with Process /
-// Probe (any number of concurrent producers) or ProcessStream (one producer,
-// batched), then Close before reading merged results.
+// Engine is the analysis engine. Feed accesses with Process (any number of
+// concurrent producers), a Producer or ProcessStream (one producer, batched)
+// — or, in-thread, through the InThread detector itself — then Close before
+// reading merged results.
 type Engine struct {
 	opts   Options
 	shards []*shard
 	wg     sync.WaitGroup
+
+	// inThread is the K = 0 engine's only detector, nil when K > 0.
+	inThread *detect.Detector
 
 	gate    *detect.Gate
 	dropped atomic.Uint64
@@ -497,7 +509,8 @@ type Engine struct {
 	regionAcc []uint64
 }
 
-// New builds the engine and starts one worker goroutine per shard.
+// New builds the engine and, when K > 0, starts one worker goroutine per
+// shard.
 func New(opts Options) (*Engine, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
@@ -507,8 +520,9 @@ func New(opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
 	}
-	e := &Engine{opts: opts, shards: make([]*shard, opts.Shards)}
-	if opts.Timeline != nil {
+	queued := opts.Shards > 0
+	e := &Engine{opts: opts, shards: make([]*shard, max(opts.Shards, 1))}
+	if queued {
 		e.track = opts.Timeline.Track("engine")
 	}
 	if opts.PhaseWindow > 0 {
@@ -538,8 +552,9 @@ func New(opts Options) (*Engine, error) {
 			}
 			e.monitors = append(e.monitors, mon)
 		}
-		s := &shard{backend: backend, eng: e, ring: make([]trace.Access, opts.QueueCapacity), stages: opts.Stages}
-		if opts.Timeline != nil {
+		s := &shard{backend: backend, eng: e, stages: opts.Stages}
+		if queued {
+			s.ring = make([]trace.Access, opts.QueueCapacity)
 			s.track = opts.Timeline.Track("shard-" + strconv.Itoa(i))
 		}
 		onEvent := opts.OnEvent
@@ -550,11 +565,15 @@ func New(opts Options) (*Engine, error) {
 			}
 			user := opts.OnEvent
 			onEvent = func(ev detect.Event) {
-				// Worker-goroutine only: stage lock-free, flush per drain.
-				s.evbuf = append(s.evbuf, comm.WindowEvent{
-					Time: ev.Time, Region: ev.Region,
-					Src: ev.Writer, Dst: ev.Reader, Bytes: uint64(ev.Bytes),
-				})
+				if queued {
+					// Worker-goroutine only: stage lock-free, flush per drain.
+					s.evbuf = append(s.evbuf, comm.WindowEvent{
+						Time: ev.Time, Region: ev.Region,
+						Src: ev.Writer, Dst: ev.Reader, Bytes: uint64(ev.Bytes),
+					})
+				} else {
+					s.windows.Observe(ev.Time, ev.Region, ev.Writer, ev.Reader, uint64(ev.Bytes))
+				}
 				if user != nil {
 					user(ev)
 				}
@@ -576,6 +595,10 @@ func New(opts Options) (*Engine, error) {
 		s.notFull.L = &s.mu
 		e.shards[i] = s
 	}
+	if !queued {
+		e.inThread = e.shards[0].d
+		return e, nil
+	}
 	for i, s := range e.shards {
 		e.wg.Add(1)
 		go s.worker(i, e.opts.BatchSize, e.opts.Probes, &e.wg)
@@ -583,8 +606,14 @@ func New(opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// Shards returns the configured shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
+// Shards returns the configured shard count K; 0 is the in-thread engine.
+func (e *Engine) Shards() int { return e.opts.Shards }
+
+// InThread returns the K = 0 engine's detector, nil when K > 0. Per-access
+// sources call its Process (or Probe) directly, so in-thread analysis costs
+// the same call depth as a bare detector; everything else about the run —
+// results, statistics, windows, Close — still goes through the Engine.
+func (e *Engine) InThread() *detect.Detector { return e.inThread }
 
 // route maps an access to its shard index by hashing the
 // granularity-coarsened address, so every address's full history lands on one
@@ -666,10 +695,14 @@ func (e *Engine) Degraded() bool { return e.degraded.Load() }
 // while the run is in flight.
 func (e *Engine) PolicyTransitions() uint64 { return e.transitions.Load() }
 
-// Process enqueues one access. Safe for concurrent producers; accesses from
-// different producers interleave in arrival order, exactly like the serial
-// detector in parallel engine mode.
+// Process analyses (K = 0) or enqueues (K > 0) one access. Safe for
+// concurrent producers; accesses from different producers interleave in
+// arrival order, exactly like the serial detector in parallel engine mode.
 func (e *Engine) Process(a trace.Access) {
+	if e.inThread != nil {
+		e.inThread.Process(a)
+		return
+	}
 	s := e.shards[e.route(a.Addr)]
 	if a.Kind == trace.Read && s.depth.Load() >= int64(s.capacity()) && e.thinReads() {
 		if !e.gate.Admit(a.Thread) {
@@ -697,11 +730,6 @@ func (e *Engine) noteDrop() {
 	}
 }
 
-// Probe adapts the engine to the executor's instrumentation hook.
-func (e *Engine) Probe() exec.Probe {
-	return func(a trace.Access) { e.Process(a) }
-}
-
 // Producer is a per-producer staging handle in front of the shard queues:
 // accesses accumulate in private per-shard buffers and are enqueued as whole
 // batches, amortising queue locking across BatchSize accesses the way
@@ -714,6 +742,10 @@ func (e *Engine) Probe() exec.Probe {
 // producer's resident footprint is at most Shards×BatchSize accesses and the
 // detection latency of a staged access is bounded by its buffer's fill time
 // plus the configured flush triggers.
+//
+// On the in-thread engine a Producer stages nothing: Process and ProcessBatch
+// run the detector on the calling goroutine and Flush is a no-op, so batch
+// sources feed either engine through the same handle.
 type Producer struct {
 	e       *Engine
 	pending [][]trace.Access
@@ -746,6 +778,9 @@ type Producer struct {
 // thread (parallel engine mode) or when stream order alone fixes per-shard
 // order (single-producer replay).
 func (e *Engine) NewProducer(flushOnThreadSwitch bool) *Producer {
+	if e.inThread != nil {
+		return &Producer{e: e}
+	}
 	p := &Producer{
 		e:                   e,
 		pending:             make([][]trace.Access, len(e.shards)),
@@ -755,9 +790,7 @@ func (e *Engine) NewProducer(flushOnThreadSwitch bool) *Producer {
 		p.pending[i] = make([]trace.Access, 0, e.opts.BatchSize)
 	}
 	e.prodMu.Lock()
-	if e.opts.Timeline != nil {
-		p.track = e.opts.Timeline.Track("producer-" + strconv.Itoa(len(e.producers)))
-	}
+	p.track = e.opts.Timeline.Track("producer-" + strconv.Itoa(len(e.producers)))
 	e.producers = append(e.producers, p)
 	e.prodMu.Unlock()
 	return p
@@ -767,14 +800,18 @@ func (e *Engine) NewProducer(flushOnThreadSwitch bool) *Producer {
 // reaches BatchSize (and, in flushOnThreadSwitch mode, flushing everything
 // staged when the producing thread changes).
 func (p *Producer) Process(a trace.Access) {
+	e := p.e
+	if e.inThread != nil {
+		e.inThread.Process(a)
+		return
+	}
 	if p.flushOnThreadSwitch {
 		if p.hasLast && a.Thread != p.lastThread && p.staged > 0 {
-			p.Flush()
+			p.flush()
 		}
 		p.lastThread = a.Thread
 		p.hasLast = true
 	}
-	e := p.e
 	i := e.route(a.Addr)
 	s := e.shards[i]
 	if a.Kind == trace.Read && s.depth.Load() >= int64(s.capacity()) && e.thinReads() {
@@ -801,17 +838,52 @@ func (p *Producer) Process(a trace.Access) {
 // ProcessBatch stages a run of accesses — the natural feed from
 // trace.Decoder.NextBatch, pairing the codec's block-at-a-time decode with
 // the producer's per-shard staging. Semantically identical to calling
-// Process on each element.
+// Process on each element. With Options.Stages the call is timed where the
+// time goes: in-thread it is the detector's own work (BatchService), queued
+// it is staging plus any wait on a full shard queue (Producer) — the workers
+// time their BatchService themselves, so no nanosecond is counted twice.
 func (p *Producer) ProcessBatch(batch []trace.Access) {
+	st := p.e.opts.Stages
+	var t0 time.Time
+	if st != nil {
+		t0 = time.Now()
+	}
+	if d := p.e.inThread; d != nil {
+		d.ProcessBatch(batch)
+		if st != nil {
+			st.BatchService.Observe(uint64(time.Since(t0)))
+		}
+		return
+	}
 	for _, a := range batch {
 		p.Process(a)
+	}
+	if st != nil {
+		st.Producer.Observe(uint64(time.Since(t0)))
 	}
 }
 
 // Flush enqueues every staged batch. Call it when the producer is done (or
 // at any ordering boundary); staged accesses are otherwise invisible to the
-// shard workers.
+// shard workers. Timed into the Producer stage like ProcessBatch.
 func (p *Producer) Flush() {
+	if p.staged == 0 {
+		return
+	}
+	st := p.e.opts.Stages
+	var t0 time.Time
+	if st != nil {
+		t0 = time.Now()
+	}
+	p.flush()
+	if st != nil {
+		st.Producer.Observe(uint64(time.Since(t0)))
+	}
+}
+
+// flush is Flush without the stage timing, for the thread-switch trigger
+// inside Process (which an enclosing ProcessBatch already times).
+func (p *Producer) flush() {
 	withSpan := p.track != nil && p.staged > 0
 	if withSpan {
 		p.track.Begin("flush")
@@ -847,14 +919,13 @@ func (p *Producer) noteFlush() {
 // and shard count.
 func (e *Engine) ProcessStream(accesses []trace.Access) {
 	p := e.NewProducer(false)
-	for _, a := range accesses {
-		p.Process(a)
-	}
+	p.ProcessBatch(accesses)
 	p.Flush()
 }
 
 // Close drains every shard queue, stops the workers and merges shard results.
-// Idempotent; call it before reading Global, Tree or Stats.
+// Idempotent; call it before reading Global, Tree or Stats. In-thread there is
+// nothing to drain: the callers' Process calls have already returned.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		for _, s := range e.shards {
@@ -877,8 +948,13 @@ func (e *Engine) Close() {
 // shard that has processed nothing holds the frontier at 0, so nothing is
 // emitted until every shard has made progress — late emission is impossible
 // in deterministic and replay feeds, whose per-shard arrival order is time
-// order.
+// order. In-thread the frontier is the newest event's time, as in
+// metrics.PhaseSegmenter: event time is monotone in those feeds, so a window
+// wholly below the newest event is final.
 func (e *Engine) phaseFrontier() uint64 {
+	if e.inThread != nil {
+		return e.shards[0].windows.MaxTime()
+	}
 	frontier := ^uint64(0)
 	for _, s := range e.shards {
 		if t := s.maxTime.Load(); t < frontier {
@@ -928,6 +1004,9 @@ func (e *Engine) advancePhasesAt(frontier uint64) int {
 // merged (the final PhaseWindows set is always complete and exact) but not
 // re-emitted, and are counted by PhaseLateWindows / the LateWindows probe.
 func (e *Engine) AdvancePhases() int {
+	if e.phaseCloser == nil {
+		return 0
+	}
 	return e.advancePhasesAt(e.phaseFrontier())
 }
 
@@ -963,9 +1042,19 @@ func (e *Engine) PhaseLateWindows() uint64 {
 }
 
 // merge sums the shard matrices and counters into the standard global /
-// outside / per-region form. Runs once, after Close.
+// outside / per-region form. Runs once, after Close. A single shard's
+// matrices already are the result, so they are aliased rather than copied.
 func (e *Engine) merge() {
 	e.mergeOnce.Do(func() {
+		if len(e.shards) == 1 {
+			d := e.shards[0].d
+			e.global, e.outside, e.regionAcc = d.Global(), d.Outside(), d.RegionAccesses()
+			e.perRegion = make([]*comm.Matrix, len(e.regionAcc))
+			for i := range e.perRegion {
+				e.perRegion[i], _ = d.RegionMatrix(int32(i)) // in range by construction
+			}
+			return
+		}
 		n := e.opts.Threads
 		e.global = comm.NewMatrix(n)
 		e.outside = comm.NewMatrix(n)
@@ -1054,7 +1143,7 @@ func (e *Engine) ShardStats() []ShardStat {
 		s.mu.Lock()
 		peak := s.peak
 		s.mu.Unlock()
-		out[i] = ShardStat{Processed: s.processed.Load(), Depth: s.Depth(), PeakDepth: peak}
+		out[i] = ShardStat{Processed: s.d.Stats().Processed, Depth: s.Depth(), PeakDepth: peak}
 	}
 	return out
 }
@@ -1181,6 +1270,36 @@ func (e *Engine) FillRatio(sample int) float64 {
 		return 0
 	}
 	return sum / float64(n)
+}
+
+// Occupancy estimates the mean fraction of occupied signature slots across
+// the shard partitions that expose one, 0 when none does (exact backends).
+func (e *Engine) Occupancy() float64 {
+	var sum float64
+	n := 0
+	for _, s := range e.shards {
+		if o, ok := s.backend.(interface{ Occupancy() float64 }); ok {
+			sum += o.Occupancy()
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// AllocatedFilters sums the second-level bloom filters allocated across the
+// shard partitions that count them (0 on exact backends and on the exact
+// reader-mask layout).
+func (e *Engine) AllocatedFilters() uint64 {
+	var total uint64
+	for _, s := range e.shards {
+		if f, ok := s.backend.(interface{ AllocatedFilters() uint64 }); ok {
+			total += f.AllocatedFilters()
+		}
+	}
+	return total
 }
 
 // SigFootprintBytes sums the live memory of every shard's signature

@@ -1,0 +1,194 @@
+package commprof
+
+import (
+	"bytes"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// entryPoints is every public way into the profiler, each reduced to "run
+// with these analyser options": the sources differ, the analyser is one.
+func entryPoints(t *testing.T) map[string]func(Options) (*Report, error) {
+	t.Helper()
+	splash := func(o Options) Options {
+		o.Workload, o.Threads = "fft", 8
+		return o
+	}
+	var recorded bytes.Buffer
+	if _, err := Record(splash(Options{}), &recorded); err != nil {
+		t.Fatal(err)
+	}
+	regions := []Region{{Name: "main", Parent: -1}, {Name: "main#loop", Parent: 0, Loop: true}}
+	// Four threads take turns writing a block the others then read, twice
+	// over so same-thread repeats exist for the redundancy cache.
+	var accesses []Access
+	for round := 0; round < 8; round++ {
+		w := int32(round % 4)
+		for a := uint64(0); a < 64; a++ {
+			accesses = append(accesses, Access{Kind: WriteAccess, Addr: a * 8, Size: 8, Thread: w, Region: 1, Time: uint64(len(accesses) + 1)})
+		}
+		for pass := 0; pass < 2; pass++ {
+			for r := int32(0); r < 4; r++ {
+				for a := uint64(0); a < 64; a++ {
+					accesses = append(accesses, Access{Kind: ReadAccess, Addr: a * 8, Size: 8, Thread: r, Region: 1, Time: uint64(len(accesses) + 1)})
+				}
+			}
+		}
+	}
+	body := func(th *Thread) {
+		th.InRegion(1, func() {
+			for round := 0; round < 4; round++ {
+				if int(th.ID()) == round {
+					for a := uint64(0); a < 64; a++ {
+						th.Write(a*8, 8)
+					}
+				}
+				th.Barrier()
+				for pass := 0; pass < 2; pass++ {
+					for a := uint64(0); a < 64; a++ {
+						th.Read(a*8, 8)
+					}
+				}
+				th.Barrier()
+			}
+		})
+	}
+	const src = `
+array A[256];
+array B[256];
+func main() {
+  for r = 0..4 {
+    parfor i = 0..256 { A[i] = i + r; }
+    barrier;
+    parfor i = 0..256 { B[i] = A[(i + 64) % 256] + A[(i + 64) % 256]; }
+    barrier;
+  }
+}`
+	return map[string]func(Options) (*Report, error){
+		"Profile": func(o Options) (*Report, error) { return Profile(splash(o)) },
+		"Record":  func(o Options) (*Report, error) { return Record(splash(o), io.Discard) },
+		"Replay": func(o Options) (*Report, error) {
+			return Replay(bytes.NewReader(recorded.Bytes()), 8, o)
+		},
+		"ProfileTrace":         func(o Options) (*Report, error) { return ProfileTrace(accesses, regions, 4, o) },
+		"ProfileTraceParallel": func(o Options) (*Report, error) { return ProfileTraceParallel(accesses, regions, 4, o) },
+		"Run":                  func(o Options) (*Report, error) { return Run(4, regions, body, o) },
+		"ProfileMiniPar": func(o Options) (*Report, error) {
+			rep, _, err := ProfileMiniPar(src, 4, nil, o)
+			return rep, err
+		},
+	}
+}
+
+// TestOptionMatrix pins that every analyser option is honoured by every entry
+// point: entry point × option, the matching report section must be there.
+// The analyser is built in one place (newAnalysis), so a cell can only fail
+// if an entry point grows private wiring again.
+func TestOptionMatrix(t *testing.T) {
+	options := []struct {
+		name    string
+		set     func(*Options)
+		present func(*Report) bool
+	}{
+		{"AnalysisShards", func(o *Options) { o.AnalysisShards = 2 },
+			func(r *Report) bool { return r.Pipeline != nil && r.Pipeline.Shards == 2 }},
+		{"PhaseWindow", func(o *Options) { o.PhaseWindow = 500 },
+			func(r *Report) bool {
+				return r.PhaseTimeline != nil && len(r.PhaseTimeline.Windows) > 0 && len(r.Phases) > 0
+			}},
+		{"RedundancyCacheBits", func(o *Options) { o.RedundancyCacheBits = 10 },
+			func(r *Report) bool { return r.Redundancy != nil && r.Redundancy.Hits > 0 }},
+		{"AccuracyTargetFPR", func(o *Options) { o.AccuracyTargetFPR = 0.05 },
+			func(r *Report) bool { return r.Accuracy != nil && r.Accuracy.SampledAccesses > 0 }},
+		{"Sample", func(o *Options) { o.SampleBurst, o.SamplePeriod = 1, 4 },
+			func(r *Report) bool { return r.SampleFraction == 0.25 }},
+	}
+	for name, run := range entryPoints(t) {
+		base, err := run(Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if base.Dependencies == 0 {
+			t.Fatalf("%s: baseline run detected nothing; the cell checks below would be vacuous", name)
+		}
+		for _, opt := range options {
+			var o Options
+			opt.set(&o)
+			rep, err := run(o)
+			if err != nil {
+				t.Errorf("%s × %s: %v", name, opt.name, err)
+				continue
+			}
+			if !opt.present(rep) {
+				t.Errorf("%s × %s: option ignored — report section missing or empty", name, opt.name)
+			}
+			if opt.name == "Sample" && rep.Dependencies >= base.Dependencies {
+				t.Errorf("%s × Sample: %d dependencies with 1/4 of reads analysed, %d without sampling",
+					name, rep.Dependencies, base.Dependencies)
+			}
+		}
+	}
+}
+
+// TestRecordUnderSamplingWritesCompleteTrace pins where Record's tap sits: in
+// front of the sampling gate. The sampled run's own report is thinned, but
+// its trace replays, unsampled, to exactly what an unsampled Profile reports.
+func TestRecordUnderSamplingWritesCompleteTrace(t *testing.T) {
+	base := Options{Workload: "fft", Threads: 8}
+	sampled := base
+	sampled.SampleBurst, sampled.SamplePeriod = 1, 8
+	var buf bytes.Buffer
+	thinned, err := Record(sampled, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := Profile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if thinned.Dependencies >= live.Dependencies {
+		t.Fatalf("sampled Record found %d dependencies, unsampled Profile %d", thinned.Dependencies, live.Dependencies)
+	}
+	replayed, err := Replay(&buf, 8, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed.Accesses != live.Accesses || replayed.Dependencies != live.Dependencies ||
+		!reflect.DeepEqual(replayed.Global, live.Global) || !reflect.DeepEqual(replayed.Regions, live.Regions) {
+		t.Fatalf("trace recorded under sampling is not the complete run: replay %d accesses / %d deps, live %d / %d",
+			replayed.Accesses, replayed.Dependencies, live.Accesses, live.Dependencies)
+	}
+}
+
+// TestParallelInThreadRejectsSingleConsumerLayers pins the one decision about
+// Parallel with in-thread analysis: the program's threads call the detector
+// concurrently, so the redundancy cache and the accuracy monitor have no
+// owner — an error that names the fix, not a silently missing report section.
+// With a shard worker as the owner the same options run.
+func TestParallelInThreadRejectsSingleConsumerLayers(t *testing.T) {
+	points := entryPoints(t)
+	layers := map[string]func(*Options){
+		"RedundancyCacheBits": func(o *Options) { o.RedundancyCacheBits = 10 },
+		"AccuracyTargetFPR":   func(o *Options) { o.AccuracyTargetFPR = 0.05 },
+	}
+	for _, name := range []string{"Profile", "Run", "ProfileMiniPar"} {
+		for layer, set := range layers {
+			o := Options{Parallel: true}
+			set(&o)
+			if _, err := points[name](o); err == nil || !strings.Contains(err.Error(), "AnalysisShards ≥ 1") {
+				t.Errorf("%s: Parallel + in-thread + %s: err = %v, want one naming AnalysisShards ≥ 1", name, layer, err)
+			}
+			o.AnalysisShards = 2
+			rep, err := points[name](o)
+			if err != nil {
+				t.Errorf("%s: Parallel + 2 shards + %s: %v", name, layer, err)
+				continue
+			}
+			if rep.Redundancy == nil && rep.Accuracy == nil {
+				t.Errorf("%s: Parallel + 2 shards + %s: section missing", name, layer)
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"commprof/internal/detect"
 	"commprof/internal/exec"
 	"commprof/internal/interp"
 	"commprof/internal/passes"
@@ -58,39 +57,21 @@ func ProfileMiniPar(src string, threads int, onlyFuncs []string, opts Options) (
 	if err != nil {
 		return nil, nil, err
 	}
-	tel := opts.Telemetry
-	probes := tel.probes()
-	backend, err := opts.newSignature(threads, probes)
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := detect.New(detect.Options{
-		Threads: threads, Backend: backend, Table: table,
-		GranularityBits: opts.GranularityBits,
-		Probes:          probes.DetectProbes(),
+	var stats exec.Stats
+	rep, err := profileEngine(opts, engineSource{
+		name: "minipar", threads: threads, table: table,
+		run: func(eng *exec.Engine) (exec.Stats, error) {
+			var err error
+			stats, err = rt.Run(eng)
+			return stats, err
+		},
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	eng := exec.New(exec.Options{
-		Threads: threads, Probe: d.Probe(), Parallel: opts.Parallel,
-		Probes: probes.EngineProbes(),
-	})
-	tel.wireRun(eng, d, backend, nil)
-	run := tel.span("engine-run")
-	stats, err := rt.Run(eng)
-	run.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, tree, err := buildReport("minipar", threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !opts.DisableCoalesce {
 		rep.Coalescing = coalescingReport(cs, stats, rt, table)
 	}
-	tel.finishRun(rep, tree)
 	var outs []MiniParOutput
 	for _, o := range rt.Outputs() {
 		outs = append(outs, MiniParOutput{Thread: o.Thread, Value: o.Value})

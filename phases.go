@@ -24,9 +24,8 @@ const (
 // phaseState bundles one run's phase-observability wiring: the trained
 // pattern classifier, the loop-region predicate over the run's region table,
 // and (when the run has telemetry) the live classification multiplexer that
-// consumes closed windows as they stream out. Both analysers share it — the
-// serial PhaseSegmenter and the sharded pipeline feed the same window-closing
-// contract, so the facade code differs only in who produces the windows.
+// consumes closed windows as they stream out. The analysis engine produces
+// the windows, in-thread and sharded alike.
 type phaseState struct {
 	window uint64
 	table  *trace.Table
@@ -90,21 +89,19 @@ func (p *phaseState) onClose() func(w *comm.Window, end uint64) {
 	}
 }
 
-// wire binds the live phase surfaces (gauges, /progress fields, the periodic
-// window-advancing sampler) to the run. advance drives window closing — the
-// serial segmenter's Advance or the pipeline's AdvancePhases. Call after
-// wireRun / wireRunSharded so the /progress snapshot wraps the run's base
-// snapshot. No-op without telemetry.
-func (p *phaseState) wire(advance func() int) {
+// wire binds the live phase surfaces (gauges, /progress fields) to the run;
+// the run's periodic sampler drives window closing. Call after wireRun so the
+// /progress snapshot wraps the run's base snapshot. No-op without telemetry.
+func (p *phaseState) wire() {
 	if p == nil || p.live == nil {
 		return
 	}
-	p.tel.wirePhases(p.live, p.regionName, advance)
+	p.tel.wirePhases(p.live, p.regionName)
 }
 
 // attach renders the complete merged window set into the report: the §V-A4
-// phase list (bit-identical to the serial segmenter's Finish, by the window
-// merge law) and the classified pattern timeline.
+// phase list (bit-identical to a metrics.PhaseSegmenter's Finish, by the
+// window merge law) and the classified pattern timeline.
 func (p *phaseState) attach(rep *Report, ws *comm.WindowSet) {
 	if p == nil {
 		return

@@ -3,12 +3,8 @@ package commprof
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"commprof/internal/detect"
 	"commprof/internal/exec"
-	"commprof/internal/metrics"
-	"commprof/internal/splash"
 	"commprof/internal/trace"
 )
 
@@ -23,64 +19,23 @@ import (
 // analyses online.
 func Record(opts Options, w io.Writer) (*Report, error) {
 	opts.setDefaults()
-	size, err := splash.ParseSize(opts.InputSize)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := splash.New(opts.Workload, splash.Config{
-		Threads: opts.Threads, Size: size, Seed: opts.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tel := opts.Telemetry
-	probes := tel.probes()
-	backend, err := opts.newSignature(opts.Threads, probes)
-	if err != nil {
-		return nil, err
-	}
-	mon, err := newAccuracyMonitor(opts, opts.Threads, probes)
-	if err != nil {
-		return nil, err
-	}
-	// Recording always runs the deterministic engine (see below), so the
-	// single-consumer redundancy cache and accuracy monitor are safe here
-	// unconditionally.
-	d, err := detect.New(detect.Options{
-		Threads: opts.Threads, Backend: backend, Table: prog.Table(),
-		GranularityBits:     opts.GranularityBits,
-		RedundancyCacheBits: opts.RedundancyCacheBits,
-		Accuracy:            mon,
-		Probes:              probes.DetectProbes(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	stream := &trace.Stream{Table: prog.Table()}
-	probe := func(a trace.Access) {
-		stream.Accesses = append(stream.Accesses, a)
-		d.Process(a)
-	}
 	// Recording requires the deterministic engine: a parallel run would
 	// append to the stream concurrently and lose the temporal order.
-	eng := exec.New(exec.Options{
-		Threads: opts.Threads, Probe: probe,
-		Probes: probes.EngineProbes(),
-	})
-	tel.wireRun(eng, d, backend, nil)
-	stats, err := prog.Run(eng)
+	opts.Parallel = false
+	src, err := splashSource(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := stream.EncodeVersion(w, opts.TraceFormat, opts.Threads); err != nil {
+	// The tap sits in front of the sampling gate, so the trace is complete
+	// whatever the analyser is configured to skip.
+	src.record = &trace.Stream{Table: src.table}
+	rep, err := profileEngine(opts, src)
+	if err != nil {
+		return nil, err
+	}
+	if err := src.record.EncodeVersion(w, opts.TraceFormat, opts.Threads); err != nil {
 		return nil, fmt.Errorf("commprof: write trace: %w", err)
 	}
-	rep, tree, err := buildReport(opts.Workload, opts.Threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
-	if err != nil {
-		return nil, err
-	}
-	attachAccuracy(rep, d, opts, opts.Threads, backend, tel)
-	tel.finishRun(rep, tree)
 	return rep, nil
 }
 
@@ -99,8 +54,8 @@ const replayBatchSize = 1024
 // Replay decodes the trace incrementally and in batches: the region table
 // is read up front and each decoded batch then flows straight into the
 // analyser (Decoder.NextBatch into a reused buffer), so resident memory is
-// O(region table + one batch) for the serial detector and O(region table +
-// shard queues + staging) with AnalysisShards — never O(accesses). A
+// O(region table + one batch) in-thread and O(region table + shard queues +
+// staging) with AnalysisShards — never O(accesses). A
 // truncated or corrupt access section fails with "record i of n" context
 // after the prefix before it has been analysed.
 func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
@@ -117,131 +72,26 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 			return nil, fmt.Errorf("commprof: threads 0 requires a v2 or v3 trace that declares its goroutine count; this trace does not")
 		}
 	}
-	tel := opts.Telemetry
-	probes := tel.probes()
+	probes := opts.Telemetry.probes()
 	dec.Probes = probes.TraceProbes()
 	// Stage timing: decode time is observed inside the decoder, the analyser
-	// side of each batch in the loops below. Nil probes keep both paths bare.
+	// side of each batch inside Producer.ProcessBatch. Nil probes keep both
+	// bare.
 	dec.Stages = probes.StageProbes()
-	stages := probes.StageProbes()
+	an, err := newAnalysis(opts, threads, dec.Table(), false)
+	if err != nil {
+		return nil, err
+	}
+	defer an.pe.Close()
+	// Replay has no exec engine; the gauges and /progress bind to the
+	// analysis engine's merged state, which stays valid after Close — a
+	// post-run scrape sees the final hit rates instead of unbound zeros.
+	an.wire(nil)
+	// A recorded stream is a single producer: in-thread each batch runs
+	// through the detector here, sharded per-shard batching applies at full
+	// strength.
+	p := an.producer(false)
 	var stats exec.Stats
-	seen := 0
-	// count validates and tallies one decoded batch before it reaches the
-	// analyser.
-	count := func(batch []trace.Access) error {
-		for _, a := range batch {
-			if a.Thread < 0 || int(a.Thread) >= threads {
-				return fmt.Errorf("commprof: trace access %d has thread %d, outside [0,%d)", seen, a.Thread, threads)
-			}
-			seen++
-			stats.Accesses++
-			if a.Kind == trace.Write {
-				stats.Writes++
-			} else {
-				stats.Reads++
-			}
-		}
-		return nil
-	}
-	// A recorded stream is the sharded pipeline's natural input: replay is a
-	// single producer, so per-shard batching applies at full strength.
-	if opts.AnalysisShards > 0 {
-		ps, err := newPhaseState(opts, dec.Table(), tel, probes)
-		if err != nil {
-			return nil, err
-		}
-		pe, err := newPipeline(opts, threads, dec.Table(), probes, ps)
-		if err != nil {
-			return nil, err
-		}
-		// Replay has no exec engine; the gauges and /progress bind to the
-		// pipeline engine's merged per-shard state, which stays valid after
-		// Close — a post-run scrape sees the final merged hit rates instead
-		// of unbound zeros.
-		tel.wireRunSharded(nil, pe)
-		ps.wire(pe.AdvancePhases)
-		producer := pe.NewProducer(false)
-		batch := make([]trace.Access, 0, replayBatchSize)
-		for {
-			batch, err = dec.NextBatch(batch)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				pe.Close()
-				return nil, err
-			}
-			if err := count(batch); err != nil {
-				pe.Close()
-				return nil, err
-			}
-			var t0 time.Time
-			if stages != nil {
-				t0 = time.Now()
-			}
-			producer.ProcessBatch(batch)
-			if stages != nil {
-				stages.Producer.Observe(uint64(time.Since(t0)))
-			}
-		}
-		var t0 time.Time
-		if stages != nil {
-			t0 = time.Now()
-		}
-		producer.Flush()
-		if stages != nil {
-			stages.Producer.Observe(uint64(time.Since(t0)))
-		}
-		pe.Close()
-		rep, tree, err := buildReportSharded("replay", threads, pe, stats, opts.MaxHotspots, tel)
-		if err != nil {
-			return nil, err
-		}
-		attachAccuracySharded(rep, pe, opts, threads, tel)
-		if err := attachPhasesSharded(rep, pe, ps); err != nil {
-			return nil, err
-		}
-		tel.finishRun(rep, tree)
-		return rep, nil
-	}
-	backend, err := opts.newSignature(threads, probes)
-	if err != nil {
-		return nil, err
-	}
-	mon, err := newAccuracyMonitor(opts, threads, probes)
-	if err != nil {
-		return nil, err
-	}
-	// The replay loop is the cache's and the monitor's single consumer.
-	dopts := detect.Options{
-		Threads: threads, Backend: backend, Table: dec.Table(),
-		GranularityBits:     opts.GranularityBits,
-		RedundancyCacheBits: opts.RedundancyCacheBits,
-		Accuracy:            mon,
-		Probes:              probes.DetectProbes(),
-		Overhead:            probes.OverheadProbes(),
-	}
-	ps, err := newPhaseState(opts, dec.Table(), tel, probes)
-	if err != nil {
-		return nil, err
-	}
-	var seg *metrics.PhaseSegmenter
-	if ps != nil {
-		seg, err = metrics.NewPhaseSegmenter(threads, opts.PhaseWindow, phaseThreshold)
-		if err != nil {
-			return nil, err
-		}
-		dopts.OnEvent = seg.Observe
-	}
-	d, err := detect.New(dopts)
-	if err != nil {
-		return nil, err
-	}
-	tel.wireRun(nil, d, backend, nil)
-	if seg != nil {
-		onClose := ps.onClose()
-		ps.wire(func() int { return seg.Advance(onClose) })
-	}
 	batch := make([]trace.Access, 0, replayBatchSize)
 	for {
 		batch, err = dec.NextBatch(batch)
@@ -251,27 +101,18 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := count(batch); err != nil {
-			return nil, err
+		for _, a := range batch {
+			if a.Thread < 0 || int(a.Thread) >= threads {
+				return nil, fmt.Errorf("commprof: trace access %d has thread %d, outside [0,%d)", stats.Accesses, a.Thread, threads)
+			}
+			stats.Accesses++
+			if a.Kind == trace.Write {
+				stats.Writes++
+			} else {
+				stats.Reads++
+			}
 		}
-		var t0 time.Time
-		if stages != nil {
-			t0 = time.Now()
-		}
-		d.ProcessBatch(batch)
-		if stages != nil {
-			stages.BatchService.Observe(uint64(time.Since(t0)))
-		}
+		an.feedBatch(p, batch)
 	}
-	rep, tree, err := buildReport("replay", threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
-	if err != nil {
-		return nil, err
-	}
-	attachAccuracy(rep, d, opts, threads, backend, tel)
-	if seg != nil {
-		seg.Flush(ps.onClose())
-		ps.attach(rep, seg.WindowSet())
-	}
-	tel.finishRun(rep, tree)
-	return rep, nil
+	return an.finish("replay", stats)
 }

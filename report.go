@@ -311,8 +311,9 @@ func accuracyReport(est accuracy.Estimate, rec accuracy.Recommendation, shadowBy
 // BatchService time (the shard workers' detector time) is split into
 // Signature, Redundancy and Shadow using a 1-in-256 sampled sub-timing, with
 // the sampled estimates clamped so the split always sums to the measured
-// batch-service total. Present on replay and sharded runs, where the
-// instrumented stage boundaries exist; nil on purely synthetic serial runs.
+// batch-service total. BatchService is timed per batch — by the shard
+// workers, and in-thread by replay's batch loop — so a per-access in-thread
+// source (a live engine run, ProfileTrace) attributes only Window and Merge.
 type OverheadReport struct {
 	// EngineWallNanos is wall time from run wiring to report build. With K
 	// parallel shard workers the attributed stage time can legitimately
@@ -381,7 +382,7 @@ type LoopTimelineReport struct {
 // with Options.PhaseWindow: every window of the run in time order with its
 // live pattern classification, the whole-program pattern transitions, and a
 // per-hot-loop digest. It is a deterministic function of the merged window
-// set, so the serial and sharded analysers produce identical timelines.
+// set, so in-thread and sharded analysis produce identical timelines.
 type PhaseTimelineReport struct {
 	WindowSize  uint64
 	Windows     []PhaseWindowReport
@@ -407,29 +408,25 @@ type Report struct {
 	// PhaseTimeline is the classified phase timeline. Nil unless the run used
 	// Options.PhaseWindow.
 	PhaseTimeline *PhaseTimelineReport `json:",omitempty"`
-	// Pipeline describes the sharded analysis engine. Nil unless the run
-	// used Options.AnalysisShards.
+	// Pipeline describes the sharded analysis engine. Nil on in-thread runs
+	// (Options.AnalysisShards 0).
 	Pipeline *PipelineReport `json:",omitempty"`
 	// Redundancy describes the redundancy-filtering fast path. Nil unless
-	// the run used Options.RedundancyCacheBits (and, for the serial
-	// analyser, ran under the deterministic scheduler).
+	// the run used Options.RedundancyCacheBits.
 	Redundancy *RedundancyReport `json:",omitempty"`
 	// Coalescing describes the static access-coalescing pass. Nil except on
 	// MiniPar runs with the pass enabled (the default; see
 	// Options.DisableCoalesce).
 	Coalescing *CoalescingReport `json:",omitempty"`
 	// Accuracy is the online signature-accuracy estimate. Nil unless the run
-	// used Options.AccuracyTargetFPR (and, for the serial analyser, ran
-	// under the deterministic scheduler).
+	// used Options.AccuracyTargetFPR.
 	Accuracy *AccuracyReport `json:",omitempty"`
 	// Telemetry is the self-observability snapshot of the run (metric
 	// counters/gauges/histograms plus pipeline-phase spans). Nil unless
 	// Options.Telemetry was set.
 	Telemetry *TelemetryReport `json:",omitempty"`
 	// Overhead decomposes the run's wall time into the profiler's own
-	// analysis stages. Nil unless Options.Telemetry was set and the run went
-	// through an instrumented stage boundary (replay or the sharded
-	// pipeline).
+	// analysis stages. Nil unless Options.Telemetry was set.
 	Overhead *OverheadReport `json:",omitempty"`
 }
 

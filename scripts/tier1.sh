@@ -6,9 +6,11 @@
 # staging), blocking queues (the detect queue reproductions), merge-order
 # algebra (comm), the static-coalescing differential wall (passes) and the
 # observability primitives (obs timelines, tracers, histograms) plus a
-# facade-level race pass scraping /metrics and /progress during a live
-# sharded run, a -cpu 1,2,4 pass over the packages whose tests involve more
-# than one goroutine (no result may depend on how many cores the host has), a
+# race pass over the whole facade (in-thread runs share the analysis engine
+# with the live samplers and the /metrics and /progress scrapers, exactly as
+# sharded runs do), a -cpu 1,2,4 pass over the packages whose tests involve
+# more than one goroutine (no result may depend on how many cores the host
+# has), a
 # vet+test of the nested bench/ module (it compiles against internal APIs that
 # `go build ./...` from the root does not reach), plus
 # a short fuzz smoke over the trace codec, the source instrumenter and the
@@ -41,12 +43,15 @@ go test -race ./internal/sig/... ./internal/exec/... ./internal/pipeline/... ./i
 	./internal/patterns/... ./internal/metrics/... ./internal/instrument/... ./internal/passes/... \
 	./internal/obs/...
 
-echo "== go test -race (facade timeline + live concurrent scrape) =="
-go test -race -run 'TestTimeline|TestTelemetryConcurrentScrape|TestReportOverheadAttribution|TestProgressStageLatencies' .
+echo "== go test -race (facade) =="
+go test -race .
 
-echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, experiments queue) =="
+echo "== go test -cpu 1,2,4 (facade) =="
+go test -cpu 1,2,4 .
+
+echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, experiments queue + throughput) =="
 go test -cpu 1,2,4 -count 3 ./internal/detect/... ./internal/pipeline/... ./internal/sig/...
-go test -cpu 1,2,4 -count 3 -run 'TestQueueArchitecture' ./internal/experiments
+go test -cpu 1,2,4 -count 3 -run 'TestQueueArchitecture|TestThroughputComparison' ./internal/experiments
 
 echo "== bench module: go vet + go test =="
 (cd bench && go vet . && go test .)

@@ -10,13 +10,11 @@ import (
 	"time"
 
 	"commprof/internal/comm"
-	"commprof/internal/detect"
 	"commprof/internal/exec"
 	"commprof/internal/metrics"
 	"commprof/internal/obs"
 	"commprof/internal/patterns"
 	"commprof/internal/pipeline"
-	"commprof/internal/sig"
 )
 
 // Telemetry is the profiler's self-observability handle: a metrics registry
@@ -63,13 +61,6 @@ type Telemetry struct {
 	fillSamples []FillSample
 	fillStop    chan struct{}
 	fillDone    chan struct{}
-
-	// Phase-sampler state: the periodic goroutine that advances the windowed
-	// phase layer so windows close (and the live pattern surfaces update)
-	// while the run is in flight (see startPhaseSampler).
-	phaseMu   sync.Mutex
-	phaseStop chan struct{}
-	phaseDone chan struct{}
 }
 
 // fillSampleInterval is the signature-saturation probe cadence. FillRatio
@@ -83,15 +74,12 @@ const fillSampleInterval = 25 * time.Millisecond
 const maxFillSamples = 240
 
 // startFillSampler begins the periodic fill probe for one run: each tick
-// sets the sig_fill_ratio gauge, records a trajectory point, and (when eval
-// is non-nil) feeds the saturation alarm. tick, when non-nil, runs on the
-// same cadence — the timeline's counter-track sampler rides along here so a
-// run has exactly one periodic probe goroutine. Any previous run's sampler
-// is stopped and its trajectory discarded. Off when the Telemetry is nil.
-func (t *Telemetry) startFillSampler(start time.Time, fill func() float64, eval func(float64), tick func()) {
-	if t == nil || fill == nil {
-		return
-	}
+// sets the sig_fill_ratio gauge, records a trajectory point and feeds the
+// saturation alarm (a no-op on an unmonitored run). tick runs on the same
+// cadence — the phase-window advance and the timeline's counter-track sampler
+// ride along here, so a run has exactly one periodic goroutine. Any previous
+// run's sampler is stopped and its trajectory discarded.
+func (t *Telemetry) startFillSampler(start time.Time, pe *pipeline.Engine, tick func()) {
 	t.stopFillSampler()
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -101,11 +89,9 @@ func (t *Telemetry) startFillSampler(start time.Time, fill func() float64, eval 
 	t.fillMu.Unlock()
 	gauge := t.reg.Gauge("sig_fill_ratio")
 	probe := func() {
-		ratio := fill()
+		ratio := pe.FillRatio(256)
 		gauge.Set(ratio)
-		if eval != nil {
-			eval(ratio)
-		}
+		pe.EvaluateAccuracy(ratio)
 		t.fillMu.Lock()
 		t.fillSamples = append(t.fillSamples, FillSample{
 			ElapsedSeconds: time.Since(start).Seconds(), Ratio: ratio,
@@ -120,9 +106,7 @@ func (t *Telemetry) startFillSampler(start time.Time, fill func() float64, eval 
 			t.fillSamples = kept
 		}
 		t.fillMu.Unlock()
-		if tick != nil {
-			tick()
-		}
+		tick()
 	}
 	go func() {
 		defer close(done)
@@ -154,56 +138,6 @@ func (t *Telemetry) stopFillSampler() {
 	stop, done := t.fillStop, t.fillDone
 	t.fillStop, t.fillDone = nil, nil
 	t.fillMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-// startPhaseSampler begins the periodic phase advance for one run: each tick
-// calls advance (the serial segmenter's Advance or the pipeline engine's
-// AdvancePhases), which drains every window wholly below the run's progress
-// frontier and emits it to the live classification layer. Window closing is
-// exactly-once and in order regardless of tick timing — the sampler only
-// controls how promptly a completed window surfaces, the analyser's final
-// flush closes whatever remains — so the end-of-run counters are
-// tick-independent. Any previous run's sampler is stopped first.
-func (t *Telemetry) startPhaseSampler(advance func() int) {
-	if t == nil || advance == nil {
-		return
-	}
-	t.stopPhaseSampler()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	t.phaseMu.Lock()
-	t.phaseStop, t.phaseDone = stop, done
-	t.phaseMu.Unlock()
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(fillSampleInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				advance()
-			}
-		}
-	}()
-}
-
-// stopPhaseSampler stops the periodic phase advance, waiting for the
-// goroutine to exit. Idempotent and nil-safe; finishRun and Close both call
-// it.
-func (t *Telemetry) stopPhaseSampler() {
-	if t == nil {
-		return
-	}
-	t.phaseMu.Lock()
-	stop, done := t.phaseStop, t.phaseDone
-	t.phaseStop, t.phaseDone = nil, nil
-	t.phaseMu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done
@@ -341,7 +275,6 @@ func (t *Telemetry) Close() error {
 		return nil
 	}
 	t.stopFillSampler()
-	t.stopPhaseSampler()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.server == nil {
@@ -568,8 +501,8 @@ type overheadBaseline struct {
 	redun, shadow                         uint64
 }
 
-// markOverheadBaseline snapshots the current stage totals; wireRun and
-// wireRunSharded call it so finishRun attributes only this run's time.
+// markOverheadBaseline snapshots the current stage totals; wireRun calls it
+// so finishRun attributes only this run's time.
 func (t *Telemetry) markOverheadBaseline() {
 	if t == nil {
 		return
@@ -640,18 +573,24 @@ func (t *Telemetry) overheadReport() *OverheadReport {
 	return rep
 }
 
-// counterTickSharded returns the periodic counter-track sampler for a
-// sharded run: per-shard queue depth, redundancy hit rate and the live FPR
-// estimate, plus a one-shot instant the first time the accuracy alarm trips.
-// Nil when the timeline is off, so the fill sampler skips it entirely.
-func (t *Telemetry) counterTickSharded(pe *pipeline.Engine) func() {
+// runTick returns the run's periodic rider on the fill sampler. Every tick
+// advances the windowed phase layer — closing each window now wholly below
+// the analyser's progress frontier and emitting it to the live classification
+// layer; closing is exactly-once and in order whatever the tick timing, and
+// the engine's Close flushes what remains, so end-of-run counters are
+// tick-independent (a no-op without PhaseWindow). With the timeline on it
+// also samples the counter tracks: per-shard queue depth, redundancy hit rate
+// and the live FPR estimate, plus a one-shot instant the first time the
+// accuracy alarm trips.
+func (t *Telemetry) runTick(pe *pipeline.Engine) func() {
 	tl := t.Timeline()
 	if tl == nil {
-		return nil
+		return func() { pe.AdvancePhases() }
 	}
 	ctr := tl.Track("counters")
 	alarmSeen := false
 	return func() {
+		pe.AdvancePhases()
 		for i := 0; i < pe.Shards(); i++ {
 			ctr.Counter(fmt.Sprintf("queue_depth_shard_%d", i), float64(pe.ShardDepth(i)))
 		}
@@ -670,32 +609,6 @@ func (t *Telemetry) counterTickSharded(pe *pipeline.Engine) func() {
 	}
 }
 
-// counterTickSerial is counterTickSharded's counterpart for the serial
-// analyser: redundancy hit rate, live FPR and the alarm instant.
-func (t *Telemetry) counterTickSerial(d *detect.Detector) func() {
-	tl := t.Timeline()
-	if tl == nil {
-		return nil
-	}
-	ctr := tl.Track("counters")
-	mon := d.Accuracy()
-	alarmSeen := false
-	return func() {
-		if rst, ok := d.RedundancyStats(); ok {
-			ctr.Counter("redundancy_hit_rate", rst.HitRate())
-		}
-		if mon != nil {
-			ctr.Counter("live_fpr", mon.Estimate().EstimatedFPR)
-			if !alarmSeen {
-				if _, tripped := mon.Alarm(); tripped {
-					alarmSeen = true
-					ctr.Instant("accuracy-alarm")
-				}
-			}
-		}
-	}
-}
-
 // span opens a pipeline phase; nil-safe.
 func (t *Telemetry) span(name string) *obs.SpanHandle {
 	if t == nil {
@@ -704,117 +617,20 @@ func (t *Telemetry) span(name string) *obs.SpanHandle {
 	return t.tracer.Start(name)
 }
 
-// wireRun binds the live-introspection sources (gauge functions and the
-// /progress snapshot) to one run's engine, detector and signature backend.
-// smp may be nil, and so may eng: offline replay has no simulated-thread
-// engine, so the executor gauges stay unbound and the logical clock reads 0.
-// Call after the detector exists and before the run starts.
-func (t *Telemetry) wireRun(eng *exec.Engine, d *detect.Detector, backend *sig.Asymmetric, smp *detect.Sampler) {
+// wireRun binds the live-introspection sources (gauge functions, the
+// /progress snapshot, the periodic sampler) to one run's analyser: aggregate
+// throughput and signature-saturation gauges, one depth gauge per shard
+// (pipeline_shard_<i>_depth; none in-thread), and the sampling gate's skipped
+// reads. eng may be nil: offline sources have no simulated-thread engine, so
+// the executor gauges stay unbound and the logical clock reads 0. Everything
+// here reads the analysis engine's merged state, which stays valid after
+// Close, so a post-run scrape (or the Report.Telemetry snapshot) sees the
+// final values rather than zeros. Call before the source starts.
+func (t *Telemetry) wireRun(eng *exec.Engine, an *analysis) {
 	if t == nil {
 		return
 	}
-	start := time.Now()
-	t.start.Store(start)
-	t.markOverheadBaseline()
-	reg := t.reg
-	if eng != nil {
-		t.tracer.SetClock(eng.Clock)
-		t.Timeline().SetClock(eng.Clock)
-		reg.GaugeFunc("exec_logical_clock", func() float64 { return float64(eng.Clock()) })
-		reg.GaugeFunc("exec_barrier_epochs", func() float64 { return float64(eng.BarrierEpochs()) })
-	}
-	reg.GaugeFunc("detect_accesses_processed", func() float64 { return float64(d.Stats().Processed) })
-	reg.GaugeFunc("detect_comm_bytes", func() float64 { return float64(d.Stats().CommBytes) })
-	reg.GaugeFunc("detect_accesses_per_sec", func() float64 {
-		elapsed := time.Since(start).Seconds()
-		if elapsed <= 0 {
-			return 0
-		}
-		return float64(d.Stats().Processed) / elapsed
-	})
-	reg.GaugeFunc("sig_slot_occupancy", backend.Occupancy)
-	reg.GaugeFunc("sig_bloom_fill_ratio", func() float64 { return backend.FillRatio(256) })
-	reg.GaugeFunc("sig_footprint_bytes", func() float64 { return float64(backend.FootprintBytes()) })
-	if _, ok := d.RedundancyStats(); ok {
-		reg.GaugeFunc("redundancy_hit_rate", func() float64 {
-			st, _ := d.RedundancyStats()
-			return st.HitRate()
-		})
-	}
-	if smp != nil {
-		reg.GaugeFunc("detect_sampler_skipped_reads", func() float64 { return float64(smp.Skipped()) })
-	}
-	mon := d.Accuracy()
-	if mon != nil {
-		reg.GaugeFunc("accuracy_estimated_fpr", func() float64 { return mon.Estimate().EstimatedFPR })
-	}
-	var eval func(float64)
-	if mon != nil {
-		eval = mon.Evaluate
-	}
-	t.startFillSampler(start, func() float64 { return backend.FillRatio(256) }, eval, t.counterTickSerial(d))
-	t.progress.Store(func() ProgressSnapshot {
-		st := d.Stats()
-		elapsed := time.Since(start).Seconds()
-		rate := 0.0
-		if elapsed > 0 {
-			rate = float64(st.Processed) / elapsed
-		}
-		var skipped uint64
-		if smp != nil {
-			skipped = smp.Skipped()
-		}
-		var redunRate float64
-		if rst, ok := d.RedundancyStats(); ok {
-			redunRate = rst.HitRate()
-		}
-		snap := ProgressSnapshot{
-			Phase:          t.tracer.Current(),
-			ElapsedSeconds: elapsed,
-			Accesses:       st.Processed,
-			AccessesPerSec: rate,
-			Dependencies:   st.Detected,
-			CommBytes:      st.CommBytes,
-			SkippedReads:   skipped,
-			SigFilters:     backend.AllocatedFilters(),
-			SigOccupancy:   backend.Occupancy(),
-			SigFillRatio:   backend.FillRatio(64),
-
-			RedundancyHitRate: redunRate,
-			FillTrajectory:    t.fillTrajectory(),
-			Stages:            t.stageLatencies(),
-		}
-		if eng != nil {
-			snap.Clock = eng.Clock()
-			snap.PerThread = eng.ThreadProgress()
-			snap.BarrierEpochs = eng.BarrierEpochs()
-		}
-		if mon != nil {
-			est := mon.Estimate()
-			snap.AccuracySampled = est.SampledAccesses
-			snap.AccuracyEstimatedFPR = est.EstimatedFPR
-			snap.AccuracyFPRLow, snap.AccuracyFPRHigh = est.FPRLow, est.FPRHigh
-			snap.AccuracyDesignEffect = est.DesignEffect
-			snap.AccuracyFPRLowClustered, snap.AccuracyFPRHighClustered = est.FPRLowClustered, est.FPRHighClustered
-			snap.AccuracyAlarm, _ = mon.Alarm()
-		}
-		return snap
-	})
-}
-
-// wireRunSharded binds the live-introspection sources to a run analysed by
-// the sharded pipeline: aggregate throughput gauges plus one depth gauge per
-// shard (pipeline_shard_<i>_depth). Per-slot saturation gauges stay unbound
-// (shard partitions expose only aggregates), but the mean bloom fill across
-// partitions feeds the periodic sig_fill_ratio sampler. eng may be nil for
-// offline replay; the gauges here read the pipeline engine's merged
-// per-shard state, which stays valid after Close, so a post-run scrape (or
-// the Report.Telemetry snapshot) sees the final merged values rather than
-// zeros.
-func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
-	if t == nil {
-		return
-	}
+	pe := an.pe
 	start := time.Now()
 	t.start.Store(start)
 	t.markOverheadBaseline()
@@ -834,6 +650,8 @@ func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
 		}
 		return float64(pe.Stats().Processed) / elapsed
 	})
+	reg.GaugeFunc("sig_slot_occupancy", pe.Occupancy)
+	reg.GaugeFunc("sig_bloom_fill_ratio", func() float64 { return pe.FillRatio(256) })
 	reg.GaugeFunc("sig_footprint_bytes", func() float64 { return float64(pe.SigFootprintBytes()) })
 	reg.GaugeFunc("pipeline_dropped_reads", func() float64 { return float64(pe.Stats().DroppedReads) })
 	if _, ok := pe.RedundancyStats(); ok {
@@ -842,24 +660,22 @@ func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
 			return st.HitRate()
 		})
 	}
+	if an.gate != nil {
+		reg.GaugeFunc("detect_sampler_skipped_reads", func() float64 { return float64(an.skipped.Load()) })
+	}
 	for i := 0; i < pe.Shards(); i++ {
 		i := i
 		reg.GaugeFunc(fmt.Sprintf("pipeline_shard_%d_depth", i), func() float64 {
 			return float64(pe.ShardDepth(i))
 		})
 	}
-	_, monitored := pe.AccuracyStats()
-	if monitored {
+	if _, monitored := pe.AccuracyStats(); monitored {
 		reg.GaugeFunc("accuracy_estimated_fpr", func() float64 {
 			est, _ := pe.AccuracyEstimate()
 			return est.EstimatedFPR
 		})
 	}
-	var eval func(float64)
-	if monitored {
-		eval = pe.EvaluateAccuracy
-	}
-	t.startFillSampler(start, func() float64 { return pe.FillRatio(256) }, eval, t.counterTickSharded(pe))
+	t.startFillSampler(start, pe, t.runTick(pe))
 	t.progress.Store(func() ProgressSnapshot {
 		st := pe.Stats()
 		elapsed := time.Since(start).Seconds()
@@ -867,14 +683,11 @@ func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
 		if elapsed > 0 {
 			rate = float64(st.Processed) / elapsed
 		}
-		depths := make([]int, pe.Shards())
-		for i := range depths {
-			depths[i] = pe.ShardDepth(i)
+		var depths []int
+		for i := 0; i < pe.Shards(); i++ {
+			depths = append(depths, pe.ShardDepth(i))
 		}
-		var redunRate float64
-		if rst, ok := pe.RedundancyStats(); ok {
-			redunRate = rst.HitRate()
-		}
+		rst, _ := pe.RedundancyStats() // zero stats, rate 0, when the cache is off
 		snap := ProgressSnapshot{
 			Phase:          t.tracer.Current(),
 			ElapsedSeconds: elapsed,
@@ -882,11 +695,14 @@ func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
 			AccessesPerSec: rate,
 			Dependencies:   st.Detected,
 			CommBytes:      st.CommBytes,
+			SkippedReads:   an.skipped.Load(),
 			ShardDepths:    depths,
 			DroppedReads:   st.DroppedReads,
+			SigFilters:     pe.AllocatedFilters(),
+			SigOccupancy:   pe.Occupancy(),
 			SigFillRatio:   pe.FillRatio(64),
 
-			RedundancyHitRate: redunRate,
+			RedundancyHitRate: rst.HitRate(),
 			FillTrajectory:    t.fillTrajectory(),
 			Stages:            t.stageLatencies(),
 		}
@@ -908,12 +724,10 @@ func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
 }
 
 // wirePhases binds the live phase-observability surfaces to one run: the
-// current-pattern gauges, per-class closed-window gauges, the /progress phase
-// fields (wrapping the base snapshot wireRun/wireRunSharded stored), and the
-// periodic sampler that drives window closing. Call after wireRun or
-// wireRunSharded. advance closes every window wholly below the run's
-// progress frontier and returns the count emitted.
-func (t *Telemetry) wirePhases(lp *metrics.LivePhases, regionName func(int32) string, advance func() int) {
+// current-pattern gauges, per-class closed-window gauges and the /progress
+// phase fields (wrapping the base snapshot wireRun stored). Call after
+// wireRun, whose periodic sampler drives the window closing.
+func (t *Telemetry) wirePhases(lp *metrics.LivePhases, regionName func(int32) string) {
 	if t == nil || lp == nil {
 		return
 	}
@@ -963,22 +777,18 @@ func (t *Telemetry) wirePhases(lp *metrics.LivePhases, regionName func(int32) st
 		}
 		return snap
 	})
-	t.startPhaseSampler(advance)
 }
 
 // finishRun stops the fill sampler, records end-of-run structure gauges and
 // attaches the snapshot — plus the overhead self-attribution, when any stage
-// recorded time — to the report. tree may be nil (no region table).
+// recorded time — to the report.
 func (t *Telemetry) finishRun(rep *Report, tree *comm.Tree) {
 	if t == nil {
 		return
 	}
 	t.stopFillSampler()
-	t.stopPhaseSampler()
-	if tree != nil {
-		t.reg.Gauge("comm_tree_nodes").Set(float64(tree.NodeCount()))
-		t.reg.Gauge("comm_matrix_nnz").Set(float64(tree.Global.NonZeroCells()))
-	}
+	t.reg.Gauge("comm_tree_nodes").Set(float64(tree.NodeCount()))
+	t.reg.Gauge("comm_matrix_nnz").Set(float64(tree.Global.NonZeroCells()))
 	rep.Telemetry = t.report()
 	rep.Overhead = t.overheadReport()
 }

@@ -276,3 +276,80 @@ func main() {
 		t.Fatal("ProfileMiniPar telemetry not wired")
 	}
 }
+
+// TestTelemetryOneWiring pins that there is one telemetry wiring: in-thread
+// and sharded runs expose the same gauge and /progress surface — sharded runs
+// have the signature-saturation gauges the in-thread wiring used to own,
+// in-thread runs the drop gauge the sharded one did, both the sampling gate's
+// skipped reads — and differ only in the per-shard depth rows.
+func TestTelemetryOneWiring(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		tel := NewTelemetry()
+		rep, err := Profile(Options{
+			Workload: "fft", Threads: 8, AnalysisShards: shards,
+			SignatureSlots: 1 << 14, // small enough that the strided occupancy sample cannot miss
+			SampleBurst:    1, SamplePeriod: 4, Telemetry: tel,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := rep.Telemetry.Gauges
+		for _, name := range []string{
+			"detect_accesses_processed", "detect_comm_bytes", "detect_accesses_per_sec",
+			"sig_slot_occupancy", "sig_bloom_fill_ratio", "sig_footprint_bytes", "sig_fill_ratio",
+			"pipeline_dropped_reads", "detect_sampler_skipped_reads", "exec_logical_clock",
+		} {
+			if _, ok := g[name]; !ok {
+				t.Errorf("K=%d: gauge %s not bound", shards, name)
+			}
+		}
+		if occ := g["sig_slot_occupancy"]; occ <= 0 || occ > 1 {
+			t.Errorf("K=%d: sig_slot_occupancy = %v, want (0,1]", shards, occ)
+		}
+		snap := tel.Progress()
+		if snap.SigOccupancy <= 0 || snap.SigOccupancy > 1 || snap.SigFilters != 0 {
+			t.Errorf("K=%d: progress signature stats: occupancy %v, filters %d", shards, snap.SigOccupancy, snap.SigFilters)
+		}
+		if snap.SkippedReads == 0 || float64(snap.SkippedReads) != g["detect_sampler_skipped_reads"] {
+			t.Errorf("K=%d: skipped reads: progress %d, gauge %v", shards, snap.SkippedReads, g["detect_sampler_skipped_reads"])
+		}
+		if snap.Accesses+snap.SkippedReads != rep.Accesses {
+			t.Errorf("K=%d: analysed %d + skipped %d != issued %d", shards, snap.Accesses, snap.SkippedReads, rep.Accesses)
+		}
+		if len(snap.ShardDepths) != shards {
+			t.Errorf("K=%d: %d shard depth rows", shards, len(snap.ShardDepths))
+		}
+	}
+}
+
+// TestReplayOverheadCountsEachBatchOnce pins where replay's analyser time is
+// booked: in-thread the batch loop is the detector (BatchService, no queue
+// time at all), sharded it is staging and queue wait (Producer) while the
+// workers book their own BatchService — never both for the same nanosecond.
+func TestReplayOverheadCountsEachBatchOnce(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Record(Options{Workload: "fft", Threads: 8}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 2} {
+		tel := NewTelemetry()
+		rep, err := Replay(bytes.NewReader(buf.Bytes()), 8, Options{AnalysisShards: shards, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov := rep.Overhead
+		if ov == nil || ov.DecodeNanos == 0 || ov.SignatureNanos == 0 {
+			t.Fatalf("K=%d: overhead %+v", shards, ov)
+		}
+		if (ov.QueueNanos > 0) != (shards > 0) {
+			t.Errorf("K=%d: QueueNanos = %d", shards, ov.QueueNanos)
+		}
+		h := rep.Telemetry.Histograms
+		if h["stage_batch_service_nanos"].Count == 0 {
+			t.Errorf("K=%d: no batch-service observations", shards)
+		}
+		if got := h["stage_producer_nanos"].Count; (got > 0) != (shards > 0) {
+			t.Errorf("K=%d: %d producer-stage observations", shards, got)
+		}
+	}
+}
