@@ -121,8 +121,8 @@ func (an *analysis) producer(flushOnThreadSwitch bool) *pipeline.Producer {
 // the deterministic scheduler funnels every thread through one serialized
 // probe, so a single producer flushed on thread switches (= quantum
 // boundaries) preserves the exact global arrival order. tap, when non-nil,
-// records every access in front of the sampling gate.
-func (an *analysis) probe(tap *trace.Stream) exec.Probe {
+// encodes every access in front of the sampling gate.
+func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
 	var process exec.Probe
 	switch d := an.pe.InThread(); {
 	case d != nil:
@@ -141,7 +141,7 @@ func (an *analysis) probe(tap *trace.Stream) exec.Probe {
 	}
 	return func(a trace.Access) {
 		if tap != nil {
-			tap.Accesses = append(tap.Accesses, a)
+			_ = tap.Write(a) // a failed Write is sticky: Record sees it at Close
 		}
 		if !an.sampledOut(a.Kind, a.Thread) {
 			process(a)
@@ -260,9 +260,9 @@ type engineSource struct {
 	// setup, when non-nil, is the span the caller opened before building the
 	// source; it ends once the analyser is wired and the run can start.
 	setup *obs.SpanHandle
-	// record, when non-nil, receives every access the program issues, in
-	// issue order (Record's tap). It needs the deterministic scheduler.
-	record *trace.Stream
+	// tap, when non-nil, is written every access the program issues, in issue
+	// order (Record's encoder). It needs the deterministic scheduler.
+	tap *trace.Encoder
 }
 
 // profileEngine runs an engine source with the analyser attached: build the
@@ -274,7 +274,7 @@ func profileEngine(opts Options, src engineSource) (*Report, error) {
 	}
 	defer an.pe.Close()
 	eng := exec.New(exec.Options{
-		Threads: src.threads, Probe: an.probe(src.record), Parallel: opts.Parallel,
+		Threads: src.threads, Probe: an.probe(src.tap), Parallel: opts.Parallel,
 		Probes: an.tel.probes().EngineProbes(),
 	})
 	an.wire(eng)

@@ -56,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		redunB   = fs.Uint("redundancy-bits", 0, "redundancy fast-path cache size in bits: 2^N entries per analyser filtering same-thread repeated accesses before the signature (0 = off)")
 		record   = fs.String("record", "", "also write the access trace to this file")
 		replay   = fs.String("replay", "", "analyse a recorded trace file instead of running a benchmark")
-		traceFm  = fs.Int("trace-format", 0, "trace codec version -record writes: 1 (fixed records), 2 (adds thread count + file:line) or 3 (compact delta/varint blocks); 0 = default v3. -replay auto-detects")
 		telem    = fs.Bool("telemetry", false, "collect profiler self-observability metrics and print a Prometheus-text dump after the run")
 		telAddr  = fs.String("telemetry-addr", "", "serve live /metrics, /metrics.json and /progress on this address during the run (e.g. :9090, :0 picks a port)")
 		telDump  = fs.String("telemetry-dump", "", "write a final Prometheus-text metrics snapshot to this file at exit (for scrape-less CI environments)")
@@ -102,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DisableCoalesce: !*coalesce,
 
 		RedundancyCacheBits: *redunB,
-		TraceFormat:         *traceFm,
 	}
 	if *shards > 0 {
 		opts.ShardQueueCapacity = *shardQ

@@ -11,21 +11,20 @@
 //	commtrace -pkg ./prog -mode live             # analyse inside the program
 //	commtrace -pkg ./prog -mode emit -emit ./out # just write the module
 //	commtrace -pkg ./prog -mode check            # instrument + go vet
-//	commtrace -pkg ./prog -mode overhead -runs 5 # probe-cost JSON
-//	commtrace -mode recode -in old.trace -o new.trace -trace-format 3
+//	commtrace -mode recode -in run.trace -o run.v1 -trace-format 1
 //	commtrace -mode recover -in crashed.trace    # salvage + replay
 //
 // The default profile mode records the run to a trace file (compact v3
-// blocks by default, -trace-format 2 for fixed records; goroutine count
-// patched in on close) and replays it locally, so every analysis flag works
-// without rebuilding the target. recode transcodes an existing trace
-// between codec versions; recover salvages the complete prefix of a trace
-// whose writer died before finalizing it, then replays what survived.
+// blocks, the one format recorded; goroutine count patched in on close) and
+// replays it locally, so every analysis flag works without rebuilding the
+// target. recode transcodes an existing trace between codec versions — the
+// only way to obtain a v1 or v2 file, and the only mode -trace-format applies
+// to; recover salvages the complete prefix of a trace whose writer died
+// before finalizing it into a finalized v3 trace, then replays what survived.
 // Neither needs -pkg.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,9 +32,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"commprof"
 	"commprof/internal/instrument"
@@ -51,13 +48,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		pkg     = fs.String("pkg", "", "directory of the Go main package to instrument (required except for -mode recode/recover)")
-		mode    = fs.String("mode", "profile", "profile (record+replay), live (in-process analysis), emit, check, overhead, recode (transcode -in between codec versions) or recover (salvage a truncated -in)")
+		mode    = fs.String("mode", "profile", "profile (record+replay), live (in-process analysis), emit, check, recode (transcode -in between codec versions) or recover (salvage a truncated -in)")
 		emitDir = fs.String("emit", "", "write the instrumented module to this directory (implies it is kept)")
 		out     = fs.String("o", "", "keep the recorded (or recoded/recovered) trace at this path")
 		in      = fs.String("in", "", "existing trace file to read (-mode recode/recover)")
-		traceFm = fs.Int("trace-format", 0, "trace codec version to write: 0 = default (v3 compact blocks); profile/recover accept 2 or 3, recode also 1")
+		traceFm = fs.Int("trace-format", 0, "-mode recode only: trace codec version to write, 1, 2 or 3 (0 = default, v3 compact blocks); every recording mode writes v3")
 		root    = fs.String("commprof", "", "commprof repository root for the module replace directive (default: auto-detect)")
-		runs    = fs.Int("runs", 3, "timing repetitions for -mode overhead")
 		threads = fs.Int("threads", 0, "override the goroutine count (0 = the recorded trace's own)")
 		coal    = fs.Bool("coalesce", true, "statically coalesce provably redundant probes during instrumentation (-coalesce=false disables)")
 
@@ -83,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		AnalysisShards:  *shards,
 
 		RedundancyCacheBits: *redunB,
-		TraceFormat:         *traceFm,
 	}
 	var tel *commprof.Telemetry
 	if *timelineOut != "" {
@@ -92,21 +87,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Telemetry = tel
 	}
 
+	replay := func(tracePath string) int {
+		return replayFile(tracePath, *threads, opts, *timelineOut, *jsonOut, *heatmap, stdout, stderr)
+	}
+
 	// recode and recover operate on an existing trace; no target package,
-	// instrumentation or build involved.
-	switch *mode {
-	case "recode":
+	// instrumentation or build involved. Both write -o while still reading
+	// -in, so the two must be different files.
+	if a, err := os.Stat(*in); err == nil {
+		if b, err := os.Stat(*out); err == nil && os.SameFile(a, b) {
+			fmt.Fprintf(stderr, "commtrace: -o %s is the -in file; the trace is transcoded as it is read, so write it elsewhere\n", *out)
+			return 2
+		}
+	}
+	if *mode == "recode" {
 		return recode(*in, *out, *traceFm, stderr)
-	case "recover":
-		return recoverTrace(*in, *out, *traceFm, *threads, opts, *jsonOut, *heatmap, *timelineOut, stdout, stderr)
+	}
+	if *traceFm != 0 {
+		fmt.Fprintf(stderr, "commtrace: -trace-format applies to -mode recode only: -mode %s writes v3; recode the trace if a consumer needs v1 or v2\n", *mode)
+		return 2
+	}
+	if *mode == "recover" {
+		return recoverTrace(*in, *out, replay, stderr)
 	}
 
 	if *pkg == "" {
 		fmt.Fprintln(stderr, "commtrace: -pkg is required")
-		return 2
-	}
-	if *traceFm != 0 && *traceFm != 2 && *traceFm != 3 {
-		fmt.Fprintf(stderr, "commtrace: -trace-format %d: the recording shim writes versions 2 or 3 (v1 is recode-only)\n", *traceFm)
 		return 2
 	}
 
@@ -154,8 +160,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "commtrace: %s builds and vets clean\n", res.PackageName)
 		return 0
-	case "overhead":
-		return overhead(*pkg, res, moduleDir, repoRoot, *runs, stdout, stderr)
 	case "live", "profile":
 		// handled below
 	default:
@@ -193,166 +197,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if tracePath == "" {
 		tracePath = filepath.Join(moduleDir, "run.trace")
 	}
-	env := append(os.Environ(), "COMMPROF_TRACE="+tracePath)
-	if *traceFm != 0 {
-		env = append(env, fmt.Sprintf("COMMPROF_TRACE_FORMAT=%d", *traceFm))
-	}
-	if err := runBin(bin, env, stdout, stderr); err != nil {
+	if err := runBin(bin, append(os.Environ(), "COMMPROF_TRACE="+tracePath), stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "commtrace:", err)
 		return 1
 	}
-
-	f, err := os.Open(tracePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	defer f.Close()
-	rep, err := commprof.Replay(f, *threads, opts)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	if rc := writeTimeline(tel, *timelineOut, stderr); rc != 0 {
-		return rc
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(stderr, "commtrace:", err)
-			return 1
-		}
-		return 0
-	}
-	fmt.Fprint(stdout, rep.Summary())
-	if *heatmap {
-		fmt.Fprintln(stdout, "\nglobal communication matrix:")
-		fmt.Fprint(stdout, rep.Global.Heatmap())
-	}
-	return 0
+	return replay(tracePath)
 }
 
-// recode transcodes an existing trace between codec versions: the input is
-// decoded in full (any version) and re-encoded as version (1, 2 or 3, 0 =
-// default v3). Region source positions and the header thread count do not
-// exist in the v1 layout and are dropped when downgrading.
-func recode(in, out string, version int, stderr io.Writer) int {
-	if in == "" || out == "" {
-		fmt.Fprintln(stderr, "commtrace: -mode recode requires -in and -o")
-		return 2
-	}
-	if version == 0 {
-		version = trace.DefaultVersion
-	}
-	f, err := os.Open(in)
+// replayFile runs the standard analysis over the trace file at path, writes
+// the run's timeline if one was asked for, and prints the report as JSON or
+// as the text summary. Returns a process exit code.
+func replayFile(path string, threads int, opts commprof.Options, timelineOut string, jsonOut, heatmap bool, stdout, stderr io.Writer) int {
+	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "commtrace:", err)
 		return 1
 	}
 	defer f.Close()
-	dec, err := trace.NewDecoder(f)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	s := &trace.Stream{Table: dec.Table()}
-	if err := dec.ForEach(func(a trace.Access) error {
-		s.Accesses = append(s.Accesses, a)
-		return nil
-	}); err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	if dec.Version() >= 2 && version == 1 {
-		fmt.Fprintln(stderr, "commtrace: note: v1 has no thread count or region file:line; downgrade drops them")
-	}
-	g, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	if err := s.EncodeVersion(g, version, dec.Threads()); err != nil {
-		g.Close()
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	if err := g.Close(); err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	inSize, outSize := fileSize(in), fileSize(out)
-	ratio := 0.0
-	if outSize > 0 {
-		ratio = float64(inSize) / float64(outSize)
-	}
-	fmt.Fprintf(stderr, "commtrace: recoded %d records v%d -> v%d: %d -> %d bytes (%.2fx)\n",
-		len(s.Accesses), dec.Version(), version, inSize, outSize, ratio)
-	return 0
-}
-
-// recoverTrace salvages the decodable prefix of a damaged or unfinalized
-// trace (writer died before Close): it reports what survived, optionally
-// persists it as a finalized trace at out, and replays it through the
-// standard analysis backend.
-func recoverTrace(in, out string, version, threads int, opts commprof.Options, jsonOut, heatmap bool, timelineOut string, stdout, stderr io.Writer) int {
-	if in == "" {
-		fmt.Fprintln(stderr, "commtrace: -mode recover requires -in")
-		return 2
-	}
-	if version == 0 {
-		version = trace.DefaultVersion
-	}
-	f, err := os.Open(in)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	defer f.Close()
-	s, rec, err := trace.DecodeTolerant(f)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	declared := fmt.Sprintf("%d declared", rec.Declared)
-	if rec.Unfinalized {
-		declared = "header unfinalized"
-	}
-	fmt.Fprintf(stderr, "commtrace: recovered %d complete records (%s), %d goroutines\n",
-		rec.Records, declared, rec.Threads)
-	if rec.Err != nil {
-		fmt.Fprintf(stderr, "commtrace: recovery stopped at: %v\n", rec.Err)
-	}
-	if out != "" {
-		g, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintln(stderr, "commtrace:", err)
-			return 1
-		}
-		if err := s.EncodeVersion(g, version, rec.Threads); err != nil {
-			g.Close()
-			fmt.Fprintln(stderr, "commtrace:", err)
-			return 1
-		}
-		if err := g.Close(); err != nil {
-			fmt.Fprintln(stderr, "commtrace:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "commtrace: wrote finalized v%d trace to %s\n", version, out)
-	}
-	if rec.Records == 0 {
-		fmt.Fprintln(stderr, "commtrace: nothing to replay")
-		return 0
-	}
-	if threads == 0 {
-		threads = rec.Threads
-	}
-	var buf bytes.Buffer
-	if err := s.EncodeVersion(&buf, trace.DefaultVersion, rec.Threads); err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	rep, err := commprof.Replay(&buf, threads, opts)
+	rep, err := commprof.Replay(f, threads, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "commtrace:", err)
 		return 1
@@ -375,6 +237,138 @@ func recoverTrace(in, out string, version, threads int, opts commprof.Options, j
 		fmt.Fprint(stdout, rep.Global.Heatmap())
 	}
 	return 0
+}
+
+// transcode drains dec into the trace file at path through the encoder
+// newEnc builds on it — the one write path behind recode and recover — and
+// returns the number of records written.
+func transcode(dec *trace.Decoder, path string, newEnc func(*os.File) (*trace.Encoder, error)) (int, error) {
+	g, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	defer g.Close() // error paths; the success path checks Close below
+	enc, err := newEnc(g)
+	if err != nil {
+		return 0, err
+	}
+	if err := dec.ForEach(enc.Write); err != nil {
+		return 0, err
+	}
+	if err := enc.Close(); err != nil {
+		return 0, err
+	}
+	return enc.Written(), g.Close()
+}
+
+// recode transcodes an existing trace between codec versions: the input
+// (any version) streams through the decoder into an encoder of version (1, 2
+// or 3, 0 = default v3) — the one place an old format can still be written.
+// Region source positions and the header thread count do not exist in the v1
+// layout: they are dropped when downgrading, and a v1 input declares no
+// thread count to carry over.
+func recode(in, out string, version int, stderr io.Writer) int {
+	if in == "" || out == "" {
+		fmt.Fprintln(stderr, "commtrace: -mode recode requires -in and -o")
+		return 2
+	}
+	if version == 0 {
+		version = trace.DefaultVersion
+	}
+	f, err := os.Open(in)
+	if err != nil {
+		fmt.Fprintln(stderr, "commtrace:", err)
+		return 1
+	}
+	defer f.Close()
+	dec, err := trace.NewDecoder(f)
+	if err != nil {
+		fmt.Fprintln(stderr, "commtrace:", err)
+		return 1
+	}
+	switch {
+	case dec.Version() >= 2 && version == 1:
+		fmt.Fprintln(stderr, "commtrace: note: v1 has no thread count or region file:line; downgrade drops them")
+	case dec.Version() == 1 && version >= 2:
+		fmt.Fprintln(stderr, "commtrace: note: the v1 input declares no thread count; the output header says 0 (unknown), so replay it with -threads")
+	}
+	n, err := transcode(dec, out, func(g *os.File) (*trace.Encoder, error) {
+		return trace.NewEncoderVersion(g, dec.Table(), dec.Len(), dec.Threads(), version)
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "commtrace:", err)
+		return 1
+	}
+	inSize, outSize := fileSize(in), fileSize(out)
+	ratio := 0.0
+	if outSize > 0 {
+		ratio = float64(inSize) / float64(outSize)
+	}
+	fmt.Fprintf(stderr, "commtrace: recoded %d records v%d -> v%d: %d -> %d bytes (%.2fx)\n",
+		n, dec.Version(), version, inSize, outSize, ratio)
+	return 0
+}
+
+// recoverTrace salvages the decodable prefix of a damaged or unfinalized
+// trace (writer died before Close): the tolerant decoder drains once into a
+// finalized v3 trace — at out, or a temporary file — it reports what
+// survived, and replays that file through the standard analysis backend.
+func recoverTrace(in, out string, replay func(tracePath string) int, stderr io.Writer) int {
+	if in == "" {
+		fmt.Fprintln(stderr, "commtrace: -mode recover requires -in")
+		return 2
+	}
+	f, err := os.Open(in)
+	if err != nil {
+		fmt.Fprintln(stderr, "commtrace:", err)
+		return 1
+	}
+	defer f.Close()
+	dec, err := trace.NewDecoderTolerant(f)
+	if err != nil {
+		fmt.Fprintln(stderr, "commtrace:", err)
+		return 1
+	}
+	salvaged := out
+	if salvaged == "" {
+		tmp, err := os.MkdirTemp("", "commtrace-recover-*")
+		if err != nil {
+			fmt.Fprintln(stderr, "commtrace:", err)
+			return 1
+		}
+		defer os.RemoveAll(tmp)
+		salvaged = filepath.Join(tmp, "salvaged.trace")
+	}
+	records, err := transcode(dec, salvaged, func(g *os.File) (*trace.Encoder, error) {
+		enc, err := trace.NewDynamicEncoder(g, dec.Table())
+		if err == nil {
+			// The header's count when the input was finalized; Close raises
+			// it to max(thread)+1 over the salvaged records otherwise.
+			enc.SetThreads(dec.Threads())
+		}
+		return enc, err
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "commtrace:", err)
+		return 1
+	}
+	declared := fmt.Sprintf("%d declared", dec.DeclaredLen())
+	if dec.Unfinalized() {
+		declared = "header unfinalized"
+	}
+	fmt.Fprintf(stderr, "commtrace: recovered %d complete records (%s), %d goroutines\n",
+		records, declared, max(dec.Threads(), dec.SeenThreads()))
+	if err := dec.SalvageErr(); err != nil {
+		fmt.Fprintf(stderr, "commtrace: recovery stopped at: %v\n", err)
+	}
+	if out != "" {
+		fmt.Fprintf(stderr, "commtrace: wrote finalized v%d trace to %s\n", trace.DefaultVersion, out)
+	}
+	if records == 0 {
+		fmt.Fprintln(stderr, "commtrace: nothing to replay")
+		return 0
+	}
+	return replay(salvaged)
 }
 
 // writeTimeline writes the analysis run's execution timeline as trace-event
@@ -450,108 +444,4 @@ func runBin(bin string, env []string, stdout, stderr io.Writer) error {
 	cmd.Stdout = stdout
 	cmd.Stderr = stderr
 	return cmd.Run()
-}
-
-// overhead measures the probe cost: it builds the original package and the
-// instrumented one side by side, times -runs executions of each (recording
-// to a throwaway trace), and prints one JSON object with the medians.
-func overhead(pkgDir string, res *instrument.Result, moduleDir, repoRoot string, runs int, stdout, stderr io.Writer) int {
-	if runs < 1 {
-		runs = 1
-	}
-	baseDir, err := os.MkdirTemp("", "commtrace-base-*")
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	defer os.RemoveAll(baseDir)
-	entries, err := os.ReadDir(pkgDir)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(pkgDir, n))
-		if err != nil {
-			fmt.Fprintln(stderr, "commtrace:", err)
-			return 1
-		}
-		if err := os.WriteFile(filepath.Join(baseDir, n), b, 0o644); err != nil {
-			fmt.Fprintln(stderr, "commtrace:", err)
-			return 1
-		}
-	}
-	gomod := "module commtrace-baseline\n\ngo 1.22\n"
-	if err := os.WriteFile(filepath.Join(baseDir, "go.mod"), []byte(gomod), 0o644); err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-
-	baseBin := filepath.Join(baseDir, "base.bin")
-	if msg, err := goTool(baseDir, "build", "-o", baseBin, "."); err != nil {
-		fmt.Fprintf(stderr, "commtrace: baseline build failed:\n%s\n", msg)
-		return 1
-	}
-	instBin := filepath.Join(moduleDir, "inst.bin")
-	if msg, err := goTool(moduleDir, "build", "-o", instBin, "."); err != nil {
-		fmt.Fprintf(stderr, "commtrace: instrumented build failed:\n%s\n", msg)
-		return 1
-	}
-
-	tracePath := filepath.Join(moduleDir, "overhead.trace")
-	time1, err := timeRuns(baseBin, os.Environ(), runs)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	time2, err := timeRuns(instBin, append(os.Environ(), "COMMPROF_TRACE="+tracePath), runs)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-
-	ratio := 0.0
-	if time1 > 0 {
-		ratio = float64(time2) / float64(time1)
-	}
-	report := map[string]any{
-		"pkg":             filepath.Base(pkgDir),
-		"runs":            runs,
-		"probes":          res.Probes,
-		"coalesced":       res.Coalesced,
-		"regions":         res.Table.Len(),
-		"baseline_ns":     time1,
-		"instrumented_ns": time2,
-		"overhead_x":      ratio,
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	return 0
-}
-
-// timeRuns executes bin n times and returns the median wall-clock
-// nanoseconds; program output is discarded.
-func timeRuns(bin string, env []string, n int) (int64, error) {
-	times := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(bin)
-		cmd.Env = env
-		cmd.Stdout = io.Discard
-		cmd.Stderr = io.Discard
-		start := time.Now()
-		if err := cmd.Run(); err != nil {
-			return 0, fmt.Errorf("timing %s: %w", filepath.Base(bin), err)
-		}
-		times = append(times, time.Since(start).Nanoseconds())
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2], nil
 }

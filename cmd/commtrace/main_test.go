@@ -1,0 +1,100 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"commprof"
+	"commprof/internal/trace"
+)
+
+// TestRecoverSalvagesCutTrace drives -mode recover over a recorded trace cut
+// mid-block, as a finalized file truncated on disk and as one whose writer
+// died before patching the header: it must exit 0, -o must hold a strictly
+// decodable trace of exactly the salvageable prefix, and the report must be
+// Replay's of that prefix — with or without -o.
+func TestRecoverSalvagesCutTrace(t *testing.T) {
+	var recorded bytes.Buffer
+	if _, err := commprof.Record(commprof.Options{Workload: "radix", Threads: 8}, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	cut := recorded.Bytes()[:recorded.Len()*3/5]
+	unfinalized := append([]byte(nil), cut...)
+	for i := 12; i < 20; i++ {
+		unfinalized[i] = 0xFF // the sentinel a crashed writer leaves behind
+	}
+	for name, damaged := range map[string][]byte{"truncated": cut, "unfinalized": unfinalized} {
+		t.Run(name, func(t *testing.T) {
+			prefix, rec, err := trace.DecodeTolerant(bytes.NewReader(damaged))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Err == nil || rec.Records == 0 || rec.Records%4096 != 0 {
+				t.Fatalf("the cut should land inside a later block: salvage = %+v", rec)
+			}
+			var whole bytes.Buffer
+			if err := prefix.EncodeVersion(&whole, trace.DefaultVersion, rec.Threads); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := commprof.Replay(bytes.NewReader(whole.Bytes()), 0, commprof.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(rep); err != nil {
+				t.Fatal(err)
+			}
+
+			dir := t.TempDir()
+			in, out := filepath.Join(dir, "damaged.trace"), filepath.Join(dir, "salvaged.trace")
+			if err := os.WriteFile(in, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, args := range [][]string{
+				{"-mode", "recover", "-in", in, "-json", "-o", out},
+				{"-mode", "recover", "-in", in, "-json"},
+			} {
+				var stdout, stderr bytes.Buffer
+				if code := run(args, &stdout, &stderr); code != 0 {
+					t.Fatalf("%v exited %d:\n%s", args, code, stderr.String())
+				}
+				if !strings.Contains(stderr.String(), fmt.Sprintf("recovered %d complete records", rec.Records)) ||
+					!strings.Contains(stderr.String(), "recovery stopped at") {
+					t.Errorf("%v: salvage not reported:\n%s", args, stderr.String())
+				}
+				if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
+					t.Errorf("%v: report differs from Replay of the salvaged prefix:\n%s\nwant:\n%s", args, stdout.String(), want.String())
+				}
+			}
+			salvaged, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(salvaged, whole.Bytes()) {
+				t.Errorf("-o wrote %d bytes, want the %d-byte v3 encoding of the %d salvaged records", len(salvaged), whole.Len(), rec.Records)
+			}
+			if _, err := trace.Decode(bytes.NewReader(salvaged)); err != nil {
+				t.Errorf("-o does not decode strictly: %v", err)
+			}
+		})
+	}
+}
+
+// TestFormatFlagIsRecodeOnly: every recording mode writes v3, so the flag
+// anywhere but -mode recode is a usage error that says where to go instead.
+func TestFormatFlagIsRecodeOnly(t *testing.T) {
+	for _, mode := range []string{"profile", "live", "recover"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-mode", mode, "-trace-format", "2", "-pkg", "unused", "-in", "unused"}, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), "recode") {
+			t.Errorf("-mode %s -trace-format 2: exit %d, stderr %q; want 2 naming recode", mode, code, stderr.String())
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Command minipar compiles a MiniPar source file through the full static
 // pipeline (loop annotation, constant folding, lowering, instrumentation,
 // verification), executes it on the simulated thread engine with the
-// profiler attached, and reports the program's outputs and per-loop
-// communication patterns.
+// profiler attached (commprof.ProfileMiniPar), and reports the program's
+// outputs and per-loop communication patterns.
 //
 // Usage:
 //
@@ -18,12 +18,8 @@ import (
 	"os"
 	"strings"
 
-	"commprof/internal/detect"
-	"commprof/internal/exec"
-	"commprof/internal/interp"
-	"commprof/internal/metrics"
+	"commprof"
 	"commprof/internal/passes"
-	"commprof/internal/sig"
 )
 
 func main() {
@@ -39,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fpRate  = fs.Float64("fpr", 0.001, "bloom-filter false-positive rate")
 		dis     = fs.Bool("dis", false, "print the instrumented IR and exit")
 		heat    = fs.Bool("heatmap", false, "print per-hotspot heatmaps")
-		only    = fs.String("only", "", "comma-separated functions to instrument (default: all)")
+		onlyF   = fs.String("only", "", "comma-separated functions to instrument (default: all)")
 		coal    = fs.Bool("coalesce", true, "statically coalesce provably redundant probes (-coalesce=false disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -54,78 +50,66 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "minipar:", err)
 		return 1
 	}
-	var onlySet map[string]bool
-	if *only != "" {
-		onlySet = map[string]bool{}
-		for _, f := range strings.Split(*only, ",") {
-			onlySet[strings.TrimSpace(f)] = true
+	var only []string // nil instruments every function
+	if *onlyF != "" {
+		for _, f := range strings.Split(*onlyF, ",") {
+			only = append(only, strings.TrimSpace(f))
 		}
 	}
-	mod, table, cs, err := passes.CompileWith(string(src), passes.Options{Only: onlySet, Coalesce: *coal})
-	if err != nil {
-		fmt.Fprintln(stderr, "minipar:", err)
-		return 1
-	}
 	if *dis {
+		var onlySet map[string]bool
+		if only != nil {
+			onlySet = map[string]bool{}
+			for _, f := range only {
+				onlySet[f] = true
+			}
+		}
+		mod, _, _, err := passes.CompileWith(string(src), passes.Options{Only: onlySet, Coalesce: *coal})
+		if err != nil {
+			fmt.Fprintln(stderr, "minipar:", err)
+			return 1
+		}
 		fmt.Fprint(stdout, mod.Disassemble())
 		return 0
 	}
-	rt, err := interp.New(mod)
-	if err != nil {
-		fmt.Fprintln(stderr, "minipar:", err)
-		return 1
-	}
-	backend, err := sig.NewAsymmetric(sig.Options{Slots: *slots, Threads: *threads, FPRate: *fpRate})
-	if err != nil {
-		fmt.Fprintln(stderr, "minipar:", err)
-		return 1
-	}
-	d, err := detect.New(detect.Options{Threads: *threads, Backend: backend, Table: table})
-	if err != nil {
-		fmt.Fprintln(stderr, "minipar:", err)
-		return 1
-	}
-	eng := exec.New(exec.Options{Threads: *threads, Probe: d.Probe()})
-	stats, err := rt.Run(eng)
+	rep, outs, err := commprof.ProfileMiniPar(string(src), *threads, only, commprof.Options{
+		SignatureSlots: *slots, BloomFPRate: *fpRate, DisableCoalesce: !*coal, MaxHotspots: 5,
+	})
 	if err != nil {
 		fmt.Fprintln(stderr, "minipar:", err)
 		return 1
 	}
 
-	outs := rt.Outputs()
 	if len(outs) > 0 {
 		fmt.Fprintln(stdout, "program output:")
 		for _, o := range outs {
 			fmt.Fprintf(stdout, "  T%d: %d\n", o.Thread, o.Value)
 		}
 	}
-	dstats := d.Stats()
 	fmt.Fprintf(stdout, "\n%d accesses, %d inter-thread RAW deps, %d bytes communicated\n",
-		stats.Accesses, dstats.Detected, dstats.CommBytes)
-	if cs.Elided+cs.Once > 0 {
+		rep.Accesses, rep.Dependencies, rep.CommBytes)
+	if c := rep.Coalescing; c != nil && c.StaticElided+c.StaticOnce > 0 {
 		fmt.Fprintf(stdout, "coalescing: %d probe sites elided, %d once-per-loop-entry; %d of %d accesses skipped (%.1f%%)\n",
-			cs.Elided, cs.Once, stats.Elided, stats.Accesses,
-			100*float64(stats.Elided)/float64(stats.Accesses))
+			c.StaticElided, c.StaticOnce, c.Elided, rep.Accesses, 100*c.ElisionRate())
 	}
 
-	tree, err := d.Tree()
-	if err != nil {
-		fmt.Fprintln(stderr, "minipar:", err)
-		return 1
-	}
 	fmt.Fprintln(stdout, "\nnested communication structure:")
-	fmt.Fprint(stdout, tree.String())
-	hotspots := tree.Hotspots(5)
-	for i, h := range hotspots {
-		load := metrics.Summarize(h.Node.Cumulative)
-		fmt.Fprintf(stdout, "\nhotspot %d: %s — %d bytes (%.1f%%), %s\n", i+1, h.Node.Region.Name, h.Bytes, 100*h.Share, load)
+	matrices := map[string]commprof.Matrix{}
+	for _, reg := range rep.Regions {
+		fmt.Fprintf(stdout, "%s%s %s: own=%dB cum=%dB accesses=%d\n",
+			strings.Repeat("  ", reg.Depth), reg.Kind, reg.Name, reg.OwnBytes, reg.CumulativeBytes, reg.Accesses)
+		matrices[reg.Name] = reg.Matrix
+	}
+	for i, h := range rep.Hotspots {
+		fmt.Fprintf(stdout, "\nhotspot %d: %s — %d bytes (%.1f%%), active=%d/%d balance=%.2f\n",
+			i+1, h.Region, h.Bytes, 100*h.Share, h.ActiveThreads, rep.Threads, h.BalanceIndex)
 		if *heat {
-			fmt.Fprint(stdout, h.Node.Cumulative.Heatmap())
+			fmt.Fprint(stdout, matrices[h.Region].Heatmap())
 		}
 	}
-	if *heat && len(hotspots) == 0 {
+	if *heat && len(rep.Hotspots) == 0 {
 		fmt.Fprintln(stdout, "\nglobal matrix:")
-		fmt.Fprint(stdout, tree.Global.Heatmap())
+		fmt.Fprint(stdout, rep.Global.Heatmap())
 	}
 	return 0
 }

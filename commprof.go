@@ -24,7 +24,6 @@ import (
 	"commprof/internal/obs"
 	"commprof/internal/sig"
 	"commprof/internal/splash"
-	"commprof/internal/trace"
 )
 
 // Options configures a profiling run.
@@ -38,8 +37,8 @@ type Options struct {
 	// InputSize is "simdev", "simsmall" or "simlarge" (default "simdev").
 	InputSize string
 	// Seed drives all workload randomness. The zero value is a sentinel
-	// meaning "unset" and is rewritten to the default 42 by setDefaults, so
-	// an explicit Seed: 0 cannot be distinguished from leaving the field
+	// meaning "unset" and is rewritten to defaultSeed (42) by setDefaults,
+	// so an explicit Seed: 0 cannot be distinguished from leaving the field
 	// empty — both run with seed 42. Pick any other value to seed
 	// explicitly.
 	Seed int64
@@ -165,20 +164,16 @@ type Options struct {
 	// the monitored slice and the monitor's cost. Ignored unless
 	// AccuracyTargetFPR is set. At most accuracy.MaxSampleBits (16).
 	AccuracySampleBits uint
-	// TraceFormat selects the trace codec version Record writes: 1 (fixed
-	// 29-byte records, no thread count in the header), 2 (v1 records plus
-	// thread count and region file:line) or 3 (the default — compact
-	// delta/varint block encoding, typically 3-10x smaller; see
-	// internal/trace and DESIGN §9). 0 means the default. Replay
-	// auto-detects the version from the stream header, so the knob only
-	// affects writing.
-	TraceFormat int
 	// Telemetry, when non-nil, threads self-observability probes through
 	// the signature, detector and executor layers, records run-phase spans,
 	// and attaches an end-of-run snapshot as Report.Telemetry. See
 	// NewTelemetry. Nil (the default) keeps the pipeline uninstrumented.
 	Telemetry *Telemetry
 }
+
+// defaultSeed is what a zero seed means, for Options.Seed and
+// NewPatternClassifier alike.
+const defaultSeed = 42
 
 func (o *Options) setDefaults() {
 	if o.Threads == 0 {
@@ -188,7 +183,7 @@ func (o *Options) setDefaults() {
 		o.InputSize = "simdev"
 	}
 	if o.Seed == 0 {
-		o.Seed = 42
+		o.Seed = defaultSeed
 	}
 	if o.SignatureSlots == 0 {
 		o.SignatureSlots = 1 << 20
@@ -198,9 +193,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxHotspots == 0 {
 		o.MaxHotspots = 10
-	}
-	if o.TraceFormat == 0 {
-		o.TraceFormat = trace.DefaultVersion
 	}
 }
 

@@ -4,35 +4,24 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"commprof/internal/trace"
 )
 
 // TestReplayCrossVersionAllWorkloads is the codec-compatibility acceptance
 // test: every bundled workload's recorded trace, transcoded to each format
 // version, replays to a bit-identical report on both the serial and sharded
-// analysers. The recording happens once (v1); v2 and v3 are produced by
-// re-encoding the decoded stream, so any divergence is the codec's fault,
-// not run-to-run noise.
+// analysers. The recording happens once (v3, the only format recorded); v1
+// and v2 are produced by re-encoding the decoded stream, so any divergence is
+// the codec's fault, not run-to-run noise.
 func TestReplayCrossVersionAllWorkloads(t *testing.T) {
 	const threads = 8
 	for _, name := range Workloads() {
 		t.Run(name, func(t *testing.T) {
-			var v1 bytes.Buffer
-			if _, err := Record(Options{Workload: name, Threads: threads, TraceFormat: 1}, &v1); err != nil {
+			var v3 bytes.Buffer
+			if _, err := Record(Options{Workload: name, Threads: threads}, &v3); err != nil {
 				t.Fatal(err)
 			}
-			st, err := trace.Decode(bytes.NewReader(v1.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var v2, v3 bytes.Buffer
-			if err := st.EncodeVersion(&v2, 2, threads); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.EncodeVersion(&v3, 3, threads); err != nil {
-				t.Fatal(err)
-			}
+			v1 := bytes.NewBuffer(transcode(t, v3.Bytes(), 1, threads))
+			v2 := bytes.NewBuffer(transcode(t, v3.Bytes(), 2, threads))
 			if v3.Len() >= v1.Len() {
 				t.Errorf("v3 (%d bytes) not smaller than v1 (%d bytes)", v3.Len(), v1.Len())
 			}

@@ -2,7 +2,6 @@ package commprof
 
 import (
 	"fmt"
-	"math/rand"
 
 	"commprof/internal/exec"
 	"commprof/internal/trace"
@@ -172,13 +171,4 @@ func Run(threads int, regions []Region, body func(*Thread), opts Options) (*Repo
 			return eng.Run(func(et *exec.Thread) { body(&Thread{t: et}) })
 		},
 	})
-}
-
-// newSeededRand isolates math/rand construction so the facade has a single
-// seeding convention.
-func newSeededRand(seed int64) *rand.Rand {
-	if seed == 0 {
-		seed = 42
-	}
-	return rand.New(rand.NewSource(seed))
 }

@@ -25,7 +25,7 @@ func TestGranularityAppliedOnEveryPath(t *testing.T) {
 		{Kind: trace.Write, Addr: 0x1000, Size: 8, Thread: 0, Region: 0, Time: 1},
 		{Kind: trace.Read, Addr: 0x1008, Size: 8, Thread: 1, Region: 0, Time: 2},
 	}}
-	if err := s.Encode(&buf); err != nil {
+	if err := s.EncodeVersion(&buf, trace.DefaultVersion, 2); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,8 +1,8 @@
 // Monitor overhead benchmarks: the detection hot loop with the accuracy
-// monitor off and at sample slices 1/64, 1/8 and 1/1. scripts/bench.sh's
-// accuracy mode drives these with BENCH_APP / BENCH_SIZE (defaults: radix
-// simdev) and compares ns/access against the monitor-off baseline; the
-// acceptance bar is ≤5% overhead at 1/64 sampling on simlarge.
+// monitor off and at sample slices 1/64, 1/8 and 1/1. BENCH_APP / BENCH_SIZE
+// pick the workload (defaults: radix simdev); the acceptance bar is ≤5%
+// overhead over the monitor-off baseline at 1/64 sampling on simlarge, and
+// the tracked number is bench/'s accuracy.ns_per_access.
 //
 // External test package: internal/detect imports internal/accuracy, so a
 // benchmark that drives a real Detector must live outside package accuracy.

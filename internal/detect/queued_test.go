@@ -30,7 +30,7 @@ func TestQueuedMatchesInline(t *testing.T) {
 	inline.ProcessBatch(stream)
 
 	qd := newDetector(t, 8, nil)
-	q := NewQueued(qd, 0)
+	q := NewClockedQueue(qd, 3)
 	for _, a := range stream {
 		q.Process(a)
 	}
@@ -42,34 +42,6 @@ func TestQueuedMatchesInline(t *testing.T) {
 	}
 	if qd.Stats().Processed != uint64(len(stream)) {
 		t.Fatalf("processed %d of %d", qd.Stats().Processed, len(stream))
-	}
-	if q.Detector() != qd {
-		t.Fatal("Detector identity")
-	}
-}
-
-func TestQueueGrowsUnderBurst(t *testing.T) {
-	// The paper's §V-A2 critique of the original queue design: a producer
-	// burst against a slow analyser grows the queue (and memory) without
-	// bound. Feed a large burst with a heavily delayed analyser and check
-	// the peak is a significant fraction of the burst.
-	stream := genAccesses(20000, 10)
-	qd := newDetector(t, 8, nil)
-	q := NewQueued(qd, 2000) // slow analyser
-	for _, a := range stream {
-		q.Process(a)
-	}
-	peakDuring := q.PeakQueueLength()
-	q.Close()
-	if peakDuring < 1000 {
-		t.Fatalf("peak queue length %d; burst did not accumulate", peakDuring)
-	}
-	if q.PeakQueueBytes() != uint64(q.PeakQueueLength())*queuedRecordBytes {
-		t.Fatal("PeakQueueBytes inconsistent")
-	}
-	// Results still correct after drain.
-	if qd.Stats().Processed != uint64(len(stream)) {
-		t.Fatalf("processed %d", qd.Stats().Processed)
 	}
 }
 
@@ -122,45 +94,17 @@ func TestQueuedFastAnalyserStaysSmall(t *testing.T) {
 	}
 }
 
-func TestBoundedQueueBurstStaysWithinCapacity(t *testing.T) {
-	// The bounded variant under the same §V-A2 burst that overruns the
-	// unbounded queue: peak depth must respect the capacity (backpressure
-	// blocks producers instead of growing memory) and every access must
-	// still be analysed, in order.
-	const capacity = 64
-	stream := genAccesses(20000, 10)
-
-	inline := newDetector(t, 8, nil)
-	inline.ProcessBatch(stream)
-
-	qd := newDetector(t, 8, nil)
-	q := NewQueuedBounded(qd, 2000, capacity) // same slow analyser as the burst test
-	for _, a := range stream {
-		q.Process(a)
-	}
-	peakDuring := q.PeakQueueLength()
-	q.Close()
-	if peakDuring > capacity {
-		t.Fatalf("peak queue length %d exceeds capacity %d", peakDuring, capacity)
-	}
-	if q.Capacity() != capacity {
-		t.Fatalf("Capacity() = %d", q.Capacity())
-	}
-	if qd.Stats().Processed != uint64(len(stream)) {
-		t.Fatalf("processed %d of %d", qd.Stats().Processed, len(stream))
-	}
-	if !inline.Global().Equal(qd.Global()) {
-		t.Fatal("bounded queued analysis diverged from inline")
-	}
-}
-
 func TestQueuedCloseIdempotentDrain(t *testing.T) {
 	qd := newDetector(t, 2, nil)
-	q := NewQueued(qd, 0)
+	q := NewClockedQueue(qd, 100) // nothing is analysed before Close
 	q.Process(trace.Access{Time: 1, Addr: 8, Size: 8, Thread: 0, Kind: trace.Write, Region: trace.NoRegion})
 	q.Process(trace.Access{Time: 2, Addr: 8, Size: 8, Thread: 1, Kind: trace.Read, Region: trace.NoRegion})
+	if got := qd.Stats().Processed; got != 0 {
+		t.Fatalf("analyser at cost 100 processed %d accesses in 2 ticks", got)
+	}
 	q.Close()
-	if qd.Stats().Detected != 1 {
-		t.Fatalf("detected %d", qd.Stats().Detected)
+	q.Close()
+	if st := qd.Stats(); st.Detected != 1 || st.Processed != 2 {
+		t.Fatalf("after Close: detected %d, processed %d; want 1 and 2", st.Detected, st.Processed)
 	}
 }

@@ -229,8 +229,8 @@ func TestRedundancyStatsOffByDefault(t *testing.T) {
 }
 
 // Hot-path benchmark fixture: one recorded access stream shared by the
-// filtered/unfiltered Process benchmarks. scripts/bench.sh drives these with
-// BENCH_APP / BENCH_SIZE / BENCH_REDUN_BITS (defaults: radix simdev 14).
+// filtered/unfiltered Process benchmarks. BENCH_APP / BENCH_SIZE /
+// BENCH_REDUN_BITS pick the input (defaults: radix simdev 14).
 var hotBenchFixture struct {
 	once   sync.Once
 	stream []trace.Access

@@ -342,7 +342,7 @@ func StreamReplay(env Env, app string, size splash.Size, shards int) (*StreamRep
 		return nil, err
 	}
 	var encoded bytes.Buffer
-	if err := (&trace.Stream{Table: prog.Table(), Accesses: stream}).Encode(&encoded); err != nil {
+	if err := (&trace.Stream{Table: prog.Table(), Accesses: stream}).EncodeVersion(&encoded, trace.DefaultVersion, env.Threads); err != nil {
 		return nil, err
 	}
 	res := &StreamReplayResult{App: app, Shards: shards}

@@ -13,7 +13,7 @@ func TestCoalesceAblation(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want one per kernel", len(res.Rows))
 	}
-	// The BENCH_coalesce acceptance floor: >= 20% emitted-access reduction
+	// The coalescing acceptance floor: >= 20% emitted-access reduction
 	// on at least two structured kernels, with bit-identical communication.
 	floored := 0
 	for _, row := range res.Rows {

@@ -14,8 +14,7 @@ import (
 // kernel corpus: one sub-benchmark per kernel and pass state, reporting
 // ns/access (normalised to the UNCOALESCED access count on both sides, so
 // on/off ratios read directly as speedup) plus the emitted and elided stream
-// sizes. scripts/bench.sh coalesce parses this output into
-// BENCH_coalesce.json.
+// sizes. (commbench -exp coalesce reports the emitted-access reduction.)
 func BenchmarkCoalesce(b *testing.B) {
 	kernels := CoalesceKernels()
 	names := make([]string, 0, len(kernels))

@@ -235,7 +235,7 @@ func TestCoalesceDifferentialProperty(t *testing.T) {
 
 // TestCoalesceKernelsElide pins that the pass actually bites on the
 // structured corpus: every kernel must elide a measurable share of its
-// probe stream (the BENCH_coalesce acceptance floor is 20% on fft and
+// probe stream (the coalescing acceptance floor is 20% on fft and
 // stencil), and the reduction kernel must exercise the once-per-loop-entry
 // path.
 func TestCoalesceKernelsElide(t *testing.T) {

@@ -5,10 +5,9 @@ package passes
 // same-element reads inside a statement (fft's butterfly), re-reads of the
 // written element (stencil), and loop-invariant coefficient reads
 // (reduction). The corpus is shared by the differential tests in this
-// package, the commbench coalescing ablation (internal/experiments) and the
-// scripts/bench.sh coalesce mode, so the acceptance numbers in
-// BENCH_coalesce.json are measured on exactly the programs the soundness
-// wall pins.
+// package, BenchmarkCoalesce and the commbench coalescing ablation
+// (internal/experiments), so the acceptance numbers commbench -exp coalesce
+// prints are measured on exactly the programs the soundness wall pins.
 func CoalesceKernels() map[string]string {
 	out := make(map[string]string, len(coalesceKernels))
 	for k, v := range coalesceKernels {

@@ -14,9 +14,8 @@ import (
 )
 
 // Benchmark fixture: one recorded access stream shared by every benchmark in
-// the package. scripts/bench.sh drives these with BENCH_APP / BENCH_SIZE
-// (default radix simdev for quick local runs; the perf-trajectory record uses
-// a simlarge stream).
+// the package. BENCH_APP / BENCH_SIZE pick the workload (default radix simdev
+// for quick local runs).
 var benchFixture struct {
 	once   sync.Once
 	stream []trace.Access

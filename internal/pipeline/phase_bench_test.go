@@ -9,8 +9,8 @@ import (
 // BenchmarkPhaseWindowOverhead measures what windowed phase tracking adds to
 // the sharded per-access cost: the same stream, shard count and signature
 // budget, with PhaseWindow off (baseline) and on (windowed accumulation plus
-// an OnWindowClose consumer). scripts/bench.sh's phases mode compares the
-// two ns/access figures; the acceptance budget is <=5% on simlarge.
+// an OnWindowClose consumer). The acceptance budget is <=5% on simlarge; the
+// tracked number is bench/'s comm.window_ns_per_event.
 func BenchmarkPhaseWindowOverhead(b *testing.B) {
 	stream, table := benchStream(b)
 	const shards = 8

@@ -6,9 +6,9 @@
 //
 // The paper's in-thread analysis (§V-A2) rejects the original DiscoPoP's
 // analysis queue because "the queue size may increase dramatically if there
-// is burst in accessing memory" — internal/detect.Queued reproduces exactly
-// that failure mode. The modern fix (cf. PROMPT, arXiv:2311.03263) is to
-// parallelize the analysis itself: hash each access address to one of K
+// is burst in accessing memory" — internal/detect.ClockedQueue reproduces
+// exactly that failure mode. The modern fix (cf. PROMPT, arXiv:2311.03263) is
+// to parallelize the analysis itself: hash each access address to one of K
 // shards, give every shard a private partition of signature memory, private
 // matrix accumulators, and a dedicated worker goroutine fed by a *bounded*
 // ring-buffer queue, then merge the shard results at close.

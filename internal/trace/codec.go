@@ -22,9 +22,9 @@ const (
 	// header gains a thread-count field after the access count, and each
 	// region entry gains a length-prefixed source file name and a line
 	// number. Both counts may be written as countUnpatched by a streaming
-	// writer that does not know them up front; DynamicEncoder.Close patches
-	// the real values in place, so a sentinel surviving to decode time means
-	// the recording process died before finalizing the trace.
+	// writer that does not know them up front (NewDynamicEncoder); its Close
+	// patches the real values in place, so a sentinel surviving to decode time
+	// means the recording process died before finalizing the trace.
 	codecVersion2 = 2
 	// codecVersion3 keeps the v2 header and region table but replaces the
 	// fixed-record access section with CRC-framed blocks of delta/varint
@@ -34,23 +34,21 @@ const (
 	// access and thread counts.
 	countUnpatched = 0xFFFFFFFF
 	accessRecLen   = 8 + 8 + 4 + 4 + 4 + 1
+	// headerLenV2 is the v2/v3 header: magic, version, region count, access
+	// count, thread count.
+	headerLenV2 = 20
 )
 
-// DefaultVersion is the format new traces are written in unless a caller
-// asks for a specific one. Old versions stay decodable forever.
+// DefaultVersion is the format every recorder writes (Record, the probe
+// shim, commtrace recover). Old versions stay decodable forever and are
+// written only on request, by commtrace -mode recode.
 const DefaultVersion = codecVersion3
 
-// Encode writes the stream in the v1 little-endian binary format. It is a
-// materialised wrapper over NewEncoder: header and region table first, then
-// one record per access. EncodeVersion picks the format explicitly.
-func (s *Stream) Encode(w io.Writer) error {
-	return s.EncodeVersion(w, 1, 0)
-}
-
-// EncodeVersion writes the stream in the given format version (1, 2 or 3).
-// threads is the v2/v3 header thread count; 0 derives max(Thread)+1 from
-// the accesses. Since the materialised stream knows its counts up front, no
-// seeking is needed for any version.
+// EncodeVersion writes the stream in the given format version (1, 2 or 3) —
+// the materialised wrapper over NewEncoderVersion: header and region table
+// first, then one record per access. threads is the v2/v3 header thread
+// count; 0 derives max(Thread)+1 from the accesses. Since the materialised
+// stream knows its counts up front, no seeking is needed for any version.
 func (s *Stream) EncodeVersion(w io.Writer, version, threads int) error {
 	if threads == 0 && version >= 2 {
 		for _, a := range s.Accesses {
@@ -71,7 +69,7 @@ func (s *Stream) EncodeVersion(w io.Writer, version, threads int) error {
 	return enc.Close()
 }
 
-// Decode reads a stream previously written by Encode, materialising every
+// Decode reads an encoded stream of any version, materialising every
 // access. It is a wrapper over the incremental Decoder; callers that feed an
 // analyser record by record (Replay, the sharded pipeline) should use
 // NewDecoder directly and keep resident memory at O(region table).

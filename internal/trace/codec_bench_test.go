@@ -1,7 +1,7 @@
 package trace_test
 
-// Codec throughput benchmarks, driven by scripts/bench.sh codec. They live
-// in an external test package because the fixture replays a bundled splash
+// Codec throughput benchmarks (the tracked numbers are bench/'s trace.*
+// metrics). They live in an external test package because the fixture replays a bundled splash
 // workload (splash imports trace; an in-package test would cycle).
 //
 // Fixture selection:

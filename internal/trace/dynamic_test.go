@@ -3,46 +3,10 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"strings"
 	"testing"
 )
-
-// memSeeker is an in-memory io.WriteSeeker for exercising the header-patching
-// close path without touching the filesystem.
-type memSeeker struct {
-	buf []byte
-	off int64
-}
-
-func (m *memSeeker) Write(p []byte) (int, error) {
-	if need := m.off + int64(len(p)); need > int64(len(m.buf)) {
-		grown := make([]byte, need)
-		copy(grown, m.buf)
-		m.buf = grown
-	}
-	copy(m.buf[m.off:], p)
-	m.off += int64(len(p))
-	return len(p), nil
-}
-
-func (m *memSeeker) Seek(offset int64, whence int) (int64, error) {
-	switch whence {
-	case io.SeekStart:
-		m.off = offset
-	case io.SeekCurrent:
-		m.off += offset
-	case io.SeekEnd:
-		m.off = int64(len(m.buf)) + offset
-	default:
-		return 0, fmt.Errorf("bad whence %d", whence)
-	}
-	if m.off < 0 {
-		return 0, fmt.Errorf("negative offset")
-	}
-	return m.off, nil
-}
 
 // sourceTable builds a region table with real source positions, as the
 // instrumenter produces.
@@ -64,7 +28,7 @@ func TestDynamicRoundTrip(t *testing.T) {
 		{Time: 2, Addr: 0xc000010000, Size: 8, Thread: 2, Region: 1, Kind: Read},
 		{Time: 3, Addr: 0xc000010040, Size: 4, Thread: 5, Region: 0, Kind: Read},
 	}
-	var ms memSeeker
+	var ms Buffer
 	enc, err := NewDynamicEncoder(&ms, tb)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +43,7 @@ func TestDynamicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dec, err := NewDecoder(bytes.NewReader(ms.buf))
+	dec, err := NewDecoder(bytes.NewReader(ms.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +73,7 @@ func TestDynamicRoundTrip(t *testing.T) {
 }
 
 func TestDynamicThreadsDerivedFromRecords(t *testing.T) {
-	var ms memSeeker
+	var ms Buffer
 	enc, err := NewDynamicEncoder(&ms, sourceTable())
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +84,7 @@ func TestDynamicThreadsDerivedFromRecords(t *testing.T) {
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewDecoder(bytes.NewReader(ms.buf))
+	dec, err := NewDecoder(bytes.NewReader(ms.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +98,7 @@ func TestDynamicThreadsDerivedFromRecords(t *testing.T) {
 // counts) must be rejected up front, never silently decoded as a complete —
 // or worse, empty — run.
 func TestDynamicUnfinalizedRejected(t *testing.T) {
-	var ms memSeeker
+	var ms Buffer
 	enc, err := NewDynamicEncoder(&ms, sourceTable())
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +112,7 @@ func TestDynamicUnfinalizedRejected(t *testing.T) {
 	if err := enc.bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewDecoder(bytes.NewReader(ms.buf))
+	_, err = NewDecoder(bytes.NewReader(ms.Bytes()))
 	if err == nil {
 		t.Fatal("decoder accepted an unfinalized stream")
 	}
@@ -162,20 +126,8 @@ func TestDynamicUnfinalizedRejected(t *testing.T) {
 // io.ErrUnexpectedEOF, and the error must stick. Pinned to v2: the cut
 // below removes half a fixed-size record.
 func TestDynamicTruncatedRecord(t *testing.T) {
-	var ms memSeeker
-	enc, err := NewDynamicEncoderVersion(&ms, sourceTable(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := enc.Write(Access{Time: uint64(i), Thread: 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cut := ms.buf[:len(ms.buf)-accessRecLen/2] // half of the final record gone
+	data := encodeV2(t, sourceTable(), []Access{{Time: 0}, {Time: 1}, {Time: 2}})
+	cut := data[:len(data)-accessRecLen/2] // half of the final record gone
 	dec, err := NewDecoder(bytes.NewReader(cut))
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +152,62 @@ func TestDynamicTruncatedRecord(t *testing.T) {
 	}
 }
 
+// TestCountModesEmitIdenticalBytes pins "one writer": the same records and
+// thread count give the same v3 bytes whether the counts were declared up
+// front or patched in at Close (into a Buffer that had to grow across several
+// blocks), and decoder→encoder — dec.ForEach(enc.Write), the loop behind
+// recode and recover — reproduces them a third time.
+func TestCountModesEmitIdenticalBytes(t *testing.T) {
+	s := uniformStream(2*v3BlockRecords + 500)
+	const threads = 11 // more than the 8 that issue accesses
+	var declared bytes.Buffer
+	if err := s.EncodeVersion(&declared, 3, threads); err != nil {
+		t.Fatal(err)
+	}
+
+	var patched Buffer
+	enc, err := NewDynamicEncoder(&patched, s.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range s.Accesses {
+		if err := enc.Write(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc.SetThreads(threads)
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if enc.Written() != len(s.Accesses) {
+		t.Fatalf("Written() = %d, want %d", enc.Written(), len(s.Accesses))
+	}
+	if !bytes.Equal(patched.Bytes(), declared.Bytes()) {
+		t.Fatalf("patched-header stream (%d bytes) differs from the declared-count one (%d bytes)", len(patched.Bytes()), declared.Len())
+	}
+
+	dec, err := NewDecoder(bytes.NewReader(patched.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var copied bytes.Buffer
+	out, err := NewEncoderVersion(&copied, dec.Table(), dec.Len(), dec.Threads(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.ForEach(out.Write); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(copied.Bytes(), declared.Bytes()) {
+		t.Fatal("re-encoding the decoded stream changed its bytes")
+	}
+}
+
 func TestDynamicWriteAfterClose(t *testing.T) {
-	var ms memSeeker
+	var ms Buffer
 	enc, err := NewDynamicEncoder(&ms, NewTable())
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +224,7 @@ func TestDynamicWriteAfterClose(t *testing.T) {
 }
 
 func TestDynamicNegativeThreadRejected(t *testing.T) {
-	var ms memSeeker
+	var ms Buffer
 	enc, err := NewDynamicEncoder(&ms, NewTable())
 	if err != nil {
 		t.Fatal(err)
@@ -239,20 +245,12 @@ func TestRegionLabel(t *testing.T) {
 	}
 }
 
-// encodeV2 renders a finalized v2 byte stream for fuzz seeding.
+// encodeV2 renders a finalized v2 byte stream (thread count derived from the
+// records), as shims older than the v3 default wrote.
 func encodeV2(t interface{ Fatal(...any) }, tb *Table, accs []Access) []byte {
-	var ms memSeeker
-	enc, err := NewDynamicEncoderVersion(&ms, tb, 2)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := (&Stream{Table: tb, Accesses: accs}).EncodeVersion(&buf, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range accs {
-		if err := enc.Write(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return ms.buf
+	return buf.Bytes()
 }

@@ -20,7 +20,7 @@ func FuzzDecode(f *testing.F) {
 		{Time: 2, Addr: 0x1000, Size: 8, Thread: 1, Region: lp, Kind: Read},
 	}}
 	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -38,7 +38,7 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if err := st.Encode(&out); err != nil {
+		if err := st.EncodeVersion(&out, 1, 0); err != nil {
 			t.Fatalf("accepted stream failed to re-encode: %v", err)
 		}
 		st2, err := Decode(&out)
@@ -59,7 +59,7 @@ func FuzzDecode(f *testing.F) {
 func FuzzDecoder(f *testing.F) {
 	s := randomStream(rand.New(rand.NewSource(1)), 3, 20)
 	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -145,7 +145,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		s := randomStream(rng, int(nRegions%16), int(nAccesses)%1024)
 
 		var buf bytes.Buffer
-		enc, err := NewEncoder(&buf, s.Table, len(s.Accesses))
+		enc, err := NewEncoderVersion(&buf, s.Table, len(s.Accesses), 0, 1)
 		if err != nil {
 			t.Fatalf("NewEncoder: %v", err)
 		}

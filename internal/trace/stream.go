@@ -43,42 +43,48 @@ import (
 const telemetryFlushEvery = 256
 
 // Encoder writes a trace stream incrementally: header and region table up
-// front, then one access record per Write call. The declared access count is
-// part of the header, so it must be known at construction; Close verifies the
-// caller delivered exactly that many records. Producers that do not know the
-// count up front use DynamicEncoder instead.
+// front, then one access record per Write call. It is the only trace writer,
+// in one of two count modes.
+//
+// Declared (NewEncoderVersion): the access and thread counts go into the
+// header at construction, so any io.Writer will do and any version can be
+// written; Close verifies the caller delivered exactly the declared number of
+// records.
+//
+// Patched (NewDynamicEncoder): for producers that learn their counts only
+// when the run ends — the real-program shim, which discovers goroutines as
+// they first touch shared memory; Record's tap; a salvage. The header goes
+// out with both counts set to the unpatched sentinel and Close seeks back and
+// patches the final values in place. A stream whose writer died before Close
+// therefore still carries the sentinel, and NewDecoder rejects it as never
+// finalized instead of decoding a truncated prefix as a complete run
+// (NewDecoderTolerant salvages it on request).
 type Encoder struct {
 	// Probes, when non-nil, receives encode-progress telemetry (batched, one
-	// publish per block or telemetryFlushEvery records). Set it before the
+	// publish per v3 block or telemetryFlushEvery records). Set it before the
 	// first Write call.
 	Probes *obs.TraceProbes
 
-	bw      *bufio.Writer
-	version uint32
-	n, i    uint32
-	blk     *v3BlockWriter // v3 only
-	pending uint32         // records not yet published to Probes
+	bw        *bufio.Writer
+	ws        io.WriteSeeker // patched mode: where Close patches the counts; nil when declared
+	version   uint32
+	n, i      uint32         // records the stream may hold (declared count, or the format's capacity); records written
+	blk       *v3BlockWriter // v3 only
+	pending   uint32         // records not yet published to Probes
+	maxThread int32          // largest Access.Thread written; -1 before the first record
+	threads   int            // SetThreads floor for the patched thread count
+	closed    bool
+	err       error // sticky failure
 }
 
-// NewEncoder writes a v1 stream header and region table to w and returns an
-// encoder expecting exactly accesses Write calls.
-func NewEncoder(w io.Writer, table *Table, accesses int) (*Encoder, error) {
-	return NewEncoderVersion(w, table, accesses, 0, 1)
-}
-
-// NewEncoderVersion is NewEncoder for an explicit format version (1, 2 or
-// 3). threads is the header thread count for v2/v3 (ignored for v1); pass
-// the recorded thread count, or 0 if the caller only knows the accesses'
-// max thread — decoders treat 0 as "unknown, caller supplies it".
+// NewEncoderVersion writes a stream header and region table in the given
+// format version (1, 2 or 3) to w and returns an encoder expecting exactly
+// accesses Write calls. threads is the header thread count for v2/v3
+// (ignored for v1); pass the recorded thread count, or 0 if it is unknown —
+// decoders treat 0 as "the caller supplies it".
 func NewEncoderVersion(w io.Writer, table *Table, accesses, threads, version int) (*Encoder, error) {
 	if version < 1 || version > 3 {
 		return nil, fmt.Errorf("trace: unsupported encode version %d", version)
-	}
-	if table == nil {
-		return nil, fmt.Errorf("trace: encoder requires a region table")
-	}
-	if err := table.Validate(); err != nil {
-		return nil, err
 	}
 	if accesses < 0 || uint64(accesses) >= countUnpatched {
 		return nil, fmt.Errorf("trace: access count %d outside the format's range", accesses)
@@ -86,12 +92,36 @@ func NewEncoderVersion(w io.Writer, table *Table, accesses, threads, version int
 	if threads < 0 || uint64(threads) >= countUnpatched {
 		return nil, fmt.Errorf("trace: thread count %d outside the format's range", threads)
 	}
-	bw := bufio.NewWriter(w)
-	if err := writeHeaderAndTable(bw, uint32(version), table, uint32(accesses), uint32(threads)); err != nil {
+	return newEncoder(w, table, uint32(version), uint32(accesses), uint32(threads))
+}
+
+// NewDynamicEncoder writes a stream header (with sentinel counts) and region
+// table to ws and returns an encoder accepting any number of Write calls, in
+// DefaultVersion — the sentinel does not exist in v1, and nothing records v2.
+// ws must be seekable so Close can patch the header: a file, or a Buffer when
+// the destination cannot seek.
+func NewDynamicEncoder(ws io.WriteSeeker, table *Table) (*Encoder, error) {
+	e, err := newEncoder(ws, table, DefaultVersion, countUnpatched, countUnpatched)
+	if err != nil {
 		return nil, err
 	}
-	e := &Encoder{bw: bw, version: uint32(version), n: uint32(accesses)}
-	if e.version == codecVersion3 {
+	e.ws, e.n = ws, countUnpatched-1
+	return e, nil
+}
+
+func newEncoder(w io.Writer, table *Table, version, accesses, threads uint32) (*Encoder, error) {
+	if table == nil {
+		return nil, fmt.Errorf("trace: encoder requires a region table")
+	}
+	if err := table.Validate(); err != nil {
+		return nil, err
+	}
+	bw := bufio.NewWriter(w)
+	if err := writeHeaderAndTable(bw, version, table, accesses, threads); err != nil {
+		return nil, err
+	}
+	e := &Encoder{bw: bw, version: version, n: accesses, maxThread: -1}
+	if version == codecVersion3 {
 		e.blk = newV3BlockWriter()
 	}
 	return e, nil
@@ -150,16 +180,28 @@ func writeFixedRecord(bw *bufio.Writer, a Access) error {
 	return err
 }
 
-// noteEncoded batches encode telemetry; published every telemetryFlushEvery
-// records (v1/v2) or at each block flush (v3) and at Close.
+// SetThreads declares the final thread count of a patched stream explicitly
+// (e.g. the number of registered goroutines, which may exceed the number that
+// issued accesses). Close patches the larger of this and the derived
+// max(Access.Thread)+1. A declared stream's header is already written.
+func (e *Encoder) SetThreads(n int) {
+	if n > e.threads {
+		e.threads = n
+	}
+}
+
+// Written returns the number of access records written so far.
+func (e *Encoder) Written() int { return int(e.i) }
+
+// noteEncoded batches encode telemetry: a publish once telemetryFlushEvery
+// records have accumulated (every full v3 block is more) and at Close.
 func (e *Encoder) noteEncoded(k int) {
 	if e.Probes == nil {
 		return
 	}
 	e.pending += uint32(k)
 	if e.pending >= telemetryFlushEvery {
-		e.Probes.EncodedRecords.Add(uint64(e.pending))
-		e.pending = 0
+		e.flushEncoded()
 	}
 }
 
@@ -170,52 +212,145 @@ func (e *Encoder) flushEncoded() {
 	e.pending = 0
 }
 
-// Write appends one access record. It errors once the declared count is
-// exhausted.
+// fail latches err: every later Write and Close returns it, so a producer
+// that cannot act on a Write error (Record's tap) still learns of it.
+func (e *Encoder) fail(err error) error {
+	e.err = err
+	return err
+}
+
+// Write appends one access record.
 func (e *Encoder) Write(a Access) error {
+	if e.err != nil {
+		return e.err
+	}
+	if e.closed {
+		return fmt.Errorf("trace: write after Close")
+	}
 	if e.i == e.n {
-		return fmt.Errorf("trace: encode access record %d of %d: declared count exhausted", e.i+1, e.n)
+		err := fmt.Errorf("trace: encode access record %d: the stream holds at most %d", e.i+1, e.n)
+		if e.ws != nil {
+			// A patched stream stands for the whole run, so outgrowing the
+			// format fails it; a declared one still holds what it declared.
+			e.err = err
+		}
+		return err
 	}
 	if e.version == codecVersion3 {
 		if err := e.blk.append(a); err != nil {
-			return fmt.Errorf("trace: encode access record %d of %d: %w", e.i+1, e.n, err)
+			return e.fail(fmt.Errorf("trace: encode access record %d: %w", e.i+1, err))
 		}
-		e.i++
 		if e.blk.full() {
 			n, err := e.blk.flush(e.bw)
 			if err != nil {
-				return err
+				return e.fail(err)
 			}
 			e.noteEncoded(n)
-			e.flushEncoded()
 		}
-		return nil
-	}
-	if err := writeFixedRecord(e.bw, a); err != nil {
-		return fmt.Errorf("trace: write access record %d of %d: %w", e.i+1, e.n, err)
+	} else {
+		if err := writeFixedRecord(e.bw, a); err != nil {
+			return e.fail(fmt.Errorf("trace: write access record %d: %w", e.i+1, err))
+		}
+		e.noteEncoded(1)
 	}
 	e.i++
-	e.noteEncoded(1)
+	if a.Thread > e.maxThread {
+		e.maxThread = a.Thread
+	}
 	return nil
 }
 
-// Close flushes buffered output (including a final partial v3 block). It
-// errors if fewer records than declared were written — the stream on disk
-// would decode as truncated.
+// Close flushes buffered output (including a final partial v3 block) and
+// finalizes the stream. A declared stream must have received exactly its
+// declared count — fewer would decode as truncated — and the error leaves the
+// encoder open for the rest. A patched stream gets its access and thread
+// counts written over the sentinel; until that succeeds NewDecoder rejects
+// the stream, which is exactly the safety property a crash mid-recording
+// needs.
 func (e *Encoder) Close() error {
-	if e.i != e.n {
+	if e.err != nil {
+		return e.err
+	}
+	if e.closed {
+		return fmt.Errorf("trace: already closed")
+	}
+	if e.ws == nil && e.i != e.n {
 		return fmt.Errorf("trace: encoded %d of %d declared access records", e.i, e.n)
 	}
-	if e.version == codecVersion3 {
+	e.closed = true
+	if e.blk != nil {
 		n, err := e.blk.flush(e.bw)
 		if err != nil {
-			return err
+			return e.fail(err)
 		}
 		e.noteEncoded(n)
 	}
 	e.flushEncoded()
-	return e.bw.Flush()
+	if err := e.bw.Flush(); err != nil {
+		return e.fail(fmt.Errorf("trace: flush: %w", err))
+	}
+	if e.ws == nil {
+		return nil
+	}
+	var counts [8]byte
+	binary.LittleEndian.PutUint32(counts[0:], e.i)
+	binary.LittleEndian.PutUint32(counts[4:], uint32(max(e.threads, int(e.maxThread)+1)))
+	if _, err := e.ws.Seek(12, io.SeekStart); err != nil {
+		return e.fail(fmt.Errorf("trace: seek to patch header: %w", err))
+	}
+	if _, err := e.ws.Write(counts[:]); err != nil {
+		return e.fail(fmt.Errorf("trace: patch header counts: %w", err))
+	}
+	if _, err := e.ws.Seek(0, io.SeekEnd); err != nil {
+		return e.fail(fmt.Errorf("trace: seek back after patch: %w", err))
+	}
+	return nil
 }
+
+// Buffer is an in-memory io.WriteSeeker: where a patched stream is staged
+// when its destination is a plain io.Writer (Record). The zero value is
+// ready to use.
+type Buffer struct {
+	buf []byte
+	off int
+}
+
+// Write copies p in at the current offset, extending the buffer as needed.
+func (b *Buffer) Write(p []byte) (int, error) {
+	end := b.off + len(p)
+	if end > cap(b.buf) {
+		// Doubling keeps the bytes ever allocated within 4x the final size;
+		// append's 1.25x policy for large slices would let them reach 5x.
+		grown := make([]byte, len(b.buf), max(2*cap(b.buf), end))
+		copy(grown, b.buf)
+		b.buf = grown
+	}
+	b.buf = b.buf[:max(len(b.buf), end)]
+	copy(b.buf[b.off:], p)
+	b.off = end
+	return len(p), nil
+}
+
+// Seek implements io.Seeker over the bytes written so far.
+func (b *Buffer) Seek(offset int64, whence int) (int64, error) {
+	switch whence {
+	case io.SeekStart:
+	case io.SeekCurrent:
+		offset += int64(b.off)
+	case io.SeekEnd:
+		offset += int64(len(b.buf))
+	default:
+		return 0, fmt.Errorf("trace: Buffer.Seek: bad whence %d", whence)
+	}
+	if offset < 0 || offset > int64(len(b.buf)) {
+		return 0, fmt.Errorf("trace: Buffer.Seek: offset %d outside [0, %d]", offset, len(b.buf))
+	}
+	b.off = int(offset)
+	return offset, nil
+}
+
+// Bytes returns the buffer's contents, valid until the next Write.
+func (b *Buffer) Bytes() []byte { return b.buf }
 
 // Decoder reads a trace stream incrementally. NewDecoder consumes the header
 // and region table; each Next call then decodes one access record (NextBatch
@@ -259,7 +394,7 @@ type Decoder struct {
 // region source positions), v2 (thread count in the header, file:line per
 // region) and v3 (v2 header, block-compressed access section). A v2/v3
 // stream whose counts still hold the unpatched sentinel was never finalized
-// — the recording process died before DynamicEncoder.Close — and is rejected
+// — the recording process died before its encoder's Close — and is rejected
 // here rather than silently decoded as empty.
 func NewDecoder(r io.Reader) (*Decoder, error) {
 	return newDecoder(r, false)

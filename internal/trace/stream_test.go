@@ -56,7 +56,7 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	} {
 		s := randomStream(rng, shape.regions, shape.accesses)
 		var buf bytes.Buffer
-		enc, err := NewEncoder(&buf, s.Table, len(s.Accesses))
+		enc, err := NewEncoderVersion(&buf, s.Table, len(s.Accesses), 0, 1)
 		if err != nil {
 			t.Fatalf("%+v: NewEncoder: %v", shape, err)
 		}
@@ -102,7 +102,7 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 
 		// The one-shot wrappers must agree byte for byte.
 		var oneShot bytes.Buffer
-		if err := s.Encode(&oneShot); err != nil {
+		if err := s.EncodeVersion(&oneShot, 1, 0); err != nil {
 			t.Fatalf("%+v: Stream.Encode: %v", shape, err)
 		}
 		if !bytes.Equal(oneShot.Bytes(), buf.Bytes()) {
@@ -118,7 +118,7 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 func TestDecodeTruncatedReportsRecordContext(t *testing.T) {
 	s := randomStream(rand.New(rand.NewSource(3)), 2, 5)
 	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -182,7 +182,7 @@ func TestEncoderCountContract(t *testing.T) {
 	tb := NewTable()
 	tb.AddFunc("f", NoRegion)
 	var buf bytes.Buffer
-	enc, err := NewEncoder(&buf, tb, 2)
+	enc, err := NewEncoderVersion(&buf, tb, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +201,10 @@ func TestEncoderCountContract(t *testing.T) {
 	if err := enc.Close(); err != nil {
 		t.Fatalf("Close after exact count: %v", err)
 	}
-	if _, err := NewEncoder(io.Discard, nil, 0); err == nil {
+	if _, err := NewEncoderVersion(io.Discard, nil, 0, 0, 1); err == nil {
 		t.Error("NewEncoder accepted a nil table")
 	}
-	if _, err := NewEncoder(io.Discard, tb, -1); err == nil {
+	if _, err := NewEncoderVersion(io.Discard, tb, -1, 0, 1); err == nil {
 		t.Error("NewEncoder accepted a negative count")
 	}
 }
@@ -215,7 +215,7 @@ func TestEncoderCountContract(t *testing.T) {
 func TestDecoderDoesNotMaterialise(t *testing.T) {
 	s := randomStream(rand.New(rand.NewSource(11)), 3, 4096)
 	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
@@ -235,7 +235,7 @@ func TestDecoderDoesNotMaterialise(t *testing.T) {
 func TestDecoderForEachAndProbes(t *testing.T) {
 	s := randomStream(rand.New(rand.NewSource(5)), 2, 40)
 	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))

@@ -125,8 +125,8 @@ func TestCrossVersionSameRecords(t *testing.T) {
 }
 
 // TestV3Compacts sanity-checks the size win on a random stream (real
-// workload streams compress far better; scripts/bench.sh codec measures
-// them).
+// workload streams compress far better; bench/'s trace.bytes_per_access
+// measures them).
 func TestV3Compacts(t *testing.T) {
 	s := randomStream(rand.New(rand.NewSource(33)), 4, 20000)
 	v1 := encodeVersion(t, s, 1)
@@ -581,7 +581,7 @@ func TestDecodeTolerantV2(t *testing.T) {
 }
 
 // TestV3EncoderLimits pins the encoder-side validation: thread IDs beyond
-// the v3 cap and unencodable kinds are rejected by both encoders.
+// the v3 cap and unencodable kinds are rejected in both count modes.
 func TestV3EncoderLimits(t *testing.T) {
 	tb := NewTable()
 	var buf bytes.Buffer
@@ -592,13 +592,18 @@ func TestV3EncoderLimits(t *testing.T) {
 	if err := enc.Write(Access{Thread: v3MaxThreads}); err == nil || !strings.Contains(err.Error(), "thread") {
 		t.Errorf("v3 encoder accepted thread %d: %v", v3MaxThreads, err)
 	}
-	var ms memSeeker
-	dyn, err := NewDynamicEncoderVersion(&ms, tb, 3)
+	var ms Buffer
+	dyn, err := NewDynamicEncoder(&ms, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := dyn.Write(Access{Thread: v3MaxThreads}); err == nil || !strings.Contains(err.Error(), "thread") {
 		t.Errorf("dynamic v3 encoder accepted thread %d: %v", v3MaxThreads, err)
+	}
+	// A refused record fails the stream for good: a producer that cannot act
+	// on Write's error (Record's tap) must still see it at Close.
+	if err := dyn.Close(); err == nil || !strings.Contains(err.Error(), "thread") {
+		t.Errorf("Close after a failed Write = %v, want the sticky Write error", err)
 	}
 	var buf2 bytes.Buffer
 	enc2, err := NewEncoderVersion(&buf2, tb, 1, 0, 3)
@@ -610,9 +615,6 @@ func TestV3EncoderLimits(t *testing.T) {
 	}
 	if _, err := NewEncoderVersion(io.Discard, tb, 0, 0, 4); err == nil {
 		t.Error("NewEncoderVersion accepted version 4")
-	}
-	if _, err := NewDynamicEncoderVersion(&ms, tb, 1); err == nil {
-		t.Error("dynamic encoder accepted version 1 (no sentinel patching in v1)")
 	}
 }
 
@@ -667,7 +669,7 @@ func TestCodecProbesExactTotals(t *testing.T) {
 
 	// The dynamic encoder batches the same way.
 	reg := obs.NewRegistry()
-	var ms memSeeker
+	var ms Buffer
 	dyn, err := NewDynamicEncoder(&ms, s.Table)
 	if err != nil {
 		t.Fatal(err)

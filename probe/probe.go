@@ -15,13 +15,12 @@
 // is an uncontended mutex and a slice append. Shutdown — injected as a defer
 // in main.main — flushes every goroutine's batch, sorts by the clock, and
 // either writes a trace file for offline Replay (COMMPROF_TRACE=path,
-// record mode: compact v3 blocks by default, COMMPROF_TRACE_FORMAT=2 for the
-// fixed-record v2 layout; the header's access and goroutine counts are
-// patched on close, since neither is known up front) or feeds the run
-// straight into the sharded
-// analysis pipeline via ProfileTraceParallel and prints the standard report
-// (live mode, the default). Accesses issued by goroutines that outlive main
-// are dropped, not recorded.
+// record mode: compact v3 blocks, the one format recorded; the header's
+// access and goroutine counts are patched on close, since neither is known up
+// front) or feeds the run straight into the sharded analysis pipeline via
+// ProfileTraceParallel and prints the standard report (live mode, the
+// default). Accesses issued by goroutines that outlive main are dropped, not
+// recorded.
 package probe
 
 import (
@@ -170,8 +169,7 @@ func (g *TG) flushLocked() {
 
 // Shutdown finalizes the run: it stops recording, flushes every goroutine's
 // batch, restores the global temporal order, and dispatches on environment —
-// COMMPROF_TRACE=path writes a trace file (COMMPROF_TRACE_FORMAT picks the
-// codec version, default v3); otherwise the run is analysed
+// COMMPROF_TRACE=path writes a v3 trace file; otherwise the run is analysed
 // in-process and the report printed to stdout. The rewriter injects it as the
 // first defer of main.main; calling it again is a no-op.
 func Shutdown() {
@@ -206,17 +204,16 @@ func Shutdown() {
 	})
 }
 
-// record writes the run as a trace file — v3 (compact blocks) by default,
-// or the format COMMPROF_TRACE_FORMAT names (2 or 3). Header counts start
-// as the unpatched sentinel and are patched on Close, so a recording that
-// dies mid-write is detectably truncated rather than silently short (and
+// record writes the run as a v3 trace file. Header counts start as the
+// unpatched sentinel and are patched on Close, so a recording that dies
+// mid-write is detectably truncated rather than silently short (and
 // salvageable with commtrace -mode recover).
 func record(path string, accs []trace.Access, goroutines int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	enc, err := trace.NewDynamicEncoderVersion(f, table, envInt("COMMPROF_TRACE_FORMAT", 3))
+	enc, err := trace.NewDynamicEncoder(f, table)
 	if err != nil {
 		f.Close()
 		return err

@@ -10,30 +10,45 @@ import (
 
 // Record profiles the named bundled workload while also recording its full
 // access trace (with the static region table) to w in the binary trace
-// format selected by Options.TraceFormat (default v3, the compact
-// delta/varint block encoding), for later offline analysis with Replay.
-// This is the workflow the paper contrasts with on-the-fly analysis: trace
-// files grow with execution length — the radix simlarge trace is tens of MB
-// as fixed v1 records, several times smaller as v3, where the live
+// format — v3, the compact delta/varint block encoding; commtrace -mode
+// recode turns it into v1 or v2 for a consumer that needs those — for later
+// offline analysis with Replay. This is the workflow the paper contrasts with
+// on-the-fly analysis: trace files grow with execution length — the radix
+// simlarge trace is tens of MB even at a few bytes per access, where the live
 // profiler's signature stays fixed — which is precisely why DiscoPoP
 // analyses online.
+//
+// Each access is encoded as it is issued; nothing holds the run as access
+// records. The header's counts are known only when the run ends and w need
+// not seek, so the encoded stream is staged in memory and handed to w in one
+// Write after a successful run: resident memory is O(encoded bytes), and a
+// failed run writes nothing.
 func Record(opts Options, w io.Writer) (*Report, error) {
 	opts.setDefaults()
 	// Recording requires the deterministic engine: a parallel run would
-	// append to the stream concurrently and lose the temporal order.
+	// write to the encoder concurrently and lose the temporal order.
 	opts.Parallel = false
 	src, err := splashSource(opts)
 	if err != nil {
 		return nil, err
 	}
+	var staged trace.Buffer
+	enc, err := trace.NewDynamicEncoder(&staged, src.table)
+	if err != nil {
+		return nil, err
+	}
 	// The tap sits in front of the sampling gate, so the trace is complete
 	// whatever the analyser is configured to skip.
-	src.record = &trace.Stream{Table: src.table}
+	src.tap = enc
 	rep, err := profileEngine(opts, src)
 	if err != nil {
 		return nil, err
 	}
-	if err := src.record.EncodeVersion(w, opts.TraceFormat, opts.Threads); err != nil {
+	enc.SetThreads(opts.Threads)
+	if err := enc.Close(); err != nil {
+		return nil, fmt.Errorf("commprof: write trace: %w", err)
+	}
+	if _, err := w.Write(staged.Bytes()); err != nil {
 		return nil, fmt.Errorf("commprof: write trace: %w", err)
 	}
 	return rep, nil

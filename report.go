@@ -2,6 +2,7 @@ package commprof
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"commprof/internal/accuracy"
@@ -514,10 +515,13 @@ type PatternClassifier struct {
 }
 
 // NewPatternClassifier trains the default kNN classifier on the canonical
-// pattern corpus (§VI). seed controls corpus generation.
+// pattern corpus (§VI). seed controls corpus generation; 0 means the default,
+// as in Options.Seed.
 func NewPatternClassifier(seed int64) (*PatternClassifier, error) {
-	rng := newSeededRand(seed)
-	train := patterns.Corpus(60, []int{8, 16, 32}, 0, rng)
+	if seed == 0 {
+		seed = defaultSeed
+	}
+	train := patterns.Corpus(60, []int{8, 16, 32}, 0, rand.New(rand.NewSource(seed)))
 	knn, err := patterns.NewKNN(5, train)
 	if err != nil {
 		return nil, err

@@ -1,21 +1,22 @@
 #!/bin/sh
 # tier1.sh — the repository's tier-1 verification gate (see ROADMAP.md).
-# Build, formatting, vet, the full test suite, a race-detector pass over
-# the packages with lock-free hot paths (signature memory), real concurrency
-# (the parallel engine mode, the sharded analysis pipeline, replay producer
-# staging), blocking queues (the detect queue reproductions), merge-order
-# algebra (comm), the static-coalescing differential wall (passes) and the
-# observability primitives (obs timelines, tracers, histograms) plus a
-# race pass over the whole facade (in-thread runs share the analysis engine
-# with the live samplers and the /metrics and /progress scrapers, exactly as
-# sharded runs do), a -cpu 1,2,4 pass over the packages whose tests involve
-# more than one goroutine (no result may depend on how many cores the host
-# has), a
-# vet+test of the nested bench/ module (it compiles against internal APIs that
-# `go build ./...` from the root does not reach), plus
-# a short fuzz smoke over the trace codec, the source instrumenter and the
-# coalescing pass, and an instrument+vet check of every example program
-# under testdata/ via the commtrace driver.
+# Build, formatting, vet, three grep guards for things that must stay
+# deleted (a trace-format knob, a second copy of the run on a write path, the
+# superseded benchmark harness), the full test suite, a race-detector pass
+# over the packages with lock-free hot paths (signature memory), real
+# concurrency (the parallel engine mode, the sharded analysis pipeline and its
+# blocking ring queues, replay producer staging), merge-order algebra (comm),
+# the static-coalescing differential wall (passes) and the observability
+# primitives (obs timelines, tracers, histograms) plus a race pass over the
+# whole facade (in-thread runs share the analysis engine with the live
+# samplers and the /metrics and /progress scrapers, exactly as sharded runs
+# do), a -cpu 1,2,4 pass over the packages whose tests involve more than one
+# goroutine (no result may depend on how many cores the host has), a vet+test
+# of the nested bench/ module (it compiles against internal APIs that
+# `go build ./...` from the root does not reach), plus a short fuzz smoke over
+# the trace codec, the source instrumenter and the coalescing pass, and an
+# instrument+vet check of every example program under testdata/ via the
+# commtrace driver.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -33,6 +34,29 @@ fi
 
 echo "== go vet =="
 go vet ./...
+
+echo "== grep guards =="
+# One trace format is recorded (v3): no option, flag or environment variable
+# may select another. (Whole word: TestTraceFormatComposes... is a test name.
+# bench/ still exports the variable the shim used to read.)
+guard() { # guard <what> <matches>
+	if [ -n "$2" ]; then
+		echo "tier1: $1:" >&2
+		echo "$2" >&2
+		exit 1
+	fi
+}
+guard "a trace-format knob is back" \
+	"$(grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\<TraceFormat\>|TRACE_FORMAT' . || true)"
+# Write paths stream through trace.Encoder; none holds the run as a slice of
+# access records first.
+guard "a write path materialises the run" \
+	"$(grep -n 'Accesses = append(' ./*.go cmd/commtrace/*.go | grep -v '_test\.go:' || true)"
+# bench/ is the one benchmark harness.
+guard "the superseded benchmark harness is cited" \
+	"$(grep -rnIE --exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=.git \
+		--exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md \
+		'scripts/bench\.sh|BENCH_[a-z]+\.json' . || true)"
 
 echo "== go test =="
 go test ./...

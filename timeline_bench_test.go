@@ -8,9 +8,8 @@ import (
 )
 
 // Benchmark fixture: one recorded trace shared by both timeline
-// sub-benchmarks. scripts/bench.sh drives this with BENCH_APP / BENCH_SIZE
-// (default fft simdev for quick local runs; BENCH_timeline.json uses
-// simlarge streams).
+// sub-benchmarks. BENCH_APP / BENCH_SIZE pick the workload (default fft
+// simdev for quick local runs).
 var timelineFixture struct {
 	once     sync.Once
 	data     []byte
@@ -47,8 +46,8 @@ func timelineTrace(b *testing.B) ([]byte, float64) {
 // costs on a sharded replay. "off" is the disabled path: no Telemetry, so
 // every timeline/stage-histogram site is a nil-check no-op. "on" enables the
 // full layer — span tracks, stage latency histograms, overhead attribution
-// and the counter-track sampler. The acceptance budget is 5% (see
-// scripts/bench.sh timeline, which writes BENCH_timeline.json from this).
+// and the counter-track sampler. The acceptance budget is 5%; the tracked
+// number is bench/'s obs.telemetry_ns_per_access on replay-full.
 //
 //	go test -bench TimelineOverhead -benchtime 3x .
 func BenchmarkTimelineOverhead(b *testing.B) {

@@ -6,19 +6,20 @@ import (
 )
 
 // TestTraceFormatComposesWithAnalysisOptions is a regression guard for the
-// facade: TraceFormat selects only the wire encoding, so a trace recorded in
-// any format must replay identically under every analysis feature —
-// sharding, phase windows, the redundancy fast path and the accuracy
-// monitor — with the feature reports still attached.
+// facade: the format version is only the wire encoding, so a trace in any
+// format must replay identically under every analysis feature — sharding,
+// phase windows, the redundancy fast path and the accuracy monitor — with
+// the feature reports still attached.
 func TestTraceFormatComposesWithAnalysisOptions(t *testing.T) {
 	const threads = 8
-	bufs := map[int][]byte{}
-	for _, version := range []int{1, 2, 3} {
-		var buf bytes.Buffer
-		if _, err := Record(Options{Workload: "fft", Threads: threads, TraceFormat: version}, &buf); err != nil {
-			t.Fatal(err)
-		}
-		bufs[version] = buf.Bytes()
+	var recorded bytes.Buffer
+	if _, err := Record(Options{Workload: "fft", Threads: threads}, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	bufs := map[int][]byte{
+		1: transcode(t, recorded.Bytes(), 1, threads),
+		2: transcode(t, recorded.Bytes(), 2, threads),
+		3: recorded.Bytes(),
 	}
 
 	paths := []struct {
