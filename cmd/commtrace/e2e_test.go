@@ -201,3 +201,117 @@ func TestEndToEndPhaseTimeline(t *testing.T) {
 		t.Fatal("no hotspots in the replayed report")
 	}
 }
+
+// commtrace runs the driver in-process and returns its exit code and output.
+func commtrace(args ...string) (code int, stdout, stderr string) {
+	var o, e bytes.Buffer
+	code = run(args, &o, &e)
+	return code, o.String(), e.String()
+}
+
+// TestEndToEndExitPaths: a target that leaves through os.Exit(3) — no deferred
+// call runs — still finalizes its trace, because the rewriter routes the call
+// through the shim; one that dies of a panic on a worker goroutine leaves an
+// unfinalized trace holding the blocks written so far. Either way commtrace
+// analyses what was recorded and exits with the target's own code.
+func TestEndToEndExitPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs instrumented binaries")
+	}
+	pkg := filepath.Join("..", "..", "testdata", "exitpaths")
+	t.Run("os.Exit", func(t *testing.T) {
+		tracePath := filepath.Join(t.TempDir(), "exit.trace")
+		code, stdout, stderr := commtrace("-pkg", pkg, "-o", tracePath)
+		if code != 3 {
+			t.Fatalf("commtrace exited %d, want the target's 3:\n%s%s", code, stdout, stderr)
+		}
+		f, err := os.Open(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		dec, err := trace.NewDecoder(f)
+		if err != nil {
+			t.Fatalf("os.Exit(3) left no finalized trace: %v", err)
+		}
+		// 4 workers x 64 rounds x 256 words, read and written, and main's one read.
+		if want := 4*64*256*2 + 1; dec.Len() != want || dec.Threads() != 5 {
+			t.Errorf("trace declares %d records from %d goroutines, want %d from 5", dec.Len(), dec.Threads(), want)
+		}
+		if !strings.Contains(stdout, fmt.Sprintf("workload replay: 5 threads, %d accesses", dec.Len())) {
+			t.Errorf("the failed target's trace was not analysed:\n%s%s", stdout, stderr)
+		}
+	})
+	t.Run("panic", func(t *testing.T) {
+		t.Setenv("EXITPATHS", "panic")
+		tracePath := filepath.Join(t.TempDir(), "panic.trace")
+		code, stdout, stderr := commtrace("-pkg", pkg, "-o", tracePath)
+		if code != 2 {
+			t.Fatalf("commtrace exited %d, want the panicking target's 2:\n%s%s", code, stdout, stderr)
+		}
+		f, err := os.Open(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		dec, err := trace.NewDecoderTolerant(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		if err := dec.ForEach(func(trace.Access) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		// The panic comes after 32 of 64 rounds; the blocks the writer had
+		// framed by then, less the one its buffer may hold back, are on disk.
+		if !dec.Unfinalized() || n == 0 || n > 4*32*256*2 {
+			t.Errorf("salvaged %d records (unfinalized %v), want some of the first half's %d", n, dec.Unfinalized(), 4*32*256*2)
+		}
+		if want := fmt.Sprintf("recovered %d complete records (header unfinalized)", n); !strings.Contains(stderr, want) ||
+			!strings.Contains(stdout, fmt.Sprintf("%d accesses", n)) {
+			t.Errorf("want %q on stderr and a report of those records:\n%s%s", want, stdout, stderr)
+		}
+	})
+}
+
+// TestEndToEndLiveMatchesProfile: -mode live is now "encode, then Replay" in
+// the target, -mode profile the same Replay here, so both print the same
+// report — every region's own and cumulative bytes and accesses, the totals
+// and the hotspots, which is what the shim's report shows of the global and
+// per-loop matrices. The programs touch only package-level arrays (fixed
+// addresses, so the signature hashes alike in both runs) in an order their
+// synchronisation fixes; goroutine IDs may permute, which no printed number
+// depends on. The analysis knobs keep travelling by environment.
+func TestEndToEndLiveMatchesProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs instrumented binaries")
+	}
+	report := func(stdout string) string {
+		var kept []string
+		for _, line := range strings.Split(stdout, "\n") {
+			if !strings.HasPrefix(line, "peak resident accesses:") { // scheduling-dependent
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	for name, wantCode := range map[string]int{"striped": 0, "exitpaths": 3} {
+		t.Run(name, func(t *testing.T) {
+			args := []string{"-pkg", filepath.Join("..", "..", "testdata", name), "-shards", "2", "-redundancy-bits", "10"}
+			var out [2]string
+			for i, mode := range []string{"profile", "live"} {
+				code, stdout, stderr := commtrace(append(args, "-mode", mode)...)
+				if code != wantCode {
+					t.Fatalf("-mode %s exited %d, want %d:\n%s%s", mode, code, wantCode, stdout, stderr)
+				}
+				out[i] = report(stdout)
+			}
+			if !strings.Contains(out[0], "inter-thread RAW deps") || !strings.Contains(out[0], "redundancy fast path: 2^10 entries") {
+				t.Fatalf("no report, or -redundancy-bits did not arrive:\n%s", out[0])
+			}
+			if out[0] != out[1] {
+				t.Errorf("-mode live reports differently from -mode profile:\n-- profile --\n%s\n-- live --\n%s", out[0], out[1])
+			}
+		})
+	}
+}

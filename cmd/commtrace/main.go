@@ -15,17 +15,21 @@
 //	commtrace -mode recover -in crashed.trace    # salvage + replay
 //
 // The default profile mode records the run to a trace file (compact v3
-// blocks, the one format recorded; goroutine count patched in on close) and
-// replays it locally, so every analysis flag works without rebuilding the
-// target. recode transcodes an existing trace between codec versions — the
-// only way to obtain a v1 or v2 file, and the only mode -trace-format applies
-// to; recover salvages the complete prefix of a trace whose writer died
-// before finalizing it into a finalized v3 trace, then replays what survived.
+// blocks, the one format recorded, written while the target runs; goroutine
+// count patched in on close) and replays it locally, so every analysis flag
+// works without rebuilding the target. A target that exits non-zero is still
+// analysed — its trace, or what recover salvages of it — and commtrace exits
+// with the target's code. recode transcodes an existing trace between codec
+// versions — the only way to obtain a v1 or v2 file, and the only mode
+// -trace-format applies to; recover salvages the complete prefix of a trace
+// whose writer died before finalizing it into a finalized v3 trace, then
+// replays what survived.
 // Neither needs -pkg.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -186,22 +190,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *timelineOut != "" {
 			env = append(env, "COMMPROF_TIMELINE="+*timelineOut)
 		}
-		if err := runBin(bin, env, stdout, stderr); err != nil {
-			fmt.Fprintln(stderr, "commtrace:", err)
-			return 1
-		}
-		return 0
+		return targetExit(runBin(bin, env, stdout, stderr), stderr)
 	}
 
 	tracePath := *out
 	if tracePath == "" {
 		tracePath = filepath.Join(moduleDir, "run.trace")
 	}
-	if err := runBin(bin, append(os.Environ(), "COMMPROF_TRACE="+tracePath), stdout, stderr); err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
+	code := targetExit(runBin(bin, append(os.Environ(), "COMMPROF_TRACE="+tracePath), stdout, stderr), stderr)
+	if code == 0 {
+		return replay(tracePath)
 	}
-	return replay(tracePath)
+	// The target failed, which is when its profile is wanted most: analyse
+	// what it recorded — the shim finalizes the trace on os.Exit and on
+	// SIGINT/SIGTERM; a target that died without Shutdown leaves the blocks
+	// written so far — and pass the target's own exit code on.
+	if f, err := os.Open(tracePath); err != nil {
+		fmt.Fprintln(stderr, "commtrace: the target recorded nothing")
+	} else {
+		_, err := trace.NewDecoder(f)
+		f.Close()
+		if err == nil {
+			replay(tracePath)
+		} else {
+			recoverTrace(tracePath, "", replay, stderr)
+		}
+	}
+	return code
+}
+
+// targetExit maps the outcome of running the target to commtrace's own exit
+// code: the target's, or 1 when it has none to give (it could not be started,
+// or a signal killed it).
+func targetExit(err error, stderr io.Writer) int {
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(stderr, "commtrace: target:", err)
+	var exit *exec.ExitError
+	if errors.As(err, &exit) && exit.ExitCode() > 0 {
+		return exit.ExitCode()
+	}
+	return 1
 }
 
 // replayFile runs the standard analysis over the trace file at path, writes

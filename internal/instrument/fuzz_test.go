@@ -1,7 +1,6 @@
 package instrument
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -39,6 +38,7 @@ func (g *TG) R(p unsafe.Pointer, size uint32, region int32) {}
 func (g *TG) W(p unsafe.Pointer, size uint32, region int32) {}
 
 func Shutdown() {}
+func Exit(code int) {}
 `
 
 var (
@@ -47,7 +47,9 @@ var (
 	stubErr  error
 )
 
-// stubImporter resolves exactly the imports instrumentation may inject.
+// stubImporter resolves the imports instrumentation may inject; anything else
+// (only the unit tests import more, the fuzz corpus is universe-only) goes to
+// the source importer.
 type stubImporter struct{}
 
 func (stubImporter) Import(path string) (*types.Package, error) {
@@ -67,7 +69,10 @@ func (stubImporter) Import(path string) (*types.Package, error) {
 		})
 		return stubPkg, stubErr
 	}
-	return nil, fmt.Errorf("import %q not available in the fuzz harness", path)
+	imp := stdImporter()
+	importerMu.Lock()
+	defer importerMu.Unlock()
+	return imp.Import(path)
 }
 
 // checkInstrumented asserts every rewritten file plus the generated

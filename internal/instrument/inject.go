@@ -37,25 +37,28 @@ func (b *bodyRewriter) emit(e ast.Expr, kind probeKind, region int32, out *[]ast
 	b.c.probes++
 }
 
+// shimCall builds a call of the runtime shim's function name through the
+// package's import alias: `commprobe.name(args...)`.
+func (c *ctx) shimCall(name string, args ...ast.Expr) *ast.CallExpr {
+	return &ast.CallExpr{
+		Fun:  &ast.SelectorExpr{X: ast.NewIdent(c.probeAlias), Sel: ast.NewIdent(name)},
+		Args: args,
+	}
+}
+
 // handleDeclStmt builds `_cp := commprobe.G()`, the per-function-body
 // goroutine handle binding.
 func (c *ctx) handleDeclStmt() ast.Stmt {
 	return &ast.AssignStmt{
 		Lhs: []ast.Expr{ast.NewIdent(c.handleName)},
 		Tok: token.DEFINE,
-		Rhs: []ast.Expr{&ast.CallExpr{
-			Fun: &ast.SelectorExpr{X: ast.NewIdent(c.probeAlias), Sel: ast.NewIdent("G")},
-		}},
+		Rhs: []ast.Expr{c.shimCall("G")},
 	}
 }
 
 // deferShutdownStmt builds `defer commprobe.Shutdown()` for main.main.
 func (c *ctx) deferShutdownStmt() ast.Stmt {
-	return &ast.DeferStmt{
-		Call: &ast.CallExpr{
-			Fun: &ast.SelectorExpr{X: ast.NewIdent(c.probeAlias), Sel: ast.NewIdent("Shutdown")},
-		},
-	}
+	return &ast.DeferStmt{Call: c.shimCall("Shutdown")}
 }
 
 // addImport prepends a fresh import declaration binding alias to path. A

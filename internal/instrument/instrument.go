@@ -15,8 +15,9 @@
 //     memory, the rewriter inserts _cp.R/_cp.W calls capturing (kind,
 //     &expr, static size, region UID); the goroutine handle _cp is bound
 //     once per instrumented function body via probe.G().
-//  3. main.main additionally defers probe.Shutdown(), which flushes and
-//     either records a trace file or analyses the run in-process.
+//  3. main.main additionally defers probe.Shutdown(), which finalizes the
+//     trace file being recorded or analyses the run in-process, and direct
+//     os.Exit calls become probe.Exit calls, which do the same first.
 //
 // Eligibility is deliberately conservative — see the package documentation in
 // DESIGN.md §7 for the exact placement rules and what is not instrumented.
@@ -174,6 +175,7 @@ func SourcesOpts(srcs map[string][]byte, opts Options) (*Result, error) {
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: stdImporter()}

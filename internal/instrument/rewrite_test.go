@@ -214,3 +214,33 @@ func f(v pair) {
 		t.Fatalf("whole-struct write must carry the struct size:\n%s", out)
 	}
 }
+
+func TestOsExitBecomesProbeExit(t *testing.T) {
+	// The direct call is rewritten; an "os" import left without a use turns
+	// blank, one with other uses stays as it was.
+	res, err := Sources(map[string][]byte{
+		"only.go": []byte(`package main
+import "os"
+func fail() {
+	os.Exit(3)
+}`),
+		"other.go": []byte(`package main
+import sys "os"
+func main() {
+	if len(sys.Args) > 1 {
+		sys.Exit(1)
+	}
+}`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	only, other := string(res.Files["only.go"]), string(res.Files["other.go"])
+	if !strings.Contains(only, "commprobe.Exit(3)") || strings.Contains(only, "os.Exit") || !strings.Contains(only, `import _ "os"`) {
+		t.Errorf("os.Exit(3) not rewritten, or the unused import not blanked:\n%s", only)
+	}
+	if !strings.Contains(other, "commprobe.Exit(1)") || !strings.Contains(other, `import sys "os"`) || !strings.Contains(other, "sys.Args") {
+		t.Errorf("sys.Exit(1) not rewritten, or the import still in use was touched:\n%s", other)
+	}
+	checkInstrumented(t, res)
+}

@@ -24,7 +24,7 @@ func (c *ctx) rewrite() {
 	c.captured = c.findCaptured()
 	for _, f := range c.files {
 		before := c.probes
-		var fileMain bool
+		shimCalls := c.rewriteExits(f) // calls into the shim other than probes
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -37,20 +37,63 @@ func (c *ctx) rewrite() {
 				// Shutdown is deferred first so it runs after any of the
 				// user's own defers have finished touching shared memory.
 				prelude = append(prelude, c.deferShutdownStmt())
-				fileMain = true
+				shimCalls = true
 			}
 			if br.probes > 0 {
 				prelude = append(prelude, c.handleDeclStmt())
 			}
 			fd.Body.List = append(prelude, fd.Body.List...)
 		}
-		if c.probes > before || fileMain {
+		if c.probes > before || shimCalls {
 			addImport(f, c.probeAlias, probeImportPath)
 		}
 		if c.probes > before {
 			addImport(f, c.unsafeAlias, "unsafe")
 		}
 	}
+}
+
+// rewriteExits turns every direct os.Exit(x) call in f into commprobe.Exit(x)
+// — Shutdown, then os.Exit — so that way out of the program keeps its trace
+// too, and reports whether it found one. An "os" import the rewrite leaves
+// without a use becomes a blank import.
+func (c *ctx) rewriteExits(f *ast.File) bool {
+	osName := func(e ast.Expr) types.Object {
+		if id, ok := e.(*ast.Ident); ok {
+			if pn, ok := c.info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "os" {
+				return pn
+			}
+		}
+		return nil
+	}
+	rewrote := map[types.Object]bool{}
+	left := map[types.Object]int{} // uses each import of "os" keeps
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.CallExpr:
+			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Exit" {
+				if pn := osName(sel.X); pn != nil {
+					v.Fun = c.shimCall("Exit").Fun
+					rewrote[pn] = true
+				}
+			}
+		case *ast.SelectorExpr:
+			if pn := osName(v.X); pn != nil {
+				left[pn]++
+			}
+		}
+		return true
+	})
+	for _, spec := range f.Imports {
+		obj := c.info.Implicits[spec]
+		if spec.Name != nil {
+			obj = c.info.Defs[spec.Name]
+		}
+		if rewrote[obj] && left[obj] == 0 {
+			spec.Name = ast.NewIdent("_")
+		}
+	}
+	return len(rewrote) > 0
 }
 
 // isMain reports whether fd is the program entry point of a main package.

@@ -11,46 +11,95 @@
 //     memory access as (kind, address, size, goroutine, static region).
 //
 // Records carry a logical timestamp from one global atomic clock, giving the
-// total order Algorithm 1 requires, and batch per goroutine so the hot path
-// is an uncontended mutex and a slice append. Shutdown — injected as a defer
-// in main.main — flushes every goroutine's batch, sorts by the clock, and
-// either writes a trace file for offline Replay (COMMPROF_TRACE=path,
-// record mode: compact v3 blocks, the one format recorded; the header's
-// access and goroutine counts are patched on close, since neither is known up
-// front) or feeds the run straight into the sharded analysis pipeline via
-// ProfileTraceParallel and prints the standard report (live mode, the
-// default). Accesses issued by goroutines that outlive main are dropped, not
-// recorded.
+// total order Algorithm 1 requires. The shim is a stream: each goroutine fills
+// a fixed-size batch from one fixed pool (the hot path is an uncontended mutex
+// and a slice append), and one writer goroutine merges the batches — each
+// already in clock order — up to a watermark straight into the v3 trace
+// encoder and returns the buffers. Memory is O(pool), not O(accesses); an
+// empty pool is the backpressure that holds the target to the writer's pace.
+//
+// The encoder's sink is the COMMPROF_TRACE file (record mode: created at the
+// first emission, so CRC-framed blocks reach the disk while the target runs;
+// the access and goroutine counts, known only at the end, are patched into the
+// header on close) or the same bytes in memory (live mode, the default), which
+// Shutdown replays through the standard analysis and prints as the report.
+//
+// main returning (the injected defer), os.Exit in the instrumented package
+// (rewritten to Exit) and SIGINT/SIGTERM (handled, then re-raised) all run
+// Shutdown and leave a finalized trace. log.Fatal, os.Exit in another package,
+// an un-recovered panic on another goroutine and SIGKILL do not: the file then
+// holds the blocks written so far under an unpatched header — detectably
+// truncated, salvageable with commtrace -mode recover — and loses only the
+// unflushed tail. Accesses issued after Shutdown are dropped, not recorded.
 package probe
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"os/signal"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"unsafe"
 
 	"commprof"
 	"commprof/internal/trace"
 )
 
-// batchSize is each goroutine's staging buffer in records; a full buffer
-// spills into the global collector under one lock.
-const batchSize = 8192
-
-var (
-	mu        sync.Mutex
-	table     = trace.NewTable()
-	handles   sync.Map // goid (uint64) → *TG
-	all       []*TG
-	collected []trace.Access
-	clock     atomic.Uint64
-	closed    atomic.Bool
-	shutdown  sync.Once
+const (
+	batchSize = 4096 // records per staging buffer (128 KB)
+	poolSize  = 64   // staging buffers at most (8 MB), allocated on first use
 )
+
+// shim is the whole runtime state; the package-level functions act on the one
+// instance std, which only tests replace.
+type shim struct {
+	mu      sync.Mutex // guards table, all, sealed, sigc
+	table   *trace.Table
+	all     []*TG          // by compact ID; append-only
+	sealed  bool           // the header and region table are written: Register is too late
+	sigc    chan os.Signal // SIGINT/SIGTERM, watched from the first Register on
+	handles sync.Map       // goid (uint64) → *TG
+	clock   atomic.Uint64
+	closed  atomic.Bool
+	once    sync.Once
+
+	// free is the pool: poolSize slots, nil until a buffer is first needed.
+	// Every buffer not in it is in a handle or in the writer's hands.
+	free chan []trace.Access
+	// wake asks the writer for a sweep. One pending request is enough: a
+	// sweep takes everything that exists when it starts.
+	wake chan struct{}
+
+	// Writer state, under wmu: one sweep at a time, the writer goroutine's or
+	// Shutdown's final one.
+	wmu    sync.Mutex
+	active []*TG          // handles with batches queued for the merge
+	opened bool           // open has run
+	enc    *trace.Encoder // nil until then, and if it failed
+	file   *os.File       // record mode's sink
+	buf    *trace.Buffer  // live mode's sink
+}
+
+var std = newShim()
+
+func newShim() *shim {
+	s := &shim{
+		table: trace.NewTable(),
+		free:  make(chan []trace.Access, poolSize),
+		wake:  make(chan struct{}, 1),
+	}
+	for i := 0; i < poolSize; i++ {
+		s.free <- nil
+	}
+	go s.writer()
+	return s
+}
 
 // Region declares one static region to Register; a mirror of the public
 // commprof.Region so instrumented programs need only this package's API.
@@ -64,29 +113,59 @@ type Region struct {
 
 // Register installs the instrumented package's static region table. The
 // rewriter emits exactly one Register call in a generated init function, so
-// it runs before main and before any probe.
+// it runs before main and before any probe; one that arrives after the trace
+// header went out cannot be recorded and is reported.
 func Register(regions []Region) {
-	mu.Lock()
-	defer mu.Unlock()
+	s := std
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sealed {
+		fmt.Fprintf(os.Stderr, "commprof/probe: Register of %d regions after the trace header was written; ignored\n", len(regions))
+		return
+	}
 	for _, r := range regions {
 		var id int32
 		if r.Loop {
-			id = table.AddLoop(r.Name, r.Parent)
+			id = s.table.AddLoop(r.Name, r.Parent)
 		} else {
-			id = table.AddFunc(r.Name, r.Parent)
+			id = s.table.AddFunc(r.Name, r.Parent)
 		}
-		table.Regions[id].File = r.File
-		table.Regions[id].Line = r.Line
+		s.table.Regions[id].File = r.File
+		s.table.Regions[id].Line = r.Line
+	}
+	if s.sigc == nil {
+		s.sigc = make(chan os.Signal, 1)
+		signal.Notify(s.sigc, os.Interrupt, syscall.SIGTERM)
+		go s.onSignal()
+	}
+}
+
+// onSignal finalizes the trace on SIGINT/SIGTERM, then lets the signal do
+// what it would have done without the shim.
+func (s *shim) onSignal() {
+	sig := <-s.sigc
+	s.shutdown()
+	signal.Reset(sig)
+	if p, err := os.FindProcess(os.Getpid()); err != nil || p.Signal(sig) != nil {
+		os.Exit(1)
 	}
 }
 
 // TG is one goroutine's probe handle: its compact thread ID and staging
-// batch. The owning goroutine is the only appender; the mutex exists to
-// serialize against Shutdown's final flush from the main goroutine.
+// batch. The owning goroutine is the only appender; the mutex serializes it
+// against the writer's sweeps.
 type TG struct {
-	id    int32
-	mu    sync.Mutex
-	batch []trace.Access
+	s  *shim
+	id int32
+
+	mu   sync.Mutex
+	cur  []trace.Access   // the batch being filled; nil until the owner takes one
+	full [][]trace.Access // filled batches the writer has not collected yet
+
+	// Writer-owned (shim.wmu): collected batches, oldest first, and how far
+	// into q[0] the merge has got.
+	q   [][]trace.Access
+	pos int
 }
 
 // G returns the calling goroutine's handle, assigning the next compact
@@ -94,18 +173,16 @@ type TG struct {
 // function body, so the runtime.Stack goid parse is paid per call, not per
 // memory access.
 func G() *TG {
+	s := std
 	id := goid()
-	if h, ok := handles.Load(id); ok {
+	if h, ok := s.handles.Load(id); ok {
 		return h.(*TG)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if h, ok := handles.Load(id); ok {
-		return h.(*TG)
-	}
-	g := &TG{id: int32(len(all)), batch: make([]trace.Access, 0, batchSize)}
-	all = append(all, g)
-	handles.Store(id, g)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g := &TG{s: s, id: int32(len(s.all))}
+	s.all = append(s.all, g)
+	s.handles.Store(id, g)
 	return g
 }
 
@@ -137,66 +214,227 @@ func (g *TG) W(p unsafe.Pointer, size uint32, region int32) {
 }
 
 func (g *TG) record(kind trace.Kind, p unsafe.Pointer, size uint32, region int32) {
-	if closed.Load() {
-		return
-	}
+	s := g.s
 	g.mu.Lock()
-	g.batch = append(g.batch, trace.Access{
-		Time:   clock.Add(1),
-		Addr:   uint64(uintptr(p)),
-		Size:   size,
-		Thread: g.id,
-		Region: region,
-		Kind:   kind,
-	})
-	if len(g.batch) == batchSize {
-		g.flushLocked()
-	}
-	g.mu.Unlock()
-}
-
-// flushLocked spills the staged batch into the global collector; caller holds
-// g.mu.
-func (g *TG) flushLocked() {
-	if len(g.batch) == 0 {
+	if s.closed.Load() {
+		g.mu.Unlock()
 		return
 	}
-	mu.Lock()
-	collected = append(collected, g.batch...)
-	mu.Unlock()
-	g.batch = g.batch[:0]
+	if g.cur == nil {
+		// Nothing may wait for the pool holding a handle lock: the writer
+		// needs that lock to free buffers. Only the owner sets cur, so it is
+		// still nil afterwards.
+		g.mu.Unlock()
+		b := s.take()
+		g.mu.Lock()
+		g.cur = b
+	}
+	// The clock is drawn under the lock, so a sweep that has held this lock
+	// after reading the clock as W has seen every record of g's up to W.
+	g.cur = append(g.cur, trace.Access{
+		Time: s.clock.Add(1), Addr: uint64(uintptr(p)), Size: size,
+		Thread: g.id, Region: region, Kind: kind,
+	})
+	if len(g.cur) < batchSize {
+		g.mu.Unlock()
+		return
+	}
+	g.full = append(g.full, g.cur) // handed over by pointer
+	g.cur = nil
+	g.mu.Unlock()
+	s.kick()
 }
 
-// Shutdown finalizes the run: it stops recording, flushes every goroutine's
-// batch, restores the global temporal order, and dispatches on environment —
-// COMMPROF_TRACE=path writes a v3 trace file; otherwise the run is analysed
-// in-process and the report printed to stdout. The rewriter injects it as the
-// first defer of main.main; calling it again is a no-op.
-func Shutdown() {
-	shutdown.Do(func() {
-		closed.Store(true)
-		mu.Lock()
-		gs := append([]*TG(nil), all...)
-		mu.Unlock()
-		for _, g := range gs {
-			g.mu.Lock()
-			g.flushLocked()
-			g.mu.Unlock()
-		}
-		mu.Lock()
-		accs := collected
-		collected = nil
-		goroutines := len(all)
-		mu.Unlock()
-		// Batches interleave arbitrarily across goroutines; the atomic clock
-		// carried on every record restores the global order.
-		sort.Slice(accs, func(i, j int) bool { return accs[i].Time < accs[j].Time })
+// kick asks the writer for a sweep, unless one is already asked for.
+func (s *shim) kick() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
 
-		var err error
-		if path := os.Getenv("COMMPROF_TRACE"); path != "" {
-			err = record(path, accs, goroutines)
-		} else {
-			err = live(accs, goroutines)
+// take returns an empty staging buffer, waiting for the writer to free one
+// when the whole pool is in use. While it waits it keeps a sweep requested,
+// so the writer never parks on a taker: whoever else holds the buffers may be
+// blocked for good with a partial batch, which only a sweep collects.
+func (s *shim) take() []trace.Access {
+	var b []trace.Access
+	got := true
+	select {
+	case b = <-s.free:
+	default:
+		got = false
+	}
+	for !got {
+		select {
+		case b = <-s.free:
+			got = true
+		case s.wake <- struct{}{}:
+		}
+	}
+	if b == nil {
+		b = make([]trace.Access, 0, batchSize)
+	}
+	return b
+}
+
+// writer is the one goroutine that turns batches into trace bytes while the
+// target runs.
+func (s *shim) writer() {
+	for range s.wake {
+		s.wmu.Lock()
+		if s.closed.Load() {
+			s.wmu.Unlock()
+			return // Shutdown makes the last sweep itself
+		}
+		s.sweep(s.clock.Load())
+		s.wmu.Unlock()
+	}
+}
+
+// sweep collects every handle's batches — the full ones and, so that a
+// goroutine parked with half a batch cannot stall the stream, the partial one
+// — and emits all records with clock ≤ w in clock order; it returns the number
+// of handles. w must have been read from the clock before the call: a handle
+// then either is in the snapshot and is locked after w was read, or was
+// created later; both ways every record of it that the sweep does not collect
+// is newer than w. What it collects beyond w stays queued for the next sweep.
+// Caller holds wmu.
+func (s *shim) sweep(w uint64) int {
+	s.mu.Lock()
+	all := s.all
+	s.mu.Unlock()
+	s.active = s.active[:0]
+	for _, g := range all {
+		g.mu.Lock()
+		g.q = append(g.q, g.full...)
+		g.full = g.full[:0]
+		if len(g.cur) > 0 {
+			g.q = append(g.q, g.cur)
+			g.cur = nil
+		}
+		g.mu.Unlock()
+		if len(g.q) > 0 {
+			s.active = append(s.active, g)
+		}
+	}
+	for len(s.active) > 0 {
+		// The handle whose next record is the oldest runs until another
+		// handle's next record is due: a k-way merge by runs, not by records.
+		first, second, at := uint64(math.MaxUint64), uint64(math.MaxUint64), 0
+		for i, g := range s.active {
+			switch t := g.q[0][g.pos].Time; {
+			case t < first:
+				first, second, at = t, first, i
+			case t < second:
+				second = t
+			}
+		}
+		if first > w {
+			break
+		}
+		if !s.drain(s.active[at], min(w, second-1)) {
+			last := len(s.active) - 1
+			s.active[at] = s.active[last]
+			s.active = s.active[:last]
+		}
+	}
+	return len(all)
+}
+
+// drain emits g's queued records up to clock limit, returning emptied buffers
+// to the pool, and reports whether g has records left.
+func (s *shim) drain(g *TG, limit uint64) bool {
+	if !s.opened {
+		s.open()
+	}
+	enc := s.enc // nil if open failed: the records go nowhere
+	for len(g.q) > 0 {
+		b, i := g.q[0], g.pos
+		for ; i < len(b) && b[i].Time <= limit; i++ {
+			if enc != nil {
+				enc.Write(b[i]) // a failure is sticky: Close reports it
+			}
+		}
+		if i < len(b) {
+			g.pos = i
+			return true
+		}
+		s.free <- b[:0] // never blocks: the buffer's own slot is vacant
+		g.q = g.q[:copy(g.q, g.q[1:])]
+		g.pos = 0
+	}
+	return false
+}
+
+// open creates the sink and writes the trace header and region table. If it
+// cannot, that is reported, enc stays nil and batches drain into nothing: the
+// target keeps running.
+func (s *shim) open() {
+	s.opened = true
+	var ws io.WriteSeeker
+	var err error
+	if path := os.Getenv("COMMPROF_TRACE"); path != "" {
+		s.file, err = os.Create(path)
+		ws = s.file
+	} else {
+		s.buf = new(trace.Buffer)
+		ws = s.buf
+	}
+	if err == nil {
+		s.mu.Lock()
+		s.sealed = true
+		s.enc, err = trace.NewDynamicEncoder(ws, s.table)
+		s.mu.Unlock()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "commprof/probe: not recording:", err)
+	}
+}
+
+// Shutdown finalizes the run: it stops recording, makes the last sweep with no
+// watermark, patches the counts into the trace header, and — in live mode —
+// analyses the trace in-process and prints the report to stdout. The rewriter
+// injects it as the first defer of main.main; calling it again waits for the
+// first call and does nothing more.
+func Shutdown() { std.shutdown() }
+
+// Exit is os.Exit for instrumented programs — the rewriter substitutes it for
+// os.Exit calls in the target package — finalizing the trace first.
+func Exit(code int) {
+	std.shutdown()
+	os.Exit(code)
+}
+
+func (s *shim) shutdown() {
+	s.once.Do(func() {
+		s.closed.Store(true)
+		s.kick() // the writer goroutine sees closed and exits
+		s.wmu.Lock()
+		defer s.wmu.Unlock()
+		goroutines := s.sweep(math.MaxUint64)
+		if !s.opened {
+			s.open() // a run without accesses is still a trace
+		}
+		if s.enc == nil {
+			return
+		}
+		s.enc.SetThreads(goroutines)
+		err := s.enc.Close()
+		if s.file != nil {
+			if cerr := s.file.Close(); err == nil {
+				err = cerr
+			}
+		}
+		switch {
+		case err != nil:
+		case s.file != nil:
+			fmt.Fprintf(os.Stderr, "commprof/probe: recorded %d accesses from %d goroutines to %s\n",
+				s.enc.Written(), goroutines, s.file.Name())
+		case goroutines == 0:
+			fmt.Fprintln(os.Stderr, "commprof/probe: no instrumented accesses recorded")
+		default:
+			err = s.report(goroutines)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "commprof/probe:", err)
@@ -204,70 +442,17 @@ func Shutdown() {
 	})
 }
 
-// record writes the run as a v3 trace file. Header counts start as the
-// unpatched sentinel and are patched on Close, so a recording that dies
-// mid-write is detectably truncated rather than silently short (and
-// salvageable with commtrace -mode recover).
-func record(path string, accs []trace.Access, goroutines int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc, err := trace.NewDynamicEncoder(f, table)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for _, a := range accs {
-		if err := enc.Write(a); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	enc.SetThreads(goroutines)
-	if err := enc.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "commprof/probe: recorded %d accesses from %d goroutines to %s\n",
-		len(accs), goroutines, path)
-	return nil
-}
-
-// live analyses the run in-process through the sharded pipeline and prints
-// the standard report, so an instrumented binary is useful stand-alone.
-func live(accs []trace.Access, goroutines int) error {
-	if goroutines == 0 {
-		fmt.Fprintln(os.Stderr, "commprof/probe: no instrumented accesses recorded")
-		return nil
-	}
-	regions := make([]commprof.Region, table.Len())
-	for i, r := range table.Regions {
-		regions[i] = commprof.Region{
-			Name: r.Name, Parent: r.Parent, Loop: r.Kind == trace.LoopRegion,
-			File: r.File, Line: r.Line,
-		}
-	}
-	converted := make([]commprof.Access, len(accs))
-	for i, a := range accs {
-		k := commprof.ReadAccess
-		if a.Kind == trace.Write {
-			k = commprof.WriteAccess
-		}
-		converted[i] = commprof.Access{
-			Kind: k, Addr: a.Addr, Size: a.Size,
-			Thread: a.Thread, Region: a.Region, Time: a.Time,
-		}
-	}
+// report is live mode's second half: the recorded bytes replayed through the
+// standard analysis, so an instrumented binary is useful stand-alone.
+func (s *shim) report(goroutines int) error {
 	opts := commprof.Options{
-		Threads:             goroutines,
-		AnalysisShards:      envInt("COMMPROF_SHARDS", runtime.GOMAXPROCS(0)),
+		AnalysisShards:      envInt("COMMPROF_SHARDS", 0),
 		PhaseWindow:         uint64(envInt("COMMPROF_PHASES", 0)),
 		GranularityBits:     uint(envInt("COMMPROF_GRANULARITY", 0)),
 		RedundancyCacheBits: uint(envInt("COMMPROF_REDUNDANCY_BITS", 0)),
+	}
+	if opts.AnalysisShards == 0 {
+		opts.AnalysisShards = runtime.GOMAXPROCS(0)
 	}
 	if slots := envInt("COMMPROF_SIG", 0); slots > 0 {
 		opts.SignatureSlots = uint64(slots)
@@ -281,7 +466,7 @@ func live(accs []trace.Access, goroutines int) error {
 		tel.EnableTimeline()
 		opts.Telemetry = tel
 	}
-	rep, err := commprof.ProfileTraceParallel(converted, regions, goroutines, opts)
+	rep, err := commprof.Replay(bytes.NewReader(s.buf.Bytes()), goroutines, opts)
 	if err != nil {
 		return err
 	}

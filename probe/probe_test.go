@@ -1,24 +1,124 @@
 package probe
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"os"
+	"os/exec"
+	"os/signal"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 	"unsafe"
 
 	"commprof/internal/trace"
 )
 
-// TestShimRecordsTrace drives the whole shim once (the package state is
-// process-global, like the real instrumented runtime): several goroutines
-// probe shared memory, Shutdown writes a v2 trace, and the decode round-trip
-// checks compact goroutine IDs, the patched counts and the temporal order.
+// blockRecords is the trace encoder's v3 block length in records.
+const blockRecords = 4096
+
+// childEnv turns the test binary into a probing target (see TestMain): the
+// exit-path tests need a whole process to kill.
+const childEnv = "COMMPROF_PROBE_CHILD"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(childEnv) != "" {
+		streamChild()
+	}
+	os.Exit(m.Run())
+}
+
+// reset gives the test a fresh shim recording to a file in its own temporary
+// directory (the state is otherwise process-global, like the real runtime's),
+// and retires the previous one: its writer exits, its signal watcher hears
+// no more.
+func reset(t *testing.T) (s *shim, tracePath string) {
+	t.Helper()
+	old := std
+	old.closed.Store(true)
+	old.kick()
+	old.mu.Lock()
+	if old.sigc != nil {
+		signal.Stop(old.sigc)
+	}
+	old.mu.Unlock()
+	std = newShim()
+	tracePath = filepath.Join(t.TempDir(), "probe.trace")
+	t.Setenv("COMMPROF_TRACE", tracePath)
+	return std, tracePath
+}
+
+var twoRegions = []Region{
+	{Name: "main", Parent: -1, File: "main.go", Line: 5},
+	{Name: "main#for1", Parent: 0, Loop: true, File: "main.go", Line: 8},
+}
+
+// decode reads a finalized trace back, holding it to the stream's contract:
+// strictly increasing clocks. It returns the decoder and the records per
+// goroutine.
+func decode(t *testing.T, path string) (*trace.Decoder, map[int32]int) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec, err := trace.NewDecoder(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec, drainOrdered(t, dec)
+}
+
+func drainOrdered(t *testing.T, dec *trace.Decoder) map[int32]int {
+	t.Helper()
+	var prev uint64
+	perG := map[int32]int{}
+	if err := dec.ForEach(func(a trace.Access) error {
+		if a.Time <= prev {
+			return fmt.Errorf("records out of temporal order: %d after %d", a.Time, prev)
+		}
+		prev = a.Time
+		perG[a.Thread]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return perG
+}
+
+// written is how many records the shim's encoder has taken so far.
+func (s *shim) written() int {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.enc == nil {
+		return 0
+	}
+	return s.enc.Written()
+}
+
+// waitFor polls cond — progress of the asynchronous writer, which signals
+// nobody — and fails the test if it does not hold in time.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestShimRecordsTrace drives the whole shim once: several goroutines probe
+// shared memory, Shutdown writes a v3 trace, and the decode round-trip checks
+// compact goroutine IDs, the patched counts and the temporal order.
 func TestShimRecordsTrace(t *testing.T) {
-	Register([]Region{
-		{Name: "main", Parent: -1, File: "main.go", Line: 5},
-		{Name: "main#for1", Parent: 0, Loop: true, File: "main.go", Line: 8},
-	})
+	_, path := reset(t)
+	Register(twoRegions)
 	var shared [4]uint64
 	const workers, rounds = 3, 100
 
@@ -42,21 +142,10 @@ func TestShimRecordsTrace(t *testing.T) {
 	}
 	wg.Wait()
 
-	path := filepath.Join(t.TempDir(), "probe.trace")
-	os.Setenv("COMMPROF_TRACE", path)
-	defer os.Unsetenv("COMMPROF_TRACE")
 	Shutdown()
 	Shutdown() // idempotent
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	dec, err := trace.NewDecoder(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec, perG := decode(t, path)
 	if dec.Threads() != workers+1 {
 		t.Fatalf("Threads() = %d, want %d", dec.Threads(), workers+1)
 	}
@@ -67,24 +156,272 @@ func TestShimRecordsTrace(t *testing.T) {
 	if dec.Table().Len() != 2 || dec.Table().Regions[1].File != "main.go" {
 		t.Fatalf("region table did not round-trip: %+v", dec.Table().Regions)
 	}
-	var prev uint64
-	seen := map[int32]bool{}
-	if err := dec.ForEach(func(a trace.Access) error {
-		if a.Time <= prev {
-			t.Fatalf("records out of temporal order: %d after %d", a.Time, prev)
-		}
-		prev = a.Time
-		seen[a.Thread] = true
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
 	for id := int32(0); id <= workers; id++ {
-		if !seen[id] {
-			t.Fatalf("compact goroutine ID %d missing from trace (saw %v)", id, seen)
+		if perG[id] == 0 {
+			t.Fatalf("compact goroutine ID %d missing from trace (saw %v)", id, perG)
 		}
 	}
 
 	// Probes after Shutdown must be dropped, not crash.
 	g0.W(unsafe.Pointer(&shared[0]), 8, 0)
+}
+
+// freeRun has goroutines free-running workers issue probes each, with no
+// hand-off between them: the interleaving is the scheduler's.
+func freeRun(workers, probes int) {
+	data := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := G()
+			for i := 0; i < probes; i++ {
+				g.W(unsafe.Pointer(&data[w]), 8, 1)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestFreeRunningGoroutines: the watermark merge of unsynchronised goroutines
+// yields every record exactly once, in strictly increasing clock order — the
+// clocks 1..n are all there, so none is lost or doubled — with each
+// goroutine's own count.
+func TestFreeRunningGoroutines(t *testing.T) {
+	s, path := reset(t)
+	Register(twoRegions)
+	const workers, probes = 8, 100_000
+	freeRun(workers, probes)
+	if s.written() == 0 {
+		t.Error("nothing was encoded before Shutdown: the stream did not stream")
+	}
+	Shutdown()
+
+	dec, perG := decode(t, path)
+	if dec.Len() != workers*probes || dec.Threads() != workers {
+		t.Fatalf("trace holds %d records from %d goroutines, want %d from %d", dec.Len(), dec.Threads(), workers*probes, workers)
+	}
+	// n strictly increasing clocks drawn from 1..n are exactly 1..n.
+	if last := s.clock.Load(); last != workers*probes {
+		t.Fatalf("clock stopped at %d, want %d", last, workers*probes)
+	}
+	for id := int32(0); id < workers; id++ {
+		if perG[id] != probes {
+			t.Errorf("goroutine %d: %d records, want %d", id, perG[id], probes)
+		}
+	}
+}
+
+// TestParkedGoroutineDoesNotStall: a goroutine blocked with half a batch holds
+// the oldest records of the run; the stream must steal them and keep emitting
+// while it stays blocked.
+func TestParkedGoroutineDoesNotStall(t *testing.T) {
+	s, path := reset(t)
+	Register(twoRegions)
+	var word uint64
+	const parked = batchSize / 2
+	ready, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		g := G()
+		for i := 0; i < parked; i++ {
+			g.W(unsafe.Pointer(&word), 8, 1)
+		}
+		close(ready)
+		<-release
+	}()
+	<-ready
+
+	g := G()
+	for i := 0; i < 4*batchSize; i++ {
+		g.R(unsafe.Pointer(&word), 8, 1)
+	}
+	waitFor(t, "emission past the parked goroutine's records", func() bool { return s.written() >= parked+batchSize })
+	close(release)
+	wg.Wait()
+	Shutdown()
+
+	dec, perG := decode(t, path)
+	if dec.Len() != parked+4*batchSize || perG[0] != parked {
+		t.Fatalf("trace holds %d records, %d of the parked goroutine; want %d and %d", dec.Len(), perG[0], parked+4*batchSize, parked)
+	}
+}
+
+// TestPoolBoundsBuffers counts staging buffers instead of timing anything: a
+// run allocates at most the pool, ten times the probes allocate no more, and
+// every slot is back when the run is over.
+func TestPoolBoundsBuffers(t *testing.T) {
+	for _, probes := range []int{50_000, 500_000} {
+		s, path := reset(t)
+		Register(twoRegions)
+		freeRun(4, probes)
+		Shutdown()
+		if dec, _ := decode(t, path); dec.Len() != 4*probes {
+			t.Fatalf("%d probes per goroutine: trace holds %d records, want %d", probes, dec.Len(), 4*probes)
+		}
+		if len(s.free) != poolSize {
+			t.Fatalf("%d probes per goroutine: %d of %d pool slots came back", probes, len(s.free), poolSize)
+		}
+		allocated := 0
+		for i := 0; i < poolSize; i++ {
+			if b := <-s.free; b != nil {
+				allocated++
+			}
+		}
+		if allocated == 0 || allocated > poolSize {
+			t.Errorf("%d probes per goroutine: %d buffers allocated, pool %d", probes, allocated, poolSize)
+		}
+	}
+}
+
+// TestLateRegisterReported: regions declared after the header went out cannot
+// reach the trace; that is said on stderr, not silently lost.
+func TestLateRegisterReported(t *testing.T) {
+	s, path := reset(t)
+	Register(twoRegions)
+	var word uint64
+	g := G()
+	for i := 0; i < batchSize; i++ {
+		g.W(unsafe.Pointer(&word), 8, 1)
+	}
+	waitFor(t, "the first emission", func() bool { return s.written() > 0 })
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	Register([]Region{{Name: "late", Parent: -1}})
+	os.Stderr = stderr
+	w.Close()
+	said, _ := io.ReadAll(r)
+	if !strings.Contains(string(said), "after the trace header was written") {
+		t.Errorf("late Register not reported; stderr: %q", said)
+	}
+	Shutdown()
+	if dec, _ := decode(t, path); dec.Table().Len() != len(twoRegions) {
+		t.Errorf("trace declares %d regions, want the %d registered in time", dec.Table().Len(), len(twoRegions))
+	}
+}
+
+// streamChild is the target the exit-path tests kill: two goroutines probe
+// without end (the pool's backpressure holds them to the writer's pace), and
+// the main goroutine reports once on stdout how many full blocks are on disk.
+// The encoder sits behind a 4 KB bufio.Writer, less than one block, so of the
+// blocks it has framed all but the last have reached the file.
+func streamChild() {
+	Register(twoRegions)
+	var data [2]uint64
+	for w := range data {
+		go func(w int) {
+			g := G()
+			for {
+				g.W(unsafe.Pointer(&data[w]), 8, 1)
+			}
+		}(w)
+	}
+	want, _ := strconv.Atoi(os.Getenv(childEnv))
+	for std.written()/blockRecords-1 < want {
+		time.Sleep(time.Millisecond)
+	}
+	fmt.Println(std.written()/blockRecords - 1)
+	select {}
+}
+
+// startStreamChild re-execs the test binary as streamChild and returns once
+// it has reported blocks full blocks on disk.
+func startStreamChild(t *testing.T, path string, blocks int) (*exec.Cmd, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), childEnv+"="+strconv.Itoa(blocks), "COMMPROF_TRACE="+path)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() }) // no-op once the child is gone
+	line, err := bufio.NewReader(out).ReadString('\n')
+	if err != nil {
+		t.Fatalf("target reported nothing: %v", err)
+	}
+	n, err := strconv.Atoi(strings.TrimSpace(line))
+	if err != nil || n < blocks {
+		t.Fatalf("target reported %q, want at least %d blocks", line, blocks)
+	}
+	return cmd, n
+}
+
+// TestKilledTargetLeavesSalvageableTrace pins record mode's promise: the trace
+// is written while the target runs, so SIGKILL — which no handler sees —
+// leaves every block already on disk under an unfinalized header, and both the
+// tolerant decoder and commtrace -mode recover get them back in clock order.
+func TestKilledTargetLeavesSalvageableTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "killed.trace")
+	cmd, blocks := startStreamChild(t, path, 8)
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := trace.NewDecoder(f); err == nil {
+		t.Fatal("a killed target's trace decodes strictly: it must read as unfinalized")
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := trace.NewDecoderTolerant(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perG := drainOrdered(t, dec)
+	if !dec.Unfinalized() {
+		t.Error("Unfinalized() = false for a trace whose writer was killed")
+	}
+	if got := perG[0] + perG[1]; got < blocks*blockRecords {
+		t.Errorf("salvaged %d records, want at least the %d of the %d blocks reported on disk", got, blocks*blockRecords, blocks)
+	}
+
+	if testing.Short() {
+		return // the rest builds and runs the commtrace driver
+	}
+	out, err := exec.Command("go", "run", "commprof/cmd/commtrace", "-mode", "recover", "-in", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("commtrace -mode recover: %v\n%s", err, out)
+	}
+	if want := fmt.Sprintf("recovered %d complete records (header unfinalized), 2 goroutines", perG[0]+perG[1]); !strings.Contains(string(out), want) {
+		t.Errorf("commtrace -mode recover did not report %q:\n%s", want, out)
+	}
+}
+
+// TestSIGTERMFinalizesTrace: the shim's handler runs Shutdown, so the trace is
+// complete and strictly decodable, and then re-raises, so the process still
+// dies of the signal as it would have without the shim.
+func TestSIGTERMFinalizesTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "term.trace")
+	cmd, blocks := startStreamChild(t, path, 2)
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	err := cmd.Wait()
+	ws, ok := cmd.ProcessState.Sys().(syscall.WaitStatus)
+	if !ok || !ws.Signaled() || ws.Signal() != syscall.SIGTERM {
+		t.Errorf("target ended with %v, want death by SIGTERM", err)
+	}
+	dec, perG := decode(t, path)
+	if dec.Threads() != 2 || dec.Len() < blocks*blockRecords || perG[0]+perG[1] != dec.Len() {
+		t.Errorf("finalized trace declares %d records from %d goroutines (decoded %v), want at least %d from 2",
+			dec.Len(), dec.Threads(), perG, blocks*blockRecords)
+	}
 }

@@ -5,7 +5,8 @@
 # superseded benchmark harness), the full test suite, a race-detector pass
 # over the packages with lock-free hot paths (signature memory), real
 # concurrency (the parallel engine mode, the sharded analysis pipeline and its
-# blocking ring queues, replay producer staging), merge-order algebra (comm),
+# blocking ring queues, replay producer staging, the real-Go probe runtime's
+# per-goroutine batches and watermark writer), merge-order algebra (comm),
 # the static-coalescing differential wall (passes) and the observability
 # primitives (obs timelines, tracers, histograms) plus a race pass over the
 # whole facade (in-thread runs share the analysis engine with the live
@@ -61,11 +62,11 @@ guard "the superseded benchmark harness is cited" \
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (sig, exec, pipeline, detect, redundancy, accuracy, trace, comm, patterns, metrics, instrument, passes, obs) =="
+echo "== go test -race (sig, exec, pipeline, detect, redundancy, accuracy, trace, comm, patterns, metrics, instrument, passes, obs, probe) =="
 go test -race ./internal/sig/... ./internal/exec/... ./internal/pipeline/... ./internal/detect/... \
 	./internal/redundancy/... ./internal/accuracy/... ./internal/trace/... ./internal/comm/... \
 	./internal/patterns/... ./internal/metrics/... ./internal/instrument/... ./internal/passes/... \
-	./internal/obs/...
+	./internal/obs/... ./probe/...
 
 echo "== go test -race (facade) =="
 go test -race .
@@ -73,15 +74,15 @@ go test -race .
 echo "== go test -cpu 1,2,4 (facade) =="
 go test -cpu 1,2,4 .
 
-echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, experiments queue + throughput) =="
-go test -cpu 1,2,4 -count 3 ./internal/detect/... ./internal/pipeline/... ./internal/sig/...
+echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, probe, experiments queue + throughput) =="
+go test -cpu 1,2,4 -count 3 ./internal/detect/... ./internal/pipeline/... ./internal/sig/... ./probe/...
 go test -cpu 1,2,4 -count 3 -run 'TestQueueArchitecture|TestThroughputComparison' ./internal/experiments
 
 echo "== bench module: go vet + go test =="
 (cd bench && go vet . && go test .)
 
 echo "== commtrace -mode check (instrument + vet every example program) =="
-for pkg in workerpool chanpipe striped; do
+for pkg in workerpool chanpipe striped exitpaths; do
 	go run ./cmd/commtrace -mode check -pkg "./testdata/$pkg"
 done
 
