@@ -306,7 +306,7 @@ func TestReplayShardedTelemetryBound(t *testing.T) {
 	if hit <= 0 {
 		t.Errorf("redundancy_hit_rate = %v with %d hits", hit, rep.Redundancy.Hits)
 	}
-	for _, g := range []string{"pipeline_shard_0_depth", "pipeline_shard_1_depth", "pipeline_dropped_reads"} {
+	for _, g := range []string{"pipeline_shard_0_depth", "pipeline_shard_1_depth"} {
 		if _, ok := rep.Telemetry.Gauges[g]; !ok {
 			t.Errorf("%s gauge missing: %v", g, rep.Telemetry.Gauges)
 		}

@@ -53,13 +53,10 @@ func newAnalysis(opts Options, threads int, table *trace.Table, concurrent bool)
 		// belong to exactly one. A shard worker is such an owner.
 		return nil, fmt.Errorf("commprof: RedundancyCacheBits and AccuracyTargetFPR need a single-consumer analyser: with Parallel set AnalysisShards ≥ 1")
 	}
-	policy, err := opts.ShardPolicy.toInternal()
-	if err != nil {
-		return nil, err
-	}
 	tel := opts.Telemetry
 	probes := tel.probes()
 	an := &analysis{opts: opts, threads: threads, concurrent: concurrent, tel: tel}
+	var err error
 	if an.ps, err = newPhaseState(opts, table, tel, probes); err != nil {
 		return nil, err
 	}
@@ -74,8 +71,6 @@ func newAnalysis(opts Options, threads int, table *trace.Table, concurrent bool)
 		Table:               table,
 		GranularityBits:     opts.GranularityBits,
 		QueueCapacity:       opts.ShardQueueCapacity,
-		BatchSize:           opts.ShardBatchSize,
-		Policy:              policy,
 		RedundancyCacheBits: opts.RedundancyCacheBits,
 		Accuracy:            opts.accuracyOptions(threads, probes),
 		NewBackend:          pipeline.AsymmetricFactory(opts.SignatureSlots, opts.AnalysisShards, threads, opts.BloomFPRate, probes.SigProbes()),

@@ -8,7 +8,7 @@
 //	commprof -app lu_ncb -threads 32 -size simdev
 //	commprof -list
 //	commprof -app fft -heatmap -classify
-//	commprof -app ocean_cp -shards 8 -shard-policy degrade
+//	commprof -app ocean_cp -shards 8 -shard-queue 1024
 //	commprof -app fft -shards 4 -phases 5000 -telemetry-addr :9090
 //	commprof -app radix -record radix.trace
 //	commprof -replay radix.trace -threads 32
@@ -50,9 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		gran     = fs.Uint("granularity", 0, "analysis granularity in address bits (0 = per address, 6 = 64B lines)")
 		coalesce = fs.Bool("coalesce", true, "statically coalesce provably redundant probes before execution (MiniPar pipeline; -coalesce=false disables)")
 		shards   = fs.Int("shards", 0, "analysis shards K of the analysis engine (0 = the paper's in-thread analysis, K > 0 = K shard workers)")
-		shardQ   = fs.Int("shard-queue", 0, "per-shard bounded queue capacity in accesses (0 = default 8192)")
-		shardB   = fs.Int("shard-batch", 0, "producer staging batch / worker drain limit in accesses (0 = default 256)")
-		shardPol = fs.String("shard-policy", "block", "shard overload policy: block (backpressure), degrade (thin reads while saturated) or auto (degrade only under sustained overload)")
+		shardQ   = fs.Int("shard-queue", 0, "per-shard bounded queue capacity in accesses, the memory bound of -shards K (0 = default 8192); a producer facing a full queue blocks, use -sample to analyse less")
 		redunB   = fs.Uint("redundancy-bits", 0, "redundancy fast-path cache size in bits: 2^N entries per analyser filtering same-thread repeated accesses before the signature (0 = off)")
 		record   = fs.String("record", "", "also write the access trace to this file")
 		replay   = fs.String("replay", "", "analyse a recorded trace file instead of running a benchmark")
@@ -87,6 +85,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if *shardQ != 0 && *shards == 0 {
+		fmt.Fprintln(stderr, "commprof: -shard-queue applies to the sharded analyser only: set -shards >= 1 (in-thread analysis, -shards 0, has no queue)")
+		return 2
+	}
+
 	opts := commprof.Options{
 		Workload:        *app,
 		Threads:         *threads,
@@ -100,12 +103,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		AnalysisShards:  *shards,
 		DisableCoalesce: !*coalesce,
 
+		ShardQueueCapacity:  *shardQ,
 		RedundancyCacheBits: *redunB,
-	}
-	if *shards > 0 {
-		opts.ShardQueueCapacity = *shardQ
-		opts.ShardBatchSize = *shardB
-		opts.ShardPolicy = commprof.ShardPolicy(*shardPol)
 	}
 	if *sample > 0 {
 		opts.SampleBurst, opts.SamplePeriod = 1, uint32(*sample)

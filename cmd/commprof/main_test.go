@@ -66,6 +66,25 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
+// TestShardQueueNeedsShards: a flag the chosen mode would ignore is refused
+// by name, and the deleted overload-policy flags no longer parse.
+func TestShardQueueNeedsShards(t *testing.T) {
+	code, _, errOut := runCLI(t, "-app", "fft", "-threads", "8", "-shards", "0", "-shard-queue", "64")
+	if code != 2 || !strings.Contains(errOut, "-shards") {
+		t.Fatalf("exit %d, err %q; want 2 naming -shards", code, errOut)
+	}
+	code, out, errOut := runCLI(t, "-app", "fft", "-threads", "8", "-shards", "2", "-shard-queue", "64")
+	if code != 0 || !strings.Contains(out, "queue capacity 64, batch 64") {
+		t.Fatalf("exit %d, err %q, out:\n%s", code, errOut, out)
+	}
+	for _, gone := range [][]string{{"-shard-policy", "degrade"}, {"-shard-batch", "16"}} {
+		args := append([]string{"-app", "fft", "-threads", "8", "-shards", "2"}, gone...)
+		if code, _, _ := runCLI(t, args...); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (flag deleted)", gone[0], code)
+		}
+	}
+}
+
 func TestSamplingFlag(t *testing.T) {
 	code, out, errOut := runCLI(t, "-app", "ocean_cp", "-threads", "8", "-sample", "4")
 	if code != 0 {

@@ -113,20 +113,13 @@ type Options struct {
 	// global access index and the per-shard window partials merge to the
 	// in-thread analyser's exact window set.
 	AnalysisShards int
-	// ShardQueueCapacity bounds each shard's queue in accesses when
-	// AnalysisShards is active (0 = the pipeline default of 8192).
+	// ShardQueueCapacity bounds the accesses handed to each shard and not yet
+	// analysed when AnalysisShards is active (0 = the pipeline default of
+	// 8192): the run's memory bound. A producer facing a full queue blocks
+	// until the shard's worker catches up — analysis stays exhaustive; to
+	// analyse less, use SamplePeriod. In-thread analysis (AnalysisShards 0)
+	// has no queue.
 	ShardQueueCapacity int
-	// ShardPolicy selects the sharded analyser's overload behaviour:
-	// ShardPolicyBlock (default) applies backpressure, ShardPolicyDegrade
-	// thins reads while a queue is saturated. In-thread analysis
-	// (AnalysisShards 0) has no queue to overload.
-	ShardPolicy ShardPolicy
-	// ShardBatchSize sets the sharded analyser's producer staging batch and
-	// worker drain limit in accesses (0 = the pipeline default of 256).
-	// Larger batches amortise shard-queue locking further; smaller ones
-	// reduce detection latency and staging residency. In-thread analysis
-	// (AnalysisShards 0) stages nothing.
-	ShardBatchSize int
 	// RedundancyCacheBits, when non-zero, enables the redundancy-filtering
 	// fast path: a 2^bits-entry direct-mapped cache of the last (thread,
 	// kind) to touch each analysis granule, which skips the signature

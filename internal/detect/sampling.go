@@ -31,8 +31,8 @@ type Sampler struct {
 }
 
 // Gate is the burst/period read-admission policy underlying the Sampler,
-// extracted so other consumers (the sharded pipeline's degrade-to-sampling
-// overload mode, facade-level pre-enqueue thinning) share one definition: of
+// extracted so the facade's pre-enqueue read thinning (Options.SamplePeriod,
+// in front of either engine) shares one definition: of
 // every Period reads per thread, the first Burst are admitted. Each phase
 // counter is only ever advanced by its own thread, so a Gate is safe in
 // parallel engine mode without atomics.

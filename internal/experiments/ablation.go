@@ -349,7 +349,7 @@ func StreamReplay(env Env, app string, size splash.Size, shards int) (*StreamRep
 	newEngine := func() (*pipeline.Engine, error) {
 		// A deliberately tight queue bound makes the memory story visible:
 		// resident accesses cap at shards x capacity regardless of trace
-		// length, while the backpressure policy keeps analysis exhaustive.
+		// length, while backpressure keeps analysis exhaustive.
 		return pipeline.New(pipeline.Options{
 			Shards: shards, Threads: env.Threads, Table: prog.Table(),
 			QueueCapacity: 1024,

@@ -41,15 +41,12 @@ type DetectProbes struct {
 type PipelineProbes struct {
 	// Enqueued counts accesses accepted into shard queues.
 	Enqueued *Counter
-	// DroppedReads counts reads the degrade-to-sampling overload policy
-	// discarded while a shard queue was saturated.
-	DroppedReads *Counter
 	// EnqueueStalls counts producer waits on a full shard queue — the
 	// backpressure episodes a bounded queue trades for the original
 	// DiscoPoP's unbounded growth.
 	EnqueueStalls *Counter
-	// BatchSizes is the distribution of batch sizes workers drained per
-	// wakeup (1 = no amortization, BatchSize = fully amortized).
+	// BatchSizes is the distribution of buffer lengths workers analysed per
+	// wakeup (1 = no amortization, the engine's BatchSize = fully amortized).
 	BatchSizes *Histogram
 	// QueueDepth is the shard queue depth sampled at each worker drain,
 	// the throughput-facing complement of the per-shard live depth gauges.
@@ -58,10 +55,6 @@ type PipelineProbes struct {
 	// quantum-switch and end-of-stream flushes alike); Enqueued over
 	// ProducerFlushes is the realised enqueue amortization factor.
 	ProducerFlushes *Counter
-	// PolicyTransitions counts adaptive overload-policy mode switches
-	// (block→degrade on a stall-rate spike, degrade→block once drained);
-	// always 0 outside PolicyAuto.
-	PolicyTransitions *Counter
 }
 
 // AccuracyProbes instruments the shadow-sampling accuracy monitor
@@ -117,10 +110,10 @@ type PhaseProbes struct {
 // nanoseconds, which is what the overhead self-attribution report reads.
 type StageProbes struct {
 	// QueueWait is the time a producer spent blocked on a full shard queue,
-	// one observation per stalled enqueue call (PolicyBlock backpressure).
+	// one observation per stalled hand-off (backpressure).
 	QueueWait *Histogram
-	// Drain is one worker drain cycle: ring copy + detector batch + window
-	// flush. BatchService and Window are its two timed sub-stages.
+	// Drain is one worker drain cycle: detector batch + window flush.
+	// BatchService and Window are its two timed sub-stages.
 	Drain *Histogram
 	// BatchService is the detector's batch service time within a drain.
 	BatchService *Histogram
@@ -202,13 +195,11 @@ func DefaultProbes(r *Registry) *Probes {
 			ElidedProbes:    r.Counter("exec_elided_probes_total"),
 		},
 		Pipeline: &PipelineProbes{
-			Enqueued:          r.Counter("pipeline_enqueued_total"),
-			DroppedReads:      r.Counter("pipeline_dropped_reads_total"),
-			EnqueueStalls:     r.Counter("pipeline_enqueue_stalls_total"),
-			BatchSizes:        r.Histogram("pipeline_batch_size"),
-			QueueDepth:        r.Histogram("pipeline_queue_depth"),
-			ProducerFlushes:   r.Counter("pipeline_producer_flushes_total"),
-			PolicyTransitions: r.Counter("pipeline_policy_transitions_total"),
+			Enqueued:        r.Counter("pipeline_enqueued_total"),
+			EnqueueStalls:   r.Counter("pipeline_enqueue_stalls_total"),
+			BatchSizes:      r.Histogram("pipeline_batch_size"),
+			QueueDepth:      r.Histogram("pipeline_queue_depth"),
+			ProducerFlushes: r.Counter("pipeline_producer_flushes_total"),
 		},
 		Trace: &TraceProbes{
 			DecodedRecords: r.Counter("trace_decoded_records_total"),

@@ -37,7 +37,7 @@ type Timeline struct {
 }
 
 // maxTrackEvents bounds one track's buffer (~48 B/event ⇒ ≤ ~3 MiB/track).
-// Worker busy spans and policy instants sit far below this; only
+// Worker busy spans and window-close instants sit far below this; only
 // per-flush producer spans on very long runs hit it, and they degrade by
 // dropping whole spans, never unbalancing begin/end.
 const maxTrackEvents = 1 << 16
@@ -143,7 +143,7 @@ func (t *Track) End(name string) {
 	t.mu.Unlock()
 }
 
-// Instant records a zero-duration marker (policy transition, alarm, drop).
+// Instant records a zero-duration marker (window close, alarm).
 func (t *Track) Instant(name string) {
 	if t == nil {
 		return

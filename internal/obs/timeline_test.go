@@ -134,7 +134,7 @@ func TestTimelineExportSchema(t *testing.T) {
 	w0.Begin("busy")
 	w0.Begin("batch")
 	w0.End("batch")
-	w0.Instant("policy-degrade")
+	w0.Instant("window-close")
 	w0.End("busy")
 	w1.Counter("queue_depth", 17)
 	w1.Counter("queue_depth", 3)

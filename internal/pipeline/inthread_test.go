@@ -121,16 +121,16 @@ func TestInThreadMatchesBareDetector(t *testing.T) {
 	}
 }
 
-// TestInThreadAllocatesNoQueue pins what K = 0 does not build: no ring, no
+// TestInThreadAllocatesNoQueue pins what K = 0 does not build: no queue, no
 // worker, no producer staging, no producer registry entry — and therefore a
 // zero resident-access peak and zero flushes however much it analyses.
 func TestInThreadAllocatesNoQueue(t *testing.T) {
-	e, err := New(Options{Threads: 4, QueueCapacity: 1 << 20, BatchSize: 1 << 10, NewBackend: PerfectFactory(4)})
+	e, err := New(Options{Threads: 4, QueueCapacity: 1 << 20, NewBackend: PerfectFactory(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.shards) != 1 || e.shards[0].ring != nil {
-		t.Fatalf("K = 0 engine has %d shards, ring of %d", len(e.shards), len(e.shards[0].ring))
+	if len(e.shards) != 1 || e.shards[0].full != nil || e.shards[0].free != nil {
+		t.Fatalf("K = 0 engine has %d shards, queue %v, free list %v", len(e.shards), e.shards[0].full, e.shards[0].free)
 	}
 	if e.Shards() != 0 {
 		t.Fatalf("Shards() = %d on the in-thread engine, want 0", e.Shards())

@@ -11,7 +11,7 @@
 // to parallelize the analysis itself: hash each access address to one of K
 // shards, give every shard a private partition of signature memory, private
 // matrix accumulators, and a dedicated worker goroutine fed by a *bounded*
-// ring-buffer queue, then merge the shard results at close.
+// queue of access buffers, then merge the shard results at close.
 //
 // Sharding is correct because Algorithm 1's detection rule is purely
 // per-address: the communicating-access decision for address a depends only
@@ -26,12 +26,18 @@
 // statistically otherwise.
 //
 // Queues are bounded, so analysis memory stays fixed no matter how bursty
-// the producers are. Overload is governed by a policy: PolicyBlock (default)
-// applies backpressure, PolicyDegrade thins reads through the same
-// burst/period gate as detect.Sampler while a queue is saturated (writes are
-// never dropped — losing a write corrupts last-writer attribution rather
-// than merely losing volume), and PolicyAuto starts exhaustive and switches
-// to degrade mode only while the stall rate shows sustained overload.
+// the producers are, and there is one overload behaviour: backpressure. A
+// producer facing a full shard queue blocks until the worker catches up, so
+// analysis stays exhaustive and producer speed follows the slowest shard
+// (EnqueueStalls counts the episodes, the QueueWait stage times them). To
+// analyse less, thin reads in front of the engine (detect.Gate, the facade's
+// Options.SamplePeriod).
+//
+// The hand-off is by pointer, as between PROMPT's frontend and backends: a
+// Producer fills a buffer it owns, sends the whole buffer over the shard's
+// bounded channel and takes an empty one from the shard's free list; the
+// worker analyses the buffer in place and puts it back. An access is copied
+// once, into the buffer, and never again.
 package pipeline
 
 import (
@@ -53,43 +59,10 @@ import (
 	"commprof/internal/trace"
 )
 
-// OverloadPolicy selects what happens to producers when a shard queue fills.
-type OverloadPolicy int
-
-const (
-	// PolicyBlock applies backpressure: a producer blocks until the shard
-	// worker drains below capacity. Analysis is exhaustive; producer speed
-	// follows the slowest shard.
-	PolicyBlock OverloadPolicy = iota
-	// PolicyDegrade degrades to read sampling under overload: while a shard
-	// queue is saturated, reads pass through a detect.Gate and only the
-	// admitted burst fraction is enqueued; the rest are dropped and counted.
-	// Writes always enqueue (blocking if necessary).
-	PolicyDegrade
-	// PolicyAuto adapts between the two: it behaves like PolicyBlock until
-	// producer stall episodes exceed AutoStallPerSec within a sampling
-	// window, then degrades like PolicyDegrade until every shard queue has
-	// drained, at which point it restores exhaustive analysis. Each mode
-	// switch is counted (Report/obs expose it), so a run that never
-	// overloads pays nothing and loses nothing.
-	PolicyAuto
-)
-
-// String names the policy for reports.
-func (p OverloadPolicy) String() string {
-	switch p {
-	case PolicyDegrade:
-		return "degrade"
-	case PolicyAuto:
-		return "auto"
-	}
-	return "block"
-}
-
-// autoWindow is PolicyAuto's stall-rate sampling window: long enough to
-// ignore an isolated burst, short enough to react within a fraction of a
-// second of sustained overload.
-const autoWindow = 200 * time.Millisecond
+// batchLen is the hand-off unit: a producer sends a shard its staged accesses
+// once this many have accumulated (or at Flush / a thread switch), and a
+// worker analyses one such buffer per wakeup. Clamped to QueueCapacity.
+const batchLen = 256
 
 // shardSeed routes addresses to shards with a hash independent of both
 // signature slot hashes, so shard skew does not correlate with slot
@@ -100,10 +73,9 @@ const shardSeed uint64 = 0xA0761D6478BD642F
 type Options struct {
 	// Shards is the number of analysis shards K. 0 is the in-thread analyser:
 	// one shard that owns the whole slot budget and runs Algorithm 1 on the
-	// calling goroutine — no ring, no worker, no producer staging — so
-	// QueueCapacity, BatchSize and Policy do not apply, and a
-	// RedundancyCacheBits or Accuracy setting needs a single calling
-	// goroutine (see detect.Options).
+	// calling goroutine — no queue, no worker, no producer staging — so
+	// QueueCapacity does not apply, and a RedundancyCacheBits or Accuracy
+	// setting needs a single calling goroutine (see detect.Options).
 	Shards int
 	// Threads is the target program's thread count (matrix dimension).
 	Threads int
@@ -113,22 +85,13 @@ type Options struct {
 	// detect.Options; the shard route hashes the *coarsened* address so one
 	// granule never splits across shards.
 	GranularityBits uint
-	// QueueCapacity bounds each shard's queue in accesses (default 8192).
+	// QueueCapacity bounds the accesses handed over to one shard and not yet
+	// analysed (default 8192): the memory bound of a K > 0 run. The queue
+	// holds whole buffers of min(256, QueueCapacity) accesses, so a request
+	// that is not a whole number of buffers is rounded down to one
+	// (Engine.QueueCapacity reports the effective bound). A producer facing
+	// a full queue blocks.
 	QueueCapacity int
-	// BatchSize is the producer-side staging batch of ProcessStream and the
-	// worker-side drain limit (default 256). Larger batches amortize queue
-	// locking; smaller ones reduce detection latency.
-	BatchSize int
-	// Policy selects the overload behaviour (default PolicyBlock).
-	Policy OverloadPolicy
-	// DegradeBurst/DegradePeriod configure the read gate PolicyDegrade uses
-	// always and PolicyAuto uses while degraded (default 1 of every 8 reads
-	// admitted while saturated).
-	DegradeBurst, DegradePeriod uint32
-	// AutoStallPerSec is PolicyAuto's trip threshold: sustained enqueue
-	// stalls per second that flip the engine into degrade mode (default 50).
-	// Ignored by the other policies.
-	AutoStallPerSec float64
 	// RedundancyCacheBits, when non-zero, gives every shard worker a private
 	// 2^bits-entry redundancy-filtering cache in front of its signature
 	// partition (see internal/redundancy). Per-shard privacy makes the
@@ -187,10 +150,9 @@ type Options struct {
 	// detect.Options.Overhead).
 	Overhead *obs.OverheadProbes
 	// Timeline, when non-nil, records execution-timeline events: one track
-	// per shard worker (busy-period spans), one per producer (flush spans),
-	// and an "engine" track carrying policy-transition and sampled
-	// degrade-drop instants. Nil keeps the hot path free of timeline work
-	// beyond one nil check per drain/flush.
+	// per shard worker (busy-period spans) and one per producer (flush
+	// spans). Nil keeps the hot path free of timeline work beyond one nil
+	// check per drain/flush.
 	Timeline *obs.Timeline
 }
 
@@ -210,30 +172,8 @@ func (o *Options) setDefaults() error {
 	if o.QueueCapacity < 1 {
 		return fmt.Errorf("pipeline: QueueCapacity must be positive, got %d", o.QueueCapacity)
 	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 256
-	}
-	if o.BatchSize < 1 {
-		return fmt.Errorf("pipeline: BatchSize must be positive, got %d", o.BatchSize)
-	}
-	if o.BatchSize > o.QueueCapacity {
-		o.BatchSize = o.QueueCapacity
-	}
-	if o.DegradeBurst == 0 && o.DegradePeriod == 0 {
-		o.DegradeBurst, o.DegradePeriod = 1, 8
-	}
-	if o.Policy == PolicyDegrade || o.Policy == PolicyAuto {
-		if o.DegradeBurst == 0 || o.DegradePeriod == 0 || o.DegradeBurst > o.DegradePeriod {
-			return fmt.Errorf("pipeline: invalid degrade rate %d/%d (need 1 <= burst <= period)",
-				o.DegradeBurst, o.DegradePeriod)
-		}
-	}
-	if o.AutoStallPerSec == 0 {
-		o.AutoStallPerSec = 50
-	}
-	if o.AutoStallPerSec < 0 {
-		return fmt.Errorf("pipeline: AutoStallPerSec must be positive, got %v", o.AutoStallPerSec)
-	}
+	// The queue holds whole buffers.
+	o.QueueCapacity -= o.QueueCapacity % min(batchLen, o.QueueCapacity)
 	return nil
 }
 
@@ -261,26 +201,33 @@ func PerfectFactory(threads int) func(int) (sig.Backend, error) {
 	return func(int) (sig.Backend, error) { return sig.NewPerfect(threads), nil }
 }
 
-// shard owns one address partition: a bounded ring queue, a worker, a
-// private detector and a private signature partition. The in-thread engine's
-// single shard has no ring and no worker: callers run its detector directly.
+// shard owns one address partition: a bounded queue of access buffers, a
+// worker, a private detector and a private signature partition. The in-thread
+// engine's single shard has no queue and no worker: callers run its detector
+// directly.
 type shard struct {
 	d       *detect.Detector
 	backend sig.Backend
-	eng     *Engine // owning engine, for PolicyAuto's stall/restore hooks
 	stages  *obs.StageProbes
 	track   *obs.Track // worker timeline track; nil when the timeline is off
 
-	mu       sync.Mutex
-	notEmpty sync.Cond
-	notFull  sync.Cond
-	ring     []trace.Access
-	head, n  int
-	closed   bool
-	peak     int
+	// full carries filled buffers to the worker and is the bound: it holds
+	// one buffer fewer than QueueCapacity allows because the worker holds one
+	// while analysing it. free is where the worker leaves drained buffers for
+	// producers to pick up; neither side ever blocks on it. It has room for
+	// everything one producer keeps in circulation — the queue's buffers plus
+	// the one a blocked sender has let go of — so a replay allocates nothing
+	// in steady state; many parallel producers stalling at once can overflow
+	// it, and the surplus goes to the GC.
+	full chan []trace.Access
+	free chan []trace.Access
 
-	// depth mirrors n atomically for lock-free saturation checks and gauges.
+	// depth counts accesses handed over and not yet analysed, peak its
+	// maximum. Producers add after a successful send and the worker subtracts
+	// after analysing, so a fast worker can briefly drive depth below zero:
+	// read it through Depth.
 	depth atomic.Int64
+	peak  atomic.Int64
 
 	// windows accumulates this shard's time-windowed sub-matrices (nil when
 	// Options.PhaseWindow is 0); maxTime is the largest access time the
@@ -296,91 +243,94 @@ type shard struct {
 	maxTime atomic.Uint64
 }
 
-func (s *shard) capacity() int { return len(s.ring) }
-
 // Depth reports the current queue depth; safe while the run is in flight.
-func (s *shard) Depth() int { return int(s.depth.Load()) }
+func (s *shard) Depth() int { return int(max(s.depth.Load(), 0)) }
 
-// enqueue appends items to the ring in order, blocking while full. Returns
-// the recorded peak on the way out so producers never re-lock for it.
-func (s *shard) enqueue(items []trace.Access, p *obs.PipelineProbes) {
-	for len(items) > 0 {
-		s.mu.Lock()
-		if s.n == len(s.ring) && !s.closed {
-			if p != nil {
-				p.EnqueueStalls.Inc()
-			}
-			// Already off the fast path (the producer is about to sleep), so
-			// the auto-policy bookkeeping mutex and the stall clock reads cost
-			// nothing that matters.
-			s.eng.noteStall()
-			var t0 time.Time
-			if s.stages != nil {
-				t0 = time.Now()
-			}
-			for s.n == len(s.ring) && !s.closed {
-				s.notFull.Wait()
-			}
-			if s.stages != nil {
-				s.stages.QueueWait.Observe(uint64(time.Since(t0)))
-			}
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		k := len(s.ring) - s.n
-		if k > len(items) {
-			k = len(items)
-		}
-		for i := 0; i < k; i++ {
-			s.ring[(s.head+s.n+i)%len(s.ring)] = items[i]
-		}
-		s.n += k
-		if s.n > s.peak {
-			s.peak = s.n
-		}
-		s.depth.Add(int64(k))
-		s.mu.Unlock()
-		s.notEmpty.Signal()
-		items = items[k:]
+// handOff gives shard i's worker a filled buffer by pointer and returns an
+// empty one for the producer to fill next. A full queue blocks the caller until the
+// worker catches up — backpressure, the engine's one overload behaviour.
+// Once the engine is closed the accesses are ignored instead. The next
+// buffer comes from the free list when it has one and is allocated otherwise:
+// waiting for one could deadlock, because every producer parked at a barrier
+// (Options.Parallel in the facade) keeps a partly filled buffer.
+func (e *Engine) handOff(i int, buf []trace.Access) []trace.Access {
+	s, p := e.shards[i], e.opts.Probes
+	select {
+	case <-e.done:
+		return buf[:0]
+	default:
+	}
+	n := len(buf)
+	select {
+	case s.full <- buf:
+	default:
 		if p != nil {
-			p.Enqueued.Add(uint64(k))
+			p.EnqueueStalls.Inc()
 		}
+		var t0 time.Time
+		if s.stages != nil {
+			t0 = time.Now()
+		}
+		select {
+		case s.full <- buf:
+		case <-e.done:
+			return buf[:0]
+		}
+		if s.stages != nil {
+			s.stages.QueueWait.Observe(uint64(time.Since(t0)))
+		}
+	}
+	// Several producers may hand over to one shard in parallel engine mode,
+	// hence the CAS loop on the peak.
+	depth := s.depth.Add(int64(n))
+	for {
+		peak := s.peak.Load()
+		if depth <= peak || s.peak.CompareAndSwap(peak, depth) {
+			break
+		}
+	}
+	if p != nil {
+		p.Enqueued.Add(uint64(n))
+	}
+	select {
+	case next := <-s.free:
+		return next
+	default:
+		return make([]trace.Access, 0, cap(buf))
 	}
 }
 
-// worker drains the ring in batches and runs Algorithm 1 on its partition.
-// The goroutine runs under a runtime/pprof "shard=<idx>" label so CPU
-// profiles pulled from the -pprof endpoint attribute samples per shard.
-func (s *shard) worker(idx, batch int, p *obs.PipelineProbes, wg *sync.WaitGroup) {
+// worker receives buffers and runs Algorithm 1 on its partition. The
+// goroutine runs under a runtime/pprof "shard=<idx>" label so CPU profiles
+// pulled from the -pprof endpoint attribute samples per shard.
+func (s *shard) worker(idx int, p *obs.PipelineProbes, wg *sync.WaitGroup) {
 	defer wg.Done()
 	pprof.Do(context.Background(), pprof.Labels("shard", strconv.Itoa(idx)), func(context.Context) {
-		s.drainLoop(batch, p)
+		s.drainLoop(p)
 	})
 }
 
-// drainLoop is the worker body. Timeline spans are busy periods — one span
-// from the first drained batch after an idle wait until the queue next runs
-// dry — so a saturated run records a handful of spans, not one per batch.
-// Stage timing is per drained batch: at most four monotonic-clock reads per
-// BatchSize accesses.
-func (s *shard) drainLoop(batch int, p *obs.PipelineProbes) {
-	scratch := make([]trace.Access, batch)
+// drainLoop is the worker body: analyse each buffer in place, then return it
+// to the free list. Timeline spans are busy periods — one span from the first
+// buffer after an idle wait until the queue next runs dry — so a saturated
+// run records a handful of spans, not one per buffer. Stage timing is per
+// buffer: at most three monotonic-clock reads per batch of accesses.
+func (s *shard) drainLoop(p *obs.PipelineProbes) {
 	st := s.stages
 	busy := false
 	for {
-		s.mu.Lock()
-		if busy && s.n == 0 && !s.closed {
-			// Going idle: close the busy span before sleeping.
-			busy = false
-			s.track.End("busy")
+		var buf []trace.Access
+		select {
+		case buf = <-s.full:
+		default:
+			// The queue ran dry: close the busy span before sleeping.
+			if busy {
+				busy = false
+				s.track.End("busy")
+			}
+			buf = <-s.full
 		}
-		for s.n == 0 && !s.closed {
-			s.notEmpty.Wait()
-		}
-		if s.n == 0 && s.closed {
-			s.mu.Unlock()
+		if buf == nil { // Close's end-of-queue marker
 			if busy {
 				s.track.End("busy")
 			}
@@ -394,32 +344,14 @@ func (s *shard) drainLoop(batch int, p *obs.PipelineProbes) {
 		if st != nil {
 			t0 = time.Now()
 		}
-		k := s.n
-		if k > len(scratch) {
-			k = len(scratch)
-		}
 		if p != nil {
-			p.QueueDepth.Observe(uint64(s.n))
+			p.QueueDepth.Observe(uint64(s.Depth()))
 		}
-		for i := 0; i < k; i++ {
-			scratch[i] = s.ring[(s.head+i)%len(s.ring)]
-		}
-		s.head = (s.head + k) % len(s.ring)
-		s.n -= k
-		s.depth.Add(int64(-k))
-		s.mu.Unlock()
-		// Broadcast, not Signal: several producers may block on one shard in
-		// parallel engine mode and k freed slots can admit all of them.
-		s.notFull.Broadcast()
+		s.d.ProcessBatch(buf)
 		var t1 time.Time
 		if st != nil {
 			t1 = time.Now()
-		}
-		s.d.ProcessBatch(scratch[:k])
-		var t2 time.Time
-		if st != nil {
-			t2 = time.Now()
-			st.BatchService.Observe(uint64(t2.Sub(t1)))
+			st.BatchService.Observe(uint64(t1.Sub(t0)))
 		}
 		if s.windows != nil {
 			if len(s.evbuf) > 0 {
@@ -430,38 +362,35 @@ func (s *shard) drainLoop(batch int, p *obs.PipelineProbes) {
 			// time now fully processed. Deterministic and replay feeds arrive
 			// time-ordered per shard, so every future event on this shard has a
 			// strictly larger time; the engine frontier is the min across
-			// shards.
-			var max uint64
-			for i := 0; i < k; i++ {
-				if scratch[i].Time > max {
-					max = scratch[i].Time
-				}
+			// shards. This goroutine is maxTime's only writer.
+			latest := s.maxTime.Load()
+			for i := range buf {
+				latest = max(latest, buf[i].Time)
 			}
-			for {
-				cur := s.maxTime.Load()
-				if max <= cur || s.maxTime.CompareAndSwap(cur, max) {
-					break
-				}
-			}
+			s.maxTime.Store(latest)
 		}
 		if st != nil {
-			t3 := time.Now()
+			t2 := time.Now()
 			if s.windows != nil {
-				st.Window.Observe(uint64(t3.Sub(t2)))
+				st.Window.Observe(uint64(t2.Sub(t1)))
 			}
-			st.Drain.Observe(uint64(t3.Sub(t0)))
+			st.Drain.Observe(uint64(t2.Sub(t0)))
 		}
 		if p != nil {
-			p.BatchSizes.Observe(uint64(k))
+			p.BatchSizes.Observe(uint64(len(buf)))
 		}
-		s.eng.maybeRestore()
+		s.depth.Add(int64(-len(buf)))
+		select {
+		case s.free <- buf[:0]:
+		default: // more buffers than the queue needs: leave this one to the GC
+		}
 	}
 }
 
-// Engine is the analysis engine. Feed accesses with Process (any number of
-// concurrent producers), a Producer or ProcessStream (one producer, batched)
-// — or, in-thread, through the InThread detector itself — then Close before
-// reading merged results.
+// Engine is the analysis engine. Feed accesses through a Producer per
+// producing goroutine (or ProcessStream, which is one) — or, in-thread,
+// through the InThread detector itself — then Close before reading merged
+// results.
 type Engine struct {
 	opts   Options
 	shards []*shard
@@ -470,12 +399,10 @@ type Engine struct {
 	// inThread is the K = 0 engine's only detector, nil when K > 0.
 	inThread *detect.Detector
 
-	gate    *detect.Gate
-	dropped atomic.Uint64
-
-	// track is the engine-level timeline row: policy-transition instants and
-	// sampled degrade-drop instants land here (nil when the timeline is off).
-	track *obs.Track
+	// batch is the hand-off buffer length, min(batchLen, QueueCapacity); done
+	// is closed by Close so that no producer hands over, or waits, after it.
+	batch int
+	done  chan struct{}
 
 	// monitors holds each shard's private accuracy monitor (empty when
 	// Options.Accuracy is nil); accAlarm is the engine-level warn-once latch
@@ -486,15 +413,6 @@ type Engine struct {
 	// phaseCloser merges shard window partials and emits completed windows
 	// (nil when Options.PhaseWindow is 0).
 	phaseCloser *comm.WindowCloser
-
-	// PolicyAuto state: degraded mirrors the current mode, transitions counts
-	// mode switches in both directions, and the mutex guards the stall-rate
-	// sampling window (touched only on the already-slow stall path).
-	degraded    atomic.Bool
-	transitions atomic.Uint64
-	autoMu      sync.Mutex
-	winStart    time.Time
-	winStalls   int
 
 	prodMu    sync.Mutex
 	producers []*Producer
@@ -521,9 +439,9 @@ func New(opts Options) (*Engine, error) {
 		}
 	}
 	queued := opts.Shards > 0
-	e := &Engine{opts: opts, shards: make([]*shard, max(opts.Shards, 1))}
-	if queued {
-		e.track = opts.Timeline.Track("engine")
+	e := &Engine{
+		opts: opts, shards: make([]*shard, max(opts.Shards, 1)),
+		batch: min(batchLen, opts.QueueCapacity), done: make(chan struct{}),
 	}
 	if opts.PhaseWindow > 0 {
 		closer, err := comm.NewWindowCloser(opts.Threads, opts.PhaseWindow)
@@ -531,13 +449,6 @@ func New(opts Options) (*Engine, error) {
 			return nil, err
 		}
 		e.phaseCloser = closer
-	}
-	if opts.Policy == PolicyDegrade || opts.Policy == PolicyAuto {
-		gate, err := detect.NewGate(opts.Threads, opts.DegradeBurst, opts.DegradePeriod)
-		if err != nil {
-			return nil, err
-		}
-		e.gate = gate
 	}
 	for i := range e.shards {
 		backend, err := opts.NewBackend(i)
@@ -552,9 +463,11 @@ func New(opts Options) (*Engine, error) {
 			}
 			e.monitors = append(e.monitors, mon)
 		}
-		s := &shard{backend: backend, eng: e, stages: opts.Stages}
+		s := &shard{backend: backend, stages: opts.Stages}
 		if queued {
-			s.ring = make([]trace.Access, opts.QueueCapacity)
+			buffers := opts.QueueCapacity / e.batch
+			s.full = make(chan []trace.Access, buffers-1)
+			s.free = make(chan []trace.Access, buffers+1)
 			s.track = opts.Timeline.Track("shard-" + strconv.Itoa(i))
 		}
 		onEvent := opts.OnEvent
@@ -591,8 +504,6 @@ func New(opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
 		}
 		s.d = d
-		s.notEmpty.L = &s.mu
-		s.notFull.L = &s.mu
 		e.shards[i] = s
 	}
 	if !queued {
@@ -601,7 +512,7 @@ func New(opts Options) (*Engine, error) {
 	}
 	for i, s := range e.shards {
 		e.wg.Add(1)
-		go s.worker(i, e.opts.BatchSize, e.opts.Probes, &e.wg)
+		go s.worker(i, e.opts.Probes, &e.wg)
 	}
 	return e, nil
 }
@@ -625,118 +536,12 @@ func (e *Engine) route(addr uint64) int {
 	return int(murmur.HashAddr(addr>>e.opts.GranularityBits, shardSeed) % uint64(len(e.shards)))
 }
 
-// thinReads reports whether the degrade gate applies right now: always under
-// PolicyDegrade, only while tripped into degraded mode under PolicyAuto.
-func (e *Engine) thinReads() bool {
-	if e.gate == nil {
-		return false
-	}
-	return e.opts.Policy != PolicyAuto || e.degraded.Load()
-}
-
-// noteStall feeds PolicyAuto's stall-rate sampler. Producers call it when
-// they are about to block on a full shard queue; once stalls within the
-// sampling window exceed AutoStallPerSec, the engine trips into degrade mode.
-func (e *Engine) noteStall() {
-	if e.opts.Policy != PolicyAuto || e.degraded.Load() {
-		return
-	}
-	e.autoMu.Lock()
-	defer e.autoMu.Unlock()
-	if e.degraded.Load() {
-		return
-	}
-	now := time.Now()
-	if e.winStart.IsZero() || now.Sub(e.winStart) > autoWindow {
-		e.winStart, e.winStalls = now, 0
-	}
-	e.winStalls++
-	trip := int(e.opts.AutoStallPerSec * autoWindow.Seconds())
-	if trip < 1 {
-		trip = 1
-	}
-	if e.winStalls >= trip {
-		e.degraded.Store(true)
-		e.transitions.Add(1)
-		if p := e.opts.Probes; p != nil {
-			p.PolicyTransitions.Inc()
-		}
-		e.track.Instant("policy-degrade")
-		e.winStart, e.winStalls = time.Time{}, 0
-	}
-}
-
-// maybeRestore flips a degraded PolicyAuto engine back to exhaustive analysis
-// once every shard queue has drained. Workers call it after each batch; the
-// check is one atomic load when not degraded.
-func (e *Engine) maybeRestore() {
-	if e.opts.Policy != PolicyAuto || !e.degraded.Load() {
-		return
-	}
-	for _, s := range e.shards {
-		if s.depth.Load() > 0 {
-			return
-		}
-	}
-	if e.degraded.CompareAndSwap(true, false) {
-		e.transitions.Add(1)
-		if p := e.opts.Probes; p != nil {
-			p.PolicyTransitions.Inc()
-		}
-		e.track.Instant("policy-restore")
-	}
-}
-
-// Degraded reports whether a PolicyAuto engine is currently in degrade mode
-// (always false for the static policies); safe while the run is in flight.
-func (e *Engine) Degraded() bool { return e.degraded.Load() }
-
-// PolicyTransitions counts PolicyAuto mode switches in both directions; safe
-// while the run is in flight.
-func (e *Engine) PolicyTransitions() uint64 { return e.transitions.Load() }
-
-// Process analyses (K = 0) or enqueues (K > 0) one access. Safe for
-// concurrent producers; accesses from different producers interleave in
-// arrival order, exactly like the serial detector in parallel engine mode.
-func (e *Engine) Process(a trace.Access) {
-	if e.inThread != nil {
-		e.inThread.Process(a)
-		return
-	}
-	s := e.shards[e.route(a.Addr)]
-	if a.Kind == trace.Read && s.depth.Load() >= int64(s.capacity()) && e.thinReads() {
-		if !e.gate.Admit(a.Thread) {
-			e.noteDrop()
-			return
-		}
-	}
-	s.enqueue([]trace.Access{a}, e.opts.Probes)
-}
-
-// dropInstantEvery subsamples degrade-drop timeline instants: drops arrive in
-// bursts of thousands while a queue is saturated, so the timeline marks the
-// first drop of each power-of-two stride rather than every one.
-const dropInstantEvery = 4096
-
-// noteDrop counts one degraded read drop and, with a timeline attached,
-// emits a sampled drop instant on the engine track.
-func (e *Engine) noteDrop() {
-	n := e.dropped.Add(1)
-	if p := e.opts.Probes; p != nil {
-		p.DroppedReads.Inc()
-	}
-	if e.track != nil && n&(dropInstantEvery-1) == 1 {
-		e.track.Instant("degrade-drop")
-	}
-}
-
 // Producer is a per-producer staging handle in front of the shard queues:
-// accesses accumulate in private per-shard buffers and are enqueued as whole
-// batches, amortising queue locking across BatchSize accesses the way
-// Engine.ProcessStream always did for replay. A Producer is not safe for
-// concurrent use — give each producing goroutine its own (its buffers are
-// private, so parallel producers never contend on staging). Call Flush before
-// Close to push out any staged remainder.
+// accesses accumulate in one private buffer per shard, and a buffer is handed
+// to its shard's worker whole once it holds Engine.BatchSize accesses. A
+// Producer is not safe for concurrent use — give each producing goroutine its
+// own (its buffers are private, so parallel producers never contend on
+// staging). Call Flush before Close to push out any staged remainder.
 //
 // Staged accesses are invisible to shard workers until a flush, so a
 // producer's resident footprint is at most Shards×BatchSize accesses and the
@@ -760,7 +565,6 @@ type Producer struct {
 	// order-exact even when one handle carries every thread's accesses.
 	flushOnThreadSwitch bool
 	lastThread          int32
-	hasLast             bool
 
 	// peak/flushes are written only by the owning goroutine but read by
 	// concurrent stats snapshots, hence atomics.
@@ -787,7 +591,7 @@ func (e *Engine) NewProducer(flushOnThreadSwitch bool) *Producer {
 		flushOnThreadSwitch: flushOnThreadSwitch,
 	}
 	for i := range p.pending {
-		p.pending[i] = make([]trace.Access, 0, e.opts.BatchSize)
+		p.pending[i] = make([]trace.Access, 0, e.batch)
 	}
 	e.prodMu.Lock()
 	p.track = e.opts.Timeline.Track("producer-" + strconv.Itoa(len(e.producers)))
@@ -796,9 +600,9 @@ func (e *Engine) NewProducer(flushOnThreadSwitch bool) *Producer {
 	return p
 }
 
-// Process stages one access, flushing the target shard's batch when it
-// reaches BatchSize (and, in flushOnThreadSwitch mode, flushing everything
-// staged when the producing thread changes).
+// Process stages one access, handing the target shard's buffer over when it
+// is full (and, in flushOnThreadSwitch mode, handing over everything staged
+// when the producing thread changes).
 func (p *Producer) Process(a trace.Access) {
 	e := p.e
 	if e.inThread != nil {
@@ -806,33 +610,25 @@ func (p *Producer) Process(a trace.Access) {
 		return
 	}
 	if p.flushOnThreadSwitch {
-		if p.hasLast && a.Thread != p.lastThread && p.staged > 0 {
+		if a.Thread != p.lastThread && p.staged > 0 {
 			p.flush()
 		}
 		p.lastThread = a.Thread
-		p.hasLast = true
 	}
 	i := e.route(a.Addr)
-	s := e.shards[i]
-	if a.Kind == trace.Read && s.depth.Load() >= int64(s.capacity()) && e.thinReads() {
-		if !e.gate.Admit(a.Thread) {
-			e.noteDrop()
-			return
-		}
-	}
-	p.pending[i] = append(p.pending[i], a)
+	buf := append(p.pending[i], a)
 	p.staged++
 	if int64(p.staged) > p.peak.Load() {
 		p.peak.Store(int64(p.staged))
 	}
-	if len(p.pending[i]) == e.opts.BatchSize {
+	if len(buf) == e.batch {
 		p.track.Begin("flush")
-		s.enqueue(p.pending[i], e.opts.Probes)
+		buf = e.handOff(i, buf)
 		p.track.End("flush")
-		p.pending[i] = p.pending[i][:0]
-		p.staged -= e.opts.BatchSize
+		p.staged -= e.batch
 		p.noteFlush()
 	}
+	p.pending[i] = buf
 }
 
 // ProcessBatch stages a run of accesses — the natural feed from
@@ -863,7 +659,7 @@ func (p *Producer) ProcessBatch(batch []trace.Access) {
 	}
 }
 
-// Flush enqueues every staged batch. Call it when the producer is done (or
+// Flush hands over every staged buffer. Call it when the producer is done (or
 // at any ordering boundary); staged accesses are otherwise invisible to the
 // shard workers. Timed into the Producer stage like ProcessBatch.
 func (p *Producer) Flush() {
@@ -882,27 +678,18 @@ func (p *Producer) Flush() {
 }
 
 // flush is Flush without the stage timing, for the thread-switch trigger
-// inside Process (which an enclosing ProcessBatch already times).
+// inside Process (which an enclosing ProcessBatch already times). Callers
+// check that something is staged.
 func (p *Producer) flush() {
-	withSpan := p.track != nil && p.staged > 0
-	if withSpan {
-		p.track.Begin("flush")
-	}
-	flushed := false
-	for i, batch := range p.pending {
-		if len(batch) > 0 {
-			p.e.shards[i].enqueue(batch, p.e.opts.Probes)
-			p.pending[i] = p.pending[i][:0]
-			flushed = true
+	p.track.Begin("flush")
+	for i, buf := range p.pending {
+		if len(buf) > 0 {
+			p.pending[i] = p.e.handOff(i, buf)
 		}
 	}
 	p.staged = 0
-	if flushed {
-		p.noteFlush()
-	}
-	if withSpan {
-		p.track.End("flush")
-	}
+	p.noteFlush()
+	p.track.End("flush")
 }
 
 func (p *Producer) noteFlush() {
@@ -924,16 +711,18 @@ func (e *Engine) ProcessStream(accesses []trace.Access) {
 }
 
 // Close drains every shard queue, stops the workers and merges shard results.
-// Idempotent; call it before reading Global, Tree or Stats. In-thread there is
+// Idempotent; call it before reading Global, Tree or Stats. Accesses a
+// Producer hands over after (or racing) Close are ignored. In-thread there is
 // nothing to drain: the callers' Process calls have already returned.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
+		// done turns away producers from here on; the nil buffer queues up
+		// behind everything handed over before it and ends the worker.
+		close(e.done)
 		for _, s := range e.shards {
-			s.mu.Lock()
-			s.closed = true
-			s.mu.Unlock()
-			s.notEmpty.Broadcast()
-			s.notFull.Broadcast()
+			if s.full != nil {
+				s.full <- nil
+			}
 		}
 		e.wg.Wait()
 		// Workers are quiescent: flush every remaining window partial and
@@ -1110,10 +899,13 @@ func (e *Engine) Tree() (*comm.Tree, error) {
 
 // Stats aggregates the engine's work across shards.
 type Stats struct {
-	Processed    uint64 // accesses analysed by shard workers
-	Detected     uint64 // inter-thread RAW dependencies found
-	CommBytes    uint64 // total communicated bytes
-	DroppedReads uint64 // reads discarded by PolicyDegrade under saturation
+	Processed uint64 // accesses analysed by shard workers
+	Detected  uint64 // inter-thread RAW dependencies found
+	CommBytes uint64 // total communicated bytes
+	// DroppedReads always reads 0: the engine analyses every access it is
+	// handed. The field stays only because the bench/ module compiles
+	// against it (ROADMAP item 6(f) removes both).
+	DroppedReads uint64
 }
 
 // Stats returns aggregate counters; safe while the run is in flight.
@@ -1125,7 +917,6 @@ func (e *Engine) Stats() Stats {
 		st.Detected += ds.Detected
 		st.CommBytes += ds.CommBytes
 	}
-	st.DroppedReads = e.dropped.Load()
 	return st
 }
 
@@ -1140,10 +931,7 @@ type ShardStat struct {
 func (e *Engine) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(e.shards))
 	for i, s := range e.shards {
-		s.mu.Lock()
-		peak := s.peak
-		s.mu.Unlock()
-		out[i] = ShardStat{Processed: s.d.Stats().Processed, Depth: s.Depth(), PeakDepth: peak}
+		out[i] = ShardStat{Processed: s.d.Stats().Processed, Depth: s.Depth(), PeakDepth: int(s.peak.Load())}
 	}
 	return out
 }
@@ -1166,14 +954,11 @@ func (e *Engine) ProducerFlushes() uint64 {
 // PeakResidentAccesses bounds the engine's in-flight access residency: the
 // sum of every shard's peak queue depth plus every producer's peak staging
 // occupancy. This is the O(queue depth + staging) quantity streaming replay
-// holds resident instead of the whole trace (worker drain scratch adds at
-// most Shards×BatchSize on top). Safe while the run is in flight.
+// holds resident instead of the whole trace. Safe while the run is in flight.
 func (e *Engine) PeakResidentAccesses() int {
 	total := 0
 	for _, s := range e.shards {
-		s.mu.Lock()
-		total += s.peak
-		s.mu.Unlock()
+		total += int(s.peak.Load())
 	}
 	e.prodMu.Lock()
 	for _, p := range e.producers {
@@ -1183,14 +968,13 @@ func (e *Engine) PeakResidentAccesses() int {
 	return total
 }
 
-// BatchSize reports the configured producer staging / worker drain batch.
-func (e *Engine) BatchSize() int { return e.opts.BatchSize }
+// BatchSize reports the hand-off buffer length: 256 accesses, or the queue
+// capacity when that is smaller.
+func (e *Engine) BatchSize() int { return e.batch }
 
-// QueueCapacity reports the per-shard bound.
+// QueueCapacity reports the effective per-shard bound: the requested capacity
+// rounded down to a whole number of buffers.
 func (e *Engine) QueueCapacity() int { return e.opts.QueueCapacity }
-
-// Policy reports the configured overload policy.
-func (e *Engine) Policy() OverloadPolicy { return e.opts.Policy }
 
 // RedundancyStats merges every shard cache's fast-path counters. The second
 // return is false when RedundancyCacheBits was 0. Safe while the run is in

@@ -76,9 +76,6 @@ func TestShardedMatchesSerialOnSyntheticStream(t *testing.T) {
 		if st.Processed != uint64(len(stream)) {
 			t.Errorf("shards=%d: processed %d of %d accesses", shards, st.Processed, len(stream))
 		}
-		if st.DroppedReads != 0 {
-			t.Errorf("shards=%d: PolicyBlock dropped %d reads", shards, st.DroppedReads)
-		}
 	}
 }
 
@@ -152,14 +149,16 @@ func TestConcurrentProducers(t *testing.T) {
 		wg.Add(1)
 		go func(tid int32) {
 			defer wg.Done()
+			p := e.NewProducer(false)
 			for i := 0; i < perThread; i++ {
 				addr := uint64(tid)<<20 | uint64(i%128)
 				k := trace.Write
 				if i%3 != 0 {
 					k = trace.Read
 				}
-				e.Process(trace.Access{Time: uint64(i), Addr: addr, Size: 4, Thread: tid, Kind: k})
+				p.Process(trace.Access{Time: uint64(i), Addr: addr, Size: 4, Thread: tid, Kind: k})
 			}
+			p.Flush()
 		}(tid)
 	}
 	wg.Wait()
@@ -192,40 +191,6 @@ func TestBoundedQueuePeakNeverExceedsCapacity(t *testing.T) {
 		if st.Depth != 0 {
 			t.Errorf("shard %d depth %d after Close", i, st.Depth)
 		}
-	}
-}
-
-func TestDegradePolicyDropsOnlyReads(t *testing.T) {
-	const threads = 4
-	stream := synthetic(threads, 40, 64)
-	var writes uint64
-	for _, a := range stream {
-		if a.Kind == trace.Write {
-			writes++
-		}
-	}
-	e, err := New(Options{
-		Shards: 2, Threads: threads, QueueCapacity: 8, BatchSize: 4,
-		Policy: PolicyDegrade, DegradeBurst: 1, DegradePeriod: 4,
-		NewBackend: func(int) (sig.Backend, error) {
-			return &slowBackend{inner: sig.NewPerfect(threads), spin: 200}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.ProcessStream(stream)
-	e.Close()
-	st := e.Stats()
-	if st.DroppedReads == 0 {
-		t.Fatal("saturated degrade run dropped no reads")
-	}
-	if st.Processed+st.DroppedReads != uint64(len(stream)) {
-		t.Errorf("processed %d + dropped %d != stream %d", st.Processed, st.DroppedReads, len(stream))
-	}
-	// Writes are never gated, so every write must have been analysed.
-	if st.Processed < writes {
-		t.Errorf("processed %d < writes %d: a write was dropped", st.Processed, writes)
 	}
 }
 
@@ -267,7 +232,6 @@ func TestOptionValidation(t *testing.T) {
 		{"no threads", Options{NewBackend: PerfectFactory(4)}},
 		{"negative shards", ok(Options{Shards: -1})},
 		{"negative capacity", ok(Options{QueueCapacity: -5})},
-		{"bad degrade rate", ok(Options{Policy: PolicyDegrade, DegradeBurst: 9, DegradePeriod: 4})},
 	}
 	for _, c := range cases {
 		if _, err := New(c.opts); err == nil {

@@ -15,7 +15,7 @@ import (
 // every bundled workload, feeding the pipeline record by record from an
 // incremental trace.Decoder (the O(queue depth) replay path) is bit-identical
 // to materialising the whole access slice and calling ProcessStream, under
-// randomised shard counts, queue capacities and batch sizes. The exact
+// randomised shard counts and queue capacities (and with them buffer sizes). The exact
 // backend makes any ordering divergence visible as a matrix or tree
 // mismatch; the failure message carries the sampled configuration so a
 // counterexample replays deterministically.
@@ -44,18 +44,17 @@ func TestStreamingReplayMatchesMaterialised(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed + int64(wi)))
 			for trial := 0; trial < 4; trial++ {
 				shards := 1 + rng.Intn(8)
-				queueCap := 16 << rng.Intn(6) // 16 .. 512
-				batch := 1 << rng.Intn(7)     // 1 .. 64, may exceed queueCap (clamped)
+				queueCap := 16 << rng.Intn(6) // 16 .. 512: one small buffer .. two full ones
 				if trial == 3 {
 					shards = 0 // the in-thread engine takes the same two feeds
 				}
-				cfg := fmt.Sprintf("seed=%d workload=%s trial=%d shards=%d queue=%d batch=%d",
-					seed+int64(wi), name, trial, shards, queueCap, batch)
+				cfg := fmt.Sprintf("seed=%d workload=%s trial=%d shards=%d queue=%d",
+					seed+int64(wi), name, trial, shards, queueCap)
 
 				opts := Options{
 					Shards: shards, Threads: threads, Table: table,
-					QueueCapacity: queueCap, BatchSize: batch,
-					NewBackend: PerfectFactory(threads),
+					QueueCapacity: queueCap,
+					NewBackend:    PerfectFactory(threads),
 				}
 
 				mat, err := New(opts)
@@ -120,9 +119,9 @@ func TestStreamingReplayMatchesMaterialised(t *testing.T) {
 
 // TestProducerThreadSwitchFlushIsOrderExact pins the deterministic-engine
 // staging mode: a single flushOnThreadSwitch producer carrying a
-// multi-threaded interleaved stream must match unstaged per-access Process
-// exactly, because every staged batch drains before the next thread's first
-// access is enqueued.
+// multi-threaded interleaved stream must match an unstaged feed (every access
+// flushed on its own) exactly, because every staged batch drains before the
+// next thread's first access is enqueued.
 func TestProducerThreadSwitchFlushIsOrderExact(t *testing.T) {
 	const threads = 8
 	stream, table := recordStream(t, "radix", threads)
@@ -130,8 +129,8 @@ func TestProducerThreadSwitchFlushIsOrderExact(t *testing.T) {
 	run := func(feed func(e *Engine)) *comm.Matrix {
 		e, err := New(Options{
 			Shards: 4, Threads: threads, Table: table,
-			QueueCapacity: 64, BatchSize: 16,
-			NewBackend: PerfectFactory(threads),
+			QueueCapacity: 64,
+			NewBackend:    PerfectFactory(threads),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -146,8 +145,10 @@ func TestProducerThreadSwitchFlushIsOrderExact(t *testing.T) {
 	}
 
 	unstaged := run(func(e *Engine) {
+		p := e.NewProducer(false)
 		for _, a := range stream {
-			e.Process(a)
+			p.Process(a)
+			p.Flush()
 		}
 	})
 	staged := run(func(e *Engine) {

@@ -118,21 +118,12 @@ type HotspotReport struct {
 type PipelineReport struct {
 	// Shards is the analysis shard count K.
 	Shards int
-	// QueueCapacity is each shard's bounded queue size in accesses.
+	// QueueCapacity is each shard's bound on accesses handed over and not yet
+	// analysed: the requested capacity rounded down to whole buffers.
 	QueueCapacity int
-	// BatchSize is the producer staging batch / worker drain limit in
-	// accesses.
+	// BatchSize is the length in accesses of the buffers producers hand to
+	// shard workers (256, or QueueCapacity when that is smaller).
 	BatchSize int
-	// Policy is the overload policy the run used ("block", "degrade" or
-	// "auto").
-	Policy string
-	// PolicyTransitions counts the auto policy's mode switches in both
-	// directions (block→degrade on a stall-rate spike, degrade→block once
-	// the queues drained); always 0 under the static policies.
-	PolicyTransitions uint64
-	// DroppedReads counts reads the degrade policy discarded while a shard
-	// queue was saturated; always 0 under the block policy.
-	DroppedReads uint64
 	// ProducerFlushes counts staging-buffer flushes across all producers;
 	// the total enqueued access count over this is the realised enqueue
 	// amortization factor.
@@ -438,11 +429,8 @@ func (r *Report) Summary() string {
 		r.Workload, r.Threads, r.Accesses, r.Dependencies, r.CommBytes)
 	fmt.Fprintf(&b, "profiler memory: %.1f KB\n", float64(r.SignatureBytes)/1024)
 	if p := r.Pipeline; p != nil {
-		fmt.Fprintf(&b, "sharded analysis: %d shards, queue capacity %d, batch %d, policy %s, dropped reads %d\n",
-			p.Shards, p.QueueCapacity, p.BatchSize, p.Policy, p.DroppedReads)
-		if p.PolicyTransitions > 0 {
-			fmt.Fprintf(&b, "auto policy transitions: %d\n", p.PolicyTransitions)
-		}
+		fmt.Fprintf(&b, "sharded analysis: %d shards, queue capacity %d, batch %d\n",
+			p.Shards, p.QueueCapacity, p.BatchSize)
 		fmt.Fprintf(&b, "peak resident accesses: %d (%d producer flushes)\n",
 			p.PeakResidentAccesses, p.ProducerFlushes)
 	}

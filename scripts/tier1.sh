@@ -1,11 +1,12 @@
 #!/bin/sh
 # tier1.sh — the repository's tier-1 verification gate (see ROADMAP.md).
-# Build, formatting, vet, three grep guards for things that must stay
+# Build, formatting, vet, four grep guards for things that must stay
 # deleted (a trace-format knob, a second copy of the run on a write path, the
-# superseded benchmark harness), the full test suite, a race-detector pass
+# superseded benchmark harness, the sharded engine's overload policies and
+# hand-rolled ring), the full test suite, a race-detector pass
 # over the packages with lock-free hot paths (signature memory), real
 # concurrency (the parallel engine mode, the sharded analysis pipeline and its
-# blocking ring queues, replay producer staging, the real-Go probe runtime's
+# bounded buffer hand-off, replay producer staging, the real-Go probe runtime's
 # per-goroutine batches and watermark writer), merge-order algebra (comm),
 # the static-coalescing differential wall (passes) and the observability
 # primitives (obs timelines, tracers, histograms) plus a race pass over the
@@ -13,8 +14,10 @@
 # samplers and the /metrics and /progress scrapers, exactly as sharded runs
 # do), a -cpu 1,2,4 pass over the packages whose tests involve more than one
 # goroutine (no result may depend on how many cores the host has), a vet+test
-# of the nested bench/ module (it compiles against internal APIs that
-# `go build ./...` from the root does not reach), plus a short fuzz smoke over
+# of the nested bench/ module, also under -cpu 1,2,4 (it compiles against
+# internal APIs that `go build ./...` from the root does not reach, and its
+# smoke is the one place the shard hand-off runs behind commprof.Replay with
+# every optional layer on), plus a short fuzz smoke over
 # the trace codec, the source instrumenter and the coalescing pass, and an
 # instrument+vet check of every example program under testdata/ via the
 # commtrace driver.
@@ -58,6 +61,14 @@ guard "the superseded benchmark harness is cited" \
 	"$(grep -rnIE --exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=.git \
 		--exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md \
 		'scripts/bench\.sh|BENCH_[a-z]+\.json' . || true)"
+# The sharded engine has one overload behaviour (backpressure) and one
+# hand-off (buffers over a channel). sync.Cond is the deleted ring's
+# signature, so it is looked for in internal/pipeline only: internal/exec's
+# barrier uses one legitimately.
+guard "an overload policy or a hand-rolled ring is back" \
+	"$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'OverloadPolicy|ShardPolicy|ShardBatchSize|shard-policy|shard-batch|DegradeBurst|AutoStallPerSec' . || true
+	grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Cond' internal/pipeline || true)"
 
 echo "== go test =="
 go test ./...
@@ -78,8 +89,8 @@ echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, probe, experiments 
 go test -cpu 1,2,4 -count 3 ./internal/detect/... ./internal/pipeline/... ./internal/sig/... ./probe/...
 go test -cpu 1,2,4 -count 3 -run 'TestQueueArchitecture|TestThroughputComparison' ./internal/experiments
 
-echo "== bench module: go vet + go test =="
-(cd bench && go vet . && go test .)
+echo "== bench module: go vet + go test -cpu 1,2,4 =="
+(cd bench && go vet . && go test -cpu 1,2,4 .)
 
 echo "== commtrace -mode check (instrument + vet every example program) =="
 for pkg in workerpool chanpipe striped exitpaths; do

@@ -1,46 +1,10 @@
 package commprof
 
 import (
-	"fmt"
 	"runtime"
 
 	"commprof/internal/pipeline"
 )
-
-// ShardPolicy names the sharded analyser's overload behaviour (what happens
-// to producers while a shard queue is full).
-type ShardPolicy string
-
-const (
-	// ShardPolicyBlock (the default) applies backpressure: producers block
-	// until the shard worker catches up. Analysis stays exhaustive; producer
-	// speed follows the slowest shard.
-	ShardPolicyBlock ShardPolicy = "block"
-	// ShardPolicyDegrade degrades to read sampling under overload: while a
-	// shard queue is saturated, only a burst fraction of reads is enqueued
-	// and the rest are dropped and counted (Report.Pipeline.DroppedReads).
-	// Writes are never dropped — losing a write would corrupt last-writer
-	// attribution rather than merely losing volume.
-	ShardPolicyDegrade ShardPolicy = "degrade"
-	// ShardPolicyAuto adapts between the two: exhaustive (blocking) analysis
-	// until producer stall episodes show sustained overload, then degrade
-	// until every shard queue drains, then exhaustive again. Mode switches
-	// are counted in Report.Pipeline.PolicyTransitions; a run that never
-	// overloads behaves exactly like ShardPolicyBlock.
-	ShardPolicyAuto ShardPolicy = "auto"
-)
-
-func (p ShardPolicy) toInternal() (pipeline.OverloadPolicy, error) {
-	switch p {
-	case "", ShardPolicyBlock:
-		return pipeline.PolicyBlock, nil
-	case ShardPolicyDegrade:
-		return pipeline.PolicyDegrade, nil
-	case ShardPolicyAuto:
-		return pipeline.PolicyAuto, nil
-	}
-	return 0, fmt.Errorf("commprof: unknown shard policy %q (want %q, %q or %q)", p, ShardPolicyBlock, ShardPolicyDegrade, ShardPolicyAuto)
-}
 
 // pipelineReport snapshots a closed engine's shard configuration and load.
 func pipelineReport(pe *pipeline.Engine) *PipelineReport {
@@ -49,9 +13,6 @@ func pipelineReport(pe *pipeline.Engine) *PipelineReport {
 		Shards:               pe.Shards(),
 		QueueCapacity:        pe.QueueCapacity(),
 		BatchSize:            pe.BatchSize(),
-		Policy:               pe.Policy().String(),
-		PolicyTransitions:    pe.PolicyTransitions(),
-		DroppedReads:         pe.Stats().DroppedReads,
 		ProducerFlushes:      pe.ProducerFlushes(),
 		PeakResidentAccesses: pe.PeakResidentAccesses(),
 		PeakDepths:           make([]int, len(sstats)),

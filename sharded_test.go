@@ -20,11 +20,8 @@ func TestProfileSharded(t *testing.T) {
 	if p == nil {
 		t.Fatal("sharded run has no Pipeline report section")
 	}
-	if p.Shards != 4 || p.QueueCapacity != 8192 || p.Policy != "block" {
+	if p.Shards != 4 || p.QueueCapacity != 8192 || p.BatchSize != 256 {
 		t.Fatalf("pipeline section: %+v", p)
-	}
-	if p.DroppedReads != 0 {
-		t.Fatalf("block policy dropped %d reads", p.DroppedReads)
 	}
 	var analysed uint64
 	for _, n := range p.ShardProcessed {
@@ -32,13 +29,6 @@ func TestProfileSharded(t *testing.T) {
 	}
 	if analysed != rep.Accesses {
 		t.Fatalf("shards analysed %d of %d accesses", analysed, rep.Accesses)
-	}
-}
-
-func TestProfileShardedRejectsBadPolicy(t *testing.T) {
-	_, err := Profile(Options{Workload: "radix", Threads: 8, AnalysisShards: 2, ShardPolicy: "panic"})
-	if err == nil {
-		t.Fatal("unknown shard policy accepted")
 	}
 }
 
@@ -163,11 +153,10 @@ func TestReplayShardedBoundedResidency(t *testing.T) {
 	if _, err := Record(Options{Workload: "radix", Threads: 8, InputSize: "simlarge"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	const shards, queueCap, batch = 4, 512, 64
+	const shards, queueCap = 4, 512
 	rep, err := Replay(bytes.NewReader(buf.Bytes()), 8, Options{
 		AnalysisShards:     shards,
 		ShardQueueCapacity: queueCap,
-		ShardBatchSize:     batch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +164,9 @@ func TestReplayShardedBoundedResidency(t *testing.T) {
 	if rep.Pipeline == nil {
 		t.Fatal("sharded replay produced no pipeline report")
 	}
-	if rep.Pipeline.BatchSize != batch {
-		t.Fatalf("pipeline batch size %d, want %d", rep.Pipeline.BatchSize, batch)
+	batch := rep.Pipeline.BatchSize
+	if batch <= 0 || batch > queueCap {
+		t.Fatalf("pipeline batch size %d outside (0, %d]", batch, queueCap)
 	}
 	if rep.Pipeline.ProducerFlushes == 0 {
 		t.Fatal("no producer flushes recorded on a multi-million-access replay")

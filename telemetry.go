@@ -167,7 +167,7 @@ func NewTelemetry() *Telemetry {
 }
 
 // EnableTimeline switches on execution-timeline recording: per-shard and
-// per-producer span tracks, policy/alarm instants and periodic counter
+// per-producer span tracks, window-close/alarm instants and periodic counter
 // tracks, exportable as Chrome/Perfetto trace-event JSON via WriteTimeline.
 // Call before the run starts; runs wired while the timeline is off record
 // nothing. Idempotent and nil-safe.
@@ -310,9 +310,6 @@ type ProgressSnapshot struct {
 	// ShardDepths is each analysis shard's live queue depth; nil unless the
 	// run uses the sharded pipeline (Options.AnalysisShards).
 	ShardDepths []int `json:"shard_depths,omitempty"`
-	// DroppedReads counts reads the sharded pipeline's degrade policy
-	// discarded under queue saturation (0 otherwise).
-	DroppedReads uint64 `json:"dropped_reads"`
 	// SigFilters / SigOccupancy / SigFillRatio describe signature
 	// saturation: allocated second-level bloom filters, the fraction of
 	// slots occupied, and the mean fill of a sample of filters. Up to 64
@@ -653,7 +650,6 @@ func (t *Telemetry) wireRun(eng *exec.Engine, an *analysis) {
 	reg.GaugeFunc("sig_slot_occupancy", pe.Occupancy)
 	reg.GaugeFunc("sig_bloom_fill_ratio", func() float64 { return pe.FillRatio(256) })
 	reg.GaugeFunc("sig_footprint_bytes", func() float64 { return float64(pe.SigFootprintBytes()) })
-	reg.GaugeFunc("pipeline_dropped_reads", func() float64 { return float64(pe.Stats().DroppedReads) })
 	if _, ok := pe.RedundancyStats(); ok {
 		reg.GaugeFunc("redundancy_hit_rate", func() float64 {
 			st, _ := pe.RedundancyStats()
@@ -697,7 +693,6 @@ func (t *Telemetry) wireRun(eng *exec.Engine, an *analysis) {
 			CommBytes:      st.CommBytes,
 			SkippedReads:   an.skipped.Load(),
 			ShardDepths:    depths,
-			DroppedReads:   st.DroppedReads,
 			SigFilters:     pe.AllocatedFilters(),
 			SigOccupancy:   pe.Occupancy(),
 			SigFillRatio:   pe.FillRatio(64),

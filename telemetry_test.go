@@ -297,7 +297,7 @@ func TestTelemetryOneWiring(t *testing.T) {
 		for _, name := range []string{
 			"detect_accesses_processed", "detect_comm_bytes", "detect_accesses_per_sec",
 			"sig_slot_occupancy", "sig_bloom_fill_ratio", "sig_footprint_bytes", "sig_fill_ratio",
-			"pipeline_dropped_reads", "detect_sampler_skipped_reads", "exec_logical_clock",
+			"detect_sampler_skipped_reads", "exec_logical_clock",
 		} {
 			if _, ok := g[name]; !ok {
 				t.Errorf("K=%d: gauge %s not bound", shards, name)

@@ -57,7 +57,7 @@ func BenchmarkTimelineOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tel := mkTel()
 			if _, err := Replay(bytes.NewReader(data), 8, Options{
-				AnalysisShards: 4, ShardBatchSize: 256, Telemetry: tel,
+				AnalysisShards: 4, Telemetry: tel,
 			}); err != nil {
 				b.Fatal(err)
 			}

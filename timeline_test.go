@@ -102,7 +102,6 @@ func shardedTimelineRun(t testing.TB, size string, shards int) (*Report, []byte)
 	rep, err := Replay(bytes.NewReader(buf.Bytes()), 8, Options{
 		AnalysisShards:     shards,
 		ShardQueueCapacity: 512,
-		ShardBatchSize:     256,
 		Telemetry:          tel,
 	})
 	if err != nil {
@@ -127,7 +126,7 @@ func TestTimelineShardedReplay(t *testing.T) {
 	_, data := shardedTimelineRun(t, "simlarge", shards)
 	evs, tracks := validateTimeline(t, data)
 
-	want := []string{"run", "engine", "counters", "producer-0"}
+	want := []string{"run", "counters", "producer-0"}
 	for i := 0; i < shards; i++ {
 		want = append(want, "shard-"+string(rune('0'+i)))
 	}
@@ -188,7 +187,7 @@ func TestTimelineGolden(t *testing.T) {
 	if len(evs) == 0 {
 		t.Fatal("golden timeline is empty")
 	}
-	for _, name := range []string{"run", "engine", "counters", "shard-0", "shard-1", "producer-0"} {
+	for _, name := range []string{"run", "counters", "shard-0", "shard-1", "producer-0"} {
 		if !tracks[name] {
 			t.Errorf("golden is missing track %q; have %v", name, tracks)
 		}
