@@ -174,7 +174,7 @@ func TestFullReaderMasksDoNotAlarm(t *testing.T) {
 		"sharded": func() (*Report, error) {
 			o := opts
 			o.AnalysisShards = 2
-			return ProfileTraceParallel(accesses, nil, threads, o)
+			return ProfileTrace(accesses, nil, threads, o)
 		},
 	} {
 		rep, err := run()

@@ -47,6 +47,10 @@ func newAnalysis(opts Options, threads int, table *trace.Table, concurrent bool)
 	if opts.AnalysisShards < 0 {
 		return nil, fmt.Errorf("commprof: AnalysisShards must be non-negative, got %d", opts.AnalysisShards)
 	}
+	if opts.GranularityBits >= 64 {
+		// A shift by the whole address width folds every access onto granule 0.
+		return nil, fmt.Errorf("commprof: GranularityBits (-granularity) must be below 64, got %d", opts.GranularityBits)
+	}
 	if concurrent && opts.AnalysisShards == 0 && (opts.RedundancyCacheBits > 0 || opts.AccuracyTargetFPR > 0) {
 		// In-thread, the program's threads are the analyser's callers; the
 		// redundancy cache and the accuracy monitor's verdict pairing both

@@ -281,7 +281,7 @@ func TestEndToEndExitPaths(t *testing.T) {
 // per-loop matrices. The programs touch only package-level arrays (fixed
 // addresses, so the signature hashes alike in both runs) in an order their
 // synchronisation fixes; goroutine IDs may permute, which no printed number
-// depends on. The analysis knobs keep travelling by environment.
+// depends on. The analyser flags travel as one environment variable.
 func TestEndToEndLiveMatchesProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs instrumented binaries")
@@ -297,20 +297,39 @@ func TestEndToEndLiveMatchesProfile(t *testing.T) {
 	}
 	for name, wantCode := range map[string]int{"striped": 0, "exitpaths": 3} {
 		t.Run(name, func(t *testing.T) {
-			args := []string{"-pkg", filepath.Join("..", "..", "testdata", name), "-shards", "2", "-redundancy-bits", "10"}
-			var out [2]string
-			for i, mode := range []string{"profile", "live"} {
-				code, stdout, stderr := commtrace(append(args, "-mode", mode)...)
-				if code != wantCode {
-					t.Fatalf("-mode %s exited %d, want %d:\n%s%s", mode, code, wantCode, stdout, stderr)
+			// Flags the environment always carried; and, on the program that
+			// exits cleanly (each case costs two builds), no analyser flag at
+			// all — the defaults must mean the same in the shim — and two
+			// flags that used not to arrive.
+			cases := []struct{ flags, arrived []string }{
+				{[]string{"-shards", "2", "-redundancy-bits", "10"}, []string{"sharded analysis: 2 shards", "redundancy fast path: 2^10 entries"}},
+				{nil, nil},
+				{[]string{"-sample", "2", "-accuracy-bits", "0"}, []string{"accuracy monitor: 1/1 of granules shadowed"}},
+			}
+			if wantCode != 0 {
+				cases = cases[:1]
+			}
+			for _, c := range cases {
+				args := append([]string{"-pkg", filepath.Join("..", "..", "testdata", name)}, c.flags...)
+				var out [2]string
+				for i, mode := range []string{"profile", "live"} {
+					code, stdout, stderr := commtrace(append(args, "-mode", mode)...)
+					if code != wantCode {
+						t.Fatalf("%v -mode %s exited %d, want %d:\n%s%s", c.flags, mode, code, wantCode, stdout, stderr)
+					}
+					out[i] = report(stdout)
 				}
-				out[i] = report(stdout)
-			}
-			if !strings.Contains(out[0], "inter-thread RAW deps") || !strings.Contains(out[0], "redundancy fast path: 2^10 entries") {
-				t.Fatalf("no report, or -redundancy-bits did not arrive:\n%s", out[0])
-			}
-			if out[0] != out[1] {
-				t.Errorf("-mode live reports differently from -mode profile:\n-- profile --\n%s\n-- live --\n%s", out[0], out[1])
+				for _, w := range append([]string{"inter-thread RAW deps"}, c.arrived...) {
+					if !strings.Contains(out[0], w) {
+						t.Fatalf("%v: no report, or a flag did not arrive (%q missing):\n%s", c.flags, w, out[0])
+					}
+				}
+				if c.flags == nil && strings.Contains(out[0], "sharded analysis") {
+					t.Errorf("no -shards, yet a sharded analysis:\n%s", out[0])
+				}
+				if out[0] != out[1] {
+					t.Errorf("%v: -mode live reports differently from -mode profile:\n-- profile --\n%s\n-- live --\n%s", c.flags, out[0], out[1])
+				}
 			}
 		})
 	}

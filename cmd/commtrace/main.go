@@ -50,6 +50,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("commtrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var opts commprof.Options
+	opts.BindFlags(fs)
 	var (
 		pkg     = fs.String("pkg", "", "directory of the Go main package to instrument (required except for -mode recode/recover)")
 		mode    = fs.String("mode", "profile", "profile (record+replay), live (in-process analysis), emit, check, recode (transcode -in between codec versions) or recover (salvage a truncated -in)")
@@ -61,12 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		threads = fs.Int("threads", 0, "override the goroutine count (0 = the recorded trace's own)")
 		coal    = fs.Bool("coalesce", true, "statically coalesce provably redundant probes during instrumentation (-coalesce=false disables)")
 
-		shards      = fs.Int("shards", 0, "analysis shards of the analysis engine (0 = in-thread analysis)")
-		phases      = fs.Uint64("phases", 0, "phase window in logical time units (0 = off)")
-		gran        = fs.Uint("granularity", 0, "analysis granularity in address bits (0 = per address, 6 = 64B lines)")
-		slots       = fs.Uint64("sig", 1<<20, "signature slots")
-		fpRate      = fs.Float64("fpr", 0.001, "bloom-filter false-positive rate")
-		redunB      = fs.Uint("redundancy-bits", 0, "redundancy fast-path cache bits (0 = off)")
 		heatmap     = fs.Bool("heatmap", false, "print the global matrix heatmap")
 		jsonOut     = fs.Bool("json", false, "emit the report as JSON")
 		timelineOut = fs.String("timeline", "", "write the analysis run's execution timeline as Chrome/Perfetto trace-event JSON to this file (with -mode live, the instrumented process writes it at exit)")
@@ -74,15 +70,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	opts := commprof.Options{
-		SignatureSlots:  *slots,
-		BloomFPRate:     *fpRate,
-		PhaseWindow:     *phases,
-		GranularityBits: *gran,
-		AnalysisShards:  *shards,
-
-		RedundancyCacheBits: *redunB,
+	if err := opts.CheckFlags(); err != nil {
+		fmt.Fprintln(stderr, "commtrace:", err)
+		return 2
 	}
 	var tel *commprof.Telemetry
 	if *timelineOut != "" {
@@ -113,6 +103,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *mode == "recover" {
 		return recoverTrace(*in, *out, replay, stderr)
+	}
+
+	if *mode == "live" {
+		// The instrumented program prints the report itself, as text, over
+		// its own goroutine count, from memory: what only this process could
+		// honour is refused rather than ignored.
+		refused := ""
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "json", "heatmap", "threads", "o":
+				refused += " -" + f.Name
+			}
+		})
+		if refused != "" {
+			fmt.Fprintf(stderr, "commtrace:%s: not available with -mode live, where the instrumented program analyses and prints by itself; use -mode profile\n", refused)
+			return 2
+		}
 	}
 
 	if *pkg == "" {
@@ -178,15 +185,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *mode == "live" {
-		// The shim analyses in-process at exit; analysis knobs travel by env.
-		env := append(os.Environ(),
-			"COMMPROF_TRACE=",
-			fmt.Sprintf("COMMPROF_SHARDS=%d", *shards),
-			fmt.Sprintf("COMMPROF_PHASES=%d", *phases),
-			fmt.Sprintf("COMMPROF_GRANULARITY=%d", *gran),
-			fmt.Sprintf("COMMPROF_REDUNDANCY_BITS=%d", *redunB),
-			fmt.Sprintf("COMMPROF_SIG=%d", *slots),
-		)
+		// The shim analyses in-process at exit; the analyser flags that were
+		// set travel as one variable.
+		env := append(os.Environ(), "COMMPROF_TRACE=", commprof.Environ(fs))
 		if *timelineOut != "" {
 			env = append(env, "COMMPROF_TIMELINE="+*timelineOut)
 		}
@@ -249,8 +250,9 @@ func replayFile(path string, threads int, opts commprof.Options, timelineOut str
 		fmt.Fprintln(stderr, "commtrace:", err)
 		return 1
 	}
-	if rc := writeTimeline(opts.Telemetry, timelineOut, stderr); rc != 0 {
-		return rc
+	if err := opts.Telemetry.WriteTimelineFile(timelineOut); err != nil {
+		fmt.Fprintln(stderr, "commtrace:", err)
+		return 1
 	}
 	if jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -399,29 +401,6 @@ func recoverTrace(in, out string, replay func(tracePath string) int, stderr io.W
 		return 0
 	}
 	return replay(salvaged)
-}
-
-// writeTimeline writes the analysis run's execution timeline as trace-event
-// JSON to path; a no-op when either the path or the telemetry handle is
-// absent. Returns a process exit code.
-func writeTimeline(tel *commprof.Telemetry, path string, stderr io.Writer) int {
-	if tel == nil || path == "" {
-		return 0
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	err = tel.WriteTimeline(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	return 0
 }
 
 // fileSize returns a path's size in bytes, 0 on error.

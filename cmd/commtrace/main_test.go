@@ -30,15 +30,23 @@ func TestRecoverSalvagesCutTrace(t *testing.T) {
 	}
 	for name, damaged := range map[string][]byte{"truncated": cut, "unfinalized": unfinalized} {
 		t.Run(name, func(t *testing.T) {
-			prefix, rec, err := trace.DecodeTolerant(bytes.NewReader(damaged))
+			dec, err := trace.NewDecoderTolerant(bytes.NewReader(damaged))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.Err == nil || rec.Records == 0 || rec.Records%4096 != 0 {
-				t.Fatalf("the cut should land inside a later block: salvage = %+v", rec)
+			prefix := &trace.Stream{Table: dec.Table()}
+			if err := dec.ForEach(func(a trace.Access) error {
+				prefix.Accesses = append(prefix.Accesses, a)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			records := len(prefix.Accesses)
+			if dec.SalvageErr() == nil || records == 0 || records%4096 != 0 {
+				t.Fatalf("the cut should land inside a later block: salvaged %d records, stopped at %v", records, dec.SalvageErr())
 			}
 			var whole bytes.Buffer
-			if err := prefix.EncodeVersion(&whole, trace.DefaultVersion, rec.Threads); err != nil {
+			if err := prefix.EncodeVersion(&whole, trace.DefaultVersion, max(dec.Threads(), dec.SeenThreads())); err != nil {
 				t.Fatal(err)
 			}
 			rep, err := commprof.Replay(bytes.NewReader(whole.Bytes()), 0, commprof.Options{})
@@ -65,7 +73,7 @@ func TestRecoverSalvagesCutTrace(t *testing.T) {
 				if code := run(args, &stdout, &stderr); code != 0 {
 					t.Fatalf("%v exited %d:\n%s", args, code, stderr.String())
 				}
-				if !strings.Contains(stderr.String(), fmt.Sprintf("recovered %d complete records", rec.Records)) ||
+				if !strings.Contains(stderr.String(), fmt.Sprintf("recovered %d complete records", records)) ||
 					!strings.Contains(stderr.String(), "recovery stopped at") {
 					t.Errorf("%v: salvage not reported:\n%s", args, stderr.String())
 				}
@@ -78,7 +86,7 @@ func TestRecoverSalvagesCutTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(salvaged, whole.Bytes()) {
-				t.Errorf("-o wrote %d bytes, want the %d-byte v3 encoding of the %d salvaged records", len(salvaged), whole.Len(), rec.Records)
+				t.Errorf("-o wrote %d bytes, want the %d-byte v3 encoding of the %d salvaged records", len(salvaged), whole.Len(), records)
 			}
 			if _, err := trace.Decode(bytes.NewReader(salvaged)); err != nil {
 				t.Errorf("-o does not decode strictly: %v", err)
@@ -95,6 +103,19 @@ func TestFormatFlagIsRecodeOnly(t *testing.T) {
 		code := run([]string{"-mode", mode, "-trace-format", "2", "-pkg", "unused", "-in", "unused"}, &stdout, &stderr)
 		if code != 2 || !strings.Contains(stderr.String(), "recode") {
 			t.Errorf("-mode %s -trace-format 2: exit %d, stderr %q; want 2 naming recode", mode, code, stderr.String())
+		}
+	}
+}
+
+// TestLiveRefusesLocalOnlyFlags: in -mode live the instrumented program
+// analyses and prints by itself, so the flags only this process could honour
+// are a usage error naming the flag, not silently dropped.
+func TestLiveRefusesLocalOnlyFlags(t *testing.T) {
+	for _, flags := range [][]string{{"-json"}, {"-heatmap"}, {"-threads", "4"}, {"-o", "x"}} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-mode", "live", "-pkg", "unused"}, flags...), &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), flags[0]+":") || !strings.Contains(stderr.String(), "-mode live") {
+			t.Errorf("-mode live %v: exit %d, stderr %q; want 2 naming %s", flags, code, stderr.String(), flags[0])
 		}
 	}
 }

@@ -26,7 +26,10 @@ import (
 	"commprof/internal/splash"
 )
 
-// Options configures a profiling run.
+// Options configures a profiling run. The fields that shape the analysis
+// rather than name a workload have one command-line flag each, declared once
+// by BindFlags (flags.go), which is also how they reach an instrumented
+// program.
 type Options struct {
 	// Workload names a bundled benchmark (see Workloads). Required for
 	// Profile; ignored by ProfileTrace and Run.
@@ -84,7 +87,8 @@ type Options struct {
 	// shifted right by this amount before consulting the signature (0 =
 	// per-address, 6 = 64-byte cache lines). Coarser analysis reduces
 	// signature collisions but merges neighbouring variables (false
-	// sharing appears).
+	// sharing appears). 64 and above would leave a single granule and is
+	// rejected by every entry point.
 	GranularityBits uint
 	// DisableCoalesce turns off the static access-coalescing pass on
 	// MiniPar runs (ProfileMiniPar; see internal/passes.Coalesce). The
@@ -105,7 +109,9 @@ type Options struct {
 	// AnalysisShards is the analysis engine's shard count K
 	// (internal/pipeline), honoured by every entry point. 0 (the default) is
 	// the paper's in-thread analysis: Algorithm 1 runs in the program's own
-	// threads over one signature. When positive, each access is routed by
+	// threads over one signature — in every entry point, command-line tool
+	// and instrumented program alike; nothing rewrites it to a core count.
+	// When positive, each access is routed by
 	// address hash to one of K shards, each owning a private partition of the
 	// signature slot budget, a bounded queue and a dedicated worker
 	// goroutine; shard matrices merge into the standard report at the end of

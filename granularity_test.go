@@ -34,7 +34,7 @@ func TestGranularityAppliedOnEveryPath(t *testing.T) {
 			return ProfileTrace(accs, regions, 2, Options{Threads: 2, GranularityBits: gran})
 		},
 		"trace-sharded": func(gran uint) (*Report, error) {
-			return ProfileTraceParallel(accs, regions, 2, Options{Threads: 2, GranularityBits: gran, AnalysisShards: 2})
+			return ProfileTrace(accs, regions, 2, Options{Threads: 2, GranularityBits: gran, AnalysisShards: 2})
 		},
 		"replay-serial": func(gran uint) (*Report, error) {
 			return Replay(bytes.NewReader(buf.Bytes()), 2, Options{GranularityBits: gran})

@@ -250,9 +250,6 @@ func (p *Pairwise) ProcessAccess(a trace.Access) {
 	}
 }
 
-// Deps returns the number of inter-thread RAW dependencies found.
-func (p *Pairwise) Deps() uint64 { return p.deps }
-
 // Result implements Profiler.
 func (p *Pairwise) Result() Result {
 	var recs uint64

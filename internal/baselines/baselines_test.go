@@ -135,8 +135,8 @@ func TestPairwiseFindsDeps(t *testing.T) {
 	p.ProcessAccess(access(0x10, 1, trace.Read)) // dep
 	p.ProcessAccess(access(0x10, 0, trace.Read)) // self, no dep
 	p.ProcessAccess(access(0x18, 1, trace.Read)) // never written, no dep
-	if p.Deps() != 1 {
-		t.Fatalf("deps = %d, want 1", p.Deps())
+	if p.deps != 1 {
+		t.Fatalf("deps = %d, want 1", p.deps)
 	}
 }
 

@@ -32,12 +32,6 @@ func (s *Set) Set(i uint64) {
 	s.words[i>>6] |= 1 << (i & 63)
 }
 
-// Clear clears bit i. It panics if i is out of range.
-func (s *Set) Clear(i uint64) {
-	s.check(i)
-	s.words[i>>6] &^= 1 << (i & 63)
-}
-
 // Test reports whether bit i is set. It panics if i is out of range.
 func (s *Set) Test(i uint64) bool {
 	s.check(i)

@@ -56,14 +56,6 @@ func Derive(capacity uint64, fpRate float64) Params {
 	return Params{Bits: m, Hashes: k}
 }
 
-// BitsPerFilter returns the paper's Eq. 2 per-slot bloom-filter size in
-// *bits* for t threads and the given false-positive rate:
-//
-//	-t·ln(FPRate) / ln²(2)
-func BitsPerFilter(threads int, fpRate float64) float64 {
-	return -float64(threads) * math.Log(fpRate) / (math.Ln2 * math.Ln2)
-}
-
 // Filter is a lock-free bloom filter over uint64 elements (thread IDs in the
 // read signature). The zero value is not usable; construct with New.
 type Filter struct {
@@ -76,12 +68,6 @@ type Filter struct {
 // families between independent filters when required.
 func New(p Params, seed uint64) *Filter {
 	return &Filter{bits: bitset.NewAtomic(p.Bits), k: p.Hashes, seed: seed}
-}
-
-// NewForThreads constructs a filter sized for up to threads distinct elements
-// at the given false-positive rate, mirroring the paper's automatic sizing.
-func NewForThreads(threads int, fpRate float64, seed uint64) *Filter {
-	return New(Derive(uint64(threads), fpRate), seed)
 }
 
 // Add inserts element v, returning true if the filter may have already
@@ -126,20 +112,6 @@ func (f *Filter) Hashes() int { return f.k }
 // PopCount returns the number of set bits (diagnostic; approximate cardinality
 // can be derived from it).
 func (f *Filter) PopCount() uint64 { return f.bits.Count() }
-
-// EstimateCardinality returns the standard bloom-filter cardinality estimate
-//
-//	n* = -(m/k)·ln(1 - X/m)
-//
-// where X is the popcount. Useful for the diagnostics in cmd/commprof.
-func (f *Filter) EstimateCardinality() float64 {
-	m := float64(f.bits.Len())
-	x := float64(f.bits.Count())
-	if x >= m {
-		return math.Inf(1)
-	}
-	return -(m / float64(f.k)) * math.Log(1-x/m)
-}
 
 // SizeBytes returns the heap footprint of the filter's bit storage.
 func (f *Filter) SizeBytes() uint64 { return f.bits.SizeBytes() }

@@ -1,7 +1,6 @@
 package bloom
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -37,22 +36,9 @@ func TestDeriveClampsDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestBitsPerFilterEq2Term(t *testing.T) {
-	// Eq. 2's per-slot term at the paper's operating point:
-	// -32·ln(0.001)/ln²(2) ≈ 460 bits ≈ 57.5 bytes (paper divides by 8).
-	got := BitsPerFilter(32, 0.001)
-	want := -32.0 * math.Log(0.001) / (math.Ln2 * math.Ln2)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("BitsPerFilter = %v, want %v", got, want)
-	}
-	if got < 440 || got > 480 {
-		t.Fatalf("BitsPerFilter(32, 0.001) = %v, expected ≈460", got)
-	}
-}
-
 func TestNoFalseNegatives(t *testing.T) {
 	f := func(elems []uint64) bool {
-		fl := NewForThreads(64, 0.01, 1)
+		fl := New(Derive(64, 0.01), 1)
 		for _, e := range elems {
 			fl.Add(e % 64)
 		}
@@ -69,7 +55,7 @@ func TestNoFalseNegatives(t *testing.T) {
 }
 
 func TestEmptyFilterContainsNothing(t *testing.T) {
-	fl := NewForThreads(32, 0.001, 0)
+	fl := New(Derive(32, 0.001), 0)
 	for v := uint64(0); v < 1000; v++ {
 		if fl.Contains(v) {
 			t.Fatalf("empty filter claims to contain %d", v)
@@ -83,7 +69,7 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 	// asymptotic, so allow slack).
 	const capacity = 32
 	const target = 0.01
-	fl := NewForThreads(capacity, target, 12345)
+	fl := New(Derive(capacity, target), 12345)
 	for v := uint64(0); v < capacity; v++ {
 		fl.Add(v)
 	}
@@ -101,7 +87,7 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 }
 
 func TestAddReportsPresence(t *testing.T) {
-	fl := NewForThreads(32, 0.001, 9)
+	fl := New(Derive(32, 0.001), 9)
 	if fl.Add(7) {
 		t.Fatal("first Add reported element present")
 	}
@@ -111,7 +97,7 @@ func TestAddReportsPresence(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	fl := NewForThreads(32, 0.001, 3)
+	fl := New(Derive(32, 0.001), 3)
 	for v := uint64(0); v < 32; v++ {
 		fl.Add(v)
 	}
@@ -126,20 +112,8 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestEstimateCardinality(t *testing.T) {
-	fl := NewForThreads(256, 0.01, 5)
-	const n = 100
-	for v := uint64(0); v < n; v++ {
-		fl.Add(v)
-	}
-	est := fl.EstimateCardinality()
-	if est < n*0.7 || est > n*1.3 {
-		t.Fatalf("cardinality estimate %v for %d inserted elements", est, n)
-	}
-}
-
 func TestConcurrentAddNoFalseNegatives(t *testing.T) {
-	fl := NewForThreads(1024, 0.01, 17)
+	fl := New(Derive(1024, 0.01), 17)
 	var wg sync.WaitGroup
 	const workers = 8
 	const per = 128
@@ -172,14 +146,14 @@ func TestSizeBytesMatchesGeometry(t *testing.T) {
 }
 
 func BenchmarkAdd(b *testing.B) {
-	fl := NewForThreads(32, 0.001, 0)
+	fl := New(Derive(32, 0.001), 0)
 	for i := 0; i < b.N; i++ {
 		fl.Add(uint64(i) & 31)
 	}
 }
 
 func BenchmarkContains(b *testing.B) {
-	fl := NewForThreads(32, 0.001, 0)
+	fl := New(Derive(32, 0.001), 0)
 	for v := uint64(0); v < 32; v++ {
 		fl.Add(v)
 	}

@@ -6,7 +6,6 @@ package comm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -59,17 +58,6 @@ func (m *Matrix) RowSums() []uint64 {
 	for s := 0; s < m.n; s++ {
 		for d := 0; d < m.n; d++ {
 			out[s] += m.At(s, d)
-		}
-	}
-	return out
-}
-
-// ColSums returns, per consumer thread, the total bytes it received.
-func (m *Matrix) ColSums() []uint64 {
-	out := make([]uint64, m.n)
-	for s := 0; s < m.n; s++ {
-		for d := 0; d < m.n; d++ {
-			out[d] += m.At(s, d)
 		}
 	}
 	return out
@@ -143,29 +131,6 @@ func FromRows(rows [][]uint64) (*Matrix, error) {
 	return m, nil
 }
 
-// Normalized returns the matrix scaled so the maximum cell is 1.0; an
-// all-zero matrix yields all zeros. Pattern classification operates on this
-// input-size-independent form.
-func (m *Matrix) Normalized() [][]float64 {
-	max := uint64(0)
-	for i := range m.cells {
-		if v := m.cells[i].Load(); v > max {
-			max = v
-		}
-	}
-	out := make([][]float64, m.n)
-	for s := 0; s < m.n; s++ {
-		row := make([]float64, m.n)
-		if max > 0 {
-			for d := 0; d < m.n; d++ {
-				row[d] = float64(m.At(s, d)) / float64(max)
-			}
-		}
-		out[s] = row
-	}
-	return out
-}
-
 // NonZeroCells counts cells with any traffic.
 func (m *Matrix) NonZeroCells() int {
 	c := 0
@@ -221,36 +186,4 @@ func (m *Matrix) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// TopPairs returns the k heaviest (src,dst) pairs in descending byte order.
-type Pair struct {
-	Src, Dst int
-	Bytes    uint64
-}
-
-// TopPairs returns up to k communicating pairs sorted by volume descending,
-// ties broken by (src,dst) for determinism.
-func (m *Matrix) TopPairs(k int) []Pair {
-	var ps []Pair
-	for s := 0; s < m.n; s++ {
-		for d := 0; d < m.n; d++ {
-			if v := m.At(s, d); v > 0 {
-				ps = append(ps, Pair{s, d, v})
-			}
-		}
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Bytes != ps[j].Bytes {
-			return ps[i].Bytes > ps[j].Bytes
-		}
-		if ps[i].Src != ps[j].Src {
-			return ps[i].Src < ps[j].Src
-		}
-		return ps[i].Dst < ps[j].Dst
-	})
-	if k < len(ps) {
-		ps = ps[:k]
-	}
-	return ps
 }

@@ -35,6 +35,9 @@ func (s *SparseMatrix) Add(src, dst int32, bytes uint64) {
 	if src < 0 || int(src) >= s.n || dst < 0 || int(dst) >= s.n {
 		panic(fmt.Sprintf("comm: thread pair (%d,%d) out of range for %d threads", src, dst, s.n))
 	}
+	if bytes == 0 {
+		return // no traffic is no cell: the map holds exactly the non-zero ones
+	}
 	s.mu.Lock()
 	s.m[sparseKey{src, dst}] += bytes
 	s.mu.Unlock()
@@ -63,17 +66,6 @@ func (s *SparseMatrix) NonZeroCells() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.m)
-}
-
-// Dense converts to the dense representation.
-func (s *SparseMatrix) Dense() *Matrix {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := NewMatrix(s.n)
-	for k, v := range s.m {
-		out.Add(k.src, k.dst, v)
-	}
-	return out
 }
 
 // FromDense converts a dense matrix to sparse form.

@@ -43,14 +43,13 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 		n := 8
 		dense := NewMatrix(n)
 		sparse := NewSparse(n)
+		vals = append(vals, 0) // adding no bytes must not make a cell
 		for i, v := range vals {
 			src, dst := int32(i%n), int32((i/n)%n)
 			dense.Add(src, dst, uint64(v))
 			sparse.Add(src, dst, uint64(v))
 		}
-		return sparse.Equal(dense) &&
-			sparse.Dense().Equal(dense) &&
-			FromDense(dense).Equal(dense)
+		return sparse.Equal(dense) && FromDense(dense).Equal(dense)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

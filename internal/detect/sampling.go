@@ -3,7 +3,6 @@ package detect
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"commprof/internal/comm"
 	"commprof/internal/trace"
@@ -24,10 +23,6 @@ import (
 type Sampler struct {
 	d    *Detector
 	gate *Gate
-
-	// skipped is atomic so a live telemetry snapshot can read it while the
-	// run is in flight (and so parallel runs stay race-clean).
-	skipped atomic.Uint64
 }
 
 // Gate is the burst/period read-admission policy underlying the Sampler,
@@ -83,7 +78,6 @@ func (s *Sampler) Process(a trace.Access) (Event, bool) {
 		return s.d.Process(a)
 	}
 	if !s.gate.Admit(a.Thread) {
-		s.skipped.Add(1)
 		return Event{}, false
 	}
 	return s.d.Process(a)
@@ -98,10 +92,6 @@ func (s *Sampler) Probe() func(trace.Access) {
 
 // Detector returns the wrapped detector.
 func (s *Sampler) Detector() *Detector { return s.d }
-
-// Skipped reports how many reads bypassed analysis. Safe to call while a run
-// is in flight.
-func (s *Sampler) Skipped() uint64 { return s.skipped.Load() }
 
 // SampleFraction returns the configured analysed fraction of reads.
 func (s *Sampler) SampleFraction() float64 { return s.gate.Fraction() }

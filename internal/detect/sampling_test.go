@@ -52,9 +52,6 @@ func TestFullSamplingMatchesDetector(t *testing.T) {
 	if !d1.Global().Equal(d2.Global()) {
 		t.Fatal("full sampling diverged from plain detection")
 	}
-	if s.Skipped() != 0 {
-		t.Fatalf("full sampling skipped %d reads", s.Skipped())
-	}
 }
 
 func TestSamplingReducesWorkPreservesShape(t *testing.T) {
@@ -83,9 +80,6 @@ func TestSamplingReducesWorkPreservesShape(t *testing.T) {
 	}
 	gen(func(a trace.Access) { smp.Process(a) })
 
-	if smp.Skipped() == 0 {
-		t.Fatal("nothing skipped at 1/4 sampling")
-	}
 	fullStats, sampStats := full.Stats(), sampledD.Stats()
 	if sampStats.Processed >= fullStats.Processed {
 		t.Fatalf("sampling did not reduce processed accesses: %d vs %d", sampStats.Processed, fullStats.Processed)
@@ -121,9 +115,6 @@ func TestSamplingNeverSkipsWrites(t *testing.T) {
 	}
 	if d.Stats().Processed != 100 {
 		t.Fatalf("processed %d writes, want 100", d.Stats().Processed)
-	}
-	if smp.Skipped() != 0 {
-		t.Fatal("writes were skipped")
 	}
 }
 

@@ -241,7 +241,7 @@ var g int64
 func f() int64 {
 	return g*g + g
 }`
-	res, err := SourceOpts("snip.go", []byte(src), Options{DisableCoalesce: true})
+	res, err := SourcesOpts(map[string][]byte{"snip.go": []byte(src)}, Options{DisableCoalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}

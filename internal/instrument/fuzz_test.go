@@ -142,7 +142,7 @@ func FuzzInstrument(f *testing.F) {
 		// The coalesced rewrite (the default above) must also reconcile with
 		// the raw rewrite: same sources must yield probes+coalesced == raw
 		// probes, and the raw output must parse and type-check too.
-		raw, err := SourceOpts("fuzz.go", []byte(src), Options{DisableCoalesce: true})
+		raw, err := SourcesOpts(map[string][]byte{"fuzz.go": []byte(src)}, Options{DisableCoalesce: true})
 		if err != nil {
 			t.Fatalf("raw rewrite failed where coalesced succeeded: %v", err)
 		}

@@ -139,11 +139,6 @@ func Source(filename string, src []byte) (*Result, error) {
 	return Sources(map[string][]byte{filename: src})
 }
 
-// SourceOpts is Source with explicit instrumentation options.
-func SourceOpts(filename string, src []byte, opts Options) (*Result, error) {
-	return SourcesOpts(map[string][]byte{filename: src}, opts)
-}
-
 // Sources instruments a package given as base-name → source. File names only
 // label positions and order region assignment; they need not exist on disk.
 func Sources(srcs map[string][]byte) (*Result, error) {

@@ -11,7 +11,7 @@ import (
 // discipline. coalesce_test.go covers the collapsed form.
 func snip(t *testing.T, src string) (*Result, string) {
 	t.Helper()
-	res, err := SourceOpts("snip.go", []byte(src), Options{DisableCoalesce: true})
+	res, err := SourcesOpts(map[string][]byte{"snip.go": []byte(src)}, Options{DisableCoalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,9 @@ func (r *Runtime) ElidedByRegion() map[int32]uint64 {
 	return out
 }
 
-// SetMaxSteps overrides the per-thread step budget.
+// SetMaxSteps overrides the per-thread step budget. Exported for
+// internal/passes' differential fuzz harness, which bounds the programs it
+// generates from another package; no driver sets it.
 func (r *Runtime) SetMaxSteps(n uint64) {
 	if n > 0 {
 		r.maxSteps = n
@@ -117,8 +119,9 @@ func (r *Runtime) SetMaxSteps(n uint64) {
 // Footprint returns the shared-data size in bytes.
 func (r *Runtime) Footprint() uint64 { return r.space.FootprintBytes() }
 
-// ArrayValues returns a copy of the named array's final contents.
-func (r *Runtime) ArrayValues(name string) ([]int64, bool) {
+// arrayValues returns a copy of the named array's final contents (the tests'
+// window on what a program computed).
+func (r *Runtime) arrayValues(name string) ([]int64, bool) {
 	for i, a := range r.mod.Arrays {
 		if a.Name == name {
 			out := make([]int64, len(r.values[i]))

@@ -14,7 +14,7 @@ import (
 // run compiles and executes src on n threads, optionally with a detector.
 func run(t *testing.T, src string, threads int, withDetector bool) (*Runtime, *detect.Detector, error) {
 	t.Helper()
-	mod, table, err := passes.Compile(src, nil)
+	mod, table, _, err := passes.CompileWith(src, passes.Options{Coalesce: true})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -65,7 +65,7 @@ func main() {
 	if outs[0].Value != 1240 || outs[0].Thread != 0 {
 		t.Fatalf("out = %+v, want 1240 from T0", outs[0])
 	}
-	vals, ok := rt.ArrayValues("A")
+	vals, ok := rt.arrayValues("A")
 	if !ok || vals[5] != 25 {
 		t.Fatalf("A[5] = %v", vals)
 	}
@@ -82,7 +82,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, _ := rt.ArrayValues("Who")
+	vals, _ := rt.arrayValues("Who")
 	// Block partition over 4 threads: 4 consecutive elements per thread.
 	for i, v := range vals {
 		want := int64(i/4 + 1)
@@ -105,7 +105,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, _ := rt.ArrayValues("C")
+	vals, _ := rt.arrayValues("C")
 	if vals[0] != 15 { // 3 threads x 5 increments
 		t.Fatalf("C[0] = %d, want 15", vals[0])
 	}
@@ -146,7 +146,7 @@ func TestRuntimeErrors(t *testing.T) {
 		"deep recur": `func main() { call f(); } func f() { call f(); }`,
 	}
 	for name, src := range cases {
-		mod, _, err := passes.Compile(src, nil)
+		mod, _, _, err := passes.CompileWith(src, passes.Options{Coalesce: true})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
@@ -194,7 +194,7 @@ func main() {
 		t.Fatalf("total = %d\n%s", m.Total(), m.CSV())
 	}
 	// Values still correct.
-	vals, _ := rt.ArrayValues("S")
+	vals, _ := rt.arrayValues("S")
 	for k, v := range vals {
 		lo := int64(16 * ((k + 1) % 4))
 		want := int64(0)
@@ -216,7 +216,7 @@ func main() {
   parfor i = 0..32 { A[i] = A[(i + 8) % 32]; }
 }
 `
-	mod, table, err := passes.Compile(src, nil)
+	mod, table, _, err := passes.CompileWith(src, passes.Options{Coalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func main() {
 func ignored() { parfor i = 0..32 { A[i] = tid; } }
 func analysed() { s = 0; for i = 0..32 { s = s + A[i]; } }
 `
-	mod, table, err := passes.Compile(src, map[string]bool{"analysed": true})
+	mod, table, _, err := passes.CompileWith(src, passes.Options{Only: map[string]bool{"analysed": true}, Coalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func main() {
 }
 
 func TestNewRejectsBadModule(t *testing.T) {
-	mod, _, err := passes.Compile(`func main() { out 1; }`, nil)
+	mod, _, _, err := passes.CompileWith(`func main() { out 1; }`, passes.Options{Coalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestNewRejectsBadModule(t *testing.T) {
 }
 
 func TestFootprintAndMissingArray(t *testing.T) {
-	mod, _, err := passes.Compile(`array A[100]; func main() { A[0] = 1; }`, nil)
+	mod, _, _, err := passes.CompileWith(`array A[100]; func main() { A[0] = 1; }`, passes.Options{Coalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestFootprintAndMissingArray(t *testing.T) {
 	if rt.Footprint() != 800 {
 		t.Fatalf("footprint = %d", rt.Footprint())
 	}
-	if _, ok := rt.ArrayValues("nope"); ok {
+	if _, ok := rt.arrayValues("nope"); ok {
 		t.Fatal("missing array found")
 	}
 }

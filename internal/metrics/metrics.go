@@ -27,18 +27,6 @@ func ThreadLoad(m *comm.Matrix) []float64 {
 	return out
 }
 
-// ThreadLoadTotal is a variant that counts both supplied and received bytes
-// per thread; useful when consumers dominate a region's traffic.
-func ThreadLoadTotal(m *comm.Matrix) []float64 {
-	n := m.N()
-	rows, cols := m.RowSums(), m.ColSums()
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = float64(rows[i]+cols[i]) / float64(n)
-	}
-	return out
-}
-
 // ActiveThreads counts threads with non-zero load. Fig. 8a's radix hotspot
 // shows "half of threads are accessing the memory"; this is that number.
 func ActiveThreads(load []float64) int {

@@ -35,18 +35,6 @@ func TestThreadLoadEq1(t *testing.T) {
 	}
 }
 
-func TestThreadLoadTotal(t *testing.T) {
-	m := matrixFromRows(t, [][]uint64{
-		{0, 4},
-		{0, 0},
-	})
-	got := ThreadLoadTotal(m)
-	// T0: supplies 4; T1 receives 4 → both 4/2 = 2.
-	if got[0] != 2 || got[1] != 2 {
-		t.Fatalf("ThreadLoadTotal = %v", got)
-	}
-}
-
 func TestActiveThreads(t *testing.T) {
 	if got := ActiveThreads([]float64{0, 1, 0, 2}); got != 2 {
 		t.Fatalf("ActiveThreads = %d", got)

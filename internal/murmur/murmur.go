@@ -2,60 +2,11 @@
 // functions (Austin Appleby, public domain). The paper's asymmetric signature
 // memory addresses its slot arrays with MurmurHash because of its low time
 // complexity and low collision rate compared with other hash functions
-// (§IV-D2); this package provides the 32-bit and 128-bit x64 variants plus
-// convenience helpers for hashing 64-bit memory addresses.
+// (§IV-D2); this package provides the 128-bit x64 variant plus allocation-free
+// helpers for hashing 64-bit memory addresses.
 package murmur
 
 import "math/bits"
-
-const (
-	c1_32 uint32 = 0xcc9e2d51
-	c2_32 uint32 = 0x1b873593
-)
-
-// Sum32 computes the 32-bit MurmurHash3 of data with the given seed.
-func Sum32(data []byte, seed uint32) uint32 {
-	h := seed
-	n := len(data)
-	// Body: 4-byte blocks.
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		k := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16 | uint32(data[i+3])<<24
-		k *= c1_32
-		k = bits.RotateLeft32(k, 15)
-		k *= c2_32
-		h ^= k
-		h = bits.RotateLeft32(h, 13)
-		h = h*5 + 0xe6546b64
-	}
-	// Tail.
-	var k uint32
-	switch n & 3 {
-	case 3:
-		k ^= uint32(data[i+2]) << 16
-		fallthrough
-	case 2:
-		k ^= uint32(data[i+1]) << 8
-		fallthrough
-	case 1:
-		k ^= uint32(data[i])
-		k *= c1_32
-		k = bits.RotateLeft32(k, 15)
-		k *= c2_32
-		h ^= k
-	}
-	h ^= uint32(n)
-	return fmix32(h)
-}
-
-func fmix32(h uint32) uint32 {
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return h
-}
 
 const (
 	c1_64 uint64 = 0x87c37b91114253d5
@@ -63,7 +14,8 @@ const (
 )
 
 // Sum128 computes the 128-bit x64 MurmurHash3 of data with the given seed,
-// returning the two 64-bit halves.
+// returning the two 64-bit halves. Nothing outside the tests calls it: it is
+// the reference implementation HashAddr and HashAddrPair are pinned against.
 func Sum128(data []byte, seed uint64) (uint64, uint64) {
 	h1, h2 := seed, seed
 	n := len(data)

@@ -6,32 +6,6 @@ import (
 	"testing/quick"
 )
 
-// Reference vectors for MurmurHash3 x86_32 from the canonical C++
-// implementation (smhasher).
-func TestSum32Vectors(t *testing.T) {
-	cases := []struct {
-		data string
-		seed uint32
-		want uint32
-	}{
-		{"", 0, 0},
-		{"", 1, 0x514E28B7},
-		{"", 0xffffffff, 0x81F16F39},
-		{"a", 0, 0x3C2569B2},
-		{"abc", 0, 0xB3DD93FA},
-		{"Hello, world!", 0x9747b28c, 0x24884CBA},
-		{"The quick brown fox jumps over the lazy dog", 0x9747b28c, 0x2FA826CD},
-		{"aaaa", 0x9747b28c, 0x5A97808A},
-		{"aaa", 0x9747b28c, 0x283E0130},
-		{"aa", 0x9747b28c, 0x5D211726},
-	}
-	for _, c := range cases {
-		if got := Sum32([]byte(c.data), c.seed); got != c.want {
-			t.Errorf("Sum32(%q, %#x) = %#x, want %#x", c.data, c.seed, got, c.want)
-		}
-	}
-}
-
 // Reference vectors for MurmurHash3 x64_128 from the canonical implementation.
 func TestSum128Vectors(t *testing.T) {
 	cases := []struct {
@@ -51,15 +25,6 @@ func TestSum128Vectors(t *testing.T) {
 		if h1 != c.wantH1 || h2 != c.wantH2 {
 			t.Errorf("Sum128(%q) = (%#x, %#x), want (%#x, %#x)", c.data, h1, h2, c.wantH1, c.wantH2)
 		}
-	}
-}
-
-func TestSum32Deterministic(t *testing.T) {
-	f := func(data []byte, seed uint32) bool {
-		return Sum32(data, seed) == Sum32(data, seed)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -137,9 +102,6 @@ func TestHashAddrPairIndependent(t *testing.T) {
 
 func TestSeedChangesHash(t *testing.T) {
 	data := []byte("signature slot")
-	if Sum32(data, 1) == Sum32(data, 2) {
-		t.Error("Sum32: different seeds produced identical hashes")
-	}
 	a1, _ := Sum128(data, 1)
 	b1, _ := Sum128(data, 2)
 	if a1 == b1 {

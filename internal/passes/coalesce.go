@@ -3,7 +3,6 @@ package passes
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"commprof/internal/ir"
 )
@@ -398,26 +397,4 @@ func eligibleLoops(f *ir.Func, leaders []bool, depth []int) []loopSpan {
 		}
 	}
 	return out
-}
-
-// CoalescedDisassembly is a debugging helper: the module disassembly with a
-// trailing per-function elision summary.
-func CoalescedDisassembly(m *ir.Module) string {
-	var b strings.Builder
-	b.WriteString(m.Disassemble())
-	for _, f := range m.Funcs {
-		el, once := 0, 0
-		for _, in := range f.Code {
-			if in.Elide {
-				el++
-			}
-			if in.OnceAnchor != 0 {
-				once++
-			}
-		}
-		if el+once > 0 {
-			fmt.Fprintf(&b, "; %s: %d elided, %d once-per-loop\n", f.Name, el, once)
-		}
-	}
-	return b.String()
 }

@@ -125,11 +125,11 @@ func TestProfileTraceParallelCoalesceIdentity(t *testing.T) {
 				shards := 1 + rng.Intn(8)
 				cfg := fmt.Sprintf("seed=%d program=%s trial=%d shards=%d", seed, name, trial, shards)
 				opts := commprof.Options{AnalysisShards: shards}
-				on, err := commprof.ProfileTraceParallel(onAccs, onRegs, threads, opts)
+				on, err := commprof.ProfileTrace(onAccs, onRegs, threads, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", cfg, err)
 				}
-				off, err := commprof.ProfileTraceParallel(offAccs, offRegs, threads, opts)
+				off, err := commprof.ProfileTrace(offAccs, offRegs, threads, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", cfg, err)
 				}

@@ -12,23 +12,16 @@ type Options struct {
 	// the whole program.
 	Only map[string]bool
 	// Coalesce runs the static access-coalescing pass after instrumentation
-	// (see Coalesce). Compile turns it on; the -coalesce=false escape hatch
-	// on the drivers turns it off.
+	// (see Coalesce). The drivers turn it on unless given -coalesce=false.
 	Coalesce bool
 }
 
-// Compile runs the full static pipeline on MiniPar source: parse, loop
+// CompileWith runs the full static pipeline on MiniPar source: parse, loop
 // annotation, constant folding, lowering, instrumentation (of the functions
-// in only, or the whole program when only is nil), static access coalescing,
-// and verification. It returns the executable module and the static region
-// table.
-func Compile(src string, only map[string]bool) (*ir.Module, *trace.Table, error) {
-	mod, table, _, err := CompileWith(src, Options{Only: only, Coalesce: true})
-	return mod, table, err
-}
-
-// CompileWith is Compile with explicit pass options; it additionally returns
-// the coalescing statistics (zero when the pass is off).
+// in opts.Only, or the whole program when that is nil), static access
+// coalescing if asked for, and verification. It returns the executable
+// module, the static region table and the coalescing statistics (zero when
+// the pass is off).
 func CompileWith(src string, opts Options) (*ir.Module, *trace.Table, CoalesceStats, error) {
 	var cs CoalesceStats
 	prog, err := minipar.Parse(src)

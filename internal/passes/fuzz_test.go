@@ -20,14 +20,14 @@ func FuzzCompile(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		mod, table, err := Compile(src, nil)
+		mod, table, _, err := CompileWith(src, Options{Coalesce: true})
 		if err != nil {
 			return // invalid input is fine; panics are not
 		}
 		if mod == nil || table == nil {
 			t.Fatal("nil results without error")
 		}
-		// Verify ran inside Compile; re-run to be explicit about the
+		// Verify ran inside CompileWith; re-run to be explicit about the
 		// invariant this fuzz target protects.
 		if err := Verify(mod); err != nil {
 			t.Fatalf("verifier rejected compiled output: %v", err)

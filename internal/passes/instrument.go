@@ -27,16 +27,3 @@ func Instrument(m *ir.Module, only map[string]bool) int {
 	}
 	return probes
 }
-
-// ProbeCount reports how many instructions currently carry probes.
-func ProbeCount(m *ir.Module) int {
-	n := 0
-	for _, f := range m.Funcs {
-		for _, in := range f.Code {
-			if in.Probed {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -232,21 +232,6 @@ func Evaluate(c Classifier, test []Sample) Evaluation {
 	return ev
 }
 
-// PerClassRecall returns recall per true class.
-func (e Evaluation) PerClassRecall() [NumClasses]float64 {
-	var out [NumClasses]float64
-	for c := 0; c < int(NumClasses); c++ {
-		total := 0
-		for p := 0; p < int(NumClasses); p++ {
-			total += e.Confusion[c][p]
-		}
-		if total > 0 {
-			out[c] = float64(e.Confusion[c][c]) / float64(total)
-		}
-	}
-	return out
-}
-
 func standardize(train []Sample) (mean, std [FeatureDim]float64) {
 	for _, s := range train {
 		for j, v := range s.Features {

@@ -97,7 +97,7 @@ func TestPhaseIdentityAllWorkloads(t *testing.T) {
 
 				// Live-emission invariants: exactly once, in order, none late,
 				// and complete.
-				if e.PhaseLateWindows() > 0 {
+				if e.phaseLateWindows() > 0 {
 					t.Fatalf("%s: K=%d: late windows on a replay feed", name, shards)
 				}
 				wins := ws.Sorted()

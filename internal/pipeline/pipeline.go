@@ -791,7 +791,7 @@ func (e *Engine) advancePhasesAt(frontier uint64) int {
 // atomic, so a shard's arrival order is not strictly time-ordered and a
 // window partial can surface after its window was emitted. Such partials are
 // merged (the final PhaseWindows set is always complete and exact) but not
-// re-emitted, and are counted by PhaseLateWindows / the LateWindows probe.
+// re-emitted, and are counted by the LateWindows probe.
 func (e *Engine) AdvancePhases() int {
 	if e.phaseCloser == nil {
 		return 0
@@ -821,9 +821,10 @@ func (e *Engine) PhaseWindowsClosed() uint64 {
 	return e.phaseCloser.Closed()
 }
 
-// PhaseLateWindows counts shard window partials that surfaced after their
-// window was emitted live; always 0 in deterministic and replay feeds.
-func (e *Engine) PhaseLateWindows() uint64 {
+// phaseLateWindows counts shard window partials that surfaced after their
+// window was emitted live; always 0 in deterministic and replay feeds, which
+// the tests hold it to.
+func (e *Engine) phaseLateWindows() uint64 {
 	if e.phaseCloser == nil {
 		return 0
 	}

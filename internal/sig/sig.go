@@ -294,12 +294,6 @@ func (s *Asymmetric) FootprintBytes() uint64 {
 		s.allocated.Load()*perFilter
 }
 
-// ModelBytes returns Eq. 2's closed-form memory bound for this configuration:
-// every slot's filter allocated. The mask layout sits well below it.
-func (s *Asymmetric) ModelBytes() uint64 {
-	return SigMem(s.opts.Slots, s.opts.Threads, s.opts.FPRate)
-}
-
 // Reset clears both signatures.
 func (s *Asymmetric) Reset() {
 	for i := range s.write {

@@ -230,8 +230,8 @@ func TestFootprintBoundedByModel(t *testing.T) {
 			if foot != slots*12 {
 				t.Fatalf("mask footprint %d, want %d", foot, slots*12)
 			}
-			if foot >= s.ModelBytes() {
-				t.Fatalf("mask footprint %d not below Eq. 2 bound %d", foot, s.ModelBytes())
+			if bound := SigMem(s.opts.Slots, s.opts.Threads, s.opts.FPRate); foot >= bound {
+				t.Fatalf("mask footprint %d not below Eq. 2 bound %d", foot, bound)
 			}
 			if s.AllocatedFilters() != 0 {
 				t.Fatalf("mask layout allocated %d filters", s.AllocatedFilters())
@@ -563,9 +563,6 @@ func TestBloomLayoutKeptBeyondMaskThreads(t *testing.T) {
 		perFilter := (bloom.Derive(uint64(opts.Threads), opts.FPRate).Bits + 63) / 64 * 8
 		if got, want := s.FootprintBytes(), slots*(4+8)+live*perFilter; got != want {
 			t.Errorf("%+v: FootprintBytes = %d, want %d", opts, got, want)
-		}
-		if got, want := s.ModelBytes(), SigMem(slots, opts.Threads, opts.FPRate); got != want {
-			t.Errorf("%+v: ModelBytes = %d, want Eq. 2's %d", opts, got, want)
 		}
 		if s.Occupancy() != float64(live)/slots {
 			t.Errorf("%+v: Occupancy = %v, want %v", opts, s.Occupancy(), float64(live)/slots)

@@ -99,69 +99,6 @@ func Decode(r io.Reader) (*Stream, error) {
 	}
 }
 
-// Recovery describes what DecodeTolerant salvaged from a damaged stream.
-type Recovery struct {
-	// Records is the number of complete access records recovered.
-	Records int
-	// Declared is the header's access count, or -1 when the stream was
-	// never finalized and carried the sentinel.
-	Declared int
-	// Threads is the best thread-count estimate: the header count when
-	// finalized, otherwise max(Thread)+1 over the recovered records.
-	Threads int
-	// Unfinalized reports that the header counts held the unpatched
-	// sentinel — the writer died before Close.
-	Unfinalized bool
-	// Err is the decode error that ended recovery early, or nil when the
-	// stream ended cleanly (every declared or staged record recovered).
-	Err error
-}
-
-// DecodeTolerant reads as much of a possibly truncated or unfinalized
-// stream as can be salvaged: an unpatched v2/v3 header is accepted, and the
-// access section is decoded up to the last complete record (v1/v2) or last
-// intact CRC-verified block (v3). The returned stream is fully usable for
-// replay; Recovery reports how much survived and why decoding stopped.
-// Header or region-table corruption is still fatal.
-func DecodeTolerant(r io.Reader) (*Stream, *Recovery, error) {
-	d, err := NewDecoderTolerant(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := &Stream{Table: d.Table()}
-	prealloc := d.Len()
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
-	}
-	s.Accesses = make([]Access, 0, prealloc)
-	for {
-		a, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Tolerant decoders convert record failures into io.EOF;
-			// anything else would be a programming error, but fail safe.
-			return nil, nil, err
-		}
-		s.Accesses = append(s.Accesses, a)
-	}
-	rec := &Recovery{
-		Records:     len(s.Accesses),
-		Declared:    d.DeclaredLen(),
-		Threads:     d.Threads(),
-		Unfinalized: d.Unfinalized(),
-		Err:         d.SalvageErr(),
-	}
-	if rec.Unfinalized {
-		rec.Declared = -1
-	}
-	if seen := d.SeenThreads(); seen > rec.Threads {
-		rec.Threads = seen
-	}
-	return s, rec, nil
-}
-
 func writeString(w *bufio.Writer, s string) error {
 	var lenBuf [4]byte
 	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(s)))

@@ -35,7 +35,7 @@ import (
 // io.ErrUnexpectedEOF. io.EOF from Next means exactly "all n records
 // decoded". NewDecoderTolerant relaxes this for salvage: decode errors end
 // the stream early instead of failing, and the suppressed cause is kept for
-// the caller (see DecodeTolerant).
+// the caller (see NewDecoderTolerant).
 
 // telemetryFlushEvery bounds how many decoded/encoded records may accumulate
 // locally before the per-stream counter is published to the shared probe —
@@ -380,7 +380,7 @@ type Decoder struct {
 	blk     v3BlockReader      // v3 block state
 	pending uint32             // decoded records not yet published to Probes
 
-	// Salvage-mode state (NewDecoderTolerant / DecodeTolerant).
+	// Salvage-mode state (NewDecoderTolerant).
 	tolerant    bool
 	unfinalized bool   // header counts carried the unpatched sentinel
 	nUnknown    bool   // declared record count unknown; read to a clean end
@@ -500,10 +500,6 @@ func (d *Decoder) Threads() int { return d.threads }
 // Len returns the access-record count the header declares (0 when decoding
 // an unfinalized stream tolerantly — the count was never patched in).
 func (d *Decoder) Len() int { return int(d.n) }
-
-// Decoded returns how many access records have been decoded so far — the
-// progress feed for live introspection of a long replay.
-func (d *Decoder) Decoded() int { return int(d.i) }
 
 // Unfinalized reports whether the header's counts carried the unpatched
 // sentinel (possible only under NewDecoderTolerant).

@@ -96,9 +96,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 		if _, err := dec.Next(); err != io.EOF {
 			t.Fatalf("%+v: Next past end = %v, want io.EOF", shape, err)
 		}
-		if dec.Decoded() != len(s.Accesses) {
-			t.Fatalf("%+v: Decoded = %d, want %d", shape, dec.Decoded(), len(s.Accesses))
-		}
 
 		// The one-shot wrappers must agree byte for byte.
 		var oneShot bytes.Buffer

@@ -11,10 +11,7 @@
 // the MiniPar annotation pass.
 package trace
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind distinguishes read and write accesses.
 type Kind uint8
@@ -153,29 +150,6 @@ func (t *Table) Parent(id int32) int32 {
 	return t.MustRegion(id).Parent
 }
 
-// ParentLoop returns the UID of the nearest enclosing loop strictly above
-// region id, or NoRegion. Together with the region ID itself this reproduces
-// the paper's (current Loop ID, parent Loop ID) instrumentation pair.
-func (t *Table) ParentLoop(id int32) int32 {
-	for p := t.Parent(id); p != NoRegion; p = t.Parent(p) {
-		if t.MustRegion(p).Kind == LoopRegion {
-			return p
-		}
-	}
-	return NoRegion
-}
-
-// EnclosingFunc returns the name of the nearest enclosing function of region
-// id (possibly id itself), or "" if none.
-func (t *Table) EnclosingFunc(id int32) string {
-	for r := id; r != NoRegion; r = t.Parent(r) {
-		if reg := t.MustRegion(r); reg.Kind == FuncRegion {
-			return reg.Name
-		}
-	}
-	return ""
-}
-
 // Path returns the chain of region IDs from the root down to id, inclusive.
 func (t *Table) Path(id int32) []int32 {
 	var rev []int32
@@ -216,18 +190,4 @@ func (t *Table) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortAccesses orders accesses by logical time, breaking ties by thread then
-// address, yielding the deterministic temporal order Algorithm 1 consumes.
-func SortAccesses(as []Access) {
-	sort.Slice(as, func(i, j int) bool {
-		if as[i].Time != as[j].Time {
-			return as[i].Time < as[j].Time
-		}
-		if as[i].Thread != as[j].Thread {
-			return as[i].Thread < as[j].Thread
-		}
-		return as[i].Addr < as[j].Addr
-	})
 }

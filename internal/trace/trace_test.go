@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -27,18 +26,6 @@ func buildSampleTable(t *testing.T) *Table {
 func TestTableHierarchy(t *testing.T) {
 	tb := buildSampleTable(t)
 	// IDs: 0=main 1=main#0 2=main#1 3=daxpy 4=daxpy#0
-	if got := tb.ParentLoop(2); got != 1 {
-		t.Errorf("ParentLoop(inner) = %d, want 1", got)
-	}
-	if got := tb.ParentLoop(1); got != NoRegion {
-		t.Errorf("ParentLoop(outer) = %d, want NoRegion", got)
-	}
-	if got := tb.EnclosingFunc(2); got != "main" {
-		t.Errorf("EnclosingFunc(inner) = %q", got)
-	}
-	if got := tb.EnclosingFunc(4); got != "daxpy" {
-		t.Errorf("EnclosingFunc(daxpy#0) = %q", got)
-	}
 	if got := tb.Path(2); !reflect.DeepEqual(got, []int32{0, 1, 2}) {
 		t.Errorf("Path(2) = %v", got)
 	}
@@ -79,31 +66,6 @@ func TestValidateRejectsCorruptTables(t *testing.T) {
 	}}
 	if err := tb2.Validate(); err == nil {
 		t.Error("self-parent must fail validation")
-	}
-}
-
-func TestSortAccessesTemporalOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	as := make([]Access, 500)
-	for i := range as {
-		as[i] = Access{
-			Time:   uint64(rng.Intn(100)),
-			Thread: int32(rng.Intn(8)),
-			Addr:   uint64(rng.Intn(64)),
-		}
-	}
-	SortAccesses(as)
-	for i := 1; i < len(as); i++ {
-		a, b := as[i-1], as[i]
-		if a.Time > b.Time {
-			t.Fatalf("time order violated at %d", i)
-		}
-		if a.Time == b.Time && a.Thread > b.Thread {
-			t.Fatalf("thread tiebreak violated at %d", i)
-		}
-		if a.Time == b.Time && a.Thread == b.Thread && a.Addr > b.Addr {
-			t.Fatalf("addr tiebreak violated at %d", i)
-		}
 	}
 }
 

@@ -38,7 +38,7 @@ import (
 // Contexts reset at every block boundary, which makes each block
 // self-contained: a CRC-verified block decodes independently of its
 // predecessors, so a truncated tail costs at most one partial block
-// (the salvage property DecodeTolerant relies on).
+// (the salvage property NewDecoderTolerant relies on).
 //
 // The common record — same thread as its predecessor, time and addr on
 // stride, size and region unchanged — is a single tag byte; a thread

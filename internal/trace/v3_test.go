@@ -477,7 +477,7 @@ func TestDecodeTolerantV3(t *testing.T) {
 	}
 
 	t.Run("cut-between-blocks", func(t *testing.T) {
-		st, rec, err := DecodeTolerant(bytes.NewReader(unfinalize(data)[:block1End]))
+		st, rec, err := decodeTolerant(bytes.NewReader(unfinalize(data)[:block1End]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,7 +501,7 @@ func TestDecodeTolerantV3(t *testing.T) {
 	})
 
 	t.Run("cut-inside-block", func(t *testing.T) {
-		st, rec, err := DecodeTolerant(bytes.NewReader(unfinalize(data)[:block1End+200]))
+		st, rec, err := decodeTolerant(bytes.NewReader(unfinalize(data)[:block1End+200]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,7 +517,7 @@ func TestDecodeTolerantV3(t *testing.T) {
 	})
 
 	t.Run("finalized-intact", func(t *testing.T) {
-		st, rec, err := DecodeTolerant(bytes.NewReader(data))
+		st, rec, err := decodeTolerant(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,7 +544,7 @@ func TestDecodeTolerantV2(t *testing.T) {
 		out[i] = 0xFF
 	}
 	t.Run("record-boundary", func(t *testing.T) {
-		_, rec, err := DecodeTolerant(bytes.NewReader(out[:len(out)-3*accessRecLen]))
+		_, rec, err := decodeTolerant(bytes.NewReader(out[:len(out)-3*accessRecLen]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,7 +556,7 @@ func TestDecodeTolerantV2(t *testing.T) {
 		}
 	})
 	t.Run("mid-record", func(t *testing.T) {
-		_, rec, err := DecodeTolerant(bytes.NewReader(out[:len(out)-accessRecLen/2]))
+		_, rec, err := decodeTolerant(bytes.NewReader(out[:len(out)-accessRecLen/2]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,7 +567,7 @@ func TestDecodeTolerantV2(t *testing.T) {
 	t.Run("finalized-truncated", func(t *testing.T) {
 		// A finalized header with a short tail also salvages tolerantly
 		// (declared count known, so the shortfall is reported as the cause).
-		_, rec, err := DecodeTolerant(bytes.NewReader(data[:len(data)-accessRecLen]))
+		_, rec, err := decodeTolerant(bytes.NewReader(data[:len(data)-accessRecLen]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -816,7 +816,7 @@ func FuzzV3Decoder(f *testing.F) {
 
 		// Tolerant path: never errors past the header, and what it salvages
 		// is a prefix of the strict decode.
-		st, rec, err := DecodeTolerant(bytes.NewReader(data))
+		st, rec, err := decodeTolerant(bytes.NewReader(data))
 		if err != nil {
 			return // header/table-level rejection, same as strict
 		}
@@ -832,4 +832,35 @@ func FuzzV3Decoder(f *testing.F) {
 			}
 		}
 	})
+}
+
+// salvage is what a tolerant decoder recovered from a damaged stream and what
+// it says about it: these tests' view of NewDecoderTolerant.
+type salvage struct {
+	Records     int   // complete access records recovered
+	Declared    int   // the header's access count, -1 when it was never finalized
+	Threads     int   // the header's count, or max(Thread)+1 over the records if larger
+	Unfinalized bool  // the writer died before Close
+	Err         error // what ended recovery early; nil when the stream ended cleanly
+}
+
+// decodeTolerant drains NewDecoderTolerant over r. Header or region-table
+// corruption is still fatal.
+func decodeTolerant(r io.Reader) (*Stream, *salvage, error) {
+	d, err := NewDecoderTolerant(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := &Stream{Table: d.Table()}
+	if err := d.ForEach(func(a Access) error {
+		s.Accesses = append(s.Accesses, a)
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+	rec := &salvage{len(s.Accesses), d.DeclaredLen(), max(d.Threads(), d.SeenThreads()), d.Unfinalized(), d.SalvageErr()}
+	if rec.Unfinalized {
+		rec.Declared = -1
+	}
+	return s, rec, nil
 }

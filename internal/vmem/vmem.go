@@ -9,10 +9,7 @@
 // identity and access interleaving, both of which the simulation preserves.
 package vmem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Base is the first address handed out; keeping it non-zero makes accidental
 // zero-address bugs visible.
@@ -33,12 +30,6 @@ func (r Region) Addr(i uint64) uint64 {
 		panic(fmt.Sprintf("vmem: index %d out of range for region %q (count %d)", i, r.Name, r.Count))
 	}
 	return r.BaseAddr + i*uint64(r.ElemSize)
-}
-
-// Addr2 returns the address of element (i,j) of a row-major 2-D view with the
-// given row length.
-func (r Region) Addr2(i, j, cols uint64) uint64 {
-	return r.Addr(i*cols + j)
 }
 
 // End returns the first address past the region.
@@ -87,26 +78,6 @@ func (s *Space) Alloc(name string, count uint64, elemSize uint32) Region {
 	s.byName[name] = len(s.regions)
 	s.regions = append(s.regions, r)
 	return r
-}
-
-// Lookup returns the region with the given name.
-func (s *Space) Lookup(name string) (Region, bool) {
-	i, ok := s.byName[name]
-	if !ok {
-		return Region{}, false
-	}
-	return s.regions[i], true
-}
-
-// Resolve maps an address back to its region name and element index, for
-// diagnostics. Returns false if the address is in no region (padding gaps).
-func (s *Space) Resolve(addr uint64) (name string, index uint64, ok bool) {
-	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].End() > addr })
-	if i == len(s.regions) || !s.regions[i].Contains(addr) {
-		return "", 0, false
-	}
-	r := s.regions[i]
-	return r.Name, (addr - r.BaseAddr) / uint64(r.ElemSize), true
 }
 
 // Regions returns all allocations in address order.

@@ -1,9 +1,6 @@
 package vmem
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestAllocLayout(t *testing.T) {
 	s := NewSpace()
@@ -35,9 +32,6 @@ func TestAddrIndexing(t *testing.T) {
 	if r.Addr(3) != r.BaseAddr+24 {
 		t.Errorf("Addr(3) = %#x", r.Addr(3))
 	}
-	if r.Addr2(2, 3, 4) != r.Addr(11) {
-		t.Error("Addr2 row-major mismatch")
-	}
 }
 
 func TestAddrOutOfBoundsPanics(t *testing.T) {
@@ -68,45 +62,4 @@ func TestZeroAllocPanics(t *testing.T) {
 		}
 	}()
 	NewSpace().Alloc("Z", 0, 8)
-}
-
-func TestLookupAndResolve(t *testing.T) {
-	s := NewSpace()
-	a := s.Alloc("A", 10, 8)
-	b := s.Alloc("B", 10, 4)
-	if got, ok := s.Lookup("A"); !ok || got.BaseAddr != a.BaseAddr {
-		t.Fatal("Lookup A failed")
-	}
-	if _, ok := s.Lookup("missing"); ok {
-		t.Fatal("Lookup of missing region succeeded")
-	}
-	name, idx, ok := s.Resolve(b.Addr(7))
-	if !ok || name != "B" || idx != 7 {
-		t.Fatalf("Resolve = (%q,%d,%v)", name, idx, ok)
-	}
-	// Padding gap between regions resolves to nothing.
-	if _, _, ok := s.Resolve(a.End() + 1); ok {
-		t.Fatal("Resolve inside padding gap should fail")
-	}
-	if _, _, ok := s.Resolve(0); ok {
-		t.Fatal("Resolve(0) should fail")
-	}
-}
-
-func TestResolveRoundTripProperty(t *testing.T) {
-	s := NewSpace()
-	regions := []Region{
-		s.Alloc("r0", 64, 8),
-		s.Alloc("r1", 128, 4),
-		s.Alloc("r2", 16, 2),
-	}
-	f := func(which, idx uint64) bool {
-		r := regions[which%3]
-		i := idx % r.Count
-		name, gotIdx, ok := s.Resolve(r.Addr(i))
-		return ok && name == r.Name && gotIdx == i
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }

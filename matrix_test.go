@@ -72,9 +72,8 @@ func main() {
 		"Replay": func(o Options) (*Report, error) {
 			return Replay(bytes.NewReader(recorded.Bytes()), 8, o)
 		},
-		"ProfileTrace":         func(o Options) (*Report, error) { return ProfileTrace(accesses, regions, 4, o) },
-		"ProfileTraceParallel": func(o Options) (*Report, error) { return ProfileTraceParallel(accesses, regions, 4, o) },
-		"Run":                  func(o Options) (*Report, error) { return Run(4, regions, body, o) },
+		"ProfileTrace": func(o Options) (*Report, error) { return ProfileTrace(accesses, regions, 4, o) },
+		"Run":          func(o Options) (*Report, error) { return Run(4, regions, body, o) },
 		"ProfileMiniPar": func(o Options) (*Report, error) {
 			rep, _, err := ProfileMiniPar(src, 4, nil, o)
 			return rep, err
@@ -90,7 +89,7 @@ func TestOptionMatrix(t *testing.T) {
 	options := []struct {
 		name    string
 		set     func(*Options)
-		present func(*Report) bool
+		present func(*Report) bool // nil: the option value must be refused by name
 	}{
 		{"AnalysisShards", func(o *Options) { o.AnalysisShards = 2 },
 			func(r *Report) bool { return r.Pipeline != nil && r.Pipeline.Shards == 2 }},
@@ -104,6 +103,9 @@ func TestOptionMatrix(t *testing.T) {
 			func(r *Report) bool { return r.Accuracy != nil && r.Accuracy.SampledAccesses > 0 }},
 		{"Sample", func(o *Options) { o.SampleBurst, o.SamplePeriod = 1, 4 },
 			func(r *Report) bool { return r.SampleFraction == 0.25 }},
+		// A shift by the whole address width leaves one granule: refused, not
+		// analysed into a meaningless report.
+		{"GranularityBits", func(o *Options) { o.GranularityBits = 64 }, nil},
 	}
 	for name, run := range entryPoints(t) {
 		base, err := run(Options{})
@@ -117,6 +119,12 @@ func TestOptionMatrix(t *testing.T) {
 			var o Options
 			opt.set(&o)
 			rep, err := run(o)
+			if opt.present == nil {
+				if err == nil || !strings.Contains(err.Error(), opt.name) {
+					t.Errorf("%s × %s: err = %v, want a refusal naming the option", name, opt.name, err)
+				}
+				continue
+			}
 			if err != nil {
 				t.Errorf("%s × %s: %v", name, opt.name, err)
 				continue

@@ -154,7 +154,7 @@ func TestProfileTraceParallelPhaseWindow(t *testing.T) {
 			accesses = append(accesses, Access{Kind: ReadAccess, Addr: addr, Size: 8, Thread: (tid + 1) % 4, Region: 1, Time: now})
 		}
 	}
-	rep, err := ProfileTraceParallel(accesses, regions, 4, Options{AnalysisShards: 2, PhaseWindow: 100})
+	rep, err := ProfileTrace(accesses, regions, 4, Options{AnalysisShards: 2, PhaseWindow: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

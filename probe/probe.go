@@ -41,7 +41,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -445,60 +444,29 @@ func (s *shim) shutdown() {
 // report is live mode's second half: the recorded bytes replayed through the
 // standard analysis, so an instrumented binary is useful stand-alone.
 func (s *shim) report(goroutines int) error {
-	opts := commprof.Options{
-		AnalysisShards:      envInt("COMMPROF_SHARDS", 0),
-		PhaseWindow:         uint64(envInt("COMMPROF_PHASES", 0)),
-		GranularityBits:     uint(envInt("COMMPROF_GRANULARITY", 0)),
-		RedundancyCacheBits: uint(envInt("COMMPROF_REDUNDANCY_BITS", 0)),
-	}
-	if opts.AnalysisShards == 0 {
-		opts.AnalysisShards = runtime.GOMAXPROCS(0)
-	}
-	if slots := envInt("COMMPROF_SIG", 0); slots > 0 {
-		opts.SignatureSlots = uint64(slots)
+	// COMMPROF_OPTS holds the analyser flags commtrace -mode live was given;
+	// without it a stand-alone binary analyses at the flag defaults.
+	opts, err := commprof.OptionsFromEnv()
+	if err != nil {
+		return err
 	}
 	// COMMPROF_TIMELINE=path records the analysis's execution timeline and
 	// writes it as Chrome/Perfetto trace-event JSON alongside the report.
 	timelinePath := os.Getenv("COMMPROF_TIMELINE")
-	var tel *commprof.Telemetry
 	if timelinePath != "" {
-		tel = commprof.NewTelemetry()
-		tel.EnableTimeline()
-		opts.Telemetry = tel
+		opts.Telemetry = commprof.NewTelemetry()
+		opts.Telemetry.EnableTimeline()
 	}
 	rep, err := commprof.Replay(bytes.NewReader(s.buf.Bytes()), goroutines, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Print(rep.Summary())
+	if err := opts.Telemetry.WriteTimelineFile(timelinePath); err != nil {
+		return err
+	}
 	if timelinePath != "" {
-		f, err := os.Create(timelinePath)
-		if err != nil {
-			return err
-		}
-		err = tel.WriteTimeline(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(os.Stderr, "commprof/probe: wrote execution timeline to %s\n", timelinePath)
 	}
 	return nil
-}
-
-// envInt reads an integer environment knob, falling back on absence or a
-// parse failure.
-func envInt(name string, fallback int) int {
-	v := os.Getenv(name)
-	if v == "" {
-		return fallback
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "commprof/probe: ignoring %s=%q: %v\n", name, v, err)
-		return fallback
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -305,6 +306,81 @@ func TestLateRegisterReported(t *testing.T) {
 	Shutdown()
 	if dec, _ := decode(t, path); dec.Table().Len() != len(twoRegions) {
 		t.Errorf("trace declares %d regions, want the %d registered in time", dec.Table().Len(), len(twoRegions))
+	}
+}
+
+// captured runs f with the process's stdout and stderr redirected and returns
+// what it wrote to each (little enough to fit the pipes' buffers).
+func captured(t *testing.T, f func()) (stdout, stderr string) {
+	t.Helper()
+	var pipes [2][2]*os.File
+	for i := range pipes {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipes[i] = [2]*os.File{r, w}
+	}
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = pipes[0][1], pipes[1][1]
+	f()
+	os.Stdout, os.Stderr = oldOut, oldErr
+	var said [2][]byte
+	for i, p := range pipes {
+		p[1].Close()
+		said[i], _ = io.ReadAll(p[0])
+		p[0].Close()
+	}
+	return string(said[0]), string(said[1])
+}
+
+// TestOptionsCrossAsOneVariable: live mode takes its analyser options from
+// COMMPROF_OPTS and nothing else. A well-formed value arrives; a malformed
+// one is reported once and nothing is analysed, while Shutdown still returns
+// to the target's own exit path; record mode never reads the variable, so its
+// trace is byte for byte the same with and without it.
+func TestOptionsCrossAsOneVariable(t *testing.T) {
+	var word [2]uint64
+	run := func(tracePath, opts string) (stdout, stderr string) {
+		reset(t)
+		t.Setenv("COMMPROF_TRACE", tracePath)
+		t.Setenv("COMMPROF_OPTS", opts)
+		Register(twoRegions)
+		g := G()
+		for i := 0; i < 100; i++ {
+			g.W(unsafe.Pointer(&word[i%2]), 8, 1)
+			g.R(unsafe.Pointer(&word[(i+1)%2]), 8, 1)
+		}
+		return captured(t, Shutdown)
+	}
+
+	stdout, stderr := run("", "-shards=2 -phases=50")
+	if !strings.Contains(stdout, "sharded analysis: 2 shards") || !strings.Contains(stdout, "windows of 50") || stderr != "" {
+		t.Errorf("COMMPROF_OPTS did not arrive; stdout:\n%s\nstderr: %q", stdout, stderr)
+	}
+	if stdout, _ := run("", ""); !strings.Contains(stdout, "inter-thread RAW deps") || strings.Contains(stdout, "sharded analysis") {
+		t.Errorf("a stand-alone binary must analyse in-thread; stdout:\n%s", stdout)
+	}
+	for _, bad := range []string{"-granularity=-1", "-phases=100 -bogus"} {
+		stdout, stderr := run("", bad)
+		if stdout != "" || strings.Count(stderr, "COMMPROF_OPTS") != 1 {
+			t.Errorf("COMMPROF_OPTS=%q: want no report and one diagnostic naming the variable; stdout %q, stderr %q", bad, stdout, stderr)
+		}
+	}
+
+	var traces [2][]byte
+	for i, opts := range []string{"", "-granularity=-1"} {
+		path := filepath.Join(t.TempDir(), "record.trace")
+		if _, stderr := run(path, opts); strings.Contains(stderr, "COMMPROF_OPTS") {
+			t.Errorf("record mode read COMMPROF_OPTS=%q: %s", opts, stderr)
+		}
+		var err error
+		if traces[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(traces[0]) == 0 || !bytes.Equal(traces[0], traces[1]) {
+		t.Errorf("record mode's trace depends on COMMPROF_OPTS: %d bytes without, %d with", len(traces[0]), len(traces[1]))
 	}
 }
 

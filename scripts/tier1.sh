@@ -1,9 +1,11 @@
 #!/bin/sh
 # tier1.sh — the repository's tier-1 verification gate (see ROADMAP.md).
-# Build, formatting, vet, four grep guards for things that must stay
+# Build, formatting, vet, six grep guards for things that must stay
 # deleted (a trace-format knob, a second copy of the run on a write path, the
 # superseded benchmark harness, the sharded engine's overload policies and
-# hand-rolled ring), the full test suite, a race-detector pass
+# hand-rolled ring, an analyser option spelled out by hand beside the one flag
+# table, an internal/ export only tests call), the full test suite, a
+# race-detector pass
 # over the packages with lock-free hot paths (signature memory), real
 # concurrency (the parallel engine mode, the sharded analysis pipeline and its
 # bounded buffer hand-off, replay producer staging, the real-Go probe runtime's
@@ -69,6 +71,34 @@ guard "an overload policy or a hand-rolled ring is back" \
 	"$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
 		'OverloadPolicy|ShardPolicy|ShardBatchSize|shard-policy|shard-batch|DegradeBurst|AutoStallPerSec' . || true
 	grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Cond' internal/pipeline || true)"
+# The analyser's flags are declared once, in flags.go's BindFlags, and cross
+# into an instrumented program as the one variable COMMPROF_OPTS: no frontend
+# declares one of the ten names itself, and the per-option variables and their
+# parser stay gone.
+guard "an analyser option is spelled out by hand again" \
+	"$(grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'COMMPROF_(SHARDS|PHASES|GRANULARITY|REDUNDANCY_BITS|SIG)\>|\<envInt\>' . || true
+	grep -nE 'fs\.[A-Za-z0-9]+\(([^,"]*, *)?"(sig|fpr|phases|sample|granularity|shards|shard-queue|redundancy-bits|accuracy-bits|accuracy-target)"' \
+		cmd/commprof/*.go cmd/commtrace/*.go probe/*.go || true)"
+# Every exported func in internal/ is named by some non-test Go file (bench/
+# counts as a caller) outside its own declaration: what only tests call is
+# deleted, or unexported beside an in-package test.
+testonly_exports() {
+	code=$(find . -name '*.go' ! -name '*_test.go' -not -path './.bench_build/*' -not -path './.git/*' \
+		-exec grep -hv '^[[:space:]]*//' {} +)
+	grep -rhoE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*' internal |
+		sed -E 's/^func (\([^)]*\) )?//' | sort -u | while read -r name; do
+		case $name in
+		# murmur: the reference HashAddr and HashAddrPair are tested against.
+		Sum128) continue ;;
+		# interp: bounds the fuzz harness of internal/passes from another package.
+		SetMaxSteps) continue ;;
+		esac
+		n=$(printf '%s\n' "$code" | grep -w -- "$name" | grep -cvE "^func (\([^)]*\) )?$name\(" || true)
+		if [ "$n" -eq 0 ]; then echo "$name"; fi
+	done
+}
+guard "a test-only export is back in internal/" "$(testonly_exports)"
 
 echo "== go test =="
 go test ./...

@@ -64,7 +64,7 @@ func TestProfileTraceParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := ProfileTraceParallel(accesses, regions, 4, Options{AnalysisShards: 4})
+	sharded, err := ProfileTrace(accesses, regions, 4, Options{AnalysisShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestProfileTraceParallelSampling(t *testing.T) {
 		{Kind: ReadAccess, Addr: 0x100, Size: 8, Thread: 1, Region: -1, Time: 2},
 		{Kind: ReadAccess, Addr: 0x100, Size: 8, Thread: 1, Region: -1, Time: 3},
 	}
-	rep, err := ProfileTraceParallel(accesses, nil, 2, Options{AnalysisShards: 2, SampleBurst: 1, SamplePeriod: 4})
+	rep, err := ProfileTrace(accesses, nil, 2, Options{AnalysisShards: 2, SampleBurst: 1, SamplePeriod: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +107,13 @@ func TestProfileTraceParallelSampling(t *testing.T) {
 }
 
 func TestProfileTraceParallelValidation(t *testing.T) {
-	if _, err := ProfileTraceParallel(nil, nil, 0, Options{}); err == nil {
+	if _, err := ProfileTrace(nil, nil, 0, Options{}); err == nil {
 		t.Error("zero threads accepted")
 	}
-	if _, err := ProfileTraceParallel([]Access{{Thread: 9}}, nil, 2, Options{}); err == nil {
+	if _, err := ProfileTrace([]Access{{Thread: 9}}, nil, 2, Options{}); err == nil {
 		t.Error("out-of-range thread accepted")
 	}
-	if _, err := ProfileTraceParallel(nil, nil, 2, Options{AnalysisShards: -3}); err == nil {
+	if _, err := ProfileTrace(nil, nil, 2, Options{AnalysisShards: -3}); err == nil {
 		t.Error("negative AnalysisShards accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -235,6 +236,32 @@ func (t *Telemetry) WriteProm(w io.Writer) error {
 		return nil
 	}
 	return obs.WriteProm(w, t.reg)
+}
+
+// WriteTimelineFile writes WriteTimeline's export to a new file at path. A
+// no-op on a nil handle or an empty path: callers pass what their flag held.
+func (t *Telemetry) WriteTimelineFile(path string) error {
+	return t.writeFile(path, t.WriteTimeline)
+}
+
+// WritePromFile is WriteTimelineFile for WriteProm's snapshot.
+func (t *Telemetry) WritePromFile(path string) error {
+	return t.writeFile(path, t.WriteProm)
+}
+
+func (t *Telemetry) writeFile(path string, write func(io.Writer) error) error {
+	if t == nil || path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // WriteJSON exports a registry snapshot as indented JSON.

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"time"
 )
 
 const (
@@ -24,6 +25,14 @@ var ring [words]int64
 func worker(id int, in <-chan int, out chan<- int) {
 	for round := range in {
 		if id == 0 && round == rounds/2 && os.Getenv("EXITPATHS") == "panic" {
+			// When recording, die only once some whole trace blocks are on
+			// disk (the first half is well over 100 KB of them): what a panic
+			// leaves behind is then the same on a busy host as on an idle one.
+			for path := os.Getenv("COMMPROF_TRACE"); path != ""; time.Sleep(time.Millisecond) {
+				if fi, err := os.Stat(path); err == nil && fi.Size() >= 32<<10 {
+					break
+				}
+			}
 			panic("worker 0 gives up")
 		}
 		for i := 0; i < words; i++ {
