@@ -38,7 +38,17 @@ type analysis struct {
 	// producers are the staging handles probe and producer handed out;
 	// finish flushes them before closing the engine.
 	producers []*pipeline.Producer
+
+	// quantum buffers an in-thread engine source's accesses — what passed the
+	// record tap and the sampling gate, in issue order — for the detector's
+	// batch kernel: handed to quantumTo when full and in finish.
+	quantum   []trace.Access
+	quantumTo *pipeline.Producer
 }
+
+// quantumLen is the in-thread buffer's capacity in accesses (32 KB); live
+// telemetry trails the program by at most this many.
+const quantumLen = 1024
 
 // newAnalysis builds the analyser for a run over threads threads and the
 // given region table. Close its engine (idempotent; finish does) on every
@@ -71,6 +81,7 @@ func newAnalysis(opts Options, threads int, table *trace.Table, concurrent bool)
 	}
 	an.pe, err = pipeline.New(pipeline.Options{
 		Shards:              opts.AnalysisShards,
+		Concurrent:          concurrent,
 		Threads:             threads,
 		Table:               table,
 		GranularityBits:     opts.GranularityBits,
@@ -113,19 +124,30 @@ func (an *analysis) producer(flushOnThreadSwitch bool) *pipeline.Producer {
 }
 
 // probe returns the per-access hook a simulated-thread engine drives.
-// In-thread it is the detector's own probe. Sharded, producer-side staging
-// amortises shard-queue locking: under the parallel scheduler each thread
-// produces only its own accesses, so a per-thread producer is contention-free
-// (staging merely widens the enqueue-order race the mode already accepts);
-// the deterministic scheduler funnels every thread through one serialized
-// probe, so a single producer flushed on thread switches (= quantum
-// boundaries) preserves the exact global arrival order. tap, when non-nil,
-// encodes every access in front of the sampling gate.
+// In-thread under the parallel scheduler it is the detector's own probe, one
+// concurrent-safe call per access; the deterministic scheduler's one
+// serialized probe is a single caller, so there accesses collect in the
+// quantum buffer and reach the detector a batch at a time. Sharded,
+// producer-side staging amortises shard-queue locking: under the parallel
+// scheduler each thread produces only its own accesses, so a per-thread
+// producer is contention-free (staging merely widens the enqueue-order race
+// the mode already accepts); the deterministic scheduler's single producer is
+// flushed on thread switches (= quantum boundaries), which preserves the exact
+// global arrival order. tap, when non-nil, encodes every access in front of
+// the sampling gate.
 func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
 	var process exec.Probe
 	switch d := an.pe.InThread(); {
-	case d != nil:
+	case d != nil && an.concurrent:
 		process = d.Probe()
+	case d != nil:
+		an.quantum, an.quantumTo = make([]trace.Access, 0, quantumLen), an.producer(false)
+		process = func(a trace.Access) {
+			an.quantum = append(an.quantum, a)
+			if len(an.quantum) == quantumLen {
+				an.flushQuantum()
+			}
+		}
 	case an.concurrent:
 		producers := make([]*pipeline.Producer, an.threads)
 		for i := range producers {
@@ -145,6 +167,14 @@ func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
 		if !an.sampledOut(a.Kind, a.Thread) {
 			process(a)
 		}
+	}
+}
+
+// flushQuantum hands the buffered in-thread accesses to the detector.
+func (an *analysis) flushQuantum() {
+	if len(an.quantum) > 0 {
+		an.quantumTo.ProcessBatch(an.quantum)
+		an.quantum = an.quantum[:0]
 	}
 }
 
@@ -183,6 +213,7 @@ func (an *analysis) finish(name string, stats exec.Stats) (*Report, error) {
 	if pe.Shards() > 0 {
 		drain = tel.span("pipeline-drain")
 	}
+	an.flushQuantum()
 	for _, p := range an.producers {
 		p.Flush()
 	}

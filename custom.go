@@ -78,12 +78,13 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 	}
 	defer an.pe.Close()
 	an.wire(nil)
-	// The caller's slice is the only O(accesses) state: each access is
-	// converted and analysed (or staged) on the spot, never copied into a
-	// second stream. In-thread the loop calls the detector itself — one call
-	// per access, as a bare detector costs.
-	d, p := an.pe.InThread(), an.producer(false)
+	// The caller's slice is the only O(accesses) state: accesses are converted
+	// a chunk at a time into a buffer on this stack, never into a second
+	// stream, and each chunk goes to the analyser as one batch.
+	p := an.producer(false)
 	var stats exec.Stats
+	var chunk [256]trace.Access
+	n := 0
 	for i, a := range accesses {
 		if a.Thread < 0 || int(a.Thread) >= threads {
 			return nil, fmt.Errorf("commprof: access %d has thread %d out of range", i, a.Thread)
@@ -102,16 +103,16 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 		if an.sampledOut(k, a.Thread) {
 			continue
 		}
-		ta := trace.Access{
+		chunk[n] = trace.Access{
 			Time: a.Time, Addr: a.Addr, Size: a.Size,
 			Thread: a.Thread, Region: a.Region, Kind: k,
 		}
-		if d != nil {
-			d.Process(ta)
-		} else {
-			p.Process(ta)
+		if n++; n == len(chunk) {
+			p.ProcessBatch(chunk[:])
+			n = 0
 		}
 	}
+	p.ProcessBatch(chunk[:n])
 	return an.finish("trace", stats)
 }
 

@@ -12,11 +12,11 @@ import (
 
 // Matrix is an n×n thread communication matrix. Cell (src,dst) holds the
 // number of bytes thread dst read that were last written by thread src.
-// All mutators are safe for concurrent use (the analysis runs inside the
-// target program's threads).
+// Every mutator but AddOwned is safe for concurrent use (the analysis runs
+// inside the target program's threads).
 type Matrix struct {
 	n     int
-	cells []atomic.Uint64 // row-major [src*n+dst]
+	cells []uint64 // row-major [src*n+dst]; through sync/atomic except in AddOwned
 }
 
 // NewMatrix returns a zeroed n×n matrix. It panics on n <= 0.
@@ -24,7 +24,7 @@ func NewMatrix(n int) *Matrix {
 	if n <= 0 {
 		panic(fmt.Sprintf("comm: invalid matrix size %d", n))
 	}
-	return &Matrix{n: n, cells: make([]atomic.Uint64, n*n)}
+	return &Matrix{n: n, cells: make([]uint64, n*n)}
 }
 
 // N returns the matrix dimension (thread count).
@@ -32,22 +32,33 @@ func (m *Matrix) N() int { return m.n }
 
 // Add records bytes of communication from producer src to consumer dst.
 func (m *Matrix) Add(src, dst int32, bytes uint64) {
+	atomic.AddUint64(m.cell(src, dst), bytes)
+}
+
+// AddOwned is Add with a plain read-modify-write.
+// It is NOT safe for concurrent use: the caller is the matrix's only writer,
+// and nothing reads the matrix until a happens-before edge from that writer.
+func (m *Matrix) AddOwned(src, dst int32, bytes uint64) {
+	*m.cell(src, dst) += bytes
+}
+
+func (m *Matrix) cell(src, dst int32) *uint64 {
 	if src < 0 || int(src) >= m.n || dst < 0 || int(dst) >= m.n {
 		panic(fmt.Sprintf("comm: thread pair (%d,%d) out of range for %d threads", src, dst, m.n))
 	}
-	m.cells[int(src)*m.n+int(dst)].Add(bytes)
+	return &m.cells[int(src)*m.n+int(dst)]
 }
 
 // At returns the bytes communicated from src to dst.
 func (m *Matrix) At(src, dst int) uint64 {
-	return m.cells[src*m.n+dst].Load()
+	return atomic.LoadUint64(&m.cells[src*m.n+dst])
 }
 
 // Total returns the sum of all cells.
 func (m *Matrix) Total() uint64 {
 	var t uint64
 	for i := range m.cells {
-		t += m.cells[i].Load()
+		t += atomic.LoadUint64(&m.cells[i])
 	}
 	return t
 }
@@ -69,8 +80,8 @@ func (m *Matrix) AddMatrix(other *Matrix) {
 		panic(fmt.Sprintf("comm: dimension mismatch %d vs %d", m.n, other.n))
 	}
 	for i := range m.cells {
-		if v := other.cells[i].Load(); v != 0 {
-			m.cells[i].Add(v)
+		if v := atomic.LoadUint64(&other.cells[i]); v != 0 {
+			atomic.AddUint64(&m.cells[i], v)
 		}
 	}
 }
@@ -79,7 +90,7 @@ func (m *Matrix) AddMatrix(other *Matrix) {
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.n)
 	for i := range m.cells {
-		c.cells[i].Store(m.cells[i].Load())
+		c.cells[i] = atomic.LoadUint64(&m.cells[i])
 	}
 	return c
 }
@@ -90,7 +101,7 @@ func (m *Matrix) Equal(other *Matrix) bool {
 		return false
 	}
 	for i := range m.cells {
-		if m.cells[i].Load() != other.cells[i].Load() {
+		if atomic.LoadUint64(&m.cells[i]) != atomic.LoadUint64(&other.cells[i]) {
 			return false
 		}
 	}
@@ -124,7 +135,7 @@ func FromRows(rows [][]uint64) (*Matrix, error) {
 		}
 		for d, v := range row {
 			if v != 0 {
-				m.cells[s*n+d].Store(v)
+				m.cells[s*n+d] = v
 			}
 		}
 	}
@@ -135,7 +146,7 @@ func FromRows(rows [][]uint64) (*Matrix, error) {
 func (m *Matrix) NonZeroCells() int {
 	c := 0
 	for i := range m.cells {
-		if m.cells[i].Load() != 0 {
+		if atomic.LoadUint64(&m.cells[i]) != 0 {
 			c++
 		}
 	}
@@ -149,7 +160,7 @@ func (m *Matrix) Heatmap() string {
 	ramp := []byte(" .:-=+*#%@")
 	max := uint64(0)
 	for i := range m.cells {
-		if v := m.cells[i].Load(); v > max {
+		if v := atomic.LoadUint64(&m.cells[i]); v > max {
 			max = v
 		}
 	}

@@ -92,21 +92,40 @@ type Options struct {
 	// into signature / redundancy / shadow without per-access clock reads.
 	// Nil costs one branch per access.
 	Overhead *obs.OverheadProbes
+	// SingleOwner declares that one goroutine at a time calls Process and
+	// ProcessBatch, each call ordered after the last by a happens-before edge
+	// (a shard worker; a replay loop; the deterministic executor, whose threads
+	// hand the turn over a channel). The detector then owns its matrices and
+	// its backend (sig.Asymmetric.Own) and touches both without atomics. Set
+	// by the layer that arranges the callers, internal/pipeline; false, the
+	// default, keeps every access safe for concurrent callers.
+	SingleOwner bool
 }
 
 // Detector consumes accesses in temporal order and accumulates communication
-// matrices. Safe for concurrent use when its backend and OnEvent are.
+// matrices. Safe for concurrent use when its backend and OnEvent are and
+// Options.SingleOwner is false; with SingleOwner it belongs to its one caller,
+// and only Stats, RedundancyStats and the backend's Occupancy may be read
+// from elsewhere before that caller is done. Those counters are published
+// once per ProcessBatch, so mid-run they trail by at most one batch.
 type Detector struct {
-	opts    Options
+	opts Options
+	// asym is opts.Backend when that is the asymmetric signature: the kernel
+	// then calls it as its concrete type, not through the interface.
+	asym    *sig.Asymmetric
 	global  *comm.Matrix
 	outside *comm.Matrix
 	// perRegion matrices and access counters indexed by region ID.
 	perRegion []*comm.Matrix
 	regionAcc []atomic.Uint64
+	redun     *redundancy.Cache
+
+	// A cache line away from the read-only fields above, which every call
+	// reads: concurrent callers write these counters on every call.
+	_         [64]byte
 	processed atomic.Uint64
 	detected  atomic.Uint64
 	commBytes atomic.Uint64
-	redun     *redundancy.Cache
 }
 
 // New builds a detector. It returns an error on missing backend or invalid
@@ -140,6 +159,9 @@ func New(opts Options) (*Detector, error) {
 		}
 		d.redun = c
 	}
+	if d.asym, _ = opts.Backend.(*sig.Asymmetric); d.asym != nil && opts.SingleOwner {
+		d.asym.Own()
+	}
 	return d, nil
 }
 
@@ -150,94 +172,19 @@ func New(opts Options) (*Detector, error) {
 const overheadSampleShift = 8
 
 // Process applies Algorithm 1 to one access and reports whether it produced
-// a communication event.
+// a communication event: the kernel over a batch of one. The access is copied
+// field by field: a whole-struct copy of a value just assembled from registers
+// is a wide load over narrow stores, which the core cannot forward and so
+// waits out every cache miss in flight (it doubled this call's cost).
 func (d *Detector) Process(a trace.Access) (Event, bool) {
-	n := d.processed.Add(1)
-	// timed selects the sampled overhead-split path; false on every access
-	// when the Overhead probes are nil (the one-branch disabled cost).
-	timed := d.opts.Overhead != nil && n&(1<<overheadSampleShift-1) == 0
-	if d.regionAcc != nil && a.Region != trace.NoRegion && int(a.Region) < len(d.regionAcc) {
-		d.regionAcc[a.Region].Add(1)
-	}
-	gaddr := a.Addr >> d.opts.GranularityBits
-	if c := d.redun; c != nil {
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		red := c.Redundant(gaddr, a.Thread, a.Kind == trace.Write)
-		if timed {
-			d.opts.Overhead.RedundancyNanos.Add(uint64(time.Since(t0)) << overheadSampleShift)
-		}
-		if red {
-			// Fast path: the access cannot change what Algorithm 1 reports
-			// (repeated same-thread read, repeated same-thread write, or a
-			// thread re-reading its own last write), so skip the backend.
-			if p := d.opts.Probes; p != nil {
-				p.RedundantSkips.Inc()
-			}
-			return Event{}, false
-		}
-	}
-	if a.Kind == trace.Write {
-		d.opts.Backend.ObserveWrite(gaddr, a.Thread)
-		if m := d.opts.Accuracy; m != nil {
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			m.ObserveWrite(gaddr, a.Thread)
-			if timed {
-				d.opts.Overhead.ShadowNanos.Add(uint64(time.Since(t0)) << overheadSampleShift)
-			}
-		}
-		return Event{}, false
-	}
-	writer, first := d.opts.Backend.ObserveRead(gaddr, a.Thread)
-	ok := writer != sig.NoWriter && writer != a.Thread && first
-	if ok && int(writer) >= d.opts.Threads {
-		// A collision-corrupted slot can, in principle, surface a stale
-		// writer ID from a previous configuration; drop it defensively.
-		if p := d.opts.Probes; p != nil {
-			p.StaleWriterDrops.Inc()
-		}
-		ok = false
-	}
-	if m := d.opts.Accuracy; m != nil {
-		// The monitor pairs the post-drop verdict with the exact shadow's.
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		m.ObserveRead(gaddr, a.Thread, ok, writer)
-		if timed {
-			d.opts.Overhead.ShadowNanos.Add(uint64(time.Since(t0)) << overheadSampleShift)
-		}
-	}
+	var one [1]trace.Access
+	p := &one[0]
+	p.Time, p.Addr, p.Size, p.Thread, p.Region, p.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
+	writer, ok := d.kernel(one[:])
 	if !ok {
 		return Event{}, false
 	}
-	ev := Event{Time: a.Time, Writer: writer, Reader: a.Thread, Bytes: a.Size, Region: a.Region}
-	d.detected.Add(1)
-	d.commBytes.Add(uint64(a.Size))
-	if p := d.opts.Probes; p != nil {
-		p.Events.Inc()
-		p.EventBytes.Observe(uint64(a.Size))
-	}
-	d.global.Add(writer, a.Thread, uint64(a.Size))
-	if d.perRegion != nil {
-		if a.Region != trace.NoRegion && int(a.Region) < len(d.perRegion) {
-			d.perRegion[a.Region].Add(writer, a.Thread, uint64(a.Size))
-		} else {
-			d.outside.Add(writer, a.Thread, uint64(a.Size))
-		}
-	} else {
-		d.outside.Add(writer, a.Thread, uint64(a.Size))
-	}
-	if d.opts.OnEvent != nil {
-		d.opts.OnEvent(ev)
-	}
-	return ev, true
+	return Event{Time: a.Time, Writer: writer, Reader: a.Thread, Bytes: a.Size, Region: a.Region}, true
 }
 
 // Probe adapts the detector to the executor's instrumentation hook.
@@ -246,11 +193,156 @@ func (d *Detector) Probe() exec.Probe {
 }
 
 // ProcessBatch runs the detector over accesses in order: a whole recorded
-// stream in temporal order (offline mode), one decoded block of it, or one
-// drained batch of a shard's FIFO in the sharded pipeline.
-func (d *Detector) ProcessBatch(batch []trace.Access) {
-	for _, a := range batch {
-		d.Process(a)
+// stream in temporal order (offline mode), one decoded block of it, one
+// quantum of an in-thread run, or one drained batch of a shard's FIFO in the
+// sharded pipeline.
+func (d *Detector) ProcessBatch(batch []trace.Access) { d.kernel(batch) }
+
+// kernel is Algorithm 1 over a batch, and the only copy of its
+// communicating-access rule. What the batch form buys: the counters live in
+// locals and reach their atomics once per batch (the per-region access
+// counters once per run of same-region accesses), the optional layers are a
+// predicted branch each with their work out of line, and the asymmetric
+// signature is called without interface dispatch — plainly, not atomically,
+// when the detector owns it. It reports whether the batch's last access
+// communicated and with which writer: Process's result, as scalars because a
+// struct result is copied the same costly way Process's comment describes.
+func (d *Detector) kernel(batch []trace.Access) (lastWriter int32, lastComm bool) {
+	asym, cache, gran := d.asym, d.redun, d.opts.GranularityBits
+	base := d.processed.Load() // the batch's first access is number base+1
+	var detected, bytes, hits, misses, evictions, stale uint64
+	region, run := trace.NoRegion, uint64(0) // the current run of same-region accesses
+	for i := range batch {
+		a := &batch[i]
+		lastComm = false
+		// timed selects the sampled overhead-split path; false on every access
+		// when the Overhead probes are nil.
+		timed := d.opts.Overhead != nil && (base+uint64(i)+1)&(1<<overheadSampleShift-1) == 0
+		if a.Region != region {
+			d.countRegion(region, run)
+			region, run = a.Region, 0
+		}
+		run++
+		gaddr := a.Addr >> gran
+		if cache != nil {
+			var t0 time.Time
+			if timed {
+				t0 = time.Now()
+			}
+			hit, evicted := cache.Lookup(gaddr, a.Thread, a.Kind == trace.Write)
+			if timed {
+				d.opts.Overhead.RedundancyNanos.Add(uint64(time.Since(t0)) << overheadSampleShift)
+			}
+			if hit {
+				// Fast path: the access cannot change what Algorithm 1 reports
+				// (repeated same-thread read, repeated same-thread write, or a
+				// thread re-reading its own last write), so skip the backend.
+				hits++
+				continue
+			}
+			misses++
+			if evicted {
+				evictions++
+			}
+		}
+		if a.Kind == trace.Write {
+			if asym != nil {
+				asym.ObserveWrite(gaddr, a.Thread)
+			} else {
+				d.opts.Backend.ObserveWrite(gaddr, a.Thread)
+			}
+			if d.opts.Accuracy != nil {
+				d.shadow(a, gaddr, false, 0, timed)
+			}
+			continue
+		}
+		var writer int32
+		var first bool
+		if asym != nil {
+			writer, first = asym.ObserveRead(gaddr, a.Thread)
+		} else {
+			writer, first = d.opts.Backend.ObserveRead(gaddr, a.Thread)
+		}
+		comm := writer != sig.NoWriter && writer != a.Thread && first
+		if comm && int(writer) >= d.opts.Threads {
+			// A collision-corrupted slot can, in principle, surface a stale
+			// writer ID from a previous configuration; drop it defensively.
+			stale++
+			comm = false
+		}
+		if d.opts.Accuracy != nil {
+			// The monitor pairs the post-drop verdict with the exact shadow's.
+			d.shadow(a, gaddr, comm, writer, timed)
+		}
+		if lastWriter, lastComm = writer, comm; comm {
+			detected++
+			bytes += uint64(a.Size)
+			d.emit(a, writer)
+		}
+	}
+	d.countRegion(region, run)
+	d.processed.Add(uint64(len(batch)))
+	if detected > 0 {
+		d.detected.Add(detected)
+		d.commBytes.Add(bytes)
+	}
+	if cache != nil {
+		cache.Count(hits, misses, evictions)
+	}
+	if p := d.opts.Probes; p != nil {
+		p.RedundantSkips.Add(hits)
+		p.StaleWriterDrops.Add(stale)
+		p.Events.Add(detected)
+	}
+	if asym != nil && d.opts.SingleOwner {
+		asym.Publish()
+	}
+	return lastWriter, lastComm
+}
+
+// emit attributes one communicating read to the global matrix and to its
+// region's (or the outside matrix) and hands the event to OnEvent.
+func (d *Detector) emit(a *trace.Access, writer int32) {
+	if p := d.opts.Probes; p != nil {
+		p.EventBytes.Observe(uint64(a.Size))
+	}
+	own := d.outside
+	if a.Region != trace.NoRegion && int(a.Region) < len(d.perRegion) {
+		own = d.perRegion[a.Region]
+	}
+	if d.opts.SingleOwner {
+		d.global.AddOwned(writer, a.Thread, uint64(a.Size))
+		own.AddOwned(writer, a.Thread, uint64(a.Size))
+	} else {
+		d.global.Add(writer, a.Thread, uint64(a.Size))
+		own.Add(writer, a.Thread, uint64(a.Size))
+	}
+	if d.opts.OnEvent != nil {
+		d.opts.OnEvent(Event{Time: a.Time, Writer: writer, Reader: a.Thread, Bytes: a.Size, Region: a.Region})
+	}
+}
+
+// shadow feeds the accuracy monitor one access that reached the backend,
+// timing the call into the overhead split when the access is a sampled one.
+func (d *Detector) shadow(a *trace.Access, gaddr uint64, comm bool, writer int32, timed bool) {
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	if a.Kind == trace.Write {
+		d.opts.Accuracy.ObserveWrite(gaddr, a.Thread)
+	} else {
+		d.opts.Accuracy.ObserveRead(gaddr, a.Thread, comm, writer)
+	}
+	if timed {
+		d.opts.Overhead.ShadowNanos.Add(uint64(time.Since(t0)) << overheadSampleShift)
+	}
+}
+
+// countRegion adds a run of n accesses to region's access counter.
+func (d *Detector) countRegion(region int32, n uint64) {
+	if n > 0 && region != trace.NoRegion && int(region) < len(d.regionAcc) {
+		d.regionAcc[region].Add(n)
 	}
 }
 
@@ -279,16 +371,13 @@ func (d *Detector) RegionAccesses() []uint64 {
 func (d *Detector) Table() *trace.Table { return d.opts.Table }
 
 // Tree builds the nested communication structure. It errors if the detector
-// was built without a region table.
+// was built without a region table. On a SingleOwner detector the caller must
+// be ordered after the owner's last ProcessBatch by a happens-before edge.
 func (d *Detector) Tree() (*comm.Tree, error) {
 	if d.opts.Table == nil {
 		return nil, fmt.Errorf("detect: no region table configured")
 	}
-	acc := make([]uint64, len(d.regionAcc))
-	for i := range d.regionAcc {
-		acc[i] = d.regionAcc[i].Load()
-	}
-	return comm.BuildTree(d.opts.Table, d.perRegion, acc, d.global, d.outside)
+	return comm.BuildTree(d.opts.Table, d.perRegion, d.RegionAccesses(), d.global, d.outside)
 }
 
 // RegionMatrix returns the own-traffic matrix of one region.

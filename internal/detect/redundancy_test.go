@@ -228,8 +228,8 @@ func TestRedundancyStatsOffByDefault(t *testing.T) {
 	}
 }
 
-// Hot-path benchmark fixture: one recorded access stream shared by the
-// filtered/unfiltered Process benchmarks. BENCH_APP / BENCH_SIZE /
+// Hot-path benchmark fixture: one recorded access stream shared by
+// BenchmarkProcessBatch's sub-benchmarks. BENCH_APP / BENCH_SIZE /
 // BENCH_REDUN_BITS pick the input (defaults: radix simdev 14).
 var hotBenchFixture struct {
 	once   sync.Once
@@ -276,53 +276,38 @@ func hotBenchStream(b *testing.B) ([]trace.Access, *trace.Table) {
 	return hotBenchFixture.stream, hotBenchFixture.table
 }
 
-func benchProcessStream(b *testing.B, cacheBits uint) {
+// BenchmarkProcessBatch is the kernel's in-package meter: ns/access over a
+// recorded workload stream fed in 256-access batches, for the shared kernel
+// ("plain": every access pays the full asymmetric-signature cost, atomically),
+// the same behind the redundancy fast path ("cache"; read the hitrate metric
+// for the skip fraction) and the single-owner kernel ("owned"). The end-to-end
+// rows these stand behind are bench/'s replay, synth-local and live.
+func BenchmarkProcessBatch(b *testing.B) {
 	stream, table := hotBenchStream(b)
-	b.ReportAllocs()
-	var last *Detector
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		backend, err := sig.NewAsymmetric(sig.Options{Slots: hotBenchSlots, Threads: hotBenchThreads, FPRate: 0.001})
-		if err != nil {
-			b.Fatal(err)
+	for _, c := range kernelConfigs {
+		cacheBits := c.cacheBits
+		if s := os.Getenv("BENCH_REDUN_BITS"); s != "" && cacheBits > 0 {
+			v, err := strconv.ParseUint(s, 10, 32)
+			if err != nil {
+				b.Fatalf("BENCH_REDUN_BITS: %v", err)
+			}
+			cacheBits = uint(v)
 		}
-		d, err := New(Options{
-			Threads: hotBenchThreads, Backend: backend, Table: table,
-			RedundancyCacheBits: cacheBits,
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var last *Detector
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				last = kernelDetector(b, hotBenchThreads, hotBenchSlots, table, cacheBits, c.owned)
+				b.StartTimer()
+				for j := 0; j < len(stream); j += 256 {
+					last.ProcessBatch(stream[j:min(j+256, len(stream))])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(stream)*b.N), "ns/access")
+			if st, ok := last.RedundancyStats(); ok {
+				b.ReportMetric(st.HitRate(), "hitrate")
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = d
-		b.StartTimer()
-		d.ProcessBatch(stream)
 	}
-	if s := b.Elapsed().Nanoseconds(); s > 0 && len(stream) > 0 {
-		b.ReportMetric(float64(s)/float64(len(stream)*b.N), "ns/access")
-	}
-	if st, ok := last.RedundancyStats(); ok {
-		b.ReportMetric(st.HitRate(), "hitrate")
-	}
-}
-
-// BenchmarkProcessUnfiltered is the baseline detection hot loop: every access
-// pays the full asymmetric-signature cost.
-func BenchmarkProcessUnfiltered(b *testing.B) {
-	benchProcessStream(b, 0)
-}
-
-// BenchmarkProcessFiltered is the same loop behind the redundancy fast path;
-// compare its ns/access against BenchmarkProcessUnfiltered and read the
-// hitrate metric for the skip fraction.
-func BenchmarkProcessFiltered(b *testing.B) {
-	bits := uint(14)
-	if s := os.Getenv("BENCH_REDUN_BITS"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			b.Fatalf("BENCH_REDUN_BITS: %v", err)
-		}
-		bits = uint(v)
-	}
-	benchProcessStream(b, bits)
 }

@@ -77,6 +77,11 @@ type Options struct {
 	// QueueCapacity does not apply, and a RedundancyCacheBits or Accuracy
 	// setting needs a single calling goroutine (see detect.Options).
 	Shards int
+	// Concurrent says several goroutines call the K = 0 detector at once (the
+	// facade's Options.Parallel). Otherwise every detector has one caller at
+	// a time — a shard worker, or the in-thread source — and is built with
+	// detect.Options.SingleOwner. Ignored when K > 0: workers are the callers.
+	Concurrent bool
 	// Threads is the target program's thread count (matrix dimension).
 	Threads int
 	// Table is the static region table; nil disables per-region attribution.
@@ -499,6 +504,7 @@ func New(opts Options) (*Engine, error) {
 			Accuracy:            mon,
 			Probes:              opts.DetectProbes,
 			Overhead:            opts.Overhead,
+			SingleOwner:         queued || !opts.Concurrent,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
@@ -520,10 +526,11 @@ func New(opts Options) (*Engine, error) {
 // Shards returns the configured shard count K; 0 is the in-thread engine.
 func (e *Engine) Shards() int { return e.opts.Shards }
 
-// InThread returns the K = 0 engine's detector, nil when K > 0. Per-access
-// sources call its Process (or Probe) directly, so in-thread analysis costs
-// the same call depth as a bare detector; everything else about the run —
-// results, statistics, windows, Close — still goes through the Engine.
+// InThread returns the K = 0 engine's detector, nil when K > 0. A source
+// whose threads really run at once (Options.Concurrent) calls its Process (or
+// Probe) per access; any other feeds it batches, through a Producer or its
+// ProcessBatch. Everything else about the run — results, statistics, windows,
+// Close — still goes through the Engine.
 func (e *Engine) InThread() *detect.Detector { return e.inThread }
 
 // route maps an access to its shard index by hashing the
@@ -834,6 +841,8 @@ func (e *Engine) phaseLateWindows() uint64 {
 // merge sums the shard matrices and counters into the standard global /
 // outside / per-region form. Runs once, after Close. A single shard's
 // matrices already are the result, so they are aliased rather than copied.
+// The detectors wrote them plainly: Close's wg.Wait (K > 0), or the in-thread
+// source having returned to Close's caller, orders those writes before this.
 func (e *Engine) merge() {
 	e.mergeOnce.Do(func() {
 		if len(e.shards) == 1 {

@@ -65,9 +65,8 @@ const MaxBits = 30
 const maxThread = 1<<30 - 1
 
 const (
-	metaValid  uint32 = 1 << 31
-	metaWrite  uint32 = 1 << 30
-	threadMask uint32 = 1<<30 - 1
+	metaValid uint32 = 1 << 31
+	metaWrite uint32 = 1 << 30
 )
 
 // fibMix spreads granule addresses across the index space with one multiply
@@ -108,33 +107,50 @@ func (c *Cache) Entries() int { return len(c.tags) }
 // Bits returns log2 of the line count.
 func (c *Cache) Bits() uint { return 64 - c.shift }
 
-// Redundant reports whether the access (granule gaddr, thread tid, write or
+// Lookup reports whether the access (granule gaddr, thread tid, write or
 // read) is provably redundant and may skip the signature backend. On a miss
-// the entry is replaced with this access, so the decision costs one multiply,
-// one load pair and one compare either way. gaddr must already be shifted by
-// the analysis granularity — the cache never sees raw byte addresses.
-func (c *Cache) Redundant(gaddr uint64, tid int32, write bool) bool {
+// the entry is replaced with this access — evicted says a different resident
+// granule was displaced — so the decision costs one multiply, one load pair
+// and one compare either way. gaddr must already be shifted by the analysis
+// granularity — the cache never sees raw byte addresses. The counters are
+// left alone: a batch loop tallies outcomes and hands them to Count once.
+func (c *Cache) Lookup(gaddr uint64, tid int32, write bool) (hit, evicted bool) {
 	i := (gaddr * fibMix) >> c.shift
-	m := c.meta[i]
-	if c.tags[i] == gaddr && m&metaValid != 0 && m&threadMask == uint32(tid) {
-		// Same thread, same granule. A read skips whatever the resident kind
-		// (rules 1 and 3); a write skips only over its own write (rule 2) —
-		// a write over a resident read must reach the backend, because it
-		// changes the last writer's epoch and clears the reader set.
-		if !write || m&metaWrite != 0 {
-			c.hits.Add(1)
-			return true
-		}
-	}
-	if m&metaValid != 0 && c.tags[i] != gaddr {
-		c.evictions.Add(1)
-	}
-	c.tags[i] = gaddr
+	m, same := c.meta[i], c.tags[i] == gaddr
 	nm := metaValid | uint32(tid)
 	if write {
 		nm |= metaWrite
 	}
-	c.meta[i] = nm
+	// Same thread, same granule, and the resident entry is this access's own
+	// kind or a write: a read skips whatever the resident kind (rules 1 and
+	// 3); a write skips only over its own write (rule 2) — a write over a
+	// resident read must reach the backend, because it changes the last
+	// writer's epoch and clears the reader set.
+	if same && (m == nm || m == nm|metaWrite) {
+		return true, false
+	}
+	c.tags[i], c.meta[i] = gaddr, nm
+	return false, m&metaValid != 0 && !same
+}
+
+// Count adds a run of Lookup outcomes to the counters.
+func (c *Cache) Count(hits, misses, evictions uint64) {
+	c.hits.Add(hits)
+	c.misses.Add(misses)
+	c.evictions.Add(evictions)
+}
+
+// Redundant is Lookup counted on the spot, for callers that filter one access
+// at a time.
+func (c *Cache) Redundant(gaddr uint64, tid int32, write bool) bool {
+	hit, evicted := c.Lookup(gaddr, tid, write)
+	if hit {
+		c.hits.Add(1)
+		return true
+	}
+	if evicted {
+		c.evictions.Add(1)
+	}
 	c.misses.Add(1)
 	return false
 }

@@ -38,7 +38,8 @@ const NoWriter int32 = -1
 
 // Backend is the conflict store consulted by the RAW detector (Algorithm 1).
 // Implementations must be safe for concurrent use: the analysis runs inside
-// the target program's own threads.
+// the target program's own threads. (An Asymmetric stops being so once its
+// single caller has declared itself with Own.)
 type Backend interface {
 	// ObserveRead processes a read of addr by thread tid. It returns the
 	// last recorded writer of addr (NoWriter on a write-signature miss) and
@@ -126,7 +127,9 @@ const MaskThreads = 64
 
 // Asymmetric is the paper's asymmetric signature memory. All operations are
 // lock-free: slot values use atomics and bloom filters use an atomic bitset,
-// mirroring the paper's C++11 lock-free primitives.
+// mirroring the paper's C++11 lock-free primitives. A signature with exactly
+// one caller can say so (Own) and is then read and written plainly: same
+// arrays, same slots, same answers.
 //
 // The second level of the read signature has two layouts, chosen once by
 // NewAsymmetric. Up to MaskThreads threads each slot is one exact 64-bit
@@ -144,15 +147,23 @@ type Asymmetric struct {
 	slotMask uint64
 
 	// write signature: slot -> last writer tid (+1, so 0 means empty).
-	write []atomic.Int32
+	// Accessed through sync/atomic unless owned.
+	write []int32
 	// read signature, mask layout: slot -> reader bitmask. Nil on the bloom
-	// layout.
-	masks []atomic.Uint64
+	// layout. Accessed through sync/atomic unless owned.
+	masks []uint64
 	// read signature, bloom layout: slot -> *bloom.Filter (nil until first
 	// use). Nil on the mask layout.
 	read []atomic.Pointer[bloom.Filter]
 
 	allocated atomic.Uint64 // number of live second-level filters
+
+	// owned is set by Own. The owner counts the non-empty reader masks in
+	// nonEmpty; Publish copies that to occupied, the one thing another
+	// goroutine may read of an owned signature's slots mid-run.
+	owned    bool
+	nonEmpty int64
+	occupied atomic.Int64
 }
 
 // NewAsymmetric builds an asymmetric signature memory.
@@ -165,10 +176,10 @@ func NewAsymmetric(opts Options) (*Asymmetric, error) {
 		bloomP:   bloom.Derive(uint64(opts.Threads), opts.FPRate),
 		pow2:     opts.Slots&(opts.Slots-1) == 0,
 		slotMask: opts.Slots - 1,
-		write:    make([]atomic.Int32, opts.Slots),
+		write:    make([]int32, opts.Slots),
 	}
 	if opts.Threads <= MaskThreads && !opts.PaperBloom {
-		s.masks = make([]atomic.Uint64, opts.Slots)
+		s.masks = make([]uint64, opts.Slots)
 	} else {
 		s.read = make([]atomic.Pointer[bloom.Filter], opts.Slots)
 	}
@@ -180,6 +191,21 @@ func (s *Asymmetric) Name() string { return "asymmetric-signature" }
 
 // Options returns the configuration the signature was built with.
 func (s *Asymmetric) Options() Options { return s.opts }
+
+// Own declares that from here on one goroutine at a time calls ObserveRead
+// and ObserveWrite, each call ordered after the last by a happens-before
+// edge: the mask layout then drops its atomics (the bloom layout ignores the
+// call) and is NOT safe for concurrent use. Call it on a fresh or Reset
+// signature, before any goroutine that reads Occupancy starts; the owner
+// calls Publish wherever it wants Occupancy brought up to date.
+func (s *Asymmetric) Own() { s.owned = s.masks != nil }
+
+// Publish makes the owner's count of occupied slots visible to Occupancy.
+func (s *Asymmetric) Publish() {
+	if s.owned {
+		s.occupied.Store(s.nonEmpty)
+	}
+}
 
 // slots maps addr to its (read, write) slot pair. Every backend operation
 // needs both slots (ObserveRead looks up the writer and records the reader;
@@ -236,23 +262,31 @@ func (s *Asymmetric) filterAt(slot uint64) *bloom.Filter {
 // ObserveRead implements Backend. One fused hash pass yields both slots.
 func (s *Asymmetric) ObserveRead(addr uint64, tid int32) (int32, bool) {
 	rs, ws := s.slots(addr)
-	writer := NoWriter
-	if v := s.write[ws].Load(); v != 0 {
-		writer = v - 1
+	bit := uint64(1) << (uint(tid) & 63)
+	if s.owned {
+		old := s.masks[rs]
+		if old&bit == 0 {
+			if old == 0 {
+				s.nonEmpty++
+			}
+			s.masks[rs] = old | bit
+		}
+		return s.write[ws] - 1, old&bit == 0 // an empty slot reads 0: NoWriter
 	}
+	writer := atomic.LoadInt32(&s.write[ws]) - 1
 	if s.masks == nil {
 		already := s.filterAt(rs).Add(uint64(tid))
 		return writer, !already
 	}
 	// Test before set: a repeat read, the common case, is one load and
 	// leaves the cache line shared.
-	m, bit := &s.masks[rs], uint64(1)<<(uint(tid)&63)
+	m := &s.masks[rs]
 	for {
-		old := m.Load()
+		old := atomic.LoadUint64(m)
 		if old&bit != 0 {
 			return writer, false
 		}
-		if m.CompareAndSwap(old, old|bit) {
+		if atomic.CompareAndSwapUint64(m, old, old|bit) {
 			return writer, true
 		}
 		if p := s.opts.Probes; p != nil {
@@ -268,19 +302,27 @@ func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
 	// produces a new value, so earlier readers must count again (Fig. 2's
 	// communicating-access rule).
 	cleared := false
-	if s.masks != nil {
-		if m := &s.masks[rs]; m.Load() != 0 {
-			m.Store(0)
+	if s.owned {
+		if cleared = s.masks[rs] != 0; cleared {
+			s.masks[rs] = 0
+			s.nonEmpty--
+		}
+		s.write[ws] = tid + 1
+	} else {
+		if s.masks == nil {
+			if f := s.read[rs].Load(); f != nil {
+				f.Reset()
+				cleared = true
+			}
+		} else if m := &s.masks[rs]; atomic.LoadUint64(m) != 0 {
+			atomic.StoreUint64(m, 0)
 			cleared = true
 		}
-	} else if f := s.read[rs].Load(); f != nil {
-		f.Reset()
-		cleared = true
+		atomic.StoreInt32(&s.write[ws], tid+1)
 	}
 	if p := s.opts.Probes; cleared && p != nil {
 		p.ReaderResets.Inc()
 	}
-	s.write[ws].Store(tid + 1)
 }
 
 // FootprintBytes implements Backend: the live heap held by the two arrays
@@ -294,13 +336,16 @@ func (s *Asymmetric) FootprintBytes() uint64 {
 		s.allocated.Load()*perFilter
 }
 
-// Reset clears both signatures.
+// Reset clears both signatures. Like every mutator of an owned signature it
+// is the owner's to call.
 func (s *Asymmetric) Reset() {
+	s.nonEmpty = 0
+	s.occupied.Store(0)
 	for i := range s.write {
-		s.write[i].Store(0)
+		atomic.StoreInt32(&s.write[i], 0)
 	}
 	for i := range s.masks {
-		s.masks[i].Store(0)
+		atomic.StoreUint64(&s.masks[i], 0)
 	}
 	for i := range s.read {
 		s.read[i].Store(nil)
@@ -319,18 +364,23 @@ const occupancySample = 4096
 // signature saturation a live telemetry consumer watches to see whether the
 // configured slot count is undersized for the workload's working set. On the
 // bloom layout a slot is in use once its filter is allocated (an exact
-// count); on the mask layout it is in use while its reader set is non-empty,
-// estimated from occupancySample slots at a fixed stride over the whole
-// range. Safe to call concurrently with a run.
+// count); on the mask layout it is in use while its reader set is non-empty:
+// the owner's exact count as of its last Publish when the signature is owned
+// (nobody else may walk masks written plainly), otherwise an estimate from
+// occupancySample slots at a fixed stride over the whole range. Safe to call
+// concurrently with a run.
 func (s *Asymmetric) Occupancy() float64 {
 	if s.masks == nil {
 		return float64(s.allocated.Load()) / float64(s.opts.Slots)
+	}
+	if s.owned {
+		return float64(s.occupied.Load()) / float64(s.opts.Slots)
 	}
 	stride := max(len(s.masks)/occupancySample, 1)
 	probed, used := 0, 0
 	for slot := 0; slot < len(s.masks); slot += stride {
 		probed++
-		if s.masks[slot].Load() != 0 {
+		if atomic.LoadUint64(&s.masks[slot]) != 0 {
 			used++
 		}
 	}

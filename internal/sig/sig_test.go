@@ -407,7 +407,7 @@ func TestFillRatioSamplesWholeSlotRange(t *testing.T) {
 		const slots = 4 * occupancySample
 		s := newLayoutSig(t, slots, false)
 		for slot := slots / 2; slot < slots*3/4; slot++ {
-			s.masks[slot].Store(1<<32 - 1)
+			s.masks[slot] = 1<<32 - 1
 		}
 		if got := s.Occupancy(); got != 0.25 {
 			t.Errorf("Occupancy = %v, want 0.25", got)
@@ -452,39 +452,63 @@ func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
 	for _, threads := range []int{1, 2, 32, 64} {
 		for _, slots := range []uint64{1, 64, 1 << 10, 1000, 37} {
 			for _, hash := range []HashKind{HashMurmur, HashFold} {
-				name := fmt.Sprintf("t=%d/slots=%d/hash=%d", threads, slots, hash)
-				t.Run(name, func(t *testing.T) {
-					s, err := NewAsymmetric(Options{Slots: slots, Threads: threads, FPRate: 0.001, Hash: hash})
-					if err != nil {
-						t.Fatal(err)
+				for _, owned := range []bool{false, true} {
+					name := fmt.Sprintf("t=%d/slots=%d/hash=%d", threads, slots, hash)
+					if owned {
+						name += "/owned"
 					}
-					if s.masks == nil {
-						t.Fatal("not mask-backed")
-					}
-					seed := int64(threads)*1_000_003 + int64(slots)*31 + int64(hash)
-					rng := rand.New(rand.NewSource(seed))
-					ref := maskModel{readers: map[uint64]uint64{}, writers: map[uint64]int32{}}
-					for i := 0; i < 20000; i++ {
-						// ~4 addresses per slot: collisions are the rule.
-						addr := uint64(0x7000 + 8*rng.Intn(int(4*slots)))
-						tid := int32(rng.Intn(threads))
-						rs, ws := s.slots(addr)
-						if rng.Intn(4) == 0 {
-							s.ObserveWrite(addr, tid)
-							ref.write(rs, ws, tid)
-							continue
+					t.Run(name, func(t *testing.T) {
+						s, err := NewAsymmetric(Options{Slots: slots, Threads: threads, FPRate: 0.001, Hash: hash})
+						if err != nil {
+							t.Fatal(err)
 						}
-						gw, gf := s.ObserveRead(addr, tid)
-						ww, wf := ref.read(rs, ws, tid)
-						if gw != ww || gf != wf {
-							t.Fatalf("seed %d op %d: read(%#x, T%d) = (%d,%v), model (%d,%v)",
-								seed, i, addr, tid, gw, gf, ww, wf)
+						if s.masks == nil {
+							t.Fatal("not mask-backed")
 						}
-					}
-					if got, want := s.FootprintBytes(), slots*12; got != want {
-						t.Errorf("FootprintBytes = %d, want %d", got, want)
-					}
-				})
+						if owned {
+							s.Own()
+						}
+						seed := int64(threads)*1_000_003 + int64(slots)*31 + int64(hash)
+						rng := rand.New(rand.NewSource(seed))
+						ref := maskModel{readers: map[uint64]uint64{}, writers: map[uint64]int32{}}
+						for i := 0; i < 20000; i++ {
+							// ~4 addresses per slot: collisions are the rule.
+							addr := uint64(0x7000 + 8*rng.Intn(int(4*slots)))
+							tid := int32(rng.Intn(threads))
+							rs, ws := s.slots(addr)
+							if rng.Intn(4) == 0 {
+								s.ObserveWrite(addr, tid)
+								ref.write(rs, ws, tid)
+								continue
+							}
+							gw, gf := s.ObserveRead(addr, tid)
+							ww, wf := ref.read(rs, ws, tid)
+							if gw != ww || gf != wf {
+								t.Fatalf("seed %d op %d: read(%#x, T%d) = (%d,%v), model (%d,%v)",
+									seed, i, addr, tid, gw, gf, ww, wf)
+							}
+						}
+						if got, want := s.FootprintBytes(), slots*12; got != want {
+							t.Errorf("FootprintBytes = %d, want %d", got, want)
+						}
+						if !owned {
+							return
+						}
+						// An owned signature's occupancy is the owner's own count:
+						// exact, and visible only once published.
+						if got := s.Occupancy(); got != 0 {
+							t.Errorf("Occupancy before Publish = %v, want 0", got)
+						}
+						s.Publish()
+						if got, want := s.Occupancy(), float64(len(ref.readers))/float64(slots); got != want {
+							t.Errorf("Occupancy = %v, want exactly %v (%d non-empty reader sets)", got, want, len(ref.readers))
+						}
+						s.Reset()
+						if w, first := s.ObserveRead(0x7000, 0); w != NoWriter || !first || s.Occupancy() != 0 {
+							t.Errorf("after Reset: read = (%d,%v), Occupancy %v", w, first, s.Occupancy())
+						}
+					})
+				}
 			}
 		}
 	}

@@ -1,0 +1,187 @@
+package commprof
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"commprof/internal/exec"
+	"commprof/internal/trace"
+)
+
+// pollTelemetry reads everything a live consumer reads — /progress, which
+// walks the detectors' counters and the signatures' occupancy, and the
+// Prometheus export's gauge functions — as fast as it can until stop closes.
+// The run's own sampler goroutine ticks beside it.
+func pollTelemetry(tel *Telemetry, stop <-chan struct{}, wg *sync.WaitGroup) {
+	defer wg.Done()
+	var sink bytes.Buffer
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		tel.Progress()
+		sink.Reset()
+		_ = tel.WriteProm(&sink) // a bytes.Buffer cannot fail
+		runtime.Gosched()
+	}
+}
+
+// TestOwnedAnalysisUnderLiveTelemetry exists to run under -race: a replay's
+// detectors own their signatures and matrices and write them plainly, at
+// K = 0 on the replay goroutine and at K = 2 on the shard workers, while
+// telemetry consumers read mid-run. What they may read of an owned structure
+// is what the owner publishes per batch, and that must be enough for the
+// answer to come out the same as an unobserved run's.
+func TestOwnedAnalysisUnderLiveTelemetry(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Record(Options{Workload: "radix", Threads: 8}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for _, shards := range []int{0, 2} {
+		opts := Options{AnalysisShards: shards, PhaseWindow: 2000, RedundancyCacheBits: 8}
+		want, err := Replay(bytes.NewReader(data), 8, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		tel := NewTelemetry()
+		opts.Telemetry = tel
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go pollTelemetry(tel, stop, &wg)
+		go pollTelemetry(tel, stop, &wg)
+		got, err := Replay(bytes.NewReader(data), 8, opts)
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Global, want.Global) || !reflect.DeepEqual(got.Regions, want.Regions) ||
+			got.Dependencies != want.Dependencies || got.CommBytes != want.CommBytes {
+			t.Errorf("shards %d: a replay observed mid-run reports differently from an unobserved one", shards)
+		}
+		p := tel.Progress()
+		if p.Accesses != got.Accesses || p.CommBytes != got.CommBytes {
+			t.Errorf("shards %d: final progress %d accesses / %d bytes, report %d / %d", shards, p.Accesses, p.CommBytes, got.Accesses, got.CommBytes)
+		}
+		if p.SigOccupancy <= 0 || p.SigOccupancy > 1 {
+			t.Errorf("shards %d: owned signature occupancy = %v, want in (0,1]", shards, p.SigOccupancy)
+		}
+		if err := tel.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestParallelInThreadStaysShared is the other direction, also for -race: an
+// in-thread run under the parallel scheduler has as many concurrent Process
+// callers as threads, so nothing in it may be owned — every thread hammers
+// the same few signature slots and matrix cells here — and the counters must
+// still sum exactly.
+func TestParallelInThreadStaysShared(t *testing.T) {
+	const (
+		threads = 8
+		rounds  = 200
+		words   = 16
+		size    = 8
+	)
+	regions := []Region{{Name: "main", Parent: -1}, {Name: "exchange", Parent: 0, Loop: true}}
+	tel := NewTelemetry()
+	defer tel.Close()
+	rep, err := Run(threads, regions, func(th *Thread) {
+		th.InRegion(1, func() {
+			for r := 0; r < rounds; r++ {
+				for w := uint64(0); w < words; w++ {
+					th.Write(0x1000+w*size, size)
+					th.Read(0x1000+(w+1)%words*size, size)
+				}
+			}
+		})
+	}, Options{Parallel: true, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(threads * rounds * words * 2); rep.Accesses != want || tel.Progress().Accesses != want {
+		t.Fatalf("analysed %d accesses (progress %d), want %d", rep.Accesses, tel.Progress().Accesses, want)
+	}
+	if rep.Global.Total() != rep.CommBytes || rep.CommBytes != rep.Dependencies*size {
+		t.Fatalf("matrix total %d, CommBytes %d, %d dependencies of %d bytes: the counters do not sum", rep.Global.Total(), rep.CommBytes, rep.Dependencies, size)
+	}
+	if rep.Regions[1].Accesses != rep.Accesses {
+		t.Fatalf("region counter %d, want every access (%d)", rep.Regions[1].Accesses, rep.Accesses)
+	}
+}
+
+// TestQuantumBufferMatchesPerAccess pins the in-thread quantum buffer's
+// semantics: a custom body whose access count is no multiple of the buffer
+// (so finish must flush a remainder), analysed through Run, reports the same
+// matrices, region counters and phase windows as the same body with every
+// access handed to the detector on its own — with and without read sampling,
+// which sits above the buffer.
+func TestQuantumBufferMatchesPerAccess(t *testing.T) {
+	const threads = 4
+	regions := []Region{{Name: "main", Parent: -1}, {Name: "produce", Parent: 0, Loop: true}, {Name: "consume", Parent: 0, Loop: true}}
+	body := func(th *exec.Thread) {
+		id := uint64(th.ID())
+		for round := uint64(0); round < 5; round++ {
+			th.InRegion(1, func() {
+				for i := uint64(0); i < 211; i++ {
+					th.Write(0x4000+(id*211+i)*8, 8)
+				}
+			})
+			th.Barrier()
+			th.InRegion(2, func() {
+				for i := uint64(0); i < 211; i++ {
+					th.Read(0x4000+((id+1+round)%threads*211+i)*8, 8)
+				}
+			})
+			th.Barrier()
+		}
+	}
+	for _, opts := range []Options{
+		{PhaseWindow: 500},
+		{PhaseWindow: 500, SampleBurst: 3, SamplePeriod: 5, RedundancyCacheBits: 6},
+	} {
+		got, err := Run(threads, regions, func(th *Thread) { body(th.t) }, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Accesses%quantumLen == 0 || got.Accesses < 2*quantumLen {
+			t.Fatalf("%d accesses: want several buffers and a remainder", got.Accesses)
+		}
+
+		opts.setDefaults()
+		table, err := buildTable(regions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := newAnalysis(opts, threads, table, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := an.pe.InThread()
+		stats, err := exec.New(exec.Options{Threads: threads, Probe: func(a trace.Access) {
+			if !an.sampledOut(a.Kind, a.Thread) {
+				d.Process(a)
+			}
+		}}).Run(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := an.finish("custom", stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("sampling %d/%d: the buffered run's report differs from the per-access run's\n got  %+v\n want %+v",
+				opts.SampleBurst, opts.SamplePeriod, got, want)
+		}
+	}
+}

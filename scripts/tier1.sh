@@ -1,10 +1,11 @@
 #!/bin/sh
 # tier1.sh — the repository's tier-1 verification gate (see ROADMAP.md).
-# Build, formatting, vet, six grep guards for things that must stay
-# deleted (a trace-format knob, a second copy of the run on a write path, the
-# superseded benchmark harness, the sharded engine's overload policies and
-# hand-rolled ring, an analyser option spelled out by hand beside the one flag
-# table, an internal/ export only tests call), the full test suite, a
+# Build, formatting, vet, seven grep guards for things that must stay
+# deleted or out (a trace-format knob, a second copy of the run on a write
+# path, the superseded benchmark harness, the sharded engine's overload
+# policies and hand-rolled ring, an analyser option spelled out by hand beside
+# the one flag table, an internal/ export only tests call, package unsafe in
+# the analysis path), the full test suite, a
 # race-detector pass
 # over the packages with lock-free hot paths (signature memory), real
 # concurrency (the parallel engine mode, the sharded analysis pipeline and its
@@ -99,6 +100,11 @@ testonly_exports() {
 	done
 }
 guard "a test-only export is back in internal/" "$(testonly_exports)"
+# The single-owner kernel reads and writes the same []uint64/[]int32 the
+# concurrent path reaches through sync/atomic; it may not get there by casting
+# the atomic arrays.
+guard "package unsafe is imported on the analysis path" \
+	"$(grep -rn --include='*.go' '"unsafe"' internal/sig internal/detect internal/comm internal/redundancy internal/pipeline || true)"
 
 echo "== go test =="
 go test ./...

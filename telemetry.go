@@ -321,7 +321,10 @@ type ProgressSnapshot struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	// Clock is the engine's logical time.
 	Clock uint64 `json:"clock"`
-	// Accesses is the number of accesses the detector has consumed.
+	// Accesses is the number of accesses the detector has consumed. The
+	// detector publishes its counters once per batch, so mid-run this (and
+	// Dependencies, CommBytes) trails the program by at most one buffer: the
+	// 1 024-access in-thread quantum, a decoded block, or a shard hand-off.
 	Accesses uint64 `json:"accesses"`
 	// AccessesPerSec is detection throughput: Accesses / ElapsedSeconds.
 	AccessesPerSec float64 `json:"accesses_per_sec"`
@@ -341,7 +344,9 @@ type ProgressSnapshot struct {
 	// saturation: allocated second-level bloom filters, the fraction of
 	// slots occupied, and the mean fill of a sample of filters. Up to 64
 	// threads reader sets are exact masks, not blooms: SigFilters and
-	// SigFillRatio stay 0 and SigOccupancy is a strided-sample estimate.
+	// SigFillRatio stay 0 and SigOccupancy is the detectors' own exact count
+	// as of their last batch (a strided-sample estimate only under
+	// Options.Parallel without shards, where no detector has a single owner).
 	SigFilters   uint64  `json:"sig_filters"`
 	SigOccupancy float64 `json:"sig_occupancy"`
 	SigFillRatio float64 `json:"sig_fill_ratio"`
