@@ -95,6 +95,16 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
+// CopyFrom overwrites m's cells with other's. Dimensions must match.
+func (m *Matrix) CopyFrom(other *Matrix) {
+	if other.n != m.n {
+		panic(fmt.Sprintf("comm: dimension mismatch %d vs %d", m.n, other.n))
+	}
+	for i := range m.cells {
+		atomic.StoreUint64(&m.cells[i], atomic.LoadUint64(&other.cells[i]))
+	}
+}
+
 // Equal reports whether both matrices have identical dimensions and cells.
 func (m *Matrix) Equal(other *Matrix) bool {
 	if other == nil || other.n != m.n {

@@ -125,13 +125,13 @@ func TestLivePhasesSnapshot(t *testing.T) {
 		lp.ObserveWindow(w, w.Start+size)
 	}
 
-	if lp.WindowsClosed() != 3 {
-		t.Fatalf("WindowsClosed %d, want 3", lp.WindowsClosed())
+	snap := lp.Snapshot(10)
+	if snap.WindowsClosed != 3 {
+		t.Fatalf("WindowsClosed %d, want 3", snap.WindowsClosed)
 	}
-	if lp.Transitions() == 0 {
+	if snap.Transitions == 0 {
 		t.Fatal("no live transitions across a forced pattern change")
 	}
-	snap := lp.Snapshot(10)
 	if !snap.HasCurrent || snap.Current.Start != 2*size {
 		t.Fatalf("snapshot current %+v", snap.Current)
 	}
@@ -153,6 +153,79 @@ func TestLivePhasesSnapshot(t *testing.T) {
 	}
 	if got := lp.Snapshot(1); len(got.Loops) != 1 {
 		t.Fatalf("maxLoops=1 returned %d loops", len(got.Loops))
+	}
+}
+
+// TestLivePhasesStream drives the live layer over generated windows with a
+// forced class change and checks current/recent/transition tracking (it was
+// patterns.TestOnlineStream, of the streaming classifier LivePhases absorbed).
+func TestLivePhasesStream(t *testing.T) {
+	knn := timelineKNN(t)
+	rng := rand.New(rand.NewSource(4))
+	lp := NewLivePhases(knn, nil, 3, nil)
+
+	// Phase 1: three pipeline windows; phase 2: three master-worker windows.
+	var lastClass patterns.Class
+	for i := 0; i < 6; i++ {
+		gen := patterns.Pipeline
+		if i >= 3 {
+			gen = patterns.MasterWorker
+		}
+		m := patterns.Generate(gen, 16, rng)
+		start := uint64(i) * 100
+		transitions := lp.Snapshot(0).Transitions
+		lp.ObserveWindow(&comm.Window{Start: start, Global: m}, start+100)
+		wc, ok := lp.Current()
+		if !ok || wc.Start != start || wc.End != start+100 {
+			t.Fatalf("window %d: Current() = %+v, %v", i, wc, ok)
+		}
+		if wc.Bytes != m.Total() {
+			t.Fatalf("window %d bytes %d, want %d", i, wc.Bytes, m.Total())
+		}
+		transition := lp.Snapshot(0).Transitions > transitions
+		if i == 0 && transition {
+			t.Fatal("first window must not be a transition")
+		}
+		if i > 0 && transition != (wc.Class != lastClass) {
+			t.Fatalf("window %d transition=%v with class %v after %v", i, transition, wc.Class, lastClass)
+		}
+		lastClass = wc.Class
+	}
+
+	snap := lp.Snapshot(0)
+	if !snap.HasCurrent || snap.Current.Start != 500 {
+		t.Fatalf("snapshot current = %+v, %v; want last window", snap.Current, snap.HasCurrent)
+	}
+	if len(snap.Recent) != 3 || snap.Recent[0].Start != 300 || snap.Recent[2].Start != 500 {
+		t.Fatalf("recent ring %+v, want windows 300..500", snap.Recent)
+	}
+	if snap.WindowsClosed != 6 {
+		t.Fatalf("WindowsClosed = %d, want 6", snap.WindowsClosed)
+	}
+	var total uint64
+	for _, n := range lp.ClassCounts() {
+		total += n
+	}
+	if total != 6 {
+		t.Fatalf("class counts sum to %d, want 6", total)
+	}
+	// The generated corpora are cleanly separable, so the forced class change
+	// at window 3 must register at least one transition.
+	if snap.Transitions == 0 {
+		t.Fatal("no transitions observed across a forced pattern change")
+	}
+}
+
+// TestLivePhasesEmptyWindow pins that an all-zero window classifies without
+// panicking and still counts (it was patterns.TestOnlineEmptyWindow).
+func TestLivePhasesEmptyWindow(t *testing.T) {
+	lp := NewLivePhases(timelineKNN(t), nil, 0, nil)
+	lp.ObserveWindow(&comm.Window{Start: 0, Global: comm.NewMatrix(8)}, 100)
+	if wc, ok := lp.Current(); !ok || wc.Bytes != 0 {
+		t.Fatalf("empty window: Current() = %+v, %v", wc, ok)
+	}
+	if snap := lp.Snapshot(0); snap.WindowsClosed != 1 || len(snap.Recent) != 0 {
+		t.Fatalf("WindowsClosed = %d, want 1; keep=0 retained %d windows", snap.WindowsClosed, len(snap.Recent))
 	}
 }
 

@@ -3,7 +3,6 @@ package patterns
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"commprof/internal/comm"
 )
@@ -98,26 +97,43 @@ func (m *KNN) scale(f [FeatureDim]float64) [FeatureDim]float64 {
 	return out
 }
 
-// vote tallies the k nearest neighbours' labels.
+// neighbour is one training point's squared distance to a query.
+type neighbour struct {
+	d     float64
+	label Class
+}
+
+// vote tallies the k nearest neighbours' labels. It keeps the k nearest seen
+// so far in an insertion-sorted array while it scans the training points, so
+// a query costs n distances and no sort; equal distances go to the lower
+// training index (a later point must be strictly nearer to displace one).
 func (m *KNN) vote(f [FeatureDim]float64) [NumClasses]int {
 	q := m.scale(f)
-	type nd struct {
-		d     float64
-		label Class
+	var buf [8]neighbour
+	near := buf[:0]
+	if m.k > len(buf) {
+		near = make([]neighbour, 0, m.k)
 	}
-	ds := make([]nd, len(m.points))
 	for i, p := range m.points {
 		var sum float64
 		for j := range p {
 			diff := p[j] - q[j]
 			sum += diff * diff
 		}
-		ds[i] = nd{sum, m.labels[i]}
+		if len(near) < m.k {
+			near = append(near, neighbour{})
+		} else if !(sum < near[m.k-1].d) {
+			continue
+		}
+		at := len(near) - 1
+		for ; at > 0 && sum < near[at-1].d; at-- {
+			near[at] = near[at-1]
+		}
+		near[at] = neighbour{sum, m.labels[i]}
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].d < ds[j].d })
 	var votes [NumClasses]int
-	for i := 0; i < m.k && i < len(ds); i++ {
-		votes[ds[i].label]++
+	for _, n := range near {
+		votes[n.label]++
 	}
 	return votes
 }

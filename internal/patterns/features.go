@@ -61,28 +61,33 @@ var FeatureNames = [FeatureDim]string{
 }
 
 // Features extracts the size-independent structural feature vector of a
-// communication matrix. An all-zero matrix yields the zero vector.
+// communication matrix. An all-zero matrix yields the zero vector. It
+// allocates nothing: the coefficients of variation over the non-zero cells and
+// over the row sums take a second pass over the matrix, which visits the
+// values in the first pass's order, so every sum rounds as a collect-then-
+// reduce over the same values would.
 func Features(m *comm.Matrix) [FeatureDim]float64 {
 	n := m.N()
 	var f [FeatureDim]float64
-	var total float64
-	cells := make([]float64, 0, n*n-n)
-	rows := make([]float64, n)
+	var total, rowSum, maxRow float64
+	var nonZero, active int
 	var band1, band2, bandLog, ringF, ringB, row0, col0, pow2 float64
 	var maxCell, meanDist float64
 
 	logBand := int(math.Ceil(math.Log2(float64(n))))
 	for s := 0; s < n; s++ {
+		var row float64
+		fwd, bwd := (s+1)%n, (s-1+n)%n
 		for d := 0; d < n; d++ {
-			if s == d {
+			// A zero cell adds +0 to non-negative sums: skipping it changes no bit.
+			c := m.At(s, d)
+			if s == d || c == 0 {
 				continue
 			}
-			v := float64(m.At(s, d))
-			total += v
-			if v > 0 {
-				cells = append(cells, v)
-			}
-			rows[s] += v
+			v := float64(c)
+			total += v // also the non-zero cells' sum
+			nonZero++
+			row += v
 			dist := s - d
 			if dist < 0 {
 				dist = -dist
@@ -96,10 +101,10 @@ func Features(m *comm.Matrix) [FeatureDim]float64 {
 			if dist <= logBand {
 				bandLog += v
 			}
-			if d == (s+1)%n {
+			if d == fwd {
 				ringF += v
 			}
-			if d == (s-1+n)%n {
+			if d == bwd {
 				ringB += v
 			}
 			if s == 0 {
@@ -116,9 +121,40 @@ func Features(m *comm.Matrix) [FeatureDim]float64 {
 			}
 			meanDist += v * float64(dist)
 		}
+		rowSum += row
+		maxRow = max(maxRow, row)
+		if row > 0 {
+			active++
+		}
 	}
 	if total == 0 {
 		return f
+	}
+
+	// Second pass: squared deviations from the cell and row means, and the
+	// asymmetry sum|a-aT| over the upper triangle, each in first-pass order.
+	cellMean, rowMean := total/float64(nonZero), rowSum/float64(n)
+	var cellSS, rowSS, asym float64
+	for s := 0; s < n; s++ {
+		var row float64
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			c := m.At(s, d)
+			if d > s {
+				asym += math.Abs(float64(c) - float64(m.At(d, s)))
+			}
+			if c == 0 {
+				continue
+			}
+			v := float64(c)
+			row += v
+			dev := v - cellMean
+			cellSS += dev * dev
+		}
+		dev := row - rowMean
+		rowSS += dev * dev
 	}
 
 	f[0] = band1 / total
@@ -128,58 +164,26 @@ func Features(m *comm.Matrix) [FeatureDim]float64 {
 	f[4] = ringB / total
 	f[5] = row0 / total
 	f[6] = col0 / total
-
 	// Symmetry: 1 - sum|a-aT| / (2*total).
-	var asym float64
-	for s := 0; s < n; s++ {
-		for d := s + 1; d < n; d++ {
-			asym += math.Abs(float64(m.At(s, d)) - float64(m.At(d, s)))
-		}
-	}
 	f[7] = 1 - asym/total
-
-	f[8] = float64(len(cells)) / float64(n*n-n)
-	f[9] = cv(cells)
-
-	maxRow := 0.0
-	for _, r := range rows {
-		if r > maxRow {
-			maxRow = r
-		}
-	}
-	f[10] = cv(rows)
+	f[8] = float64(nonZero) / float64(n*n-n)
+	f[9] = cv(cellSS, cellMean, nonZero)
+	f[10] = cv(rowSS, rowMean, n)
 	f[11] = maxRow / total
 	f[12] = maxCell / total
 	f[13] = meanDist / total / float64(n)
 	f[14] = pow2 / total
-	active := 0
-	for _, r := range rows {
-		if r > 0 {
-			active++
-		}
-	}
 	f[15] = float64(active) / float64(n)
 	return f
 }
 
-func cv(xs []float64) float64 {
-	if len(xs) == 0 {
+// cv is the coefficient of variation of count values with the given mean and
+// sum of squared deviations from it (0 for no values or a zero mean).
+func cv(ss, mean float64, count int) float64 {
+	if count == 0 || mean == 0 {
 		return 0
 	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(len(xs))) / mean
+	return math.Sqrt(ss/float64(count)) / mean
 }
 
 // Family is the paper's §VI top-level taxonomy: "three classes of parallel

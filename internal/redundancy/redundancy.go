@@ -56,10 +56,10 @@ import (
 	"sync/atomic"
 )
 
-// MaxBits bounds the cache size at 2^30 entries (16 GiB of tags+meta is far
-// past any sensible configuration; the sweet spot is a cache that fits in L1/L2,
-// i.e. 10–16 bits).
-const MaxBits = 30
+// MaxBits bounds the cache size at 2^24 entries: 12 B of tag+meta per entry
+// makes that 192 MiB per analyser (and every shard owns one), already 2^8
+// times past the sweet spot of a cache that fits in L1/L2, i.e. 10–16 bits.
+const MaxBits = 24
 
 // maxThread is the largest thread ID the packed metadata word can hold.
 const maxThread = 1<<30 - 1

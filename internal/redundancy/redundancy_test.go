@@ -27,8 +27,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(1, 1); err != nil {
 		t.Errorf("New(1,1): %v", err)
 	}
-	if _, err := New(MaxBits, maxThread); err != nil {
+	// The upper edge: 2^MaxBits entries, 192 MiB, which a small host can
+	// allocate (2^30 was 12 GiB).
+	if c, err := New(MaxBits, maxThread); err != nil {
 		t.Errorf("New(MaxBits,maxThread): %v", err)
+	} else if c.Entries() != 1<<MaxBits || c.Bits() != MaxBits {
+		t.Errorf("New(MaxBits,maxThread): %d entries, %d bits", c.Entries(), c.Bits())
 	}
 }
 

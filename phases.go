@@ -6,6 +6,7 @@ import (
 	"commprof/internal/comm"
 	"commprof/internal/metrics"
 	"commprof/internal/obs"
+	"commprof/internal/patterns"
 	"commprof/internal/trace"
 )
 
@@ -21,17 +22,27 @@ const (
 	phaseMaxLoops = 5
 )
 
-// phaseState bundles one run's phase-observability wiring: the trained
-// pattern classifier, the loop-region predicate over the run's region table,
-// and (when the run has telemetry) the live classification multiplexer that
-// consumes closed windows as they stream out. The analysis engine produces
-// the windows, in-thread and sharded alike.
+// phaseState bundles one run's phase-observability wiring: the loop-region
+// predicate over the run's region table and the classification multiplexer,
+// which consumes closed windows as they stream out when the run has
+// telemetry and renders the report's timeline either way. The analysis
+// engine produces the windows, in-thread and sharded alike.
 type phaseState struct {
 	window uint64
 	table  *trace.Table
-	cls    *PatternClassifier
 	tel    *Telemetry
-	live   *metrics.LivePhases // nil without telemetry
+	live   *metrics.LivePhases
+}
+
+// phaseClassifier is what a run's phase layer classifies with: the kNN of
+// NewPatternClassifier. A variable so the facade tests can count
+// classifications.
+var phaseClassifier = func(seed int64) (patterns.Classifier, error) {
+	c, err := NewPatternClassifier(seed)
+	if err != nil {
+		return nil, err
+	}
+	return c.knn, nil
 }
 
 // newPhaseState builds the phase wiring for one run, or nil when
@@ -40,14 +51,12 @@ func newPhaseState(opts Options, table *trace.Table, tel *Telemetry, probes *obs
 	if opts.PhaseWindow == 0 {
 		return nil, nil
 	}
-	cls, err := NewPatternClassifier(opts.Seed)
+	cls, err := phaseClassifier(opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ps := &phaseState{window: opts.PhaseWindow, table: table, cls: cls, tel: tel}
-	if tel != nil {
-		ps.live = metrics.NewLivePhases(cls.knn, ps.isLoop, phaseRecentKeep, probes.PhaseProbes())
-	}
+	ps := &phaseState{window: opts.PhaseWindow, table: table, tel: tel}
+	ps.live = metrics.NewLivePhases(cls, ps.isLoop, phaseRecentKeep, probes.PhaseProbes())
 	return ps, nil
 }
 
@@ -72,9 +81,9 @@ func (p *phaseState) regionName(id int32) string {
 // onClose returns the window-close callback that feeds the live layer, with a
 // tracer span and a timeline instant per closed window; nil when the run has
 // no telemetry (nothing consumes live windows, and the final report
-// recomputes from the complete merged set anyway).
+// classifies the complete merged set anyway).
 func (p *phaseState) onClose() func(w *comm.Window, end uint64) {
-	if p == nil || p.live == nil {
+	if p == nil || p.tel == nil {
 		return nil
 	}
 	var track *obs.Track
@@ -93,7 +102,7 @@ func (p *phaseState) onClose() func(w *comm.Window, end uint64) {
 // the run's periodic sampler drives window closing. Call after wireRun so the
 // /progress snapshot wraps the run's base snapshot. No-op without telemetry.
 func (p *phaseState) wire() {
-	if p == nil || p.live == nil {
+	if p == nil || p.tel == nil {
 		return
 	}
 	p.tel.wirePhases(p.live, p.regionName)
@@ -101,7 +110,9 @@ func (p *phaseState) wire() {
 
 // attach renders the complete merged window set into the report: the §V-A4
 // phase list (bit-identical to a metrics.PhaseSegmenter's Finish, by the
-// window merge law) and the classified pattern timeline.
+// window merge law) and the classified pattern timeline, which reuses the
+// live classification of every window the run streamed out unchanged, so
+// each closed window is classified once per run.
 func (p *phaseState) attach(rep *Report, ws *comm.WindowSet) {
 	if p == nil {
 		return
@@ -111,7 +122,7 @@ func (p *phaseState) attach(rep *Report, ws *comm.WindowSet) {
 			Start: ph.Start, End: ph.End, Matrix: fromInternal(ph.Matrix),
 		})
 	}
-	tl := metrics.BuildTimeline(ws, p.cls.knn, p.isLoop, phaseMaxLoops)
+	tl := p.live.Timeline(ws, phaseMaxLoops)
 	out := &PhaseTimelineReport{WindowSize: tl.WindowSize}
 	for _, w := range tl.Windows {
 		out.Windows = append(out.Windows, PhaseWindowReport{
