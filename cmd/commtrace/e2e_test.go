@@ -2,11 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -87,79 +85,6 @@ func TestEndToEndShardDeterminism(t *testing.T) {
 			if !mats[0].Equal(mats[1]) || !mats[0].Equal(mats[2]) {
 				t.Fatalf("matrices differ across shard counts:\n1: %v\n2: %v\n4: %v",
 					mats[0].Rows(), mats[1].Rows(), mats[2].Rows())
-			}
-		})
-	}
-}
-
-// TestEndToEndCrossVersionReplay closes the codec loop on real recorded
-// traces: each example program's v3 recording, recoded to v1 and v2 through
-// the commtrace recode mode, replays to a bit-identical report. This is the
-// frontend half of the cross-version matrix (TestReplayCrossVersionAllWorkloads
-// covers the bundled workloads).
-func TestEndToEndCrossVersionReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs instrumented binaries")
-	}
-	for _, name := range []string{"workerpool", "chanpipe", "striped"} {
-		t.Run(name, func(t *testing.T) {
-			_, _, threads, tracePath := record(t, name)
-			paths := map[int]string{3: tracePath}
-			for _, version := range []int{1, 2} {
-				out := fmt.Sprintf("%s.v%d", tracePath, version)
-				var stdout, stderr bytes.Buffer
-				code := run([]string{"-mode", "recode", "-in", tracePath, "-o", out,
-					"-trace-format", strconv.Itoa(version)}, &stdout, &stderr)
-				if code != 0 {
-					t.Fatalf("recode to v%d exited %d:\n%s%s", version, code, stdout.String(), stderr.String())
-				}
-				paths[version] = out
-			}
-			reps := map[int]*commprof.Report{}
-			for _, version := range []int{1, 2, 3} {
-				f, err := os.Open(paths[version])
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, rerr := commprof.Replay(f, threads, commprof.Options{AnalysisShards: 2})
-				f.Close()
-				if rerr != nil {
-					t.Fatalf("replay v%d: %v", version, rerr)
-				}
-				rep.Pipeline = nil // scheduling-dependent observability
-				reps[version] = rep
-			}
-			// v2 and v3 carry identical metadata: their reports must be
-			// bit-identical.
-			j2, _ := json.Marshal(reps[2])
-			j3, _ := json.Marshal(reps[3])
-			if !bytes.Equal(j2, j3) {
-				t.Errorf("v2 and v3 reports differ:\nv2: %s\nv3: %s", j2, j3)
-			}
-			// The v1 downgrade loses region file:line (recode warns about
-			// it), so labels shorten; every analytical number must survive.
-			v1, v3rep := reps[1], reps[3]
-			if v1.Dependencies != v3rep.Dependencies || v1.CommBytes != v3rep.CommBytes || v1.Accesses != v3rep.Accesses {
-				t.Errorf("v1 analysis differs: %d/%d deps, %d/%d bytes",
-					v1.Dependencies, v3rep.Dependencies, v1.CommBytes, v3rep.CommBytes)
-			}
-			g1, _ := json.Marshal(v1.Global)
-			g3, _ := json.Marshal(v3rep.Global)
-			if !bytes.Equal(g1, g3) {
-				t.Errorf("v1 global matrix differs:\nv1: %s\nv3: %s", g1, g3)
-			}
-			if len(v1.Regions) != len(v3rep.Regions) {
-				t.Fatalf("v1 has %d regions, v3 %d", len(v1.Regions), len(v3rep.Regions))
-			}
-			for i := range v1.Regions {
-				a, b := v1.Regions[i], v3rep.Regions[i]
-				if !strings.HasPrefix(b.Name, a.Name) {
-					t.Errorf("region %d: v1 name %q is not a prefix of v3 name %q", i, a.Name, b.Name)
-				}
-				if a.Accesses != b.Accesses || a.OwnBytes != b.OwnBytes || a.CumulativeBytes != b.CumulativeBytes {
-					t.Errorf("region %q: v1 %d/%d/%d vs v3 %d/%d/%d (accesses/own/cumulative)",
-						a.Name, a.Accesses, a.OwnBytes, a.CumulativeBytes, b.Accesses, b.OwnBytes, b.CumulativeBytes)
-				}
 			}
 		})
 	}

@@ -11,20 +11,16 @@
 //	commtrace -pkg ./prog -mode live             # analyse inside the program
 //	commtrace -pkg ./prog -mode emit -emit ./out # just write the module
 //	commtrace -pkg ./prog -mode check            # instrument + go vet
-//	commtrace -mode recode -in run.trace -o run.v1 -trace-format 1
 //	commtrace -mode recover -in crashed.trace    # salvage + replay
 //
 // The default profile mode records the run to a trace file (compact v3
-// blocks, the one format recorded, written while the target runs; goroutine
-// count patched in on close) and replays it locally, so every analysis flag
-// works without rebuilding the target. A target that exits non-zero is still
+// blocks, the one format written, while the target runs; goroutine count
+// patched in on close) and replays it locally, so every analysis flag works
+// without rebuilding the target. A target that exits non-zero is still
 // analysed — its trace, or what recover salvages of it — and commtrace exits
-// with the target's code. recode transcodes an existing trace between codec
-// versions — the only way to obtain a v1 or v2 file, and the only mode
-// -trace-format applies to; recover salvages the complete prefix of a trace
-// whose writer died before finalizing it into a finalized v3 trace, then
-// replays what survived.
-// Neither needs -pkg.
+// with the target's code. recover, which needs no -pkg, salvages the complete
+// prefix of a trace (any version) whose writer died before finalizing it into
+// a finalized v3 trace, then replays what survived.
 package main
 
 import (
@@ -53,12 +49,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var opts commprof.Options
 	opts.BindFlags(fs)
 	var (
-		pkg     = fs.String("pkg", "", "directory of the Go main package to instrument (required except for -mode recode/recover)")
-		mode    = fs.String("mode", "profile", "profile (record+replay), live (in-process analysis), emit, check, recode (transcode -in between codec versions) or recover (salvage a truncated -in)")
+		pkg     = fs.String("pkg", "", "directory of the Go main package to instrument (required except for -mode recover)")
+		mode    = fs.String("mode", "profile", "profile (record+replay), live (in-process analysis), emit, check or recover (salvage a truncated -in)")
 		emitDir = fs.String("emit", "", "write the instrumented module to this directory (implies it is kept)")
-		out     = fs.String("o", "", "keep the recorded (or recoded/recovered) trace at this path")
-		in      = fs.String("in", "", "existing trace file to read (-mode recode/recover)")
-		traceFm = fs.Int("trace-format", 0, "-mode recode only: trace codec version to write, 1, 2 or 3 (0 = default, v3 compact blocks); every recording mode writes v3")
+		out     = fs.String("o", "", "keep the recorded (or recovered) trace at this path")
+		in      = fs.String("in", "", "existing trace file to read (-mode recover)")
 		root    = fs.String("commprof", "", "commprof repository root for the module replace directive (default: auto-detect)")
 		threads = fs.Int("threads", 0, "override the goroutine count (0 = the recorded trace's own)")
 		coal    = fs.Bool("coalesce", true, "statically coalesce provably redundant probes during instrumentation (-coalesce=false disables)")
@@ -74,6 +69,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "commtrace:", err)
 		return 2
 	}
+	switch *mode {
+	case "profile", "live", "emit", "check", "recover":
+	default:
+		fmt.Fprintf(stderr, "commtrace: unknown mode %q\n", *mode)
+		return 2
+	}
 	var tel *commprof.Telemetry
 	if *timelineOut != "" {
 		tel = commprof.NewTelemetry()
@@ -85,21 +86,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return replayFile(tracePath, *threads, opts, *timelineOut, *jsonOut, *heatmap, stdout, stderr)
 	}
 
-	// recode and recover operate on an existing trace; no target package,
-	// instrumentation or build involved. Both write -o while still reading
+	// recover operates on an existing trace; no target package,
+	// instrumentation or build involved. It writes -o while still reading
 	// -in, so the two must be different files.
 	if a, err := os.Stat(*in); err == nil {
 		if b, err := os.Stat(*out); err == nil && os.SameFile(a, b) {
-			fmt.Fprintf(stderr, "commtrace: -o %s is the -in file; the trace is transcoded as it is read, so write it elsewhere\n", *out)
+			fmt.Fprintf(stderr, "commtrace: -o %s is the -in file; the trace is rewritten as it is read, so write it elsewhere\n", *out)
 			return 2
 		}
-	}
-	if *mode == "recode" {
-		return recode(*in, *out, *traceFm, stderr)
-	}
-	if *traceFm != 0 {
-		fmt.Fprintf(stderr, "commtrace: -trace-format applies to -mode recode only: -mode %s writes v3; recode the trace if a consumer needs v1 or v2\n", *mode)
-		return 2
 	}
 	if *mode == "recover" {
 		return recoverTrace(*in, *out, replay, stderr)
@@ -171,11 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "commtrace: %s builds and vets clean\n", res.PackageName)
 		return 0
-	case "live", "profile":
-		// handled below
-	default:
-		fmt.Fprintf(stderr, "commtrace: unknown mode %q\n", *mode)
-		return 2
 	}
 
 	bin := filepath.Join(moduleDir, "commtrace-target.bin")
@@ -271,76 +260,6 @@ func replayFile(path string, threads int, opts commprof.Options, timelineOut str
 	return 0
 }
 
-// transcode drains dec into the trace file at path through the encoder
-// newEnc builds on it — the one write path behind recode and recover — and
-// returns the number of records written.
-func transcode(dec *trace.Decoder, path string, newEnc func(*os.File) (*trace.Encoder, error)) (int, error) {
-	g, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	defer g.Close() // error paths; the success path checks Close below
-	enc, err := newEnc(g)
-	if err != nil {
-		return 0, err
-	}
-	if err := dec.ForEach(enc.Write); err != nil {
-		return 0, err
-	}
-	if err := enc.Close(); err != nil {
-		return 0, err
-	}
-	return enc.Written(), g.Close()
-}
-
-// recode transcodes an existing trace between codec versions: the input
-// (any version) streams through the decoder into an encoder of version (1, 2
-// or 3, 0 = default v3) — the one place an old format can still be written.
-// Region source positions and the header thread count do not exist in the v1
-// layout: they are dropped when downgrading, and a v1 input declares no
-// thread count to carry over.
-func recode(in, out string, version int, stderr io.Writer) int {
-	if in == "" || out == "" {
-		fmt.Fprintln(stderr, "commtrace: -mode recode requires -in and -o")
-		return 2
-	}
-	if version == 0 {
-		version = trace.DefaultVersion
-	}
-	f, err := os.Open(in)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	defer f.Close()
-	dec, err := trace.NewDecoder(f)
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	switch {
-	case dec.Version() >= 2 && version == 1:
-		fmt.Fprintln(stderr, "commtrace: note: v1 has no thread count or region file:line; downgrade drops them")
-	case dec.Version() == 1 && version >= 2:
-		fmt.Fprintln(stderr, "commtrace: note: the v1 input declares no thread count; the output header says 0 (unknown), so replay it with -threads")
-	}
-	n, err := transcode(dec, out, func(g *os.File) (*trace.Encoder, error) {
-		return trace.NewEncoderVersion(g, dec.Table(), dec.Len(), dec.Threads(), version)
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "commtrace:", err)
-		return 1
-	}
-	inSize, outSize := fileSize(in), fileSize(out)
-	ratio := 0.0
-	if outSize > 0 {
-		ratio = float64(inSize) / float64(outSize)
-	}
-	fmt.Fprintf(stderr, "commtrace: recoded %d records v%d -> v%d: %d -> %d bytes (%.2fx)\n",
-		n, dec.Version(), version, inSize, outSize, ratio)
-	return 0
-}
-
 // recoverTrace salvages the decodable prefix of a damaged or unfinalized
 // trace (writer died before Close): the tolerant decoder drains once into a
 // finalized v3 trace — at out, or a temporary file — it reports what
@@ -371,19 +290,30 @@ func recoverTrace(in, out string, replay func(tracePath string) int, stderr io.W
 		defer os.RemoveAll(tmp)
 		salvaged = filepath.Join(tmp, "salvaged.trace")
 	}
-	records, err := transcode(dec, salvaged, func(g *os.File) (*trace.Encoder, error) {
-		enc, err := trace.NewDynamicEncoder(g, dec.Table())
-		if err == nil {
-			// The header's count when the input was finalized; Close raises
-			// it to max(thread)+1 over the salvaged records otherwise.
-			enc.SetThreads(dec.Threads())
-		}
-		return enc, err
-	})
+	g, err := os.Create(salvaged)
 	if err != nil {
 		fmt.Fprintln(stderr, "commtrace:", err)
 		return 1
 	}
+	defer g.Close() // error paths; the success path checks Close below
+	enc, err := trace.NewDynamicEncoder(g, dec.Table())
+	if err == nil {
+		// The header's count when the input was finalized; Close raises it
+		// to max(thread)+1 over the salvaged records otherwise.
+		enc.SetThreads(dec.Threads())
+		err = dec.ForEach(enc.Write)
+	}
+	if err == nil {
+		err = enc.Close()
+	}
+	if err == nil {
+		err = g.Close()
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "commtrace:", err)
+		return 1
+	}
+	records := enc.Written()
 	declared := fmt.Sprintf("%d declared", dec.DeclaredLen())
 	if dec.Unfinalized() {
 		declared = "header unfinalized"
@@ -401,15 +331,6 @@ func recoverTrace(in, out string, replay func(tracePath string) int, stderr io.W
 		return 0
 	}
 	return replay(salvaged)
-}
-
-// fileSize returns a path's size in bytes, 0 on error.
-func fileSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
 }
 
 // commprofRoot resolves the repository directory the emitted module's

@@ -95,14 +95,20 @@ func TestRecoverSalvagesCutTrace(t *testing.T) {
 	}
 }
 
-// TestFormatFlagIsRecodeOnly: every recording mode writes v3, so the flag
-// anywhere but -mode recode is a usage error that says where to go instead.
-func TestFormatFlagIsRecodeOnly(t *testing.T) {
-	for _, mode := range []string{"profile", "live", "recover"} {
+// TestNoTraceFormatChoice: v3 is the one format written, so there is no flag
+// to pick another and no mode that converts between them — both are usage
+// errors, caught before any package is instrumented.
+func TestNoTraceFormatChoice(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trace-format", "1", "-mode", "recover", "-in", "unused"}, "flag provided but not defined: -trace-format"},
+		{[]string{"-mode", "recode", "-pkg", "unused", "-in", "unused", "-o", "unused.v1"}, `unknown mode "recode"`},
+	} {
 		var stdout, stderr bytes.Buffer
-		code := run([]string{"-mode", mode, "-trace-format", "2", "-pkg", "unused", "-in", "unused"}, &stdout, &stderr)
-		if code != 2 || !strings.Contains(stderr.String(), "recode") {
-			t.Errorf("-mode %s -trace-format 2: exit %d, stderr %q; want 2 naming recode", mode, code, stderr.String())
+		if code := run(c.args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and %q", c.args, code, stderr.String(), c.want)
 		}
 	}
 }

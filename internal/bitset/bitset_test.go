@@ -8,7 +8,7 @@ import (
 )
 
 func TestSetBasic(t *testing.T) {
-	s := New(130) // crosses two word boundaries
+	s := NewAtomic(130) // crosses two word boundaries
 	if s.Len() != 130 {
 		t.Fatalf("Len = %d, want 130", s.Len())
 	}
@@ -36,7 +36,7 @@ func TestSetOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic on out-of-range index")
 		}
 	}()
-	New(10).Set(10)
+	NewAtomic(10).Set(10)
 }
 
 func TestAtomicOutOfRangePanics(t *testing.T) {
@@ -49,18 +49,20 @@ func TestAtomicOutOfRangePanics(t *testing.T) {
 }
 
 func TestSetMatchesMapModel(t *testing.T) {
-	// Property: a Set behaves exactly like a map[uint64]bool model under a
-	// random operation sequence.
+	// Property: an Atomic set behaves exactly like a map[uint64]bool model
+	// under a random operation sequence, Set's result included.
 	f := func(ops []uint16, seed int64) bool {
 		const n = 512
-		s := New(n)
+		s := NewAtomic(n)
 		model := map[uint64]bool{}
 		rng := rand.New(rand.NewSource(seed))
 		for _, op := range ops {
 			i := uint64(op) % n
 			switch rng.Intn(2) {
 			case 0:
-				s.Set(i)
+				if s.Set(i) != model[i] {
+					return false
+				}
 				model[i] = true
 			case 1:
 				if s.Test(i) != model[i] {
@@ -121,13 +123,13 @@ func TestAtomicConcurrentSet(t *testing.T) {
 }
 
 func TestSizeBytes(t *testing.T) {
-	if got := New(1).SizeBytes(); got != 8 {
+	if got := NewAtomic(1).SizeBytes(); got != 8 {
 		t.Errorf("1-bit set SizeBytes = %d, want 8", got)
 	}
-	if got := New(64).SizeBytes(); got != 8 {
+	if got := NewAtomic(64).SizeBytes(); got != 8 {
 		t.Errorf("64-bit set SizeBytes = %d, want 8", got)
 	}
-	if got := New(65).SizeBytes(); got != 16 {
+	if got := NewAtomic(65).SizeBytes(); got != 16 {
 		t.Errorf("65-bit set SizeBytes = %d, want 16", got)
 	}
 	if got := NewAtomic(1024).SizeBytes(); got != 128 {

@@ -8,7 +8,7 @@ import (
 // snipOn instruments with the coalescer enabled (the default pipeline).
 func snipOn(t *testing.T, src string) (*Result, string) {
 	t.Helper()
-	res, err := Source("snip.go", []byte(src))
+	res, err := SourcesOpts(map[string][]byte{"snip.go": []byte(src)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,7 +133,7 @@ func FuzzInstrument(f *testing.F) {
 		if err != nil || len(parsed.Imports) > 0 {
 			t.Skip()
 		}
-		res, err := Source("fuzz.go", []byte(src))
+		res, err := SourcesOpts(map[string][]byte{"fuzz.go": []byte(src)}, Options{})
 		if err != nil {
 			t.Skip() // input does not type-check: not our bug
 		}

@@ -21,7 +21,7 @@ func TestGolden(t *testing.T) {
 	for _, name := range []string{"workerpool", "chanpipe", "striped"} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("..", "..", "testdata", name)
-			res, err := Dir(dir)
+			res, err := DirOpts(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,7 +32,7 @@ func TestGolden(t *testing.T) {
 
 			// Region UIDs must be reproducible: a second instrumentation of
 			// the same source has to produce byte-identical output.
-			again, err := Dir(dir)
+			again, err := DirOpts(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,7 +47,7 @@ const probeImportPath = "commprof/probe"
 
 // The source importer resolves stdlib imports from GOROOT source, needing
 // neither a build cache nor network access. It memoizes type-checked packages
-// internally, so it is shared across Sources calls (the stdlib graph behind
+// internally, so it is shared across SourcesOpts calls (the stdlib graph behind
 // "fmt" takes whole seconds to check from scratch); imported-package
 // positions land in the importer's private FileSet, which is fine because
 // the rewriter never queries positions of imported objects. The mutex covers
@@ -96,15 +96,10 @@ type Options struct {
 	DisableCoalesce bool
 }
 
-// Dir loads, type-checks and instruments the single Go package in dir
+// DirOpts loads, type-checks and instruments the single Go package in dir
 // (ignoring _test.go files). The package must type-check against the standard
 // library; its own imports are resolved from source, so no build cache or
 // network is needed.
-func Dir(dir string) (*Result, error) {
-	return DirOpts(dir, Options{})
-}
-
-// DirOpts is Dir with explicit instrumentation options.
 func DirOpts(dir string, opts Options) (*Result, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -133,19 +128,9 @@ func DirOpts(dir string, opts Options) (*Result, error) {
 	return SourcesOpts(srcs, opts)
 }
 
-// Source instruments a single-file package; the fuzz and unit harnesses feed
-// synthesized files through it.
-func Source(filename string, src []byte) (*Result, error) {
-	return Sources(map[string][]byte{filename: src})
-}
-
-// Sources instruments a package given as base-name → source. File names only
-// label positions and order region assignment; they need not exist on disk.
-func Sources(srcs map[string][]byte) (*Result, error) {
-	return SourcesOpts(srcs, Options{})
-}
-
-// SourcesOpts is Sources with explicit instrumentation options.
+// SourcesOpts instruments a package given as base-name → source. File names
+// only label positions and order region assignment; they need not exist on
+// disk.
 func SourcesOpts(srcs map[string][]byte, opts Options) (*Result, error) {
 	names := make([]string, 0, len(srcs))
 	for n := range srcs {

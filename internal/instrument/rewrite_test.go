@@ -218,7 +218,7 @@ func f(v pair) {
 func TestOsExitBecomesProbeExit(t *testing.T) {
 	// The direct call is rewritten; an "os" import left without a use turns
 	// blank, one with other uses stays as it was.
-	res, err := Sources(map[string][]byte{
+	res, err := SourcesOpts(map[string][]byte{
 		"only.go": []byte(`package main
 import "os"
 func fail() {
@@ -231,7 +231,7 @@ func main() {
 		sys.Exit(1)
 	}
 }`),
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

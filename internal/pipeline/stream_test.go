@@ -28,7 +28,7 @@ func TestStreamingReplayMatchesMaterialised(t *testing.T) {
 			stream, table := recordStream(t, name, threads)
 
 			var buf bytes.Buffer
-			enc, err := trace.NewEncoderVersion(&buf, table, len(stream), 0, 1)
+			enc, err := trace.NewEncoderVersion(&buf, table, len(stream), threads, trace.DefaultVersion)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,9 +22,10 @@ const (
 	// header gains a thread-count field after the access count, and each
 	// region entry gains a length-prefixed source file name and a line
 	// number. Both counts may be written as countUnpatched by a streaming
-	// writer that does not know them up front (NewDynamicEncoder); its Close
-	// patches the real values in place, so a sentinel surviving to decode time
-	// means the recording process died before finalizing the trace.
+	// writer that does not know them up front (NewDynamicEncoder, today in
+	// v3's identical header); its Close patches the real values in place, so
+	// a sentinel surviving to decode time means the recording process died
+	// before finalizing the trace.
 	codecVersion2 = 2
 	// codecVersion3 keeps the v2 header and region table but replaces the
 	// fixed-record access section with CRC-framed blocks of delta/varint
@@ -39,18 +40,18 @@ const (
 	headerLenV2 = 20
 )
 
-// DefaultVersion is the format every recorder writes (Record, the probe
-// shim, commtrace recover). Old versions stay decodable forever and are
-// written only on request, by commtrace -mode recode.
+// DefaultVersion is the one format written (Record, the probe shim,
+// commtrace recover). v1 and v2 are decode-only: they stay readable forever,
+// and nothing in the module writes them.
 const DefaultVersion = codecVersion3
 
-// EncodeVersion writes the stream in the given format version (1, 2 or 3) —
-// the materialised wrapper over NewEncoderVersion: header and region table
-// first, then one record per access. threads is the v2/v3 header thread
-// count; 0 derives max(Thread)+1 from the accesses. Since the materialised
-// stream knows its counts up front, no seeking is needed for any version.
+// EncodeVersion writes the stream in the given format version, which must be
+// DefaultVersion — the materialised wrapper over NewEncoderVersion: header
+// and region table first, then one record per access. threads is the header
+// thread count; 0 derives max(Thread)+1 from the accesses. Since the
+// materialised stream knows its counts up front, no seeking is needed.
 func (s *Stream) EncodeVersion(w io.Writer, version, threads int) error {
-	if threads == 0 && version >= 2 {
+	if threads == 0 {
 		for _, a := range s.Accesses {
 			if int(a.Thread)+1 > threads {
 				threads = int(a.Thread) + 1

@@ -16,13 +16,11 @@ package trace_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"os"
 	"sync"
 	"testing"
 
-	"commprof/internal/exec"
 	"commprof/internal/splash"
 	"commprof/internal/trace"
 )
@@ -62,21 +60,7 @@ func codecStream(b *testing.B) *trace.Stream {
 			codecFixture.err = err
 			return
 		}
-		prog, err := splash.New(app, splash.Config{Threads: codecBenchThreads, Size: size, Seed: 42})
-		if err != nil {
-			codecFixture.err = err
-			return
-		}
-		s := &trace.Stream{}
-		eng := exec.New(exec.Options{Threads: codecBenchThreads, Probe: func(a trace.Access) {
-			s.Accesses = append(s.Accesses, a)
-		}})
-		if _, err := prog.Run(eng); err != nil {
-			codecFixture.err = err
-			return
-		}
-		s.Table = prog.Table()
-		codecFixture.s = s
+		codecFixture.s, codecFixture.err = recordWorkload(app, codecBenchThreads, size)
 	})
 	if codecFixture.err != nil {
 		b.Fatal(codecFixture.err)
@@ -87,10 +71,16 @@ func codecStream(b *testing.B) *trace.Stream {
 	return codecFixture.s
 }
 
+// codecEncoded renders the fixture in the given version: v3 through the
+// encoder, decode-only v1 through the test writer.
 func codecEncoded(b *testing.B, version int) []byte {
 	s := codecStream(b)
 	if data, ok := codecFixture.enc[version]; ok {
 		return data
+	}
+	if version != trace.DefaultVersion {
+		codecFixture.enc[version] = trace.EncodeFixed(s, version, 0)
+		return codecFixture.enc[version]
 	}
 	var buf bytes.Buffer
 	if err := s.EncodeVersion(&buf, version, 0); err != nil {
@@ -109,24 +99,20 @@ func (w *countWriter) Write(p []byte) (int, error) {
 
 func BenchmarkCodecEncode(b *testing.B) {
 	s := codecStream(b)
-	for _, version := range []int{1, 3} {
-		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
-			b.ReportAllocs()
-			var written int64
-			for i := 0; i < b.N; i++ {
-				var cw countWriter
-				if err := s.EncodeVersion(&cw, version, 0); err != nil {
-					b.Fatal(err)
-				}
-				written = cw.n
-			}
-			b.SetBytes(written)
-			b.ReportMetric(float64(written)/float64(len(s.Accesses)), "B/rec")
-			b.ReportMetric(float64(len(s.Accesses)), "records")
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(len(s.Accesses))*float64(b.N)/sec, "acc/s")
-			}
-		})
+	b.ReportAllocs()
+	var written int64
+	for i := 0; i < b.N; i++ {
+		var cw countWriter
+		if err := s.EncodeVersion(&cw, trace.DefaultVersion, 0); err != nil {
+			b.Fatal(err)
+		}
+		written = cw.n
+	}
+	b.SetBytes(written)
+	b.ReportMetric(float64(written)/float64(len(s.Accesses)), "B/rec")
+	b.ReportMetric(float64(len(s.Accesses)), "records")
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(len(s.Accesses))*float64(b.N)/sec, "acc/s")
 	}
 }
 

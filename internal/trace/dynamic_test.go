@@ -126,7 +126,7 @@ func TestDynamicUnfinalizedRejected(t *testing.T) {
 // io.ErrUnexpectedEOF, and the error must stick. Pinned to v2: the cut
 // below removes half a fixed-size record.
 func TestDynamicTruncatedRecord(t *testing.T) {
-	data := encodeV2(t, sourceTable(), []Access{{Time: 0}, {Time: 1}, {Time: 2}})
+	data := EncodeFixed(&Stream{Table: sourceTable(), Accesses: []Access{{Time: 0}, {Time: 1}, {Time: 2}}}, 2, 0)
 	cut := data[:len(data)-accessRecLen/2] // half of the final record gone
 	dec, err := NewDecoder(bytes.NewReader(cut))
 	if err != nil {
@@ -156,7 +156,7 @@ func TestDynamicTruncatedRecord(t *testing.T) {
 // thread count give the same v3 bytes whether the counts were declared up
 // front or patched in at Close (into a Buffer that had to grow across several
 // blocks), and decoder→encoder — dec.ForEach(enc.Write), the loop behind
-// recode and recover — reproduces them a third time.
+// recover — reproduces them a third time.
 func TestCountModesEmitIdenticalBytes(t *testing.T) {
 	s := uniformStream(2*v3BlockRecords + 500)
 	const threads = 11 // more than the 8 that issue accesses
@@ -243,14 +243,4 @@ func TestRegionLabel(t *testing.T) {
 	if got := r.Label(); got != "worker pool.go:42" {
 		t.Fatalf("Label() = %q, want \"worker pool.go:42\"", got)
 	}
-}
-
-// encodeV2 renders a finalized v2 byte stream (thread count derived from the
-// records), as shims older than the v3 default wrote.
-func encodeV2(t interface{ Fatal(...any) }, tb *Table, accs []Access) []byte {
-	var buf bytes.Buffer
-	if err := (&Stream{Table: tb, Accesses: accs}).EncodeVersion(&buf, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }

@@ -8,22 +8,17 @@ import (
 )
 
 // FuzzDecode checks that arbitrary bytes never panic the trace decoder and
-// that anything it accepts re-encodes to a decodable stream (round-trip
-// stability).
+// that anything it accepts re-encodes, through the v3 encoder every recorder
+// uses, to a decodable stream of the same shape (round-trip stability).
 func FuzzDecode(f *testing.F) {
-	// Seed with a valid encoding and a few corruptions of it.
+	// Seed with a valid v1 encoding and a few corruptions of it.
 	tb := NewTable()
 	fn := tb.AddFunc("f", NoRegion)
 	lp := tb.AddLoop("f#0", fn)
-	s := &Stream{Table: tb, Accesses: []Access{
+	valid := EncodeFixed(&Stream{Table: tb, Accesses: []Access{
 		{Time: 1, Addr: 0x1000, Size: 8, Thread: 0, Region: lp, Kind: Write},
 		{Time: 2, Addr: 0x1000, Size: 8, Thread: 1, Region: lp, Kind: Read},
-	}}
-	var buf bytes.Buffer
-	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	}}, 1, 0)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
@@ -38,7 +33,14 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if err := st.EncodeVersion(&out, 1, 0); err != nil {
+		if err := st.EncodeVersion(&out, DefaultVersion, 0); err != nil {
+			// A fixed v1/v2 record holds any thread and kind byte; v3 refuses
+			// what it cannot represent, and that is the only refusal allowed.
+			for _, a := range st.Accesses {
+				if a.Thread < 0 || a.Thread >= v3MaxThreads || a.Kind > Write {
+					return
+				}
+			}
 			t.Fatalf("accepted stream failed to re-encode: %v", err)
 		}
 		st2, err := Decode(&out)
@@ -57,12 +59,7 @@ func FuzzDecode(f *testing.F) {
 // Corrupt or truncated input must surface as an error from NewDecoder or
 // Next, never as a silent short read.
 func FuzzDecoder(f *testing.F) {
-	s := randomStream(rand.New(rand.NewSource(1)), 3, 20)
-	var buf bytes.Buffer
-	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := EncodeFixed(randomStream(rand.New(rand.NewSource(1)), 3, 20), 1, 0)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-accessRecLen/2]) // truncated mid-record
 	f.Add(valid[:17])                        // truncated in the region table
@@ -72,10 +69,10 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(corrupt)
 	// v2 seeds: a finalized real-source stream, a truncation of it, and an
 	// unfinalized header (sentinel counts — must be rejected, not decoded).
-	validV2 := encodeV2(f, sourceTable(), []Access{
+	validV2 := EncodeFixed(&Stream{Table: sourceTable(), Accesses: []Access{
 		{Time: 1, Addr: 0x10, Size: 8, Thread: 0, Region: 1, Kind: Write},
 		{Time: 2, Addr: 0x10, Size: 8, Thread: 3, Region: 1, Kind: Read},
-	})
+	}}, 2, 0)
 	f.Add(validV2)
 	f.Add(validV2[:len(validV2)-accessRecLen/2])
 	unfinalized := append([]byte(nil), validV2...)
@@ -129,11 +126,14 @@ func FuzzDecoder(f *testing.F) {
 	})
 }
 
-// FuzzStreamRoundTrip drives the incremental Encoder/Decoder pair with
-// generated streams: every encoding must stream-decode back to the identical
-// table and record sequence, every strict prefix of an encoding must error
-// (the header declares the lengths, so a short stream is always detectable),
-// and a single flipped byte must never panic or hang either decode path.
+// FuzzStreamRoundTrip drives the incremental Encoder/Decoder pair record by
+// record with generated streams — Encoder.Write under a header that leaves
+// the thread count to the caller, Decoder.Next out — where FuzzV3RoundTrip
+// encodes materialised streams and reads them by batch: every encoding must
+// stream-decode back to the identical table and record sequence, every strict
+// prefix of an encoding must error (the header declares the lengths, so a
+// short stream is always detectable), and a single flipped byte must never
+// panic or hang either decode path.
 func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add(int64(1), byte(3), uint16(17), uint16(40), uint16(8), byte(0))
 	f.Add(int64(7), byte(0), uint16(0), uint16(0), uint16(0), byte(0xff))
@@ -145,7 +145,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		s := randomStream(rng, int(nRegions%16), int(nAccesses)%1024)
 
 		var buf bytes.Buffer
-		enc, err := NewEncoderVersion(&buf, s.Table, len(s.Accesses), 0, 1)
+		enc, err := NewEncoderVersion(&buf, s.Table, len(s.Accesses), 0, DefaultVersion)
 		if err != nil {
 			t.Fatalf("NewEncoder: %v", err)
 		}
@@ -162,6 +162,9 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		dec, err := NewDecoder(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("NewDecoder: %v", err)
+		}
+		if dec.Threads() != 0 {
+			t.Fatalf("Threads = %d, want 0 (header left it to the caller)", dec.Threads())
 		}
 		for i, want := range s.Accesses {
 			got, err := dec.Next()
@@ -189,8 +192,9 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			}
 		}
 
-		// A flipped byte may still decode (payload bytes carry no checksum),
-		// but it must never panic, hang, or allocate unboundedly.
+		// A flipped byte may still decode (the CRC covers block payloads,
+		// not the header), but it must never panic, hang, or allocate
+		// unboundedly.
 		if len(data) > 0 && xor != 0 {
 			flipped := append([]byte(nil), data...)
 			flipped[int(xorPos)%len(flipped)] ^= xor

@@ -14,7 +14,7 @@ import (
 // This file is the incremental half of the codec: an Encoder that writes the
 // binary trace format record by record, and a Decoder that reads any of the
 // three format versions back the same way (DESIGN §9 has the byte-level
-// spec):
+// spec). Only v3 is written; v1 and v2 are decode-only:
 //
 //	v1  16-byte header (magic "CPMT", version, region count, access count),
 //	    region table, fixed 29-byte access records
@@ -47,9 +47,8 @@ const telemetryFlushEvery = 256
 // in one of two count modes.
 //
 // Declared (NewEncoderVersion): the access and thread counts go into the
-// header at construction, so any io.Writer will do and any version can be
-// written; Close verifies the caller delivered exactly the declared number of
-// records.
+// header at construction, so any io.Writer will do; Close verifies the caller
+// delivered exactly the declared number of records.
 //
 // Patched (NewDynamicEncoder): for producers that learn their counts only
 // when the run ends — the real-program shim, which discovers goroutines as
@@ -67,9 +66,8 @@ type Encoder struct {
 
 	bw        *bufio.Writer
 	ws        io.WriteSeeker // patched mode: where Close patches the counts; nil when declared
-	version   uint32
 	n, i      uint32         // records the stream may hold (declared count, or the format's capacity); records written
-	blk       *v3BlockWriter // v3 only
+	blk       *v3BlockWriter // records staged for the next block
 	pending   uint32         // records not yet published to Probes
 	maxThread int32          // largest Access.Thread written; -1 before the first record
 	threads   int            // SetThreads floor for the patched thread count
@@ -78,13 +76,13 @@ type Encoder struct {
 }
 
 // NewEncoderVersion writes a stream header and region table in the given
-// format version (1, 2 or 3) to w and returns an encoder expecting exactly
-// accesses Write calls. threads is the header thread count for v2/v3
-// (ignored for v1); pass the recorded thread count, or 0 if it is unknown —
-// decoders treat 0 as "the caller supplies it".
+// format version to w and returns an encoder expecting exactly accesses Write
+// calls. version must be DefaultVersion: v1 and v2 are decode-only. threads
+// is the header thread count; pass the recorded thread count, or 0 if it is
+// unknown — decoders treat 0 as "the caller supplies it".
 func NewEncoderVersion(w io.Writer, table *Table, accesses, threads, version int) (*Encoder, error) {
-	if version < 1 || version > 3 {
-		return nil, fmt.Errorf("trace: unsupported encode version %d", version)
+	if version != DefaultVersion {
+		return nil, fmt.Errorf("trace: cannot encode version %d: only v%d is written (v1 and v2 are decode-only)", version, DefaultVersion)
 	}
 	if accesses < 0 || uint64(accesses) >= countUnpatched {
 		return nil, fmt.Errorf("trace: access count %d outside the format's range", accesses)
@@ -92,16 +90,15 @@ func NewEncoderVersion(w io.Writer, table *Table, accesses, threads, version int
 	if threads < 0 || uint64(threads) >= countUnpatched {
 		return nil, fmt.Errorf("trace: thread count %d outside the format's range", threads)
 	}
-	return newEncoder(w, table, uint32(version), uint32(accesses), uint32(threads))
+	return newEncoder(w, table, uint32(accesses), uint32(threads))
 }
 
 // NewDynamicEncoder writes a stream header (with sentinel counts) and region
-// table to ws and returns an encoder accepting any number of Write calls, in
-// DefaultVersion — the sentinel does not exist in v1, and nothing records v2.
-// ws must be seekable so Close can patch the header: a file, or a Buffer when
+// table to ws and returns an encoder accepting any number of Write calls. ws
+// must be seekable so Close can patch the header: a file, or a Buffer when
 // the destination cannot seek.
 func NewDynamicEncoder(ws io.WriteSeeker, table *Table) (*Encoder, error) {
-	e, err := newEncoder(ws, table, DefaultVersion, countUnpatched, countUnpatched)
+	e, err := newEncoder(ws, table, countUnpatched, countUnpatched)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +106,7 @@ func NewDynamicEncoder(ws io.WriteSeeker, table *Table) (*Encoder, error) {
 	return e, nil
 }
 
-func newEncoder(w io.Writer, table *Table, version, accesses, threads uint32) (*Encoder, error) {
+func newEncoder(w io.Writer, table *Table, accesses, threads uint32) (*Encoder, error) {
 	if table == nil {
 		return nil, fmt.Errorf("trace: encoder requires a region table")
 	}
@@ -117,28 +114,22 @@ func newEncoder(w io.Writer, table *Table, version, accesses, threads uint32) (*
 		return nil, err
 	}
 	bw := bufio.NewWriter(w)
-	if err := writeHeaderAndTable(bw, version, table, accesses, threads); err != nil {
+	if err := writeHeaderAndTable(bw, table, accesses, threads); err != nil {
 		return nil, err
 	}
-	e := &Encoder{bw: bw, version: version, n: accesses, maxThread: -1}
-	if version == codecVersion3 {
-		e.blk = newV3BlockWriter()
-	}
-	return e, nil
+	return &Encoder{bw: bw, n: accesses, blk: newV3BlockWriter(), maxThread: -1}, nil
 }
 
-// writeHeaderAndTable emits the stream header and region table for the given
-// version: the 16-byte v1 header or the 20-byte v2/v3 one (thread count
-// appended), and per region id/parent/kind/name plus file:line for v2/v3.
-func writeHeaderAndTable(bw *bufio.Writer, version uint32, table *Table, accesses, threads uint32) error {
+// writeHeaderAndTable emits the 20-byte v3 stream header (magic, version,
+// region count, access count, thread count) and the region table, per region
+// id/parent/kind/name and file:line.
+func writeHeaderAndTable(bw *bufio.Writer, table *Table, accesses, threads uint32) error {
 	hdr := make([]byte, 0, headerLenV2)
 	hdr = binary.LittleEndian.AppendUint32(hdr, codecMagic)
-	hdr = binary.LittleEndian.AppendUint32(hdr, version)
+	hdr = binary.LittleEndian.AppendUint32(hdr, DefaultVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(table.Len()))
 	hdr = binary.LittleEndian.AppendUint32(hdr, accesses)
-	if version >= codecVersion2 {
-		hdr = binary.LittleEndian.AppendUint32(hdr, threads)
-	}
+	hdr = binary.LittleEndian.AppendUint32(hdr, threads)
 	if _, err := bw.Write(hdr); err != nil {
 		return fmt.Errorf("trace: write header: %w", err)
 	}
@@ -153,31 +144,16 @@ func writeHeaderAndTable(bw *bufio.Writer, version uint32, table *Table, accesse
 		if err := writeString(bw, r.Name); err != nil {
 			return err
 		}
-		if version >= codecVersion2 {
-			if err := writeString(bw, r.File); err != nil {
-				return err
-			}
-			var line [4]byte
-			binary.LittleEndian.PutUint32(line[:], uint32(r.Line))
-			if _, err := bw.Write(line[:]); err != nil {
-				return fmt.Errorf("trace: write region line: %w", err)
-			}
+		if err := writeString(bw, r.File); err != nil {
+			return err
+		}
+		var line [4]byte
+		binary.LittleEndian.PutUint32(line[:], uint32(r.Line))
+		if _, err := bw.Write(line[:]); err != nil {
+			return fmt.Errorf("trace: write region line: %w", err)
 		}
 	}
 	return nil
-}
-
-// writeFixedRecord emits the fixed 29-byte v1/v2 access record.
-func writeFixedRecord(bw *bufio.Writer, a Access) error {
-	var rec [accessRecLen]byte
-	binary.LittleEndian.PutUint64(rec[0:], a.Time)
-	binary.LittleEndian.PutUint64(rec[8:], a.Addr)
-	binary.LittleEndian.PutUint32(rec[16:], a.Size)
-	binary.LittleEndian.PutUint32(rec[20:], uint32(a.Thread))
-	binary.LittleEndian.PutUint32(rec[24:], uint32(a.Region))
-	rec[28] = byte(a.Kind)
-	_, err := bw.Write(rec[:])
-	return err
 }
 
 // SetThreads declares the final thread count of a patched stream explicitly
@@ -236,22 +212,15 @@ func (e *Encoder) Write(a Access) error {
 		}
 		return err
 	}
-	if e.version == codecVersion3 {
-		if err := e.blk.append(a); err != nil {
-			return e.fail(fmt.Errorf("trace: encode access record %d: %w", e.i+1, err))
+	if err := e.blk.append(a); err != nil {
+		return e.fail(fmt.Errorf("trace: encode access record %d: %w", e.i+1, err))
+	}
+	if e.blk.full() {
+		n, err := e.blk.flush(e.bw)
+		if err != nil {
+			return e.fail(err)
 		}
-		if e.blk.full() {
-			n, err := e.blk.flush(e.bw)
-			if err != nil {
-				return e.fail(err)
-			}
-			e.noteEncoded(n)
-		}
-	} else {
-		if err := writeFixedRecord(e.bw, a); err != nil {
-			return e.fail(fmt.Errorf("trace: write access record %d: %w", e.i+1, err))
-		}
-		e.noteEncoded(1)
+		e.noteEncoded(n)
 	}
 	e.i++
 	if a.Thread > e.maxThread {
@@ -278,13 +247,11 @@ func (e *Encoder) Close() error {
 		return fmt.Errorf("trace: encoded %d of %d declared access records", e.i, e.n)
 	}
 	e.closed = true
-	if e.blk != nil {
-		n, err := e.blk.flush(e.bw)
-		if err != nil {
-			return e.fail(err)
-		}
-		e.noteEncoded(n)
+	n, err := e.blk.flush(e.bw)
+	if err != nil {
+		return e.fail(err)
 	}
+	e.noteEncoded(n)
 	e.flushEncoded()
 	if err := e.bw.Flush(); err != nil {
 		return e.fail(fmt.Errorf("trace: flush: %w", err))
@@ -488,9 +455,6 @@ func newDecoder(r io.Reader, tolerant bool) (*Decoder, error) {
 
 // Table returns the decoded region table.
 func (d *Decoder) Table() *Table { return d.table }
-
-// Version returns the stream's format version (1, 2 or 3).
-func (d *Decoder) Version() int { return int(d.version) }
 
 // Threads returns the recorded thread (goroutine) count a v2/v3 stream
 // carries in its header, or 0 for a v1 stream (or an unfinalized salvage),

@@ -56,7 +56,7 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	} {
 		s := randomStream(rng, shape.regions, shape.accesses)
 		var buf bytes.Buffer
-		enc, err := NewEncoderVersion(&buf, s.Table, len(s.Accesses), 0, 1)
+		enc, err := NewEncoderVersion(&buf, s.Table, len(s.Accesses), 32, DefaultVersion)
 		if err != nil {
 			t.Fatalf("%+v: NewEncoder: %v", shape, err)
 		}
@@ -99,7 +99,7 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 
 		// The one-shot wrappers must agree byte for byte.
 		var oneShot bytes.Buffer
-		if err := s.EncodeVersion(&oneShot, 1, 0); err != nil {
+		if err := s.EncodeVersion(&oneShot, DefaultVersion, 32); err != nil {
 			t.Fatalf("%+v: Stream.Encode: %v", shape, err)
 		}
 		if !bytes.Equal(oneShot.Bytes(), buf.Bytes()) {
@@ -113,12 +113,7 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 // at a record boundary each name the failing record and the declared count,
 // and wrap io.ErrUnexpectedEOF.
 func TestDecodeTruncatedReportsRecordContext(t *testing.T) {
-	s := randomStream(rand.New(rand.NewSource(3)), 2, 5)
-	var buf bytes.Buffer
-	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := EncodeFixed(randomStream(rand.New(rand.NewSource(3)), 2, 5), 1, 0)
 	accessStart := len(full) - 5*accessRecLen
 
 	cases := []struct {
@@ -179,7 +174,7 @@ func TestEncoderCountContract(t *testing.T) {
 	tb := NewTable()
 	tb.AddFunc("f", NoRegion)
 	var buf bytes.Buffer
-	enc, err := NewEncoderVersion(&buf, tb, 2, 0, 1)
+	enc, err := NewEncoderVersion(&buf, tb, 2, 0, DefaultVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +193,10 @@ func TestEncoderCountContract(t *testing.T) {
 	if err := enc.Close(); err != nil {
 		t.Fatalf("Close after exact count: %v", err)
 	}
-	if _, err := NewEncoderVersion(io.Discard, nil, 0, 0, 1); err == nil {
+	if _, err := NewEncoderVersion(io.Discard, nil, 0, 0, DefaultVersion); err == nil {
 		t.Error("NewEncoder accepted a nil table")
 	}
-	if _, err := NewEncoderVersion(io.Discard, tb, -1, 0, 1); err == nil {
+	if _, err := NewEncoderVersion(io.Discard, tb, -1, 0, DefaultVersion); err == nil {
 		t.Error("NewEncoder accepted a negative count")
 	}
 }
@@ -210,12 +205,8 @@ func TestEncoderCountContract(t *testing.T) {
 // contract: decoding n records performs no per-record heap allocation, so a
 // replay's resident set cannot scale with trace length through the decoder.
 func TestDecoderDoesNotMaterialise(t *testing.T) {
-	s := randomStream(rand.New(rand.NewSource(11)), 3, 4096)
-	var buf bytes.Buffer
-	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	data := EncodeFixed(randomStream(rand.New(rand.NewSource(11)), 3, 4096), 1, 0)
+	dec, err := NewDecoder(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +222,8 @@ func TestDecoderDoesNotMaterialise(t *testing.T) {
 
 func TestDecoderForEachAndProbes(t *testing.T) {
 	s := randomStream(rand.New(rand.NewSource(5)), 2, 40)
-	var buf bytes.Buffer
-	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	data := EncodeFixed(s, 1, 0)
+	dec, err := NewDecoder(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +244,7 @@ func TestDecoderForEachAndProbes(t *testing.T) {
 	}
 
 	// A callback error stops the walk and surfaces unchanged.
-	dec2, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec2, err := NewDecoder(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

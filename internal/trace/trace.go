@@ -62,8 +62,8 @@ type Region struct {
 	// File/Line locate the region in real source when the table was built by
 	// the source instrumenter (internal/instrument): the file base name and
 	// the 1-based line of the function or loop keyword. Synthetic workloads
-	// (splash, minipar) leave them zero; the v1 trace codec does not carry
-	// them, the v2 codec does.
+	// (splash, minipar) leave them zero; the v3 trace codec carries them, as
+	// v2 did, and a decoded v1 trace has none.
 	File string
 	Line int
 }

@@ -77,7 +77,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		{Time: 3, Addr: 0xffffffffffff, Size: 4, Thread: 31, Region: NoRegion, Kind: Read},
 	}}
 	var buf bytes.Buffer
-	if err := s.EncodeVersion(&buf, 1, 0); err != nil {
+	if err := s.EncodeVersion(&buf, DefaultVersion, 0); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	got, err := Decode(&buf)
@@ -116,7 +116,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := s.EncodeVersion(&buf, 1, 0); err != nil {
+		if err := s.EncodeVersion(&buf, DefaultVersion, 0); err != nil {
 			return false
 		}
 		got, err := Decode(&buf)

@@ -14,10 +14,13 @@ import (
 	"commprof/internal/obs"
 )
 
-// encodeVersion renders s in the given format version, failing the test on
-// any encode error.
+// encodeVersion renders s in the given format version: v3 through the
+// encoder, v1 and v2 (decode-only) through the test writer.
 func encodeVersion(t testing.TB, s *Stream, version int) []byte {
 	t.Helper()
+	if version != DefaultVersion {
+		return EncodeFixed(s, version, 0)
+	}
 	var buf bytes.Buffer
 	if err := s.EncodeVersion(&buf, version, 0); err != nil {
 		t.Fatalf("EncodeVersion(%d): %v", version, err)
@@ -68,9 +71,6 @@ func TestV3RoundTripShapes(t *testing.T) {
 	for si, s := range shapes {
 		data := encodeVersion(t, s, 3)
 		dec, accs := decodeAll(t, data)
-		if dec.Version() != 3 {
-			t.Fatalf("shape %d: Version = %d, want 3", si, dec.Version())
-		}
 		if len(accs) != len(s.Accesses) {
 			t.Fatalf("shape %d: decoded %d records, want %d", si, len(accs), len(s.Accesses))
 		}
@@ -96,9 +96,6 @@ func TestCrossVersionSameRecords(t *testing.T) {
 	for _, version := range []int{1, 2, 3} {
 		data := encodeVersion(t, s, version)
 		dec, accs := decodeAll(t, data)
-		if dec.Version() != version {
-			t.Fatalf("v%d: Version = %d", version, dec.Version())
-		}
 		if len(accs) != len(s.Accesses) {
 			t.Fatalf("v%d: decoded %d records, want %d", version, len(accs), len(s.Accesses))
 		}
@@ -538,7 +535,7 @@ func TestDecodeTolerantV3(t *testing.T) {
 // mid-record it salvages the complete prefix and reports the cause.
 func TestDecodeTolerantV2(t *testing.T) {
 	s := uniformStream(100)
-	data := encodeVersion(t, s, 2)
+	data := EncodeFixed(s, 2, 0)
 	out := append([]byte(nil), data...)
 	for i := 12; i < 20; i++ {
 		out[i] = 0xFF
@@ -613,8 +610,10 @@ func TestV3EncoderLimits(t *testing.T) {
 	if err := enc2.Write(Access{Kind: Kind(7)}); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Errorf("v3 encoder accepted kind 7: %v", err)
 	}
-	if _, err := NewEncoderVersion(io.Discard, tb, 0, 0, 4); err == nil {
-		t.Error("NewEncoderVersion accepted version 4")
+	for _, version := range []int{1, 2, 4} {
+		if _, err := NewEncoderVersion(io.Discard, tb, 0, 0, version); err == nil {
+			t.Errorf("NewEncoderVersion accepted version %d", version)
+		}
 	}
 }
 
@@ -624,31 +623,28 @@ func TestV3EncoderLimits(t *testing.T) {
 // paths.
 func TestCodecProbesExactTotals(t *testing.T) {
 	s := randomStream(rand.New(rand.NewSource(77)), 3, 1000)
-	for _, version := range []int{1, 3} {
-		reg := obs.NewRegistry()
-		probes := &obs.TraceProbes{
-			DecodedRecords: reg.Counter("dec"),
-			EncodedRecords: reg.Counter("enc"),
-		}
-		var buf bytes.Buffer
-		enc, err := NewEncoderVersion(&buf, s.Table, len(s.Accesses), 0, version)
-		if err != nil {
+	reg := obs.NewRegistry()
+	var buf bytes.Buffer
+	enc, err := NewEncoderVersion(&buf, s.Table, len(s.Accesses), 0, DefaultVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc.Probes = &obs.TraceProbes{EncodedRecords: reg.Counter("enc")}
+	for _, a := range s.Accesses {
+		if err := enc.Write(a); err != nil {
 			t.Fatal(err)
 		}
-		enc.Probes = probes
-		for _, a := range s.Accesses {
-			if err := enc.Write(a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := enc.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if v := probes.EncodedRecords.Value(); v != uint64(len(s.Accesses)) {
-			t.Errorf("v%d: EncodedRecords = %d, want %d", version, v, len(s.Accesses))
-		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := reg.Counter("enc").Value(); v != uint64(len(s.Accesses)) {
+		t.Errorf("EncodedRecords = %d, want %d", v, len(s.Accesses))
+	}
 
-		dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	for _, version := range []int{1, 3} {
+		probes := &obs.TraceProbes{DecodedRecords: obs.NewRegistry().Counter("dec")}
+		dec, err := NewDecoder(bytes.NewReader(encodeVersion(t, s, version)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,7 +664,7 @@ func TestCodecProbesExactTotals(t *testing.T) {
 	}
 
 	// The dynamic encoder batches the same way.
-	reg := obs.NewRegistry()
+	reg = obs.NewRegistry()
 	var ms Buffer
 	dyn, err := NewDynamicEncoder(&ms, s.Table)
 	if err != nil {

@@ -82,7 +82,8 @@ func main() {
 }
 
 // TestOptionMatrix pins that every analyser option is honoured by every entry
-// point: entry point × option, the matching report section must be there.
+// point: entry point × option, and entry point × all options together, the
+// matching report section must be there.
 // The analyser is built in one place (newAnalysis), so a cell can only fail
 // if an entry point grows private wiring again.
 func TestOptionMatrix(t *testing.T) {
@@ -135,6 +136,22 @@ func TestOptionMatrix(t *testing.T) {
 			if opt.name == "Sample" && rep.Dependencies >= base.Dependencies {
 				t.Errorf("%s × Sample: %d dependencies with 1/4 of reads analysed, %d without sampling",
 					name, rep.Dependencies, base.Dependencies)
+			}
+		}
+		// And every accepted option at once: no layer displaces another.
+		var all Options
+		for _, opt := range options {
+			if opt.present != nil {
+				opt.set(&all)
+			}
+		}
+		rep, err := run(all)
+		if err != nil {
+			t.Fatalf("%s × every option: %v", name, err)
+		}
+		for _, opt := range options {
+			if opt.present != nil && !opt.present(rep) {
+				t.Errorf("%s × every option: %s ignored — report section missing or empty", name, opt.name)
 			}
 		}
 	}

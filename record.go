@@ -10,9 +10,8 @@ import (
 
 // Record profiles the named bundled workload while also recording its full
 // access trace (with the static region table) to w in the binary trace
-// format — v3, the compact delta/varint block encoding; commtrace -mode
-// recode turns it into v1 or v2 for a consumer that needs those — for later
-// offline analysis with Replay. This is the workflow the paper contrasts with
+// format — v3, the compact delta/varint block encoding and the one format
+// written — for later offline analysis with Replay. This is the workflow the paper contrasts with
 // on-the-fly analysis: trace files grow with execution length — the radix
 // simlarge trace is tens of MB even at a few bytes per access, where the live
 // profiler's signature stays fixed — which is precisely why DiscoPoP

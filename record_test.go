@@ -8,25 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"commprof/internal/trace"
 )
-
-// transcode re-encodes a recorded trace in the given format version — how a
-// test (or, from a file, commtrace -mode recode) obtains the v1 and v2 inputs
-// nothing records any more.
-func transcode(t *testing.T, recorded []byte, version, threads int) []byte {
-	t.Helper()
-	st, err := trace.Decode(bytes.NewReader(recorded))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := st.EncodeVersion(&out, version, threads); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
-}
 
 func TestRecordReplayRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -59,18 +41,12 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	if len(replayed.Regions) != len(live.Regions) {
 		t.Fatalf("regions %d vs %d", len(replayed.Regions), len(live.Regions))
 	}
-	// The default format is v3: the trace still grows with execution length
-	// (the property the paper holds against offline tools) but at a few
-	// bytes per access, far under the fixed 29-byte v1 record.
+	// The format is v3: the trace still grows with execution length (the
+	// property the paper holds against offline tools) but at a few bytes per
+	// access, far under the fixed 29-byte v1 record (the decoder-level
+	// cross-version wall in internal/trace holds every workload to ≥ 3x).
 	if uint64(len(encoded)) >= live.Accesses*8 {
 		t.Fatalf("v3 trace not compact: %d bytes for %d accesses", len(encoded), live.Accesses)
-	}
-	v1 := bytes.NewBuffer(transcode(t, encoded, 1, 8))
-	if uint64(v1.Len()) < live.Accesses*29 {
-		t.Fatalf("v1 trace suspiciously small: %d bytes for %d accesses", v1.Len(), live.Accesses)
-	}
-	if v1.Len() < 3*len(encoded) {
-		t.Fatalf("v3 trace (%d bytes) not ≥3x smaller than v1 (%d bytes)", len(encoded), v1.Len())
 	}
 }
 
@@ -138,13 +114,15 @@ func TestReplayErrors(t *testing.T) {
 	if _, err := Replay(strings.NewReader("garbage"), 4, Options{}); err == nil {
 		t.Error("garbage trace accepted")
 	}
-	// A v1 trace carries no thread count, so threads=0 cannot be resolved.
+	// A v1 trace carries no thread count, so threads=0 cannot be resolved:
+	// the 16-byte v1 header (magic, version 1, no regions, no records).
+	v1 := "TMPC\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+	if _, err := Replay(strings.NewReader(v1), 0, Options{}); err == nil || !strings.Contains(err.Error(), "threads 0") {
+		t.Errorf("zero threads on a v1 trace: err = %v, want the threads-0 refusal", err)
+	}
 	var v3buf bytes.Buffer
 	if _, err := Record(Options{Workload: "fft", Threads: 8}, &v3buf); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := Replay(bytes.NewReader(transcode(t, v3buf.Bytes(), 1, 8)), 0, Options{}); err == nil {
-		t.Error("zero threads accepted for a v1 trace")
 	}
 	// The recorded (v3) trace declares its thread count; threads=0 resolves.
 	if rep, err := Replay(&v3buf, 0, Options{}); err != nil {

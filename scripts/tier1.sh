@@ -1,8 +1,8 @@
 #!/bin/sh
 # tier1.sh — the repository's tier-1 verification gate (see ROADMAP.md).
 # Build, formatting, vet, seven grep guards for things that must stay
-# deleted or out (a trace-format knob, a second copy of the run on a write
-# path, the superseded benchmark harness, the sharded engine's overload
+# deleted or out (a trace-format knob or v1/v2 writer, a second copy of the
+# run on a write path, the superseded benchmark harness, the sharded engine's overload
 # policies and hand-rolled ring, an analyser option spelled out by hand beside
 # the one flag table, an internal/ export only tests call, package unsafe in
 # the analysis path), the full test suite, a
@@ -43,9 +43,6 @@ echo "== go vet =="
 go vet ./...
 
 echo "== grep guards =="
-# One trace format is recorded (v3): no option, flag or environment variable
-# may select another. (Whole word: TestTraceFormatComposes... is a test name.
-# bench/ still exports the variable the shim used to read.)
 guard() { # guard <what> <matches>
 	if [ -n "$2" ]; then
 		echo "tier1: $1:" >&2
@@ -53,8 +50,16 @@ guard() { # guard <what> <matches>
 		exit 1
 	fi
 }
+# One trace format is written (v3): no option, flag or environment variable
+# may select another, no mode converts a trace into another, and no non-test
+# code writes the fixed 29-byte v1/v2 record. v1 and v2 are decode-only; the
+# test writer in internal/trace/export_test.go makes their bytes for the
+# decoder's tests. (Whole word: TestTraceFormatComposes... is a test name.
+# bench/ still exports the variable the shim used to read.)
 guard "a trace-format knob is back" \
-	"$(grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\<TraceFormat\>|TRACE_FORMAT' . || true)"
+	"$(grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\<TraceFormat\>|TRACE_FORMAT' . || true
+	grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'"(trace-format|recode)"|writeFixedRecord|accessRecLen.*(Write|Put|Append)|(Write|Put|Append)[A-Za-z0-9]*\(.*accessRecLen|PutUint(32|64)\(rec\[|Write\(rec\[' . || true)"
 # Write paths stream through trace.Encoder; none holds the run as a slice of
 # access records first.
 guard "a write path materialises the run" \
@@ -83,20 +88,38 @@ guard "an analyser option is spelled out by hand again" \
 		cmd/commprof/*.go cmd/commtrace/*.go probe/*.go || true)"
 # Every exported func in internal/ is named by some non-test Go file (bench/
 # counts as a caller) outside its own declaration: what only tests call is
-# deleted, or unexported beside an in-package test.
+# deleted, or unexported beside an in-package test. A package-level func is
+# used when code outside its package names it qualified (<pkg>.<Name>, or
+# through an import alias) or code inside calls it bare (<Name>( after no
+# dot), so a same-named call elsewhere (filepath.Dir, format.Source, the
+# other packages' New) hides nothing. A method is used when any code names it.
 testonly_exports() {
 	code=$(find . -name '*.go' ! -name '*_test.go' -not -path './.bench_build/*' -not -path './.git/*' \
-		-exec grep -hv '^[[:space:]]*//' {} +)
-	grep -rhoE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*' internal |
-		sed -E 's/^func (\([^)]*\) )?//' | sort -u | while read -r name; do
-		case $name in
-		# murmur: the reference HashAddr and HashAddrPair are tested against.
-		Sum128) continue ;;
-		# interp: bounds the fuzz harness of internal/passes from another package.
-		SetMaxSteps) continue ;;
-		esac
-		n=$(printf '%s\n' "$code" | grep -w -- "$name" | grep -cvE "^func (\([^)]*\) )?$name\(" || true)
-		if [ "$n" -eq 0 ]; then echo "$name"; fi
+		-exec grep -Hv '^[[:space:]]*//' {} +)
+	for dir in $(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do
+		inside=$(printf '%s\n' "$code" | grep "^\./$dir/[^/]*:" || true)
+		outside=$(printf '%s\n' "$code" | grep -v "^\./$dir/[^/]*:" || true)
+		names=$(printf '%s\n' "$outside" | sed -nE "s|^[^:]*:[[:space:]]*([A-Za-z_][A-Za-z0-9_]*) \"commprof/$dir\"\$|\1|p" | sort -u)
+		qual="($(echo "${dir##*/}" $names | tr ' ' '|'))"
+		printf '%s\n' "$inside" | sed -nE 's/^[^:]*:func (\([^)]*\) )?([A-Z][A-Za-z0-9_]*).*/\2 \1/p' | sort -u |
+			while read -r name recv; do
+			case $name in
+			# murmur: the reference HashAddr and HashAddrPair are tested against.
+			Sum128) continue ;;
+			# interp: bounds the fuzz harness of internal/passes from another package.
+			SetMaxSteps) continue ;;
+			esac
+			decl="^[^:]*:func (\([^)]*\) )?$name\("
+			if [ -n "$recv" ]; then
+				n=$(printf '%s\n' "$code" | grep -w -- "$name" | grep -cvE "$decl" || true)
+			else
+				n=$({
+					printf '%s\n' "$outside" | grep -E "(^|[^A-Za-z0-9_.])$qual\.$name([^A-Za-z0-9_]|\$)"
+					printf '%s\n' "$inside" | grep -E "(^|[^A-Za-z0-9_.])$name\(" | grep -vE "$decl"
+				} | grep -c . || true)
+			fi
+			if [ "$n" -eq 0 ]; then echo "$dir.$name"; fi
+		done
 	done
 }
 guard "a test-only export is back in internal/" "$(testonly_exports)"

@@ -6,22 +6,12 @@ import (
 )
 
 // TestTraceFormatComposesWithAnalysisOptions is a regression guard for the
-// facade: the format version is only the wire encoding, so a trace in any
-// format must replay identically under every analysis feature — sharding,
-// phase windows, the redundancy fast path and the accuracy monitor — with
-// the feature reports still attached.
+// facade: the trace format is only the wire encoding, so a run recorded under
+// any analysis feature — sharding, phase windows, the redundancy fast path
+// and the accuracy monitor, alone or all at once — must replay under the same
+// features to the live run's result, with the feature reports attached.
 func TestTraceFormatComposesWithAnalysisOptions(t *testing.T) {
 	const threads = 8
-	var recorded bytes.Buffer
-	if _, err := Record(Options{Workload: "fft", Threads: threads}, &recorded); err != nil {
-		t.Fatal(err)
-	}
-	bufs := map[int][]byte{
-		1: transcode(t, recorded.Bytes(), 1, threads),
-		2: transcode(t, recorded.Bytes(), 2, threads),
-		3: recorded.Bytes(),
-	}
-
 	paths := []struct {
 		name string
 		opts Options
@@ -35,32 +25,32 @@ func TestTraceFormatComposesWithAnalysisOptions(t *testing.T) {
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
-			var want *Report
-			for _, version := range []int{1, 2, 3} {
-				rep, err := Replay(bytes.NewReader(bufs[version]), threads, path.opts)
-				if err != nil {
-					t.Fatalf("v%d: %v", version, err)
-				}
-				if path.opts.PhaseWindow > 0 && rep.PhaseTimeline == nil {
-					t.Errorf("v%d: phase timeline missing", version)
-				}
-				if path.opts.RedundancyCacheBits > 0 && rep.Redundancy == nil {
-					t.Errorf("v%d: redundancy report missing", version)
-				}
-				if path.opts.AccuracyTargetFPR > 0 && rep.Accuracy == nil {
-					t.Errorf("v%d: accuracy report missing", version)
-				}
-				if want == nil {
-					want = rep
-					continue
-				}
-				if rep.Dependencies != want.Dependencies || rep.CommBytes != want.CommBytes {
-					t.Errorf("v%d: %d deps / %d bytes, v1 found %d / %d",
-						version, rep.Dependencies, rep.CommBytes, want.Dependencies, want.CommBytes)
-				}
-				if !matrixEqual(rep.Global, want.Global) {
-					t.Errorf("v%d: global matrix differs from v1", version)
-				}
+			rec := path.opts
+			rec.Workload, rec.Threads = "fft", threads
+			var recorded bytes.Buffer
+			live, err := Record(rec, &recorded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Replay(&recorded, threads, path.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if path.opts.PhaseWindow > 0 && rep.PhaseTimeline == nil {
+				t.Error("phase timeline missing")
+			}
+			if path.opts.RedundancyCacheBits > 0 && rep.Redundancy == nil {
+				t.Error("redundancy report missing")
+			}
+			if path.opts.AccuracyTargetFPR > 0 && rep.Accuracy == nil {
+				t.Error("accuracy report missing")
+			}
+			if rep.Dependencies != live.Dependencies || rep.CommBytes != live.CommBytes {
+				t.Errorf("replay: %d deps / %d bytes, live run found %d / %d",
+					rep.Dependencies, rep.CommBytes, live.Dependencies, live.CommBytes)
+			}
+			if !matrixEqual(rep.Global, live.Global) {
+				t.Error("replayed global matrix differs from the live run's")
 			}
 		})
 	}
