@@ -2,6 +2,8 @@ package commprof
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -34,8 +36,7 @@ func TestRecordAccuracyMatchesOfflineExactDiff(t *testing.T) {
 	const threads, slots = 8, 256
 	opts := Options{
 		Workload: "fft", Threads: threads, InputSize: "simsmall",
-		SignatureSlots: slots, BloomFPRate: 0.001,
-		AccuracyTargetFPR: 0.05, AccuracySampleBits: 0,
+		SignatureSlots: slots, AccuracyTargetFPR: 0.05, AccuracySampleBits: 0,
 	}
 	var buf bytes.Buffer
 	rep, err := Record(opts, &buf)
@@ -52,7 +53,7 @@ func TestRecordAccuracyMatchesOfflineExactDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asym, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads, FPRate: opts.BloomFPRate})
+	asym, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,7 @@ func TestProfileAccuracyReport(t *testing.T) {
 	if acc.RecommendedBytes == 0 || acc.ShadowBytes == 0 {
 		t.Errorf("memory pricing missing: %+v", acc)
 	}
-	// 8 threads run on exact reader masks: there is no bloom to fill, and
-	// the alarm comes from the slot-collision FPR alone.
-	if acc.FillRatio != 0 {
-		t.Errorf("FillRatio = %v on the mask layout, want 0", acc.FillRatio)
-	}
+	// The alarm comes from the slot-collision FPR.
 	if !strings.Contains(acc.Alarm, "estimated signature FPR") {
 		t.Errorf("saturated run did not alarm on its FPR: %q", acc.Alarm)
 	}
@@ -145,11 +142,10 @@ func TestProfileAccuracyReport(t *testing.T) {
 }
 
 // TestFullReaderMasksDoNotAlarm is the all-to-all regression for the mask
-// layout: every address is read by all 32 threads, so every live reader mask
+// arena: every address is read by all 32 threads, so every live reader mask
 // has all its bits set. That is exact state, not saturation — the paper's
-// bloom filters sit at fill ≈ 0.50 under the same pattern and trip the "bloom
-// fill ratio > 0.5 … filters are saturating" clause — so the report must
-// carry no bloom fill and no alarm, on the serial and the sharded path.
+// bloom filters sit at fill ≈ 0.50 under the same pattern — so the report
+// must carry no alarm, on the serial and the sharded path.
 func TestFullReaderMasksDoNotAlarm(t *testing.T) {
 	const threads, addrs = 32, 512
 	var accesses []Access
@@ -190,11 +186,64 @@ func TestFullReaderMasksDoNotAlarm(t *testing.T) {
 		if want := uint64(addrs * (threads - 1)); rep.Dependencies < want*9/10 {
 			t.Errorf("%s: %d dependencies, want about %d: reader sets not filled", name, rep.Dependencies, want)
 		}
-		if acc.FillRatio != 0 {
-			t.Errorf("%s: FillRatio = %v with every reader bit set, want 0", name, acc.FillRatio)
-		}
 		if acc.Alarm != "" {
 			t.Errorf("%s: full reader masks raised an alarm: %s", name, acc.Alarm)
+		}
+	}
+}
+
+// TestAdvisorPricesTheRunsSignature pins the advisor to the memory the run
+// holds: on every entry point, serial and sharded, the current price is
+// Report.SignatureBytes, and a recommended size is priced at the same bytes
+// per slot.
+func TestAdvisorPricesTheRunsSignature(t *testing.T) {
+	var recorded bytes.Buffer
+	if _, err := Record(Options{Workload: "fft", Threads: 8}, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	accesses := []Access{
+		{Kind: WriteAccess, Addr: 8, Size: 8, Thread: 0, Region: -1, Time: 1},
+		{Kind: ReadAccess, Addr: 8, Size: 8, Thread: 1, Region: -1, Time: 2},
+	}
+	for _, shards := range []int{0, 3} {
+		for _, slots := range []uint64{512, 1 << 20} {
+			opts := Options{SignatureSlots: slots, AnalysisShards: shards, AccuracyTargetFPR: 0.05}
+			for name, run := range map[string]func(Options) (*Report, error){
+				"Profile": func(o Options) (*Report, error) {
+					o.Workload, o.Threads = "radix", 8
+					return Profile(o)
+				},
+				"Record": func(o Options) (*Report, error) {
+					o.Workload, o.Threads = "fft", 8
+					return Record(o, io.Discard)
+				},
+				"Replay": func(o Options) (*Report, error) { return Replay(bytes.NewReader(recorded.Bytes()), 8, o) },
+				"ProfileTrace": func(o Options) (*Report, error) {
+					return ProfileTrace(accesses, nil, 2, o)
+				},
+				"Run": func(o Options) (*Report, error) {
+					return Run(4, nil, func(t *Thread) {
+						t.Write(uint64(t.ID())*64, 8)
+						t.Barrier()
+						t.Read(uint64((t.ID()+1)%4)*64, 8)
+					}, o)
+				},
+			} {
+				rep, err := run(opts)
+				if err != nil {
+					t.Fatalf("%s K=%d slots=%d: %v", name, shards, slots, err)
+				}
+				acc := rep.Accuracy
+				want := uint64(math.Ceil(float64(rep.SignatureBytes) / float64(acc.CurrentSlots) * float64(acc.RecommendedSlots)))
+				if acc.CurrentSlots != slots || acc.RecommendedBytes != want {
+					t.Errorf("%s K=%d slots=%d: %d slots at %d B recommended for a %d-byte signature of %d slots, want %d B",
+						name, shards, slots, acc.RecommendedSlots, acc.RecommendedBytes, rep.SignatureBytes, acc.CurrentSlots, want)
+				}
+				if acc.RecommendedSlots == acc.CurrentSlots && acc.RecommendedBytes != rep.SignatureBytes {
+					t.Errorf("%s K=%d slots=%d: unchanged size priced at %d B, the run holds %d B",
+						name, shards, slots, acc.RecommendedBytes, rep.SignatureBytes)
+				}
+			}
 		}
 	}
 }
@@ -226,8 +275,8 @@ func TestProfileShardedAccuracy(t *testing.T) {
 	if _, ok := rep.Telemetry.Gauges["accuracy_estimated_fpr"]; !ok {
 		t.Errorf("accuracy_estimated_fpr gauge missing: %v", rep.Telemetry.Gauges)
 	}
-	if _, ok := rep.Telemetry.Gauges["sig_fill_ratio"]; !ok {
-		t.Errorf("sig_fill_ratio gauge missing: %v", rep.Telemetry.Gauges)
+	if _, ok := rep.Telemetry.Gauges["sig_slot_occupancy"]; !ok {
+		t.Errorf("sig_slot_occupancy gauge missing: %v", rep.Telemetry.Gauges)
 	}
 	if rep.Telemetry.Counters["accuracy_sampled_total"] == 0 {
 		t.Error("accuracy_sampled_total = 0 on a fully sampled run")

@@ -88,7 +88,7 @@ func newAnalysis(opts Options, threads int, table *trace.Table, concurrent bool)
 		QueueCapacity:       opts.ShardQueueCapacity,
 		RedundancyCacheBits: opts.RedundancyCacheBits,
 		Accuracy:            opts.accuracyOptions(threads, probes),
-		NewBackend:          pipeline.AsymmetricFactory(opts.SignatureSlots, opts.AnalysisShards, threads, opts.BloomFPRate, probes.SigProbes()),
+		NewBackend:          pipeline.AsymmetricFactory(opts.SignatureSlots, opts.AnalysisShards, threads, 0, probes.SigProbes()),
 		Probes:              probes.PipelineProbes(),
 		DetectProbes:        probes.DetectProbes(),
 		PhaseWindow:         opts.PhaseWindow,
@@ -258,13 +258,11 @@ func (an *analysis) finish(name string, stats exec.Stats) (*Report, error) {
 		rep.Redundancy = redundancyReport(rst)
 	}
 	if est, ok := pe.AccuracyEstimate(); ok {
-		// The final alarm evaluation runs against the production signature's
-		// closing fill ratio, so the alarm works without telemetry too.
-		fill := pe.FillRatio(256)
-		pe.EvaluateAccuracy(fill)
-		rec := accuracy.Recommend(est, opts.SignatureSlots, an.threads, opts.BloomFPRate)
+		// The final alarm evaluation, so the alarm works without telemetry too.
+		pe.EvaluateAccuracy()
+		rec := accuracy.Recommend(est, opts.SignatureSlots, rep.SignatureBytes)
 		alarm, _ := pe.AccuracyAlarm()
-		rep.Accuracy = accuracyReport(est, rec, pe.AccuracyShadowBytes(), fill, tel.fillTrajectory(), alarm)
+		rep.Accuracy = accuracyReport(est, rec, pe.AccuracyShadowBytes(), alarm)
 	}
 	if an.ps != nil {
 		ws, err := pe.PhaseWindows()

@@ -60,9 +60,12 @@ func TestUnknownApp(t *testing.T) {
 }
 
 func TestBadFlag(t *testing.T) {
-	code, _, _ := runCLI(t, "-definitely-not-a-flag")
-	if code != 2 {
-		t.Fatalf("exit %d", code)
+	// -fpr set the per-slot bloom filters' rate; the reader sets are exact
+	// masks and it no longer parses.
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-app", "fft", "-fpr", "0.01"}} {
+		if code, _, _ := runCLI(t, args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
 	}
 }
 
@@ -269,7 +272,7 @@ func TestTelemetryDumpFlag(t *testing.T) {
 	for _, want := range []string{
 		"accuracy_sampled_total", "accuracy_confirmed_total",
 		"accuracy_false_positives_total", "accuracy_missed_events_total",
-		"accuracy_estimated_fpr", "sig_fill_ratio",
+		"accuracy_estimated_fpr", "sig_slot_occupancy",
 		"detect_events_total",
 	} {
 		if !names[want] {

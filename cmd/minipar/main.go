@@ -32,7 +32,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		threads = fs.Int("threads", 8, "simulated thread count")
 		slots   = fs.Uint64("sig", 1<<20, "signature slots")
-		fpRate  = fs.Float64("fpr", 0.001, "bloom-filter false-positive rate")
 		dis     = fs.Bool("dis", false, "print the instrumented IR and exit")
 		heat    = fs.Bool("heatmap", false, "print per-hotspot heatmaps")
 		onlyF   = fs.String("only", "", "comma-separated functions to instrument (default: all)")
@@ -73,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	rep, outs, err := commprof.ProfileMiniPar(string(src), *threads, only, commprof.Options{
-		SignatureSlots: *slots, BloomFPRate: *fpRate, DisableCoalesce: !*coal, MaxHotspots: 5,
+		SignatureSlots: *slots, DisableCoalesce: !*coal, MaxHotspots: 5,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "minipar:", err)

@@ -160,6 +160,9 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, _ := runCLI(t, "-bogusflag", "x.mp"); code != 2 {
 		t.Error("bad flag exit != 2")
 	}
+	if code, _, _ := runCLI(t, "-fpr", "0.01", "x.mp"); code != 2 {
+		t.Error("-fpr exit != 2: the reader sets have no false-positive rate")
+	}
 }
 
 func TestStencilTestdata(t *testing.T) {

@@ -4,10 +4,10 @@
 // Applications" (Mazaheri, Jannesari, Mirzaei, Wolf — ICPP 2015).
 //
 // The profiler detects read-after-write dependencies between threads on the
-// fly using an asymmetric signature memory (a two-level bloom-filter read
-// signature plus a one-level last-writer write signature), and aggregates
-// them into communication matrices nested by static code region (functions
-// and annotated loops). From the matrices it derives per-thread load metrics
+// fly using an asymmetric signature memory (a two-level read signature whose
+// slots hold exact reader sets, plus a one-level last-writer write
+// signature), and aggregates them into communication matrices nested by
+// static code region (functions and annotated loops). From the matrices it derives per-thread load metrics
 // (Eq. 1), communication phases, and parallel-pattern classifications.
 //
 // Three entry points:
@@ -35,7 +35,8 @@ type Options struct {
 	// Profile; ignored by ProfileTrace and Run.
 	Workload string
 	// Threads is the simulated thread count (default 32, the paper's
-	// configuration).
+	// configuration). Every entry point analyses at most 256 threads, the
+	// signature's exact reader sets, and refuses more by name.
 	Threads int
 	// InputSize is "simdev", "simsmall" or "simlarge" (default "simdev").
 	InputSize string
@@ -46,17 +47,9 @@ type Options struct {
 	// explicitly.
 	Seed int64
 	// SignatureSlots is the signature size n (default 2^20). Larger means
-	// fewer false dependencies and more memory (Eq. 2).
+	// fewer false dependencies and more memory: 12 bytes per slot up to 64
+	// threads (Report.SignatureBytes).
 	SignatureSlots uint64
-	// BloomFPRate is the per-slot bloom-filter false-positive rate. It
-	// applies when the thread count exceeds 64: up to 64 threads each slot's
-	// reader set is one exact 64-bit mask with no second-level false
-	// positives, and Eq. 2 / SignatureMemoryBytes remains the paper's upper
-	// bound on the footprint. The zero value is a sentinel meaning "unset"
-	// and becomes the paper's 0.001; an explicit 0 is not a valid rate (sig
-	// rejects rates outside (0,1)), so the sentinel loses no expressible
-	// configuration.
-	BloomFPRate float64
 	// PhaseWindow, when non-zero, enables windowed phase observability with
 	// the given logical-time window length: §V-A4 phase segmentation
 	// (Report.Phases), a classified pattern timeline with whole-program
@@ -147,7 +140,7 @@ type Options struct {
 	// communicating-access verdict in the slice is confirmed or refuted
 	// against it. The run gains Report.Accuracy — a live estimate of the
 	// signature false-positive rate (the paper's §V-A3 number) with a 95%
-	// confidence interval, an Eq. 2 recommended-signature-size advisor, and
+	// confidence interval, a recommended-signature-size advisor, and
 	// a warn-once saturation alarm — at the cost of shadowing the sampled
 	// slice exactly. Zero (the default) disables the monitor. The value is
 	// the FPR the run is expected to stay under; DefaultAccuracyTargetFPR
@@ -187,9 +180,6 @@ func (o *Options) setDefaults() {
 	if o.SignatureSlots == 0 {
 		o.SignatureSlots = 1 << 20
 	}
-	if o.BloomFPRate == 0 {
-		o.BloomFPRate = 0.001
-	}
 	if o.MaxHotspots == 0 {
 		o.MaxHotspots = 10
 	}
@@ -217,8 +207,9 @@ func (o Options) accuracyOptions(threads int, probes *obs.Probes) *accuracy.Opti
 // Workloads returns the names of the bundled SPLASH-2-style benchmarks.
 func Workloads() []string { return splash.Names() }
 
-// SignatureMemoryBytes is Eq. 2: the fixed analysis-memory bound for a
-// signature with n slots, t threads and the given bloom false-positive rate.
+// SignatureMemoryBytes is Eq. 2: the paper's memory model for its bloom
+// signature with n slots, t threads and the given bloom false-positive rate,
+// an upper bound on what the profiler's exact reader sets hold.
 func SignatureMemoryBytes(slots uint64, threads int, fpRate float64) uint64 {
 	return sig.SigMem(slots, threads, fpRate)
 }

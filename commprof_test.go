@@ -1,6 +1,7 @@
 package commprof
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -178,9 +179,9 @@ func TestRunCustomWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Broadcast: thread 0 supplies 3 consumers, 64*8 bytes each. The bloom
-	// filters may suppress a handful of first-reads (false positives at the
-	// configured 0.001 rate), so allow a small undercount but no overcount.
+	// Broadcast: thread 0 supplies 3 consumers, 64*8 bytes each. Slot
+	// collisions may suppress a handful of first-reads, so allow a small
+	// undercount but no overcount.
 	const want = 3 * 64 * 8
 	if rep.CommBytes > want || rep.CommBytes < want*97/100 {
 		t.Fatalf("CommBytes = %d, want ≈%d", rep.CommBytes, want)
@@ -195,6 +196,36 @@ func TestRunCustomWorkload(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(0, nil, func(*Thread) {}, Options{}); err == nil {
 		t.Error("zero threads accepted")
+	}
+}
+
+// TestThreadsBeyondArenaRefused pins the signature's thread limit: reader sets
+// are exact masks of at most 256 threads, and every entry point refuses one
+// more by naming the limit rather than running on some other layout.
+func TestThreadsBeyondArenaRefused(t *testing.T) {
+	var trace bytes.Buffer
+	if _, err := Record(Options{Workload: "fft", Threads: 8}, &trace); err != nil {
+		t.Fatal(err)
+	}
+	const threads = 257
+	for name, run := range map[string]func() (*Report, error){
+		"Profile": func() (*Report, error) { return Profile(Options{Workload: "fft", Threads: threads}) },
+		"Run": func() (*Report, error) {
+			return Run(threads, nil, func(t *Thread) { t.Write(uint64(t.ID())*8, 8) }, Options{})
+		},
+		"Replay":       func() (*Report, error) { return Replay(bytes.NewReader(trace.Bytes()), threads, Options{}) },
+		"ProfileTrace": func() (*Report, error) { return ProfileTrace(nil, nil, threads, Options{}) },
+		"sharded": func() (*Report, error) {
+			return ProfileTrace(nil, nil, threads, Options{AnalysisShards: 2})
+		},
+	} {
+		rep, err := run()
+		if err == nil || !strings.Contains(err.Error(), "limit of 256 threads") {
+			t.Errorf("%s at %d threads: report %v, err %v; want the 256-thread limit named", name, threads, rep != nil, err)
+		}
+	}
+	if _, err := ProfileTrace(nil, nil, 256, Options{}); err != nil {
+		t.Errorf("256 threads refused: %v", err)
 	}
 }
 

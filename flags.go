@@ -22,9 +22,7 @@ const envOptions = "COMMPROF_OPTS"
 // the environment codec (Environ, OptionsFromEnv) is the same table parsed
 // from a string. Call CheckFlags after fs.Parse.
 func (o *Options) BindFlags(fs *flag.FlagSet) {
-	o.BloomFPRate = 0.001
 	fs.Uint64Var(&o.SignatureSlots, "sig", 1<<20, "signature slots (n)")
-	fs.Var(rateFlag{&o.BloomFPRate}, "fpr", "bloom-filter false-positive `rate`, applies above 64 threads")
 	fs.Uint64Var(&o.PhaseWindow, "phases", 0, "phase window in logical time units: enables §V-A4 segmentation plus the classified pattern timeline, composes with -shards (0 = off)")
 	fs.Var(sampleFlag{o}, "sample", "read-sampling period: analyse 1 of every `N` reads (0 = all)")
 	fs.UintVar(&o.GranularityBits, "granularity", 0, "analysis granularity in address bits (0 = per address, 6 = 64B lines)")

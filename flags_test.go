@@ -35,7 +35,7 @@ func TestFlagsCoverOptions(t *testing.T) {
 	// A non-default value per flag. -accuracy-bits also switches the monitor
 	// on, which is AccuracyTargetFPR moving: an implication, not a second owner.
 	nonDefault := map[string]string{
-		"sig": "4096", "fpr": "0.01", "phases": "500", "sample": "4", "granularity": "6",
+		"sig": "4096", "phases": "500", "sample": "4", "granularity": "6",
 		"shards": "2", "shard-queue": "64", "redundancy-bits": "10",
 		"accuracy-bits": "3", "accuracy-target": "0.2",
 	}
@@ -96,7 +96,7 @@ func TestFlagsCoverOptions(t *testing.T) {
 		nil,
 		{"-shards", "2", "-phases", "2000", "-threads", "4"},
 		{"-accuracy-target=0", "-accuracy-bits=0", "-sample=2"},
-		{"-sig=512", "-fpr=0.02", "-granularity=6", "-shards=3", "-shard-queue=128", "-redundancy-bits=12", "-accuracy-target=0.1"},
+		{"-sig=512", "-granularity=6", "-shards=3", "-shard-queue=128", "-redundancy-bits=12", "-accuracy-target=0.1"},
 	} {
 		var want Options
 		fs := flag.NewFlagSet("frontend", flag.ContinueOnError)
@@ -117,10 +117,10 @@ func TestFlagsCoverOptions(t *testing.T) {
 	}
 
 	// The environment is parsed by the same table, so one rejection table
-	// covers both.
+	// covers both (-fpr is no flag: the reader sets have no rate to set).
 	for _, bad := range []string{
 		"-granularity=-1", "-phases=x", "-bogus=1", "-shards=2 stray", "-shard-queue=64",
-		"-shards=-1", "-sample=-2", "-fpr=1.5", "-accuracy-bits=x", "-accuracy-target=-0.1",
+		"-shards=-1", "-sample=-2", "-fpr=0.01", "-accuracy-bits=x", "-accuracy-target=-0.1",
 	} {
 		t.Setenv("COMMPROF_OPTS", bad)
 		if o, err := OptionsFromEnv(); err == nil || !strings.Contains(err.Error(), "COMMPROF_OPTS") {

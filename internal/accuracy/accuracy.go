@@ -32,13 +32,12 @@
 // omission the redundancy package already argues for the production
 // backend, and it holds a fortiori on the collision-free shadow.
 //
-// The monitor also carries the Eq. 2 advisor: from the measured FPR and the
-// target FPR it recommends a signature size (collision probability at small
-// load factors is linear in working-set/slots, so slots scale by the
-// measured-to-target ratio) and prices it with the paper's Eq. 2 memory
-// model. A warn-once alarm latches when the estimate's Wilson lower bound
-// crosses the target, or when the production signature's bloom fill ratio
-// shows saturation.
+// The package also carries the advisor: from the measured FPR and the target
+// FPR it recommends a signature size (collision probability at small load
+// factors is linear in working-set/slots, so slots scale by the
+// measured-to-target ratio) and prices it at the run's own bytes per slot. A
+// warn-once alarm latches when the estimate's Wilson lower bound crosses the
+// target.
 package accuracy
 
 import (
@@ -58,11 +57,6 @@ const DefaultTargetFPR = 0.05
 // MaxSampleBits bounds the sample slice at 1/2^16 of the granule space;
 // thinner slices see too few events to estimate anything.
 const MaxSampleBits = 16
-
-// FillAlarmRatio is the bloom-filter fill ratio beyond which the alarm
-// reports signature saturation: at 0.5 a per-slot filter answers "yes" for
-// roughly 2^(hashes) times its intended false-positive budget.
-const FillAlarmRatio = 0.5
 
 // sampleMix is the multiplicative-hash constant of the sample selector (an
 // odd 64-bit mix constant, distinct from the redundancy cache's Fibonacci
@@ -113,8 +107,8 @@ type Monitor struct {
 	// event and false-positive counts (owner-only, like the shadow) plus the
 	// aggregate moments Σn², Σf² and Σnf maintained incrementally in atomics
 	// so a telemetry snapshot can read them mid-run. Signature false
-	// positives cluster by granule — one saturated filter poisons every
-	// verdict on its granule — so the Wilson interval's independent-trials
+	// positives cluster by granule — one crowded slot poisons every verdict
+	// on its granules — so the Wilson interval's independent-trials
 	// assumption undercovers; the moments feed a cluster-robust variance
 	// (design-effect) correction (see EstimateFrom).
 	clusters      map[uint64]clusterTally
@@ -122,8 +116,6 @@ type Monitor struct {
 	clusterEvSq   atomic.Uint64
 	clusterFPSq   atomic.Uint64
 	clusterEvFP   atomic.Uint64
-
-	alarm Alarm
 }
 
 // clusterTally is one sampled granule's signature-event history.
@@ -243,9 +235,9 @@ func (m *Monitor) ObserveRead(gaddr uint64, tid int32, prodEvent bool, prodWrite
 		}
 	case exact:
 		// The exact shadow sees a dependence the signature missed — a
-		// false negative, possible when a per-slot bloom filter wrongly
-		// answers "already read" or a write-slot collision masks the true
-		// writer with the reader's own ID.
+		// false negative, possible when a colliding address's read left the
+		// reader's bit set in the shared read slot ("already read") or a
+		// write-slot collision masks the true writer with the reader's own ID.
 		m.missed.Add(1)
 		if p := m.opts.Probes; p != nil {
 			p.MissedEvents.Inc()
@@ -345,7 +337,7 @@ type Estimate struct {
 	// DesignEffect is SigEvents / EffectiveSigEvents: how much granule-level
 	// clustering of false positives inflates the estimator's variance over
 	// the independent-trials assumption. 1 means verdicts are effectively
-	// independent; a saturated filter poisoning every verdict on its granule
+	// independent; a crowded slot poisoning every verdict on its granules
 	// pushes it toward the mean events-per-granule.
 	DesignEffect float64
 	// EffectiveSigEvents is the cluster-robust effective trial count
@@ -462,11 +454,11 @@ func wilsonReal(successes, trials, z float64) (lo, hi float64) {
 	return math.Max(0, center-half), math.Min(1, center+half)
 }
 
-// Recommendation is the Eq. 2 advisor's output: the signature size that
-// would bring the measured FPR down to the target, and its memory price.
+// Recommendation is the advisor's output: the signature size that would
+// bring the measured FPR down to the target, and its memory price.
 type Recommendation struct {
-	// CurrentSlots / CurrentBytes describe the run's configuration
-	// (CurrentBytes via Eq. 2, i.e. every slot's filter allocated).
+	// CurrentSlots / CurrentBytes describe the run's configuration: its slot
+	// count and the memory its signature holds.
 	CurrentSlots, CurrentBytes uint64
 	// RecommendedSlots is the advised signature size: CurrentSlots scaled
 	// by measured/target FPR and rounded up to a power of two (signature
@@ -474,22 +466,24 @@ type Recommendation struct {
 	// working-set/slots, so FPR scales ≈ 1/slots). Equal to CurrentSlots
 	// when the run already meets the target or saw no events.
 	RecommendedSlots uint64
-	// RecommendedBytes prices RecommendedSlots with Eq. 2.
+	// RecommendedBytes prices RecommendedSlots at CurrentBytes per
+	// CurrentSlots: the signature's memory is linear in its slot count.
 	RecommendedBytes uint64
 }
 
-// maxRecommendSlots caps the advisor at 2^40 slots (Eq. 2 already prices
-// that beyond any machine; the cap keeps the power-of-two rounding from
-// overflowing on degenerate estimates).
+// maxRecommendSlots caps the advisor at 2^40 slots (beyond any machine; the
+// cap keeps the power-of-two rounding from overflowing on degenerate
+// estimates).
 const maxRecommendSlots = uint64(1) << 40
 
-// Recommend sizes a signature for est.TargetFPR given the run's current
-// configuration.
-func Recommend(est Estimate, currentSlots uint64, threads int, bloomFPRate float64) Recommendation {
+// Recommend sizes a signature for est.TargetFPR given the run's current slot
+// count and the bytes its signature holds (sig.Backend.FootprintBytes).
+func Recommend(est Estimate, currentSlots, currentBytes uint64) Recommendation {
 	rec := Recommendation{
 		CurrentSlots:     currentSlots,
-		CurrentBytes:     sig.SigMem(currentSlots, threads, bloomFPRate),
+		CurrentBytes:     currentBytes,
 		RecommendedSlots: currentSlots,
+		RecommendedBytes: currentBytes,
 	}
 	if est.SigEvents > 0 && est.TargetFPR > 0 && est.EstimatedFPR > est.TargetFPR {
 		scaled := float64(currentSlots) * est.EstimatedFPR / est.TargetFPR
@@ -498,58 +492,30 @@ func Recommend(est Estimate, currentSlots uint64, threads int, bloomFPRate float
 			want <<= 1
 		}
 		rec.RecommendedSlots = want
+		rec.RecommendedBytes = uint64(math.Ceil(float64(currentBytes) / float64(currentSlots) * float64(want)))
 	}
-	rec.RecommendedBytes = sig.SigMem(rec.RecommendedSlots, threads, bloomFPRate)
 	return rec
 }
 
-// Recommend sizes a signature for the monitor's target from its current
-// estimate.
-func (m *Monitor) Recommend(currentSlots uint64, threads int, bloomFPRate float64) Recommendation {
-	return Recommend(m.Estimate(), currentSlots, threads, bloomFPRate)
-}
-
-// Evaluate runs the alarm conditions against the current estimate and the
-// production signature's bloom fill ratio. Telemetry's fill-ratio ticker
-// calls it periodically during a run; report building calls it once at the
-// end, so the alarm works without telemetry too.
-func (m *Monitor) Evaluate(fillRatio float64) {
-	m.alarm.Evaluate(m.Estimate(), fillRatio)
-}
-
-// Alarm returns the latched warn-once message, if any.
-func (m *Monitor) Alarm() (string, bool) { return m.alarm.Message() }
-
 // Alarm is a warn-once saturation latch. The zero value is ready; Evaluate
 // may be called from any goroutine (the telemetry ticker races report
-// building) and the first condition to trip wins permanently.
+// building) and the first estimate to trip it wins permanently.
 type Alarm struct {
 	fired atomic.Bool
 	msg   atomic.Value // string
 }
 
 // Evaluate latches an alarm when the estimate's Wilson lower bound exceeds
-// the target (the FPR is above target with ~97.5% one-sided confidence —
-// using the lower bound instead of the point estimate keeps a handful of
-// early false positives from tripping a run-long warning) or when the
-// bloom fill ratio shows second-level saturation.
-func (a *Alarm) Evaluate(est Estimate, fillRatio float64) {
-	if a.fired.Load() {
+// the target: the FPR is above target with ~97.5% one-sided confidence.
+// Using the lower bound instead of the point estimate keeps a handful of
+// early false positives from tripping a run-long warning.
+func (a *Alarm) Evaluate(est Estimate) {
+	if a.fired.Load() || est.TargetFPR <= 0 || est.FPRLow <= est.TargetFPR {
 		return
 	}
-	var msg string
-	switch {
-	case est.TargetFPR > 0 && est.FPRLow > est.TargetFPR:
-		msg = fmt.Sprintf(
-			"estimated signature FPR %.1f%% (95%% CI lower bound %.1f%%) exceeds target %.1f%%: signature is saturating, consider more slots",
-			100*est.EstimatedFPR, 100*est.FPRLow, 100*est.TargetFPR)
-	case fillRatio > FillAlarmRatio:
-		msg = fmt.Sprintf(
-			"bloom fill ratio %.2f exceeds %.2f: read-signature filters are saturating, consider more slots",
-			fillRatio, FillAlarmRatio)
-	default:
-		return
-	}
+	msg := fmt.Sprintf(
+		"estimated signature FPR %.1f%% (95%% CI lower bound %.1f%%) exceeds target %.1f%%: signature is saturating, consider more slots",
+		100*est.EstimatedFPR, 100*est.FPRLow, 100*est.TargetFPR)
 	if a.fired.CompareAndSwap(false, true) {
 		a.msg.Store(msg)
 	}

@@ -226,31 +226,34 @@ func TestEstimateFrom(t *testing.T) {
 
 func TestRecommend(t *testing.T) {
 	// Measured 20% against a 5% target from 1024 slots: scale ×4, next power
-	// of two = 4096.
+	// of two = 4096, priced at the run's own 12 B/slot.
 	est := EstimateFrom(Stats{SigEvents: 1000, FalsePositives: 200}, 0, 0.05)
-	rec := Recommend(est, 1024, 8, 0.001)
-	if rec.CurrentSlots != 1024 || rec.RecommendedSlots != 4096 {
-		t.Errorf("rec = %+v, want 1024 → 4096", rec)
+	rec := Recommend(est, 1024, 1024*12)
+	want := Recommendation{CurrentSlots: 1024, CurrentBytes: 1024 * 12, RecommendedSlots: 4096, RecommendedBytes: 4096 * 12}
+	if rec != want {
+		t.Errorf("rec = %+v, want %+v", rec, want)
 	}
-	if rec.CurrentBytes != sig.SigMem(1024, 8, 0.001) || rec.RecommendedBytes != sig.SigMem(4096, 8, 0.001) {
-		t.Errorf("Eq.2 pricing wrong: %+v", rec)
+	// A slot count that is no power of two, and bytes that are no multiple of
+	// it (sharded partitions round their slots up): linear, rounded up.
+	if rec := Recommend(est, 1000, 12003); rec.RecommendedSlots != 4096 || rec.RecommendedBytes != 49165 {
+		t.Errorf("non-power-of-two run: %+v, want 4096 slots at 49165 B", rec)
 	}
 
-	// Already under target: keep the current size.
+	// Already under target: keep the current size and price.
 	ok := EstimateFrom(Stats{SigEvents: 1000, FalsePositives: 10}, 0, 0.05)
-	if rec := Recommend(ok, 1024, 8, 0.001); rec.RecommendedSlots != 1024 {
+	if rec := Recommend(ok, 1024, 1024*12); rec.RecommendedSlots != 1024 || rec.RecommendedBytes != rec.CurrentBytes {
 		t.Errorf("under-target run resized: %+v", rec)
 	}
 
 	// No events: keep the current size.
-	if rec := Recommend(EstimateFrom(Stats{}, 0, 0.05), 1024, 8, 0.001); rec.RecommendedSlots != 1024 {
+	if rec := Recommend(EstimateFrom(Stats{}, 0, 0.05), 1024, 1024*12); rec.RecommendedSlots != 1024 {
 		t.Errorf("empty run resized: %+v", rec)
 	}
 
 	// Degenerate estimate: the power-of-two search caps instead of
 	// overflowing.
 	bad := EstimateFrom(Stats{SigEvents: 1000, FalsePositives: 999}, 0, 0.05)
-	if rec := Recommend(bad, 1<<39, 8, 0.001); rec.RecommendedSlots > maxRecommendSlots {
+	if rec := Recommend(bad, 1<<39, 12<<39); rec.RecommendedSlots > maxRecommendSlots {
 		t.Errorf("cap breached: %d", rec.RecommendedSlots)
 	}
 }
@@ -258,48 +261,43 @@ func TestRecommend(t *testing.T) {
 func TestAlarmFPRTrip(t *testing.T) {
 	var a Alarm
 	// Point estimate above target but a wide CI: no alarm.
-	a.Evaluate(EstimateFrom(Stats{SigEvents: 4, FalsePositives: 1}, 0, 0.05), 0)
+	a.Evaluate(EstimateFrom(Stats{SigEvents: 4, FalsePositives: 1}, 0, 0.05))
 	if _, ok := a.Message(); ok {
 		t.Fatal("alarm tripped on an uncertain estimate")
 	}
 	// Overwhelming evidence: lower bound clears the target.
-	a.Evaluate(EstimateFrom(Stats{SigEvents: 10000, FalsePositives: 5000}, 0, 0.05), 0)
+	a.Evaluate(EstimateFrom(Stats{SigEvents: 10000, FalsePositives: 5000}, 0, 0.05))
 	msg, ok := a.Message()
 	if !ok || !strings.Contains(msg, "exceeds target") {
 		t.Fatalf("alarm missing: %q %v", msg, ok)
 	}
-	// Warn-once: a later, different condition does not overwrite.
-	a.Evaluate(EstimateFrom(Stats{}, 0, 0.05), 0.9)
+	// Warn-once: a later, different estimate does not overwrite.
+	a.Evaluate(EstimateFrom(Stats{SigEvents: 10000, FalsePositives: 9000}, 0, 0.05))
 	if msg2, _ := a.Message(); msg2 != msg {
 		t.Errorf("alarm rewrote itself: %q → %q", msg, msg2)
 	}
 }
 
-func TestAlarmFillTrip(t *testing.T) {
-	var a Alarm
-	a.Evaluate(EstimateFrom(Stats{}, 0, 0.05), FillAlarmRatio)
-	if _, ok := a.Message(); ok {
-		t.Fatal("alarm tripped at the threshold exactly")
-	}
-	a.Evaluate(EstimateFrom(Stats{}, 0, 0.05), FillAlarmRatio+0.01)
-	if msg, ok := a.Message(); !ok || !strings.Contains(msg, "fill ratio") {
-		t.Fatalf("fill alarm missing: %q %v", msg, ok)
-	}
-}
-
+// TestMonitorAlarmAndFootprint drives the alarm from a monitor's own estimate:
+// phantom events the exact shadow rejects push the FPR's lower bound over the
+// target.
 func TestMonitorAlarmAndFootprint(t *testing.T) {
 	m := newMonitor(t, Options{Threads: 4, SampleBits: 0})
-	if _, ok := m.Alarm(); ok {
+	var a Alarm
+	a.Evaluate(m.Estimate())
+	if _, ok := a.Message(); ok {
 		t.Fatal("fresh monitor alarmed")
-	}
-	m.Evaluate(0.8)
-	if msg, ok := m.Alarm(); !ok || msg == "" {
-		t.Fatal("fill alarm did not latch through the monitor")
 	}
 	if m.ShadowFootprintBytes() != 0 {
 		t.Error("empty shadow reports a non-zero footprint")
 	}
-	m.ObserveWrite(0x10, 1)
+	for addr := uint64(0); addr < 200; addr++ {
+		m.ObserveRead(addr, 0, true, 1) // no writer in the shadow: a false positive
+	}
+	a.Evaluate(m.Estimate())
+	if msg, ok := a.Message(); !ok || msg == "" {
+		t.Fatal("FPR alarm did not latch on the monitor's estimate")
+	}
 	if m.ShadowFootprintBytes() == 0 {
 		t.Error("shadow footprint zero after an observe")
 	}

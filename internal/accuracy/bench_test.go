@@ -75,7 +75,7 @@ func benchMonitored(b *testing.B, bits int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		backend, err := sig.NewAsymmetric(sig.Options{Slots: monBenchSlots, Threads: monBenchThreads, FPRate: 0.001})
+		backend, err := sig.NewAsymmetric(sig.Options{Slots: monBenchSlots, Threads: monBenchThreads})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,7 +7,6 @@ package bitset
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 )
 
@@ -60,15 +59,6 @@ func (a *Atomic) Reset() {
 	for i := range a.words {
 		a.words[i].Store(0)
 	}
-}
-
-// Count returns the number of set bits at the time of the call.
-func (a *Atomic) Count() uint64 {
-	var c int
-	for i := range a.words {
-		c += bits.OnesCount64(a.words[i].Load())
-	}
-	return uint64(c)
 }
 
 // SizeBytes returns the heap footprint of the bit storage in bytes.

@@ -103,15 +103,8 @@ func (f *Filter) Contains(v uint64) bool {
 // reader set recorded for a signature slot.
 func (f *Filter) Reset() { f.bits.Reset() }
 
-// Bits returns the filter's bit-vector length m.
-func (f *Filter) Bits() uint64 { return f.bits.Len() }
-
 // Hashes returns the number of probe positions k.
 func (f *Filter) Hashes() int { return f.k }
-
-// PopCount returns the number of set bits (diagnostic; approximate cardinality
-// can be derived from it).
-func (f *Filter) PopCount() uint64 { return f.bits.Count() }
 
 // SizeBytes returns the heap footprint of the filter's bit storage.
 func (f *Filter) SizeBytes() uint64 { return f.bits.SizeBytes() }

@@ -102,8 +102,10 @@ func TestReset(t *testing.T) {
 		fl.Add(v)
 	}
 	fl.Reset()
-	if fl.PopCount() != 0 {
-		t.Fatalf("PopCount after Reset = %d", fl.PopCount())
+	for i := uint64(0); i < fl.bits.Len(); i++ {
+		if fl.bits.Test(i) {
+			t.Fatalf("bit %d set after Reset", i)
+		}
 	}
 	for v := uint64(0); v < 32; v++ {
 		if fl.Contains(v) {
@@ -140,8 +142,8 @@ func TestSizeBytesMatchesGeometry(t *testing.T) {
 	if fl.SizeBytes() != 64 {
 		t.Fatalf("SizeBytes = %d, want 64", fl.SizeBytes())
 	}
-	if fl.Bits() != 512 || fl.Hashes() != 4 {
-		t.Fatalf("geometry accessors mismatch: %d/%d", fl.Bits(), fl.Hashes())
+	if fl.bits.Len() != 512 || fl.Hashes() != 4 {
+		t.Fatalf("geometry mismatch: %d/%d", fl.bits.Len(), fl.Hashes())
 	}
 }
 

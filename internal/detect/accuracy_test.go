@@ -65,7 +65,7 @@ func TestAccuracyMatchesOfflineLockstep(t *testing.T) {
 			stream, table := recordWorkloadStream(t, "fft", threads)
 
 			// Offline reference: two detectors in lockstep.
-			asym, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads, FPRate: 0.001})
+			asym, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestAccuracyMatchesOfflineLockstep(t *testing.T) {
 			}
 
 			// Online monitor over the identical stream.
-			asym2, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads, FPRate: 0.001})
+			asym2, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestAccuracySampledSliceIsSubset(t *testing.T) {
 	const threads = 16
 	stream, table := recordWorkloadStream(t, "radix", threads)
 	run := func(bits uint) accuracy.Stats {
-		asym, err := sig.NewAsymmetric(sig.Options{Slots: 512, Threads: threads, FPRate: 0.001})
+		asym, err := sig.NewAsymmetric(sig.Options{Slots: 512, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}

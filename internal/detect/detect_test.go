@@ -12,7 +12,7 @@ import (
 
 func newDetector(t *testing.T, threads int, table *trace.Table) *Detector {
 	t.Helper()
-	s, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 18, Threads: threads, FPRate: 0.001})
+	s, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 18, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestDetectorMatchesPerfectOnLargeSignature(t *testing.T) {
 	// Property: with a signature far larger than the address set, the
 	// asymmetric detector's matrix equals the perfect detector's.
 	f := func(seed int64) bool {
-		asym, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 20, Threads: 8, FPRate: 0.0001})
+		asym, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 20, Threads: 8})
 		if err != nil {
 			return false
 		}
@@ -242,7 +242,7 @@ func TestLargerSignatureAgreesBetter(t *testing.T) {
 	// closer to the perfect signature. Measure event-count disagreement for
 	// two sizes and require the larger signature to disagree less.
 	disagreement := func(slots uint64) float64 {
-		asym, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: 8, FPRate: 0.001})
+		asym, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func TestProbeIntegrationWithEngine(t *testing.T) {
 }
 
 func BenchmarkDetectorProcess(b *testing.B) {
-	s, _ := sig.NewAsymmetric(sig.Options{Slots: 1 << 20, Threads: 32, FPRate: 0.001})
+	s, _ := sig.NewAsymmetric(sig.Options{Slots: 1 << 20, Threads: 32})
 	d, _ := New(Options{Threads: 32, Backend: s})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -353,7 +353,7 @@ func TestGranularityCoarseningMergesNeighbours(t *testing.T) {
 		t.Fatalf("word granularity found %d deps across distinct words", fine.Stats().Detected)
 	}
 
-	s, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 16, Threads: 2, FPRate: 0.001})
+	s, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 16, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestGranularityCoarseningMergesNeighbours(t *testing.T) {
 func TestGranularityPreservesTrueDeps(t *testing.T) {
 	// Same-address RAW must be detected at every granularity.
 	for _, bits := range []uint{0, 3, 6, 12} {
-		s, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 16, Threads: 2, FPRate: 0.001})
+		s, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 16, Threads: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

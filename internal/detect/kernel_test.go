@@ -16,7 +16,7 @@ import (
 
 // wallConfig is one cell of the kernel's differential wall.
 type wallConfig struct {
-	backend                      string // "mask", "paperbloom", "bloom65", "perfect"
+	backend                      string // "mask", "bloom", "perfect"
 	cache, monitor, probes, owns bool
 }
 
@@ -25,17 +25,23 @@ func (c wallConfig) String() string {
 }
 
 // wallSlots is small enough that slot collisions, stale attributions and
-// (on the bloom layouts) second-level false positives are frequent.
+// (on the paper's bloom layout) second-level false positives are frequent.
 const wallSlots = 1 << 9
 
+// newBackend builds the config's signature: the mask arena (w = ⌈t/64⌉ words
+// per slot), the paper's bloom layout, or the perfect signature.
 func (c wallConfig) newBackend(t *testing.T, threads int) sig.Backend {
 	t.Helper()
-	if c.backend == "perfect" {
+	var s sig.Backend
+	var err error
+	switch opts := (sig.Options{Slots: wallSlots, Threads: threads}); c.backend {
+	case "perfect":
 		return sig.NewPerfect(threads)
+	case "bloom":
+		s, err = sig.NewBloom(opts, 0.01)
+	default:
+		s, err = sig.NewAsymmetric(opts)
 	}
-	s, err := sig.NewAsymmetric(sig.Options{
-		Slots: wallSlots, Threads: threads, FPRate: 0.01, PaperBloom: c.backend == "paperbloom",
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +237,8 @@ func collisionStream(n, threads int, table *trace.Table, seed int64) []trace.Acc
 // TestKernelDifferentialWall is the batch kernel's acceptance property: fed
 // in batches of 1, 7, 256 or the whole stream, owned or shared, with any
 // combination of redundancy cache, accuracy monitor and probes, over the exact
-// mask layout, the paper's bloom layout below and above 64 threads, and the
-// perfect signature, it leaves exactly what the one-access-at-a-time
+// mask arena at one and at two words per slot, the paper's bloom layout, and
+// the perfect signature, it leaves exactly what the one-access-at-a-time
 // reference leaves: matrices, region counters, every statistic, and the
 // OnEvent sequence element for element.
 func TestKernelDifferentialWall(t *testing.T) {
@@ -250,9 +256,9 @@ func TestKernelDifferentialWall(t *testing.T) {
 	}
 	inputs := []input{
 		{name: "collisions-16", stream: collisionStream(6000, 16, synthTable, 1), table: synthTable, threads: 16,
-			backends: []string{"mask", "paperbloom", "perfect"}},
+			backends: []string{"mask", "bloom", "perfect"}},
 		{name: "collisions-65", stream: collisionStream(6000, 65, synthTable, 2), table: synthTable, threads: 65,
-			backends: []string{"bloom65", "perfect"}},
+			backends: []string{"mask", "perfect"}},
 	}
 	// Splash-mix shapes; the first 10 000 accesses of each keep the wall
 	// affordable under the race detector (64 configurations x 9 runs).
@@ -260,7 +266,7 @@ func TestKernelDifferentialWall(t *testing.T) {
 		stream, table := recordWorkloadStream(t, app, 8)
 		stream = stream[:min(len(stream), 10000)]
 		inputs = append(inputs, input{name: app, stream: stream, table: table, threads: 8,
-			backends: []string{"mask", "paperbloom", "perfect"}})
+			backends: []string{"mask", "bloom", "perfect"}})
 	}
 	for _, in := range inputs {
 		for _, backend := range in.backends {
@@ -289,7 +295,7 @@ func TestKernelDifferentialWall(t *testing.T) {
 // share: the mask-layout signature, optionally cached, optionally owned.
 func kernelDetector(tb testing.TB, threads int, slots uint64, table *trace.Table, cacheBits uint, owned bool) *Detector {
 	tb.Helper()
-	backend, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads, FPRate: 0.001})
+	backend, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads})
 	if err != nil {
 		tb.Fatal(err)
 	}

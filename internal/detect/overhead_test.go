@@ -10,7 +10,7 @@ import (
 
 func overheadDetector(t testing.TB, ovh *obs.OverheadProbes) *Detector {
 	t.Helper()
-	backend, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 12, Threads: 4, FPRate: 0.01})
+	backend, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 12, Threads: 4})
 	if err != nil {
 		t.Fatalf("backend: %v", err)
 	}

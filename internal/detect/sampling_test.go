@@ -146,7 +146,7 @@ func TestFidelityDimensionPanics(t *testing.T) {
 }
 
 func BenchmarkSampledProcess(b *testing.B) {
-	s, _ := sig.NewAsymmetric(sig.Options{Slots: 1 << 20, Threads: 32, FPRate: 0.001})
+	s, _ := sig.NewAsymmetric(sig.Options{Slots: 1 << 20, Threads: 32})
 	d, _ := New(Options{Threads: 32, Backend: s})
 	smp, _ := NewSampler(d, 1, 8)
 	b.ResetTimer()

@@ -72,22 +72,21 @@ func (e Env) validate() error {
 }
 
 // newSignature builds the asymmetric signature every experiment in this
-// package runs against: the paper's, with per-slot bloom filters at any
-// thread count. The experiments reproduce the paper's figures — Fig. 5's
-// memory, Eq. 2, the §V-A3 sweep, the hash ablation — so they measure its
-// structure, not the exact reader masks the profiler itself uses up to 64
-// threads. This is the only place that forces the choice.
-func (e Env) newSignature(slots uint64, hash sig.HashKind) (*sig.Asymmetric, error) {
-	return sig.NewAsymmetric(sig.Options{
-		Slots: slots, Threads: e.Threads, FPRate: e.FPRate, Hash: hash,
-		PaperBloom: true,
-		Probes:     e.Probes.SigProbes(),
-	})
+// package runs against: the paper's, with per-slot bloom filters (sig.Bloom).
+// The experiments reproduce the paper's figures — Fig. 5's memory, Eq. 2, the
+// §V-A3 sweep, the hash ablation — so they measure its structure, not the
+// exact reader masks the profiler itself uses. Nothing outside this package
+// builds it.
+func (e Env) newSignature(slots uint64, hash sig.HashKind) (*sig.Bloom, error) {
+	return sig.NewBloom(sig.Options{
+		Slots: slots, Threads: e.Threads, Hash: hash,
+		Probes: e.Probes.SigProbes(),
+	}, e.FPRate)
 }
 
 // newDetector builds the standard asymmetric-signature detector for a
 // program.
-func (e Env) newDetector(table *trace.Table) (*detect.Detector, *sig.Asymmetric, error) {
+func (e Env) newDetector(table *trace.Table) (*detect.Detector, *sig.Bloom, error) {
 	s, err := e.newSignature(e.SigSlots, sig.HashMurmur)
 	if err != nil {
 		return nil, nil, err

@@ -25,7 +25,7 @@ func run(t *testing.T, src string, threads int, withDetector bool) (*Runtime, *d
 	var probe exec.Probe
 	var d *detect.Detector
 	if withDetector {
-		s, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 18, Threads: threads, FPRate: 0.001})
+		s, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 18, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := sig.NewAsymmetric(sig.Options{Slots: 1 << 16, Threads: 4, FPRate: 0.001})
+	s, _ := sig.NewAsymmetric(sig.Options{Slots: 1 << 16, Threads: 4})
 	d, err := detect.New(detect.Options{Threads: 4, Backend: s, Table: table})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func analysed() { s = 0; for i = 0..32 { s = s + A[i]; } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := sig.NewAsymmetric(sig.Options{Slots: 1 << 16, Threads: 4, FPRate: 0.001})
+	s, _ := sig.NewAsymmetric(sig.Options{Slots: 1 << 16, Threads: 4})
 	d, err := detect.New(detect.Options{Threads: 4, Backend: s, Table: table})
 	if err != nil {
 		t.Fatal(err)

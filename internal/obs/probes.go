@@ -8,16 +8,12 @@ package obs
 
 // SigProbes instruments the asymmetric signature memory.
 type SigProbes struct {
-	// FilterAllocs counts second-level bloom filters allocated (on the
-	// bloom layout slot occupancy is FilterAllocs relative to the slot
-	// count). Stays 0 on the mask layout, which allocates nothing.
-	FilterAllocs *Counter
-	// CASRetries counts lost CAS races in parallel mode: a thread built a
-	// filter but another thread's install won, or another thread changed a
-	// reader mask between this thread's load and its update.
+	// CASRetries counts lost CAS races in parallel mode: another thread
+	// changed a reader mask between this thread's load and its update (or,
+	// on the paper's bloom layout, installed a slot's filter first).
 	CASRetries *Counter
 	// ReaderResets counts writes that cleared a recorded reader set — a
-	// slot's bloom filter or its non-empty mask (Fig. 2's
+	// slot's non-empty mask words or its bloom filter (Fig. 2's
 	// communicating-access rule).
 	ReaderResets *Counter
 }
@@ -178,7 +174,6 @@ func DefaultProbes(r *Registry) *Probes {
 	}
 	return &Probes{
 		Sig: &SigProbes{
-			FilterAllocs: r.Counter("sig_filter_allocs_total"),
 			CASRetries:   r.Counter("sig_cas_retries_total"),
 			ReaderResets: r.Counter("sig_reader_resets_total"),
 		},

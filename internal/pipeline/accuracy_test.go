@@ -74,7 +74,7 @@ func TestShardedAccuracyOffByDefault(t *testing.T) {
 	if _, ok := e.AccuracyEstimate(); ok {
 		t.Error("AccuracyEstimate reported a monitor on an unmonitored engine")
 	}
-	e.EvaluateAccuracy(0.99) // must not panic or latch
+	e.EvaluateAccuracy() // must not panic or latch
 	if msg, ok := e.AccuracyAlarm(); ok {
 		t.Errorf("alarm latched on an unmonitored engine: %q", msg)
 	}
@@ -109,8 +109,7 @@ func interleaved(threads, addrs int) []trace.Access {
 
 // TestShardedAccuracyAlarm drives a saturated configuration (tiny asymmetric
 // partitions against per-address writers) and checks the engine-level alarm
-// latches via EvaluateAccuracy on the FPR alone: 8 threads run on exact reader
-// masks, whose FillRatio — bloom fill — is 0 however many readers a slot has.
+// latches via EvaluateAccuracy on the merged FPR estimate.
 func TestShardedAccuracyAlarm(t *testing.T) {
 	const threads = 8
 	stream := interleaved(threads, 8192)
@@ -131,26 +130,8 @@ func TestShardedAccuracyAlarm(t *testing.T) {
 	if est.SigEvents == 0 {
 		t.Fatal("no signature events on a RAW-heavy stream")
 	}
-	fill := e.FillRatio(64)
-	if fill != 0 {
-		t.Errorf("FillRatio = %v on mask partitions, want 0", fill)
-	}
-	e.EvaluateAccuracy(fill)
+	e.EvaluateAccuracy()
 	if _, ok := e.AccuracyAlarm(); !ok {
-		t.Errorf("64-slot signature under %d events did not alarm (est %+v, fill %v)", est.SigEvents, est, fill)
-	}
-}
-
-// TestPerfectFactoryFillRatio documents that FillRatio is 0 when no shard
-// backend exposes a fill probe (perfect partitions).
-func TestPerfectFactoryFillRatio(t *testing.T) {
-	e, err := New(Options{Shards: 2, Threads: 4, NewBackend: PerfectFactory(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.ProcessStream(synthetic(4, 2, 8))
-	e.Close()
-	if f := e.FillRatio(64); f != 0 {
-		t.Errorf("FillRatio = %v on perfect partitions, want 0", f)
+		t.Errorf("64-slot signature under %d events did not alarm (est %+v)", est.SigEvents, est)
 	}
 }

@@ -69,7 +69,7 @@ func BenchmarkSerialProcessStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		backend, err := sig.NewAsymmetric(sig.Options{Slots: benchSlots, Threads: benchThreads, FPRate: 0.001})
+		backend, err := sig.NewAsymmetric(sig.Options{Slots: benchSlots, Threads: benchThreads})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -153,7 +153,7 @@ func TestShardedAsymmetricMemoryMatchesBudget(t *testing.T) {
 		}
 		total += b.FootprintBytes()
 	}
-	serial, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads, FPRate: 0.001})
+	serial, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestInThreadMatchesBareDetector(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			stream, table := recordStream(t, name, threads)
 
-			backend, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads, FPRate: 0.001})
+			backend, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -186,16 +186,16 @@ func (o *Options) setDefaults() error {
 // signature budget evenly across shards: each shard gets ceil(slots/K) slots,
 // so total signature memory matches a serial analyser with the full budget
 // (Eq. 2 is linear in n). The in-thread engine (shards 0) is one partition
-// holding the whole budget.
+// holding the whole budget. fpRate is ignored: the mask arena is exact. The
+// parameter is kept only because bench/layers.go still passes it; ROADMAP item
+// 0(d) deletes it.
 func AsymmetricFactory(totalSlots uint64, shards, threads int, fpRate float64, probes *obs.SigProbes) func(int) (sig.Backend, error) {
 	if shards < 1 {
 		shards = 1
 	}
 	perShard := (totalSlots + uint64(shards) - 1) / uint64(shards)
 	return func(int) (sig.Backend, error) {
-		return sig.NewAsymmetric(sig.Options{
-			Slots: perShard, Threads: threads, FPRate: fpRate, Probes: probes,
-		})
+		return sig.NewAsymmetric(sig.Options{Slots: perShard, Threads: threads, Probes: probes})
 	}
 }
 
@@ -1026,11 +1026,10 @@ func (e *Engine) AccuracyEstimate() (accuracy.Estimate, bool) {
 }
 
 // EvaluateAccuracy runs the engine's warn-once saturation alarm against the
-// merged estimate and the given production fill ratio (use FillRatio). A
-// no-op without monitors; safe from any goroutine.
-func (e *Engine) EvaluateAccuracy(fillRatio float64) {
+// merged estimate. A no-op without monitors; safe from any goroutine.
+func (e *Engine) EvaluateAccuracy() {
 	if est, ok := e.AccuracyEstimate(); ok {
-		e.accAlarm.Evaluate(est, fillRatio)
+		e.accAlarm.Evaluate(est)
 	}
 }
 
@@ -1045,25 +1044,6 @@ func (e *Engine) AccuracyShadowBytes() uint64 {
 		total += m.ShadowFootprintBytes()
 	}
 	return total
-}
-
-// FillRatio estimates the mean bloom fill ratio across shard signature
-// partitions that expose one (sig.Asymmetric does; exact backends return 0,
-// as does an engine with no sampling backends). sample bounds the per-shard
-// probe cost exactly as in Asymmetric.FillRatio.
-func (e *Engine) FillRatio(sample int) float64 {
-	var sum float64
-	n := 0
-	for _, s := range e.shards {
-		if f, ok := s.backend.(interface{ FillRatio(int) float64 }); ok {
-			sum += f.FillRatio(sample)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Occupancy estimates the mean fraction of occupied signature slots across
@@ -1081,19 +1061,6 @@ func (e *Engine) Occupancy() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// AllocatedFilters sums the second-level bloom filters allocated across the
-// shard partitions that count them (0 on exact backends and on the exact
-// reader-mask layout).
-func (e *Engine) AllocatedFilters() uint64 {
-	var total uint64
-	for _, s := range e.shards {
-		if f, ok := s.backend.(interface{ AllocatedFilters() uint64 }); ok {
-			total += f.AllocatedFilters()
-		}
-	}
-	return total
 }
 
 // SigFootprintBytes sums the live memory of every shard's signature

@@ -5,7 +5,7 @@
 // The motivation is the overwhelmingly common case in real access streams: a
 // thread re-touching an address it just touched. Without filtering, every such
 // access pays the full backend cost in sig.Asymmetric — a 128-bit MurmurHash
-// pass, an atomic write-slot load and an atomic bloom-filter Add — only for
+// pass, a write-slot load and a reader-mask update — only for
 // detect.Process to discard it as a non-event. PROMPT (arXiv 2311.03263) and
 // Coppa et al.'s multithreaded input-sensitive profiler (arXiv 1304.3804) both
 // show that filtering redundant accesses in a small private cache before the

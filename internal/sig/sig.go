@@ -9,10 +9,11 @@
 //
 //   - the READ signature is two-level: a fixed array of n slots addressed by
 //     MurmurHash, each slot holding the set of thread IDs which have read
-//     addresses hashing to the slot (Fig. 3a). The paper stores that set in
-//     a lazily allocated bloom filter; thread IDs are a dense universe of t
-//     values, so for t ≤ 64 this package stores it exactly in one 64-bit
-//     mask per slot instead (see Asymmetric);
+//     addresses hashing to the slot (Fig. 3a). Thread IDs are a dense
+//     universe of t values, so the profiler stores that set exactly, in
+//     ⌈t/64⌉ mask words per slot (Asymmetric); the paper's lazily allocated
+//     per-slot bloom filters are kept for the reproduction experiments
+//     (Bloom);
 //
 //   - the WRITE signature is one-level: a fixed array of slots, each holding
 //     only the ID of the last thread that wrote an address hashing to the
@@ -20,15 +21,14 @@
 //
 // Collisions (h(v1)==h(v2), v1!=v2) produce dependencies that do not exist —
 // false positives — at a rate controlled by the slot count, which is the
-// trade-off the paper quantifies. Total memory is fixed and given by Eq. 2.
+// trade-off the paper quantifies. Total memory is fixed: 4 + 8·⌈t/64⌉ bytes
+// per slot for the masks, Eq. 2 for the paper's filters.
 package sig
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
-	"commprof/internal/bloom"
 	"commprof/internal/murmur"
 	"commprof/internal/obs"
 )
@@ -64,18 +64,15 @@ type Options struct {
 	// first-level read array and the write array. The paper evaluates
 	// 1e6, 4e6, 1e7 and 1e8; 1e7 is its standard operating point.
 	Slots uint64
-	// Threads is t, the thread count of the target program. It selects the
-	// reader-set layout (one exact mask word per slot up to MaskThreads,
-	// per-slot bloom filters beyond) and sizes the bloom filters.
+	// Threads is t, the thread count of the target program. Thread IDs
+	// passed to ObserveRead/ObserveWrite lie in [0, t). It sizes the reader
+	// sets: ⌈t/64⌉ mask words per slot, so at most MaxThreads for
+	// Asymmetric, or the per-slot filters for Bloom.
 	Threads int
-	// FPRate is the acceptable false-positive rate of the per-slot bloom
-	// filters (the paper uses 0.001 throughout its evaluation). It has no
-	// effect on the mask layout, which is exact.
+	// FPRate is ignored: the mask arena is exact, and Bloom takes its rate
+	// as an argument. Kept only because bench/layers.go still sets it;
+	// ROADMAP item 0(d) deletes it.
 	FPRate float64
-	// PaperBloom forces the paper's per-slot bloom filters at any thread
-	// count. The reproduction experiments set it so Fig. 5, Eq. 2 and the
-	// §V-A3 sweep keep measuring the paper's structure; nothing else does.
-	PaperBloom bool
 	// SeedRead / SeedWrite select independent hash functions for the two
 	// arrays; zero values get deterministic defaults.
 	SeedRead, SeedWrite uint64
@@ -85,9 +82,9 @@ type Options struct {
 	// §IV-D2); HashFold is a deliberately weaker xor-fold kept for the
 	// hash-quality ablation experiment.
 	Hash HashKind
-	// Probes, when non-nil, receives self-observability telemetry (filter
-	// allocations, CAS retries, reader resets). Nil keeps the hot path
-	// uninstrumented at the cost of one nil check per hook site.
+	// Probes, when non-nil, receives self-observability telemetry (CAS
+	// retries, reader resets). Nil keeps the hot path uninstrumented at the
+	// cost of one nil check per hook site.
 	Probes *obs.SigProbes
 }
 
@@ -109,9 +106,6 @@ func (o *Options) setDefaults() error {
 	if o.Threads <= 0 {
 		return fmt.Errorf("sig: Threads must be positive, got %d", o.Threads)
 	}
-	if o.FPRate <= 0 || o.FPRate >= 1 {
-		return fmt.Errorf("sig: FPRate must be in (0,1), got %v", o.FPRate)
-	}
 	if o.SeedRead == 0 {
 		o.SeedRead = 0x9E3779B97F4A7C15
 	}
@@ -121,90 +115,29 @@ func (o *Options) setDefaults() error {
 	return nil
 }
 
-// MaskThreads is the largest thread count whose reader sets fit one mask
-// word: bit tid of a slot's word records that thread tid has read.
-const MaskThreads = 64
-
-// Asymmetric is the paper's asymmetric signature memory. All operations are
-// lock-free: slot values use atomics and bloom filters use an atomic bitset,
-// mirroring the paper's C++11 lock-free primitives. A signature with exactly
-// one caller can say so (Own) and is then read and written plainly: same
-// arrays, same slots, same answers.
-//
-// The second level of the read signature has two layouts, chosen once by
-// NewAsymmetric. Up to MaskThreads threads each slot is one exact 64-bit
-// reader mask in a flat array: t bits against the bloom filter's 14.4·t at
-// FPRate 0.001, no second-level false positives, no allocation and no second
-// hash pass. Beyond that, and when Options.PaperBloom asks for the paper's
-// structure, each slot points at a lazily allocated bloom filter. Slot
-// addressing, and so every first-level collision, is the same in both.
-type Asymmetric struct {
-	opts   Options
-	bloomP bloom.Params
+// base is what both read-signature layouts share: the slot addressing and the
+// write signature.
+type base struct {
+	opts Options
 	// pow2 marks a power-of-two slot count, reduced with slotMask instead of
 	// a 64-bit division; h&(n-1) == h%n there, so no address moves.
 	pow2     bool
 	slotMask uint64
-
 	// write signature: slot -> last writer tid (+1, so 0 means empty).
-	// Accessed through sync/atomic unless owned.
+	// Accessed through sync/atomic unless an Asymmetric is owned.
 	write []int32
-	// read signature, mask layout: slot -> reader bitmask. Nil on the bloom
-	// layout. Accessed through sync/atomic unless owned.
-	masks []uint64
-	// read signature, bloom layout: slot -> *bloom.Filter (nil until first
-	// use). Nil on the mask layout.
-	read []atomic.Pointer[bloom.Filter]
-
-	allocated atomic.Uint64 // number of live second-level filters
-
-	// owned is set by Own. The owner counts the non-empty reader masks in
-	// nonEmpty; Publish copies that to occupied, the one thing another
-	// goroutine may read of an owned signature's slots mid-run.
-	owned    bool
-	nonEmpty int64
-	occupied atomic.Int64
 }
 
-// NewAsymmetric builds an asymmetric signature memory.
-func NewAsymmetric(opts Options) (*Asymmetric, error) {
+func newBase(opts Options) (base, error) {
 	if err := opts.setDefaults(); err != nil {
-		return nil, err
+		return base{}, err
 	}
-	s := &Asymmetric{
+	return base{
 		opts:     opts,
-		bloomP:   bloom.Derive(uint64(opts.Threads), opts.FPRate),
 		pow2:     opts.Slots&(opts.Slots-1) == 0,
 		slotMask: opts.Slots - 1,
 		write:    make([]int32, opts.Slots),
-	}
-	if opts.Threads <= MaskThreads && !opts.PaperBloom {
-		s.masks = make([]uint64, opts.Slots)
-	} else {
-		s.read = make([]atomic.Pointer[bloom.Filter], opts.Slots)
-	}
-	return s, nil
-}
-
-// Name implements Backend.
-func (s *Asymmetric) Name() string { return "asymmetric-signature" }
-
-// Options returns the configuration the signature was built with.
-func (s *Asymmetric) Options() Options { return s.opts }
-
-// Own declares that from here on one goroutine at a time calls ObserveRead
-// and ObserveWrite, each call ordered after the last by a happens-before
-// edge: the mask layout then drops its atomics (the bloom layout ignores the
-// call) and is NOT safe for concurrent use. Call it on a fresh or Reset
-// signature, before any goroutine that reads Occupancy starts; the owner
-// calls Publish wherever it wants Occupancy brought up to date.
-func (s *Asymmetric) Own() { s.owned = s.masks != nil }
-
-// Publish makes the owner's count of occupied slots visible to Occupancy.
-func (s *Asymmetric) Publish() {
-	if s.owned {
-		s.occupied.Store(s.nonEmpty)
-	}
+	}, nil
 }
 
 // slots maps addr to its (read, write) slot pair. Every backend operation
@@ -218,20 +151,20 @@ func (s *Asymmetric) Publish() {
 // collision statistics — addresses the write array. This halves the
 // per-access hash cost relative to the old two-pass scheme (a finalizer is
 // three shifts and two multiplies, not a hash pass).
-func (s *Asymmetric) slots(addr uint64) (rs, ws uint64) {
+func (b *base) slots(addr uint64) (rs, ws uint64) {
 	var h1, h2 uint64
-	if s.opts.Hash == HashFold {
+	if b.opts.Hash == HashFold {
 		// Weak fold: mixes poorly, so regular access strides map to
 		// clustered slots. Exists only to quantify what MurmurHash buys.
-		h1, h2 = foldHash(addr, s.opts.SeedRead), foldHash(addr, s.opts.SeedWrite)
+		h1, h2 = foldHash(addr, b.opts.SeedRead), foldHash(addr, b.opts.SeedWrite)
 	} else {
-		h1, h2 = murmur.HashAddrPair(addr, s.opts.SeedRead)
-		h2 = murmur.Mix64(h2 ^ s.opts.SeedWrite)
+		h1, h2 = murmur.HashAddrPair(addr, b.opts.SeedRead)
+		h2 = murmur.Mix64(h2 ^ b.opts.SeedWrite)
 	}
-	if s.pow2 {
-		return h1 & s.slotMask, h2 & s.slotMask
+	if b.pow2 {
+		return h1 & b.slotMask, h2 & b.slotMask
 	}
-	return h1 % s.opts.Slots, h2 % s.opts.Slots
+	return h1 % b.opts.Slots, h2 % b.opts.Slots
 }
 
 func foldHash(addr, seed uint64) uint64 {
@@ -239,48 +172,106 @@ func foldHash(addr, seed uint64) uint64 {
 	return v ^ (v >> 17) ^ (v << 9)
 }
 
-// filterAt returns the bloom filter for a read slot, allocating it on first
-// use with a lock-free CAS (losing allocators discard their filter).
-func (s *Asymmetric) filterAt(slot uint64) *bloom.Filter {
-	if f := s.read[slot].Load(); f != nil {
-		return f
+// maxWords bounds the mask words per read slot.
+const maxWords = 4
+
+// MaxThreads is the largest thread count the mask arena holds: maxWords
+// words of 64 reader bits per slot.
+const MaxThreads = 64 * maxWords
+
+// Asymmetric is the profiler's asymmetric signature memory. Each read slot's
+// reader set is w = ⌈t/64⌉ exact mask words in one flat arena: bit tid%64 of
+// word tid/64 records that thread tid has read. Against the paper's per-slot
+// bloom filter (14.4·t bits at FPRate 0.001, see Bloom) that is t bits rounded
+// up to a word, with no second-level false positives, no allocation and no
+// second hash pass; slot addressing, and so every first-level collision, is
+// the same. At w = 1 (t ≤ 64) a slot is one word at index rs: 12 bytes per
+// slot with the write array.
+//
+// All operations are lock-free: slot values use atomics, mirroring the
+// paper's C++11 lock-free primitives. A signature with exactly one caller can
+// say so (Own) and is then read and written plainly: same arrays, same slots,
+// same answers.
+type Asymmetric struct {
+	base
+	// words is w, the mask words per read slot.
+	words uint64
+	// masks is the read signature: slot rs's reader set is
+	// masks[rs*w : rs*w+w]. Accessed through sync/atomic unless owned.
+	masks []uint64
+
+	// owned is set by Own. The owner counts the non-empty reader sets in
+	// nonEmpty; Publish copies that to occupied, the one thing another
+	// goroutine may read of an owned signature's slots mid-run.
+	owned    bool
+	nonEmpty int64
+	occupied atomic.Int64
+}
+
+// NewAsymmetric builds an asymmetric signature memory. It refuses more than
+// MaxThreads threads.
+func NewAsymmetric(opts Options) (*Asymmetric, error) {
+	if opts.Threads > MaxThreads {
+		return nil, fmt.Errorf("sig: %d threads exceed the exact reader-set limit of %d threads (%d mask words per slot)",
+			opts.Threads, MaxThreads, maxWords)
 	}
-	nf := bloom.New(s.bloomP, s.opts.SeedRead^slot)
-	if s.read[slot].CompareAndSwap(nil, nf) {
-		s.allocated.Add(1)
-		if p := s.opts.Probes; p != nil {
-			p.FilterAllocs.Inc()
-		}
-		return nf
+	b, err := newBase(opts)
+	if err != nil {
+		return nil, err
 	}
-	if p := s.opts.Probes; p != nil {
-		p.CASRetries.Inc()
+	words := uint64(opts.Threads+63) / 64
+	return &Asymmetric{base: b, words: words, masks: make([]uint64, opts.Slots*words)}, nil
+}
+
+// Name implements Backend.
+func (s *Asymmetric) Name() string { return "asymmetric-signature" }
+
+// Own declares that from here on one goroutine at a time calls ObserveRead
+// and ObserveWrite, each call ordered after the last by a happens-before
+// edge: the signature then drops its atomics and is NOT safe for concurrent
+// use. Call it on a fresh or Reset signature, before any goroutine that reads
+// Occupancy starts; the owner calls Publish wherever it wants Occupancy
+// brought up to date.
+func (s *Asymmetric) Own() { s.owned = true }
+
+// Publish makes the owner's count of occupied slots visible to Occupancy.
+func (s *Asymmetric) Publish() {
+	if s.owned {
+		s.occupied.Store(s.nonEmpty)
 	}
-	return s.read[slot].Load()
+}
+
+// readers returns read slot rs's reader set. At w = 1 (here and in
+// ObserveRead) the index is rs itself: no multiply delays the address of the
+// access's likely cache miss.
+func (s *Asymmetric) readers(rs uint64) []uint64 {
+	if s.words == 1 {
+		return s.masks[rs : rs+1]
+	}
+	return s.masks[rs*s.words : (rs+1)*s.words]
 }
 
 // ObserveRead implements Backend. One fused hash pass yields both slots.
 func (s *Asymmetric) ObserveRead(addr uint64, tid int32) (int32, bool) {
 	rs, ws := s.slots(addr)
-	bit := uint64(1) << (uint(tid) & 63)
+	i, bit := rs, uint64(1)<<(uint(tid)&63)
+	if s.words > 1 {
+		i = rs*s.words + uint64(tid)>>6
+	}
 	if s.owned {
-		old := s.masks[rs]
+		old := s.masks[i]
 		if old&bit == 0 {
-			if old == 0 {
+			if old == 0 && (s.words == 1 || empty(s.readers(rs))) {
 				s.nonEmpty++
 			}
-			s.masks[rs] = old | bit
+			s.masks[i] = old | bit
 		}
 		return s.write[ws] - 1, old&bit == 0 // an empty slot reads 0: NoWriter
 	}
 	writer := atomic.LoadInt32(&s.write[ws]) - 1
-	if s.masks == nil {
-		already := s.filterAt(rs).Add(uint64(tid))
-		return writer, !already
-	}
 	// Test before set: a repeat read, the common case, is one load and
 	// leaves the cache line shared.
-	m := &s.masks[rs]
+	m := &s.masks[i]
 	for {
 		old := atomic.LoadUint64(m)
 		if old&bit != 0 {
@@ -295,28 +286,41 @@ func (s *Asymmetric) ObserveRead(addr uint64, tid int32) (int32, bool) {
 	}
 }
 
+// empty reports whether a reader set holds no thread. It loads atomically, so
+// it serves a shared signature and, off its hot path, an owned one alike.
+func empty(set []uint64) bool {
+	for j := range set {
+		if atomic.LoadUint64(&set[j]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // ObserveWrite implements Backend. One fused hash pass yields both slots.
 func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
 	rs, ws := s.slots(addr)
 	// Clear the correspondent reader set in the read signature: the write
 	// produces a new value, so earlier readers must count again (Fig. 2's
-	// communicating-access rule).
+	// communicating-access rule). Only non-empty words are stored to.
 	cleared := false
+	set := s.readers(rs)
 	if s.owned {
-		if cleared = s.masks[rs] != 0; cleared {
-			s.masks[rs] = 0
+		for j, m := range set {
+			if m != 0 {
+				set[j], cleared = 0, true
+			}
+		}
+		if cleared {
 			s.nonEmpty--
 		}
 		s.write[ws] = tid + 1
 	} else {
-		if s.masks == nil {
-			if f := s.read[rs].Load(); f != nil {
-				f.Reset()
+		for j := range set {
+			if atomic.LoadUint64(&set[j]) != 0 {
+				atomic.StoreUint64(&set[j], 0)
 				cleared = true
 			}
-		} else if m := &s.masks[rs]; atomic.LoadUint64(m) != 0 {
-			atomic.StoreUint64(m, 0)
-			cleared = true
 		}
 		atomic.StoreInt32(&s.write[ws], tid+1)
 	}
@@ -325,15 +329,11 @@ func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
 	}
 }
 
-// FootprintBytes implements Backend: the live heap held by the two arrays
-// plus every allocated second-level filter. Both layouts spend 8 bytes per
-// slot on the read array (a mask word or a filter pointer), so the mask
-// layout's footprint is the constant 12·Slots.
+// FootprintBytes implements Backend: the two arrays, a constant
+// (4 + 8·w)·Slots.
 func (s *Asymmetric) FootprintBytes() uint64 {
-	perFilter := (s.bloomP.Bits + 63) / 64 * 8
 	return s.opts.Slots*4 + // write array (4-byte slots, as in Eq. 2)
-		s.opts.Slots*8 + // read array
-		s.allocated.Load()*perFilter
+		uint64(len(s.masks))*8 // read arena
 }
 
 // Reset clears both signatures. Like every mutator of an owned signature it
@@ -347,87 +347,37 @@ func (s *Asymmetric) Reset() {
 	for i := range s.masks {
 		atomic.StoreUint64(&s.masks[i], 0)
 	}
-	for i := range s.read {
-		s.read[i].Store(nil)
-	}
-	s.allocated.Store(0)
 }
 
-// AllocatedFilters reports how many second-level bloom filters exist; always
-// 0 on the mask layout, which has none.
-func (s *Asymmetric) AllocatedFilters() uint64 { return s.allocated.Load() }
+// AllocatedFilters is always 0: the mask arena has no filters. Kept only
+// because bench/layers.go still reports it; ROADMAP item 0(d) deletes it.
+func (s *Asymmetric) AllocatedFilters() uint64 { return 0 }
 
-// occupancySample is how many slots Occupancy probes on the mask layout.
+// FillRatio is always 0: an exact mask does not saturate. Kept only because
+// bench/layers.go still reports it; ROADMAP item 0(d) deletes it.
+func (s *Asymmetric) FillRatio(int) float64 { return 0 }
+
+// occupancySample is how many slots Occupancy probes on a shared signature.
 const occupancySample = 4096
 
 // Occupancy reports the fraction of read-signature slots in use — the
 // signature saturation a live telemetry consumer watches to see whether the
-// configured slot count is undersized for the workload's working set. On the
-// bloom layout a slot is in use once its filter is allocated (an exact
-// count); on the mask layout it is in use while its reader set is non-empty:
-// the owner's exact count as of its last Publish when the signature is owned
-// (nobody else may walk masks written plainly), otherwise an estimate from
-// occupancySample slots at a fixed stride over the whole range. Safe to call
-// concurrently with a run.
+// configured slot count is undersized for the workload's working set. A slot
+// is in use while its reader set is non-empty: the owner's exact count as of
+// its last Publish when the signature is owned (nobody else may walk masks
+// written plainly), otherwise an estimate from occupancySample slots at a
+// fixed stride over the whole range. Safe to call concurrently with a run.
 func (s *Asymmetric) Occupancy() float64 {
-	if s.masks == nil {
-		return float64(s.allocated.Load()) / float64(s.opts.Slots)
-	}
 	if s.owned {
 		return float64(s.occupied.Load()) / float64(s.opts.Slots)
 	}
-	stride := max(len(s.masks)/occupancySample, 1)
+	stride := max(s.opts.Slots/occupancySample, 1)
 	probed, used := 0, 0
-	for slot := 0; slot < len(s.masks); slot += stride {
+	for rs := uint64(0); rs < s.opts.Slots; rs += stride {
 		probed++
-		if atomic.LoadUint64(&s.masks[slot]) != 0 {
+		if !empty(s.readers(rs)) {
 			used++
 		}
 	}
 	return float64(used) / float64(probed)
-}
-
-// FillRatio probes up to sample slots spread at a fixed stride across the
-// WHOLE slot range and returns the mean set-bit fraction of the allocated
-// bloom filters it finds — the second-level saturation complement to
-// Occupancy. (An earlier version scanned from slot 0 until it had collected
-// sample filters, so whenever more than sample filters were live the estimate
-// was computed exclusively from the lowest slots — a biased sample, since
-// address-hash locality makes slot position correlate with allocation age and
-// workload structure.) Returns 0 when no probed slot holds a filter, and
-// always on the mask layout: a mask with every thread's bit set is exact, not
-// saturated, so it must not read as bloom fill. Safe to call concurrently
-// with a run; the result is a racy estimate.
-func (s *Asymmetric) FillRatio(sample int) float64 {
-	if sample <= 0 {
-		sample = 64
-	}
-	n := len(s.read)
-	stride := n / sample
-	if stride == 0 {
-		stride = 1
-	}
-	var sum float64
-	seen := 0
-	for slot := 0; slot < n && seen < sample; slot += stride {
-		f := s.read[slot].Load()
-		if f == nil {
-			continue
-		}
-		sum += float64(f.PopCount()) / float64(f.Bits())
-		seen++
-	}
-	if seen == 0 {
-		return 0
-	}
-	return sum / float64(seen)
-}
-
-// SigMem is the paper's Equation 2: the total signature memory in bytes for
-// n slots, t threads and the given bloom false-positive rate,
-//
-//	SigMem(n,t) = n · (4 + (−t·ln(FPRate)) / (8·ln²2)).
-func SigMem(n uint64, t int, fpRate float64) uint64 {
-	perSlot := 4 + (-float64(t)*math.Log(fpRate))/(8*math.Ln2*math.Ln2)
-	return uint64(math.Ceil(float64(n) * perSlot))
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,41 +14,71 @@ import (
 	"commprof/internal/murmur"
 )
 
-// newTestSig builds the layout NewAsymmetric picks by itself at t = 32: masks.
+// newTestSig builds the profiler's signature at t = 32: one mask word a slot.
 func newTestSig(t *testing.T, slots uint64) *Asymmetric {
 	t.Helper()
-	return newLayoutSig(t, slots, false)
-}
-
-func newLayoutSig(t *testing.T, slots uint64, paperBloom bool) *Asymmetric {
-	t.Helper()
-	s, err := NewAsymmetric(Options{Slots: slots, Threads: 32, FPRate: 0.001, PaperBloom: paperBloom})
+	s, err := NewAsymmetric(Options{Slots: slots, Threads: 32})
 	if err != nil {
 		t.Fatalf("NewAsymmetric: %v", err)
-	}
-	if (s.masks == nil) != paperBloom {
-		t.Fatalf("PaperBloom=%v built masks=%v", paperBloom, s.masks != nil)
 	}
 	return s
 }
 
-// eachLayout runs f against a mask-backed and a bloom-backed signature.
-func eachLayout(t *testing.T, slots uint64, f func(t *testing.T, s *Asymmetric)) {
-	t.Run("mask", func(t *testing.T) { f(t, newLayoutSig(t, slots, false)) })
-	t.Run("bloom", func(t *testing.T) { f(t, newLayoutSig(t, slots, true)) })
+// newBloomSig builds the paper's signature at t = 32 and FPRate 0.001.
+func newBloomSig(t *testing.T, slots uint64) *Bloom {
+	t.Helper()
+	s, err := NewBloom(Options{Slots: slots, Threads: 32}, 0.001)
+	if err != nil {
+		t.Fatalf("NewBloom: %v", err)
+	}
+	return s
+}
+
+// eachLayout runs f against the mask arena and the paper's bloom layout.
+func eachLayout(t *testing.T, slots uint64, f func(t *testing.T, s Backend)) {
+	t.Run("mask", func(t *testing.T) { f(t, newTestSig(t, slots)) })
+	t.Run("bloom", func(t *testing.T) { f(t, newBloomSig(t, slots)) })
+}
+
+// occupancy is the share of read slots holding a reader set: Occupancy on
+// the mask arena, the allocated filters on the bloom layout.
+func occupancy(s Backend) float64 {
+	if b, ok := s.(*Bloom); ok {
+		return float64(b.allocated.Load()) / float64(b.opts.Slots)
+	}
+	return s.(*Asymmetric).Occupancy()
 }
 
 func TestOptionsValidation(t *testing.T) {
 	bad := []Options{
-		{Slots: 0, Threads: 32, FPRate: 0.001},
-		{Slots: 10, Threads: 0, FPRate: 0.001},
-		{Slots: 10, Threads: 4, FPRate: 0},
-		{Slots: 10, Threads: 4, FPRate: 1},
+		{Slots: 0, Threads: 32},
+		{Slots: 10, Threads: 0},
+		{Slots: 10, Threads: -1},
 	}
 	for i, o := range bad {
 		if _, err := NewAsymmetric(o); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, o)
 		}
+		if _, err := NewBloom(o, 0.001); err == nil {
+			t.Errorf("case %d: invalid options accepted by NewBloom: %+v", i, o)
+		}
+	}
+	for _, rate := range []float64{0, 1, -0.5} {
+		if _, err := NewBloom(Options{Slots: 10, Threads: 4}, rate); err == nil {
+			t.Errorf("NewBloom accepted false-positive rate %v", rate)
+		}
+	}
+	// The arena holds up to MaxThreads threads exactly and refuses more by
+	// name; the paper's layout has no such limit.
+	if _, err := NewAsymmetric(Options{Slots: 10, Threads: MaxThreads}); err != nil {
+		t.Errorf("t = %d refused: %v", MaxThreads, err)
+	}
+	_, err := NewAsymmetric(Options{Slots: 10, Threads: MaxThreads + 1})
+	if err == nil || !strings.Contains(err.Error(), "limit of 256 threads") {
+		t.Errorf("t = %d: err %v, want the 256-thread limit named", MaxThreads+1, err)
+	}
+	if _, err := NewBloom(Options{Slots: 10, Threads: MaxThreads + 1}, 0.001); err != nil {
+		t.Errorf("NewBloom refused t = %d: %v", MaxThreads+1, err)
 	}
 }
 
@@ -102,27 +134,20 @@ func TestThreadZeroIsValidWriter(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	eachLayout(t, 1<<12, func(t *testing.T, s *Asymmetric) {
+	eachLayout(t, 1<<12, func(t *testing.T, s Backend) {
 		s.ObserveWrite(0x10, 2)
 		s.ObserveRead(0x10, 3)
 		s.Reset()
-		if got := s.Occupancy(); got != 0 {
-			t.Fatalf("Occupancy after Reset = %v, want 0", got)
+		if got := occupancy(s); got != 0 {
+			t.Fatalf("occupancy after Reset = %v, want 0", got)
 		}
 		if w, first := s.ObserveRead(0x10, 3); w != NoWriter || !first {
 			t.Fatalf("after Reset: (%d,%v)", w, first)
 		}
 		// The read above is the only reader state: one slot of 2^12 in use,
 		// held in one re-allocated filter on the bloom layout.
-		if got, want := s.Occupancy(), 1.0/(1<<12); got != want {
-			t.Fatalf("Occupancy = %v, want %v", got, want)
-		}
-		wantFilters := uint64(1)
-		if s.masks != nil {
-			wantFilters = 0
-		}
-		if s.AllocatedFilters() != wantFilters {
-			t.Fatalf("AllocatedFilters = %d, want %d", s.AllocatedFilters(), wantFilters)
+		if got, want := occupancy(s), 1.0/(1<<12); got != want {
+			t.Fatalf("occupancy = %v, want %v", got, want)
 		}
 	})
 }
@@ -159,7 +184,7 @@ func TestMatchesPerfectWhenLarge(t *testing.T) {
 func TestSmallSignatureProducesFalsePositives(t *testing.T) {
 	// The core trade-off (§V-A3): with far fewer slots than addresses,
 	// collisions must create writer reports the perfect backend rejects.
-	s, err := NewAsymmetric(Options{Slots: 64, Threads: 32, FPRate: 0.001})
+	s, err := NewAsymmetric(Options{Slots: 64, Threads: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +238,7 @@ func TestSigMemMonotonic(t *testing.T) {
 
 func TestFootprintBoundedByModel(t *testing.T) {
 	const slots = 1 << 14
-	eachLayout(t, slots, func(t *testing.T, s *Asymmetric) {
+	eachLayout(t, slots, func(t *testing.T, s Backend) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 100000; i++ {
 			addr := uint64(rng.Int63())
@@ -224,17 +249,15 @@ func TestFootprintBoundedByModel(t *testing.T) {
 			}
 		}
 		foot := s.FootprintBytes()
-		if s.masks != nil {
+		b, ok := s.(*Bloom)
+		if !ok {
 			// No second level to grow: 4 B writer + 8 B mask per slot, far
 			// under Eq. 2's 61.5 B/slot at t = 32.
 			if foot != slots*12 {
 				t.Fatalf("mask footprint %d, want %d", foot, slots*12)
 			}
-			if bound := SigMem(s.opts.Slots, s.opts.Threads, s.opts.FPRate); foot >= bound {
+			if bound := SigMem(slots, 32, 0.001); foot >= bound {
 				t.Fatalf("mask footprint %d not below Eq. 2 bound %d", foot, bound)
-			}
-			if s.AllocatedFilters() != 0 {
-				t.Fatalf("mask layout allocated %d filters", s.AllocatedFilters())
 			}
 			return
 		}
@@ -247,8 +270,17 @@ func TestFootprintBoundedByModel(t *testing.T) {
 		if foot > bound {
 			t.Fatalf("footprint %d exceeds geometry bound %d", foot, bound)
 		}
-		if s.AllocatedFilters() == 0 {
-			t.Fatal("no filters allocated after 100k accesses")
+		live := uint64(0)
+		for i := range b.read {
+			if b.read[i].Load() != nil {
+				live++
+			}
+		}
+		if live == 0 || b.allocated.Load() != live {
+			t.Fatalf("%d filters counted, %d live", b.allocated.Load(), live)
+		}
+		if want := uint64(slots)*(4+8) + live*perFilter; foot != want {
+			t.Fatalf("footprint %d, want %d for %d live filters", foot, want, live)
 		}
 	})
 }
@@ -289,7 +321,7 @@ func TestPerfectFootprintGrows(t *testing.T) {
 func TestConcurrentObserveNoRace(t *testing.T) {
 	// Lock-freedom smoke test: hammer one signature from many goroutines.
 	// Run with -race to validate the atomic design.
-	eachLayout(t, 1<<12, func(t *testing.T, s *Asymmetric) {
+	eachLayout(t, 1<<12, func(t *testing.T, s Backend) {
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -341,9 +373,9 @@ func TestConcurrentReadersCountOncePerThread(t *testing.T) {
 
 func TestBackendInterfaceCompliance(t *testing.T) {
 	var _ Backend = &Asymmetric{}
+	var _ Backend = &Bloom{}
 	var _ Backend = &Perfect{}
-	s := newTestSig(t, 16)
-	if s.Name() == "" || NewPerfect(2).Name() == "" {
+	if newTestSig(t, 16).Name() == "" || newBloomSig(t, 16).Name() == "" || NewPerfect(2).Name() == "" {
 		t.Error("backends must have names")
 	}
 }
@@ -372,64 +404,34 @@ func TestFusedSlotsPreserveReadMapping(t *testing.T) {
 }
 
 func TestFillRatioSamplesWholeSlotRange(t *testing.T) {
-	// Regression for the sampling bias: the old implementation scanned from
-	// slot 0 and stopped at the first `sample` allocated filters, so with
-	// more filters live than the sample size the estimate came exclusively
-	// from the lowest slots. Allocate near-empty filters in the low half and
-	// heavily-filled ones in the high half; a stride over the whole range
-	// must see both populations.
-	t.Run("bloom", func(t *testing.T) {
-		s := newLayoutSig(t, 1024, true)
-		for slot := uint64(0); slot < 256; slot++ {
-			s.filterAt(slot).Add(0) // one bit: fill ≈ 1/filterBits
-		}
-		for slot := uint64(512); slot < 768; slot++ {
-			f := s.filterAt(slot)
-			for tid := uint64(0); tid < 32; tid++ {
-				f.Add(tid) // saturated for the configured thread count
-			}
-		}
-		lowOnly := float64(s.filterAt(0).PopCount()) / float64(s.filterAt(0).Bits())
-		got := s.FillRatio(64)
-		if got <= 2*lowOnly {
-			t.Fatalf("FillRatio(64) = %v, indistinguishable from the low-slot population %v: high slots not sampled", got, lowOnly)
-		}
-		high := float64(s.filterAt(512).PopCount()) / float64(s.filterAt(512).Bits())
-		if want := (lowOnly + high) / 2; got < want/2 || got > want*2 {
-			t.Errorf("FillRatio(64) = %v, not within 2x of the two-population mean %v", got, want)
-		}
-	})
-	// The mask layout's sampled figure is Occupancy, which must stride the
-	// whole range the same way (here more slots than it samples, a quarter
-	// of them in use, all in one high band). Full masks — every thread a
-	// reader — are exact state, so they must not read as bloom fill.
+	// A shared signature's sampled figure is Occupancy, a strided sample:
+	// with more slots than it samples, a quarter of them in use and all in
+	// one high band, it must still see them — in any word of a reader set.
+	// Full reader sets are exact state, so they must not read as bloom fill.
 	t.Run("mask", func(t *testing.T) {
 		const slots = 4 * occupancySample
-		s := newLayoutSig(t, slots, false)
-		for slot := slots / 2; slot < slots*3/4; slot++ {
-			s.masks[slot] = 1<<32 - 1
-		}
-		if got := s.Occupancy(); got != 0.25 {
-			t.Errorf("Occupancy = %v, want 0.25", got)
-		}
-		if got := s.FillRatio(64); got != 0 {
-			t.Errorf("FillRatio on full masks = %v, want 0 (bloom fill only)", got)
-		}
-	})
-}
-
-func TestFillRatioNoFilters(t *testing.T) {
-	eachLayout(t, 1024, func(t *testing.T, s *Asymmetric) {
-		if got := s.FillRatio(64); got != 0 {
-			t.Fatalf("FillRatio on empty signature = %v, want 0", got)
+		for _, threads := range []int{32, 128} {
+			s, err := NewAsymmetric(Options{Slots: slots, Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rs := uint64(slots / 2); rs < slots*3/4; rs++ {
+				s.readers(rs)[s.words-1] = 1<<32 - 1
+			}
+			if got := s.Occupancy(); got != 0.25 {
+				t.Errorf("t=%d: Occupancy = %v, want 0.25", threads, got)
+			}
+			if got := s.FillRatio(64); got != 0 {
+				t.Errorf("t=%d: FillRatio on full reader sets = %v, want 0 (bloom fill only)", threads, got)
+			}
 		}
 	})
 }
 
-// maskModel is the naive reference for the mask layout: the same two-array
+// maskModel is the naive reference for the mask arena: the same two-array
 // structure held in maps, addressed through the signature's own slots().
 type maskModel struct {
-	readers map[uint64]uint64
+	readers map[uint64][maxWords]uint64
 	writers map[uint64]int32
 }
 
@@ -438,8 +440,11 @@ func (m *maskModel) read(rs, ws uint64, tid int32) (int32, bool) {
 	if !ok {
 		w = NoWriter
 	}
-	first := m.readers[rs]&(1<<uint(tid)) == 0
-	m.readers[rs] |= 1 << uint(tid)
+	set := m.readers[rs]
+	word, bit := tid/64, uint64(1)<<uint(tid%64)
+	first := set[word]&bit == 0
+	set[word] |= bit
+	m.readers[rs] = set
 	return w, first
 }
 
@@ -449,7 +454,7 @@ func (m *maskModel) write(rs, ws uint64, tid int32) {
 }
 
 func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
-	for _, threads := range []int{1, 2, 32, 64} {
+	for _, threads := range []int{1, 2, 32, 64, 65, 128, 256} {
 		for _, slots := range []uint64{1, 64, 1 << 10, 1000, 37} {
 			for _, hash := range []HashKind{HashMurmur, HashFold} {
 				for _, owned := range []bool{false, true} {
@@ -458,19 +463,20 @@ func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
 						name += "/owned"
 					}
 					t.Run(name, func(t *testing.T) {
-						s, err := NewAsymmetric(Options{Slots: slots, Threads: threads, FPRate: 0.001, Hash: hash})
+						s, err := NewAsymmetric(Options{Slots: slots, Threads: threads, Hash: hash})
 						if err != nil {
 							t.Fatal(err)
 						}
-						if s.masks == nil {
-							t.Fatal("not mask-backed")
+						w := uint64(threads+63) / 64
+						if s.words != w {
+							t.Fatalf("%d mask words per slot, want %d", s.words, w)
 						}
 						if owned {
 							s.Own()
 						}
 						seed := int64(threads)*1_000_003 + int64(slots)*31 + int64(hash)
 						rng := rand.New(rand.NewSource(seed))
-						ref := maskModel{readers: map[uint64]uint64{}, writers: map[uint64]int32{}}
+						ref := maskModel{readers: map[uint64][maxWords]uint64{}, writers: map[uint64]int32{}}
 						for i := 0; i < 20000; i++ {
 							// ~4 addresses per slot: collisions are the rule.
 							addr := uint64(0x7000 + 8*rng.Intn(int(4*slots)))
@@ -488,24 +494,35 @@ func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
 									seed, i, addr, tid, gw, gf, ww, wf)
 							}
 						}
-						if got, want := s.FootprintBytes(), slots*12; got != want {
+						if got, want := s.FootprintBytes(), slots*(4+8*w); got != want {
 							t.Errorf("FootprintBytes = %d, want %d", got, want)
 						}
-						if !owned {
-							return
+						// The arena is the model word for word: slot rs's reader set
+						// is masks[rs*w : rs*w+w] (masks[rs] itself at w = 1).
+						for rs := uint64(0); rs < slots; rs++ {
+							want := ref.readers[rs]
+							if got := s.masks[rs*w : (rs+1)*w]; !reflect.DeepEqual(got, want[:w]) {
+								t.Fatalf("slot %d holds %x, model %x", rs, got, want[:w])
+							}
 						}
-						// An owned signature's occupancy is the owner's own count:
-						// exact, and visible only once published.
-						if got := s.Occupancy(); got != 0 {
-							t.Errorf("Occupancy before Publish = %v, want 0", got)
+						// Occupancy is exact: the owner's own count once published,
+						// a stride-1 walk of the shared arena (slots < occupancySample).
+						wantOcc := float64(len(ref.readers)) / float64(slots)
+						if owned {
+							if got := s.Occupancy(); got != 0 {
+								t.Errorf("Occupancy before Publish = %v, want 0", got)
+							}
+							s.Publish()
 						}
-						s.Publish()
-						if got, want := s.Occupancy(), float64(len(ref.readers))/float64(slots); got != want {
-							t.Errorf("Occupancy = %v, want exactly %v (%d non-empty reader sets)", got, want, len(ref.readers))
+						if got := s.Occupancy(); got != wantOcc {
+							t.Errorf("Occupancy = %v, want exactly %v (%d non-empty reader sets)", got, wantOcc, len(ref.readers))
 						}
 						s.Reset()
-						if w, first := s.ObserveRead(0x7000, 0); w != NoWriter || !first || s.Occupancy() != 0 {
-							t.Errorf("after Reset: read = (%d,%v), Occupancy %v", w, first, s.Occupancy())
+						if got := s.Occupancy(); got != 0 {
+							t.Errorf("Occupancy after Reset = %v", got)
+						}
+						if w, first := s.ObserveRead(0x7000, int32(threads-1)); w != NoWriter || !first {
+							t.Errorf("after Reset: read = (%d,%v)", w, first)
 						}
 					})
 				}
@@ -524,14 +541,14 @@ func TestPow2ReductionMatchesModulo(t *testing.T) {
 	}
 	for _, hash := range []HashKind{HashMurmur, HashFold} {
 		for k := 0; k <= 24; k++ {
-			opts := Options{Slots: 1 << k, Threads: 32, FPRate: 0.001, Hash: hash}
+			opts := Options{Slots: 1 << k, Threads: 32, Hash: hash}
 			if err := opts.setDefaults(); err != nil {
 				t.Fatal(err)
 			}
 			// Bare structs: slots() touches no array, and 2^24 real slots
 			// would cost 200 MB per size.
-			and := &Asymmetric{opts: opts, pow2: true, slotMask: opts.Slots - 1}
-			mod := &Asymmetric{opts: opts}
+			and := &base{opts: opts, pow2: true, slotMask: opts.Slots - 1}
+			mod := &base{opts: opts}
 			for _, a := range addrs {
 				ar, aw := and.slots(a)
 				mr, mw := mod.slots(a)
@@ -554,81 +571,30 @@ func TestPow2ReductionMatchesModulo(t *testing.T) {
 	}
 }
 
-func TestBloomLayoutKeptBeyondMaskThreads(t *testing.T) {
-	// Past one mask word, and when the paper's structure is forced, the
-	// per-slot bloom filters stay, with the footprint they always had.
-	const slots = 1 << 10
-	cases := []Options{
-		{Slots: slots, Threads: MaskThreads + 1, FPRate: 0.001},
-		{Slots: slots, Threads: 32, FPRate: 0.001, PaperBloom: true},
-		{Slots: slots, Threads: 1, FPRate: 0.001, PaperBloom: true},
-	}
-	for _, opts := range cases {
-		s, err := NewAsymmetric(opts)
+func TestMaskObserveDoesNotAllocate(t *testing.T) {
+	for _, threads := range []int{32, MaxThreads} {
+		s, err := NewAsymmetric(Options{Slots: 1 << 16, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.masks != nil || s.read == nil {
-			t.Fatalf("%+v: mask layout selected", opts)
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			addr := uint64(i) * 8
+			s.ObserveRead(addr, int32(i%threads))
+			s.ObserveWrite(addr+8, int32(i%threads))
+			s.ObserveRead(addr+8, int32((i+1)%threads))
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("t=%d: mask arena allocated %v times per read/write/read", threads, allocs)
 		}
-		const reads = 100
-		for i := 0; i < reads; i++ {
-			s.ObserveRead(uint64(i*8), int32(i%opts.Threads))
-		}
-		live := uint64(0)
-		for i := range s.read {
-			if s.read[i].Load() != nil {
-				live++
-			}
-		}
-		if live == 0 || s.AllocatedFilters() != live {
-			t.Fatalf("%+v: AllocatedFilters = %d, %d filters live", opts, s.AllocatedFilters(), live)
-		}
-		perFilter := (bloom.Derive(uint64(opts.Threads), opts.FPRate).Bits + 63) / 64 * 8
-		if got, want := s.FootprintBytes(), slots*(4+8)+live*perFilter; got != want {
-			t.Errorf("%+v: FootprintBytes = %d, want %d", opts, got, want)
-		}
-		if s.Occupancy() != float64(live)/slots {
-			t.Errorf("%+v: Occupancy = %v, want %v", opts, s.Occupancy(), float64(live)/slots)
-		}
-	}
-	if s := newTestSig(t, slots); s.masks == nil {
-		t.Fatal("t = 32 did not select the mask layout")
-	}
-	s, err := NewAsymmetric(Options{Slots: slots, Threads: MaskThreads, FPRate: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.masks == nil {
-		t.Fatalf("t = %d did not select the mask layout", MaskThreads)
-	}
-	if _, first := s.ObserveRead(8, MaskThreads-1); !first {
-		t.Error("highest thread's first read not recorded")
-	}
-	if _, first := s.ObserveRead(8, MaskThreads-1); first {
-		t.Error("highest thread's repeat read reported as first")
-	}
-}
-
-func TestMaskObserveDoesNotAllocate(t *testing.T) {
-	s := newTestSig(t, 1<<16)
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		addr := uint64(i) * 8
-		s.ObserveRead(addr, int32(i&31))
-		s.ObserveWrite(addr+8, int32(i&31))
-		s.ObserveRead(addr+8, int32((i+1)&31))
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("mask layout allocated %v times per read/write/read", allocs)
 	}
 }
 
 // BenchmarkObserveRead is the miss-heavy hot-loop shape (every access a new
-// address): one fused hash pass, one atomic write-slot load, one bloom Add.
+// address): one fused hash pass, one atomic write-slot load, one mask CAS.
 func BenchmarkObserveRead(b *testing.B) {
-	s, _ := NewAsymmetric(Options{Slots: 1 << 20, Threads: 32, FPRate: 0.001})
+	s, _ := NewAsymmetric(Options{Slots: 1 << 20, Threads: 32})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ObserveRead(uint64(i)&0xffff*8, int32(i&31))
@@ -636,7 +602,7 @@ func BenchmarkObserveRead(b *testing.B) {
 }
 
 func BenchmarkObserveReadHit(b *testing.B) {
-	s, _ := NewAsymmetric(Options{Slots: 1 << 20, Threads: 32, FPRate: 0.001})
+	s, _ := NewAsymmetric(Options{Slots: 1 << 20, Threads: 32})
 	s.ObserveWrite(0x1000, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -645,9 +611,42 @@ func BenchmarkObserveReadHit(b *testing.B) {
 }
 
 func BenchmarkObserveWrite(b *testing.B) {
-	s, _ := NewAsymmetric(Options{Slots: 1 << 20, Threads: 32, FPRate: 0.001})
+	s, _ := NewAsymmetric(Options{Slots: 1 << 20, Threads: 32})
 	for i := 0; i < b.N; i++ {
 		s.ObserveWrite(uint64(i)&0xffff*8, int32(i&31))
+	}
+}
+
+// BenchmarkReaderSets prices the two reader-set layouts beyond one mask word:
+// the arena at w = ⌈t/64⌉ against the paper's per-slot bloom filters at the
+// same t, owned like a shard worker's and shared like a parallel run's, over
+// a read-mostly stream on 2^16 addresses in 2^20 slots.
+func BenchmarkReaderSets(b *testing.B) {
+	for _, threads := range []int{65, 128, 256} {
+		for _, layout := range []string{"mask-owned", "mask", "bloom"} {
+			b.Run(fmt.Sprintf("t=%d/%s", threads, layout), func(b *testing.B) {
+				opts := Options{Slots: 1 << 20, Threads: threads}
+				var s Backend
+				if layout == "bloom" {
+					s, _ = NewBloom(opts, 0.001)
+				} else {
+					a, _ := NewAsymmetric(opts)
+					if layout == "mask-owned" {
+						a.Own()
+					}
+					s = a
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					addr, tid := uint64(i*7919)&0xffff*8, int32(i%threads)
+					if i&7 == 0 {
+						s.ObserveWrite(addr, tid)
+					} else {
+						s.ObserveRead(addr, tid)
+					}
+				}
+			})
+		}
 	}
 }
 

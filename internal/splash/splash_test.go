@@ -16,7 +16,7 @@ func profileApp(t testing.TB, name string, threads int, size Size) (*detect.Dete
 	if err != nil {
 		t.Fatalf("New(%s): %v", name, err)
 	}
-	s, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 20, Threads: threads, FPRate: 0.001})
+	s, err := sig.NewAsymmetric(sig.Options{Slots: 1 << 20, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}

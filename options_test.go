@@ -3,17 +3,13 @@ package commprof
 import "testing"
 
 // TestSetDefaultsSentinels pins the documented zero-value sentinel behaviour:
-// Seed 0 and BloomFPRate 0 mean "unset" and are rewritten to the defaults, so
-// neither can be selected explicitly (an FP rate of exactly 0 is rejected by
-// the signature layer anyway, and seed 0 silently becomes 42).
+// Seed 0 means "unset" and is rewritten to the default, so it cannot be
+// selected explicitly (seed 0 silently becomes 42).
 func TestSetDefaultsSentinels(t *testing.T) {
 	var o Options
 	o.setDefaults()
 	if o.Seed != 42 {
 		t.Errorf("Seed sentinel: got %d, want 42", o.Seed)
-	}
-	if o.BloomFPRate != 0.001 {
-		t.Errorf("BloomFPRate sentinel: got %g, want 0.001", o.BloomFPRate)
 	}
 	if o.Threads != 32 || o.InputSize != "simdev" || o.SignatureSlots != 1<<20 {
 		t.Errorf("other defaults wrong: %+v", o)
@@ -23,9 +19,9 @@ func TestSetDefaultsSentinels(t *testing.T) {
 	}
 
 	// Explicit non-zero values survive untouched.
-	set := Options{Seed: 7, BloomFPRate: 0.01, MaxHotspots: 3}
+	set := Options{Seed: 7, MaxHotspots: 3}
 	set.setDefaults()
-	if set.Seed != 7 || set.BloomFPRate != 0.01 || set.MaxHotspots != 3 {
+	if set.Seed != 7 || set.MaxHotspots != 3 {
 		t.Errorf("explicit values rewritten: %+v", set)
 	}
 

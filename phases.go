@@ -99,7 +99,7 @@ func (p *phaseState) onClose() func(w *comm.Window, end uint64) {
 }
 
 // wire binds the live phase surfaces (gauges, /progress fields) to the run;
-// the run's periodic sampler drives window closing. Call after wireRun so the
+// the run's periodic ticker drives window closing. Call after wireRun so the
 // /progress snapshot wraps the run's base snapshot. No-op without telemetry.
 func (p *phaseState) wire() {
 	if p == nil || p.tel == nil {

@@ -202,15 +202,6 @@ func redundancyReport(st redundancy.Stats) *RedundancyReport {
 	}
 }
 
-// FillSample is one point of the signature-saturation trajectory: the mean
-// bloom fill ratio of the production read signature at a moment of the run.
-type FillSample struct {
-	// ElapsedSeconds is wall time since the run was wired.
-	ElapsedSeconds float64
-	// Ratio is the sampled mean bloom fill ratio at that moment.
-	Ratio float64
-}
-
 // AccuracyReport describes the online signature-accuracy monitor of a run
 // profiled with Options.AccuracyTargetFPR > 0: the live counterpart of the
 // paper's offline §V-A3 false-positive sweep. EstimatedFPR is the headline
@@ -253,23 +244,18 @@ type AccuracyReport struct {
 	EstimatedWorkingSet uint64
 	// ShadowBytes is the memory the exact shadow held.
 	ShadowBytes uint64
-	// CurrentSlots/RecommendedSlots/RecommendedBytes are the Eq. 2 advisor:
-	// the signature size that would bring the measured FPR down to
-	// TargetFPR, priced with the paper's memory model.
+	// CurrentSlots/RecommendedSlots/RecommendedBytes are the advisor: the
+	// signature size that would bring the measured FPR down to TargetFPR,
+	// priced at the run's own bytes per slot (Report.SignatureBytes over
+	// CurrentSlots).
 	CurrentSlots     uint64
 	RecommendedSlots uint64
 	RecommendedBytes uint64
-	// FillRatio is the production read signature's final mean bloom fill
-	// (0 up to 64 threads, where reader sets are exact masks with nothing to
-	// saturate); FillTrajectory its sampled course over the run (present
-	// when the run had Options.Telemetry, which owns the periodic sampler).
-	FillRatio      float64
-	FillTrajectory []FillSample `json:",omitempty"`
 	// Alarm carries the warn-once saturation message, "" when none fired.
 	Alarm string `json:",omitempty"`
 }
 
-func accuracyReport(est accuracy.Estimate, rec accuracy.Recommendation, shadowBytes uint64, fill float64, traj []FillSample, alarm string) *AccuracyReport {
+func accuracyReport(est accuracy.Estimate, rec accuracy.Recommendation, shadowBytes uint64, alarm string) *AccuracyReport {
 	return &AccuracyReport{
 		SampleBits:          est.SampleBits,
 		SampleFraction:      est.SampleFraction,
@@ -291,8 +277,6 @@ func accuracyReport(est accuracy.Estimate, rec accuracy.Recommendation, shadowBy
 		CurrentSlots:        rec.CurrentSlots,
 		RecommendedSlots:    rec.RecommendedSlots,
 		RecommendedBytes:    rec.RecommendedBytes,
-		FillRatio:           fill,
-		FillTrajectory:      traj,
 		Alarm:               alarm,
 	}
 }

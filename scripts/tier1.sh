@@ -1,11 +1,12 @@
 #!/bin/sh
 # tier1.sh — the repository's tier-1 verification gate (see ROADMAP.md).
-# Build, formatting, vet, seven grep guards for things that must stay
+# Build, formatting, vet, eight grep guards for things that must stay
 # deleted or out (a trace-format knob or v1/v2 writer, a second copy of the
 # run on a write path, the superseded benchmark harness, the sharded engine's overload
 # policies and hand-rolled ring, an analyser option spelled out by hand beside
-# the one flag table, an internal/ export only tests call, package unsafe in
-# the analysis path), the full test suite, a
+# the one flag table, an internal/ export only tests call, the bloom reader-set
+# layout outside the experiments, package unsafe in the analysis path), the
+# full test suite, a
 # race-detector pass
 # over the packages with lock-free hot paths (signature memory), real
 # concurrency (the parallel engine mode, the sharded analysis pipeline and its
@@ -79,12 +80,12 @@ guard "an overload policy or a hand-rolled ring is back" \
 	grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Cond' internal/pipeline || true)"
 # The analyser's flags are declared once, in flags.go's BindFlags, and cross
 # into an instrumented program as the one variable COMMPROF_OPTS: no frontend
-# declares one of the ten names itself, and the per-option variables and their
+# declares one of the nine names itself, and the per-option variables and their
 # parser stay gone.
 guard "an analyser option is spelled out by hand again" \
 	"$(grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
 		'COMMPROF_(SHARDS|PHASES|GRANULARITY|REDUNDANCY_BITS|SIG)\>|\<envInt\>' . || true
-	grep -nE 'fs\.[A-Za-z0-9]+\(([^,"]*, *)?"(sig|fpr|phases|sample|granularity|shards|shard-queue|redundancy-bits|accuracy-bits|accuracy-target)"' \
+	grep -nE 'fs\.[A-Za-z0-9]+\(([^,"]*, *)?"(sig|phases|sample|granularity|shards|shard-queue|redundancy-bits|accuracy-bits|accuracy-target)"' \
 		cmd/commprof/*.go cmd/commtrace/*.go probe/*.go || true)"
 # Every exported func in internal/ is named by some non-test Go file (bench/
 # counts as a caller) outside its own declaration: what only tests call is
@@ -123,6 +124,19 @@ testonly_exports() {
 	done
 }
 guard "a test-only export is back in internal/" "$(testonly_exports)"
+# The profiler's reader sets have one layout, the exact mask arena
+# (sig.Asymmetric); the paper's per-slot bloom filters (sig.Bloom) serve only
+# the reproduction experiments. No code outside internal/sig imports the
+# filter, none outside internal/experiments builds sig.Bloom, and the rate
+# knob, the layout switch and the fill telemetry the filters fed stay deleted
+# (-fpr as a flag: "fpr" is also an experiment ID).
+guard "the bloom reader-set layout is back in production" \
+	"$(grep -rln --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'"commprof/internal/bloom"' . | grep -v '^\./internal/sig/' || true
+	grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'sig\.NewBloom' . | grep -v '^\./internal/experiments/' || true
+	grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'PaperBloom|BloomFPRate|FillAlarmRatio|FillTrajectory|sig_(bloom_)?fill_ratio|sig_filter_allocs|(fs|flag)\.[A-Za-z0-9]+\(([^,"]*, *)?"fpr"' . || true)"
 # The single-owner kernel reads and writes the same []uint64/[]int32 the
 # concurrent path reaches through sync/atomic; it may not get there by casting
 # the atomic arrays.

@@ -56,108 +56,59 @@ type Telemetry struct {
 	ovhMu   sync.Mutex
 	ovhBase overheadBaseline
 
-	// Fill-sampler state: the periodic goroutine that probes the production
-	// signature's bloom fill ratio during a run (see startFillSampler).
-	fillMu      sync.Mutex
-	fillSamples []FillSample
-	fillStop    chan struct{}
-	fillDone    chan struct{}
+	// The run's periodic goroutine (see startTicker): closing tickStop stops
+	// it, tickDone closes once it has.
+	tickMu   sync.Mutex
+	tickStop chan struct{}
+	tickDone chan struct{}
 }
 
-// fillSampleInterval is the signature-saturation probe cadence. FillRatio
-// samples a strided subset of filters, so a probe costs microseconds; 25ms
-// keeps even sub-second runs with a few trajectory points.
-const fillSampleInterval = 25 * time.Millisecond
+// tickInterval is the cadence of a run's periodic tick.
+const tickInterval = 25 * time.Millisecond
 
-// maxFillSamples bounds the recorded trajectory; when the run outlives the
-// bound, the sampler decimates (drops every other point), trading temporal
-// resolution for a whole-run view at fixed memory.
-const maxFillSamples = 240
-
-// startFillSampler begins the periodic fill probe for one run: each tick
-// sets the sig_fill_ratio gauge, records a trajectory point and feeds the
-// saturation alarm (a no-op on an unmonitored run). tick runs on the same
-// cadence — the phase-window advance and the timeline's counter-track sampler
-// ride along here, so a run has exactly one periodic goroutine. Any previous
-// run's sampler is stopped and its trajectory discarded.
-func (t *Telemetry) startFillSampler(start time.Time, pe *pipeline.Engine, tick func()) {
-	t.stopFillSampler()
+// startTicker begins one run's periodic goroutine, which runs tick (see
+// runTick) every tickInterval, so a run has exactly one periodic goroutine.
+// Any previous run's ticker is stopped first.
+func (t *Telemetry) startTicker(tick func()) {
+	t.stopTicker()
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	t.fillMu.Lock()
-	t.fillSamples = nil
-	t.fillStop, t.fillDone = stop, done
-	t.fillMu.Unlock()
-	gauge := t.reg.Gauge("sig_fill_ratio")
-	probe := func() {
-		ratio := pe.FillRatio(256)
-		gauge.Set(ratio)
-		pe.EvaluateAccuracy(ratio)
-		t.fillMu.Lock()
-		t.fillSamples = append(t.fillSamples, FillSample{
-			ElapsedSeconds: time.Since(start).Seconds(), Ratio: ratio,
-		})
-		if len(t.fillSamples) > maxFillSamples {
-			kept := t.fillSamples[:0]
-			for i, s := range t.fillSamples {
-				if i%2 == 0 {
-					kept = append(kept, s)
-				}
-			}
-			t.fillSamples = kept
-		}
-		t.fillMu.Unlock()
-		tick()
-	}
+	t.tickMu.Lock()
+	t.tickStop, t.tickDone = stop, done
+	t.tickMu.Unlock()
 	go func() {
 		defer close(done)
-		tick := time.NewTicker(fillSampleInterval)
-		defer tick.Stop()
+		ticker := time.NewTicker(tickInterval)
+		defer ticker.Stop()
 		for {
 			select {
 			case <-stop:
-				// One closing probe so even a sub-tick run records its final
-				// saturation point (and the alarm sees the final fill).
-				probe()
+				// One closing tick so even a sub-tick run sees the alarm and
+				// the counter tracks at its end.
+				tick()
 				return
-			case <-tick.C:
-				probe()
+			case <-ticker.C:
+				tick()
 			}
 		}
 	}()
 }
 
-// stopFillSampler stops the periodic probe, waiting for the goroutine to
-// exit; the recorded trajectory stays readable until the next run starts.
+// stopTicker stops the periodic goroutine, waiting for it to exit.
 // Idempotent and nil-safe. finishRun and Close both call it, so an error
 // path that skips finishRun leaks nothing past the handle's Close.
-func (t *Telemetry) stopFillSampler() {
+func (t *Telemetry) stopTicker() {
 	if t == nil {
 		return
 	}
-	t.fillMu.Lock()
-	stop, done := t.fillStop, t.fillDone
-	t.fillStop, t.fillDone = nil, nil
-	t.fillMu.Unlock()
+	t.tickMu.Lock()
+	stop, done := t.tickStop, t.tickDone
+	t.tickStop, t.tickDone = nil, nil
+	t.tickMu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done
 	}
-}
-
-// fillTrajectory snapshots the recorded saturation trajectory.
-func (t *Telemetry) fillTrajectory() []FillSample {
-	if t == nil {
-		return nil
-	}
-	t.fillMu.Lock()
-	defer t.fillMu.Unlock()
-	if len(t.fillSamples) == 0 {
-		return nil
-	}
-	out := make([]FillSample, len(t.fillSamples))
-	copy(out, t.fillSamples)
-	return out
 }
 
 // NewTelemetry returns an empty telemetry handle.
@@ -301,7 +252,7 @@ func (t *Telemetry) Close() error {
 	if t == nil {
 		return nil
 	}
-	t.stopFillSampler()
+	t.stopTicker()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.server == nil {
@@ -340,16 +291,11 @@ type ProgressSnapshot struct {
 	// ShardDepths is each analysis shard's live queue depth; nil unless the
 	// run uses the sharded pipeline (Options.AnalysisShards).
 	ShardDepths []int `json:"shard_depths,omitempty"`
-	// SigFilters / SigOccupancy / SigFillRatio describe signature
-	// saturation: allocated second-level bloom filters, the fraction of
-	// slots occupied, and the mean fill of a sample of filters. Up to 64
-	// threads reader sets are exact masks, not blooms: SigFilters and
-	// SigFillRatio stay 0 and SigOccupancy is the detectors' own exact count
-	// as of their last batch (a strided-sample estimate only under
+	// SigOccupancy describes signature saturation: the fraction of slots
+	// whose reader set is non-empty, the detectors' own exact count as of
+	// their last batch (a strided-sample estimate only under
 	// Options.Parallel without shards, where no detector has a single owner).
-	SigFilters   uint64  `json:"sig_filters"`
 	SigOccupancy float64 `json:"sig_occupancy"`
-	SigFillRatio float64 `json:"sig_fill_ratio"`
 	// RedundancyHitRate is the live fraction of accesses the redundancy
 	// fast path skipped (0 when the cache is off).
 	RedundancyHitRate float64 `json:"redundancy_hit_rate"`
@@ -386,9 +332,6 @@ type ProgressSnapshot struct {
 	// LoopPatterns is the live classification of the hottest communicating
 	// loops, hottest first.
 	LoopPatterns []LoopPatternStatus `json:"loop_patterns,omitempty"`
-	// FillTrajectory is the sampled course of the signature's bloom fill
-	// ratio over the run so far (the periodic sig_fill_ratio probe).
-	FillTrajectory []FillSample `json:"fill_trajectory,omitempty"`
 	// Stages is the live per-stage latency table: one row per pipeline stage
 	// that has recorded observations (decode, queue wait, producer, batch
 	// service, drain, window, merge). Quantiles are upper bounds of the log2
@@ -602,23 +545,28 @@ func (t *Telemetry) overheadReport() *OverheadReport {
 	return rep
 }
 
-// runTick returns the run's periodic rider on the fill sampler. Every tick
-// advances the windowed phase layer — closing each window now wholly below
-// the analyser's progress frontier and emitting it to the live classification
-// layer; closing is exactly-once and in order whatever the tick timing, and
-// the engine's Close flushes what remains, so end-of-run counters are
-// tick-independent (a no-op without PhaseWindow). With the timeline on it
+// runTick returns what the run's ticker runs. Every tick feeds the saturation
+// alarm (a no-op on an unmonitored run) and advances the windowed phase
+// layer — closing each window now wholly below the analyser's progress
+// frontier and emitting it to the live classification layer; closing is
+// exactly-once and in order whatever the tick timing, and the engine's Close
+// flushes what remains, so end-of-run counters are tick-independent (a no-op
+// without PhaseWindow). With the timeline on it
 // also samples the counter tracks: per-shard queue depth, redundancy hit rate
 // and the live FPR estimate, plus a one-shot instant the first time the
 // accuracy alarm trips.
 func (t *Telemetry) runTick(pe *pipeline.Engine) func() {
 	tl := t.Timeline()
 	if tl == nil {
-		return func() { pe.AdvancePhases() }
+		return func() {
+			pe.EvaluateAccuracy()
+			pe.AdvancePhases()
+		}
 	}
 	ctr := tl.Track("counters")
 	alarmSeen := false
 	return func() {
+		pe.EvaluateAccuracy()
 		pe.AdvancePhases()
 		for i := 0; i < pe.Shards(); i++ {
 			ctr.Counter(fmt.Sprintf("queue_depth_shard_%d", i), float64(pe.ShardDepth(i)))
@@ -647,7 +595,7 @@ func (t *Telemetry) span(name string) *obs.SpanHandle {
 }
 
 // wireRun binds the live-introspection sources (gauge functions, the
-// /progress snapshot, the periodic sampler) to one run's analyser: aggregate
+// /progress snapshot, the periodic ticker) to one run's analyser: aggregate
 // throughput and signature-saturation gauges, one depth gauge per shard
 // (pipeline_shard_<i>_depth; none in-thread), and the sampling gate's skipped
 // reads. eng may be nil: offline sources have no simulated-thread engine, so
@@ -680,7 +628,6 @@ func (t *Telemetry) wireRun(eng *exec.Engine, an *analysis) {
 		return float64(pe.Stats().Processed) / elapsed
 	})
 	reg.GaugeFunc("sig_slot_occupancy", pe.Occupancy)
-	reg.GaugeFunc("sig_bloom_fill_ratio", func() float64 { return pe.FillRatio(256) })
 	reg.GaugeFunc("sig_footprint_bytes", func() float64 { return float64(pe.SigFootprintBytes()) })
 	if _, ok := pe.RedundancyStats(); ok {
 		reg.GaugeFunc("redundancy_hit_rate", func() float64 {
@@ -703,7 +650,7 @@ func (t *Telemetry) wireRun(eng *exec.Engine, an *analysis) {
 			return est.EstimatedFPR
 		})
 	}
-	t.startFillSampler(start, pe, t.runTick(pe))
+	t.startTicker(t.runTick(pe))
 	t.progress.Store(func() ProgressSnapshot {
 		st := pe.Stats()
 		elapsed := time.Since(start).Seconds()
@@ -725,12 +672,9 @@ func (t *Telemetry) wireRun(eng *exec.Engine, an *analysis) {
 			CommBytes:      st.CommBytes,
 			SkippedReads:   an.skipped.Load(),
 			ShardDepths:    depths,
-			SigFilters:     pe.AllocatedFilters(),
 			SigOccupancy:   pe.Occupancy(),
-			SigFillRatio:   pe.FillRatio(64),
 
 			RedundancyHitRate: rst.HitRate(),
-			FillTrajectory:    t.fillTrajectory(),
 			Stages:            t.stageLatencies(),
 		}
 		if eng != nil {
@@ -753,7 +697,7 @@ func (t *Telemetry) wireRun(eng *exec.Engine, an *analysis) {
 // wirePhases binds the live phase-observability surfaces to one run: the
 // current-pattern gauges, per-class closed-window gauges and the /progress
 // phase fields (wrapping the base snapshot wireRun stored). Call after
-// wireRun, whose periodic sampler drives the window closing.
+// wireRun, whose periodic ticker drives the window closing.
 func (t *Telemetry) wirePhases(lp *metrics.LivePhases, regionName func(int32) string) {
 	if t == nil || lp == nil {
 		return
@@ -806,14 +750,14 @@ func (t *Telemetry) wirePhases(lp *metrics.LivePhases, regionName func(int32) st
 	})
 }
 
-// finishRun stops the fill sampler, records end-of-run structure gauges and
+// finishRun stops the ticker, records end-of-run structure gauges and
 // attaches the snapshot — plus the overhead self-attribution, when any stage
 // recorded time — to the report.
 func (t *Telemetry) finishRun(rep *Report, tree *comm.Tree) {
 	if t == nil {
 		return
 	}
-	t.stopFillSampler()
+	t.stopTicker()
 	t.reg.Gauge("comm_tree_nodes").Set(float64(tree.NodeCount()))
 	t.reg.Gauge("comm_matrix_nnz").Set(float64(tree.Global.NonZeroCells()))
 	rep.Telemetry = t.report()

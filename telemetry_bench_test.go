@@ -64,7 +64,7 @@ func BenchmarkProbeOverhead(b *testing.B) {
 		table.AddFunc("main", -1)
 		run(b, func() exec.Options {
 			backend, err := sig.NewAsymmetric(sig.Options{
-				Slots: 1 << 20, Threads: threads, FPRate: 0.001,
+				Slots: 1 << 20, Threads: threads,
 				Probes: probes.SigProbes(),
 			})
 			if err != nil {
