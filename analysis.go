@@ -2,6 +2,7 @@ package commprof
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,12 +26,9 @@ import (
 type analysis struct {
 	opts    Options
 	threads int
-	// concurrent: the source calls the probe from several goroutines at once
-	// (an engine source under Options.Parallel).
-	concurrent bool
-	tel        *Telemetry
-	pe         *pipeline.Engine
-	ps         *phaseState // nil without PhaseWindow
+	tel     *Telemetry
+	pe      *pipeline.Engine
+	ps      *phaseState // nil without PhaseWindow
 
 	gate    *detect.Gate  // nil without read sampling
 	skipped atomic.Uint64 // reads the gate turned away
@@ -41,9 +39,12 @@ type analysis struct {
 
 	// quantum buffers an in-thread engine source's accesses — what passed the
 	// record tap and the sampling gate, in issue order — for the detector's
-	// batch kernel: handed to quantumTo when full and in finish.
+	// batch kernel: handed to quantumTo when full and in finish. Under
+	// Options.Parallel the program's threads share it, and quantumMu orders
+	// their appends and flushes, so the detector has one caller at a time.
 	quantum   []trace.Access
 	quantumTo *pipeline.Producer
+	quantumMu sync.Mutex
 }
 
 // quantumLen is the in-thread buffer's capacity in accesses (32 KB); live
@@ -53,7 +54,7 @@ const quantumLen = 1024
 // newAnalysis builds the analyser for a run over threads threads and the
 // given region table. Close its engine (idempotent; finish does) on every
 // path, or a sharded run's workers outlive a failed source.
-func newAnalysis(opts Options, threads int, table *trace.Table, concurrent bool) (*analysis, error) {
+func newAnalysis(opts Options, threads int, table *trace.Table) (*analysis, error) {
 	if opts.AnalysisShards < 0 {
 		return nil, fmt.Errorf("commprof: AnalysisShards must be non-negative, got %d", opts.AnalysisShards)
 	}
@@ -61,15 +62,9 @@ func newAnalysis(opts Options, threads int, table *trace.Table, concurrent bool)
 		// A shift by the whole address width folds every access onto granule 0.
 		return nil, fmt.Errorf("commprof: GranularityBits (-granularity) must be below 64, got %d", opts.GranularityBits)
 	}
-	if concurrent && opts.AnalysisShards == 0 && (opts.RedundancyCacheBits > 0 || opts.AccuracyTargetFPR > 0) {
-		// In-thread, the program's threads are the analyser's callers; the
-		// redundancy cache and the accuracy monitor's verdict pairing both
-		// belong to exactly one. A shard worker is such an owner.
-		return nil, fmt.Errorf("commprof: RedundancyCacheBits and AccuracyTargetFPR need a single-consumer analyser: with Parallel set AnalysisShards ≥ 1")
-	}
 	tel := opts.Telemetry
 	probes := tel.probes()
-	an := &analysis{opts: opts, threads: threads, concurrent: concurrent, tel: tel}
+	an := &analysis{opts: opts, threads: threads, tel: tel}
 	var err error
 	if an.ps, err = newPhaseState(opts, table, tel, probes); err != nil {
 		return nil, err
@@ -81,7 +76,6 @@ func newAnalysis(opts Options, threads int, table *trace.Table, concurrent bool)
 	}
 	an.pe, err = pipeline.New(pipeline.Options{
 		Shards:              opts.AnalysisShards,
-		Concurrent:          concurrent,
 		Threads:             threads,
 		Table:               table,
 		GranularityBits:     opts.GranularityBits,
@@ -108,7 +102,7 @@ func newAnalysis(opts Options, threads int, table *trace.Table, concurrent bool)
 // burst/period gate turns away (and counts). Writes always pass — skipping
 // one would corrupt last-writer attribution rather than merely lose volume.
 func (an *analysis) sampledOut(kind trace.Kind, thread int32) bool {
-	if an.gate == nil || kind != trace.Read || an.gate.Admit(thread) {
+	if an.gate == nil || an.gate.Admit(kind, thread) {
 		return false
 	}
 	an.skipped.Add(1)
@@ -124,31 +118,37 @@ func (an *analysis) producer(flushOnThreadSwitch bool) *pipeline.Producer {
 }
 
 // probe returns the per-access hook a simulated-thread engine drives.
-// In-thread under the parallel scheduler it is the detector's own probe, one
-// concurrent-safe call per access; the deterministic scheduler's one
-// serialized probe is a single caller, so there accesses collect in the
-// quantum buffer and reach the detector a batch at a time. Sharded,
-// producer-side staging amortises shard-queue locking: under the parallel
-// scheduler each thread produces only its own accesses, so a per-thread
-// producer is contention-free (staging merely widens the enqueue-order race
-// the mode already accepts); the deterministic scheduler's single producer is
-// flushed on thread switches (= quantum boundaries), which preserves the exact
-// global arrival order. tap, when non-nil, encodes every access in front of
-// the sampling gate.
+// In-thread, accesses collect in the quantum buffer and reach the detector a
+// batch at a time: the deterministic scheduler's one serialized probe is a
+// single caller, and under the parallel scheduler the threads take quantumMu
+// around each append, so the detector sees them in lock order, one caller at
+// a time. Sharded, producer-side staging amortises shard-queue locking: under
+// the parallel scheduler each thread produces only its own accesses, so a
+// per-thread producer is contention-free (staging merely widens the
+// enqueue-order race the mode already accepts); the deterministic scheduler's
+// single producer is flushed on thread switches (= quantum boundaries), which
+// preserves the exact global arrival order. tap, when non-nil, encodes every
+// access in front of the sampling gate.
 func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
 	var process exec.Probe
-	switch d := an.pe.InThread(); {
-	case d != nil && an.concurrent:
-		process = d.Probe()
-	case d != nil:
+	switch {
+	case an.pe.Shards() == 0:
 		an.quantum, an.quantumTo = make([]trace.Access, 0, quantumLen), an.producer(false)
-		process = func(a trace.Access) {
+		stage := func(a trace.Access) {
 			an.quantum = append(an.quantum, a)
 			if len(an.quantum) == quantumLen {
 				an.flushQuantum()
 			}
 		}
-	case an.concurrent:
+		process = stage
+		if an.opts.Parallel {
+			process = func(a trace.Access) {
+				an.quantumMu.Lock()
+				stage(a)
+				an.quantumMu.Unlock()
+			}
+		}
+	case an.opts.Parallel:
 		producers := make([]*pipeline.Producer, an.threads)
 		for i := range producers {
 			producers[i] = an.producer(false)
@@ -296,7 +296,7 @@ type engineSource struct {
 // profileEngine runs an engine source with the analyser attached: build the
 // analyser, hand its probe to the engine, run, finish.
 func profileEngine(opts Options, src engineSource) (*Report, error) {
-	an, err := newAnalysis(opts, src.threads, src.table, opts.Parallel)
+	an, err := newAnalysis(opts, src.threads, src.table)
 	if err != nil {
 		return nil, err
 	}

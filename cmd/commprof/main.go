@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&opts.Threads, "threads", 32, "simulated thread count")
 	fs.StringVar(&opts.InputSize, "size", "simdev", "input size: simdev, simsmall or simlarge")
 	fs.Int64Var(&opts.Seed, "seed", 42, "workload random seed")
-	fs.BoolVar(&opts.Parallel, "parallel", false, "run threads as free goroutines (non-deterministic); the threads then share the in-thread analyser, so -redundancy-bits and -accuracy-* additionally need -shards >= 1")
+	fs.BoolVar(&opts.Parallel, "parallel", false, "run threads as free goroutines (non-deterministic); without -shards they take turns at the in-thread analyser under one lock")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

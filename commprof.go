@@ -63,9 +63,11 @@ type Options struct {
 	// Parallel runs threads as free goroutines instead of the deterministic
 	// round-robin scheduler. Results remain correct but are no longer
 	// bit-reproducible across runs. With in-thread analysis (AnalysisShards
-	// 0) the threads then call the detector concurrently, which
-	// RedundancyCacheBits and AccuracyTargetFPR cannot share: combining them
-	// is an error unless AnalysisShards ≥ 1. Record always runs the
+	// 0) the threads share one buffer of accesses under a lock, so the
+	// detector still has one caller at a time and every other option
+	// composes as in a deterministic run; the analysis is then serialised,
+	// so AnalysisShards ≥ 1 is how a parallel run gets analysis off the
+	// program's threads. Record always runs the
 	// deterministic scheduler (a trace needs one temporal order).
 	Parallel bool
 	// SampleBurst/SamplePeriod enable read sampling (the paper's §VII
@@ -128,10 +130,9 @@ type Options struct {
 	// are unchanged on a collision-free backend and statistically unchanged
 	// on the asymmetric signature; Report.Redundancy carries the hit-rate
 	// telemetry. 10–14 bits (a cache that fits in L1/L2) is the sweet spot.
-	// The cache has a single consumer: in-thread that is the deterministic
-	// scheduler's serialized probe or the replay loop, sharded each worker
-	// owns a private one. Parallel with in-thread analysis has no such owner
-	// and is rejected with an error — set AnalysisShards ≥ 1.
+	// The cache has a single consumer: in-thread that is the detector's one
+	// caller (the engine's probe, serialised under Parallel, or the replay
+	// loop), sharded each worker owns a private one.
 	RedundancyCacheBits uint
 	// AccuracyTargetFPR, when positive (and < 1), enables the online
 	// signature-accuracy monitor: a deterministically hash-selected
@@ -146,9 +147,9 @@ type Options struct {
 	// the FPR the run is expected to stay under; DefaultAccuracyTargetFPR
 	// is a reasonable starting point. Like RedundancyCacheBits, the monitor
 	// has a single consumer (the production and shadow verdicts of a granule
-	// must interleave in one temporal order to stay paired): Parallel with
-	// in-thread analysis is rejected with an error — set AnalysisShards ≥ 1,
-	// which monitors per shard in any mode.
+	// must interleave in one temporal order to stay paired): in-thread that
+	// is the detector's one caller, sharded each worker monitors its own
+	// partition.
 	AccuracyTargetFPR float64
 	// AccuracySampleBits is k in the 1/2^k accuracy sample: 0 shadows every
 	// granule (exact — Report.Accuracy.EstimatedFPR equals the offline

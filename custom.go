@@ -72,7 +72,7 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 	if err != nil {
 		return nil, err
 	}
-	an, err := newAnalysis(opts, threads, table, false)
+	an, err := newAnalysis(opts, threads, table)
 	if err != nil {
 		return nil, err
 	}

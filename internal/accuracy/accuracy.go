@@ -87,9 +87,9 @@ type Options struct {
 }
 
 // Monitor pairs production detection verdicts with exact shadow verdicts
-// over the sampled granule slice. One Monitor belongs to one consuming
-// goroutine (the serial detector's driver or one shard worker), exactly
-// like the redundancy cache; the counters are atomics only so telemetry
+// over the sampled granule slice. One Monitor belongs to its detector's one
+// caller at a time (the in-thread source or one shard worker), exactly like
+// the redundancy cache; the counters are atomics only so telemetry
 // snapshots can read a consistent-enough view while a run is in flight.
 type Monitor struct {
 	opts   Options
@@ -162,17 +162,6 @@ func New(opts Options) (*Monitor, error) {
 		shadow:   sig.NewPerfect(opts.Threads),
 		clusters: make(map[uint64]clusterTally),
 	}, nil
-}
-
-// SampleBits returns the configured slice width k.
-func (m *Monitor) SampleBits() uint { return m.opts.SampleBits }
-
-// TargetFPR returns the configured target.
-func (m *Monitor) TargetFPR() float64 { return m.opts.TargetFPR }
-
-// SampleFraction is the sampled share of the granule space, 1/2^k.
-func (m *Monitor) SampleFraction() float64 {
-	return 1 / float64(uint64(1)<<m.opts.SampleBits)
 }
 
 // Sampled reports whether a granule belongs to the shadowed slice. The
@@ -424,11 +413,6 @@ func effectiveTrials(st Stats) float64 {
 		neff = n * n * (k - 1) / (k * float64(st.ClusterEvSq))
 	}
 	return math.Min(n, math.Max(1, neff))
-}
-
-// Estimate derives the monitor's current estimate.
-func (m *Monitor) Estimate() Estimate {
-	return EstimateFrom(m.Stats(), m.opts.SampleBits, m.opts.TargetFPR)
 }
 
 // Wilson returns the Wilson score interval for successes out of trials at

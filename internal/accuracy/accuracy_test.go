@@ -52,7 +52,7 @@ func TestSampledBitsZeroSelectsEverything(t *testing.T) {
 			t.Fatalf("SampleBits 0 skipped granule %#x", addr)
 		}
 	}
-	if f := m.SampleFraction(); f != 1 {
+	if f := EstimateFrom(m.Stats(), 0, DefaultTargetFPR).SampleFraction; f != 1 {
 		t.Errorf("SampleFraction = %v, want 1", f)
 	}
 }
@@ -76,7 +76,7 @@ func TestSampledFraction(t *testing.T) {
 		if got := float64(hits); math.Abs(got-want) > 0.15*want {
 			t.Errorf("bits=%d: %d granules sampled of %d, want ≈%.0f", bits, hits, n, want)
 		}
-		if f := m.SampleFraction(); f != 1/float64(uint64(1)<<bits) {
+		if f := EstimateFrom(m.Stats(), bits, DefaultTargetFPR).SampleFraction; f != 1/float64(uint64(1)<<bits) {
 			t.Errorf("bits=%d: SampleFraction = %v", bits, f)
 		}
 	}
@@ -143,7 +143,7 @@ func TestVerdictPairing(t *testing.T) {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 
-	est := m.Estimate()
+	est := EstimateFrom(m.Stats(), 0, DefaultTargetFPR)
 	if got, want := est.EstimatedFPR, 2.0/3.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("EstimatedFPR = %v, want %v", got, want)
 	}
@@ -284,7 +284,7 @@ func TestAlarmFPRTrip(t *testing.T) {
 func TestMonitorAlarmAndFootprint(t *testing.T) {
 	m := newMonitor(t, Options{Threads: 4, SampleBits: 0})
 	var a Alarm
-	a.Evaluate(m.Estimate())
+	a.Evaluate(EstimateFrom(m.Stats(), 0, DefaultTargetFPR))
 	if _, ok := a.Message(); ok {
 		t.Fatal("fresh monitor alarmed")
 	}
@@ -294,7 +294,7 @@ func TestMonitorAlarmAndFootprint(t *testing.T) {
 	for addr := uint64(0); addr < 200; addr++ {
 		m.ObserveRead(addr, 0, true, 1) // no writer in the shadow: a false positive
 	}
-	a.Evaluate(m.Estimate())
+	a.Evaluate(EstimateFrom(m.Stats(), 0, DefaultTargetFPR))
 	if msg, ok := a.Message(); !ok || msg == "" {
 		t.Fatal("FPR alarm did not latch on the monitor's estimate")
 	}

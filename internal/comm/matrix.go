@@ -6,17 +6,18 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync/atomic"
 )
 
 // Matrix is an n×n thread communication matrix. Cell (src,dst) holds the
 // number of bytes thread dst read that were last written by thread src.
-// Every mutator but AddOwned is safe for concurrent use (the analysis runs
-// inside the target program's threads).
+// A Matrix is not safe for concurrent use: a detector's matrices have that
+// detector as their one writer and no reader until its run is over, and the
+// window layer touches its matrices under its own locks.
 type Matrix struct {
 	n     int
-	cells []uint64 // row-major [src*n+dst]; through sync/atomic except in AddOwned
+	cells []uint64 // row-major [src*n+dst]
 }
 
 // NewMatrix returns a zeroed n×n matrix. It panics on n <= 0.
@@ -32,13 +33,6 @@ func (m *Matrix) N() int { return m.n }
 
 // Add records bytes of communication from producer src to consumer dst.
 func (m *Matrix) Add(src, dst int32, bytes uint64) {
-	atomic.AddUint64(m.cell(src, dst), bytes)
-}
-
-// AddOwned is Add with a plain read-modify-write.
-// It is NOT safe for concurrent use: the caller is the matrix's only writer,
-// and nothing reads the matrix until a happens-before edge from that writer.
-func (m *Matrix) AddOwned(src, dst int32, bytes uint64) {
 	*m.cell(src, dst) += bytes
 }
 
@@ -51,14 +45,14 @@ func (m *Matrix) cell(src, dst int32) *uint64 {
 
 // At returns the bytes communicated from src to dst.
 func (m *Matrix) At(src, dst int) uint64 {
-	return atomic.LoadUint64(&m.cells[src*m.n+dst])
+	return m.cells[src*m.n+dst]
 }
 
 // Total returns the sum of all cells.
 func (m *Matrix) Total() uint64 {
 	var t uint64
-	for i := range m.cells {
-		t += atomic.LoadUint64(&m.cells[i])
+	for _, v := range m.cells {
+		t += v
 	}
 	return t
 }
@@ -79,19 +73,15 @@ func (m *Matrix) AddMatrix(other *Matrix) {
 	if other.n != m.n {
 		panic(fmt.Sprintf("comm: dimension mismatch %d vs %d", m.n, other.n))
 	}
-	for i := range m.cells {
-		if v := atomic.LoadUint64(&other.cells[i]); v != 0 {
-			atomic.AddUint64(&m.cells[i], v)
-		}
+	for i, v := range other.cells {
+		m.cells[i] += v
 	}
 }
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.n)
-	for i := range m.cells {
-		c.cells[i] = atomic.LoadUint64(&m.cells[i])
-	}
+	copy(c.cells, m.cells)
 	return c
 }
 
@@ -100,9 +90,7 @@ func (m *Matrix) CopyFrom(other *Matrix) {
 	if other.n != m.n {
 		panic(fmt.Sprintf("comm: dimension mismatch %d vs %d", m.n, other.n))
 	}
-	for i := range m.cells {
-		atomic.StoreUint64(&m.cells[i], atomic.LoadUint64(&other.cells[i]))
-	}
+	copy(m.cells, other.cells)
 }
 
 // Equal reports whether both matrices have identical dimensions and cells.
@@ -110,12 +98,7 @@ func (m *Matrix) Equal(other *Matrix) bool {
 	if other == nil || other.n != m.n {
 		return false
 	}
-	for i := range m.cells {
-		if atomic.LoadUint64(&m.cells[i]) != atomic.LoadUint64(&other.cells[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(m.cells, other.cells)
 }
 
 // Rows returns a plain [][]uint64 snapshot (row = producer).
@@ -155,8 +138,8 @@ func FromRows(rows [][]uint64) (*Matrix, error) {
 // NonZeroCells counts cells with any traffic.
 func (m *Matrix) NonZeroCells() int {
 	c := 0
-	for i := range m.cells {
-		if atomic.LoadUint64(&m.cells[i]) != 0 {
+	for _, v := range m.cells {
+		if v != 0 {
 			c++
 		}
 	}
@@ -169,8 +152,8 @@ func (m *Matrix) NonZeroCells() int {
 func (m *Matrix) Heatmap() string {
 	ramp := []byte(" .:-=+*#%@")
 	max := uint64(0)
-	for i := range m.cells {
-		if v := atomic.LoadUint64(&m.cells[i]); v > max {
+	for _, v := range m.cells {
+		if v > max {
 			max = v
 		}
 	}

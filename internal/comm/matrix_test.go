@@ -2,7 +2,6 @@ package comm
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -119,24 +118,6 @@ func TestHeatmapAndCSV(t *testing.T) {
 	csv := m.CSV()
 	if csv != "0,1000,0\n0,0,0\n10,0,0\n" {
 		t.Errorf("CSV = %q", csv)
-	}
-}
-
-func TestConcurrentAdd(t *testing.T) {
-	m := NewMatrix(8)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				m.Add(int32(w), int32(i%8), 1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if m.Total() != 8000 {
-		t.Fatalf("Total = %d, want 8000 (lost updates)", m.Total())
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // A dense n×n matrix costs n² cells regardless of traffic; most patterns
 // (stencil halos, pipelines, reductions) touch O(n) pairs, so at high thread
 // counts the sparse form wins by orders of magnitude. The trade-off is a
-// mutex-guarded map instead of a lock-free array — slower per update.
+// mutex-guarded map instead of a flat array — slower per update.
 type SparseMatrix struct {
 	n  int
 	mu sync.Mutex

@@ -21,6 +21,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -52,8 +53,8 @@ type Options struct {
 	// Table is the static region table; nil disables per-region attribution.
 	Table *trace.Table
 	// OnEvent, when non-nil, receives every detected dependence (used by
-	// phase segmentation and the FPR experiments). In parallel runs it must
-	// be safe for concurrent use.
+	// phase segmentation and the FPR experiments), on the goroutine that
+	// called Process or ProcessBatch.
 	OnEvent func(Event)
 	// GranularityBits coarsens the analysis granularity: addresses are
 	// shifted right by this amount before consulting the signature, so 0
@@ -68,9 +69,8 @@ type Options struct {
 	// direct-mapped cache of the last (thread, kind) to touch each
 	// granularity-coarsened address, filtering out accesses Algorithm 1 is
 	// guaranteed to classify as non-communicating (see internal/redundancy
-	// for the three skip rules and their soundness argument). The cache is
-	// NOT goroutine-safe, so set this only when exactly one goroutine calls
-	// Process — the serial replay loop, or one sharded-pipeline worker.
+	// for the three skip rules and their soundness argument). Like the
+	// backend, the cache belongs to the detector's one caller.
 	// Filtered accesses still count toward Stats.Processed and the
 	// per-region access counters; only the backend consultation is skipped.
 	RedundancyCacheBits uint
@@ -79,7 +79,7 @@ type Options struct {
 	// live signature-FPR estimate (see internal/accuracy). The monitor sits
 	// behind the redundancy fast path — skipped accesses reach neither the
 	// backend nor the shadow, which keeps verdict pairs aligned. Like the
-	// redundancy cache, a monitor belongs to exactly one Process goroutine.
+	// redundancy cache, a monitor belongs to the detector's one caller.
 	Accuracy *accuracy.Monitor
 	// Probes, when non-nil, receives self-observability telemetry (event
 	// counts and sizes, stale-writer drops). Nil keeps the hot path
@@ -92,22 +92,17 @@ type Options struct {
 	// into signature / redundancy / shadow without per-access clock reads.
 	// Nil costs one branch per access.
 	Overhead *obs.OverheadProbes
-	// SingleOwner declares that one goroutine at a time calls Process and
-	// ProcessBatch, each call ordered after the last by a happens-before edge
-	// (a shard worker; a replay loop; the deterministic executor, whose threads
-	// hand the turn over a channel). The detector then owns its matrices and
-	// its backend (sig.Asymmetric.Own) and touches both without atomics. Set
-	// by the layer that arranges the callers, internal/pipeline; false, the
-	// default, keeps every access safe for concurrent callers.
-	SingleOwner bool
 }
 
 // Detector consumes accesses in temporal order and accumulates communication
-// matrices. Safe for concurrent use when its backend and OnEvent are and
-// Options.SingleOwner is false; with SingleOwner it belongs to its one caller,
-// and only Stats, RedundancyStats and the backend's Occupancy may be read
-// from elsewhere before that caller is done. Those counters are published
-// once per ProcessBatch, so mid-run they trail by at most one batch.
+// matrices. It has one caller at a time, each call ordered after the last by
+// a happens-before edge (a shard worker; a replay loop; the deterministic
+// executor, whose threads hand the turn over a channel; the parallel
+// executor's threads, which take a lock), and it touches its matrices,
+// backend, cache and monitor without atomics. Only Stats, RedundancyStats and
+// the backend's Occupancy may be read from elsewhere before that caller is
+// done. Those are published once per ProcessBatch, so mid-run they trail by at
+// most one batch.
 type Detector struct {
 	opts Options
 	// asym is opts.Backend when that is the asymmetric signature: the kernel
@@ -117,11 +112,11 @@ type Detector struct {
 	outside *comm.Matrix
 	// perRegion matrices and access counters indexed by region ID.
 	perRegion []*comm.Matrix
-	regionAcc []atomic.Uint64
+	regionAcc []uint64 // read only after the caller is done
 	redun     *redundancy.Cache
 
-	// A cache line away from the read-only fields above, which every call
-	// reads: concurrent callers write these counters on every call.
+	// A cache line away from the fields above, which every call reads: the
+	// caller writes these once per batch and telemetry reads them mid-run.
 	_         [64]byte
 	processed atomic.Uint64
 	detected  atomic.Uint64
@@ -150,7 +145,7 @@ func New(opts Options) (*Detector, error) {
 		for i := range d.perRegion {
 			d.perRegion[i] = comm.NewMatrix(opts.Threads)
 		}
-		d.regionAcc = make([]atomic.Uint64, opts.Table.Len())
+		d.regionAcc = make([]uint64, opts.Table.Len())
 	}
 	if opts.RedundancyCacheBits > 0 {
 		c, err := redundancy.New(opts.RedundancyCacheBits, opts.Threads)
@@ -159,9 +154,7 @@ func New(opts Options) (*Detector, error) {
 		}
 		d.redun = c
 	}
-	if d.asym, _ = opts.Backend.(*sig.Asymmetric); d.asym != nil && opts.SingleOwner {
-		d.asym.Own()
-	}
+	d.asym, _ = opts.Backend.(*sig.Asymmetric)
 	return d, nil
 }
 
@@ -203,10 +196,10 @@ func (d *Detector) ProcessBatch(batch []trace.Access) { d.kernel(batch) }
 // locals and reach their atomics once per batch (the per-region access
 // counters once per run of same-region accesses), the optional layers are a
 // predicted branch each with their work out of line, and the asymmetric
-// signature is called without interface dispatch — plainly, not atomically,
-// when the detector owns it. It reports whether the batch's last access
-// communicated and with which writer: Process's result, as scalars because a
-// struct result is copied the same costly way Process's comment describes.
+// signature is called without interface dispatch. It reports whether the
+// batch's last access communicated and with which writer: Process's result,
+// as scalars because a struct result is copied the same costly way Process's
+// comment describes.
 func (d *Detector) kernel(batch []trace.Access) (lastWriter int32, lastComm bool) {
 	asym, cache, gran := d.asym, d.redun, d.opts.GranularityBits
 	base := d.processed.Load() // the batch's first access is number base+1
@@ -294,7 +287,7 @@ func (d *Detector) kernel(batch []trace.Access) (lastWriter int32, lastComm bool
 		p.StaleWriterDrops.Add(stale)
 		p.Events.Add(detected)
 	}
-	if asym != nil && d.opts.SingleOwner {
+	if asym != nil {
 		asym.Publish()
 	}
 	return lastWriter, lastComm
@@ -310,13 +303,8 @@ func (d *Detector) emit(a *trace.Access, writer int32) {
 	if a.Region != trace.NoRegion && int(a.Region) < len(d.perRegion) {
 		own = d.perRegion[a.Region]
 	}
-	if d.opts.SingleOwner {
-		d.global.AddOwned(writer, a.Thread, uint64(a.Size))
-		own.AddOwned(writer, a.Thread, uint64(a.Size))
-	} else {
-		d.global.Add(writer, a.Thread, uint64(a.Size))
-		own.Add(writer, a.Thread, uint64(a.Size))
-	}
+	d.global.Add(writer, a.Thread, uint64(a.Size))
+	own.Add(writer, a.Thread, uint64(a.Size))
 	if d.opts.OnEvent != nil {
 		d.opts.OnEvent(Event{Time: a.Time, Writer: writer, Reader: a.Thread, Bytes: a.Size, Region: a.Region})
 	}
@@ -342,7 +330,7 @@ func (d *Detector) shadow(a *trace.Access, gaddr uint64, comm bool, writer int32
 // countRegion adds a run of n accesses to region's access counter.
 func (d *Detector) countRegion(region int32, n uint64) {
 	if n > 0 && region != trace.NoRegion && int(region) < len(d.regionAcc) {
-		d.regionAcc[region].Add(n)
+		d.regionAcc[region] += n
 	}
 }
 
@@ -353,17 +341,13 @@ func (d *Detector) Global() *comm.Matrix { return d.global }
 // sharded pipeline reads it when merging shard detectors into one tree.
 func (d *Detector) Outside() *comm.Matrix { return d.outside }
 
-// RegionAccesses returns a snapshot of the per-region access counters, or nil
+// RegionAccesses returns a copy of the per-region access counters, or nil
 // when the detector was built without a region table.
 func (d *Detector) RegionAccesses() []uint64 {
 	if d.regionAcc == nil {
 		return nil
 	}
-	acc := make([]uint64, len(d.regionAcc))
-	for i := range d.regionAcc {
-		acc[i] = d.regionAcc[i].Load()
-	}
-	return acc
+	return slices.Clone(d.regionAcc)
 }
 
 // Table returns the static region table the detector was built with (nil when
@@ -371,8 +355,8 @@ func (d *Detector) RegionAccesses() []uint64 {
 func (d *Detector) Table() *trace.Table { return d.opts.Table }
 
 // Tree builds the nested communication structure. It errors if the detector
-// was built without a region table. On a SingleOwner detector the caller must
-// be ordered after the owner's last ProcessBatch by a happens-before edge.
+// was built without a region table. The caller must be ordered after the
+// detector's last ProcessBatch by a happens-before edge.
 func (d *Detector) Tree() (*comm.Tree, error) {
 	if d.opts.Table == nil {
 		return nil, fmt.Errorf("detect: no region table configured")

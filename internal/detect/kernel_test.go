@@ -16,12 +16,12 @@ import (
 
 // wallConfig is one cell of the kernel's differential wall.
 type wallConfig struct {
-	backend                      string // "mask", "bloom", "perfect"
-	cache, monitor, probes, owns bool
+	backend                string // "mask", "bloom", "perfect"
+	cache, monitor, probes bool
 }
 
 func (c wallConfig) String() string {
-	return fmt.Sprintf("%s/cache=%v/monitor=%v/probes=%v/owned=%v", c.backend, c.cache, c.monitor, c.probes, c.owns)
+	return fmt.Sprintf("%s/cache=%v/monitor=%v/probes=%v", c.backend, c.cache, c.monitor, c.probes)
 }
 
 // wallSlots is small enough that slot collisions, stale attributions and
@@ -95,7 +95,7 @@ func (c wallConfig) runKernel(t *testing.T, stream []trace.Access, table *trace.
 	bits, mon, probes := c.parts(t, threads)
 	d, err := New(Options{
 		Threads: threads, Backend: c.newBackend(t, threads), Table: table,
-		RedundancyCacheBits: bits, Accuracy: mon, Probes: probes, SingleOwner: c.owns,
+		RedundancyCacheBits: bits, Accuracy: mon, Probes: probes,
 		OnEvent: func(ev Event) { res.Events = append(res.Events, ev) },
 	})
 	if err != nil {
@@ -125,9 +125,9 @@ func (c wallConfig) runKernel(t *testing.T, stream []trace.Access, table *trace.
 }
 
 // runReference is Algorithm 1 one access at a time, as Process read before
-// the kernel existed: every layer through its public, concurrent-safe, counted
-// entry point, nothing batched, nothing owned. It shares the layers with the
-// kernel and none of the kernel's loop.
+// the kernel existed: every layer through its public, counted entry point,
+// nothing batched. It shares the layers with the kernel and none of the
+// kernel's loop.
 func (c wallConfig) runReference(t *testing.T, stream []trace.Access, table *trace.Table, threads int) wallResult {
 	t.Helper()
 	bits, mon, probes := c.parts(t, threads)
@@ -235,8 +235,7 @@ func collisionStream(n, threads int, table *trace.Table, seed int64) []trace.Acc
 }
 
 // TestKernelDifferentialWall is the batch kernel's acceptance property: fed
-// in batches of 1, 7, 256 or the whole stream, owned or shared, with any
-// combination of redundancy cache, accuracy monitor and probes, over the exact
+// in batches of 1, 7, 256 or the whole stream, with any combination of redundancy cache, accuracy monitor and probes, over the exact
 // mask arena at one and at two words per slot, the paper's bloom layout, and
 // the perfect signature, it leaves exactly what the one-access-at-a-time
 // reference leaves: matrices, region counters, every statistic, and the
@@ -261,7 +260,7 @@ func TestKernelDifferentialWall(t *testing.T) {
 			backends: []string{"mask", "perfect"}},
 	}
 	// Splash-mix shapes; the first 10 000 accesses of each keep the wall
-	// affordable under the race detector (64 configurations x 9 runs).
+	// affordable under the race detector (64 configurations x 5 runs).
 	for _, app := range []string{"fft", "lu_ncb", "water_nsq"} {
 		stream, table := recordWorkloadStream(t, app, 8)
 		stream = stream[:min(len(stream), 10000)]
@@ -276,14 +275,12 @@ func TestKernelDifferentialWall(t *testing.T) {
 				if want.Stats.Detected == 0 {
 					t.Fatalf("%s %v: reference detected nothing; the comparison is vacuous", in.name, cfg)
 				}
-				for _, cfg.owns = range []bool{false, true} {
-					for _, batch := range []int{1, 7, 256, 0} {
-						got := cfg.runKernel(t, in.stream, in.table, in.threads, batch)
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s %v batch %d: kernel differs from the reference\n got  stats %+v red %+v acc %+v events %d\n want stats %+v red %+v acc %+v events %d",
-								in.name, cfg, batch, got.Stats, got.Redundancy, got.Accuracy, len(got.Events),
-								want.Stats, want.Redundancy, want.Accuracy, len(want.Events))
-						}
+				for _, batch := range []int{1, 7, 256, 0} {
+					got := cfg.runKernel(t, in.stream, in.table, in.threads, batch)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %v batch %d: kernel differs from the reference\n got  stats %+v red %+v acc %+v events %d\n want stats %+v red %+v acc %+v events %d",
+							in.name, cfg, batch, got.Stats, got.Redundancy, got.Accuracy, len(got.Events),
+							want.Stats, want.Redundancy, want.Accuracy, len(want.Events))
 					}
 				}
 			}
@@ -292,8 +289,8 @@ func TestKernelDifferentialWall(t *testing.T) {
 }
 
 // kernelDetector builds the detector the allocation test and the benchmark
-// share: the mask-layout signature, optionally cached, optionally owned.
-func kernelDetector(tb testing.TB, threads int, slots uint64, table *trace.Table, cacheBits uint, owned bool) *Detector {
+// share: the mask-layout signature, optionally cached.
+func kernelDetector(tb testing.TB, threads int, slots uint64, table *trace.Table, cacheBits uint) *Detector {
 	tb.Helper()
 	backend, err := sig.NewAsymmetric(sig.Options{Slots: slots, Threads: threads})
 	if err != nil {
@@ -301,7 +298,7 @@ func kernelDetector(tb testing.TB, threads int, slots uint64, table *trace.Table
 	}
 	d, err := New(Options{
 		Threads: threads, Backend: backend, Table: table,
-		RedundancyCacheBits: cacheBits, SingleOwner: owned,
+		RedundancyCacheBits: cacheBits,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -309,13 +306,12 @@ func kernelDetector(tb testing.TB, threads int, slots uint64, table *trace.Table
 	return d
 }
 
-// kernelConfigs are the three configurations the end-to-end rows run: the
-// shared kernel, the shared kernel behind the cache, the owned kernel.
+// kernelConfigs are the two configurations the end-to-end rows run: the
+// kernel alone and the kernel behind the cache.
 var kernelConfigs = []struct {
 	name      string
 	cacheBits uint
-	owned     bool
-}{{"plain", 0, false}, {"cache", 14, false}, {"owned", 0, true}}
+}{{"plain", 0}, {"cache", 14}}
 
 // TestKernelZeroAlloc pins that a batch costs no allocation.
 func TestKernelZeroAlloc(t *testing.T) {
@@ -323,7 +319,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 	table.AddLoop("l", table.AddFunc("main", trace.NoRegion))
 	batch := collisionStream(256, 16, table, 3)
 	for _, c := range kernelConfigs {
-		d := kernelDetector(t, 16, wallSlots, table, c.cacheBits, c.owned)
+		d := kernelDetector(t, 16, wallSlots, table, c.cacheBits)
 		if n := testing.AllocsPerRun(100, func() { d.ProcessBatch(batch) }); n != 0 {
 			t.Errorf("%s: ProcessBatch allocates %v per batch, want 0", c.name, n)
 		}

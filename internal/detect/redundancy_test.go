@@ -277,11 +277,11 @@ func hotBenchStream(b *testing.B) ([]trace.Access, *trace.Table) {
 }
 
 // BenchmarkProcessBatch is the kernel's in-package meter: ns/access over a
-// recorded workload stream fed in 256-access batches, for the shared kernel
-// ("plain": every access pays the full asymmetric-signature cost, atomically),
-// the same behind the redundancy fast path ("cache"; read the hitrate metric
-// for the skip fraction) and the single-owner kernel ("owned"). The end-to-end
-// rows these stand behind are bench/'s replay, synth-local and live.
+// recorded workload stream fed in 256-access batches, for the kernel alone
+// ("plain": every access pays the full asymmetric-signature cost) and behind
+// the redundancy fast path ("cache"; read the hitrate metric for the skip
+// fraction). The end-to-end rows these stand behind are bench/'s replay,
+// synth-local and live.
 func BenchmarkProcessBatch(b *testing.B) {
 	stream, table := hotBenchStream(b)
 	for _, c := range kernelConfigs {
@@ -298,7 +298,7 @@ func BenchmarkProcessBatch(b *testing.B) {
 			var last *Detector
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				last = kernelDetector(b, hotBenchThreads, hotBenchSlots, table, cacheBits, c.owned)
+				last = kernelDetector(b, hotBenchThreads, hotBenchSlots, table, cacheBits)
 				b.StartTimer()
 				for j := 0; j < len(stream); j += 256 {
 					last.ProcessBatch(stream[j:min(j+256, len(stream))])

@@ -10,9 +10,10 @@
 //     all experiments reproducible.
 //
 //   - Parallel: threads run as free goroutines and the probe is invoked
-//     concurrently, exercising the lock-free signature memory exactly as the
+//     concurrently, so the analysis runs in the program's own threads as the
 //     paper describes ("we use the same threads in the program ... without
-//     any need to any extra threads", §IV-D3).
+//     any need to any extra threads", §IV-D3); the probe serialises what it
+//     must.
 //
 // The engine substitutes for native pthread execution of the paper's testbed;
 // communication-matrix shape depends only on which threads touch which

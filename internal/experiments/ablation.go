@@ -9,6 +9,8 @@ import (
 	"commprof/internal/baselines"
 	"commprof/internal/comm"
 	"commprof/internal/detect"
+	"commprof/internal/exec"
+	"commprof/internal/metrics"
 	"commprof/internal/pipeline"
 	"commprof/internal/sig"
 	"commprof/internal/splash"
@@ -55,12 +57,12 @@ func SamplingAblation(env Env, app string, size splash.Size) (*SamplingResult, e
 		if err != nil {
 			return nil, err
 		}
-		smp, err := detect.NewSampler(d, r.burst, r.period)
+		gate, err := detect.NewGate(env.Threads, r.burst, r.period)
 		if err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
-		if _, err := prog.Run(newEngine(env, smp.Probe())); err != nil {
+		if _, err := prog.Run(newEngine(env, gated(gate, d))); err != nil {
 			return nil, fmt.Errorf("experiments: %s sampling %d/%d: %w", app, r.burst, r.period, err)
 		}
 		wall := time.Since(t0).Nanoseconds()
@@ -70,19 +72,44 @@ func SamplingAblation(env Env, app string, size splash.Size) (*SamplingResult, e
 		}
 		row := SamplingRow{
 			Burst: r.burst, Period: r.period,
-			Fraction: smp.SampleFraction(),
+			Fraction: gate.Fraction(),
 			WallNs:   wall,
 		}
 		if fullMatrix != nil {
-			row.Fidelity = detect.Fidelity(fullMatrix, d.Global())
+			row.Fidelity = metrics.CosineSimilarity(fullMatrix, d.Global())
 			if ft := fullMatrix.Total(); ft > 0 {
-				row.VolumeRatio = float64(smp.ScaledGlobal().Total()) / float64(ft)
+				row.VolumeRatio = float64(scaledTotal(d.Global(), gate.Fraction())) / float64(ft)
 			}
 			row.Speedup = float64(fullWall) / float64(wall)
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// gated is d's probe behind the read-sampling gate.
+func gated(gate *detect.Gate, d *detect.Detector) exec.Probe {
+	return func(a trace.Access) {
+		if gate.Admit(a.Kind, a.Thread) {
+			d.Process(a)
+		}
+	}
+}
+
+// scaledTotal estimates the unsampled communication volume from a matrix
+// detected with the given fraction of reads analysed: each cell rescaled by
+// 1/fraction and rounded to the nearest byte, then summed.
+func scaledTotal(m *comm.Matrix, fraction float64) uint64 {
+	scale := 1 / fraction
+	var total uint64
+	for src := 0; src < m.N(); src++ {
+		for dst := 0; dst < m.N(); dst++ {
+			if v := m.At(src, dst); v > 0 {
+				total += uint64(float64(v)*scale + 0.5)
+			}
+		}
+	}
+	return total
 }
 
 // Render formats the ablation.
@@ -238,12 +265,13 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 		if err != nil {
 			return 0, 0
 		}
-		smp, err := detect.NewSampler(d, 1, 8)
+		gate, err := detect.NewGate(env.Threads, 1, 8)
 		if err != nil {
 			return 0, 0
 		}
+		probe := gated(gate, d)
 		for _, a := range stream {
-			smp.Process(a)
+			probe(a)
 		}
 		return asym.FootprintBytes(), d.Stats().Processed
 	})

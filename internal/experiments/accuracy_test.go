@@ -36,7 +36,7 @@ func monitoredFPR(t *testing.T, env Env, app string, size splash.Size, slots uin
 	if _, err := prog.Run(newEngine(env, func(a trace.Access) { d.Process(a) })); err != nil {
 		t.Fatal(err)
 	}
-	return mon.Estimate()
+	return accuracy.EstimateFrom(mon.Stats(), bits, accuracy.DefaultTargetFPR)
 }
 
 // TestOnlineFPRMatchesOfflineSweep is the estimator's ground-truth

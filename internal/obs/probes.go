@@ -8,9 +8,9 @@ package obs
 
 // SigProbes instruments the asymmetric signature memory.
 type SigProbes struct {
-	// CASRetries counts lost CAS races in parallel mode: another thread
-	// changed a reader mask between this thread's load and its update (or,
-	// on the paper's bloom layout, installed a slot's filter first).
+	// CASRetries counts lost filter installs on the paper's bloom layout
+	// (sig.Bloom): another thread installed a slot's filter first. The mask
+	// arena has one caller at a time and never retries.
 	CASRetries *Counter
 	// ReaderResets counts writes that cleared a recorded reader set — a
 	// slot's non-empty mask words or its bloom filter (Fig. 2's

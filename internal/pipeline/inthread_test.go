@@ -66,15 +66,12 @@ func TestInThreadMatchesBareDetector(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Half through the detector itself, half through a producer: the
-			// two in-thread feeds are the same detector.
-			d, p := e.InThread(), e.NewProducer(false)
-			if d == nil {
-				t.Fatal("K = 0 engine has no in-thread detector")
-			}
+			// Half access by access, half as one batch: the two in-thread
+			// feeds are the same detector.
+			p := e.NewProducer(false)
 			half := len(stream) / 2
 			for _, a := range stream[:half] {
-				d.Process(a)
+				p.Process(a)
 			}
 			p.ProcessBatch(stream[half:])
 			p.Flush()
@@ -104,8 +101,9 @@ func TestInThreadMatchesBareDetector(t *testing.T) {
 			if gotAcc, ok := e.AccuracyStats(); !ok || gotAcc != mon.Stats() {
 				t.Fatalf("accuracy stats %+v (on=%v), bare monitor %+v", gotAcc, ok, mon.Stats())
 			}
-			if est, _ := e.AccuracyEstimate(); est != mon.Estimate() {
-				t.Fatalf("accuracy estimate %+v, bare monitor %+v", est, mon.Estimate())
+			bareEst := accuracy.EstimateFrom(mon.Stats(), accOpts.SampleBits, accOpts.TargetFPR)
+			if est, _ := e.AccuracyEstimate(); est != bareEst {
+				t.Fatalf("accuracy estimate %+v, bare monitor %+v", est, bareEst)
 			}
 			ws, err := e.PhaseWindows()
 			if err != nil {

@@ -74,14 +74,10 @@ type Options struct {
 	// Shards is the number of analysis shards K. 0 is the in-thread analyser:
 	// one shard that owns the whole slot budget and runs Algorithm 1 on the
 	// calling goroutine — no queue, no worker, no producer staging — so
-	// QueueCapacity does not apply, and a RedundancyCacheBits or Accuracy
-	// setting needs a single calling goroutine (see detect.Options).
+	// QueueCapacity does not apply. Every detector has one caller at a time
+	// (see detect.Detector): a shard worker, or at K = 0 the source, which
+	// serialises its own callers.
 	Shards int
-	// Concurrent says several goroutines call the K = 0 detector at once (the
-	// facade's Options.Parallel). Otherwise every detector has one caller at
-	// a time — a shard worker, or the in-thread source — and is built with
-	// detect.Options.SingleOwner. Ignored when K > 0: workers are the callers.
-	Concurrent bool
 	// Threads is the target program's thread count (matrix dimension).
 	Threads int
 	// Table is the static region table; nil disables per-region attribution.
@@ -241,8 +237,8 @@ type shard struct {
 	// drains — written only from the detector's OnEvent on the worker
 	// goroutine, flushed into windows once per batch so the windowed layer
 	// costs one lock per drain, not one per event. In-thread, events go
-	// straight into the locked window set (any of the program's threads may
-	// be the caller) and evbuf and maxTime stay unused.
+	// straight into the locked window set (a telemetry goroutine may be
+	// advancing the frontier) and evbuf and maxTime stay unused.
 	windows *comm.WindowSet
 	evbuf   []comm.WindowEvent
 	maxTime atomic.Uint64
@@ -393,9 +389,8 @@ func (s *shard) drainLoop(p *obs.PipelineProbes) {
 }
 
 // Engine is the analysis engine. Feed accesses through a Producer per
-// producing goroutine (or ProcessStream, which is one) — or, in-thread,
-// through the InThread detector itself — then Close before reading merged
-// results.
+// producing goroutine (or ProcessStream, which is one) — in-thread, through
+// one Producer at a time — then Close before reading merged results.
 type Engine struct {
 	opts   Options
 	shards []*shard
@@ -504,7 +499,6 @@ func New(opts Options) (*Engine, error) {
 			Accuracy:            mon,
 			Probes:              opts.DetectProbes,
 			Overhead:            opts.Overhead,
-			SingleOwner:         queued || !opts.Concurrent,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
@@ -525,13 +519,6 @@ func New(opts Options) (*Engine, error) {
 
 // Shards returns the configured shard count K; 0 is the in-thread engine.
 func (e *Engine) Shards() int { return e.opts.Shards }
-
-// InThread returns the K = 0 engine's detector, nil when K > 0. A source
-// whose threads really run at once (Options.Concurrent) calls its Process (or
-// Probe) per access; any other feeds it batches, through a Producer or its
-// ProcessBatch. Everything else about the run — results, statistics, windows,
-// Close — still goes through the Engine.
-func (e *Engine) InThread() *detect.Detector { return e.inThread }
 
 // route maps an access to its shard index by hashing the
 // granularity-coarsened address, so every address's full history lands on one

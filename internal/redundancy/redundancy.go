@@ -43,8 +43,8 @@
 // specific false positives differ while the expected rate stays in the same
 // band — the same statistical contract the sharded pipeline already has.
 //
-// A Cache is deliberately NOT safe for concurrent use: it belongs to exactly
-// one consuming goroutine (the serial detector's driver, or one shard worker
+// A Cache is deliberately NOT safe for concurrent use: it belongs to its
+// detector's one caller at a time (the in-thread source, or one shard worker
 // in the sharded pipeline, which sees every access of its addresses and can
 // therefore invalidate correctly on cross-thread writes). The hit/miss
 // counters are atomics only so concurrent telemetry snapshots can read them

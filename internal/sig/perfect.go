@@ -9,7 +9,9 @@ import (
 // memory without any collision") as the ground truth when measuring the
 // false-positive rate of the bounded signatures (§V-A3). Its memory grows
 // with the number of distinct addresses touched — exactly the unbounded
-// behaviour the signature memory exists to avoid.
+// behaviour the signature memory exists to avoid. It keeps a lock although
+// its caller is single: the accuracy monitor's shadow is a Perfect, and
+// Monitor.Stats reads Entries while a run is in flight.
 type Perfect struct {
 	mu      sync.Mutex
 	threads int

@@ -37,9 +37,8 @@ import (
 const NoWriter int32 = -1
 
 // Backend is the conflict store consulted by the RAW detector (Algorithm 1).
-// Implementations must be safe for concurrent use: the analysis runs inside
-// the target program's own threads. (An Asymmetric stops being so once its
-// single caller has declared itself with Own.)
+// It has one caller at a time, each call ordered after the last by a
+// happens-before edge: the detector that owns it.
 type Backend interface {
 	// ObserveRead processes a read of addr by thread tid. It returns the
 	// last recorded writer of addr (NoWriter on a write-signature miss) and
@@ -82,9 +81,9 @@ type Options struct {
 	// §IV-D2); HashFold is a deliberately weaker xor-fold kept for the
 	// hash-quality ablation experiment.
 	Hash HashKind
-	// Probes, when non-nil, receives self-observability telemetry (CAS
-	// retries, reader resets). Nil keeps the hot path uninstrumented at the
-	// cost of one nil check per hook site.
+	// Probes, when non-nil, receives self-observability telemetry (reader
+	// resets; Bloom's filter-install CAS retries). Nil keeps the hot path
+	// uninstrumented at the cost of one nil check per hook site.
 	Probes *obs.SigProbes
 }
 
@@ -124,7 +123,7 @@ type base struct {
 	pow2     bool
 	slotMask uint64
 	// write signature: slot -> last writer tid (+1, so 0 means empty).
-	// Accessed through sync/atomic unless an Asymmetric is owned.
+	// Bloom reaches it through sync/atomic; Asymmetric plainly.
 	write []int32
 }
 
@@ -188,22 +187,19 @@ const MaxThreads = 64 * maxWords
 // the same. At w = 1 (t ≤ 64) a slot is one word at index rs: 12 bytes per
 // slot with the write array.
 //
-// All operations are lock-free: slot values use atomics, mirroring the
-// paper's C++11 lock-free primitives. A signature with exactly one caller can
-// say so (Own) and is then read and written plainly: same arrays, same slots,
-// same answers.
+// An Asymmetric has one caller at a time (the Backend contract) and reads and
+// writes its arrays plainly. Another goroutine may call Occupancy while a run
+// is in flight and nothing else.
 type Asymmetric struct {
 	base
 	// words is w, the mask words per read slot.
 	words uint64
 	// masks is the read signature: slot rs's reader set is
-	// masks[rs*w : rs*w+w]. Accessed through sync/atomic unless owned.
+	// masks[rs*w : rs*w+w].
 	masks []uint64
 
-	// owned is set by Own. The owner counts the non-empty reader sets in
-	// nonEmpty; Publish copies that to occupied, the one thing another
-	// goroutine may read of an owned signature's slots mid-run.
-	owned    bool
+	// nonEmpty counts the non-empty reader sets; Publish copies it to
+	// occupied, the one thing another goroutine may read mid-run.
 	nonEmpty int64
 	occupied atomic.Int64
 }
@@ -226,20 +222,8 @@ func NewAsymmetric(opts Options) (*Asymmetric, error) {
 // Name implements Backend.
 func (s *Asymmetric) Name() string { return "asymmetric-signature" }
 
-// Own declares that from here on one goroutine at a time calls ObserveRead
-// and ObserveWrite, each call ordered after the last by a happens-before
-// edge: the signature then drops its atomics and is NOT safe for concurrent
-// use. Call it on a fresh or Reset signature, before any goroutine that reads
-// Occupancy starts; the owner calls Publish wherever it wants Occupancy
-// brought up to date.
-func (s *Asymmetric) Own() { s.owned = true }
-
-// Publish makes the owner's count of occupied slots visible to Occupancy.
-func (s *Asymmetric) Publish() {
-	if s.owned {
-		s.occupied.Store(s.nonEmpty)
-	}
-}
+// Publish makes the caller's count of occupied slots visible to Occupancy.
+func (s *Asymmetric) Publish() { s.occupied.Store(s.nonEmpty) }
 
 // readers returns read slot rs's reader set. At w = 1 (here and in
 // ObserveRead) the index is rs itself: no multiply delays the address of the
@@ -258,39 +242,20 @@ func (s *Asymmetric) ObserveRead(addr uint64, tid int32) (int32, bool) {
 	if s.words > 1 {
 		i = rs*s.words + uint64(tid)>>6
 	}
-	if s.owned {
-		old := s.masks[i]
-		if old&bit == 0 {
-			if old == 0 && (s.words == 1 || empty(s.readers(rs))) {
-				s.nonEmpty++
-			}
-			s.masks[i] = old | bit
+	old := s.masks[i]
+	if old&bit == 0 {
+		if old == 0 && (s.words == 1 || empty(s.readers(rs))) {
+			s.nonEmpty++
 		}
-		return s.write[ws] - 1, old&bit == 0 // an empty slot reads 0: NoWriter
+		s.masks[i] = old | bit
 	}
-	writer := atomic.LoadInt32(&s.write[ws]) - 1
-	// Test before set: a repeat read, the common case, is one load and
-	// leaves the cache line shared.
-	m := &s.masks[i]
-	for {
-		old := atomic.LoadUint64(m)
-		if old&bit != 0 {
-			return writer, false
-		}
-		if atomic.CompareAndSwapUint64(m, old, old|bit) {
-			return writer, true
-		}
-		if p := s.opts.Probes; p != nil {
-			p.CASRetries.Inc()
-		}
-	}
+	return s.write[ws] - 1, old&bit == 0 // an empty slot reads 0: NoWriter
 }
 
-// empty reports whether a reader set holds no thread. It loads atomically, so
-// it serves a shared signature and, off its hot path, an owned one alike.
+// empty reports whether a reader set holds no thread.
 func empty(set []uint64) bool {
-	for j := range set {
-		if atomic.LoadUint64(&set[j]) != 0 {
+	for _, m := range set {
+		if m != 0 {
 			return false
 		}
 	}
@@ -305,28 +270,18 @@ func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
 	// communicating-access rule). Only non-empty words are stored to.
 	cleared := false
 	set := s.readers(rs)
-	if s.owned {
-		for j, m := range set {
-			if m != 0 {
-				set[j], cleared = 0, true
-			}
+	for j, m := range set {
+		if m != 0 {
+			set[j], cleared = 0, true
 		}
-		if cleared {
-			s.nonEmpty--
-		}
-		s.write[ws] = tid + 1
-	} else {
-		for j := range set {
-			if atomic.LoadUint64(&set[j]) != 0 {
-				atomic.StoreUint64(&set[j], 0)
-				cleared = true
-			}
-		}
-		atomic.StoreInt32(&s.write[ws], tid+1)
 	}
-	if p := s.opts.Probes; cleared && p != nil {
-		p.ReaderResets.Inc()
+	if cleared {
+		s.nonEmpty--
+		if p := s.opts.Probes; p != nil {
+			p.ReaderResets.Inc()
+		}
 	}
+	s.write[ws] = tid + 1
 }
 
 // FootprintBytes implements Backend: the two arrays, a constant
@@ -336,17 +291,12 @@ func (s *Asymmetric) FootprintBytes() uint64 {
 		uint64(len(s.masks))*8 // read arena
 }
 
-// Reset clears both signatures. Like every mutator of an owned signature it
-// is the owner's to call.
+// Reset implements Backend: it clears both signatures.
 func (s *Asymmetric) Reset() {
 	s.nonEmpty = 0
 	s.occupied.Store(0)
-	for i := range s.write {
-		atomic.StoreInt32(&s.write[i], 0)
-	}
-	for i := range s.masks {
-		atomic.StoreUint64(&s.masks[i], 0)
-	}
+	clear(s.write)
+	clear(s.masks)
 }
 
 // AllocatedFilters is always 0: the mask arena has no filters. Kept only
@@ -357,27 +307,11 @@ func (s *Asymmetric) AllocatedFilters() uint64 { return 0 }
 // bench/layers.go still reports it; ROADMAP item 0(d) deletes it.
 func (s *Asymmetric) FillRatio(int) float64 { return 0 }
 
-// occupancySample is how many slots Occupancy probes on a shared signature.
-const occupancySample = 4096
-
 // Occupancy reports the fraction of read-signature slots in use — the
 // signature saturation a live telemetry consumer watches to see whether the
 // configured slot count is undersized for the workload's working set. A slot
-// is in use while its reader set is non-empty: the owner's exact count as of
-// its last Publish when the signature is owned (nobody else may walk masks
-// written plainly), otherwise an estimate from occupancySample slots at a
-// fixed stride over the whole range. Safe to call concurrently with a run.
+// is in use while its reader set is non-empty; the figure is the caller's
+// exact count as of its last Publish. Safe to call concurrently with a run.
 func (s *Asymmetric) Occupancy() float64 {
-	if s.owned {
-		return float64(s.occupied.Load()) / float64(s.opts.Slots)
-	}
-	stride := max(s.opts.Slots/occupancySample, 1)
-	probed, used := 0, 0
-	for rs := uint64(0); rs < s.opts.Slots; rs += stride {
-		probed++
-		if !empty(s.readers(rs)) {
-			used++
-		}
-	}
-	return float64(used) / float64(probed)
+	return float64(s.occupied.Load()) / float64(s.opts.Slots)
 }

@@ -81,33 +81,36 @@ func main() {
 	}
 }
 
+// analyserOptions is one setting of every analyser option with the report
+// section it must produce.
+var analyserOptions = []struct {
+	name    string
+	set     func(*Options)
+	present func(*Report) bool // nil: the option value must be refused by name
+}{
+	{"AnalysisShards", func(o *Options) { o.AnalysisShards = 2 },
+		func(r *Report) bool { return r.Pipeline != nil && r.Pipeline.Shards == 2 }},
+	{"PhaseWindow", func(o *Options) { o.PhaseWindow = 500 },
+		func(r *Report) bool {
+			return r.PhaseTimeline != nil && len(r.PhaseTimeline.Windows) > 0 && len(r.Phases) > 0
+		}},
+	{"RedundancyCacheBits", func(o *Options) { o.RedundancyCacheBits = 10 },
+		func(r *Report) bool { return r.Redundancy != nil && r.Redundancy.Hits > 0 }},
+	{"AccuracyTargetFPR", func(o *Options) { o.AccuracyTargetFPR = 0.05 },
+		func(r *Report) bool { return r.Accuracy != nil && r.Accuracy.SampledAccesses > 0 }},
+	{"Sample", func(o *Options) { o.SampleBurst, o.SamplePeriod = 1, 4 },
+		func(r *Report) bool { return r.SampleFraction == 0.25 }},
+	// A shift by the whole address width leaves one granule: refused, not
+	// analysed into a meaningless report.
+	{"GranularityBits", func(o *Options) { o.GranularityBits = 64 }, nil},
+}
+
 // TestOptionMatrix pins that every analyser option is honoured by every entry
 // point: entry point × option, and entry point × all options together, the
 // matching report section must be there.
 // The analyser is built in one place (newAnalysis), so a cell can only fail
 // if an entry point grows private wiring again.
 func TestOptionMatrix(t *testing.T) {
-	options := []struct {
-		name    string
-		set     func(*Options)
-		present func(*Report) bool // nil: the option value must be refused by name
-	}{
-		{"AnalysisShards", func(o *Options) { o.AnalysisShards = 2 },
-			func(r *Report) bool { return r.Pipeline != nil && r.Pipeline.Shards == 2 }},
-		{"PhaseWindow", func(o *Options) { o.PhaseWindow = 500 },
-			func(r *Report) bool {
-				return r.PhaseTimeline != nil && len(r.PhaseTimeline.Windows) > 0 && len(r.Phases) > 0
-			}},
-		{"RedundancyCacheBits", func(o *Options) { o.RedundancyCacheBits = 10 },
-			func(r *Report) bool { return r.Redundancy != nil && r.Redundancy.Hits > 0 }},
-		{"AccuracyTargetFPR", func(o *Options) { o.AccuracyTargetFPR = 0.05 },
-			func(r *Report) bool { return r.Accuracy != nil && r.Accuracy.SampledAccesses > 0 }},
-		{"Sample", func(o *Options) { o.SampleBurst, o.SamplePeriod = 1, 4 },
-			func(r *Report) bool { return r.SampleFraction == 0.25 }},
-		// A shift by the whole address width leaves one granule: refused, not
-		// analysed into a meaningless report.
-		{"GranularityBits", func(o *Options) { o.GranularityBits = 64 }, nil},
-	}
 	for name, run := range entryPoints(t) {
 		base, err := run(Options{})
 		if err != nil {
@@ -116,7 +119,7 @@ func TestOptionMatrix(t *testing.T) {
 		if base.Dependencies == 0 {
 			t.Fatalf("%s: baseline run detected nothing; the cell checks below would be vacuous", name)
 		}
-		for _, opt := range options {
+		for _, opt := range analyserOptions {
 			var o Options
 			opt.set(&o)
 			rep, err := run(o)
@@ -140,7 +143,7 @@ func TestOptionMatrix(t *testing.T) {
 		}
 		// And every accepted option at once: no layer displaces another.
 		var all Options
-		for _, opt := range options {
+		for _, opt := range analyserOptions {
 			if opt.present != nil {
 				opt.set(&all)
 			}
@@ -149,7 +152,7 @@ func TestOptionMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s × every option: %v", name, err)
 		}
-		for _, opt := range options {
+		for _, opt := range analyserOptions {
 			if opt.present != nil && !opt.present(rep) {
 				t.Errorf("%s × every option: %s ignored — report section missing or empty", name, opt.name)
 			}
@@ -187,32 +190,43 @@ func TestRecordUnderSamplingWritesCompleteTrace(t *testing.T) {
 	}
 }
 
-// TestParallelInThreadRejectsSingleConsumerLayers pins the one decision about
-// Parallel with in-thread analysis: the program's threads call the detector
-// concurrently, so the redundancy cache and the accuracy monitor have no
-// owner — an error that names the fix, not a silently missing report section.
-// With a shard worker as the owner the same options run.
-func TestParallelInThreadRejectsSingleConsumerLayers(t *testing.T) {
+// TestParallelInThreadComposesEveryLayer pins that Parallel with in-thread
+// analysis is one more single-owner source: the program's threads share the
+// quantum buffer under one lock, so the redundancy cache, the accuracy
+// monitor, the phase windows and read sampling each produce their report
+// section there, alone and all at once, as on any other run.
+func TestParallelInThreadComposesEveryLayer(t *testing.T) {
 	points := entryPoints(t)
-	layers := map[string]func(*Options){
-		"RedundancyCacheBits": func(o *Options) { o.RedundancyCacheBits = 10 },
-		"AccuracyTargetFPR":   func(o *Options) { o.AccuracyTargetFPR = 0.05 },
-	}
 	for _, name := range []string{"Profile", "Run", "ProfileMiniPar"} {
-		for layer, set := range layers {
-			o := Options{Parallel: true}
-			set(&o)
-			if _, err := points[name](o); err == nil || !strings.Contains(err.Error(), "AnalysisShards ≥ 1") {
-				t.Errorf("%s: Parallel + in-thread + %s: err = %v, want one naming AnalysisShards ≥ 1", name, layer, err)
-			}
-			o.AnalysisShards = 2
-			rep, err := points[name](o)
-			if err != nil {
-				t.Errorf("%s: Parallel + 2 shards + %s: %v", name, layer, err)
+		all := Options{Parallel: true}
+		var layers []string
+		for _, opt := range analyserOptions {
+			if opt.present == nil || opt.name == "AnalysisShards" {
 				continue
 			}
-			if rep.Redundancy == nil && rep.Accuracy == nil {
-				t.Errorf("%s: Parallel + 2 shards + %s: section missing", name, layer)
+			layers = append(layers, opt.name)
+			o := Options{Parallel: true}
+			opt.set(&o)
+			opt.set(&all)
+			rep, err := points[name](o)
+			if err != nil {
+				t.Errorf("%s: Parallel + in-thread + %s: %v", name, opt.name, err)
+				continue
+			}
+			if !opt.present(rep) {
+				t.Errorf("%s: Parallel + in-thread + %s: report section missing or empty", name, opt.name)
+			}
+		}
+		if len(layers) != 4 {
+			t.Fatalf("layers under test %v, want the cache, the monitor, the phase windows and sampling", layers)
+		}
+		rep, err := points[name](all)
+		if err != nil {
+			t.Fatalf("%s: Parallel + in-thread + every layer: %v", name, err)
+		}
+		for _, opt := range analyserOptions {
+			if opt.present != nil && opt.name != "AnalysisShards" && !opt.present(rep) {
+				t.Errorf("%s: Parallel + in-thread + every layer: %s section missing or empty", name, opt.name)
 			}
 		}
 	}

@@ -80,12 +80,12 @@ func TestOwnedAnalysisUnderLiveTelemetry(t *testing.T) {
 	}
 }
 
-// TestParallelInThreadStaysShared is the other direction, also for -race: an
-// in-thread run under the parallel scheduler has as many concurrent Process
-// callers as threads, so nothing in it may be owned — every thread hammers
-// the same few signature slots and matrix cells here — and the counters must
-// still sum exactly.
-func TestParallelInThreadStaysShared(t *testing.T) {
+// TestParallelInThreadSerialisesCallers is the parallel scheduler's side, also
+// for -race: an in-thread run there has as many probe callers as threads,
+// every one hammering the same few signature slots and matrix cells, and
+// they reach the one detector through the quantum buffer's lock, one at a
+// time, so the counters must sum exactly while telemetry reads them.
+func TestParallelInThreadSerialisesCallers(t *testing.T) {
 	const (
 		threads = 8
 		rounds  = 200
@@ -162,14 +162,14 @@ func TestQuantumBufferMatchesPerAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, err := newAnalysis(opts, threads, table, false)
+		an, err := newAnalysis(opts, threads, table)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := an.pe.InThread()
+		p := an.producer(false)
 		stats, err := exec.New(exec.Options{Threads: threads, Probe: func(a trace.Access) {
 			if !an.sampledOut(a.Kind, a.Thread) {
-				d.Process(a)
+				p.Process(a)
 			}
 		}}).Run(body)
 		if err != nil {

@@ -13,9 +13,8 @@ import (
 // consumption, and each other thread then reads only its own block. With one
 // writer the write signature records the same owner under any interleaving,
 // and because no two threads read the same address, every first-read check
-// queries a reader set containing at most that reader — so the bloom
-// filter's order-sensitive false positives (which CAN differ between
-// schedules when readers share a slot) never arise.
+// queries a reader set containing at most that reader, so no schedule can
+// make a slot collision land differently.
 func TestParallelDeterministicTotalInvariance(t *testing.T) {
 	const (
 		threads = 8
@@ -47,7 +46,7 @@ func TestParallelDeterministicTotalInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every consumer reads k*size bytes last written by thread 0; the exact
-	// total also proves no bloom false positive ate an event.
+	// total also proves no slot collision ate an event.
 	if want := uint64(k * size * (threads - 1)); det.Global.Total() != want {
 		t.Fatalf("deterministic total = %d, want %d", det.Global.Total(), want)
 	}
@@ -68,6 +67,28 @@ func TestParallelDeterministicTotalInvariance(t *testing.T) {
 		if par.Dependencies != det.Dependencies {
 			t.Fatalf("trial %d: dependency counts diverged: %d vs %d",
 				trial, par.Dependencies, det.Dependencies)
+		}
+	}
+
+	// The single-consumer layers compose with the parallel scheduler: its
+	// threads reach the one detector through one lock, so with the
+	// redundancy cache, the accuracy monitor and the phase windows on, the
+	// matrix is still the deterministic one.
+	layers := Options{RedundancyCacheBits: 10, AccuracyTargetFPR: 0.05, PhaseWindow: 64}
+	for trial := 0; trial < 3; trial++ {
+		o := layers
+		o.Parallel = true
+		par, err := Run(threads, regions, body, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Redundancy == nil || par.Accuracy == nil || par.PhaseTimeline == nil {
+			t.Fatalf("trial %d: a layer's report section is missing: redundancy %v, accuracy %v, timeline %v",
+				trial, par.Redundancy != nil, par.Accuracy != nil, par.PhaseTimeline != nil)
+		}
+		if !reflect.DeepEqual(par.Global.Bytes, det.Global.Bytes) || par.Dependencies != det.Dependencies {
+			t.Fatalf("trial %d: with every layer on the parallel matrix diverged (%d deps):\npar: %v\ndet: %v",
+				trial, par.Dependencies, par.Global.Bytes, det.Global.Bytes)
 		}
 	}
 }

@@ -92,7 +92,7 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	// side of each batch inside Producer.ProcessBatch. Nil probes keep both
 	// bare.
 	dec.Stages = probes.StageProbes()
-	an, err := newAnalysis(opts, threads, dec.Table(), false)
+	an, err := newAnalysis(opts, threads, dec.Table())
 	if err != nil {
 		return nil, err
 	}

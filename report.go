@@ -289,9 +289,8 @@ func accuracyReport(est accuracy.Estimate, rec accuracy.Recommendation, shadowBy
 // the sampled estimates clamped so the split always sums to the measured
 // batch-service total. BatchService is timed per batch — by the shard
 // workers, and in-thread by whatever hands the detector its batches (replay's
-// loop, a live run's quantum buffer, ProfileTrace's chunks) — so only an
-// in-thread Options.Parallel run, which calls the detector per access,
-// attributes nothing but Window and Merge.
+// loop, a live run's quantum buffer, under Options.Parallel too, and
+// ProfileTrace's chunks).
 type OverheadReport struct {
 	// EngineWallNanos is wall time from run wiring to report build. With K
 	// parallel shard workers the attributed stage time can legitimately

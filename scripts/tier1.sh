@@ -1,14 +1,15 @@
 #!/bin/sh
 # tier1.sh — the repository's tier-1 verification gate (see ROADMAP.md).
-# Build, formatting, vet, eight grep guards for things that must stay
+# Build, formatting, vet, nine grep guards for things that must stay
 # deleted or out (a trace-format knob or v1/v2 writer, a second copy of the
 # run on a write path, the superseded benchmark harness, the sharded engine's overload
 # policies and hand-rolled ring, an analyser option spelled out by hand beside
 # the one flag table, an internal/ export only tests call, the bloom reader-set
-# layout outside the experiments, package unsafe in the analysis path), the
+# layout outside the experiments, package unsafe in the analysis path, a
+# shared twin of the single-owner analyser), the
 # full test suite, a
 # race-detector pass
-# over the packages with lock-free hot paths (signature memory), real
+# over the packages with lock-free hot paths (the paper's bloom signature), real
 # concurrency (the parallel engine mode, the sharded analysis pipeline and its
 # bounded buffer hand-off, replay producer staging, the real-Go probe runtime's
 # per-goroutine batches and watermark writer), merge-order algebra (comm),
@@ -137,11 +138,22 @@ guard "the bloom reader-set layout is back in production" \
 		'sig\.NewBloom' . | grep -v '^\./internal/experiments/' || true
 	grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
 		'PaperBloom|BloomFPRate|FillAlarmRatio|FillTrajectory|sig_(bloom_)?fill_ratio|sig_filter_allocs|(fs|flag)\.[A-Za-z0-9]+\(([^,"]*, *)?"fpr"' . || true)"
-# The single-owner kernel reads and writes the same []uint64/[]int32 the
-# concurrent path reaches through sync/atomic; it may not get there by casting
-# the atomic arrays.
+# The single-owner kernel reads and writes plain []uint64/[]int32 arrays; it
+# may not reach any other structure by casting.
 guard "package unsafe is imported on the analysis path" \
 	"$(grep -rn --include='*.go' '"unsafe"' internal/sig internal/detect internal/comm internal/redundancy internal/pipeline || true)"
+# Every detector has one owner, one caller at a time (DESIGN §5); under
+# Options.Parallel the facade serialises the program's threads itself. So no
+# ownership option comes back (detect's SingleOwner, pipeline.Options'
+# Concurrent), nor an owned-only matrix add, an Own switch on the signature,
+# the mask arena's CAS loop or an atomic matrix. (sig.Bloom, the paper's
+# layout, keeps its CAS in bloom.go.)
+guard "a shared twin of the single-owner analyser is back" \
+	"$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'SingleOwner|AddOwned|func \(s \*Asymmetric\) Own' . || true
+	grep -nE '^[[:space:]]+Concurrent[[:space:]]' internal/pipeline/pipeline.go || true
+	grep -n 'CompareAndSwap' internal/sig/sig.go || true
+	grep -n '"sync/atomic"' internal/comm/matrix.go || true)"
 
 echo "== go test =="
 go test ./...

@@ -293,8 +293,7 @@ type ProgressSnapshot struct {
 	ShardDepths []int `json:"shard_depths,omitempty"`
 	// SigOccupancy describes signature saturation: the fraction of slots
 	// whose reader set is non-empty, the detectors' own exact count as of
-	// their last batch (a strided-sample estimate only under
-	// Options.Parallel without shards, where no detector has a single owner).
+	// their last batch.
 	SigOccupancy float64 `json:"sig_occupancy"`
 	// RedundancyHitRate is the live fraction of accesses the redundancy
 	// fast path skipped (0 when the cache is off).

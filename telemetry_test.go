@@ -292,7 +292,7 @@ func TestTelemetryOneWiring(t *testing.T) {
 		tel := NewTelemetry()
 		rep, err := Profile(Options{
 			Workload: "fft", Threads: 8, AnalysisShards: shards,
-			SignatureSlots: 1 << 14, // small enough that the strided occupancy sample cannot miss
+			SignatureSlots: 1 << 14, // small enough that occupancy is far above 0
 			SampleBurst:    1, SamplePeriod: 4, Telemetry: tel,
 		})
 		if err != nil {
