@@ -2,21 +2,26 @@ package commprof
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"commprof/internal/comm"
 	"commprof/internal/patterns"
+	"commprof/internal/trace"
 )
 
 // TestPatternClassifierConcurrent drives NewPatternClassifier from eight
-// goroutines over two seeds, classifying as they go: every classifier predicts
-// exactly what one trained serially from the same seed does.
+// goroutines over four seeds, classifying as they go: every classifier
+// predicts exactly what one built serially from the same seed does. Seeds 0
+// and 42 share the shipped default model, so four goroutines classify with
+// one *KNN at once; 3 and 5 train their own.
 func TestPatternClassifierConcurrent(t *testing.T) {
-	seeds := []int64{3, 5}
+	seeds := []int64{0, 42, 3, 5}
 	rng := rand.New(rand.NewSource(1))
 	var queries []*comm.Matrix
 	for c := patterns.Class(0); c < patterns.NumClasses; c++ {
@@ -69,6 +74,31 @@ func TestPatternClassifierConcurrent(t *testing.T) {
 	}
 }
 
+// TestPhaseStateTrainsNothing pins that a run's phase layer costs no training
+// at a non-default seed: after the process has decoded the shipped model once,
+// newPhaseState allocates under 64 KiB where training allocates ~1.8 MB. The
+// least of three measurements, against other goroutines' allocations.
+func TestPhaseStateTrainsNothing(t *testing.T) {
+	opts := Options{Seed: 7, PhaseWindow: 3000}
+	build := func() {
+		if _, err := newPhaseState(opts, trace.NewTable(), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Fatalf("newPhaseState allocated %d bytes at Seed 7: is the run training a classifier again?", least)
+	}
+}
+
 // countingClassifier counts the predictions it makes for an inner classifier.
 type countingClassifier struct {
 	inner patterns.ConfidenceClassifier
@@ -93,8 +123,8 @@ func countPhaseClassifications(t *testing.T) *countingClassifier {
 	t.Helper()
 	orig := phaseClassifier
 	cc := &countingClassifier{}
-	phaseClassifier = func(seed int64) (patterns.Classifier, error) {
-		c, err := orig(seed)
+	phaseClassifier = func() (patterns.Classifier, error) {
+		c, err := orig()
 		if err != nil {
 			return nil, err
 		}

@@ -58,7 +58,8 @@ type Options struct {
 	// in /progress. Windows are bucketed by the global access index every
 	// access already carries, so the layer composes with AnalysisShards:
 	// shard partials merge by summation into exactly the window set the
-	// in-thread analyser builds.
+	// in-thread analyser builds. The timeline classifies with the shipped
+	// default model (NewPatternClassifier(0)) whatever Seed is.
 	PhaseWindow uint64
 	// Parallel runs threads as free goroutines instead of the deterministic
 	// round-robin scheduler. Results remain correct but are no longer

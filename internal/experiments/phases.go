@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -114,8 +113,7 @@ func Phases(env Env, app string, size splash.Size) (*PhasesResult, error) {
 	res.Identical = ws.Equal(seg.WindowSet())
 
 	// Classify the merged windows into the timeline the report carries.
-	rng := rand.New(rand.NewSource(env.Seed))
-	knn, err := patterns.NewKNN(5, patterns.Corpus(60, []int{8, 16, 32}, 0, rng))
+	knn, err := patterns.TrainKNN(env.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -8,10 +8,6 @@ package obs
 
 // SigProbes instruments the asymmetric signature memory.
 type SigProbes struct {
-	// CASRetries counts lost filter installs on the paper's bloom layout
-	// (sig.Bloom): another thread installed a slot's filter first. The mask
-	// arena has one caller at a time and never retries.
-	CASRetries *Counter
 	// ReaderResets counts writes that cleared a recorded reader set — a
 	// slot's non-empty mask words or its bloom filter (Fig. 2's
 	// communicating-access rule).
@@ -174,7 +170,6 @@ func DefaultProbes(r *Registry) *Probes {
 	}
 	return &Probes{
 		Sig: &SigProbes{
-			CASRetries:   r.Counter("sig_cas_retries_total"),
 			ReaderResets: r.Counter("sig_reader_resets_total"),
 		},
 		Detect: &DetectProbes{

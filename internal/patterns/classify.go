@@ -140,14 +140,8 @@ func (m *KNN) vote(f [FeatureDim]float64) [NumClasses]int {
 
 // Predict implements Classifier.
 func (m *KNN) Predict(f [FeatureDim]float64) Class {
-	votes := m.vote(f)
-	best, bestV := Class(0), -1
-	for c, v := range votes {
-		if v > bestV {
-			best, bestV = Class(c), v
-		}
-	}
-	return best
+	c, _ := m.PredictWithConfidence(f)
+	return c
 }
 
 // ---------------------------------------------------------------------------
@@ -210,14 +204,8 @@ func (m *NaiveBayes) logLikelihood(c Class, f [FeatureDim]float64) float64 {
 
 // Predict implements Classifier.
 func (m *NaiveBayes) Predict(f [FeatureDim]float64) Class {
-	best, bestLL := Class(0), math.Inf(-1)
-	for c := 0; c < int(NumClasses); c++ {
-		ll := m.logLikelihood(Class(c), f)
-		if ll > bestLL {
-			best, bestLL = Class(c), ll
-		}
-	}
-	return best
+	c, _ := m.PredictWithConfidence(f)
+	return c
 }
 
 // ---------------------------------------------------------------------------

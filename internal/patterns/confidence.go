@@ -28,7 +28,7 @@ func ClassifyMatrixWithConfidence(c Classifier, m *comm.Matrix) (Class, float64)
 }
 
 // PredictWithConfidence implements ConfidenceClassifier: the confidence is
-// the winning class's share of the k votes.
+// the winning class's share of the k votes (a model holds at least k points).
 func (m *KNN) PredictWithConfidence(f [FeatureDim]float64) (Class, float64) {
 	votes := m.vote(f)
 	best, bestV := Class(0), -1
@@ -37,14 +37,7 @@ func (m *KNN) PredictWithConfidence(f [FeatureDim]float64) (Class, float64) {
 			best, bestV = Class(c), v
 		}
 	}
-	k := m.k
-	if len(m.points) < k {
-		k = len(m.points)
-	}
-	if k == 0 {
-		return best, 1
-	}
-	return best, float64(bestV) / float64(k)
+	return best, float64(bestV) / float64(m.k)
 }
 
 // PredictWithConfidence implements ConfidenceClassifier: the confidence is

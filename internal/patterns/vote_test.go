@@ -277,12 +277,13 @@ func TestClassifyAllocatesNothing(t *testing.T) {
 
 var classSink Class
 
-// BenchmarkTrain meters the default classifier's training, which every run
-// with phase windows pays once: the 420-matrix corpus and its kNN.
+// BenchmarkTrain meters TrainKNN, what a non-default seed's
+// NewPatternClassifier pays: the 420-matrix corpus and its kNN. Set it
+// against BenchmarkDefaultKNN, what the shipped model costs instead.
 func BenchmarkTrain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewKNN(5, Corpus(60, []int{8, 16, 32}, 0, rand.New(rand.NewSource(1)))); err != nil {
+		if _, err := TrainKNN(1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,11 +292,11 @@ func BenchmarkTrain(b *testing.B) {
 // BenchmarkClassify is the layer's in-package meter: one window's
 // classification (features + k = 5 vote over the default 420-point corpus).
 func BenchmarkClassify(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	knn, err := NewKNN(5, Corpus(60, []int{8, 16, 32}, 0, rng))
+	knn, err := TrainKNN(1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(1))
 	for _, threads := range []int{8, 32, 64} {
 		m := Generate(StructuredGrid, threads, rng)
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {

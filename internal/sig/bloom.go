@@ -56,9 +56,6 @@ func (s *Bloom) filterAt(slot uint64) *bloom.Filter {
 		s.allocated.Add(1)
 		return nf
 	}
-	if p := s.opts.Probes; p != nil {
-		p.CASRetries.Inc()
-	}
 	return s.read[slot].Load()
 }
 

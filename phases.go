@@ -34,16 +34,10 @@ type phaseState struct {
 	live   *metrics.LivePhases
 }
 
-// phaseClassifier is what a run's phase layer classifies with: the kNN of
-// NewPatternClassifier. A variable so the facade tests can count
-// classifications.
-var phaseClassifier = func(seed int64) (patterns.Classifier, error) {
-	c, err := NewPatternClassifier(seed)
-	if err != nil {
-		return nil, err
-	}
-	return c.knn, nil
-}
+// phaseClassifier is what a run's phase layer classifies with: the shipped
+// default kNN, whatever the run's seed, so no run trains one. A variable so
+// the facade tests can count classifications.
+var phaseClassifier = func() (patterns.Classifier, error) { return patterns.DefaultKNN() }
 
 // newPhaseState builds the phase wiring for one run, or nil when
 // Options.PhaseWindow is unset.
@@ -51,7 +45,7 @@ func newPhaseState(opts Options, table *trace.Table, tel *Telemetry, probes *obs
 	if opts.PhaseWindow == 0 {
 		return nil, nil
 	}
-	cls, err := phaseClassifier(opts.Seed)
+	cls, err := phaseClassifier()
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package commprof
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"commprof/internal/accuracy"
@@ -487,15 +486,19 @@ type PatternClassifier struct {
 	knn *patterns.KNN
 }
 
-// NewPatternClassifier trains the default kNN classifier on the canonical
-// pattern corpus (§VI). seed controls corpus generation; 0 means the default,
-// as in Options.Seed.
+// NewPatternClassifier returns the kNN classifier trained on the canonical
+// pattern corpus (§VI) drawn from seed; 0 means the default, as in
+// Options.Seed. The default seed's model ships with the package, so it costs
+// no training; any other seed trains one. Phase timelines (Options.PhaseWindow)
+// classify with the shipped default model whatever Options.Seed is.
 func NewPatternClassifier(seed int64) (*PatternClassifier, error) {
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	train := patterns.Corpus(60, []int{8, 16, 32}, 0, rand.New(rand.NewSource(seed)))
-	knn, err := patterns.NewKNN(5, train)
+	knn, err := patterns.DefaultKNN()
+	if seed != patterns.DefaultSeed {
+		knn, err = patterns.TrainKNN(seed)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -506,11 +509,8 @@ func NewPatternClassifier(seed int64) (*PatternClassifier, error) {
 // linear-algebra, spectral, n-body, structured-grid, master-worker, pipeline
 // or barrier.
 func (c *PatternClassifier) Classify(m Matrix) (string, error) {
-	im, err := m.toInternal()
-	if err != nil {
-		return "", err
-	}
-	return patterns.ClassifyMatrix(c.knn, im).String(), nil
+	class, _, err := c.ClassifyWithFamily(m)
+	return class, err
 }
 
 // ClassifyWithFamily additionally names the paper's §VI top-level family of

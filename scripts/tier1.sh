@@ -1,12 +1,13 @@
 #!/bin/sh
 # tier1.sh — the repository's tier-1 verification gate (see ROADMAP.md).
-# Build, formatting, vet, nine grep guards for things that must stay
+# Build, formatting, vet, ten grep guards for things that must stay
 # deleted or out (a trace-format knob or v1/v2 writer, a second copy of the
 # run on a write path, the superseded benchmark harness, the sharded engine's overload
 # policies and hand-rolled ring, an analyser option spelled out by hand beside
 # the one flag table, an internal/ export only tests call, the bloom reader-set
 # layout outside the experiments, package unsafe in the analysis path, a
-# shared twin of the single-owner analyser), the
+# shared twin of the single-owner analyser, pattern-classifier training on a
+# run path), the
 # full test suite, a
 # race-detector pass
 # over the packages with lock-free hot paths (the paper's bloom signature), real
@@ -154,6 +155,13 @@ guard "a shared twin of the single-owner analyser is back" \
 	grep -nE '^[[:space:]]+Concurrent[[:space:]]' internal/pipeline/pipeline.go || true
 	grep -n 'CompareAndSwap' internal/sig/sig.go || true
 	grep -n '"sync/atomic"' internal/comm/matrix.go || true)"
+# No run trains the §VI classifier: the phase layer classifies with the
+# shipped model (patterns.DefaultKNN), and corpora and kNNs are built only
+# where the recipe lives (patterns.TrainKNN) and by the experiments.
+guard "a run path trains the pattern classifier" \
+	"$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'patterns\.Corpus\(|NewKNN\(' . | grep -vE '^\./internal/(patterns|experiments)/' || true
+	grep -nE 'NewPatternClassifier|TrainKNN' phases.go || true)"
 
 echo "== go test =="
 go test ./...
