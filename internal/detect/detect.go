@@ -194,7 +194,8 @@ func (d *Detector) ProcessBatch(batch []trace.Access) { d.kernel(batch) }
 // kernel is Algorithm 1 over a batch, and the only copy of its
 // communicating-access rule. What the batch form buys: the counters live in
 // locals and reach their atomics once per batch (the per-region access
-// counters once per run of same-region accesses), the optional layers are a
+// counters once per run of same-region accesses, the event-size histogram once
+// per run of same-size events), the optional layers are a
 // predicted branch each with their work out of line, and the asymmetric
 // signature is called without interface dispatch. It reports whether the
 // batch's last access communicated and with which writer: Process's result,
@@ -205,6 +206,7 @@ func (d *Detector) kernel(batch []trace.Access) (lastWriter int32, lastComm bool
 	base := d.processed.Load() // the batch's first access is number base+1
 	var detected, bytes, hits, misses, evictions, stale uint64
 	region, run := trace.NoRegion, uint64(0) // the current run of same-region accesses
+	evSize, evRun := uint64(0), uint64(0)    // the current run of same-size events
 	for i := range batch {
 		a := &batch[i]
 		lastComm = false
@@ -270,6 +272,13 @@ func (d *Detector) kernel(batch []trace.Access) (lastWriter int32, lastComm bool
 		if lastWriter, lastComm = writer, comm; comm {
 			detected++
 			bytes += uint64(a.Size)
+			if size := uint64(a.Size); size != evSize {
+				if p := d.opts.Probes; p != nil {
+					p.EventBytes.ObserveN(evSize, evRun)
+				}
+				evSize, evRun = size, 0
+			}
+			evRun++
 			d.emit(a, writer)
 		}
 	}
@@ -286,6 +295,7 @@ func (d *Detector) kernel(batch []trace.Access) (lastWriter int32, lastComm bool
 		p.RedundantSkips.Add(hits)
 		p.StaleWriterDrops.Add(stale)
 		p.Events.Add(detected)
+		p.EventBytes.ObserveN(evSize, evRun)
 	}
 	if asym != nil {
 		asym.Publish()
@@ -296,9 +306,6 @@ func (d *Detector) kernel(batch []trace.Access) (lastWriter int32, lastComm bool
 // emit attributes one communicating read to the global matrix and to its
 // region's (or the outside matrix) and hands the event to OnEvent.
 func (d *Detector) emit(a *trace.Access, writer int32) {
-	if p := d.opts.Probes; p != nil {
-		p.EventBytes.Observe(uint64(a.Size))
-	}
 	own := d.outside
 	if a.Region != trace.NoRegion && int(a.Region) < len(d.perRegion) {
 		own = d.perRegion[a.Region]

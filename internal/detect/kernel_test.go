@@ -57,9 +57,11 @@ type wallResult struct {
 	Stats           Stats
 	Redundancy      redundancy.Stats
 	Accuracy        accuracy.Stats
-	// ProbeEvents, ProbeStale, ProbeSkips, ProbeBytesN, ProbeBytesSum read
-	// the DetectProbes bundle (all zero with probes off).
+	// ProbeEvents, ProbeStale, ProbeSkips, ProbeBytesN, ProbeBytesSum and
+	// ProbeBytesBuckets read the DetectProbes bundle (all zero with probes off).
 	ProbeEvents, ProbeStale, ProbeSkips, ProbeBytesN, ProbeBytesSum uint64
+
+	ProbeBytesBuckets []obs.Bucket
 }
 
 // wallParts builds the optional layers a config switches on.
@@ -84,6 +86,7 @@ func (r *wallResult) readProbes(p *obs.DetectProbes) {
 	if p != nil {
 		r.ProbeEvents, r.ProbeStale, r.ProbeSkips = p.Events.Value(), p.StaleWriterDrops.Value(), p.RedundantSkips.Value()
 		r.ProbeBytesN, r.ProbeBytesSum = p.EventBytes.Count(), p.EventBytes.Sum()
+		r.ProbeBytesBuckets = p.EventBytes.Snapshot().Buckets
 	}
 }
 

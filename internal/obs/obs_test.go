@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +97,17 @@ func TestHistogramLog2Buckets(t *testing.T) {
 	last := s.Buckets[len(s.Buckets)-1]
 	if last.UpperBound != 1023 || last.Count != 5 {
 		t.Fatalf("last bucket %+v", last)
+	}
+
+	// ObserveN(v, n) is n Observe(v) calls; n = 0 and a nil histogram are
+	// no-ops.
+	batched := r.Histogram("sizes_batched")
+	for _, run := range [][2]uint64{{0, 1}, {1, 2}, {4, 1}, {1000, 1}, {9, 0}} {
+		batched.ObserveN(run[0], run[1])
+	}
+	(*Histogram)(nil).ObserveN(1, 1)
+	if got := batched.Snapshot(); !reflect.DeepEqual(got, s) {
+		t.Fatalf("ObserveN snapshot %+v, Observe snapshot %+v", got, s)
 	}
 }
 

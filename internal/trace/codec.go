@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Stream couples a static region table with a recorded access sequence, e.g.
@@ -71,9 +72,10 @@ func (s *Stream) EncodeVersion(w io.Writer, version, threads int) error {
 }
 
 // Decode reads an encoded stream of any version, materialising every
-// access. It is a wrapper over the incremental Decoder; callers that feed an
-// analyser record by record (Replay, the sharded pipeline) should use
-// NewDecoder directly and keep resident memory at O(region table).
+// access. It is a wrapper over the incremental Decoder whose batches land in
+// the result's spare capacity; callers that feed an analyser (Replay, the
+// sharded pipeline) should use NewDecoder directly and keep resident memory
+// at O(region table).
 func Decode(r io.Reader) (*Stream, error) {
 	d, err := NewDecoder(r)
 	if err != nil {
@@ -88,16 +90,17 @@ func Decode(r io.Reader) (*Stream, error) {
 		prealloc = 1 << 20
 	}
 	s.Accesses = make([]Access, 0, prealloc)
-	for {
-		a, err := d.Next()
-		if err == io.EOF {
-			return s, nil
+	for d.i < d.n { // a strict decoder's stream ends at its declared count
+		if len(s.Accesses) == cap(s.Accesses) {
+			s.Accesses = slices.Grow(s.Accesses, 1)
 		}
+		batch, err := d.NextBatch(s.Accesses[len(s.Accesses):cap(s.Accesses)])
 		if err != nil {
 			return nil, err
 		}
-		s.Accesses = append(s.Accesses, a)
+		s.Accesses = s.Accesses[:len(s.Accesses)+len(batch)]
 	}
+	return s, nil
 }
 
 func writeString(w *bufio.Writer, s string) error {

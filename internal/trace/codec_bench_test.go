@@ -12,7 +12,9 @@ package trace_test
 //	                   engine (default fft/simdev)
 //
 // Reported metrics: B/rec (encoded bytes per record), acc/s (decoded
-// accesses per second) and the standard MB/s from b.SetBytes.
+// accesses per second), the standard MB/s from b.SetBytes, and B/op and
+// allocs/op: the decoder's set-up, since steady-state decode allocates
+// nothing on any path.
 
 import (
 	"bytes"
@@ -121,12 +123,13 @@ func BenchmarkCodecDecode(b *testing.B) {
 	cases := []struct {
 		name    string
 		version int
-		batch   bool
+		path    string // "next", "batch" or "foreach"
 	}{
-		{"v1-next", 1, false},
-		{"v1-batch", 1, true},
-		{"v3-next", 3, false},
-		{"v3-batch", 3, true},
+		{"v1-next", 1, "next"},
+		{"v1-batch", 1, "batch"},
+		{"v3-next", 3, "next"},
+		{"v3-batch", 3, "batch"},
+		{"v3-foreach", 3, "foreach"},
 	}
 	for _, tc := range cases {
 		data := codecEncoded(b, tc.version)
@@ -141,7 +144,12 @@ func BenchmarkCodecDecode(b *testing.B) {
 					b.Fatal(err)
 				}
 				decoded := 0
-				if tc.batch {
+				switch tc.path {
+				case "foreach":
+					if err := dec.ForEach(func(trace.Access) error { decoded++; return nil }); err != nil {
+						b.Fatal(err)
+					}
+				case "batch":
 					for {
 						buf, err = dec.NextBatch(buf)
 						if err == io.EOF {
@@ -152,7 +160,7 @@ func BenchmarkCodecDecode(b *testing.B) {
 						}
 						decoded += len(buf)
 					}
-				} else {
+				default:
 					for {
 						_, err := dec.Next()
 						if err == io.EOF {

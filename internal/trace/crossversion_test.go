@@ -36,7 +36,8 @@ func recordWorkload(app string, threads int, size splash.Size) (*trace.Stream, e
 // (v1 without file:line) and, for v2 and v3, the same thread count. Replay
 // consumes exactly the table, the batches and the thread count, so a v1 or v2
 // trace replays to the report its v3 recording gives. v3 must also stay at
-// least 3x smaller than v1.
+// least 3x smaller than v1, and at each capacity, strict and tolerant, the v3
+// record decoder agrees with the reference body on every record.
 func TestDecoderCrossVersionAllWorkloads(t *testing.T) {
 	const threads = 8
 	for _, name := range splash.Names() {
@@ -64,6 +65,12 @@ func TestDecoderCrossVersionAllWorkloads(t *testing.T) {
 			}
 
 			for _, capacity := range []int{1, 7, 1024} {
+				for _, tolerant := range []bool{false, true} {
+					n, err := trace.CompareV3Bodies(data[2], capacity, tolerant)
+					if err != nil || n != len(s.Accesses) {
+						t.Fatalf("cap %d tolerant %v: %d of %d records against the reference body: %v", capacity, tolerant, n, len(s.Accesses), err)
+					}
+				}
 				decs := make([]*trace.Decoder, len(data))
 				bufs := make([][]trace.Access, len(data))
 				for v := range data {

@@ -2,6 +2,25 @@ package trace
 
 import "encoding/binary"
 
+// Next decodes one record: NextBatch over a one-element buffer, with the
+// same io.EOF, "record i of n" and sticky-error contract. It is the tests'
+// record-at-a-time view of the decoder.
+func (d *Decoder) Next() (Access, error) {
+	var one [1]Access
+	b, err := d.NextBatch(one[:0])
+	if err != nil {
+		return Access{}, err
+	}
+	return b[0], nil
+}
+
+// CompareV3Bodies holds the v3 record decoder to the reference body over
+// data, as the decoder (strict or tolerant) would call it at batch capacity
+// capacity: see compareV3Bodies.
+func CompareV3Bodies(data []byte, capacity int, tolerant bool) (int, error) {
+	return compareV3Bodies(data, capacity, tolerant)
+}
+
 // EncodeFixed renders s in one of the fixed-record layouts, v1 or v2, that
 // nothing in the module writes any more. The decoder still reads them, so its
 // tests need the bytes; they are built from DESIGN §9's byte layout here, not

@@ -32,14 +32,14 @@ import (
 // Error semantics are strict: any truncated or corrupt access record fails
 // with a "record i of n" error (1-based, n the header's declared count), and
 // a clean end before n records is reported the same way wrapping
-// io.ErrUnexpectedEOF. io.EOF from Next means exactly "all n records
+// io.ErrUnexpectedEOF. io.EOF from NextBatch means exactly "all n records
 // decoded". NewDecoderTolerant relaxes this for salvage: decode errors end
 // the stream early instead of failing, and the suppressed cause is kept for
 // the caller (see NewDecoderTolerant).
 
-// telemetryFlushEvery bounds how many decoded/encoded records may accumulate
-// locally before the per-stream counter is published to the shared probe —
-// the batching that replaces one atomic add per record.
+// telemetryFlushEvery bounds how many encoded records may accumulate locally
+// before the per-stream counter is published to the shared probe — the
+// batching that replaces one atomic add per record.
 const telemetryFlushEvery = 256
 
 // Encoder writes a trace stream incrementally: header and region table up
@@ -320,16 +320,14 @@ func (b *Buffer) Seek(offset int64, whence int) (int64, error) {
 func (b *Buffer) Bytes() []byte { return b.buf }
 
 // Decoder reads a trace stream incrementally. NewDecoder consumes the header
-// and region table; each Next call then decodes one access record (NextBatch
-// decodes many into a caller-owned slice). The decoder never buffers more
-// than one v3 block, so arbitrarily large traces replay at O(region table +
-// one block) resident memory.
+// and region table; each NextBatch call then decodes records into a
+// caller-owned slice (ForEach hands them to a function one by one). The
+// decoder never buffers more than one v3 block, so arbitrarily large traces
+// replay at O(region table + one block) resident memory.
 type Decoder struct {
-	// Probes, when non-nil, receives decode-progress telemetry. Counts are
-	// batched: one publish per NextBatch call, per v3 block, or per
-	// telemetryFlushEvery single-record Next calls — not one atomic add per
-	// record. Set it before the first Next call; nil keeps decoding
-	// uninstrumented.
+	// Probes, when non-nil, receives decode-progress telemetry: one publish
+	// per NextBatch call, not one atomic add per record. Set it before the
+	// first call; nil keeps decoding uninstrumented.
 	Probes *obs.TraceProbes
 
 	// Stages, when non-nil, observes each NextBatch call's wall time into the
@@ -345,7 +343,6 @@ type Decoder struct {
 	rec     [accessRecLen]byte // reused v1/v2 record buffer
 	err     error              // sticky failure; io.EOF is not stored here
 	blk     v3BlockReader      // v3 block state
-	pending uint32             // decoded records not yet published to Probes
 
 	// Salvage-mode state (NewDecoderTolerant).
 	tolerant    bool
@@ -515,25 +512,15 @@ func (d *Decoder) endTolerant() error {
 	return io.EOF
 }
 
-func (d *Decoder) noteDecoded(k int) {
-	if d.Probes == nil {
-		return
-	}
-	d.pending += uint32(k)
-	if d.pending >= telemetryFlushEvery {
-		d.flushDecoded()
-	}
-}
-
-func (d *Decoder) flushDecoded() {
-	if d.Probes != nil && d.pending > 0 {
-		d.Probes.DecodedRecords.Add(uint64(d.pending))
-	}
-	d.pending = 0
-}
-
-// next12 decodes one fixed-size v1/v2 record.
+// next12 decodes one fixed-size v1/v2 record, the per-record step of those
+// formats' NextBatch loop.
 func (d *Decoder) next12() (Access, error) {
+	if d.err != nil {
+		return Access{}, d.err
+	}
+	if !d.nUnknown && d.i == d.n {
+		return Access{}, io.EOF
+	}
 	if _, err := io.ReadFull(d.br, d.rec[:]); err != nil {
 		if err == io.EOF && d.nUnknown {
 			// An unfinalized fixed-record stream that ends exactly on a
@@ -545,14 +532,19 @@ func (d *Decoder) next12() (Access, error) {
 		}
 		return Access{}, d.fail(err)
 	}
-	return Access{
+	a := Access{
 		Time:   binary.LittleEndian.Uint64(d.rec[0:]),
 		Addr:   binary.LittleEndian.Uint64(d.rec[8:]),
 		Size:   binary.LittleEndian.Uint32(d.rec[16:]),
 		Thread: int32(binary.LittleEndian.Uint32(d.rec[20:])),
 		Region: int32(binary.LittleEndian.Uint32(d.rec[24:])),
 		Kind:   Kind(d.rec[28]),
-	}, nil
+	}
+	d.i++
+	if d.tolerant && a.Thread > d.maxThread {
+		d.maxThread = a.Thread
+	}
+	return a, nil
 }
 
 // loadBlock reads and verifies the next v3 block header and payload.
@@ -597,83 +589,36 @@ func (d *Decoder) loadBlock() error {
 		return d.fail(fmt.Errorf("block checksum mismatch (header %#x, payload %#x)", crc, got))
 	}
 	d.blk.begin(recs)
-	d.flushDecoded() // publish telemetry at block boundaries
 	return nil
 }
 
-// next3 decodes one v3 record, loading the next block as needed.
-func (d *Decoder) next3() (Access, error) {
-	for d.blk.left == 0 {
-		if err := d.loadBlock(); err != nil {
-			return Access{}, err
-		}
-	}
-	a, err := d.blk.decode()
-	if err != nil {
-		return Access{}, d.fail(err)
-	}
-	return a, nil
-}
-
-// nextRecord is the shared single-record step behind Next and NextBatch; it
-// performs no telemetry.
-func (d *Decoder) nextRecord() (Access, error) {
-	if d.err != nil {
-		return Access{}, d.err
-	}
-	if !d.nUnknown && d.i == d.n {
-		return Access{}, io.EOF
-	}
-	var a Access
-	var err error
-	if d.version == codecVersion3 {
-		a, err = d.next3()
-	} else {
-		a, err = d.next12()
-	}
-	if err != nil {
-		return Access{}, err
-	}
-	d.i++
-	if d.tolerant && a.Thread > d.maxThread {
-		d.maxThread = a.Thread
-	}
-	return a, nil
-}
-
-// Next decodes one access record. It returns io.EOF after exactly Len
-// records; a truncated or unreadable record fails with "record i of n"
-// context (wrapping io.ErrUnexpectedEOF on truncation). Errors are sticky.
-func (d *Decoder) Next() (Access, error) {
-	a, err := d.nextRecord()
-	if err != nil {
-		d.flushDecoded()
-		return Access{}, err
-	}
-	d.noteDecoded(1)
-	return a, nil
-}
-
 // NextBatch decodes up to cap(buf) records into buf[:0] and returns the
-// filled prefix — the bulk path the sharded replay producers feed on. The
-// slice is caller-owned and reused across calls, so a steady-state batch
-// performs zero allocations; batches cross v3 block boundaries to stay
-// full. Telemetry is published once per call.
+// filled prefix: the decoder's one read path. The slice is caller-owned and
+// reused across calls, so a steady-state batch performs zero allocations;
+// batches cross v3 block boundaries to stay full. Telemetry is published
+// once per call.
 //
-// When records were decoded, NextBatch returns them with a nil error even
-// if the stream ended or failed mid-batch; the io.EOF or sticky decode
-// error surfaces on the following call. An empty batch returns io.EOF or
-// the failure directly.
+// It returns io.EOF after exactly Len records; a truncated or unreadable
+// record fails with "record i of n" context (wrapping io.ErrUnexpectedEOF on
+// truncation), and errors are sticky. When records were decoded, NextBatch
+// returns them with a nil error even if the stream ended or failed
+// mid-batch; the io.EOF or sticky decode error surfaces on the following
+// call. An empty batch returns io.EOF or the failure directly.
 func (d *Decoder) NextBatch(buf []Access) ([]Access, error) {
 	if cap(buf) == 0 {
 		return nil, fmt.Errorf("trace: NextBatch requires a buffer with non-zero capacity")
 	}
-	if d.Stages == nil {
-		return d.nextBatchAny(buf)
+	var t0 time.Time
+	if d.Stages != nil {
+		t0 = time.Now()
 	}
-	t0 := time.Now()
 	out, err := d.nextBatchAny(buf)
-	d.Stages.Decode.Observe(uint64(time.Since(t0)))
+	if d.Stages != nil {
+		d.Stages.Decode.Observe(uint64(time.Since(t0)))
+	}
+	if d.Probes != nil && len(out) > 0 {
+		d.Probes.DecodedRecords.Add(uint64(len(out)))
+	}
 	return out, err
 }
 
@@ -684,39 +629,34 @@ func (d *Decoder) nextBatchAny(buf []Access) ([]Access, error) {
 	}
 	buf = buf[:0]
 	for len(buf) < cap(buf) {
-		a, err := d.nextRecord()
+		a, err := d.next12()
 		if err != nil {
 			if len(buf) == 0 {
-				d.flushDecoded()
 				return buf, err
 			}
 			break // the error stays sticky and surfaces on the next call
 		}
 		buf = append(buf, a)
 	}
-	d.noteDecoded(len(buf))
-	d.flushDecoded()
 	return buf, nil
 }
 
 // nextBatch3 is the v3 bulk decode: records drain straight out of the block
-// buffer via decodeInto, skipping the per-record nextRecord dispatch that
-// would otherwise dominate the cost of the few-ns compact records. Semantics
-// are identical to the generic loop (partial batch first, error sticky on
-// the following call).
+// buffer via decodeInto, with no per-record dispatch, which would otherwise
+// dominate the cost of the few-ns compact records. Semantics are identical
+// to the fixed-record loop (partial batch first, error sticky on the
+// following call).
 func (d *Decoder) nextBatch3(buf []Access) ([]Access, error) {
 	buf = buf[:0]
 	for len(buf) < cap(buf) {
 		if d.err != nil {
 			if len(buf) == 0 {
-				d.flushDecoded()
 				return buf, d.err
 			}
 			break
 		}
 		if !d.nUnknown && d.i == d.n {
 			if len(buf) == 0 {
-				d.flushDecoded()
 				return buf, io.EOF
 			}
 			break
@@ -724,7 +664,6 @@ func (d *Decoder) nextBatch3(buf []Access) ([]Access, error) {
 		if d.blk.left == 0 {
 			if err := d.loadBlock(); err != nil {
 				if len(buf) == 0 {
-					d.flushDecoded()
 					return buf, err
 				}
 				break
@@ -749,30 +688,31 @@ func (d *Decoder) nextBatch3(buf []Access) ([]Access, error) {
 		if derr != nil {
 			err := d.fail(derr)
 			if len(buf) == 0 {
-				d.flushDecoded()
 				return buf, err
 			}
 			break
 		}
 	}
-	d.noteDecoded(len(buf))
-	d.flushDecoded()
 	return buf, nil
 }
 
 // ForEach decodes every remaining record through fn, stopping on the first
-// decode error or non-nil fn result.
+// decode error or non-nil fn result. It drains NextBatch into one reused
+// buffer: the records before a decode failure reach fn, then the error
+// returns; after fn fails, the rest of its batch is dropped.
 func (d *Decoder) ForEach(fn func(Access) error) error {
+	batch := make([]Access, 0, 1024)
 	for {
-		a, err := d.Next()
-		if err == io.EOF {
+		var err error
+		if batch, err = d.NextBatch(batch); err == io.EOF {
 			return nil
-		}
-		if err != nil {
+		} else if err != nil {
 			return err
 		}
-		if err := fn(a); err != nil {
-			return err
+		for _, a := range batch {
+			if err := fn(a); err != nil {
+				return err
+			}
 		}
 	}
 }

@@ -232,128 +232,134 @@ func (r *v3BlockReader) begin(recs uint32) {
 	r.reset()
 }
 
-func (r *v3BlockReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.payload[r.pos:])
-	if n == 0 {
-		return 0, fmt.Errorf("varint truncated at block offset %d", r.pos)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("varint at block offset %d overflows 64 bits", r.pos)
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *v3BlockReader) svarint() (int64, error) {
-	v, n := binary.Varint(r.payload[r.pos:])
-	if n == 0 {
-		return 0, fmt.Errorf("varint truncated at block offset %d", r.pos)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("varint at block offset %d overflows 64 bits", r.pos)
-	}
-	r.pos += n
-	return v, nil
-}
-
-// decode parses the next record of the current block. Errors are bare
-// causes; the Decoder wraps them with "record i of n" context.
-func (r *v3BlockReader) decode() (Access, error) {
-	if r.pos >= len(r.payload) {
-		return Access{}, fmt.Errorf("block payload exhausted with %d records undecoded", r.left)
-	}
-	tag := r.payload[r.pos]
-	r.pos++
-	if tag&v3TagReserved != 0 {
-		return Access{}, fmt.Errorf("reserved tag bits %#x set", tag&v3TagReserved)
-	}
-	var a Access
-	if tag&v3TagSameThread != 0 {
-		if !r.hasPrev {
-			return Access{}, fmt.Errorf("same-thread tag on the block's first record")
-		}
-		a.Thread = r.prevThread
-	} else {
-		v, err := r.uvarint()
-		if err != nil {
-			return Access{}, err
-		}
-		if v >= v3MaxThreads {
-			return Access{}, fmt.Errorf("thread %d outside [0, %d)", v, v3MaxThreads)
-		}
-		a.Thread = int32(v)
-	}
-	c := r.ctx(a.Thread)
-	predTime := c.lastTime + c.timeStride
-	predAddr := c.lastAddr + c.addrStride
-	if tag&v3TagTimePred != 0 {
-		a.Time = predTime
-	} else {
-		d, err := r.svarint()
-		if err != nil {
-			return Access{}, err
-		}
-		a.Time = predTime + uint64(d)
-	}
-	if tag&v3TagAddrPred != 0 {
-		a.Addr = predAddr
-	} else {
-		d, err := r.svarint()
-		if err != nil {
-			return Access{}, err
-		}
-		a.Addr = predAddr + uint64(d)
-	}
-	if tag&v3TagSameSize != 0 {
-		a.Size = c.size
-	} else {
-		v, err := r.uvarint()
-		if err != nil {
-			return Access{}, err
-		}
-		if v > math.MaxUint32 {
-			return Access{}, fmt.Errorf("size %d overflows 32 bits", v)
-		}
-		a.Size = uint32(v)
-	}
-	if tag&v3TagSameRegion != 0 {
-		a.Region = c.region
-	} else {
-		v, err := r.svarint()
-		if err != nil {
-			return Access{}, err
-		}
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			return Access{}, fmt.Errorf("region %d overflows 32 bits", v)
-		}
-		a.Region = int32(v)
-	}
-	if tag&v3TagWrite != 0 {
-		a.Kind = Write
-	}
-	c.update(a)
-	r.prevThread = a.Thread
-	r.hasPrev = true
-	r.left--
-	if r.left == 0 && r.pos != len(r.payload) {
-		return Access{}, fmt.Errorf("%d trailing bytes after the block's last record", len(r.payload)-r.pos)
-	}
-	return a, nil
-}
-
-// decodeInto bulk-decodes up to len(out) records of the current block into
-// out, returning how many succeeded and the first error. One call per
-// block/batch intersection replaces one three-frame call chain per record —
-// the difference between the batched replay path keeping up with the fixed
-// 29-byte format and trailing it (the per-record decode work is a few ns, so
-// dispatch overhead dominates without this).
+// decodeInto decodes up to len(out) records of the current block into out,
+// returning how many succeeded and the first error: a bare cause, which the
+// Decoder wraps with "record i of n" context. It is the one v3 record
+// decoder, and one call per block/batch intersection replaces a call chain
+// per record. The payload and position stay in locals, one- and two-byte
+// varints (the usual thread, size and region fields and time deltas) decode
+// inline, and each field is stored straight into out[i]: assembling an
+// Access and copying it whole is a wide load over narrow stores, which the
+// core cannot forward (see detect.Process).
 func (r *v3BlockReader) decodeInto(out []Access) (int, error) {
-	for i := range out {
-		a, err := r.decode()
-		if err != nil {
-			return i, err
+	p, pos := r.payload, r.pos
+	var err error
+	i := 0
+	for ; i < len(out); i++ {
+		if pos >= len(p) {
+			err = fmt.Errorf("block payload exhausted with %d records undecoded", r.left)
+			break
 		}
-		out[i] = a
+		tag := p[pos]
+		pos++
+		if tag&v3TagReserved != 0 {
+			err = fmt.Errorf("reserved tag bits %#x set", tag&v3TagReserved)
+			break
+		}
+		thread := r.prevThread
+		if tag&v3TagSameThread == 0 {
+			v, n := shortUvarint(p, pos)
+			if n == 0 {
+				if v, n = binary.Uvarint(p[pos:]); n <= 0 {
+					err = varintErr(n, pos)
+					break
+				}
+			}
+			if pos += n; v >= v3MaxThreads {
+				err = fmt.Errorf("thread %d outside [0, %d)", v, v3MaxThreads)
+				break
+			}
+			thread = int32(v)
+		} else if !r.hasPrev {
+			err = fmt.Errorf("same-thread tag on the block's first record")
+			break
+		}
+		c := r.ctx(thread)
+		tm, addr, size, region := c.lastTime+c.timeStride, c.lastAddr+c.addrStride, c.size, c.region
+		if tag&v3TagTimePred == 0 {
+			v, n := shortUvarint(p, pos)
+			if n == 0 {
+				if v, n = binary.Uvarint(p[pos:]); n <= 0 {
+					err = varintErr(n, pos)
+					break
+				}
+			}
+			pos += n
+			tm += v>>1 ^ -(v & 1) // zig-zag
+		}
+		if tag&v3TagAddrPred == 0 {
+			v, n := shortUvarint(p, pos)
+			if n == 0 {
+				if v, n = binary.Uvarint(p[pos:]); n <= 0 {
+					err = varintErr(n, pos)
+					break
+				}
+			}
+			pos += n
+			addr += v>>1 ^ -(v & 1)
+		}
+		if tag&v3TagSameSize == 0 {
+			v, n := shortUvarint(p, pos)
+			if n == 0 {
+				if v, n = binary.Uvarint(p[pos:]); n <= 0 {
+					err = varintErr(n, pos)
+					break
+				}
+			}
+			if pos += n; v > math.MaxUint32 {
+				err = fmt.Errorf("size %d overflows 32 bits", v)
+				break
+			}
+			size = uint32(v)
+		}
+		if tag&v3TagSameRegion == 0 {
+			v, n := shortUvarint(p, pos)
+			if n == 0 {
+				if v, n = binary.Uvarint(p[pos:]); n <= 0 {
+					err = varintErr(n, pos)
+					break
+				}
+			}
+			d := int64(v>>1) ^ -int64(v&1)
+			if pos += n; d < math.MinInt32 || d > math.MaxInt32 {
+				err = fmt.Errorf("region %d overflows 32 bits", d)
+				break
+			}
+			region = int32(d)
+		}
+		a := &out[i]
+		a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind = tm, addr, size, thread, region, Kind(tag&v3TagWrite)
+		c.timeStride, c.lastTime = tm-c.lastTime, tm
+		c.addrStride, c.lastAddr = addr-c.lastAddr, addr
+		c.size, c.region = size, region
+		r.prevThread, r.hasPrev = thread, true
+		if r.left--; r.left == 0 && pos != len(p) {
+			err = fmt.Errorf("%d trailing bytes after the block's last record", len(p)-pos)
+			break
+		}
 	}
-	return len(out), nil
+	r.pos = pos
+	return i, err
+}
+
+// shortUvarint reads the uvarint at p[pos:] when it is one or two bytes long;
+// n is 0 otherwise, and the caller falls back to binary.Uvarint.
+func shortUvarint(p []byte, pos int) (v uint64, n int) {
+	if pos < len(p) {
+		if b := p[pos]; b < 0x80 {
+			return uint64(b), 1
+		} else if pos+1 < len(p) && p[pos+1] < 0x80 {
+			return uint64(b&0x7f) | uint64(p[pos+1])<<7, 2
+		}
+	}
+	return 0, 0
+}
+
+// varintErr is the error for the varint at block offset pos that
+// binary.Uvarint rejected with n (0: truncated, negative: overflows 64 bits).
+func varintErr(n, pos int) error {
+	if n == 0 {
+		return fmt.Errorf("varint truncated at block offset %d", pos)
+	}
+	return fmt.Errorf("varint at block offset %d overflows 64 bits", pos)
 }

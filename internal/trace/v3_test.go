@@ -170,9 +170,19 @@ func oneRecordPayload() []byte {
 	return p
 }
 
-// TestV3CorruptionTable drives the decoder through every block-level failure
-// mode and pins the "record i of n" sticky-error contract for each.
-func TestV3CorruptionTable(t *testing.T) {
+// v3Corruption is one case of the corruption table: a crafted stream, the
+// failure its decode must report, and where.
+type v3Corruption struct {
+	name     string
+	data     []byte
+	want     string
+	wantEOF  bool // expect io.ErrUnexpectedEOF in the chain
+	position string
+}
+
+// v3CorruptionCases is every block-level failure mode of the v3 format, one
+// crafted stream each.
+func v3CorruptionCases() []v3Corruption {
 	valid := v3Craft(1, v3CraftBlock(1, oneRecordPayload()))
 
 	overlong := []byte{0x00}
@@ -186,13 +196,7 @@ func TestV3CorruptionTable(t *testing.T) {
 
 	exhausted := oneRecordPayload() // declares 2 records, contains 1
 
-	cases := []struct {
-		name     string
-		data     []byte
-		want     string
-		wantEOF  bool // expect io.ErrUnexpectedEOF in the chain
-		position string
-	}{
+	return []v3Corruption{
 		{
 			name: "bad-crc",
 			data: func() []byte {
@@ -277,7 +281,12 @@ func TestV3CorruptionTable(t *testing.T) {
 			position: "record 2 of 2",
 		},
 	}
-	for _, tc := range cases {
+}
+
+// TestV3CorruptionTable drives the decoder through every block-level failure
+// mode and pins the "record i of n" sticky-error contract for each.
+func TestV3CorruptionTable(t *testing.T) {
+	for _, tc := range v3CorruptionCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			dec, err := NewDecoder(bytes.NewReader(tc.data))
 			if err != nil {
@@ -313,7 +322,7 @@ func TestV3CorruptionTable(t *testing.T) {
 
 	// The valid crafted stream itself must decode — otherwise the cases
 	// above could be failing for the wrong reason.
-	if _, accs := decodeAll(t, valid); len(accs) != 1 {
+	if _, accs := decodeAll(t, v3Craft(1, v3CraftBlock(1, oneRecordPayload()))); len(accs) != 1 {
 		t.Fatalf("baseline crafted stream decoded %d records, want 1", len(accs))
 	}
 }
@@ -745,7 +754,7 @@ func FuzzV3RoundTrip(f *testing.F) {
 }
 
 // FuzzV3Decoder feeds arbitrary bytes to the v3 decode paths and holds the
-// three of them to one contract: strict Next, strict NextBatch and tolerant
+// three of them to one contract: strict ForEach, strict NextBatch and tolerant
 // decode must never panic or hang, strict paths must agree record for
 // record, and the tolerant path must salvage a prefix of what strict
 // decoding yields — never invent records.
@@ -770,7 +779,7 @@ func FuzzV3Decoder(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Strict single-record path.
+		// Strict ForEach (1 024-record batches).
 		var strict []Access
 		var strictErr error
 		if dec, err := NewDecoder(bytes.NewReader(data)); err == nil {
@@ -782,7 +791,7 @@ func FuzzV3Decoder(f *testing.F) {
 			strictErr = err
 		}
 
-		// Strict batched path must agree exactly.
+		// Strict NextBatch at another capacity must agree exactly.
 		if dec, err := NewDecoder(bytes.NewReader(data)); err == nil {
 			var got []Access
 			var batchErr error

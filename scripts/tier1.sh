@@ -191,7 +191,7 @@ for pkg in workerpool chanpipe striped exitpaths; do
 done
 
 echo "== go test -fuzz smoke (trace codec, instrumenter, coalescing pass) =="
-for target in FuzzDecode FuzzDecoder FuzzStreamRoundTrip FuzzV3RoundTrip FuzzV3Decoder; do
+for target in FuzzDecode FuzzDecoder FuzzStreamRoundTrip FuzzV3RoundTrip FuzzV3Decoder FuzzV3DecodeReference; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/trace
 done
 go test -run '^$' -fuzz '^FuzzInstrument$' -fuzztime 5s ./internal/instrument
