@@ -82,14 +82,10 @@ func newAnalysis(opts Options, threads int, table *trace.Table) (*analysis, erro
 		QueueCapacity:       opts.ShardQueueCapacity,
 		RedundancyCacheBits: opts.RedundancyCacheBits,
 		Accuracy:            opts.accuracyOptions(threads, probes),
-		NewBackend:          pipeline.AsymmetricFactory(opts.SignatureSlots, opts.AnalysisShards, threads, 0, probes.SigProbes()),
-		Probes:              probes.PipelineProbes(),
-		DetectProbes:        probes.DetectProbes(),
+		NewBackend:          pipeline.AsymmetricFactory(opts.SignatureSlots, opts.AnalysisShards, threads, 0, probes.Sig),
+		Probes:              probes,
 		PhaseWindow:         opts.PhaseWindow,
 		OnWindowClose:       an.ps.onClose(),
-		PhaseProbes:         probes.PhaseProbes(),
-		Stages:              probes.StageProbes(),
-		Overhead:            probes.OverheadProbes(),
 		Timeline:            tel.Timeline(),
 	})
 	if err != nil {
@@ -221,7 +217,7 @@ func (an *analysis) finish(name string, stats exec.Stats) (*Report, error) {
 	drain.End()
 
 	build := tel.span("tree-build")
-	stages := tel.probes().StageProbes()
+	stages := tel.probes().Stage
 	var t0 time.Time
 	if stages != nil {
 		t0 = time.Now()
@@ -303,7 +299,7 @@ func profileEngine(opts Options, src engineSource) (*Report, error) {
 	defer an.pe.Close()
 	eng := exec.New(exec.Options{
 		Threads: src.threads, Probe: an.probe(src.tap), Parallel: opts.Parallel,
-		Probes: an.tel.probes().EngineProbes(),
+		Probes: an.tel.probes().Engine,
 	})
 	an.wire(eng)
 	src.setup.End()

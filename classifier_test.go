@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"commprof/internal/comm"
+	"commprof/internal/obs"
 	"commprof/internal/patterns"
 	"commprof/internal/trace"
 )
@@ -81,7 +82,7 @@ func TestPatternClassifierConcurrent(t *testing.T) {
 func TestPhaseStateTrainsNothing(t *testing.T) {
 	opts := Options{Seed: 7, PhaseWindow: 3000}
 	build := func() {
-		if _, err := newPhaseState(opts, trace.NewTable(), nil, nil); err != nil {
+		if _, err := newPhaseState(opts, trace.NewTable(), nil, obs.Probes{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,8 +105,6 @@ type countingClassifier struct {
 	inner patterns.ConfidenceClassifier
 	n     atomic.Int64
 }
-
-func (c *countingClassifier) Name() string { return c.inner.Name() }
 
 func (c *countingClassifier) Predict(f [patterns.FeatureDim]float64) patterns.Class {
 	c.n.Add(1)

@@ -40,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csv      = fs.Bool("csv", false, "print the global matrix as CSV")
 		classify = fs.Bool("classify", false, "classify the global matrix's parallel pattern")
 		jsonOut  = fs.Bool("json", false, "emit the full report as JSON instead of text")
-		coalesce = fs.Bool("coalesce", true, "statically coalesce provably redundant probes before execution (MiniPar pipeline; -coalesce=false disables)")
 		record   = fs.String("record", "", "also write the access trace to this file")
 		replay   = fs.String("replay", "", "analyse a recorded trace file instead of running a benchmark")
 		telem    = fs.Bool("telemetry", false, "collect profiler self-observability metrics and print a Prometheus-text dump after the run")
@@ -61,8 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "commprof:", err)
 		return 2
 	}
-	opts.DisableCoalesce = !*coalesce
-
 	if *list {
 		for _, n := range commprof.Workloads() {
 			fmt.Fprintln(stdout, n)

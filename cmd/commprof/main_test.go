@@ -61,8 +61,9 @@ func TestUnknownApp(t *testing.T) {
 
 func TestBadFlag(t *testing.T) {
 	// -fpr set the per-slot bloom filters' rate; the reader sets are exact
-	// masks and it no longer parses.
-	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-app", "fft", "-fpr", "0.01"}} {
+	// masks and it no longer parses. -coalesce switched a MiniPar pass no
+	// commprof run goes through, so it is not defined either.
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-app", "fft", "-fpr", "0.01"}, {"-app", "fft", "-coalesce=false"}} {
 		if code, _, _ := runCLI(t, args...); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}

@@ -194,7 +194,7 @@ const DefaultAccuracyTargetFPR = accuracy.DefaultTargetFPR
 
 // accuracyOptions maps the public accuracy knobs onto internal/accuracy
 // options; nil when the monitor is disabled (AccuracyTargetFPR == 0).
-func (o Options) accuracyOptions(threads int, probes *obs.Probes) *accuracy.Options {
+func (o Options) accuracyOptions(threads int, probes obs.Probes) *accuracy.Options {
 	if o.AccuracyTargetFPR <= 0 {
 		return nil
 	}
@@ -202,7 +202,7 @@ func (o Options) accuracyOptions(threads int, probes *obs.Probes) *accuracy.Opti
 		Threads:    threads,
 		SampleBits: o.AccuracySampleBits,
 		TargetFPR:  o.AccuracyTargetFPR,
-		Probes:     probes.AccuracyProbes(),
+		Probes:     probes.Accuracy,
 	}
 }
 

@@ -71,7 +71,7 @@ func monBenchStream(b *testing.B) ([]trace.Access, *trace.Table) {
 func benchMonitored(b *testing.B, bits int) {
 	stream, table := monBenchStream(b)
 	b.ReportAllocs()
-	var last *detect.Detector
+	var last *accuracy.Monitor
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -89,18 +89,18 @@ func benchMonitored(b *testing.B, bits int) {
 			}
 			dopts.Accuracy = mon
 		}
+		last = dopts.Accuracy
 		d, err := detect.New(dopts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = d
 		b.StartTimer()
 		d.ProcessBatch(stream)
 	}
 	if s := b.Elapsed().Nanoseconds(); s > 0 && len(stream) > 0 {
 		b.ReportMetric(float64(s)/float64(len(stream)*b.N), "ns/access")
 	}
-	if mon := last.Accuracy(); mon != nil {
+	if mon := last; mon != nil {
 		st := mon.Stats()
 		if len(stream) > 0 {
 			b.ReportMetric(float64(st.SampledAccesses)/float64(len(stream)), "sampled_frac")

@@ -28,7 +28,6 @@ type Result struct {
 
 // Profiler is the common interface all comparison tools implement.
 type Profiler interface {
-	Name() string
 	// ProcessAccess consumes one instrumented access.
 	ProcessAccess(a trace.Access)
 	// Result reports resource consumption so far.
@@ -70,9 +69,6 @@ func NewHelgrindPlus() *ShadowMemory {
 	return &ShadowMemory{name: "helgrind+", shadowScale: 8, baseOverhead: 64 << 20, pages: map[uint64]struct{}{}}
 }
 
-// Name implements Profiler.
-func (s *ShadowMemory) Name() string { return s.name }
-
 // ProcessAccess implements Profiler: touch the shadow page(s) of the access.
 func (s *ShadowMemory) ProcessAccess(a trace.Access) {
 	s.events++
@@ -106,9 +102,6 @@ type IPM struct {
 
 // NewIPM builds the IPM-like logger.
 func NewIPM() *IPM { return &IPM{callTab: map[uint64]uint32{}} }
-
-// Name implements Profiler.
-func (p *IPM) Name() string { return "ipm" }
 
 // recordBytes is IPM's 128-bit per-event record.
 const recordBytes = 16
@@ -157,9 +150,6 @@ type sd3FSM struct {
 
 // NewSD3 builds the SD3-like profiler.
 func NewSD3() *SD3 { return &SD3{streams: map[sd3Key]*sd3FSM{}} }
-
-// Name implements Profiler.
-func (p *SD3) Name() string { return "sd3" }
 
 // ProcessAccess implements Profiler: advance the per-(thread,region,kind)
 // stride FSM.
@@ -226,9 +216,6 @@ func NewPairwise(capPerAddr int) *Pairwise {
 	}
 	return &Pairwise{history: map[uint64][]pairRec{}, capPerAddr: capPerAddr}
 }
-
-// Name implements Profiler.
-func (p *Pairwise) Name() string { return "pairwise" }
 
 // ProcessAccess implements Profiler.
 func (p *Pairwise) ProcessAccess(a trace.Access) {

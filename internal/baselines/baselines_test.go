@@ -164,7 +164,7 @@ func TestPairwiseCap(t *testing.T) {
 func TestNewByName(t *testing.T) {
 	for _, n := range []string{"memcheck", "helgrind", "helgrind+", "ipm", "sd3", "pairwise"} {
 		p, err := NewByName(n)
-		if err != nil || p.Name() != n {
+		if err != nil || p.Result().Name != n {
 			t.Errorf("NewByName(%s): %v %v", n, p, err)
 		}
 	}

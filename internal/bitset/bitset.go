@@ -11,9 +11,9 @@ import (
 )
 
 // Atomic is a fixed-size bit vector safe for concurrent use without locks.
-// Bits can only be set and tested concurrently; Reset must be externally
-// quiesced (the write-signature path clearing a bloom filter synchronises via
-// the slot's own atomic pointer, see internal/sig).
+// Bits can only be set concurrently (Set reports the old bit); Reset must be
+// externally quiesced (the write-signature path clearing a bloom filter
+// synchronises via the slot's own atomic pointer, see internal/sig).
 type Atomic struct {
 	words []atomic.Uint64
 	n     uint64
@@ -45,14 +45,6 @@ func (a *Atomic) Set(i uint64) (old bool) {
 	}
 }
 
-// Test atomically reports whether bit i is set.
-func (a *Atomic) Test(i uint64) bool {
-	if i >= a.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, a.n))
-	}
-	return a.words[i>>6].Load()&(1<<(i&63)) != 0
-}
-
 // Reset clears every bit. Callers must ensure no concurrent Set is in flight
 // for bits whose loss would violate their invariants.
 func (a *Atomic) Reset() {
@@ -60,6 +52,3 @@ func (a *Atomic) Reset() {
 		a.words[i].Store(0)
 	}
 }
-
-// SizeBytes returns the heap footprint of the bit storage in bytes.
-func (a *Atomic) SizeBytes() uint64 { return uint64(len(a.words)) * 8 }

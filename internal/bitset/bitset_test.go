@@ -1,11 +1,26 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// Test and SizeBytes read a set back for the tests below; the bloom filter
+// itself only sets and clears bits.
+
+// Test atomically reports whether bit i is set.
+func (a *Atomic) Test(i uint64) bool {
+	if i >= a.n {
+		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, a.n))
+	}
+	return a.words[i>>6].Load()&(1<<(i&63)) != 0
+}
+
+// SizeBytes returns the heap footprint of the bit storage in bytes.
+func (a *Atomic) SizeBytes() uint64 { return uint64(len(a.words)) * 8 }
 
 // count is the number of set bits, read bit by bit.
 func count(a *Atomic) uint64 {

@@ -86,25 +86,6 @@ func (f *Filter) Add(v uint64) (present bool) {
 	return present
 }
 
-// Contains reports whether v may be in the set. False positives are possible
-// at the configured rate; false negatives are not.
-func (f *Filter) Contains(v uint64) bool {
-	h1, h2 := murmur.HashAddrPair(v, f.seed)
-	m := f.bits.Len()
-	for i := 0; i < f.k; i++ {
-		if !f.bits.Test((h1 + uint64(i)*h2) % m) {
-			return false
-		}
-	}
-	return true
-}
-
 // Reset clears the filter. Used by Algorithm 1 when a write invalidates the
 // reader set recorded for a signature slot.
 func (f *Filter) Reset() { f.bits.Reset() }
-
-// Hashes returns the number of probe positions k.
-func (f *Filter) Hashes() int { return f.k }
-
-// SizeBytes returns the heap footprint of the filter's bit storage.
-func (f *Filter) SizeBytes() uint64 { return f.bits.SizeBytes() }

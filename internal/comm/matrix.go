@@ -176,18 +176,3 @@ func (m *Matrix) Heatmap() string {
 	}
 	return b.String()
 }
-
-// CSV renders the matrix as comma-separated rows.
-func (m *Matrix) CSV() string {
-	var b strings.Builder
-	for s := 0; s < m.n; s++ {
-		for d := 0; d < m.n; d++ {
-			if d > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", m.At(s, d))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

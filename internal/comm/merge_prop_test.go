@@ -188,7 +188,7 @@ func TestTreeMergeOrderInvariant(t *testing.T) {
 			if mismatch != "" {
 				return
 			}
-			g, ok := got.Node(w.Region.ID)
+			g, ok := got.nodes[w.Region.ID]
 			switch {
 			case !ok:
 				mismatch = fmt.Sprintf("region %d missing", w.Region.ID)

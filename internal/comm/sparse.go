@@ -27,9 +27,6 @@ func NewSparse(n int) *SparseMatrix {
 	return &SparseMatrix{n: n, m: map[sparseKey]uint64{}}
 }
 
-// N returns the matrix dimension.
-func (s *SparseMatrix) N() int { return s.n }
-
 // Add records bytes of communication from src to dst.
 func (s *SparseMatrix) Add(src, dst int32, bytes uint64) {
 	if src < 0 || int(src) >= s.n || dst < 0 || int(dst) >= s.n {
@@ -41,24 +38,6 @@ func (s *SparseMatrix) Add(src, dst int32, bytes uint64) {
 	s.mu.Lock()
 	s.m[sparseKey{src, dst}] += bytes
 	s.mu.Unlock()
-}
-
-// At returns the bytes communicated from src to dst.
-func (s *SparseMatrix) At(src, dst int) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[sparseKey{int32(src), int32(dst)}]
-}
-
-// Total returns the sum of all cells.
-func (s *SparseMatrix) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t uint64
-	for _, v := range s.m {
-		t += v
-	}
-	return t
 }
 
 // NonZeroCells counts cells with any traffic.
@@ -92,27 +71,3 @@ func (s *SparseMatrix) MemoryBytes() uint64 {
 // DenseMemoryBytes is the dense equivalent's fixed cost for n threads:
 // n² 8-byte cells.
 func DenseMemoryBytes(n int) uint64 { return uint64(n) * uint64(n) * 8 }
-
-// Equal reports whether the sparse matrix holds exactly the dense matrix's
-// non-zero cells.
-func (s *SparseMatrix) Equal(m *Matrix) bool {
-	if m == nil || m.N() != s.n {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	count := 0
-	for src := 0; src < s.n; src++ {
-		for dst := 0; dst < s.n; dst++ {
-			v := m.At(src, dst)
-			sv := s.m[sparseKey{int32(src), int32(dst)}]
-			if v != sv {
-				return false
-			}
-			if sv > 0 {
-				count++
-			}
-		}
-	}
-	return count == len(s.m)
-}

@@ -7,6 +7,51 @@ import (
 	"testing/quick"
 )
 
+// At, Total and Equal read a sparse matrix back for the tests below; the
+// profiler itself only adds to one and prices it (NonZeroCells, MemoryBytes).
+
+// At returns the bytes communicated from src to dst.
+func (s *SparseMatrix) At(src, dst int) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m[sparseKey{int32(src), int32(dst)}]
+}
+
+// Total returns the sum of all cells.
+func (s *SparseMatrix) Total() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var t uint64
+	for _, v := range s.m {
+		t += v
+	}
+	return t
+}
+
+// Equal reports whether the sparse matrix holds exactly the dense matrix's
+// non-zero cells.
+func (s *SparseMatrix) Equal(m *Matrix) bool {
+	if m == nil || m.N() != s.n {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	count := 0
+	for src := 0; src < s.n; src++ {
+		for dst := 0; dst < s.n; dst++ {
+			v := m.At(src, dst)
+			sv := s.m[sparseKey{int32(src), int32(dst)}]
+			if v != sv {
+				return false
+			}
+			if sv > 0 {
+				count++
+			}
+		}
+	}
+	return count == len(s.m)
+}
+
 func TestSparseBasics(t *testing.T) {
 	s := NewSparse(8)
 	s.Add(0, 1, 10)
@@ -15,7 +60,7 @@ func TestSparseBasics(t *testing.T) {
 	if s.At(0, 1) != 15 || s.At(7, 3) != 2 || s.At(1, 0) != 0 {
 		t.Fatal("cells wrong")
 	}
-	if s.Total() != 17 || s.NonZeroCells() != 2 || s.N() != 8 {
+	if s.Total() != 17 || s.NonZeroCells() != 2 || s.n != 8 {
 		t.Fatalf("aggregates wrong: total=%d nz=%d", s.Total(), s.NonZeroCells())
 	}
 }

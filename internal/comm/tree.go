@@ -76,12 +76,6 @@ func BuildTree(table *trace.Table, own []*Matrix, accesses []uint64, global, out
 // NodeCount returns the number of regions in the tree (telemetry).
 func (t *Tree) NodeCount() int { return len(t.nodes) }
 
-// Node returns the tree node for a region ID.
-func (t *Tree) Node(id int32) (*Node, bool) {
-	n, ok := t.nodes[id]
-	return n, ok
-}
-
 // Walk visits every node depth-first in region-ID order, calling fn with the
 // node and its depth.
 func (t *Tree) Walk(fn func(n *Node, depth int)) {

@@ -49,7 +49,7 @@ func TestBuildTreeSummation(t *testing.T) {
 	if err := tree.CheckSummationLaw(); err != nil {
 		t.Fatalf("summation law: %v", err)
 	}
-	mainNode, ok := tree.Node(0)
+	mainNode, ok := tree.nodes[0]
 	if !ok {
 		t.Fatal("main node missing")
 	}
@@ -57,7 +57,7 @@ func TestBuildTreeSummation(t *testing.T) {
 	if got := mainNode.Cumulative.Total(); got != 157 {
 		t.Fatalf("main cumulative = %d, want 157", got)
 	}
-	outerNode, _ := tree.Node(1)
+	outerNode := tree.nodes[1]
 	if got := outerNode.Cumulative.Total(); got != 150 {
 		t.Fatalf("outer cumulative = %d, want 150", got)
 	}

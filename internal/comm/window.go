@@ -173,13 +173,6 @@ func (ws *WindowSet) MaxTime() uint64 {
 	return ws.maxTime
 }
 
-// Len returns the number of non-empty windows currently held.
-func (ws *WindowSet) Len() int {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return len(ws.wins)
-}
-
 // MergeWindow sums one window into the set. Merging is off the access hot
 // path, so the whole summation (including region-map inserts) stays under
 // the set lock.
@@ -192,27 +185,6 @@ func (ws *WindowSet) MergeWindow(w *Window) {
 		return
 	}
 	dst.AddWindow(w)
-}
-
-// Merge sums every window of other into ws. Merging the per-partition sets
-// of any partition of one event stream, in any order, yields the set a
-// single observer would have built.
-func (ws *WindowSet) Merge(other *WindowSet) {
-	other.mu.Lock()
-	wins := make([]*Window, 0, len(other.wins))
-	for _, w := range other.wins {
-		wins = append(wins, w)
-	}
-	maxTime := other.maxTime
-	other.mu.Unlock()
-	for _, w := range wins {
-		ws.MergeWindow(w)
-	}
-	ws.mu.Lock()
-	if maxTime > ws.maxTime {
-		ws.maxTime = maxTime
-	}
-	ws.mu.Unlock()
 }
 
 // Drain removes and returns every window wholly below the frontier

@@ -86,10 +86,10 @@ func TestWindowSetRejectsBadConfig(t *testing.T) {
 
 // TestWindowMergeCommutative is the merge-soundness property test: splitting
 // one event stream into random partitions (as address-hash sharding does),
-// accumulating each partition into its own WindowSet, and merging the
-// partials in any order and grouping yields exactly the set a single
-// observer builds. This is the algebraic fact that lets shard workers fill
-// windows without synchronization.
+// accumulating each partition into its own WindowSet, and draining the
+// partials through a closer in any order and grouping yields exactly the set
+// a single observer builds. This is the algebraic fact that lets shard
+// workers fill windows without synchronization.
 func TestWindowMergeCommutative(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x71d0))
 	const threads, size = 8, 500
@@ -110,26 +110,28 @@ func TestWindowMergeCommutative(t *testing.T) {
 			sets[rng.Intn(parts)].Observe(ev.time, ev.region, ev.src, ev.dst, ev.bytes)
 		}
 
-		// Merge in a random order, occasionally pairwise-first to exercise
-		// associativity (merge a partial into a partial, then the rest).
+		// Drain the partials in a random order, occasionally folding one into
+		// another first to exercise associativity (merge a partial into a
+		// partial, then the rest).
 		order := rng.Perm(parts)
-		got, err := NewWindowSet(threads, size)
+		if parts >= 3 && rng.Intn(2) == 0 {
+			for _, w := range sets[order[1]].Drain(^uint64(0)) {
+				sets[order[0]].MergeWindow(w)
+			}
+			order = append(order[:1], order[2:]...)
+		}
+		sources := make([]*WindowSet, len(order))
+		for i, o := range order {
+			sources[i] = sets[o]
+		}
+		c, err := NewWindowCloser(threads, size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parts >= 3 && rng.Intn(2) == 0 {
-			sets[order[0]].Merge(sets[order[1]])
-			order = order[:copy(order, append([]int{order[0]}, order[2:]...))]
-		}
-		for _, i := range order {
-			got.Merge(sets[i])
-		}
+		c.Advance(^uint64(0), sources, nil)
 
-		if !got.Equal(want) {
+		if !c.Done().Equal(want) {
 			t.Fatalf("trial %d: merged set differs from single-observer set (parts=%d)", trial, parts)
-		}
-		if got.MaxTime() != want.MaxTime() {
-			t.Fatalf("trial %d: merged MaxTime %d, want %d", trial, got.MaxTime(), want.MaxTime())
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"commprof/internal/accuracy"
 	"commprof/internal/sig"
 	"commprof/internal/splash"
+	"commprof/internal/trace"
 )
 
 func newTestMonitor(t *testing.T, threads int, bits uint) *accuracy.Monitor {
@@ -178,21 +179,29 @@ func TestAccuracyComposesWithRedundancy(t *testing.T) {
 	}
 }
 
-// TestAccuracyAccessor covers the Detector.Accuracy plumbing.
+// TestAccuracyAccessor covers the detector's monitor plumbing: the monitor
+// handed in through Options is the one the detector feeds, and a detector
+// without one runs unmonitored.
 func TestAccuracyAccessor(t *testing.T) {
+	stream := []trace.Access{
+		{Time: 0, Addr: 0x100, Size: 8, Thread: 0, Region: trace.NoRegion, Kind: trace.Write},
+		{Time: 1, Addr: 0x100, Size: 8, Thread: 1, Region: trace.NoRegion, Kind: trace.Read},
+	}
 	d, err := New(Options{Threads: 2, Backend: sig.NewPerfect(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Accuracy() != nil {
-		t.Error("detector without a monitor reports one")
+	d.ProcessBatch(stream)
+	if got := d.Stats().Detected; got != 1 {
+		t.Fatalf("unmonitored detector found %d events, want 1", got)
 	}
 	mon := newTestMonitor(t, 2, 0)
 	d2, err := New(Options{Threads: 2, Backend: sig.NewPerfect(2), Accuracy: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Accuracy() != mon {
-		t.Error("Accuracy accessor lost the monitor")
+	d2.ProcessBatch(stream)
+	if st := mon.Stats(); st.SampledAccesses != 2 || st.Confirmed != 1 {
+		t.Errorf("monitor saw %d accesses and confirmed %d events, want 2 and 1", st.SampledAccesses, st.Confirmed)
 	}
 }

@@ -357,10 +357,6 @@ func (d *Detector) RegionAccesses() []uint64 {
 	return slices.Clone(d.regionAcc)
 }
 
-// Table returns the static region table the detector was built with (nil when
-// per-region attribution is disabled).
-func (d *Detector) Table() *trace.Table { return d.opts.Table }
-
 // Tree builds the nested communication structure. It errors if the detector
 // was built without a region table. The caller must be ordered after the
 // detector's last ProcessBatch by a happens-before edge.
@@ -406,7 +402,3 @@ func (d *Detector) RedundancyStats() (redundancy.Stats, bool) {
 	}
 	return d.redun.Stats(), true
 }
-
-// Accuracy returns the shadow-sampling accuracy monitor, or nil when the
-// detector runs unmonitored.
-func (d *Detector) Accuracy() *accuracy.Monitor { return d.opts.Accuracy }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"commprof/internal/comm"
 	"commprof/internal/exec"
 	"commprof/internal/sig"
 	"commprof/internal/trace"
@@ -21,6 +22,13 @@ func newDetector(t *testing.T, threads int, table *trace.Table) *Detector {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// regionNodes indexes a tree's nodes by region ID.
+func regionNodes(tree *comm.Tree) map[int32]*comm.Node {
+	nodes := map[int32]*comm.Node{}
+	tree.Walk(func(n *comm.Node, _ int) { nodes[n.Region.ID] = n })
+	return nodes
 }
 
 func TestNewValidation(t *testing.T) {
@@ -80,7 +88,7 @@ func TestFigure2Scenario(t *testing.T) {
 	// Volume check: T1->T2 4B, T1->T3 4B, T2->T1 4B, T2->T3 4B.
 	m := d.Global()
 	if m.At(1, 2) != 4 || m.At(1, 3) != 4 || m.At(2, 1) != 4 || m.At(2, 3) != 4 {
-		t.Fatalf("matrix:\n%s", m.CSV())
+		t.Fatalf("matrix: %v", m.Rows())
 	}
 	if m.Total() != 16 {
 		t.Fatalf("total = %d, want 16", m.Total())
@@ -165,7 +173,7 @@ func TestRegionAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Function node inherits the loop's traffic via summation.
-	fn, _ := tree.Node(f)
+	fn := regionNodes(tree)[f]
 	if fn.Cumulative.Total() != 8 {
 		t.Fatalf("func cumulative = %d", fn.Cumulative.Total())
 	}
@@ -312,7 +320,7 @@ func TestProbeIntegrationWithEngine(t *testing.T) {
 	}
 	m := d.Global()
 	if m.At(0, 1) != 128 || m.At(2, 3) != 128 {
-		t.Fatalf("pipeline matrix wrong:\n%s", m.CSV())
+		t.Fatalf("pipeline matrix wrong: %v", m.Rows())
 	}
 	if m.Total() != 256 {
 		t.Fatalf("total = %d", m.Total())

@@ -85,8 +85,8 @@ func (c wallConfig) parts(t *testing.T, threads int) (bits uint, mon *accuracy.M
 func (r *wallResult) readProbes(p *obs.DetectProbes) {
 	if p != nil {
 		r.ProbeEvents, r.ProbeStale, r.ProbeSkips = p.Events.Value(), p.StaleWriterDrops.Value(), p.RedundantSkips.Value()
-		r.ProbeBytesN, r.ProbeBytesSum = p.EventBytes.Count(), p.EventBytes.Sum()
-		r.ProbeBytesBuckets = p.EventBytes.Snapshot().Buckets
+		s := p.EventBytes.Snapshot()
+		r.ProbeBytesN, r.ProbeBytesSum, r.ProbeBytesBuckets = s.Count, s.Sum, s.Buckets
 	}
 }
 

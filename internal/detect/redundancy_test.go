@@ -94,8 +94,9 @@ func TestRedundancyFilterBitIdenticalAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			mismatches := 0
+			filtNodes := regionNodes(filtTree)
 			refTree.Walk(func(n *comm.Node, _ int) {
-				m, ok := filtTree.Node(n.Region.ID)
+				m, ok := filtNodes[n.Region.ID]
 				if !ok || !m.Own.Equal(n.Own) || !m.Cumulative.Equal(n.Cumulative) || m.Accesses != n.Accesses {
 					mismatches++
 				}

@@ -11,6 +11,7 @@ import (
 	"commprof/internal/detect"
 	"commprof/internal/exec"
 	"commprof/internal/metrics"
+	"commprof/internal/obs"
 	"commprof/internal/pipeline"
 	"commprof/internal/sig"
 	"commprof/internal/splash"
@@ -284,7 +285,7 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 			e, err := pipeline.New(pipeline.Options{
 				Shards: k, Threads: env.Threads,
 				NewBackend: func(int) (sig.Backend, error) { return env.newSignature(perShard, sig.HashMurmur) },
-				Probes:     env.Probes.PipelineProbes(),
+				Probes:     obs.Probes{Pipeline: env.Probes.Pipeline},
 			})
 			if err != nil {
 				return 0, 0
@@ -382,7 +383,7 @@ func StreamReplay(env Env, app string, size splash.Size, shards int) (*StreamRep
 			Shards: shards, Threads: env.Threads, Table: prog.Table(),
 			QueueCapacity: 1024,
 			NewBackend:    pipeline.PerfectFactory(env.Threads),
-			Probes:        env.Probes.PipelineProbes(),
+			Probes:        obs.Probes{Pipeline: env.Probes.Pipeline},
 		})
 	}
 	add := func(name string, run func(*pipeline.Engine) error) (*comm.Matrix, error) {

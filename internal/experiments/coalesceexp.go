@@ -102,14 +102,14 @@ func runCoalesceKernel(env Env, src string, coalesce bool) (coalesceRun, error) 
 	}
 	d, err := detect.New(detect.Options{
 		Threads: env.Threads, Backend: sig.NewPerfect(env.Threads), Table: table,
-		Probes: env.Probes.DetectProbes(),
+		Probes: env.Probes.Detect,
 	})
 	if err != nil {
 		return coalesceRun{}, err
 	}
 	eng := exec.New(exec.Options{
 		Threads: env.Threads, Quantum: 1 << 30, Probe: d.Probe(),
-		Probes: env.Probes.EngineProbes(),
+		Probes: env.Probes.Engine,
 	})
 	stats, err := rt.Run(eng)
 	if err != nil {

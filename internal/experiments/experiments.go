@@ -41,7 +41,7 @@ type Env struct {
 	// signature/detector/engine the experiment helpers construct, so a live
 	// /metrics endpoint can watch a long commbench sweep. Nil (the default)
 	// keeps experiment runs uninstrumented.
-	Probes *obs.Probes
+	Probes obs.Probes
 	// DisableCoalesce turns off the static probe-coalescing pass in the
 	// experiments that compile MiniPar programs (the coalesce ablation).
 	// SPLASH workloads issue probes directly and are unaffected. With the
@@ -80,7 +80,7 @@ func (e Env) validate() error {
 func (e Env) newSignature(slots uint64, hash sig.HashKind) (*sig.Bloom, error) {
 	return sig.NewBloom(sig.Options{
 		Slots: slots, Threads: e.Threads, Hash: hash,
-		Probes: e.Probes.SigProbes(),
+		Probes: e.Probes.Sig,
 	}, e.FPRate)
 }
 
@@ -93,7 +93,7 @@ func (e Env) newDetector(table *trace.Table) (*detect.Detector, *sig.Bloom, erro
 	}
 	d, err := detect.New(detect.Options{
 		Threads: e.Threads, Backend: s, Table: table,
-		Probes: e.Probes.DetectProbes(),
+		Probes: e.Probes.Detect,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -107,7 +107,7 @@ func (e Env) runProgram(name string, size splash.Size, probe exec.Probe) (splash
 	if err != nil {
 		return nil, exec.Stats{}, err
 	}
-	eng := exec.New(exec.Options{Threads: e.Threads, Probe: probe, Probes: e.Probes.EngineProbes()})
+	eng := exec.New(exec.Options{Threads: e.Threads, Probe: probe, Probes: e.Probes.Engine})
 	stats, err := prog.Run(eng)
 	if err != nil {
 		return nil, exec.Stats{}, fmt.Errorf("experiments: %s: %w", name, err)
@@ -125,7 +125,7 @@ func (e Env) profile(name string, size splash.Size) (*detect.Detector, splash.Pr
 	if err != nil {
 		return nil, nil, exec.Stats{}, err
 	}
-	eng := exec.New(exec.Options{Threads: e.Threads, Probe: d.Probe(), Probes: e.Probes.EngineProbes()})
+	eng := exec.New(exec.Options{Threads: e.Threads, Probe: d.Probe(), Probes: e.Probes.Engine})
 	stats, err := prog.Run(eng)
 	if err != nil {
 		return nil, nil, exec.Stats{}, fmt.Errorf("experiments: %s: %w", name, err)
@@ -135,5 +135,5 @@ func (e Env) profile(name string, size splash.Size) (*detect.Detector, splash.Pr
 
 // newEngine builds an executor configured for this environment.
 func newEngine(e Env, probe exec.Probe) *exec.Engine {
-	return exec.New(exec.Options{Threads: e.Threads, Probe: probe, Probes: e.Probes.EngineProbes()})
+	return exec.New(exec.Options{Threads: e.Threads, Probe: probe, Probes: e.Probes.Engine})
 }

@@ -116,9 +116,6 @@ func (r *Runtime) SetMaxSteps(n uint64) {
 	}
 }
 
-// Footprint returns the shared-data size in bytes.
-func (r *Runtime) Footprint() uint64 { return r.space.FootprintBytes() }
-
 // arrayValues returns a copy of the named array's final contents (the tests'
 // window on what a program computed).
 func (r *Runtime) arrayValues(name string) ([]int64, bool) {

@@ -186,12 +186,12 @@ func main() {
 	for k := 0; k < 4; k++ {
 		src := int32((k + 1) % 4)
 		if got := m.At(int(src), k); got != 16*8 {
-			t.Fatalf("matrix[%d][%d] = %d, want 128\n%s", src, k, got, m.CSV())
+			t.Fatalf("matrix[%d][%d] = %d, want 128: %v", src, k, got, m.Rows())
 		}
 	}
 	// Self-reads and other pairs: nothing.
 	if m.Total() != 4*16*8 {
-		t.Fatalf("total = %d\n%s", m.Total(), m.CSV())
+		t.Fatalf("total = %d: %v", m.Total(), m.Rows())
 	}
 	// Values still correct.
 	vals, _ := rt.arrayValues("S")
@@ -339,8 +339,8 @@ func TestFootprintAndMissingArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Footprint() != 800 {
-		t.Fatalf("footprint = %d", rt.Footprint())
+	if rt.space.FootprintBytes() != 800 {
+		t.Fatalf("footprint = %d", rt.space.FootprintBytes())
 	}
 	if _, ok := rt.arrayValues("nope"); ok {
 		t.Fatal("missing array found")

@@ -16,8 +16,6 @@ type countingClassifier struct {
 	n     atomic.Int64
 }
 
-func (c *countingClassifier) Name() string { return c.inner.Name() }
-
 func (c *countingClassifier) Predict(f [patterns.FeatureDim]float64) patterns.Class {
 	c.n.Add(1)
 	return c.inner.Predict(f)

@@ -30,7 +30,7 @@ type Phase struct {
 // not by arrival.
 //
 // Feed events via Observe (usable as a detect Options.OnEvent callback),
-// optionally stream closed windows out via Advance, and call Finish once.
+// optionally emit the windows in order via Flush, and call Finish once.
 type PhaseSegmenter struct {
 	threads    int
 	windowSize uint64
@@ -67,14 +67,6 @@ func NewPhaseSegmenter(threads int, windowSize uint64, threshold float64) (*Phas
 // Observe records one communication event into its time window.
 func (p *PhaseSegmenter) Observe(ev detect.Event) {
 	p.live.Observe(ev.Time, ev.Region, ev.Writer, ev.Reader, uint64(ev.Bytes))
-}
-
-// Advance closes every window wholly below the current maximum observed
-// event time and emits each newly completed window, in order, to onClose
-// (nil ok). In deterministic runs event time is monotone, so a window below
-// the max is final; the live observability sampler drives this periodically.
-func (p *PhaseSegmenter) Advance(onClose func(w *comm.Window, end uint64)) int {
-	return p.closer.Advance(p.live.MaxTime(), []*comm.WindowSet{p.live}, onClose)
 }
 
 // Flush closes every remaining window, emitting each unemitted one to

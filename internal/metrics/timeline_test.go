@@ -229,10 +229,10 @@ func TestLivePhasesEmptyWindow(t *testing.T) {
 	}
 }
 
-// TestSegmenterStreamingMatchesFinish pins that driving the segmenter with
-// periodic Advance calls (the live path) emits exactly the windows Finish
-// would aggregate, in order, and that Finish still returns the same phases
-// as a never-advanced twin.
+// TestSegmenterStreamingMatchesFinish pins that advancing the segmenter's
+// closer periodically to the newest event (the live path) emits exactly the
+// windows Finish would aggregate, in order, and that Finish still returns the
+// same phases as a never-advanced twin.
 func TestSegmenterStreamingMatchesFinish(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	mk := func() *PhaseSegmenter {
@@ -256,7 +256,7 @@ func TestSegmenterStreamingMatchesFinish(t *testing.T) {
 		streamed.Observe(ev)
 		plain.Observe(ev)
 		if i%97 == 0 {
-			streamed.Advance(onClose)
+			streamed.closer.Advance(streamed.live.MaxTime(), []*comm.WindowSet{streamed.live}, onClose)
 		}
 	}
 	streamed.Flush(onClose)

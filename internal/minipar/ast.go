@@ -6,16 +6,6 @@ type Program struct {
 	Funcs  []FuncDecl
 }
 
-// FindFunc returns the function with the given name.
-func (p *Program) FindFunc(name string) (*FuncDecl, bool) {
-	for i := range p.Funcs {
-		if p.Funcs[i].Name == name {
-			return &p.Funcs[i], true
-		}
-	}
-	return nil, false
-}
-
 // FindArray returns the index of the named array declaration, or -1.
 func (p *Program) FindArray(name string) int {
 	for i := range p.Arrays {

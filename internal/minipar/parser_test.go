@@ -32,6 +32,16 @@ func smooth(rounds) {
 }
 `
 
+// findFunc returns the function with the given name.
+func findFunc(p *Program, name string) (*FuncDecl, bool) {
+	for i := range p.Funcs {
+		if p.Funcs[i].Name == name {
+			return &p.Funcs[i], true
+		}
+	}
+	return nil, false
+}
+
 func TestLexBasics(t *testing.T) {
 	toks, err := Lex("parfor i = 0..10 { A[i] = i*2; } // c")
 	if err != nil {
@@ -93,7 +103,7 @@ func TestParseSample(t *testing.T) {
 	if len(prog.Arrays) != 2 || len(prog.Funcs) != 2 {
 		t.Fatalf("decls: %d arrays %d funcs", len(prog.Arrays), len(prog.Funcs))
 	}
-	mainFn, ok := prog.FindFunc("main")
+	mainFn, ok := findFunc(prog, "main")
 	if !ok || len(mainFn.Body) != 3 {
 		t.Fatalf("main body: %v", mainFn)
 	}
@@ -101,7 +111,7 @@ func TestParseSample(t *testing.T) {
 	if !ok || !pf.Parallel || pf.Var != "i" {
 		t.Fatalf("first stmt: %#v", mainFn.Body[0])
 	}
-	smooth, _ := prog.FindFunc("smooth")
+	smooth, _ := findFunc(prog, "smooth")
 	if len(smooth.Params) != 1 || smooth.Params[0] != "rounds" {
 		t.Fatalf("smooth params: %v", smooth.Params)
 	}
@@ -184,7 +194,7 @@ func helper(a, b) { A[a] = b; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := prog.FindFunc("main")
+	m, _ := findFunc(prog, "main")
 	if len(m.Body) != 11 {
 		t.Fatalf("main has %d statements", len(m.Body))
 	}

@@ -69,20 +69,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add adds delta with a CAS loop (gauges are not hot-path metrics).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -120,14 +106,6 @@ func (h *Histogram) ObserveN(v, n uint64) {
 	h.buckets[bits.Len64(v)].Add(n)
 	h.count.Add(n)
 	h.sum.Add(v * n)
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the total of all observed values (0 on nil). For the stage

@@ -26,8 +26,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatal("Counter not idempotent")
 	}
 	g := r.Gauge("fill_ratio")
-	g.Set(0.25)
-	g.Add(0.5)
+	g.Set(0.75)
 	if got := g.Value(); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("gauge = %v, want 0.75", got)
 	}
@@ -48,7 +47,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(1)
-	g.Add(1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge accumulated")
 	}
@@ -67,12 +65,8 @@ func TestNilSafety(t *testing.T) {
 	if tr.Current() != "" || tr.Spans() != nil {
 		t.Fatal("nil tracer recorded")
 	}
-	var p *Probes
-	if p.SigProbes() != nil || p.DetectProbes() != nil || p.EngineProbes() != nil {
-		t.Fatal("nil probe bundle returned non-nil layer")
-	}
-	if DefaultProbes(nil) != nil {
-		t.Fatal("DefaultProbes(nil) != nil")
+	if DefaultProbes(nil) != (Probes{}) {
+		t.Fatal("DefaultProbes(nil) is not the zero bundle")
 	}
 }
 
@@ -198,17 +192,12 @@ func TestTracerSpansAndClock(t *testing.T) {
 	if tr.Current() != "" {
 		t.Fatal("tracer not idle after ends")
 	}
-	tr.Reset()
-	if len(tr.Spans()) != 0 {
-		t.Fatal("reset kept spans")
-	}
 }
 
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("par_total")
 	h := r.Histogram("par_hist")
-	g := r.Gauge("par_gauge")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -217,7 +206,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(uint64(i))
-				g.Add(1)
 			}
 		}()
 	}
@@ -227,9 +215,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if s := h.Snapshot(); s.Count != 8000 {
 		t.Fatalf("histogram count = %d", s.Count)
-	}
-	if g.Value() != 8000 {
-		t.Fatalf("gauge = %v", g.Value())
 	}
 }
 

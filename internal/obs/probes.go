@@ -4,7 +4,8 @@ package obs
 // internal/exec) accept one of these as an optional Options field; a nil
 // bundle is the uninstrumented fast path and costs exactly one pointer
 // nil-check at each hook site. Counter/Histogram fields inside a bundle may
-// individually be nil (they are no-ops), so callers can wire any subset.
+// individually be nil (they are no-ops), so callers can wire any subset. The
+// zero Probes, every layer nil, is the uninstrumented run.
 
 // SigProbes instruments the asymmetric signature memory.
 type SigProbes struct {
@@ -149,7 +150,8 @@ type EngineProbes struct {
 	ElidedProbes *Counter
 }
 
-// Probes bundles every layer's hooks for one profiling run.
+// Probes bundles every layer's hooks for one profiling run; a nil field
+// leaves its layer uninstrumented.
 type Probes struct {
 	Sig      *SigProbes
 	Detect   *DetectProbes
@@ -163,12 +165,12 @@ type Probes struct {
 }
 
 // DefaultProbes wires a full probe set into r under the standard metric
-// names. Returns nil (all layers disabled) on a nil registry.
-func DefaultProbes(r *Registry) *Probes {
+// names. Returns the zero Probes (all layers disabled) on a nil registry.
+func DefaultProbes(r *Registry) Probes {
 	if r == nil {
-		return nil
+		return Probes{}
 	}
-	return &Probes{
+	return Probes{
 		Sig: &SigProbes{
 			ReaderResets: r.Counter("sig_reader_resets_total"),
 		},
@@ -220,76 +222,4 @@ func DefaultProbes(r *Registry) *Probes {
 			ShadowNanos:     r.Counter("overhead_shadow_nanos_total"),
 		},
 	}
-}
-
-// SigProbes returns the signature layer's bundle; nil-safe.
-func (p *Probes) SigProbes() *SigProbes {
-	if p == nil {
-		return nil
-	}
-	return p.Sig
-}
-
-// DetectProbes returns the detector layer's bundle; nil-safe.
-func (p *Probes) DetectProbes() *DetectProbes {
-	if p == nil {
-		return nil
-	}
-	return p.Detect
-}
-
-// EngineProbes returns the executor layer's bundle; nil-safe.
-func (p *Probes) EngineProbes() *EngineProbes {
-	if p == nil {
-		return nil
-	}
-	return p.Engine
-}
-
-// PipelineProbes returns the sharded-analyser bundle; nil-safe.
-func (p *Probes) PipelineProbes() *PipelineProbes {
-	if p == nil {
-		return nil
-	}
-	return p.Pipeline
-}
-
-// TraceProbes returns the trace-codec bundle; nil-safe.
-func (p *Probes) TraceProbes() *TraceProbes {
-	if p == nil {
-		return nil
-	}
-	return p.Trace
-}
-
-// AccuracyProbes returns the accuracy-monitor bundle; nil-safe.
-func (p *Probes) AccuracyProbes() *AccuracyProbes {
-	if p == nil {
-		return nil
-	}
-	return p.Accuracy
-}
-
-// PhaseProbes returns the phase-classification bundle; nil-safe.
-func (p *Probes) PhaseProbes() *PhaseProbes {
-	if p == nil {
-		return nil
-	}
-	return p.Phase
-}
-
-// StageProbes returns the stage-latency bundle; nil-safe.
-func (p *Probes) StageProbes() *StageProbes {
-	if p == nil {
-		return nil
-	}
-	return p.Stage
-}
-
-// OverheadProbes returns the overhead-split bundle; nil-safe.
-func (p *Probes) OverheadProbes() *OverheadProbes {
-	if p == nil {
-		return nil
-	}
-	return p.Overhead
 }

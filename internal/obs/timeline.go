@@ -211,16 +211,6 @@ func (tl *Timeline) AddSpans(track string, spans []Span) {
 	}
 }
 
-// Events returns the number of recorded events (0 on nil); test hook.
-func (t *Track) Events() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // WriteTraceEvents writes the whole timeline as a Chrome trace-event JSON
 // array: one process ("commprof", pid 1), one thread per track (named via
 // 'M' metadata events), then each track's events in recording order.

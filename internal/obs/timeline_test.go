@@ -253,7 +253,10 @@ func TestTimelineTruncationKeepsBalance(t *testing.T) {
 	if !truncated {
 		t.Errorf("truncating track did not report a truncated arg in its metadata")
 	}
-	if got := tr.Events(); got > maxTrackEvents+1 {
+	tr.mu.Lock()
+	got := len(tr.events)
+	tr.mu.Unlock()
+	if got > maxTrackEvents+1 {
 		t.Errorf("track kept %d events, cap is %d", got, maxTrackEvents)
 	}
 }

@@ -132,13 +132,3 @@ func (t *Tracer) Spans() []Span {
 	copy(out, t.spans)
 	return out
 }
-
-// Reset drops all finished and open spans, keeping the clock source.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.open, t.spans = nil, nil
-	t.mu.Unlock()
-}

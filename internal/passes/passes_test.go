@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestAnnotateAssignsLoopUIDs(t *testing.T) {
 	if table.Len() != 5 {
 		t.Fatalf("table has %d regions:\n%+v", table.Len(), table.Regions)
 	}
-	mainFn, _ := prog.FindFunc("main")
+	mainFn := &prog.Funcs[slices.IndexFunc(prog.Funcs, func(f minipar.FuncDecl) bool { return f.Name == "main" })]
 	outer := mainFn.Body[0].(*minipar.ForStmt)
 	if outer.RegionID < 0 {
 		t.Fatal("outer loop not annotated")
@@ -57,10 +58,10 @@ func TestAnnotateAssignsLoopUIDs(t *testing.T) {
 		t.Fatal("inner loop not annotated")
 	}
 	// Nesting: inner's parent is outer; outer's parent is main.
-	if got := table.Parent(inner.RegionID); got != outer.RegionID {
+	if got := table.MustRegion(inner.RegionID).Parent; got != outer.RegionID {
 		t.Fatalf("inner parent = %d, want %d", got, outer.RegionID)
 	}
-	if got := table.Parent(outer.RegionID); got != mainFn.RegionID {
+	if got := table.MustRegion(outer.RegionID).Parent; got != mainFn.RegionID {
 		t.Fatalf("outer parent = %d, want %d", got, mainFn.RegionID)
 	}
 	reg := table.MustRegion(outer.RegionID)

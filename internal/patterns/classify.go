@@ -11,8 +11,6 @@ import (
 type Classifier interface {
 	// Predict returns the most likely class for the feature vector.
 	Predict(f [FeatureDim]float64) Class
-	// Name identifies the classifier in reports.
-	Name() string
 }
 
 // ClassifyMatrix is the convenience entry point: extract features and predict.
@@ -27,9 +25,6 @@ func ClassifyMatrix(c Classifier, m *comm.Matrix) Class {
 // features the learners use. It needs no training and documents what each
 // topology looks like quantitatively.
 type RuleBased struct{}
-
-// Name implements Classifier.
-func (RuleBased) Name() string { return "rule-based" }
 
 // Predict implements Classifier.
 func (RuleBased) Predict(f [FeatureDim]float64) Class {
@@ -85,9 +80,6 @@ func NewKNN(k int, train []Sample) (*KNN, error) {
 	}
 	return m, nil
 }
-
-// Name implements Classifier.
-func (m *KNN) Name() string { return fmt.Sprintf("knn(k=%d)", m.k) }
 
 func (m *KNN) scale(f [FeatureDim]float64) [FeatureDim]float64 {
 	var out [FeatureDim]float64
@@ -188,9 +180,6 @@ func NewNaiveBayes(train []Sample) (*NaiveBayes, error) {
 	}
 	return m, nil
 }
-
-// Name implements Classifier.
-func (m *NaiveBayes) Name() string { return "naive-bayes" }
 
 // logLikelihood is the unnormalized class log-posterior.
 func (m *NaiveBayes) logLikelihood(c Class, f [FeatureDim]float64) float64 {

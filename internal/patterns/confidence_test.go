@@ -28,14 +28,14 @@ func TestPredictWithConfidenceAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	test := Corpus(10, []int{8, 16}, 0.02, rng)
-	for _, c := range []ConfidenceClassifier{knn, nb} {
+	for name, c := range map[string]ConfidenceClassifier{"knn": knn, "naive-bayes": nb} {
 		for _, s := range test {
 			class, conf := c.PredictWithConfidence(s.Features)
 			if class != c.Predict(s.Features) {
-				t.Fatalf("%s: PredictWithConfidence class differs from Predict", c.Name())
+				t.Fatalf("%s: PredictWithConfidence class differs from Predict", name)
 			}
 			if conf <= 0 || conf > 1 {
-				t.Fatalf("%s: confidence %v outside (0,1]", c.Name(), conf)
+				t.Fatalf("%s: confidence %v outside (0,1]", name, conf)
 			}
 		}
 	}

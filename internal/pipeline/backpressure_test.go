@@ -59,7 +59,7 @@ func TestBackpressureBlocksProducerAtCapacity(t *testing.T) {
 		NewBackend: func(int) (sig.Backend, error) {
 			return &gatedBackend{Backend: sig.NewPerfect(2), release: release}, nil
 		},
-		Probes: obs.DefaultProbes(reg).PipelineProbes(),
+		Probes: obs.Probes{Pipeline: obs.DefaultProbes(reg).Pipeline},
 	})
 	if err != nil {
 		t.Fatal(err)

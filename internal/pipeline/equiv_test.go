@@ -30,12 +30,20 @@ func recordStream(t *testing.T, name string, threads int) ([]trace.Access, *trac
 	return stream, prog.Table()
 }
 
+// regionNodes indexes a tree's nodes by region ID.
+func regionNodes(tree *comm.Tree) map[int32]*comm.Node {
+	nodes := map[int32]*comm.Node{}
+	tree.Walk(func(n *comm.Node, _ int) { nodes[n.Region.ID] = n })
+	return nodes
+}
+
 // treeMismatches counts the region nodes of want that got lacks or holds with
 // different matrices or access counts.
 func treeMismatches(want, got *comm.Tree) int {
 	mismatches := 0
+	nodes := regionNodes(got)
 	want.Walk(func(n *comm.Node, _ int) {
-		m, ok := got.Node(n.Region.ID)
+		m, ok := nodes[n.Region.ID]
 		if !ok || !m.Own.Equal(n.Own) || !m.Cumulative.Equal(n.Cumulative) || m.Accesses != n.Accesses {
 			mismatches++
 		}

@@ -129,27 +129,23 @@ type Options struct {
 	// with the closer serialized, so it need not be safe for concurrent use
 	// with itself (but runs on whichever goroutine advances).
 	OnWindowClose func(w *comm.Window, end uint64)
-	// PhaseProbes, when non-nil, receives late-window counts (see
-	// obs.PhaseProbes.LateWindows). Window-close and transition counters are
-	// the OnWindowClose consumer's business.
-	PhaseProbes *obs.PhaseProbes
-	// Probes, when non-nil, receives self-observability telemetry. Nil keeps
-	// the hot path uninstrumented.
-	Probes *obs.PipelineProbes
-	// DetectProbes, when non-nil, is handed to every shard's private detector
-	// (event counts, stale-writer drops, redundancy skips). All obs counters
-	// are atomic, so one bundle is safely shared across shard workers.
-	DetectProbes *obs.DetectProbes
-	// Stages, when non-nil, receives per-batch stage latency observations:
-	// producer blocking on a full queue (QueueWait), the worker drain cycle
-	// (Drain, with BatchService and Window as timed sub-stages), and the
-	// periodic window advance. Timing is per batch — a handful of
-	// monotonic-clock reads per few hundred accesses — never per access.
-	Stages *obs.StageProbes
-	// Overhead, when non-nil, is handed to every shard's private detector to
-	// enable the sampled signature/redundancy/shadow overhead split (see
-	// detect.Options.Overhead).
-	Overhead *obs.OverheadProbes
+	// Probes receives self-observability telemetry; the zero bundle keeps
+	// the hot path uninstrumented. The engine reads its layers:
+	//   - Pipeline: queue, batch and flush counts.
+	//   - Detect and Overhead: handed to every shard's private detector (event
+	//     counts, stale-writer drops, redundancy skips; the sampled
+	//     signature/redundancy/shadow split, see detect.Options.Overhead). All
+	//     obs counters are atomic, so one bundle is safely shared across shard
+	//     workers.
+	//   - Stage: per-batch latency observations — producer blocking on a full
+	//     queue (QueueWait), the worker drain cycle (Drain, with BatchService
+	//     and Window as timed sub-stages), and the periodic window advance.
+	//     Timing is per batch — a handful of monotonic-clock reads per few
+	//     hundred accesses — never per access.
+	//   - Phase: late-window counts (see obs.PhaseProbes.LateWindows).
+	//     Window-close and transition counters are the OnWindowClose
+	//     consumer's business.
+	Probes obs.Probes
 	// Timeline, when non-nil, records execution-timeline events: one track
 	// per shard worker (busy-period spans) and one per producer (flush
 	// spans). Nil keeps the hot path free of timeline work beyond one nil
@@ -255,7 +251,7 @@ func (s *shard) Depth() int { return int(max(s.depth.Load(), 0)) }
 // waiting for one could deadlock, because every producer parked at a barrier
 // (Options.Parallel in the facade) keeps a partly filled buffer.
 func (e *Engine) handOff(i int, buf []trace.Access) []trace.Access {
-	s, p := e.shards[i], e.opts.Probes
+	s, p := e.shards[i], e.opts.Probes.Pipeline
 	select {
 	case <-e.done:
 		return buf[:0]
@@ -463,7 +459,7 @@ func New(opts Options) (*Engine, error) {
 			}
 			e.monitors = append(e.monitors, mon)
 		}
-		s := &shard{backend: backend, stages: opts.Stages}
+		s := &shard{backend: backend, stages: opts.Probes.Stage}
 		if queued {
 			buffers := opts.QueueCapacity / e.batch
 			s.full = make(chan []trace.Access, buffers-1)
@@ -497,8 +493,8 @@ func New(opts Options) (*Engine, error) {
 			GranularityBits: opts.GranularityBits, OnEvent: onEvent,
 			RedundancyCacheBits: opts.RedundancyCacheBits,
 			Accuracy:            mon,
-			Probes:              opts.DetectProbes,
-			Overhead:            opts.Overhead,
+			Probes:              opts.Probes.Detect,
+			Overhead:            opts.Probes.Overhead,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
@@ -512,7 +508,7 @@ func New(opts Options) (*Engine, error) {
 	}
 	for i, s := range e.shards {
 		e.wg.Add(1)
-		go s.worker(i, e.opts.Probes, &e.wg)
+		go s.worker(i, e.opts.Probes.Pipeline, &e.wg)
 	}
 	return e, nil
 }
@@ -628,12 +624,12 @@ func (p *Producer) Process(a trace.Access) {
 // ProcessBatch stages a run of accesses — the natural feed from
 // trace.Decoder.NextBatch, pairing the codec's block-at-a-time decode with
 // the producer's per-shard staging. Semantically identical to calling
-// Process on each element. With Options.Stages the call is timed where the
+// Process on each element. With Options.Probes.Stage the call is timed where the
 // time goes: in-thread it is the detector's own work (BatchService), queued
 // it is staging plus any wait on a full shard queue (Producer) — the workers
 // time their BatchService themselves, so no nanosecond is counted twice.
 func (p *Producer) ProcessBatch(batch []trace.Access) {
-	st := p.e.opts.Stages
+	st := p.e.opts.Probes.Stage
 	var t0 time.Time
 	if st != nil {
 		t0 = time.Now()
@@ -660,7 +656,7 @@ func (p *Producer) Flush() {
 	if p.staged == 0 {
 		return
 	}
-	st := p.e.opts.Stages
+	st := p.e.opts.Probes.Stage
 	var t0 time.Time
 	if st != nil {
 		t0 = time.Now()
@@ -688,7 +684,7 @@ func (p *Producer) flush() {
 
 func (p *Producer) noteFlush() {
 	p.flushes.Add(1)
-	if pr := p.e.opts.Probes; pr != nil {
+	if pr := p.e.opts.Probes.Pipeline; pr != nil {
 		pr.ProducerFlushes.Inc()
 	}
 }
@@ -754,8 +750,9 @@ func (e *Engine) advancePhasesAt(frontier uint64) int {
 	if e.phaseCloser == nil {
 		return 0
 	}
+	st := e.opts.Probes.Stage
 	var t0 time.Time
-	if e.opts.Stages != nil {
+	if st != nil {
 		t0 = time.Now()
 	}
 	sources := make([]*comm.WindowSet, len(e.shards))
@@ -764,13 +761,13 @@ func (e *Engine) advancePhasesAt(frontier uint64) int {
 	}
 	lateBefore := e.phaseCloser.Late()
 	n := e.phaseCloser.Advance(frontier, sources, e.opts.OnWindowClose)
-	if p := e.opts.PhaseProbes; p != nil {
+	if p := e.opts.Probes.Phase; p != nil {
 		if d := e.phaseCloser.Late() - lateBefore; d > 0 {
 			p.LateWindows.Add(d)
 		}
 	}
-	if e.opts.Stages != nil {
-		e.opts.Stages.Window.Observe(uint64(time.Since(t0)))
+	if st != nil {
+		st.Window.Observe(uint64(time.Since(t0)))
 	}
 	return n
 }
@@ -804,15 +801,6 @@ func (e *Engine) PhaseWindows() (*comm.WindowSet, error) {
 		return nil, fmt.Errorf("pipeline: PhaseWindows before Close")
 	}
 	return e.phaseCloser.Done(), nil
-}
-
-// PhaseWindowsClosed counts windows emitted so far; safe while the run is in
-// flight (0 when phases are off).
-func (e *Engine) PhaseWindowsClosed() uint64 {
-	if e.phaseCloser == nil {
-		return 0
-	}
-	return e.phaseCloser.Closed()
 }
 
 // phaseLateWindows counts shard window partials that surfaced after their

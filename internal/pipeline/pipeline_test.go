@@ -117,9 +117,9 @@ func TestShardedTreeMatchesSerial(t *testing.T) {
 	if !tree.Global.Equal(refTree.Global) {
 		t.Error("merged tree global differs from serial")
 	}
+	refNodes, nodes := regionNodes(refTree), regionNodes(tree)
 	for id := int32(0); int(id) < table.Len(); id++ {
-		n1, _ := refTree.Node(id)
-		n2, _ := tree.Node(id)
+		n1, n2 := refNodes[id], nodes[id]
 		if !n1.Own.Equal(n2.Own) {
 			t.Errorf("region %d own matrix differs", id)
 		}
@@ -197,12 +197,12 @@ func TestBoundedQueuePeakNeverExceedsCapacity(t *testing.T) {
 func TestProbesCountEnqueues(t *testing.T) {
 	const threads = 4
 	reg := obs.NewRegistry()
-	probes := obs.DefaultProbes(reg)
+	probes := obs.Probes{Pipeline: obs.DefaultProbes(reg).Pipeline}
 	stream := synthetic(threads, 10, 32)
 	e, err := New(Options{
 		Shards: 2, Threads: threads, QueueCapacity: 16,
 		NewBackend: PerfectFactory(threads),
-		Probes:     probes.PipelineProbes(),
+		Probes:     probes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,5 +287,3 @@ func (s *slowBackend) burn() {
 }
 
 func (s *slowBackend) FootprintBytes() uint64 { return s.inner.FootprintBytes() }
-func (s *slowBackend) Reset()                 { s.inner.Reset() }
-func (s *slowBackend) Name() string           { return "slow-" + s.inner.Name() }

@@ -101,9 +101,6 @@ func New(bits uint, threads int) (*Cache, error) {
 	return &Cache{shift: 64 - bits, tags: make([]uint64, n), meta: make([]uint32, n)}, nil
 }
 
-// Entries returns the cache's line count.
-func (c *Cache) Entries() int { return len(c.tags) }
-
 // Bits returns log2 of the line count.
 func (c *Cache) Bits() uint { return 64 - c.shift }
 

@@ -31,8 +31,8 @@ func TestNewValidation(t *testing.T) {
 	// allocate (2^30 was 12 GiB).
 	if c, err := New(MaxBits, maxThread); err != nil {
 		t.Errorf("New(MaxBits,maxThread): %v", err)
-	} else if c.Entries() != 1<<MaxBits || c.Bits() != MaxBits {
-		t.Errorf("New(MaxBits,maxThread): %d entries, %d bits", c.Entries(), c.Bits())
+	} else if len(c.tags) != 1<<MaxBits || c.Bits() != MaxBits {
+		t.Errorf("New(MaxBits,maxThread): %d entries, %d bits", len(c.tags), c.Bits())
 	}
 }
 

@@ -42,9 +42,6 @@ func NewBloom(opts Options, fpRate float64) (*Bloom, error) {
 	}, nil
 }
 
-// Name implements Backend.
-func (s *Bloom) Name() string { return "paper-bloom-signature" }
-
 // filterAt returns the bloom filter for a read slot, allocating it on first
 // use with a lock-free CAS (losing allocators discard their filter).
 func (s *Bloom) filterAt(slot uint64) *bloom.Filter {
@@ -86,17 +83,6 @@ func (s *Bloom) ObserveWrite(addr uint64, tid int32) {
 func (s *Bloom) FootprintBytes() uint64 {
 	perFilter := (s.params.Bits + 63) / 64 * 8
 	return s.opts.Slots*(4+8) + s.allocated.Load()*perFilter
-}
-
-// Reset implements Backend.
-func (s *Bloom) Reset() {
-	for i := range s.write {
-		atomic.StoreInt32(&s.write[i], 0)
-	}
-	for i := range s.read {
-		s.read[i].Store(nil)
-	}
-	s.allocated.Store(0)
 }
 
 // SigMem is the paper's Equation 2: the total memory in bytes of the bloom

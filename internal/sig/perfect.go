@@ -31,9 +31,6 @@ func NewPerfect(threads int) *Perfect {
 	return &Perfect{threads: threads, entries: map[uint64]*perfectEntry{}}
 }
 
-// Name implements Backend.
-func (p *Perfect) Name() string { return "perfect-signature" }
-
 func (p *Perfect) entry(addr uint64) *perfectEntry {
 	e, ok := p.entries[addr]
 	if !ok {
@@ -73,13 +70,6 @@ func (p *Perfect) FootprintBytes() uint64 {
 	defer p.mu.Unlock()
 	perEntry := uint64(4 + 8*((p.threads+63)/64) + 48)
 	return uint64(len(p.entries)) * perEntry
-}
-
-// Reset implements Backend.
-func (p *Perfect) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.entries = map[uint64]*perfectEntry{}
 }
 
 // Entries reports the number of distinct addresses tracked.

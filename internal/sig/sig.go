@@ -51,10 +51,6 @@ type Backend interface {
 	ObserveWrite(addr uint64, tid int32)
 	// FootprintBytes reports the memory the backend actually holds.
 	FootprintBytes() uint64
-	// Reset clears all recorded state.
-	Reset()
-	// Name identifies the backend in reports.
-	Name() string
 }
 
 // Options configures an asymmetric signature memory.
@@ -219,9 +215,6 @@ func NewAsymmetric(opts Options) (*Asymmetric, error) {
 	return &Asymmetric{base: b, words: words, masks: make([]uint64, opts.Slots*words)}, nil
 }
 
-// Name implements Backend.
-func (s *Asymmetric) Name() string { return "asymmetric-signature" }
-
 // Publish makes the caller's count of occupied slots visible to Occupancy.
 func (s *Asymmetric) Publish() { s.occupied.Store(s.nonEmpty) }
 
@@ -289,14 +282,6 @@ func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
 func (s *Asymmetric) FootprintBytes() uint64 {
 	return s.opts.Slots*4 + // write array (4-byte slots, as in Eq. 2)
 		uint64(len(s.masks))*8 // read arena
-}
-
-// Reset implements Backend: it clears both signatures.
-func (s *Asymmetric) Reset() {
-	s.nonEmpty = 0
-	s.occupied.Store(0)
-	clear(s.write)
-	clear(s.masks)
 }
 
 // AllocatedFilters is always 0: the mask arena has no filters. Kept only

@@ -135,25 +135,6 @@ func TestThreadZeroIsValidWriter(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	eachLayout(t, 1<<12, func(t *testing.T, s Backend) {
-		s.ObserveWrite(0x10, 2)
-		s.ObserveRead(0x10, 3)
-		s.Reset()
-		if got := occupancy(s); got != 0 {
-			t.Fatalf("occupancy after Reset = %v, want 0", got)
-		}
-		if w, first := s.ObserveRead(0x10, 3); w != NoWriter || !first {
-			t.Fatalf("after Reset: (%d,%v)", w, first)
-		}
-		// The read above is the only reader state: one slot of 2^12 in use,
-		// held in one re-allocated filter on the bloom layout.
-		if got, want := occupancy(s), 1.0/(1<<12); got != want {
-			t.Fatalf("occupancy = %v, want %v", got, want)
-		}
-	})
-}
-
 func TestMatchesPerfectWhenLarge(t *testing.T) {
 	// With a huge slot count relative to the address set, the signature must
 	// agree with the perfect backend on essentially every event; a handful
@@ -349,9 +330,6 @@ func TestBackendInterfaceCompliance(t *testing.T) {
 	var _ Backend = &Asymmetric{}
 	var _ Backend = &Bloom{}
 	var _ Backend = &Perfect{}
-	if newTestSig(t, 16).Name() == "" || newBloomSig(t, 16).Name() == "" || NewPerfect(2).Name() == "" {
-		t.Error("backends must have names")
-	}
 }
 
 func TestFusedSlotsPreserveReadMapping(t *testing.T) {
@@ -499,13 +477,6 @@ func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
 						}
 						if got := s.Occupancy(); got != wantOcc {
 							t.Errorf("Occupancy = %v, want exactly %v (%d non-empty reader sets)", got, wantOcc, len(ref.readers))
-						}
-						s.Reset()
-						if got := s.Occupancy(); got != 0 {
-							t.Errorf("Occupancy after Reset = %v", got)
-						}
-						if w, first := s.ObserveRead(0x7000, int32(threads-1)); w != NoWriter || !first {
-							t.Errorf("after Reset: read = (%d,%v)", w, first)
 						}
 					})
 				}

@@ -66,10 +66,6 @@ func ParseSize(s string) (Size, error) {
 // Program is one runnable benchmark instance, configured for a specific
 // thread count and input size.
 type Program interface {
-	// Name returns the benchmark's SPLASH name (e.g. "lu_ncb").
-	Name() string
-	// Threads returns the thread count the program was built for.
-	Threads() int
 	// Table returns the static region table produced by "compile-time"
 	// analysis of the program: every function and annotated loop.
 	Table() *trace.Table
@@ -152,7 +148,6 @@ func newBase(name string, cfg Config) *base {
 	return &base{name: name, cfg: cfg, table: trace.NewTable(), space: vmem.NewSpace()}
 }
 
-func (b *base) Name() string        { return b.name }
 func (b *base) Threads() int        { return b.cfg.Threads }
 func (b *base) Table() *trace.Table { return b.table }
 func (b *base) Footprint() uint64   { return b.space.FootprintBytes() }

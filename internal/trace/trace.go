@@ -142,38 +142,6 @@ func (t *Table) MustRegion(id int32) Region {
 // Len returns the number of regions.
 func (t *Table) Len() int { return len(t.Regions) }
 
-// Parent returns the parent ID of region id, or NoRegion.
-func (t *Table) Parent(id int32) int32 {
-	if id == NoRegion {
-		return NoRegion
-	}
-	return t.MustRegion(id).Parent
-}
-
-// Path returns the chain of region IDs from the root down to id, inclusive.
-func (t *Table) Path(id int32) []int32 {
-	var rev []int32
-	for r := id; r != NoRegion; r = t.Parent(r) {
-		rev = append(rev, r)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// Children returns the IDs of the direct children of region id (NoRegion for
-// roots), in ID order.
-func (t *Table) Children(id int32) []int32 {
-	var out []int32
-	for _, r := range t.Regions {
-		if r.Parent == id {
-			out = append(out, r.ID)
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants: dense IDs, acyclic parent links.
 func (t *Table) Validate() error {
 	for i, r := range t.Regions {

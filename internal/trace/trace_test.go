@@ -25,15 +25,17 @@ func buildSampleTable(t *testing.T) *Table {
 
 func TestTableHierarchy(t *testing.T) {
 	tb := buildSampleTable(t)
-	// IDs: 0=main 1=main#0 2=main#1 3=daxpy 4=daxpy#0
-	if got := tb.Path(2); !reflect.DeepEqual(got, []int32{0, 1, 2}) {
-		t.Errorf("Path(2) = %v", got)
+	// IDs: 0=main 1=main#0 2=main#1 3=daxpy 4=daxpy#0, each region's parent
+	// the one it was added under.
+	var parents []int32
+	for i, r := range tb.Regions {
+		if r.ID != int32(i) {
+			t.Errorf("region %d has ID %d", i, r.ID)
+		}
+		parents = append(parents, r.Parent)
 	}
-	if got := tb.Children(0); !reflect.DeepEqual(got, []int32{1}) {
-		t.Errorf("Children(main) = %v", got)
-	}
-	if got := tb.Children(NoRegion); !reflect.DeepEqual(got, []int32{0, 3}) {
-		t.Errorf("roots = %v", got)
+	if want := []int32{NoRegion, 0, 1, NoRegion, 3}; !reflect.DeepEqual(parents, want) {
+		t.Errorf("parents = %v, want %v", parents, want)
 	}
 }
 

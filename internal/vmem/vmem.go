@@ -38,11 +38,6 @@ func (r Region) End() uint64 { return r.BaseAddr + r.Count*uint64(r.ElemSize) }
 // SizeBytes returns the region's extent in bytes.
 func (r Region) SizeBytes() uint64 { return r.Count * uint64(r.ElemSize) }
 
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr uint64) bool {
-	return addr >= r.BaseAddr && addr < r.End()
-}
-
 // Space is an append-only address-space allocator. Not safe for concurrent
 // allocation; workloads allocate during (single-threaded) setup.
 type Space struct {
@@ -79,9 +74,6 @@ func (s *Space) Alloc(name string, count uint64, elemSize uint32) Region {
 	s.regions = append(s.regions, r)
 	return r
 }
-
-// Regions returns all allocations in address order.
-func (s *Space) Regions() []Region { return s.regions }
 
 // FootprintBytes returns the total bytes allocated (excluding padding).
 func (s *Space) FootprintBytes() uint64 {

@@ -41,7 +41,7 @@ var phaseClassifier = func() (patterns.Classifier, error) { return patterns.Defa
 
 // newPhaseState builds the phase wiring for one run, or nil when
 // Options.PhaseWindow is unset.
-func newPhaseState(opts Options, table *trace.Table, tel *Telemetry, probes *obs.Probes) (*phaseState, error) {
+func newPhaseState(opts Options, table *trace.Table, tel *Telemetry, probes obs.Probes) (*phaseState, error) {
 	if opts.PhaseWindow == 0 {
 		return nil, nil
 	}
@@ -50,7 +50,7 @@ func newPhaseState(opts Options, table *trace.Table, tel *Telemetry, probes *obs
 		return nil, err
 	}
 	ps := &phaseState{window: opts.PhaseWindow, table: table, tel: tel}
-	ps.live = metrics.NewLivePhases(cls, ps.isLoop, phaseRecentKeep, probes.PhaseProbes())
+	ps.live = metrics.NewLivePhases(cls, ps.isLoop, phaseRecentKeep, probes.Phase)
 	return ps, nil
 }
 

@@ -87,11 +87,11 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 		}
 	}
 	probes := opts.Telemetry.probes()
-	dec.Probes = probes.TraceProbes()
+	dec.Probes = probes.Trace
 	// Stage timing: decode time is observed inside the decoder, the analyser
 	// side of each batch inside Producer.ProcessBatch. Nil probes keep both
 	// bare.
-	dec.Stages = probes.StageProbes()
+	dec.Stages = probes.Stage
 	an, err := newAnalysis(opts, threads, dec.Table())
 	if err != nil {
 		return nil, err

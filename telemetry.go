@@ -34,6 +34,7 @@ import (
 type Telemetry struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
+	bundle obs.Probes // every layer's hooks, wired into reg once
 
 	start    atomic.Value // time.Time of the current run's wiring
 	progress atomic.Value // func() ProgressSnapshot
@@ -113,7 +114,8 @@ func (t *Telemetry) stopTicker() {
 
 // NewTelemetry returns an empty telemetry handle.
 func NewTelemetry() *Telemetry {
-	t := &Telemetry{reg: obs.NewRegistry(), tracer: obs.NewTracer()}
+	reg := obs.NewRegistry()
+	t := &Telemetry{reg: reg, tracer: obs.NewTracer(), bundle: obs.DefaultProbes(reg)}
 	t.start.Store(time.Now())
 	return t
 }
@@ -455,13 +457,14 @@ func (t *Telemetry) report() *TelemetryReport {
 	return rep
 }
 
-// probes returns the per-layer hook bundle for this handle; nil-safe, so
-// callers can unconditionally write opts.Probes = tel.probes().Sig etc.
-func (t *Telemetry) probes() *obs.Probes {
+// probes returns the per-layer hook bundle for this handle; on a nil handle
+// it is the zero bundle, so callers can unconditionally write
+// opts.Probes = tel.probes().Sig etc.
+func (t *Telemetry) probes() obs.Probes {
 	if t == nil {
-		return nil
+		return obs.Probes{}
 	}
-	return obs.DefaultProbes(t.reg)
+	return t.bundle
 }
 
 // overheadBaseline is the stage/overhead totals at run wiring. The registry
@@ -478,8 +481,7 @@ func (t *Telemetry) markOverheadBaseline() {
 	if t == nil {
 		return
 	}
-	p := t.probes()
-	st, ov := p.StageProbes(), p.OverheadProbes()
+	st, ov := t.bundle.Stage, t.bundle.Overhead
 	t.ovhMu.Lock()
 	t.ovhBase = overheadBaseline{
 		decode:  st.Decode.Sum(),
@@ -504,8 +506,7 @@ func (t *Telemetry) overheadReport() *OverheadReport {
 	if t == nil {
 		return nil
 	}
-	p := t.probes()
-	st, ov := p.StageProbes(), p.OverheadProbes()
+	st, ov := t.bundle.Stage, t.bundle.Overhead
 	t.ovhMu.Lock()
 	base := t.ovhBase
 	t.ovhMu.Unlock()

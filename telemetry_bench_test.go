@@ -53,7 +53,7 @@ func BenchmarkProbeOverhead(b *testing.B) {
 		reg := obs.NewRegistry()
 		probes := obs.DefaultProbes(reg)
 		run(b, func() exec.Options {
-			return exec.Options{Threads: threads, Probes: probes.EngineProbes()}
+			return exec.Options{Threads: threads, Probes: probes.Engine}
 		})
 	})
 
@@ -65,19 +65,19 @@ func BenchmarkProbeOverhead(b *testing.B) {
 		run(b, func() exec.Options {
 			backend, err := sig.NewAsymmetric(sig.Options{
 				Slots: 1 << 20, Threads: threads,
-				Probes: probes.SigProbes(),
+				Probes: probes.Sig,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			d, err := detect.New(detect.Options{
 				Threads: threads, Backend: backend, Table: table,
-				Probes: probes.DetectProbes(),
+				Probes: probes.Detect,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			return exec.Options{Threads: threads, Probe: d.Probe(), Probes: probes.EngineProbes()}
+			return exec.Options{Threads: threads, Probe: d.Probe(), Probes: probes.Engine}
 		})
 	})
 }
