@@ -47,8 +47,8 @@ type Options struct {
 	// explicitly.
 	Seed int64
 	// SignatureSlots is the signature size n (default 2^20). Larger means
-	// fewer false dependencies and more memory: 12 bytes per slot up to 64
-	// threads (Report.SignatureBytes).
+	// fewer false dependencies and more memory: 2 + 4·⌈t/32⌉ bytes per slot,
+	// so 6 up to 32 threads (Report.SignatureBytes).
 	SignatureSlots uint64
 	// PhaseWindow, when non-zero, enables windowed phase observability with
 	// the given logical-time window length: §V-A4 phase segmentation

@@ -229,6 +229,50 @@ func TestThreadsBeyondArenaRefused(t *testing.T) {
 	}
 }
 
+// TestSignatureBytesFollowTheLayout pins the profiler's memory to the mask
+// arena's layout on every analysing entry point, in-thread and sharded: a
+// slot is a 2-byte last writer plus ⌈t/32⌉ 4-byte reader-mask words, and the
+// sig_footprint_bytes gauge reads the same figure as the report.
+func TestSignatureBytesFollowTheLayout(t *testing.T) {
+	const slots = 1 << 12
+	for _, threads := range []int{8, 32, 33, 256} {
+		var recorded bytes.Buffer
+		if _, err := Record(Options{Workload: "fft", Threads: threads, SignatureSlots: slots}, &recorded); err != nil {
+			t.Fatal(err)
+		}
+		accesses := []Access{
+			{Kind: WriteAccess, Addr: 8, Size: 8, Thread: 0, Region: -1, Time: 1},
+			{Kind: ReadAccess, Addr: 8, Size: 8, Thread: int32(threads - 1), Region: -1, Time: 2},
+		}
+		runs := []struct {
+			name string
+			run  func(Options) (*Report, error)
+		}{
+			{"Profile", func(o Options) (*Report, error) {
+				o.Workload, o.Threads = "fft", threads
+				return Profile(o)
+			}},
+			{"Replay", func(o Options) (*Report, error) { return Replay(bytes.NewReader(recorded.Bytes()), threads, o) }},
+			{"ProfileTrace", func(o Options) (*Report, error) { return ProfileTrace(accesses, nil, threads, o) }},
+		}
+		want := (2 + 4*uint64((threads+31)/32)) * slots
+		for _, shards := range []int{0, 2} {
+			for _, r := range runs {
+				rep, err := r.run(Options{SignatureSlots: slots, AnalysisShards: shards, Telemetry: NewTelemetry()})
+				if err != nil {
+					t.Fatalf("%s t=%d K=%d: %v", r.name, threads, shards, err)
+				}
+				if rep.SignatureBytes != want {
+					t.Errorf("%s t=%d K=%d: SignatureBytes = %d, want %d", r.name, threads, shards, rep.SignatureBytes, want)
+				}
+				if g := rep.Telemetry.Gauges["sig_footprint_bytes"]; g != float64(want) {
+					t.Errorf("%s t=%d K=%d: sig_footprint_bytes = %v, want %d", r.name, threads, shards, g, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPatternClassifier(t *testing.T) {
 	c, err := NewPatternClassifier(1)
 	if err != nil {

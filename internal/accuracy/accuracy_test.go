@@ -226,10 +226,10 @@ func TestEstimateFrom(t *testing.T) {
 
 func TestRecommend(t *testing.T) {
 	// Measured 20% against a 5% target from 1024 slots: scale ×4, next power
-	// of two = 4096, priced at the run's own 12 B/slot.
+	// of two = 4096, priced at the run's own 6 B/slot.
 	est := EstimateFrom(Stats{SigEvents: 1000, FalsePositives: 200}, 0, 0.05)
-	rec := Recommend(est, 1024, 1024*12)
-	want := Recommendation{CurrentSlots: 1024, CurrentBytes: 1024 * 12, RecommendedSlots: 4096, RecommendedBytes: 4096 * 12}
+	rec := Recommend(est, 1024, 1024*6)
+	want := Recommendation{CurrentSlots: 1024, CurrentBytes: 1024 * 6, RecommendedSlots: 4096, RecommendedBytes: 4096 * 6}
 	if rec != want {
 		t.Errorf("rec = %+v, want %+v", rec, want)
 	}
@@ -241,12 +241,12 @@ func TestRecommend(t *testing.T) {
 
 	// Already under target: keep the current size and price.
 	ok := EstimateFrom(Stats{SigEvents: 1000, FalsePositives: 10}, 0, 0.05)
-	if rec := Recommend(ok, 1024, 1024*12); rec.RecommendedSlots != 1024 || rec.RecommendedBytes != rec.CurrentBytes {
+	if rec := Recommend(ok, 1024, 1024*6); rec.RecommendedSlots != 1024 || rec.RecommendedBytes != rec.CurrentBytes {
 		t.Errorf("under-target run resized: %+v", rec)
 	}
 
 	// No events: keep the current size.
-	if rec := Recommend(EstimateFrom(Stats{}, 0, 0.05), 1024, 1024*12); rec.RecommendedSlots != 1024 {
+	if rec := Recommend(EstimateFrom(Stats{}, 0, 0.05), 1024, 1024*6); rec.RecommendedSlots != 1024 {
 		t.Errorf("empty run resized: %+v", rec)
 	}
 

@@ -28,7 +28,7 @@ func (c wallConfig) String() string {
 // (on the paper's bloom layout) second-level false positives are frequent.
 const wallSlots = 1 << 9
 
-// newBackend builds the config's signature: the mask arena (w = ⌈t/64⌉ words
+// newBackend builds the config's signature: the mask arena (w = ⌈t/32⌉ words
 // per slot), the paper's bloom layout, or the perfect signature.
 func (c wallConfig) newBackend(t *testing.T, threads int) sig.Backend {
 	t.Helper()
@@ -238,11 +238,12 @@ func collisionStream(n, threads int, table *trace.Table, seed int64) []trace.Acc
 }
 
 // TestKernelDifferentialWall is the batch kernel's acceptance property: fed
-// in batches of 1, 7, 256 or the whole stream, with any combination of redundancy cache, accuracy monitor and probes, over the exact
-// mask arena at one and at two words per slot, the paper's bloom layout, and
-// the perfect signature, it leaves exactly what the one-access-at-a-time
-// reference leaves: matrices, region counters, every statistic, and the
-// OnEvent sequence element for element.
+// in batches of 1, 7, 256 or the whole stream, with any combination of
+// redundancy cache, accuracy monitor and probes, over the exact mask arena at
+// one, two (t = 33, the first two-word count) and three words per slot, the
+// paper's bloom layout, and the perfect signature, it leaves exactly what the
+// one-access-at-a-time reference leaves: matrices, region counters, every
+// statistic, and the OnEvent sequence element for element.
 func TestKernelDifferentialWall(t *testing.T) {
 	synthTable := trace.NewTable()
 	root := synthTable.AddFunc("main", trace.NoRegion)
@@ -259,6 +260,8 @@ func TestKernelDifferentialWall(t *testing.T) {
 	inputs := []input{
 		{name: "collisions-16", stream: collisionStream(6000, 16, synthTable, 1), table: synthTable, threads: 16,
 			backends: []string{"mask", "bloom", "perfect"}},
+		{name: "collisions-33", stream: collisionStream(6000, 33, synthTable, 4), table: synthTable, threads: 33,
+			backends: []string{"mask", "perfect"}},
 		{name: "collisions-65", stream: collisionStream(6000, 65, synthTable, 2), table: synthTable, threads: 65,
 			backends: []string{"mask", "perfect"}},
 	}

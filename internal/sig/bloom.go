@@ -9,17 +9,19 @@ import (
 )
 
 // Bloom is the asymmetric signature memory as the paper builds it (§IV-D2,
-// Fig. 3a): Asymmetric's slot addressing and write signature, with each read
-// slot's reader set in a lazily allocated bloom filter sized for t threads at
-// a false-positive rate. Its memory grows toward Eq. 2's bound as slots fill.
-// The reproduction experiments (internal/experiments) are its one user, so
-// Fig. 5, Eq. 2, the §V-A3 sweep and the hash ablation keep measuring the
-// paper's structure; the profiler itself runs on Asymmetric's exact masks.
+// Fig. 3a): Asymmetric's slot addressing, Eq. 2's 4-byte write slots, and each
+// read slot's reader set in a lazily allocated bloom filter sized for t
+// threads at a false-positive rate. Its memory grows toward Eq. 2's bound as
+// slots fill. The reproduction experiments (internal/experiments) are its one
+// user, so Fig. 5, Eq. 2, the §V-A3 sweep and the hash ablation keep measuring
+// the paper's structure; the profiler itself runs on Asymmetric's exact masks.
 // All operations are lock-free: filters are installed by CAS and set through
 // an atomic bitset.
 type Bloom struct {
 	base
 	params bloom.Params
+	// write signature: slot -> last writer tid+1, 0 if none, set atomically.
+	write []int32
 	// read signature: slot -> *bloom.Filter (nil until first use).
 	read      []atomic.Pointer[bloom.Filter]
 	allocated atomic.Uint64 // number of live filters
@@ -38,6 +40,7 @@ func NewBloom(opts Options, fpRate float64) (*Bloom, error) {
 	return &Bloom{
 		base:   b,
 		params: bloom.Derive(uint64(opts.Threads), fpRate),
+		write:  make([]int32, opts.Slots),
 		read:   make([]atomic.Pointer[bloom.Filter], opts.Slots),
 	}, nil
 }

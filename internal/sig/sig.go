@@ -11,7 +11,7 @@
 //     MurmurHash, each slot holding the set of thread IDs which have read
 //     addresses hashing to the slot (Fig. 3a). Thread IDs are a dense
 //     universe of t values, so the profiler stores that set exactly, in
-//     ⌈t/64⌉ mask words per slot (Asymmetric); the paper's lazily allocated
+//     ⌈t/32⌉ mask words per slot (Asymmetric); the paper's lazily allocated
 //     per-slot bloom filters are kept for the reproduction experiments
 //     (Bloom);
 //
@@ -21,7 +21,7 @@
 //
 // Collisions (h(v1)==h(v2), v1!=v2) produce dependencies that do not exist —
 // false positives — at a rate controlled by the slot count, which is the
-// trade-off the paper quantifies. Total memory is fixed: 4 + 8·⌈t/64⌉ bytes
+// trade-off the paper quantifies. Total memory is fixed: 2 + 4·⌈t/32⌉ bytes
 // per slot for the masks, Eq. 2 for the paper's filters.
 package sig
 
@@ -61,7 +61,7 @@ type Options struct {
 	Slots uint64
 	// Threads is t, the thread count of the target program. Thread IDs
 	// passed to ObserveRead/ObserveWrite lie in [0, t). It sizes the reader
-	// sets: ⌈t/64⌉ mask words per slot, so at most MaxThreads for
+	// sets: ⌈t/32⌉ mask words per slot, so at most MaxThreads for
 	// Asymmetric, or the per-slot filters for Bloom.
 	Threads int
 	// FPRate is ignored: the mask arena is exact, and Bloom takes its rate
@@ -77,9 +77,9 @@ type Options struct {
 	// §IV-D2); HashFold is a deliberately weaker xor-fold kept for the
 	// hash-quality ablation experiment.
 	Hash HashKind
-	// Probes, when non-nil, receives self-observability telemetry (reader
-	// resets; Bloom's filter-install CAS retries). Nil keeps the hot path
-	// uninstrumented at the cost of one nil check per hook site.
+	// Probes, when non-nil, counts reader resets, the one signature probe.
+	// Nil keeps the hot path uninstrumented at the cost of one nil check per
+	// hook site.
 	Probes *obs.SigProbes
 }
 
@@ -110,17 +110,15 @@ func (o *Options) setDefaults() error {
 	return nil
 }
 
-// base is what both read-signature layouts share: the slot addressing and the
-// write signature.
+// base is what both read-signature layouts share: the slot addressing. Each
+// layout keeps its own write signature, because Bloom's goes through
+// sync/atomic, which has no 16-bit operations.
 type base struct {
 	opts Options
 	// pow2 marks a power-of-two slot count, reduced with slotMask instead of
 	// a 64-bit division; h&(n-1) == h%n there, so no address moves.
 	pow2     bool
 	slotMask uint64
-	// write signature: slot -> last writer tid (+1, so 0 means empty).
-	// Bloom reaches it through sync/atomic; Asymmetric plainly.
-	write []int32
 }
 
 func newBase(opts Options) (base, error) {
@@ -131,7 +129,6 @@ func newBase(opts Options) (base, error) {
 		opts:     opts,
 		pow2:     opts.Slots&(opts.Slots-1) == 0,
 		slotMask: opts.Slots - 1,
-		write:    make([]int32, opts.Slots),
 	}, nil
 }
 
@@ -168,20 +165,21 @@ func foldHash(addr, seed uint64) uint64 {
 }
 
 // maxWords bounds the mask words per read slot.
-const maxWords = 4
+const maxWords = 8
 
 // MaxThreads is the largest thread count the mask arena holds: maxWords
-// words of 64 reader bits per slot.
-const MaxThreads = 64 * maxWords
+// words of 32 reader bits per slot. Its tid+1 fits the uint16 write array.
+const MaxThreads = 32 * maxWords
 
 // Asymmetric is the profiler's asymmetric signature memory. Each read slot's
-// reader set is w = ⌈t/64⌉ exact mask words in one flat arena: bit tid%64 of
-// word tid/64 records that thread tid has read. Against the paper's per-slot
+// reader set is w = ⌈t/32⌉ exact mask words in one flat arena: bit tid%32 of
+// word tid/32 records that thread tid has read. Against the paper's per-slot
 // bloom filter (14.4·t bits at FPRate 0.001, see Bloom) that is t bits rounded
 // up to a word, with no second-level false positives, no allocation and no
 // second hash pass; slot addressing, and so every first-level collision, is
-// the same. At w = 1 (t ≤ 64) a slot is one word at index rs: 12 bytes per
-// slot with the write array.
+// the same. The write signature holds each last writer as a uint16 tid+1. At
+// w = 1 (t ≤ 32) a slot is one word at index rs: 6 bytes per slot with the
+// write array.
 //
 // An Asymmetric has one caller at a time (the Backend contract) and reads and
 // writes its arrays plainly. Another goroutine may call Occupancy while a run
@@ -192,7 +190,9 @@ type Asymmetric struct {
 	words uint64
 	// masks is the read signature: slot rs's reader set is
 	// masks[rs*w : rs*w+w].
-	masks []uint64
+	masks []uint32
+	// write is the write signature: slot ws's last writer tid+1, 0 if none.
+	write []uint16
 
 	// nonEmpty counts the non-empty reader sets; Publish copies it to
 	// occupied, the one thing another goroutine may read mid-run.
@@ -211,8 +211,8 @@ func NewAsymmetric(opts Options) (*Asymmetric, error) {
 	if err != nil {
 		return nil, err
 	}
-	words := uint64(opts.Threads+63) / 64
-	return &Asymmetric{base: b, words: words, masks: make([]uint64, opts.Slots*words)}, nil
+	words := uint64(opts.Threads+31) / 32
+	return &Asymmetric{base: b, words: words, masks: make([]uint32, opts.Slots*words), write: make([]uint16, opts.Slots)}, nil
 }
 
 // Publish makes the caller's count of occupied slots visible to Occupancy.
@@ -221,7 +221,7 @@ func (s *Asymmetric) Publish() { s.occupied.Store(s.nonEmpty) }
 // readers returns read slot rs's reader set. At w = 1 (here and in
 // ObserveRead) the index is rs itself: no multiply delays the address of the
 // access's likely cache miss.
-func (s *Asymmetric) readers(rs uint64) []uint64 {
+func (s *Asymmetric) readers(rs uint64) []uint32 {
 	if s.words == 1 {
 		return s.masks[rs : rs+1]
 	}
@@ -231,9 +231,9 @@ func (s *Asymmetric) readers(rs uint64) []uint64 {
 // ObserveRead implements Backend. One fused hash pass yields both slots.
 func (s *Asymmetric) ObserveRead(addr uint64, tid int32) (int32, bool) {
 	rs, ws := s.slots(addr)
-	i, bit := rs, uint64(1)<<(uint(tid)&63)
+	i, bit := rs, uint32(1)<<(uint(tid)&31)
 	if s.words > 1 {
-		i = rs*s.words + uint64(tid)>>6
+		i = rs*s.words + uint64(tid)>>5
 	}
 	old := s.masks[i]
 	if old&bit == 0 {
@@ -242,11 +242,11 @@ func (s *Asymmetric) ObserveRead(addr uint64, tid int32) (int32, bool) {
 		}
 		s.masks[i] = old | bit
 	}
-	return s.write[ws] - 1, old&bit == 0 // an empty slot reads 0: NoWriter
+	return int32(s.write[ws]) - 1, old&bit == 0 // an empty slot reads 0: NoWriter
 }
 
 // empty reports whether a reader set holds no thread.
-func empty(set []uint64) bool {
+func empty(set []uint32) bool {
 	for _, m := range set {
 		if m != 0 {
 			return false
@@ -274,14 +274,14 @@ func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
 			p.ReaderResets.Inc()
 		}
 	}
-	s.write[ws] = tid + 1
+	s.write[ws] = uint16(tid + 1)
 }
 
 // FootprintBytes implements Backend: the two arrays, a constant
-// (4 + 8·w)·Slots.
+// (2 + 4·w)·Slots.
 func (s *Asymmetric) FootprintBytes() uint64 {
-	return s.opts.Slots*4 + // write array (4-byte slots, as in Eq. 2)
-		uint64(len(s.masks))*8 // read arena
+	return s.opts.Slots*2 + // write array (2-byte slots; Eq. 2 prices 4)
+		uint64(len(s.masks))*4 // read arena
 }
 
 // AllocatedFilters is always 0: the mask arena has no filters. Kept only

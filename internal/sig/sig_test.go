@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -234,10 +234,10 @@ func TestFootprintBoundedByModel(t *testing.T) {
 		foot := s.FootprintBytes()
 		b, ok := s.(*Bloom)
 		if !ok {
-			// No second level to grow: 4 B writer + 8 B mask per slot, far
+			// No second level to grow: 2 B writer + 4 B mask per slot, far
 			// under Eq. 2's 61.5 B/slot at t = 32.
-			if foot != slots*12 {
-				t.Fatalf("mask footprint %d, want %d", foot, slots*12)
+			if foot != slots*6 {
+				t.Fatalf("mask footprint %d, want %d", foot, slots*6)
 			}
 			if bound := SigMem(slots, 32, 0.001); foot >= bound {
 				t.Fatalf("mask footprint %d not below Eq. 2 bound %d", foot, bound)
@@ -385,10 +385,15 @@ func TestFillRatioSamplesWholeSlotRange(t *testing.T) {
 }
 
 // maskModel is the naive reference for the mask arena: the same two-array
-// structure held in maps, addressed through the signature's own slots().
+// structure held in maps, addressed through the signature's own slots(), with
+// bit tid%32 of word tid/32 for thread tid.
 type maskModel struct {
-	readers map[uint64][maxWords]uint64
+	readers map[uint64][maxWords]uint32
 	writers map[uint64]int32
+}
+
+func newMaskModel() *maskModel {
+	return &maskModel{readers: map[uint64][maxWords]uint32{}, writers: map[uint64]int32{}}
 }
 
 func (m *maskModel) read(rs, ws uint64, tid int32) (int32, bool) {
@@ -397,7 +402,7 @@ func (m *maskModel) read(rs, ws uint64, tid int32) (int32, bool) {
 		w = NoWriter
 	}
 	set := m.readers[rs]
-	word, bit := tid/64, uint64(1)<<uint(tid%64)
+	word, bit := tid/32, uint32(1)<<uint(tid%32)
 	first := set[word]&bit == 0
 	set[word] |= bit
 	m.readers[rs] = set
@@ -409,8 +414,46 @@ func (m *maskModel) write(rs, ws uint64, tid int32) {
 	m.writers[ws] = tid
 }
 
+// apply runs one operation on the arena and the model and fails on a read
+// whose verdict differs.
+func (m *maskModel) apply(t testing.TB, s *Asymmetric, write bool, addr uint64, tid int32) {
+	t.Helper()
+	rs, ws := s.slots(addr)
+	if write {
+		s.ObserveWrite(addr, tid)
+		m.write(rs, ws, tid)
+		return
+	}
+	gw, gf := s.ObserveRead(addr, tid)
+	if ww, wf := m.read(rs, ws, tid); gw != ww || gf != wf {
+		t.Fatalf("read(%#x, T%d) = (%d,%v), model (%d,%v)", addr, tid, gw, gf, ww, wf)
+	}
+}
+
+// occupancy is the model's share of non-empty reader sets.
+func (m *maskModel) occupancy(slots uint64) float64 {
+	return float64(len(m.readers)) / float64(slots)
+}
+
+// checkArena holds the arena to the model word for word: slot rs's reader set
+// is masks[rs*w : rs*w+w] (masks[rs] itself at w = 1), and the footprint is
+// (2 + 4·w) bytes a slot.
+func (m *maskModel) checkArena(t testing.TB, s *Asymmetric) {
+	t.Helper()
+	slots, w := s.opts.Slots, s.words
+	if got, want := s.FootprintBytes(), slots*(2+4*w); got != want {
+		t.Errorf("FootprintBytes = %d, want %d", got, want)
+	}
+	for rs := uint64(0); rs < slots; rs++ {
+		want := m.readers[rs]
+		if got := s.masks[rs*w : (rs+1)*w]; !slices.Equal(got, want[:w]) {
+			t.Fatalf("slot %d holds %x, model %x", rs, got, want[:w])
+		}
+	}
+}
+
 func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
-	for _, threads := range []int{1, 2, 32, 64, 65, 128, 256} {
+	for _, threads := range []int{1, 2, 31, 32, 33, 64, 65, 128, 256} {
 		for _, slots := range []uint64{1, 64, 1 << 10, 1000, 37} {
 			for _, hash := range []HashKind{HashMurmur, HashFold} {
 				// The /owned variant publishes after every operation, as an
@@ -426,63 +469,71 @@ func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						w := uint64(threads+63) / 64
-						if s.words != w {
+						if w := uint64(threads+31) / 32; s.words != w {
 							t.Fatalf("%d mask words per slot, want %d", s.words, w)
 						}
 						seed := int64(threads)*1_000_003 + int64(slots)*31 + int64(hash)
 						rng := rand.New(rand.NewSource(seed))
-						ref := maskModel{readers: map[uint64][maxWords]uint64{}, writers: map[uint64]int32{}}
+						ref := newMaskModel()
 						for i := 0; i < 20000; i++ {
 							// ~4 addresses per slot: collisions are the rule.
 							addr := uint64(0x7000 + 8*rng.Intn(int(4*slots)))
 							tid := int32(rng.Intn(threads))
-							rs, ws := s.slots(addr)
-							if rng.Intn(4) == 0 {
-								s.ObserveWrite(addr, tid)
-								ref.write(rs, ws, tid)
-							} else {
-								gw, gf := s.ObserveRead(addr, tid)
-								ww, wf := ref.read(rs, ws, tid)
-								if gw != ww || gf != wf {
-									t.Fatalf("seed %d op %d: read(%#x, T%d) = (%d,%v), model (%d,%v)",
-										seed, i, addr, tid, gw, gf, ww, wf)
-								}
-							}
+							ref.apply(t, s, rng.Intn(4) == 0, addr, tid)
 							if owned {
 								s.Publish()
-								if got, want := s.Occupancy(), float64(len(ref.readers))/float64(slots); got != want {
+								if got, want := s.Occupancy(), ref.occupancy(slots); got != want {
 									t.Fatalf("seed %d op %d: Occupancy = %v, model %v", seed, i, got, want)
 								}
 							}
 						}
-						if got, want := s.FootprintBytes(), slots*(4+8*w); got != want {
-							t.Errorf("FootprintBytes = %d, want %d", got, want)
-						}
-						// The arena is the model word for word: slot rs's reader set
-						// is masks[rs*w : rs*w+w] (masks[rs] itself at w = 1).
-						for rs := uint64(0); rs < slots; rs++ {
-							want := ref.readers[rs]
-							if got := s.masks[rs*w : (rs+1)*w]; !reflect.DeepEqual(got, want[:w]) {
-								t.Fatalf("slot %d holds %x, model %x", rs, got, want[:w])
-							}
-						}
+						ref.checkArena(t, s)
 						// Occupancy is the caller's exact count as of its last Publish.
-						wantOcc := float64(len(ref.readers)) / float64(slots)
 						if !owned {
 							if got := s.Occupancy(); got != 0 {
 								t.Errorf("Occupancy before Publish = %v, want 0", got)
 							}
 							s.Publish()
 						}
-						if got := s.Occupancy(); got != wantOcc {
-							t.Errorf("Occupancy = %v, want exactly %v (%d non-empty reader sets)", got, wantOcc, len(ref.readers))
+						if got, want := s.Occupancy(), ref.occupancy(slots); got != want {
+							t.Errorf("Occupancy = %v, want exactly %v (%d non-empty reader sets)", got, want, len(ref.readers))
 						}
 					})
 				}
 			}
 		}
 	}
+}
+
+// FuzzMaskArena holds the arena to maskModel at a fuzzed thread count t in
+// [1, 256] and slot count in [1, 256], over a fuzzed op sequence of three
+// bytes an op: the kind (low bit) and 15 bits of address, then the thread.
+// Every read's verdict, the Occupancy after every op, and at the end the
+// arena word for word must match the model. Ops past the 64th are ignored,
+// so that minimising a long input stays quick.
+func FuzzMaskArena(f *testing.F) {
+	for _, threads := range []uint8{0, 1, 30, 31, 32, 63, 64, 127, 255} {
+		// At every word boundary the highest thread writes and then reads
+		// beside thread 0, and a last write empties the reader set again.
+		f.Add(threads, uint16(37), []byte{1, 0, threads, 0, 0, 0, 0, 0, threads, 3, 0, 2, 2, 0, threads, 1, 0, 0})
+	}
+	f.Fuzz(func(t *testing.T, threadsRaw uint8, slotsRaw uint16, ops []byte) {
+		threads, slots := int(threadsRaw)+1, uint64(slotsRaw)%256+1
+		s, err := NewAsymmetric(Options{Slots: slots, Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newMaskModel()
+		for i := 0; i+3 <= len(ops) && i < 3*64; i += 3 {
+			addr := 0x7000 + 8*(uint64(ops[i]>>1)|uint64(ops[i+1])<<7)
+			ref.apply(t, s, ops[i]&1 == 1, addr, int32(int(ops[i+2])%threads))
+			s.Publish()
+			if got, want := s.Occupancy(), ref.occupancy(slots); got != want {
+				t.Fatalf("op %d: Occupancy = %v, model %v", i/3, got, want)
+			}
+		}
+		ref.checkArena(t, s)
+	})
 }
 
 func TestPow2ReductionMatchesModulo(t *testing.T) {
@@ -572,10 +623,10 @@ func BenchmarkObserveWrite(b *testing.B) {
 }
 
 // BenchmarkReaderSets prices the two reader-set layouts beyond one mask word:
-// the arena at w = ⌈t/64⌉ against the paper's per-slot bloom filters at the
+// the arena at w = ⌈t/32⌉ against the paper's per-slot bloom filters at the
 // same t, over a read-mostly stream on 2^16 addresses in 2^20 slots.
 func BenchmarkReaderSets(b *testing.B) {
-	for _, threads := range []int{65, 128, 256} {
+	for _, threads := range []int{33, 128, 256} {
 		for _, layout := range []string{"mask", "bloom"} {
 			b.Run(fmt.Sprintf("t=%d/%s", threads, layout), func(b *testing.B) {
 				opts := Options{Slots: 1 << 20, Threads: threads}
