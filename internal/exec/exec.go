@@ -71,15 +71,20 @@ const (
 type Engine struct {
 	opts Options
 
+	// clock is the logical time: parallel mode advances it; deterministic
+	// mode advances now and publishes it here (Thread.publish).
 	clock atomic.Uint64
 
 	// threads is allocated at New (not Run) so live-introspection readers
 	// can snapshot per-thread progress without racing on the slice itself.
 	threads []*Thread
 
-	// Deterministic-mode scheduler state (owned by the scheduler goroutine
-	// between yields).
-	yieldCh       chan int32
+	// Deterministic-mode scheduler state, owned by whichever goroutine holds
+	// the turn: the channel send that passes the turn orders every access.
+	now           uint64
+	cursor        int // next thread to consider in the current round
+	live, parked  int // threads not yet done; threads waiting at the barrier
+	done          chan struct{}
 	locks         map[int]int32 // lock id -> holding thread, absent/-1 when free
 	barrierEpochs atomic.Uint64
 
@@ -103,7 +108,7 @@ func New(opts Options) *Engine {
 	}
 	e := &Engine{
 		opts:     opts,
-		yieldCh:  make(chan int32),
+		done:     make(chan struct{}),
 		locks:    map[int]int32{},
 		parLocks: map[int]*sync.Mutex{},
 	}
@@ -125,7 +130,7 @@ func New(opts Options) *Engine {
 // Threads returns the configured thread count.
 func (e *Engine) Threads() int { return e.opts.Threads }
 
-// Clock returns the current logical time.
+// Clock returns the logical time; mid-run it trails by up to a quantum.
 func (e *Engine) Clock() uint64 { return e.clock.Load() }
 
 // Run executes body once per thread and blocks until all threads finish.
@@ -142,70 +147,70 @@ func (e *Engine) Run(body func(t *Thread)) (Stats, error) {
 }
 
 func (e *Engine) runDeterministic(body func(t *Thread)) (Stats, error) {
-	n := e.opts.Threads
+	e.live = len(e.threads)
 	for _, t := range e.threads {
 		go t.main(body)
 	}
+	e.next() <- struct{}{}
+	<-e.done
+	if live := e.live; live > 0 {
+		e.failStuckThreads()
+		return e.collectStats(), fmt.Errorf("exec: deadlock with %d live threads (mixed barrier/lock wait)", live)
+	}
+	return e.collectStats(), e.err
+}
 
-	live := n
-	for live > 0 {
-		progressed := false
-		for _, t := range e.threads {
+// next makes the round-robin decision on the goroutine that holds the turn:
+// the rest of the round in thread order (waking lock waiters whose lock is
+// free), then the barrier release and the deadlock check. It returns the
+// next thread's resume, its budget refilled, or done when the run is over.
+func (e *Engine) next() chan struct{} {
+	for e.live > 0 {
+		start := e.cursor
+		for e.cursor < len(e.threads) {
+			t := e.threads[e.cursor]
+			e.cursor++
 			if t.state == stLock {
 				if holder, held := e.locks[t.waitLock]; !held || holder == -1 {
 					t.state = stRunnable
 				}
 			}
-			if t.state != stRunnable {
-				continue
-			}
-			progressed = true
-			if p := e.opts.Probes; p != nil {
-				p.QuantumSwitches.Inc()
-			}
-			t.budget = e.opts.Quantum
-			t.resume <- struct{}{}
-			<-e.yieldCh
-			if t.state == stDone {
-				live--
+			if t.state == stRunnable {
+				if p := e.opts.Probes; p != nil {
+					p.QuantumSwitches.Inc()
+				}
+				t.budget = e.opts.Quantum
+				return t.resume
 			}
 		}
+		e.cursor = 0
 		// Barrier release: every live thread parked at the barrier.
-		if live > 0 {
-			waiting := 0
+		if e.parked == e.live {
 			for _, t := range e.threads {
 				if t.state == stBarrier {
-					waiting++
+					t.state = stRunnable
 				}
 			}
-			if waiting == live {
-				for _, t := range e.threads {
-					if t.state == stBarrier {
-						t.state = stRunnable
-					}
-				}
-				e.barrierEpochs.Add(1)
-				progressed = true
-			}
+			e.parked = 0
+			e.barrierEpochs.Add(1)
+			continue
 		}
-		if !progressed && live > 0 {
-			e.failStuckThreads(live)
-			return e.collectStats(), fmt.Errorf("exec: deadlock with %d live threads (mixed barrier/lock wait)", live)
+		if start == 0 { // a whole round ran no thread: deadlock
+			return e.done
 		}
 	}
-	return e.collectStats(), e.err
+	return e.done
 }
 
 // failStuckThreads unblocks deadlocked goroutines so they exit; the engine is
 // unusable afterwards but does not leak goroutines.
-func (e *Engine) failStuckThreads(live int) {
+func (e *Engine) failStuckThreads() {
 	for _, t := range e.threads {
 		if t.state != stDone {
 			t.aborted = true
-			t.state = stRunnable
 			t.budget = 1 << 30
 			t.resume <- struct{}{}
-			<-e.yieldCh
+			<-e.done
 		}
 	}
 }
@@ -213,11 +218,11 @@ func (e *Engine) failStuckThreads(live int) {
 func (e *Engine) collectStats() Stats {
 	var s Stats
 	for _, t := range e.threads {
-		s.Accesses += t.accesses.Load()
-		s.Reads += t.reads.Load()
-		s.Writes += t.writes.Load()
-		s.Elided += t.elided.Load()
-		s.WorkUnits += t.work.Load()
+		s.Accesses += t.accesses
+		s.Reads += t.accesses - t.writes
+		s.Writes += t.writes
+		s.Elided += t.elided
+		s.WorkUnits += t.work
 	}
 	s.Barriers = e.BarrierEpochs()
 	s.Clock = e.clock.Load()
@@ -232,6 +237,7 @@ func (e *Engine) runParallel(body func(t *Thread)) (Stats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer t.publish()
 			defer func() {
 				if r := recover(); r != nil {
 					panicOnce.Do(func() { e.err = fmt.Errorf("exec: thread %d panicked: %v", t.id, r) })
@@ -247,12 +253,12 @@ func (e *Engine) runParallel(body func(t *Thread)) (Stats, error) {
 }
 
 // ThreadProgress snapshots each thread's instrumented access count. Safe to
-// call while a run is in flight — this is the per-thread progress feed of
-// the live /progress endpoint.
+// call while a run is in flight (trailing by up to a quantum) — this is the
+// per-thread progress feed of the live /progress endpoint.
 func (e *Engine) ThreadProgress() []uint64 {
 	out := make([]uint64, len(e.threads))
 	for i, t := range e.threads {
-		out[i] = t.accesses.Load()
+		out[i] = t.progress.Load()
 	}
 	return out
 }

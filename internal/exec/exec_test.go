@@ -1,10 +1,13 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"commprof/internal/trace"
 )
@@ -207,7 +210,19 @@ func TestExitRegionUnderflowIsThreadError(t *testing.T) {
 	}
 }
 
+// waitGoroutines polls until the goroutine count is back to want: a run's
+// thread goroutines exit just after handing Run the result.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), want)
+		}
+	}
+}
+
 func TestBodyPanicBecomesError(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := New(Options{Threads: 2})
 	_, err := e.Run(func(th *Thread) {
 		if th.ID() == 1 {
@@ -219,10 +234,12 @@ func TestBodyPanicBecomesError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want panic error", err)
 	}
+	waitGoroutines(t, before)
 }
 
 func TestDeadlockDetected(t *testing.T) {
 	// Thread 0 waits at a barrier holding lock 1; thread 1 waits for lock 1.
+	before := runtime.NumGoroutine()
 	e := New(Options{Threads: 2, Quantum: 1})
 	_, err := e.Run(func(th *Thread) {
 		if th.ID() == 0 {
@@ -238,6 +255,7 @@ func TestDeadlockDetected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want deadlock", err)
 	}
+	waitGoroutines(t, before)
 }
 
 func TestEngineSingleShot(t *testing.T) {
@@ -332,6 +350,105 @@ func TestWorkAdvancesClock(t *testing.T) {
 	if stats.Clock != 101 {
 		t.Fatalf("Clock = %d, want 101", stats.Clock)
 	}
+}
+
+// TestLiveReadersDuringDeterministicRun polls the live feeds from a second
+// goroutine while a deterministic run hands turns between its threads: each
+// feed may trail by a quantum but never goes backwards, and once Run returns
+// each equals the run's Stats exactly.
+func TestLiveReadersDuringDeterministicRun(t *testing.T) {
+	const threads, rounds = 6, 300
+	e := New(Options{Threads: threads, Quantum: 7})
+	stop := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		var last []uint64
+		var clock, epochs uint64
+		for {
+			select {
+			case <-stop:
+				polled <- nil
+				return
+			default:
+			}
+			progress, c, b := e.ThreadProgress(), e.Clock(), e.BarrierEpochs()
+			for i := range last {
+				if progress[i] < last[i] {
+					polled <- fmt.Errorf("thread %d progress went %d -> %d", i, last[i], progress[i])
+					return
+				}
+			}
+			if c < clock || b < epochs {
+				polled <- fmt.Errorf("clock %d -> %d, barrier epochs %d -> %d", clock, c, epochs, b)
+				return
+			}
+			last, clock, epochs = progress, c, b
+			runtime.Gosched()
+		}
+	}()
+	stats, err := e.Run(func(th *Thread) {
+		for i := 0; i < rounds; i++ {
+			th.Write(uint64(0x5000+8*i), 8)
+			th.Work(3)
+			th.Read(uint64(0x5000+8*((i+int(th.ID()))%rounds)), 8)
+			if i%2 == 0 {
+				th.ReadElided(8)
+			} else {
+				th.WriteElided(8)
+			}
+			if i%50 == 0 {
+				th.Acquire(1)
+				th.Work(1)
+				th.Release(1)
+				th.Barrier()
+			}
+		}
+	})
+	close(stop)
+	if perr := <-polled; perr != nil {
+		t.Fatal(perr)
+	}
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var sum uint64
+	for i, n := range e.ThreadProgress() {
+		if n != 3*rounds {
+			t.Errorf("thread %d progress %d after Run, want %d", i, n, 3*rounds)
+		}
+		sum += n
+	}
+	if sum != stats.Accesses || e.Clock() != stats.Clock || e.BarrierEpochs() != stats.Barriers {
+		t.Fatalf("after Run: progress %d clock %d epochs %d, stats %+v", sum, e.Clock(), e.BarrierEpochs(), stats)
+	}
+	if want := uint64(threads * (6*rounds + rounds/50)); stats.Clock != want || stats.Barriers != rounds/50 {
+		t.Fatalf("stats %+v, want clock %d and %d barriers", stats, want, rounds/50)
+	}
+}
+
+// BenchmarkTurnHandOff meters the deterministic scheduler alone: 32 threads
+// that only Read, at the default quantum and with no probe, so the time is
+// counting and passing the turn. ns/turn prices one quantum.
+func BenchmarkTurnHandOff(b *testing.B) {
+	const threads = 32
+	perThread := b.N/threads + 1
+	e := New(Options{Threads: threads})
+	b.ResetTimer()
+	stats, err := e.Run(func(th *Thread) {
+		for i := 0; i < perThread; i++ {
+			th.Read(uint64(0x1000+i*8), 8)
+		}
+	})
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A thread yields after every full quantum and takes one more turn to
+	// finish: perThread/64 + 1 turns each.
+	turns := threads * (perThread/64 + 1)
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/float64(stats.Accesses), "ns/access")
+	b.ReportMetric(ns/float64(turns), "ns/turn")
 }
 
 func BenchmarkDeterministicAccess(b *testing.B) {

@@ -18,15 +18,15 @@ type Thread struct {
 	// Region context: stack of static region IDs (functions/loops).
 	regionStack []int32
 
-	// Counters (written only by this thread; atomic so the engine and live
-	// telemetry snapshots can read them while the run is in flight).
-	accesses atomic.Uint64
-	reads    atomic.Uint64
-	writes   atomic.Uint64
-	elided   atomic.Uint64
-	work     atomic.Uint64
+	// Counters, written only by this thread and read once the run is over;
+	// progress publishes accesses to live readers once per quantum.
+	accesses uint64
+	writes   uint64
+	elided   uint64
+	work     uint64
+	progress atomic.Uint64
 
-	// Deterministic-mode scheduling.
+	// Scheduling (budget paces parallel mode's publication too).
 	resume   chan struct{}
 	state    threadState
 	waitLock int
@@ -45,7 +45,7 @@ type Thread struct {
 func (t *Thread) ID() int32 { return t.id }
 
 // main drives a deterministic-mode thread: wait for the first turn, run the
-// body, and report completion.
+// body, then pass the turn on (back to Run if the scheduler aborted it).
 func (t *Thread) main(body func(*Thread)) {
 	<-t.resume
 	func() {
@@ -58,29 +58,63 @@ func (t *Thread) main(body func(*Thread)) {
 		}()
 		body(t)
 	}()
+	t.publish()
 	t.state = stDone
-	t.eng.yieldCh <- t.id
+	next := t.eng.done
+	if !t.aborted {
+		t.eng.live--
+		next = t.eng.next()
+	}
+	next <- struct{}{}
 }
 
-// yield parks the thread and returns when the scheduler resumes it.
+// yield publishes the counts and passes the turn on until it comes back.
 func (t *Thread) yield() {
-	t.eng.yieldCh <- t.id
-	<-t.resume
+	if !t.aborted {
+		t.publish()
+		if next := t.eng.next(); next != t.resume {
+			next <- struct{}{}
+			<-t.resume
+		}
+	}
 	if t.aborted {
 		panic("exec: thread aborted by scheduler")
 	}
 }
 
+// publish stores the counts live readers poll: this thread's accesses and,
+// in deterministic mode, the logical clock.
+func (t *Thread) publish() {
+	t.progress.Store(t.accesses)
+	if !t.parallel {
+		t.eng.clock.Store(t.eng.now)
+	}
+}
+
+// tick advances the logical clock by n; only parallel mode needs an atomic.
+func (t *Thread) tick(n uint64) uint64 {
+	if t.parallel {
+		return t.eng.clock.Add(n)
+	}
+	t.eng.now += n
+	return t.eng.now
+}
+
 // afterStep accounts n scheduling units after an access (and its probe) have
-// fully completed, yielding if the quantum is exhausted. Yield must come
-// last: preempting between the clock tick and the probe would let other
+// fully completed; at the quantum's end it publishes or yields. Yield must
+// come last: preempting between the clock tick and the probe would let other
 // threads emit newer timestamps first, breaking temporal order.
 func (t *Thread) afterStep(n int) {
-	if t.parallel {
-		return
+	if t.budget -= n; t.budget <= 0 {
+		t.endQuantum()
 	}
-	t.budget -= n
-	if t.budget <= 0 {
+}
+
+func (t *Thread) endQuantum() {
+	if t.parallel {
+		t.publish()
+		t.budget = t.eng.opts.Quantum
+	} else {
 		t.state = stRunnable
 		t.yield()
 	}
@@ -88,9 +122,8 @@ func (t *Thread) afterStep(n int) {
 
 // Read issues an instrumented load of size bytes at addr.
 func (t *Thread) Read(addr uint64, size uint32) {
-	now := t.eng.clock.Add(1)
-	t.accesses.Add(1)
-	t.reads.Add(1)
+	now := t.tick(1)
+	t.accesses++
 	if p := t.eng.opts.Probe; p != nil {
 		p(trace.Access{Time: now, Addr: addr, Size: size, Thread: t.id, Region: t.currentRegion(), Kind: trace.Read})
 	}
@@ -99,9 +132,9 @@ func (t *Thread) Read(addr uint64, size uint32) {
 
 // Write issues an instrumented store of size bytes at addr.
 func (t *Thread) Write(addr uint64, size uint32) {
-	now := t.eng.clock.Add(1)
-	t.accesses.Add(1)
-	t.writes.Add(1)
+	now := t.tick(1)
+	t.accesses++
+	t.writes++
 	if p := t.eng.opts.Probe; p != nil {
 		p(trace.Access{Time: now, Addr: addr, Size: size, Thread: t.id, Region: t.currentRegion(), Kind: trace.Write})
 	}
@@ -113,10 +146,9 @@ func (t *Thread) Write(addr uint64, size uint32) {
 // scheduling and timestamps are bit-identical with coalescing off), but no
 // probe fires.
 func (t *Thread) ReadElided(size uint32) {
-	t.eng.clock.Add(1)
-	t.accesses.Add(1)
-	t.reads.Add(1)
-	t.elided.Add(1)
+	t.tick(1)
+	t.accesses++
+	t.elided++
 	if p := t.eng.opts.Probes; p != nil {
 		p.ElidedProbes.Inc()
 	}
@@ -126,10 +158,10 @@ func (t *Thread) ReadElided(size uint32) {
 // WriteElided accounts a store whose probe the static coalescing pass elided;
 // see ReadElided.
 func (t *Thread) WriteElided(size uint32) {
-	t.eng.clock.Add(1)
-	t.accesses.Add(1)
-	t.writes.Add(1)
-	t.elided.Add(1)
+	t.tick(1)
+	t.accesses++
+	t.writes++
+	t.elided++
 	if p := t.eng.opts.Probes; p != nil {
 		p.ElidedProbes.Inc()
 	}
@@ -143,8 +175,8 @@ func (t *Thread) Work(units int) {
 	if units <= 0 {
 		return
 	}
-	t.work.Add(uint64(units))
-	t.eng.clock.Add(uint64(units))
+	t.work += uint64(units)
+	t.tick(uint64(units))
 	s := t.spin
 	if s == 0 {
 		s = uint64(t.id)*0x9e3779b97f4a7c15 + 1
@@ -168,6 +200,7 @@ func (t *Thread) Barrier() {
 		return
 	}
 	t.state = stBarrier
+	t.eng.parked++
 	t.yield()
 }
 

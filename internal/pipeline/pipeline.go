@@ -889,7 +889,7 @@ type Stats struct {
 	CommBytes uint64 // total communicated bytes
 	// DroppedReads always reads 0: the engine analyses every access it is
 	// handed. The field stays only because the bench/ module compiles
-	// against it (ROADMAP item 6(f) removes both).
+	// against it (ROADMAP item 0(d) removes both).
 	DroppedReads uint64
 }
 

@@ -51,21 +51,42 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 }
 
 // TestRecordBytesPinned holds Record's output to the bytes it wrote before
-// its tap streamed through the patched-header encoder: the hashes were taken
-// from the commit that still materialised the run and called
-// EncodeVersion(w, 3, threads) at the end.
+// its tap streamed through the patched-header encoder: the 8-thread hashes
+// were taken from the commit that still materialised the run and called
+// EncodeVersion(w, 3, threads) at the end. The 32-thread hashes, one per
+// splash app (barnes and raytrace among them, the two that take locks), were
+// taken from the commit whose scheduler still ran as its own goroutine, so
+// they pin the interleaving, every timestamp and the lock hand-offs.
 func TestRecordBytesPinned(t *testing.T) {
-	for workload, want := range map[string]string{
-		"fft":    "9268d25ee57264b49db6f613d4e8ddaef741d041e468f4613e668d9b17e29f12",
-		"radix":  "eddc837bd45c88238c436c8f5b3742ac54f6d446b419a530517b06dceb4b09ce",
-		"lu_ncb": "91189e13202af71051abbfdcd1d739276fb721dacf28d279176bb678415a85fe",
+	for _, c := range []struct {
+		workload string
+		threads  int
+		want     string
+	}{
+		{"fft", 8, "9268d25ee57264b49db6f613d4e8ddaef741d041e468f4613e668d9b17e29f12"},
+		{"radix", 8, "eddc837bd45c88238c436c8f5b3742ac54f6d446b419a530517b06dceb4b09ce"},
+		{"lu_ncb", 8, "91189e13202af71051abbfdcd1d739276fb721dacf28d279176bb678415a85fe"},
+		{"barnes", 32, "e9308766b0ad2c3a021cf71987c0b99821d9967f90a3bca14c8a19cd62840e2e"},
+		{"cholesky", 32, "ff20279efe770f6214c11668c3c0db50d4740ecb088b93f09fd42f46fa57ecb9"},
+		{"fft", 32, "1097dea2711dd6f872b24c9a418f2c4587c2b6561d25344ffcfb0688f4a4df33"},
+		{"fmm", 32, "d3a98cbe5e16e67923146b9f7a151700332c8900de82a5a1ce11d2b5cead5d59"},
+		{"lu_cb", 32, "55c3cdc39f195407c0243f22220155e40c30792b55aedb675edbe8de30b69b45"},
+		{"lu_ncb", 32, "6fbd4e7c0d1cec86265e7d03a5e93c7926fc05a2beb97cdc8054249a8ea90643"},
+		{"ocean_cp", 32, "8634188e7bc8d77f32148ae717f055cb78a7a3d56afc179e367d77887e316287"},
+		{"ocean_ncp", 32, "931deaa78be3b54cec54606ecfc1d8cf3b152c477d0bbd5c7bb0df87af2ee018"},
+		{"radiosity", 32, "34d0c1a5c2b74dd0e681f75e3d18e76afced099e875d3499b1fb101e09bc6144"},
+		{"radix", 32, "63ecb80054f6cfbb39b57a2c502fa20c3fac9c6489eeac052d1fc0269f13e723"},
+		{"raytrace", 32, "3e80986ec3572db8f129c1860cf03228c80764033a82dd0bf9567a70bf4cc6f3"},
+		{"volrend", 32, "0e7ad78584e274bc68742b1f3bf370eecebf962be9bdef814251c31db11f4944"},
+		{"water_nsq", 32, "0333e4711970fe669e7aca93ad23d6e000a65c11e330720f42f4b505014481f8"},
+		{"water_spat", 32, "109bf8ca6fd696a9beef6f047454fb9bcaabbce85af57353227b9d8af9d994b2"},
 	} {
 		var buf bytes.Buffer
-		if _, err := Record(Options{Workload: workload, Threads: 8}, &buf); err != nil {
-			t.Fatalf("%s: %v", workload, err)
+		if _, err := Record(Options{Workload: c.workload, Threads: c.threads}, &buf); err != nil {
+			t.Fatalf("%s/%d: %v", c.workload, c.threads, err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
-			t.Errorf("%s: Record wrote %d bytes with sha256 %s, want %s", workload, buf.Len(), got, want)
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+			t.Errorf("%s/%d: Record wrote %d bytes with sha256 %s, want %s", c.workload, c.threads, buf.Len(), got, c.want)
 		}
 	}
 }
