@@ -63,14 +63,14 @@ func newAnalysis(opts Options, threads int, table *trace.Table) (*analysis, erro
 		return nil, fmt.Errorf("commprof: GranularityBits (-granularity) must be below 64, got %d", opts.GranularityBits)
 	}
 	tel := opts.Telemetry
-	probes := tel.probes()
+	probes := tel.Probes()
 	an := &analysis{opts: opts, threads: threads, tel: tel}
 	var err error
 	if an.ps, err = newPhaseState(opts, table, tel, probes); err != nil {
 		return nil, err
 	}
 	if opts.SamplePeriod > 0 {
-		if an.gate, err = detect.NewGate(threads, opts.SampleBurst, opts.SamplePeriod); err != nil {
+		if an.gate, err = detect.NewGate(threads, opts.SamplePeriod); err != nil {
 			return nil, err
 		}
 	}
@@ -207,7 +207,7 @@ func (an *analysis) finish(name string, stats exec.Stats) (*Report, error) {
 	tel, pe, opts := an.tel, an.pe, an.opts
 	var drain *obs.SpanHandle
 	if pe.Shards() > 0 {
-		drain = tel.span("pipeline-drain")
+		drain = tel.Span("pipeline-drain")
 	}
 	an.flushQuantum()
 	for _, p := range an.producers {
@@ -216,8 +216,8 @@ func (an *analysis) finish(name string, stats exec.Stats) (*Report, error) {
 	pe.Close()
 	drain.End()
 
-	build := tel.span("tree-build")
-	stages := tel.probes().Stage
+	build := tel.Span("tree-build")
+	stages := tel.Probes().Stage
 	var t0 time.Time
 	if stages != nil {
 		t0 = time.Now()
@@ -234,7 +234,7 @@ func (an *analysis) finish(name string, stats exec.Stats) (*Report, error) {
 	}
 	build.End()
 
-	report := tel.span("report")
+	report := tel.Span("report")
 	st := pe.Stats()
 	rep := &Report{
 		Workload:       name,
@@ -299,11 +299,11 @@ func profileEngine(opts Options, src engineSource) (*Report, error) {
 	defer an.pe.Close()
 	eng := exec.New(exec.Options{
 		Threads: src.threads, Probe: an.probe(src.tap), Parallel: opts.Parallel,
-		Probes: an.tel.probes().Engine,
+		Probes: an.tel.Probes().Engine,
 	})
 	an.wire(eng)
 	src.setup.End()
-	run := an.tel.span("engine-run")
+	run := an.tel.Span("engine-run")
 	stats, err := src.run(eng)
 	run.End()
 	if err != nil {

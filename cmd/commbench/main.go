@@ -26,8 +26,8 @@ import (
 	"sort"
 	"strings"
 
+	"commprof"
 	"commprof/internal/experiments"
-	"commprof/internal/obs"
 	"commprof/internal/splash"
 )
 
@@ -173,17 +173,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("commbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "", "experiment ID (or 'all'); see -listexp")
-		listExp  = fs.Bool("listexp", false, "list experiment IDs and exit")
-		threads  = fs.Int("threads", 32, "simulated thread count")
-		seed     = fs.Int64("seed", 42, "workload random seed")
-		slots    = fs.Uint64("sig", 1<<20, "signature slots for non-sweep experiments")
-		coal     = fs.Bool("coalesce", true, "statically coalesce redundant probes in MiniPar-pipeline experiments (-coalesce=false disables)")
-		telem    = fs.Bool("telemetry", false, "collect harness self-observability metrics and print a Prometheus-text dump after the run")
-		telAddr  = fs.String("telemetry-addr", "", "serve live /metrics, /metrics.json and /progress on this address during the sweep (e.g. :9090, :0 picks a port)")
-		timeline = fs.String("timeline", "", "write the sweep's execution timeline (one span per experiment) to this file as Chrome/Perfetto trace-event JSON")
-		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/ on the telemetry server (needs -telemetry-addr)")
+		exp     = fs.String("exp", "", "experiment ID (or 'all'); see -listexp")
+		listExp = fs.Bool("listexp", false, "list experiment IDs and exit")
+		threads = fs.Int("threads", 32, "simulated thread count")
+		seed    = fs.Int64("seed", 42, "workload random seed")
+		slots   = fs.Uint64("sig", 1<<20, "signature slots for non-sweep experiments")
+		coal    = fs.Bool("coalesce", true, "statically coalesce redundant probes in MiniPar-pipeline experiments (-coalesce=false disables)")
 	)
+	var tf commprof.TelemetryFlags
+	tf.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -206,34 +204,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	env.SigSlots = *slots
 	env.DisableCoalesce = !*coal
 
-	var (
-		reg    *obs.Registry
-		tracer *obs.Tracer
-		done   = new(int)
-	)
-	if *telem || *telAddr != "" || *timeline != "" {
-		reg = obs.NewRegistry()
-		tracer = obs.NewTracer()
-		env.Probes = obs.DefaultProbes(reg)
-		if *telAddr != "" {
-			var sopts []obs.ServeOption
-			if *pprofOn {
-				sopts = append(sopts, obs.WithPprof())
-			}
-			srv, err := obs.Serve(*telAddr, reg, tracer, func() any {
-				return map[string]any{
-					"phase":           tracer.Current(),
-					"experimentsDone": *done,
-				}
-			}, sopts...)
-			if err != nil {
-				fmt.Fprintln(stderr, "commbench:", err)
-				return 1
-			}
-			defer srv.Close()
-			fmt.Fprintf(stderr, "commbench: serving telemetry on http://%s/metrics (live snapshot at /progress)\n", srv.Addr())
-		}
+	tel, code := tf.Open()
+	if code != 0 {
+		return code
 	}
+	defer tel.Close() // Finish closes it too; this covers the error returns
+	env.Probes = tel.Probes()
 
 	var selected []string
 	switch *exp {
@@ -250,39 +226,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		selected = []string{*exp}
 	}
 	for _, id := range selected {
-		span := tracer.Start("exp:" + id)
+		span := tel.Span("exp:" + id)
 		out, err := runners[id](env)
 		span.End()
 		if err != nil {
 			fmt.Fprintf(stderr, "commbench: %s: %v\n", id, err)
 			return 1
 		}
-		*done++
 		fmt.Fprintf(stdout, "==== %s ====\n%s\n", id, out)
 	}
-	if *timeline != "" {
-		tl := obs.NewTimeline()
-		tl.AddSpans("run", tracer.Spans())
-		f, err := os.Create(*timeline)
-		if err != nil {
-			fmt.Fprintln(stderr, "commbench:", err)
-			return 1
-		}
-		err = tl.WriteTraceEvents(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "commbench:", err)
-			return 1
-		}
-	}
-	if *telem {
-		fmt.Fprintln(stdout, "-- telemetry (Prometheus text format) --")
-		if err := obs.WriteProm(stdout, reg); err != nil {
-			fmt.Fprintln(stderr, "commbench:", err)
-			return 1
-		}
-	}
-	return 0
+	return tf.Finish(tel, stdout)
 }

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -178,5 +182,40 @@ func TestPhasesExperiment(t *testing.T) {
 	}
 	if !strings.Contains(out, "phase 1") {
 		t.Errorf("phases output wrong:\n%s", out)
+	}
+}
+
+// TestTelemetryFlagsShared drives the telemetry table commbench shares with
+// commprof: -timeline writes one span per experiment, -telemetry-dump writes
+// Prometheus text, and -pprof needs -telemetry-addr.
+func TestTelemetryFlagsShared(t *testing.T) {
+	dir := t.TempDir()
+	timeline, dump := filepath.Join(dir, "run.json"), filepath.Join(dir, "final.prom")
+	code, _, errOut := runCLI(t, "-exp", "eq2", "-timeline", timeline, "-telemetry-dump", dump)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	data, err := os.ReadFile(timeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct{ Name, Ph string }
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("timeline is not a trace-event array: %v\n%s", err, data)
+	}
+	if !slices.Contains(events, struct{ Name, Ph string }{"exp:eq2", "X"}) {
+		t.Errorf("timeline has no X event exp:eq2:\n%s", data)
+	}
+	data, err = os.ReadFile(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "# TYPE ") || !strings.Contains(string(data), "\ndetect_events_total 0\n") {
+		t.Errorf("dump is not the Prometheus text:\n%s", data)
+	}
+
+	code, _, errOut = runCLI(t, "-exp", "eq2", "-pprof")
+	if code != 2 || !strings.Contains(errOut, "-telemetry-addr") {
+		t.Errorf("-pprof alone: exit %d, err %q", code, errOut)
 	}
 }

@@ -34,6 +34,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var opts commprof.Options
 	opts.BindFlags(fs)
+	var tf commprof.TelemetryFlags
+	tf.BindFlags(fs)
 	var (
 		list     = fs.Bool("list", false, "list available benchmarks and exit")
 		heatmap  = fs.Bool("heatmap", false, "print the global matrix heatmap")
@@ -42,11 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonOut  = fs.Bool("json", false, "emit the full report as JSON instead of text")
 		record   = fs.String("record", "", "also write the access trace to this file")
 		replay   = fs.String("replay", "", "analyse a recorded trace file instead of running a benchmark")
-		telem    = fs.Bool("telemetry", false, "collect profiler self-observability metrics and print a Prometheus-text dump after the run")
-		telAddr  = fs.String("telemetry-addr", "", "serve live /metrics, /metrics.json and /progress on this address during the run (e.g. :9090, :0 picks a port)")
-		telDump  = fs.String("telemetry-dump", "", "write a final Prometheus-text metrics snapshot to this file at exit (for scrape-less CI environments)")
-		timeline = fs.String("timeline", "", "write the run's execution timeline to this file as Chrome/Perfetto trace-event JSON (implies telemetry)")
-		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/ on the telemetry server (needs -telemetry-addr)")
 	)
 	fs.StringVar(&opts.Workload, "app", "", "benchmark to profile (see -list)")
 	fs.IntVar(&opts.Threads, "threads", 32, "simulated thread count")
@@ -67,39 +64,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var tel *commprof.Telemetry
-	if *telem || *telAddr != "" || *telDump != "" || *timeline != "" {
-		tel = commprof.NewTelemetry()
-		opts.Telemetry = tel
-		if *timeline != "" {
-			tel.EnableTimeline()
-		}
-		if *pprofOn {
-			tel.EnablePprof()
-		}
-		if *telAddr != "" {
-			addr, err := tel.Serve(*telAddr)
-			if err != nil {
-				fmt.Fprintln(stderr, "commprof:", err)
-				return 1
-			}
-			defer tel.Close()
-			fmt.Fprintf(stderr, "commprof: serving telemetry on http://%s/metrics (live snapshot at /progress)\n", addr)
-		}
+	tel, code := tf.Open()
+	if code != 0 {
+		return code
 	}
-
-	// writeFiles writes the -telemetry-dump and -timeline files, those asked
-	// for, and returns a process exit code.
-	writeFiles := func() int {
-		err := tel.WritePromFile(*telDump)
-		if err == nil {
-			err = tel.WriteTimelineFile(*timeline)
+	defer tel.Close() // Finish closes it too; this covers the error returns
+	opts.Telemetry = tel
+	// finish ends the text output with the -telemetry dump, a blank line
+	// before it. Under -json the report carries the snapshot instead.
+	finish := func() int {
+		if tf.Print {
+			fmt.Fprintln(stdout)
 		}
-		if err != nil {
-			fmt.Fprintln(stderr, "commprof:", err)
-			return 1
-		}
-		return 0
+		return tf.Finish(tel, stdout)
 	}
 
 	var rep *commprof.Report
@@ -114,11 +91,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		rep, err = commprof.Replay(f, opts.Threads, opts)
 	case opts.Workload == "all":
-		code := runAll(opts, stdout, stderr)
-		if rc := writeFiles(); code == 0 {
-			return rc
+		if code := runAll(opts, stdout, stderr); code != 0 {
+			return code
 		}
-		return code
+		return finish()
 	case opts.Workload == "":
 		fmt.Fprintln(stderr, "commprof: -app is required (or -list/-replay); available:", strings.Join(commprof.Workloads(), ", "))
 		return 2
@@ -139,9 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "commprof:", err)
 		return 1
 	}
-	if rc := writeFiles(); rc != 0 {
-		return rc
-	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -150,13 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "commprof:", err)
 			return 1
 		}
-		return 0
+		return tf.Finish(tel, nil)
 	}
 	fmt.Fprint(stdout, rep.Summary())
-	if rep.SampleFraction < 1 {
-		fmt.Fprintf(stdout, "\n(read sampling active: %.1f%% of reads analysed; volumes scale accordingly)\n",
-			100*rep.SampleFraction)
-	}
 	if *heatmap {
 		fmt.Fprintln(stdout, "\nglobal communication matrix:")
 		fmt.Fprint(stdout, rep.Global.Heatmap())
@@ -177,14 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "\npattern class: %s\n", class)
 	}
-	if *telem {
-		fmt.Fprintln(stdout, "\n-- telemetry (Prometheus text format) --")
-		if err := tel.WriteProm(stdout); err != nil {
-			fmt.Fprintln(stderr, "commprof:", err)
-			return 1
-		}
-	}
-	return 0
+	return finish()
 }
 
 // runAll prints a one-line summary per bundled benchmark.

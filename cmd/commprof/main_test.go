@@ -326,3 +326,23 @@ func TestAccuracyFlags(t *testing.T) {
 		t.Error("accuracy section present without accuracy flags")
 	}
 }
+
+// TestTelemetryFlagsShared drives the telemetry table commprof shares with
+// commbench: -pprof needs -telemetry-addr, and -app all ends with the dump.
+func TestTelemetryFlagsShared(t *testing.T) {
+	code, _, errOut := runCLI(t, "-app", "fft", "-threads", "8", "-pprof")
+	if code != 2 || !strings.Contains(errOut, "-telemetry-addr") {
+		t.Errorf("-pprof alone: exit %d, err %q", code, errOut)
+	}
+	code, out, errOut := runCLI(t, "-app", "all", "-threads", "2", "-telemetry")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	_, dump, ok := strings.Cut(out, "\n\n-- telemetry (Prometheus text format) --\n")
+	if !ok {
+		t.Fatalf("-app all printed no telemetry dump:\n%s", out)
+	}
+	if names := parseProm(t, dump); !names["detect_events_total"] {
+		t.Errorf("-app all dump lacks detect_events_total:\n%s", dump)
+	}
+}

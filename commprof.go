@@ -71,14 +71,14 @@ type Options struct {
 	// program's threads. Record always runs the
 	// deterministic scheduler (a trace needs one temporal order).
 	Parallel bool
-	// SampleBurst/SamplePeriod enable read sampling (the paper's §VII
+	// SamplePeriod enables read sampling (the paper's §VII
 	// overhead-reduction outlook): of every SamplePeriod reads per thread,
-	// the first SampleBurst are analysed; writes are always analysed. Zero
-	// values disable sampling. Detected volumes scale by roughly
-	// SampleBurst/SamplePeriod. The gate sits in front of the analyser on
-	// every entry point; Record's trace is written ahead of it and stays
-	// complete.
-	SampleBurst, SamplePeriod uint32
+	// the first is analysed; writes are always analysed. Zero disables
+	// sampling. Detected volumes scale by roughly 1/SamplePeriod, and
+	// Report.SampleFraction and Summary say so. The gate sits in front of the
+	// analyser on every entry point; Record's trace is written ahead of it and
+	// stays complete.
+	SamplePeriod uint32
 	// GranularityBits coarsens the analysis granularity: addresses are
 	// shifted right by this amount before consulting the signature (0 =
 	// per-address, 6 = 64-byte cache lines). Coarser analysis reduces
@@ -235,7 +235,7 @@ func splashSource(opts Options) (engineSource, error) {
 // Profile runs the named bundled workload under the profiler.
 func Profile(opts Options) (*Report, error) {
 	opts.setDefaults()
-	setup := opts.Telemetry.span("workload-setup")
+	setup := opts.Telemetry.Span("workload-setup")
 	src, err := splashSource(opts)
 	if err != nil {
 		return nil, err

@@ -47,6 +47,80 @@ func (o *Options) CheckFlags() error {
 	return nil
 }
 
+// TelemetryFlags are the command-line tools' telemetry flags, declared once by
+// BindFlags. Open makes the Telemetry handle they ask for and Finish exports
+// and closes it, so every tool wires its telemetry the same way.
+type TelemetryFlags struct {
+	Print    bool   // -telemetry: print the Prometheus text after the run
+	Addr     string // -telemetry-addr: serve the live endpoints here
+	Dump     string // -telemetry-dump: write the Prometheus text to this file
+	Timeline string // -timeline: write the execution timeline to this file
+	Pprof    bool   // -pprof: mount net/http/pprof on the -telemetry-addr server
+
+	fs *flag.FlagSet // names the tool and takes its messages
+}
+
+// BindFlags declares the telemetry flags on fs, parsing straight into f.
+// Open and Finish print their messages on fs's output, after its name.
+func (f *TelemetryFlags) BindFlags(fs *flag.FlagSet) {
+	f.fs = fs
+	fs.BoolVar(&f.Print, "telemetry", false, "collect profiler self-observability metrics and print a Prometheus-text dump after the run")
+	fs.StringVar(&f.Addr, "telemetry-addr", "", "serve live /metrics, /metrics.json and /progress on this address during the run (e.g. :9090, :0 picks a port)")
+	fs.StringVar(&f.Dump, "telemetry-dump", "", "write a final Prometheus-text metrics snapshot to this file at exit (for scrape-less CI environments)")
+	fs.StringVar(&f.Timeline, "timeline", "", "write the run's execution timeline to this file as Chrome/Perfetto trace-event JSON (implies telemetry)")
+	fs.BoolVar(&f.Pprof, "pprof", false, "mount net/http/pprof handlers under /debug/pprof/ on the telemetry server (needs -telemetry-addr)")
+}
+
+// Open returns the Telemetry handle the parsed flags ask for, nil when none
+// is set. Under -telemetry-addr it starts the server and prints its address.
+// A non-zero code is the tool's exit code, its reason already printed: 2 for
+// -pprof without -telemetry-addr, 1 when the server cannot start.
+func (f *TelemetryFlags) Open() (tel *Telemetry, code int) {
+	if f.Pprof && f.Addr == "" {
+		fmt.Fprintf(f.fs.Output(), "%s: -pprof mounts its handlers on the telemetry server: set -telemetry-addr\n", f.fs.Name())
+		return nil, 2
+	}
+	if !f.Print && f.Addr == "" && f.Dump == "" && f.Timeline == "" {
+		return nil, 0
+	}
+	tel = NewTelemetry()
+	if f.Timeline != "" {
+		tel.EnableTimeline()
+	}
+	if f.Addr != "" {
+		addr, err := tel.Serve(f.Addr, f.Pprof)
+		if err != nil {
+			fmt.Fprintf(f.fs.Output(), "%s: %v\n", f.fs.Name(), err)
+			return nil, 1
+		}
+		fmt.Fprintf(f.fs.Output(), "%s: serving telemetry on http://%s/metrics (live snapshot at /progress)\n", f.fs.Name(), addr)
+	}
+	return tel, 0
+}
+
+// Finish writes the -telemetry-dump and -timeline files, prints the
+// Prometheus text under -telemetry to w after a header line (a nil w prints
+// nothing), and stops tel's server. It returns the tool's exit code: 1 when a
+// write failed, after printing why.
+func (f *TelemetryFlags) Finish(tel *Telemetry, w io.Writer) int {
+	err := tel.writeFile(f.Dump, tel.WriteProm)
+	if err == nil {
+		err = tel.WriteTimelineFile(f.Timeline)
+	}
+	if err == nil && f.Print && w != nil {
+		fmt.Fprintln(w, "-- telemetry (Prometheus text format) --")
+		err = tel.WriteProm(w)
+	}
+	if cerr := tel.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintf(f.fs.Output(), "%s: %v\n", f.fs.Name(), err)
+		return 1
+	}
+	return 0
+}
+
 // analyserFlags is the flag table on a set of its own, parsing into o.
 func analyserFlags(o *Options) *flag.FlagSet {
 	fs := flag.NewFlagSet(envOptions, flag.ContinueOnError)
@@ -110,7 +184,7 @@ func (f rateFlag) Set(s string) error {
 	return nil
 }
 
-// sampleFlag is -sample N: burst 1 of every period N reads, 0 = no sampling.
+// sampleFlag is -sample N: one of every N reads, 0 = no sampling.
 type sampleFlag struct{ o *Options }
 
 func (f sampleFlag) String() string {
@@ -125,10 +199,7 @@ func (f sampleFlag) Set(s string) error {
 	if err != nil {
 		return err
 	}
-	f.o.SampleBurst, f.o.SamplePeriod = 0, uint32(n)
-	if n > 0 {
-		f.o.SampleBurst = 1
-	}
+	f.o.SamplePeriod = uint32(n)
 	return nil
 }
 

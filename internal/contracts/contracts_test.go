@@ -221,10 +221,12 @@ func (m *module) pos(at token.Pos) string {
 	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }
 
-// scope selects the files a contract looks at. bench/ is never in scope: it
-// is its own module, and ROADMAP item 0 tracks what it still names.
+// scope selects the files a contract looks at. bench/ is in scope only when
+// asked for: it is its own module, and ROADMAP item 0 tracks what it still
+// names.
 type scope struct {
 	tests   bool     // _test.go files too (parsed, not type-checked)
+	bench   bool     // bench/ too
 	dirs    []string // only these directories and below (all when empty)
 	exclude []string // not these directories and below
 }
@@ -234,7 +236,7 @@ func under(dir, prefix string) bool {
 }
 
 func (s scope) has(dir string) bool {
-	if under(dir, "bench") {
+	if under(dir, "bench") && !s.bench {
 		return false
 	}
 	if len(s.dirs) > 0 && !slices.ContainsFunc(s.dirs, func(d string) bool { return under(dir, d) }) {
@@ -522,6 +524,38 @@ import "flag"
 
 func plantedFlags(fs *flag.FlagSet) *int { return fs.Int("shards", 0, "analysis shards") }
 `},
+	},
+	{
+		// Telemetry is wired once, by the facade's Telemetry: no code outside
+		// internal/obs and the root package builds its own registry, tracer,
+		// timeline, probe bundle or server (bench/ included), and no command
+		// declares a telemetry flag by hand instead of binding
+		// TelemetryFlags. (commtrace's -timeline is its own: under -mode live
+		// it crosses into the instrumented process.)
+		name: "a second telemetry wiring is back",
+		check: func(m *module) (out findings) {
+			m.each(scope{bench: true, exclude: []string{".", "internal/obs"}}, func(p *pkg, f *file) {
+				out.uses(m, p, f, modulePath+"/internal/obs", "NewRegistry", "NewTracer", "NewTimeline", "Serve", "DefaultProbes")
+			})
+			m.each(scope{tests: true, dirs: []string{"cmd/commprof", "cmd/commbench", "cmd/commtrace", "probe"}}, func(p *pkg, f *file) {
+				out.flags(m, p, f, "telemetry", "telemetry-addr", "telemetry-dump", "pprof")
+			})
+			return out
+		},
+		plant: map[string]string{
+			"bench/planted.go": `package main
+
+import "commprof/internal/obs"
+
+var plantedRegistry = obs.NewRegistry()
+`,
+			"cmd/commbench/planted.go": `package main
+
+import "flag"
+
+func plantedPprof(fs *flag.FlagSet) *bool { return fs.Bool("pprof", false, "mount pprof") }
+`,
+		},
 	},
 	{
 		// Every exported function and method in internal/ has a caller in

@@ -8,11 +8,11 @@ import (
 
 // Gate is read sampling — the paper's §VII outlook ("in the future we plan to
 // apply sampling technique to reduce the overhead of instrumentation") — as
-// one admission policy in front of the analyser: of every Period reads per
-// thread, the first Burst are analysed and the rest bypass the signature
-// entirely (paying only a counter increment, the cheap path that reduces
-// overhead). Detected volumes therefore underestimate true communication by
-// roughly Burst/Period.
+// one admission policy in front of the analyser: of every period reads per
+// thread, the first is analysed and the rest bypass the signature entirely
+// (paying only a counter increment, the cheap path that reduces overhead).
+// Detected volumes therefore underestimate true communication by roughly
+// 1/period.
 //
 // Writes are always admitted: skipping them would corrupt the last-writer
 // record and reader-set invalidation, turning undersampling into wrong
@@ -21,34 +21,33 @@ import (
 // Each phase counter is only ever advanced by its own thread, so a Gate is
 // safe in parallel engine mode without atomics.
 type Gate struct {
-	burst  uint32
 	period uint32
 	// Per-thread read counters; sized at construction.
 	phase []uint32
 }
 
-// NewGate builds an admission gate for the given thread count. burst must be
-// in [1, period].
-func NewGate(threads int, burst, period uint32) (*Gate, error) {
+// NewGate builds an admission gate for the given thread count analysing one
+// of every period reads; period 1 admits every read.
+func NewGate(threads int, period uint32) (*Gate, error) {
 	if threads <= 0 {
 		return nil, fmt.Errorf("detect: gate needs a positive thread count, got %d", threads)
 	}
-	if burst == 0 || period == 0 || burst > period {
-		return nil, fmt.Errorf("detect: invalid sampling %d/%d (need 1 <= burst <= period)", burst, period)
+	if period == 0 {
+		return nil, fmt.Errorf("detect: sampling period must be positive")
 	}
-	return &Gate{burst: burst, period: period, phase: make([]uint32, threads)}, nil
+	return &Gate{period: period, phase: make([]uint32, threads)}, nil
 }
 
 // Admit reports whether an access of the given kind by tid should be
-// analysed. A read advances tid's burst/period phase; a write always passes.
+// analysed. A read advances tid's phase; a write always passes.
 func (g *Gate) Admit(kind trace.Kind, tid int32) bool {
 	if kind == trace.Write {
 		return true
 	}
 	p := g.phase[tid]
 	g.phase[tid] = (p + 1) % g.period
-	return p < g.burst
+	return p == 0
 }
 
-// Fraction returns the admitted fraction of reads, burst/period.
-func (g *Gate) Fraction() float64 { return float64(g.burst) / float64(g.period) }
+// Fraction returns the admitted fraction of reads, 1/period.
+func (g *Gate) Fraction() float64 { return 1 / float64(g.period) }

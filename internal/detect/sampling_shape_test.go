@@ -44,7 +44,7 @@ func TestSamplingReducesWorkPreservesShape(t *testing.T) {
 	gen(func(a trace.Access) { full.Process(a) })
 
 	sampled := newShapeDetector(t)
-	g, err := detect.NewGate(4, 1, 4)
+	g, err := detect.NewGate(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,21 +16,19 @@ func gated(g *Gate, d *Detector, a trace.Access) {
 }
 
 func TestNewGateValidation(t *testing.T) {
-	for _, bad := range [][2]uint32{{0, 4}, {4, 0}, {5, 4}} {
-		if _, err := NewGate(4, bad[0], bad[1]); err == nil {
-			t.Errorf("sampling %v accepted", bad)
-		}
+	if _, err := NewGate(4, 0); err == nil {
+		t.Error("sampling period 0 accepted")
 	}
-	if _, err := NewGate(0, 1, 1); err == nil {
+	if _, err := NewGate(0, 1); err == nil {
 		t.Error("zero threads accepted")
 	}
-	if _, err := NewGate(4, 1, 1); err != nil {
+	if _, err := NewGate(4, 1); err != nil {
 		t.Errorf("full sampling rejected: %v", err)
 	}
 }
 
 func TestFullSamplingMatchesDetector(t *testing.T) {
-	// burst == period must behave exactly like the ungated detector.
+	// Period 1 must behave exactly like the ungated detector.
 	gen := func() []trace.Access {
 		rng := rand.New(rand.NewSource(5))
 		var as []trace.Access
@@ -50,7 +48,7 @@ func TestFullSamplingMatchesDetector(t *testing.T) {
 	d1.ProcessBatch(gen())
 
 	d2 := newDetector(t, 4, nil)
-	g, err := NewGate(4, 7, 7)
+	g, err := NewGate(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +62,7 @@ func TestFullSamplingMatchesDetector(t *testing.T) {
 
 func TestSamplingNeverSkipsWrites(t *testing.T) {
 	d := newDetector(t, 2, nil)
-	g, err := NewGate(2, 1, 8)
+	g, err := NewGate(2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func TestSamplingNeverSkipsWrites(t *testing.T) {
 func BenchmarkSampledProcess(b *testing.B) {
 	s, _ := sig.NewAsymmetric(sig.Options{Slots: 1 << 20, Threads: 32})
 	d, _ := New(Options{Threads: 32, Backend: s})
-	g, _ := NewGate(32, 1, 8)
+	g, _ := NewGate(32, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kind := trace.Read

@@ -21,12 +21,12 @@ import (
 // SamplingRow is one point of the §VII sampling ablation: overhead versus
 // pattern fidelity at one sampling rate.
 type SamplingRow struct {
-	Burst, Period uint32
-	Fraction      float64
-	WallNs        int64
-	Speedup       float64 // full-profiling wall / sampled wall
-	Fidelity      float64 // cosine similarity to the unsampled matrix
-	VolumeRatio   float64 // scaled sampled volume / true volume
+	Period      uint32 // one of every Period reads analysed
+	Fraction    float64
+	WallNs      int64
+	Speedup     float64 // full-profiling wall / sampled wall
+	Fidelity    float64 // cosine similarity to the unsampled matrix
+	VolumeRatio float64 // scaled sampled volume / true volume
 }
 
 // SamplingResult is the full ablation for one application.
@@ -36,20 +36,19 @@ type SamplingResult struct {
 }
 
 // SamplingAblation evaluates the paper's §VII outlook — sampling to reduce
-// instrumentation overhead — on one application: burst-of-period read
+// instrumentation overhead — on one application: one-of-period read
 // sampling at several rates, measuring analysis wall time, matrix shape
 // fidelity and rescaled-volume accuracy against full profiling.
 func SamplingAblation(env Env, app string, size splash.Size) (*SamplingResult, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
-	type rate struct{ burst, period uint32 }
-	rates := []rate{{1, 1}, {1, 2}, {1, 4}, {1, 8}, {1, 16}}
+	periods := []uint32{1, 2, 4, 8, 16}
 
 	var fullMatrix *comm.Matrix
 	var fullWall int64
 	res := &SamplingResult{App: app}
-	for _, r := range rates {
+	for _, period := range periods {
 		prog, err := splash.New(app, splash.Config{Threads: env.Threads, Size: size, Seed: env.Seed})
 		if err != nil {
 			return nil, err
@@ -58,21 +57,21 @@ func SamplingAblation(env Env, app string, size splash.Size) (*SamplingResult, e
 		if err != nil {
 			return nil, err
 		}
-		gate, err := detect.NewGate(env.Threads, r.burst, r.period)
+		gate, err := detect.NewGate(env.Threads, period)
 		if err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
 		if _, err := prog.Run(newEngine(env, gated(gate, d))); err != nil {
-			return nil, fmt.Errorf("experiments: %s sampling %d/%d: %w", app, r.burst, r.period, err)
+			return nil, fmt.Errorf("experiments: %s sampling 1/%d: %w", app, period, err)
 		}
 		wall := time.Since(t0).Nanoseconds()
-		if r.burst == r.period {
+		if period == 1 {
 			fullMatrix = d.Global()
 			fullWall = wall
 		}
 		row := SamplingRow{
-			Burst: r.burst, Period: r.period,
+			Period:   period,
 			Fraction: gate.Fraction(),
 			WallNs:   wall,
 		}
@@ -119,8 +118,8 @@ func (r *SamplingResult) Render() string {
 	fmt.Fprintf(&b, "§VII sampling ablation — %s (read sampling, writes always analysed)\n", r.App)
 	fmt.Fprintf(&b, "%8s %10s %10s %10s %12s\n", "rate", "wall ms", "speedup", "fidelity", "volume est.")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%4d/%-3d %10.1f %9.2fx %10.3f %11.2fx\n",
-			row.Burst, row.Period, float64(row.WallNs)/1e6, row.Speedup, row.Fidelity, row.VolumeRatio)
+		fmt.Fprintf(&b, "   1/%-3d %10.1f %9.2fx %10.3f %11.2fx\n",
+			row.Period, float64(row.WallNs)/1e6, row.Speedup, row.Fidelity, row.VolumeRatio)
 	}
 	return b.String()
 }
@@ -266,7 +265,7 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 		if err != nil {
 			return 0, 0
 		}
-		gate, err := detect.NewGate(env.Threads, 1, 8)
+		gate, err := detect.NewGate(env.Threads, 8)
 		if err != nil {
 			return 0, 0
 		}

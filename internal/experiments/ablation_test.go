@@ -26,10 +26,10 @@ func TestSamplingAblation(t *testing.T) {
 			t.Fatalf("fractions not descending at %d", i)
 		}
 		if r.Fidelity < 0.7 {
-			t.Errorf("fidelity at %d/%d = %v; sampled shape collapsed", r.Burst, r.Period, r.Fidelity)
+			t.Errorf("fidelity at 1/%d = %v; sampled shape collapsed", r.Period, r.Fidelity)
 		}
 		if r.VolumeRatio < 0.4 || r.VolumeRatio > 2.0 {
-			t.Errorf("volume estimate at %d/%d off: %v", r.Burst, r.Period, r.VolumeRatio)
+			t.Errorf("volume estimate at 1/%d off: %v", r.Period, r.VolumeRatio)
 		}
 	}
 	if !strings.Contains(res.Render(), "fidelity") {

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	httppprof "net/http/pprof"
 	"time"
 )
 
@@ -20,40 +20,25 @@ type Server struct {
 	srv *http.Server
 }
 
-// ServeOption configures the telemetry HTTP server.
-type ServeOption func(*serveConfig)
-
-type serveConfig struct {
-	pprof bool
-}
-
-// WithPprof mounts the net/http/pprof handlers under /debug/pprof/ so CPU,
-// heap and goroutine profiles can be pulled from the same mux as /metrics.
-// Combined with the shard workers' runtime/pprof labels (shard=<k>), a CPU
-// profile taken here attributes samples to individual shards.
-func WithPprof() ServeOption {
-	return func(c *serveConfig) { c.pprof = true }
-}
-
 // Serve starts an HTTP listener on addr (":0" picks a free port). progress,
 // when non-nil, supplies the JSON-marshalable payload embedded in /progress
-// (e.g. per-thread access counts mid-run). The server runs until Close.
-func Serve(addr string, r *Registry, t *Tracer, progress func() any, opts ...ServeOption) (*Server, error) {
-	var cfg serveConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+// (e.g. per-thread access counts mid-run). pprof mounts the net/http/pprof
+// handlers under /debug/pprof/ so CPU, heap and goroutine profiles can be
+// pulled from the same mux as /metrics; combined with the shard workers'
+// runtime/pprof labels (shard=<k>), a CPU profile taken there attributes
+// samples to individual shards. The server runs until Close.
+func Serve(addr string, r *Registry, t *Tracer, progress func() any, pprof bool) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	if cfg.pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	if pprof {
+		mux.HandleFunc("/debug/pprof/", httppprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

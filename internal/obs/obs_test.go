@@ -226,7 +226,7 @@ func TestServeEndpoints(t *testing.T) {
 	defer h.End()
 	srv, err := Serve("127.0.0.1:0", r, tr, func() any {
 		return map[string]any{"accesses": 123}
-	})
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 func TestServeBadAddr(t *testing.T) {
-	if _, err := Serve("256.256.256.256:1", NewRegistry(), nil, nil); err == nil {
+	if _, err := Serve("256.256.256.256:1", NewRegistry(), nil, nil, false); err == nil {
 		t.Fatal("no error for bad address")
 	}
 }

@@ -263,7 +263,7 @@ func TestTimelineTruncationKeepsBalance(t *testing.T) {
 
 func TestServePprofEndpoint(t *testing.T) {
 	reg := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", reg, NewTracer(), nil, WithPprof())
+	srv, err := Serve("127.0.0.1:0", reg, NewTracer(), nil, true)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -272,13 +272,13 @@ func TestServePprofEndpoint(t *testing.T) {
 	if !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ index does not list profiles: %.120q", body)
 	}
-	// Without the option the handlers must not be mounted.
-	plain, err := Serve("127.0.0.1:0", reg, NewTracer(), nil)
+	// Without the switch the handlers must not be mounted.
+	plain, err := Serve("127.0.0.1:0", reg, NewTracer(), nil, false)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	defer plain.Close()
 	if code := httpStatus(t, "http://"+plain.Addr()+"/debug/pprof/"); code != 404 {
-		t.Errorf("pprof mounted without WithPprof (status %d)", code)
+		t.Errorf("pprof mounted without the pprof switch (status %d)", code)
 	}
 }

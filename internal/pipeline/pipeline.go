@@ -112,9 +112,6 @@ type Options struct {
 	// monitor's verdict pairs stay aligned, and the sample slice and shard
 	// partition are independent hashes of the same coarsened address.
 	Accuracy *accuracy.Options
-	// OnEvent, when non-nil, receives every detected dependence. Shard
-	// workers call it concurrently; it must be safe for concurrent use.
-	OnEvent func(detect.Event)
 	// PhaseWindow, when non-zero, makes every shard accumulate time-windowed
 	// communication sub-matrices bucketed by the global access index carried
 	// on each event (window = Time / PhaseWindow). Bucketing by the trace's
@@ -466,13 +463,12 @@ func New(opts Options) (*Engine, error) {
 			s.free = make(chan []trace.Access, buffers+1)
 			s.track = opts.Timeline.Track("shard-" + strconv.Itoa(i))
 		}
-		onEvent := opts.OnEvent
+		var onEvent func(detect.Event)
 		if opts.PhaseWindow > 0 {
 			s.windows, err = comm.NewWindowSet(opts.Threads, opts.PhaseWindow)
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
 			}
-			user := opts.OnEvent
 			onEvent = func(ev detect.Event) {
 				if queued {
 					// Worker-goroutine only: stage lock-free, flush per drain.
@@ -482,9 +478,6 @@ func New(opts Options) (*Engine, error) {
 					})
 				} else {
 					s.windows.Observe(ev.Time, ev.Region, ev.Writer, ev.Reader, uint64(ev.Bytes))
-				}
-				if user != nil {
-					user(ev)
 				}
 			}
 		}

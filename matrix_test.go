@@ -98,7 +98,7 @@ var analyserOptions = []struct {
 		func(r *Report) bool { return r.Redundancy != nil && r.Redundancy.Hits > 0 }},
 	{"AccuracyTargetFPR", func(o *Options) { o.AccuracyTargetFPR = 0.05 },
 		func(r *Report) bool { return r.Accuracy != nil && r.Accuracy.SampledAccesses > 0 }},
-	{"Sample", func(o *Options) { o.SampleBurst, o.SamplePeriod = 1, 4 },
+	{"Sample", func(o *Options) { o.SamplePeriod = 4 },
 		func(r *Report) bool { return r.SampleFraction == 0.25 }},
 	// A shift by the whole address width leaves one granule: refused, not
 	// analysed into a meaningless report.
@@ -166,7 +166,7 @@ func TestOptionMatrix(t *testing.T) {
 func TestRecordUnderSamplingWritesCompleteTrace(t *testing.T) {
 	base := Options{Workload: "fft", Threads: 8}
 	sampled := base
-	sampled.SampleBurst, sampled.SamplePeriod = 1, 8
+	sampled.SamplePeriod = 8
 	var buf bytes.Buffer
 	thinned, err := Record(sampled, &buf)
 	if err != nil {

@@ -147,7 +147,7 @@ func TestQuantumBufferMatchesPerAccess(t *testing.T) {
 	}
 	for _, opts := range []Options{
 		{PhaseWindow: 500},
-		{PhaseWindow: 500, SampleBurst: 3, SamplePeriod: 5, RedundancyCacheBits: 6},
+		{PhaseWindow: 500, SamplePeriod: 5, RedundancyCacheBits: 6},
 	} {
 		got, err := Run(threads, regions, func(th *Thread) { body(th.t) }, opts)
 		if err != nil {
@@ -180,8 +180,8 @@ func TestQuantumBufferMatchesPerAccess(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("sampling %d/%d: the buffered run's report differs from the per-access run's\n got  %+v\n want %+v",
-				opts.SampleBurst, opts.SamplePeriod, got, want)
+			t.Errorf("sampling 1/%d: the buffered run's report differs from the per-access run's\n got  %+v\n want %+v",
+				opts.SamplePeriod, got, want)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func (p *phaseState) onClose() func(w *comm.Window, end uint64) {
 		track = tl.Track("engine")
 	}
 	return func(w *comm.Window, end uint64) {
-		sp := p.tel.span("phase-window")
+		sp := p.tel.Span("phase-window")
 		p.live.ObserveWindow(w, end)
 		sp.End()
 		track.Instant("window-close")

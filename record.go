@@ -86,7 +86,7 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 			return nil, fmt.Errorf("commprof: threads 0 requires a v2 or v3 trace that declares its goroutine count; this trace does not")
 		}
 	}
-	probes := opts.Telemetry.probes()
+	probes := opts.Telemetry.Probes()
 	dec.Probes = probes.Trace
 	// Stage timing: decode time is observed inside the decoder, the analyser
 	// side of each batch inside Producer.ProcessBatch. Nil probes keep both

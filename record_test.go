@@ -167,7 +167,7 @@ func TestProfileWithSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Profile(Options{Workload: "ocean_cp", Threads: 8, SampleBurst: 1, SamplePeriod: 4})
+	sampled, err := Profile(Options{Workload: "ocean_cp", Threads: 8, SamplePeriod: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +185,26 @@ func TestProfileWithSampling(t *testing.T) {
 	}
 }
 
-func TestProfileSamplingValidation(t *testing.T) {
-	if _, err := Profile(Options{Workload: "fft", Threads: 4, SampleBurst: 5, SamplePeriod: 4}); err == nil {
-		t.Error("burst > period accepted")
+// TestSummaryNotesReadSampling pins that the sampling note is part of the
+// report text itself, so every front end printing Summary (commprof,
+// commtrace, the live probe) warns that its volumes are scaled down.
+func TestSummaryNotesReadSampling(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Record(Options{Workload: "fft", Threads: 4}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	const note = "\n(read sampling active: 25.0% of reads analysed; volumes scale accordingly)\n"
+	for _, period := range []uint32{0, 4} {
+		rep, err := Replay(bytes.NewReader(buf.Bytes()), 4, Options{SamplePeriod: period})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := rep.Summary()
+		if sampled := strings.HasSuffix(sum, note); sampled != (period > 0) {
+			t.Errorf("SamplePeriod %d: Summary ends with the sampling note = %v:\n%s", period, sampled, sum)
+		}
+		if period == 0 && strings.Contains(sum, "read sampling") {
+			t.Errorf("unsampled Summary mentions sampling:\n%s", sum)
+		}
 	}
 }

@@ -406,7 +406,8 @@ type Report struct {
 	Overhead *OverheadReport `json:",omitempty"`
 }
 
-// Summary renders a human-readable overview.
+// Summary renders a human-readable overview. Under read sampling it ends
+// with a note that the volumes are scaled down.
 func (r *Report) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload %s: %d threads, %d accesses, %d inter-thread RAW deps, %d bytes communicated\n",
@@ -476,6 +477,10 @@ func (r *Report) Summary() string {
 		for _, l := range tl.Loops {
 			fmt.Fprintf(&b, "  loop %s: %s, %dB over %d windows\n", l.Region, l.Class, l.Bytes, l.Windows)
 		}
+	}
+	if r.SampleFraction < 1 {
+		fmt.Fprintf(&b, "\n(read sampling active: %.1f%% of reads analysed; volumes scale accordingly)\n",
+			100*r.SampleFraction)
 	}
 	return b.String()
 }

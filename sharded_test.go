@@ -94,7 +94,7 @@ func TestProfileTraceParallelSampling(t *testing.T) {
 		{Kind: ReadAccess, Addr: 0x100, Size: 8, Thread: 1, Region: -1, Time: 2},
 		{Kind: ReadAccess, Addr: 0x100, Size: 8, Thread: 1, Region: -1, Time: 3},
 	}
-	rep, err := ProfileTrace(accesses, nil, 2, Options{AnalysisShards: 2, SampleBurst: 1, SamplePeriod: 4})
+	rep, err := ProfileTrace(accesses, nil, 2, Options{AnalysisShards: 2, SamplePeriod: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

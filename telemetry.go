@@ -44,12 +44,10 @@ type Telemetry struct {
 
 	// timeline is the execution-timeline recorder, nil until EnableTimeline;
 	// spansAdded tracks how many tracer spans WriteTimeline has already
-	// replayed onto it so repeated exports do not duplicate events. pprof
-	// controls whether Serve mounts the net/http/pprof handlers. All three
-	// are guarded by mu.
+	// replayed onto it so repeated exports do not duplicate events. Both are
+	// guarded by mu.
 	timeline   *obs.Timeline
 	spansAdded int
-	pprof      bool
 
 	// ovhBase snapshots the stage/overhead totals at run wiring so finishRun
 	// can attribute exactly this run's time even though the registry's
@@ -148,17 +146,6 @@ func (t *Telemetry) Timeline() *obs.Timeline {
 	return t.timeline
 }
 
-// EnablePprof makes the next Serve mount the net/http/pprof handlers under
-// /debug/pprof/ alongside the metrics endpoints. Nil-safe.
-func (t *Telemetry) EnablePprof() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.pprof = true
-	t.mu.Unlock()
-}
-
 // WriteTimeline exports the execution timeline as a Chrome/Perfetto
 // trace-event JSON array (load it at ui.perfetto.dev or chrome://tracing).
 // The run tracer's finished phases are replayed onto a "run" track first, so
@@ -197,11 +184,6 @@ func (t *Telemetry) WriteTimelineFile(path string) error {
 	return t.writeFile(path, t.WriteTimeline)
 }
 
-// WritePromFile is WriteTimelineFile for WriteProm's snapshot.
-func (t *Telemetry) WritePromFile(path string) error {
-	return t.writeFile(path, t.WriteProm)
-}
-
 func (t *Telemetry) writeFile(path string, write func(io.Writer) error) error {
 	if t == nil || path == "" {
 		return nil
@@ -226,9 +208,10 @@ func (t *Telemetry) WriteJSON(w io.Writer) error {
 }
 
 // Serve starts an HTTP listener (":0" picks a free port) exposing /metrics,
-// /metrics.json and /progress, and returns the bound address. The server
+// /metrics.json and /progress, plus the net/http/pprof handlers under
+// /debug/pprof/ when pprof is set, and returns the bound address. The server
 // runs until Close.
-func (t *Telemetry) Serve(addr string) (string, error) {
+func (t *Telemetry) Serve(addr string, pprof bool) (string, error) {
 	if t == nil {
 		return "", fmt.Errorf("commprof: Serve on nil Telemetry")
 	}
@@ -237,11 +220,7 @@ func (t *Telemetry) Serve(addr string) (string, error) {
 	if t.server != nil {
 		return "", fmt.Errorf("commprof: telemetry server already running on %s", t.server.Addr())
 	}
-	var opts []obs.ServeOption
-	if t.pprof {
-		opts = append(opts, obs.WithPprof())
-	}
-	srv, err := obs.Serve(addr, t.reg, t.tracer, func() any { return t.Progress() }, opts...)
+	srv, err := obs.Serve(addr, t.reg, t.tracer, func() any { return t.Progress() }, pprof)
 	if err != nil {
 		return "", err
 	}
@@ -457,10 +436,10 @@ func (t *Telemetry) report() *TelemetryReport {
 	return rep
 }
 
-// probes returns the per-layer hook bundle for this handle; on a nil handle
+// Probes returns the per-layer hook bundle for this handle; on a nil handle
 // it is the zero bundle, so callers can unconditionally write
-// opts.Probes = tel.probes().Sig etc.
-func (t *Telemetry) probes() obs.Probes {
+// opts.Probes = tel.Probes().Sig etc.
+func (t *Telemetry) Probes() obs.Probes {
 	if t == nil {
 		return obs.Probes{}
 	}
@@ -586,8 +565,9 @@ func (t *Telemetry) runTick(pe *pipeline.Engine) func() {
 	}
 }
 
-// span opens a pipeline phase; nil-safe.
-func (t *Telemetry) span(name string) *obs.SpanHandle {
+// Span opens a phase on the run tracer, closed by the handle's End; nil-safe.
+// Finished phases show in /progress and on WriteTimeline's "run" track.
+func (t *Telemetry) Span(name string) *obs.SpanHandle {
 	if t == nil {
 		return nil
 	}

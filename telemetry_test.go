@@ -99,7 +99,7 @@ func TestTelemetryNilIsNoop(t *testing.T) {
 	if got := tel.Progress(); got.Accesses != 0 || got.Phase != "" || got.PerThread != nil {
 		t.Errorf("nil Progress = %+v", got)
 	}
-	if _, err := tel.Serve(":0"); err == nil {
+	if _, err := tel.Serve(":0", false); err == nil {
 		t.Error("nil Serve should error")
 	}
 	// A run without telemetry must still work and leave Report.Telemetry nil.
@@ -174,12 +174,12 @@ func TestTelemetryPromExport(t *testing.T) {
 
 func TestTelemetryServeLive(t *testing.T) {
 	tel := NewTelemetry()
-	addr, err := tel.Serve("127.0.0.1:0")
+	addr, err := tel.Serve("127.0.0.1:0", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tel.Close()
-	if _, err := tel.Serve("127.0.0.1:0"); err == nil {
+	if _, err := tel.Serve("127.0.0.1:0", false); err == nil {
 		t.Error("second Serve should error while the first is running")
 	}
 	profileWithTelemetry(t, tel)
@@ -223,7 +223,7 @@ func TestTelemetryServeLive(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	// After Close a fresh Serve must be possible.
-	if _, err := tel.Serve("127.0.0.1:0"); err != nil {
+	if _, err := tel.Serve("127.0.0.1:0", false); err != nil {
 		t.Fatalf("Serve after Close: %v", err)
 	}
 	tel.Close()
@@ -293,7 +293,7 @@ func TestTelemetryOneWiring(t *testing.T) {
 		rep, err := Profile(Options{
 			Workload: "fft", Threads: 8, AnalysisShards: shards,
 			SignatureSlots: 1 << 14, // small enough that occupancy is far above 0
-			SampleBurst:    1, SamplePeriod: 4, Telemetry: tel,
+			SamplePeriod:   4, Telemetry: tel,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -303,7 +303,7 @@ func TestProgressStageLatencies(t *testing.T) {
 func TestTelemetryConcurrentScrape(t *testing.T) {
 	tel := NewTelemetry()
 	tel.EnableTimeline()
-	addr, err := tel.Serve("127.0.0.1:0")
+	addr, err := tel.Serve("127.0.0.1:0", false)
 	if err != nil {
 		t.Fatal(err)
 	}
