@@ -1,150 +1,31 @@
 package commprof
 
-// The bench harness: one testing.B per table and figure of the paper's
-// evaluation (DESIGN.md §4 maps IDs to packages). Each benchmark regenerates
-// its artifact from live runs and reports the headline quantity as a custom
-// metric, so `go test -bench=. -benchmem` reproduces the whole evaluation.
-//
-// Benchmarks run at 8 threads / simdev by default to keep iterations
-// bounded; cmd/commbench runs the paper's full 32-thread configuration.
+// Go benchmarks over the paper's evaluation: one sub-benchmark per entry of
+// experiments.Experiments, the table cmd/commbench runs, so
+// `go test -bench Experiments/<id>` times what `commbench -exp <id>` prints.
+// They run at 8 threads to keep iterations bounded; cmd/commbench runs the
+// paper's 32. The tracked performance numbers are bench/'s, not these.
 
 import (
 	"testing"
 
 	"commprof/internal/experiments"
-	"commprof/internal/sig"
-	"commprof/internal/splash"
 )
 
-func benchEnv() experiments.Env {
+// BenchmarkExperiments regenerates every table and figure of the evaluation
+// from live runs.
+func BenchmarkExperiments(b *testing.B) {
 	env := experiments.DefaultEnv()
 	env.Threads = 8
-	return env
-}
-
-// BenchmarkTable1Properties regenerates Table I with measured overheads.
-func BenchmarkTable1Properties(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table1(benchEnv(), splash.SimDev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MeasuredSlowdownAvg, "avg-slowdown-x")
-		b.ReportMetric(float64(res.MeasuredSigMemBytes)/(1<<20), "sigmem-MB")
-	}
-}
-
-// BenchmarkFig4Slowdown regenerates the per-application slowdown figure.
-func BenchmarkFig4Slowdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(benchEnv(), splash.SimDev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Average, "avg-slowdown-x")
-		b.ReportMetric(res.Max, "max-slowdown-x")
-		b.ReportMetric(res.Min, "min-slowdown-x")
-	}
-}
-
-// BenchmarkFig5aMemory regenerates the simdev memory-consumption panel.
-func BenchmarkFig5aMemory(b *testing.B) {
-	benchFig5(b, splash.SimDev)
-}
-
-// BenchmarkFig5bMemory regenerates the simlarge memory-consumption panel.
-func BenchmarkFig5bMemory(b *testing.B) {
-	benchFig5(b, splash.SimLarge)
-}
-
-func benchFig5(b *testing.B, size splash.Size) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(benchEnv(), size)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var disco, helgrindP float64
-		for _, r := range res.Rows {
-			disco += float64(r.DiscoPoP)
-			helgrindP += float64(r.HelgrindPlus)
-		}
-		n := float64(len(res.Rows))
-		b.ReportMetric(disco/n/(1<<20), "discopop-avg-MB")
-		b.ReportMetric(helgrindP/n/(1<<20), "helgrind+-avg-MB")
-	}
-}
-
-// BenchmarkFPRSweep regenerates the §V-A3 false-positive-rate sweep.
-func BenchmarkFPRSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.FPRSweep(benchEnv(), splash.SimDev, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		slots := res.Slots
-		b.ReportMetric(100*res.Averages[slots[0]], "fpr-smallest-%")
-		b.ReportMetric(100*res.Averages[slots[len(slots)-1]], "fpr-largest-%")
-	}
-}
-
-// BenchmarkFig6NestedLu regenerates the lu_ncb nested-pattern figure.
-func BenchmarkFig6NestedLu(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(benchEnv(), splash.SimDev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(res.Hotspots)), "hotspots")
-	}
-}
-
-// BenchmarkFig7NestedWater regenerates the water_nsquared nested-pattern
-// figure.
-func BenchmarkFig7NestedWater(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchEnv(), splash.SimDev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Tree.Global.Total()), "comm-bytes")
-	}
-}
-
-// BenchmarkFig8ThreadLoad regenerates the Eq. 1 workload-distribution figure.
-func BenchmarkFig8ThreadLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(benchEnv(), splash.SimDev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.App == "radix" {
-				b.ReportMetric(float64(row.Summary.Active), "radix-active-threads")
+	for _, e := range experiments.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(env); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
-}
-
-// BenchmarkPatternClassify regenerates the §VI pattern-detection experiment.
-func BenchmarkPatternClassify(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Patterns(benchEnv(), splash.SimDev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.KNNCleanAccuracy, "knn-accuracy-%")
-		b.ReportMetric(100*res.KNNNoisyAccuracy, "knn-noisy-accuracy-%")
-	}
-}
-
-// BenchmarkEq2SigMem measures the Eq. 2 closed form (and pins the paper's
-// ≈580 MB operating point as a metric).
-func BenchmarkEq2SigMem(b *testing.B) {
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += sig.SigMem(10_000_000, 32, 0.001)
-	}
-	b.ReportMetric(float64(sink/uint64(b.N))/(1<<20), "paper-point-MB")
 }
 
 // BenchmarkProfileEndToEnd measures one full Profile call (the public API
@@ -158,77 +39,5 @@ func BenchmarkProfileEndToEnd(b *testing.B) {
 		if rep.Dependencies == 0 {
 			b.Fatal("no dependencies")
 		}
-	}
-}
-
-// BenchmarkSamplingAblation regenerates the §VII read-sampling ablation.
-func BenchmarkSamplingAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.SamplingAblation(benchEnv(), "lu_ncb", splash.SimDev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Rows[len(res.Rows)-1]
-		b.ReportMetric(last.Speedup, "speedup-at-1/16")
-		b.ReportMetric(last.Fidelity, "fidelity-at-1/16")
-	}
-}
-
-// BenchmarkSparseAblation regenerates the §VII sparse-matrix ablation.
-func BenchmarkSparseAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.SparseAblation(benchEnv(), splash.SimDev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res.Rows {
-			if r.Label == "ring-4096" {
-				b.ReportMetric(float64(r.DenseBytes)/float64(r.SparseBytes), "ring4096-dense/sparse")
-			}
-		}
-	}
-}
-
-// BenchmarkThroughputComparison regenerates the profiler-throughput table.
-func BenchmarkThroughputComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Throughput(benchEnv(), "ocean_cp", splash.SimDev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res.Rows {
-			if r.Name == "discopop" {
-				b.ReportMetric(r.MEventsPerS, "discopop-Mev/s")
-			}
-		}
-	}
-}
-
-// BenchmarkPhasesSegmentation regenerates the §V-A4 dynamic-behaviour demo.
-func BenchmarkPhasesSegmentation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Phases(benchEnv(), "radix", splash.SimDev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(res.Phases)), "phases")
-	}
-}
-
-// BenchmarkHashAblation regenerates the §IV-D2 hash-quality comparison.
-func BenchmarkHashAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.HashAblation(benchEnv(), splash.SimDev, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var m, f float64
-		for _, r := range res.Rows {
-			m += r.MurmurFPR
-			f += r.FoldFPR
-		}
-		n := float64(len(res.Rows))
-		b.ReportMetric(100*m/n, "murmur-fpr-%")
-		b.ReportMetric(100*f/n, "fold-fpr-%")
 	}
 }

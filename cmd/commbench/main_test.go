@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"commprof/internal/experiments"
 )
 
 func runCLI(t *testing.T, args ...string) (int, string, string) {
@@ -17,17 +19,23 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 	return code, out.String(), errb.String()
 }
 
+// TestListExperiments: -listexp prints exactly the table's IDs, one a line
+// in table order, so a deleted experiment (replay) is gone from it and -exp
+// rejects it as unknown.
 func TestListExperiments(t *testing.T) {
 	code, out, _ := runCLI(t, "-listexp")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, want := range []string{"fig4", "fig5a", "fig5b", "fig6", "fig7", "fig8",
-		"fpr", "table1", "patterns", "eq2", "phases", "sampling", "sparse", "throughput",
-		"coalesce"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("experiment list missing %s", want)
-		}
+	var want []string
+	for _, e := range experiments.Experiments {
+		want = append(want, e.ID)
+	}
+	if got := strings.Fields(out); !slices.Equal(got, want) {
+		t.Errorf("-listexp printed %q, want the table's %q", got, want)
+	}
+	if code, _, errOut := runCLI(t, "-exp", "replay"); code != 2 || !strings.Contains(errOut, "unknown experiment replay") {
+		t.Errorf("-exp replay: exit %d, err %q", code, errOut)
 	}
 }
 
@@ -43,25 +51,6 @@ func TestCoalesceExperiment(t *testing.T) {
 	}
 	if strings.Contains(out, "false") {
 		t.Errorf("a kernel's communication diverged under coalescing:\n%s", out)
-	}
-}
-
-func TestCoalesceExperimentDisabledFlag(t *testing.T) {
-	code, out, errOut := runCLI(t, "-exp", "coalesce", "-threads", "8", "-coalesce=false")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	if !strings.Contains(out, "pass DISABLED") {
-		t.Errorf("disabled run not labelled:\n%s", out)
-	}
-	for _, line := range strings.Split(out, "\n") {
-		f := strings.Fields(line)
-		// kernel elide once emitted elided uncoalesced reduction identical
-		if len(f) == 8 && (f[0] == "fft" || f[0] == "stencil" || f[0] == "reduction") {
-			if f[1] != "0" || f[2] != "0" || f[4] != "0" {
-				t.Errorf("-coalesce=false still elided probes: %s", line)
-			}
-		}
 	}
 }
 

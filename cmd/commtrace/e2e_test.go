@@ -73,11 +73,11 @@ func TestEndToEndShardDeterminism(t *testing.T) {
 				}
 				pe.ProcessStream(accs)
 				pe.Close()
-				m, err := pe.Global()
+				tree, err := pe.Tree()
 				if err != nil {
 					t.Fatal(err)
 				}
-				mats = append(mats, m)
+				mats = append(mats, tree.Global)
 			}
 			if mats[0].Total() == 0 {
 				t.Fatal("no cross-goroutine RAW communication detected")

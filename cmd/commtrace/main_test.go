@@ -88,7 +88,11 @@ func TestRecoverSalvagesCutTrace(t *testing.T) {
 			if !bytes.Equal(salvaged, whole.Bytes()) {
 				t.Errorf("-o wrote %d bytes, want the %d-byte v3 encoding of the %d salvaged records", len(salvaged), whole.Len(), records)
 			}
-			if _, err := trace.Decode(bytes.NewReader(salvaged)); err != nil {
+			strict, err := trace.NewDecoder(bytes.NewReader(salvaged))
+			if err == nil {
+				err = strict.ForEach(func(trace.Access) error { return nil })
+			}
+			if err != nil {
 				t.Errorf("-o does not decode strictly: %v", err)
 			}
 		})

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"time"
@@ -327,131 +326,6 @@ func (r *ThroughputResult) Render() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-22s %12d %12.1f %12.2f %14d\n",
 			row.Name, row.Analysed, float64(row.WallNs)/1e6, row.MEventsPerS, row.MemoryBytes/1024)
-	}
-	return b.String()
-}
-
-// StreamReplayRow is one replay mode's cost over an identical encoded trace.
-type StreamReplayRow struct {
-	Name         string
-	Events       uint64
-	WallNs       int64
-	MEventsPerS  float64
-	PeakResident int     // peak access records held in flight by the analyser
-	ResidentPct  float64 // PeakResident as a share of the trace's records
-}
-
-// StreamReplayResult compares materialised replay (decode the whole access
-// section, then feed the pipeline) against streaming replay (incremental
-// decoder feeding a staging producer record by record) on one recorded
-// trace. Both run the sharded pipeline with exact per-shard partitions, so
-// the comparison also re-checks bit-identity between the two paths.
-type StreamReplayResult struct {
-	App       string
-	Shards    int
-	Identical bool
-	Rows      []StreamReplayRow
-}
-
-// StreamReplay records one application's trace into the binary codec, then
-// replays it both ways and measures wall time and peak resident access
-// records — the quantitative backing for the O(queue depth) memory claim of
-// streaming replay.
-func StreamReplay(env Env, app string, size splash.Size, shards int) (*StreamReplayResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
-	if shards < 1 {
-		shards = 4
-	}
-	var stream []trace.Access
-	prog, _, err := env.runProgram(app, size, func(a trace.Access) { stream = append(stream, a) })
-	if err != nil {
-		return nil, err
-	}
-	var encoded bytes.Buffer
-	if err := (&trace.Stream{Table: prog.Table(), Accesses: stream}).EncodeVersion(&encoded, trace.DefaultVersion, env.Threads); err != nil {
-		return nil, err
-	}
-	res := &StreamReplayResult{App: app, Shards: shards}
-	newEngine := func() (*pipeline.Engine, error) {
-		// A deliberately tight queue bound makes the memory story visible:
-		// resident accesses cap at shards x capacity regardless of trace
-		// length, while backpressure keeps analysis exhaustive.
-		return pipeline.New(pipeline.Options{
-			Shards: shards, Threads: env.Threads, Table: prog.Table(),
-			QueueCapacity: 1024,
-			NewBackend:    pipeline.PerfectFactory(env.Threads),
-			Probes:        obs.Probes{Pipeline: env.Probes.Pipeline},
-		})
-	}
-	add := func(name string, run func(*pipeline.Engine) error) (*comm.Matrix, error) {
-		e, err := newEngine()
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		if err := run(e); err != nil {
-			e.Close()
-			return nil, err
-		}
-		e.Close()
-		wall := time.Since(t0).Nanoseconds()
-		row := StreamReplayRow{
-			Name: name, Events: uint64(len(stream)), WallNs: wall,
-			PeakResident: e.PeakResidentAccesses(),
-		}
-		if wall > 0 {
-			row.MEventsPerS = float64(len(stream)) / (float64(wall) / 1e9) / 1e6
-		}
-		if len(stream) > 0 {
-			row.ResidentPct = 100 * float64(row.PeakResident) / float64(len(stream))
-		}
-		res.Rows = append(res.Rows, row)
-		return e.Global()
-	}
-	mMat, err := add("materialised", func(e *pipeline.Engine) error {
-		s, err := trace.Decode(bytes.NewReader(encoded.Bytes()))
-		if err != nil {
-			return err
-		}
-		e.ProcessStream(s.Accesses)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sMat, err := add("streaming", func(e *pipeline.Engine) error {
-		dec, err := trace.NewDecoder(bytes.NewReader(encoded.Bytes()))
-		if err != nil {
-			return err
-		}
-		producer := e.NewProducer(false)
-		if err := dec.ForEach(func(a trace.Access) error {
-			producer.Process(a)
-			return nil
-		}); err != nil {
-			return err
-		}
-		producer.Flush()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Identical = mMat.Equal(sMat)
-	return res, nil
-}
-
-// Render formats the comparison.
-func (r *StreamReplayResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "streaming vs materialised replay — %s trace, %d shards, bit-identical: %v\n",
-		r.App, r.Shards, r.Identical)
-	fmt.Fprintf(&b, "%-14s %10s %10s %12s %14s %10s\n", "mode", "events", "wall ms", "Mevents/s", "peak resident", "resident%")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-14s %10d %10.1f %12.2f %14d %9.2f%%\n",
-			row.Name, row.Events, float64(row.WallNs)/1e6, row.MEventsPerS, row.PeakResident, row.ResidentPct)
 	}
 	return b.String()
 }

@@ -28,17 +28,14 @@ type CoalesceRow struct {
 
 // CoalesceResult is the ablation over the structured kernel corpus.
 type CoalesceResult struct {
-	Threads  int
-	Disabled bool // env.DisableCoalesce: the "on" rows also ran with the pass off
-	Rows     []CoalesceRow
+	Threads int
+	Rows    []CoalesceRow
 }
 
 // Coalesce measures the static access-coalescing pass on the structured
 // MiniPar kernel corpus (passes.CoalesceKernels): emitted-access reduction
 // and a bit-identity check of the detected communication on an exact
-// backend, per kernel. With env.DisableCoalesce set the pass is forced off
-// on both sides, so every row must report zero elision — the escape hatch
-// verified end to end.
+// backend, per kernel.
 func Coalesce(env Env) (*CoalesceResult, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
@@ -50,9 +47,9 @@ func Coalesce(env Env) (*CoalesceResult, error) {
 	}
 	sort.Strings(names)
 
-	res := &CoalesceResult{Threads: env.Threads, Disabled: env.DisableCoalesce}
+	res := &CoalesceResult{Threads: env.Threads}
 	for _, name := range names {
-		on, err := runCoalesceKernel(env, kernels[name], !env.DisableCoalesce)
+		on, err := runCoalesceKernel(env, kernels[name], true)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: coalesce %s: %w", name, err)
 		}
@@ -121,11 +118,7 @@ func runCoalesceKernel(env Env, src string, coalesce bool) (coalesceRun, error) 
 // Render formats the ablation.
 func (r *CoalesceResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "static access coalescing — MiniPar kernel corpus, %d threads, exact backend", r.Threads)
-	if r.Disabled {
-		b.WriteString(" (pass DISABLED via -coalesce=false)")
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "static access coalescing — MiniPar kernel corpus, %d threads, exact backend\n", r.Threads)
 	fmt.Fprintf(&b, "%-10s %7s %6s %10s %10s %12s %10s %10s\n",
 		"kernel", "elide", "once", "emitted", "elided", "uncoalesced", "reduction", "identical")
 	for _, row := range r.Rows {

@@ -37,26 +37,3 @@ func TestCoalesceAblation(t *testing.T) {
 		}
 	}
 }
-
-func TestCoalesceAblationDisabled(t *testing.T) {
-	env := testEnv()
-	env.DisableCoalesce = true
-	res, err := Coalesce(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Disabled {
-		t.Fatal("Disabled not propagated")
-	}
-	for _, row := range res.Rows {
-		if row.StaticElided != 0 || row.StaticOnce != 0 || row.Elided != 0 {
-			t.Errorf("%s: escape hatch leaked elision: %+v", row.Kernel, row)
-		}
-		if !row.Identical || row.Emitted != row.Uncoalesced {
-			t.Errorf("%s: both-off runs differ: %+v", row.Kernel, row)
-		}
-	}
-	if !strings.Contains(res.Render(), "pass DISABLED") {
-		t.Error("disabled render not labelled")
-	}
-}

@@ -35,7 +35,7 @@ type Fig4Result struct {
 // engine with the asymmetric-signature detector consuming every access
 // inline, exactly as the paper's profiler does. The native baseline is
 // modeled from the workload's operation counts — memory accesses at
-// Env.NativeLoadNs each and ALU work units at Env.NativeALUNs each — because
+// nativeLoadNs each and ALU work units at nativeALUNs each — because
 // the uninstrumented *engine* is itself a simulator whose per-access cost
 // exceeds native hardware; EXPERIMENTS.md documents the calibration. The
 // resulting shape matches the paper: pure data-movement kernels (radix, fft)
@@ -85,7 +85,7 @@ func slowdownOne(env Env, app string, size splash.Size) (SlowdownRow, error) {
 		}
 		instrNs := time.Since(t0).Nanoseconds()
 		if r == 0 || instrNs < best.InstrNs {
-			nativeNs := float64(stats.Accesses)*env.NativeLoadNs + float64(stats.WorkUnits)*env.NativeALUNs
+			nativeNs := float64(stats.Accesses)*nativeLoadNs + float64(stats.WorkUnits)*nativeALUNs
 			if nativeNs <= 0 {
 				return SlowdownRow{}, fmt.Errorf("experiments: %s: zero modeled native time", app)
 			}

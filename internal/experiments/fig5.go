@@ -77,7 +77,7 @@ func memoryOne(env Env, app string, size splash.Size) (MemoryRow, error) {
 		App:          app,
 		Footprint:    prog.Footprint(),
 		DiscoPoP:     asym.FootprintBytes(),
-		DiscoPoPEq2:  sig.SigMem(env.SigSlots, env.Threads, env.FPRate),
+		DiscoPoPEq2:  sig.SigMem(env.SigSlots, env.Threads, fpRate),
 		Memcheck:     memcheck.Result().MemoryBytes,
 		Helgrind:     helgrind.Result().MemoryBytes,
 		HelgrindPlus: helgrindP.Result().MemoryBytes,

@@ -31,7 +31,7 @@ func Table1(env Env, size splash.Size) (*Table1Result, error) {
 	}
 	res := &Table1Result{
 		Rows:                baselines.TableI(),
-		MeasuredSigMemBytes: sig.SigMem(env.SigSlots, env.Threads, env.FPRate),
+		MeasuredSigMemBytes: sig.SigMem(env.SigSlots, env.Threads, fpRate),
 	}
 	f4, err := Fig4(env, size)
 	if err != nil {

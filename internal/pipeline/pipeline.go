@@ -851,16 +851,6 @@ func (e *Engine) merge() {
 	})
 }
 
-// Global returns the merged whole-program communication matrix. It errors
-// until Close has drained the pipeline.
-func (e *Engine) Global() (*comm.Matrix, error) {
-	if !e.closed.Load() {
-		return nil, fmt.Errorf("pipeline: Global before Close")
-	}
-	e.merge()
-	return e.global, nil
-}
-
 // Tree builds the merged nested communication structure — the same
 // comm.Tree a serial detector produces. It errors until Close, or when the
 // engine was built without a region table.

@@ -1,14 +1,26 @@
 package pipeline
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"commprof/internal/comm"
 	"commprof/internal/detect"
 	"commprof/internal/obs"
 	"commprof/internal/sig"
 	"commprof/internal/trace"
 )
+
+// Global returns the merged whole-program communication matrix, the tests'
+// view of what Tree sums; it errors until Close has drained the pipeline.
+func (e *Engine) Global() (*comm.Matrix, error) {
+	if !e.closed.Load() {
+		return nil, fmt.Errorf("pipeline: Global before Close")
+	}
+	e.merge()
+	return e.global, nil
+}
 
 // synthetic builds a deterministic stream with heavy inter-thread RAW
 // traffic: each round one writer stores a block of addresses and every other

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 )
 
 // Stream couples a static region table with a recorded access sequence, e.g.
@@ -69,38 +68,6 @@ func (s *Stream) EncodeVersion(w io.Writer, version, threads int) error {
 		}
 	}
 	return enc.Close()
-}
-
-// Decode reads an encoded stream of any version, materialising every
-// access. It is a wrapper over the incremental Decoder whose batches land in
-// the result's spare capacity; callers that feed an analyser (Replay, the
-// sharded pipeline) should use NewDecoder directly and keep resident memory
-// at O(region table).
-func Decode(r io.Reader) (*Stream, error) {
-	d, err := NewDecoder(r)
-	if err != nil {
-		return nil, err
-	}
-	s := &Stream{Table: d.Table()}
-	// Cap the preallocation: the declared count is untrusted input, and a
-	// crafted header must not drive a multi-gigabyte allocation before the
-	// read inevitably hits EOF (found by FuzzDecode).
-	prealloc := d.Len()
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
-	}
-	s.Accesses = make([]Access, 0, prealloc)
-	for d.i < d.n { // a strict decoder's stream ends at its declared count
-		if len(s.Accesses) == cap(s.Accesses) {
-			s.Accesses = slices.Grow(s.Accesses, 1)
-		}
-		batch, err := d.NextBatch(s.Accesses[len(s.Accesses):cap(s.Accesses)])
-		if err != nil {
-			return nil, err
-		}
-		s.Accesses = s.Accesses[:len(s.Accesses)+len(batch)]
-	}
-	return s, nil
 }
 
 func writeString(w *bufio.Writer, s string) error {

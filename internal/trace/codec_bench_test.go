@@ -46,7 +46,7 @@ func codecStream(b *testing.B) *trace.Stream {
 				return
 			}
 			defer f.Close()
-			codecFixture.s, codecFixture.err = trace.Decode(f)
+			codecFixture.s, codecFixture.err = trace.DecodeAll(f)
 			return
 		}
 		app := os.Getenv("BENCH_APP")

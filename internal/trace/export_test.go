@@ -1,6 +1,29 @@
 package trace
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"io"
+)
+
+// DecodeAll reads a whole encoded stream of any version into memory: the
+// tests' materialised view of NewDecoder, which ends a strict stream at its
+// declared count. Growth follows the records actually decoded, so a crafted
+// count in the header drives no allocation.
+func DecodeAll(r io.Reader) (*Stream, error) {
+	d, err := NewDecoder(r)
+	if err != nil {
+		return nil, err
+	}
+	s := &Stream{Table: d.Table()}
+	err = d.ForEach(func(a Access) error {
+		s.Accesses = append(s.Accesses, a)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
 // Next decodes one record: NextBatch over a one-element buffer, with the
 // same io.EOF, "record i of n" and sticky-error contract. It is the tests'

@@ -28,7 +28,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := Decode(bytes.NewReader(data))
+		st, err := DecodeAll(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -43,7 +43,7 @@ func FuzzDecode(f *testing.F) {
 			}
 			t.Fatalf("accepted stream failed to re-encode: %v", err)
 		}
-		st2, err := Decode(&out)
+		st2, err := DecodeAll(&out)
 		if err != nil {
 			t.Fatalf("re-encoded stream failed to decode: %v", err)
 		}
@@ -53,9 +53,10 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecoder feeds arbitrary bytes to the incremental Decoder and holds it
-// to the one-shot contract: it must never panic or hang, and it must accept
-// exactly the streams Decode accepts, producing the same table and records.
+// FuzzDecoder feeds arbitrary bytes to the incremental Decoder record by
+// record and holds it to the batched contract: it must never panic or hang,
+// and it must accept exactly the streams DecodeAll (1 024-record batches)
+// accepts, producing the same table and records.
 // Corrupt or truncated input must surface as an error from NewDecoder or
 // Next, never as a silent short read.
 func FuzzDecoder(f *testing.F) {
@@ -82,12 +83,12 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(unfinalized)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, oneErr := Decode(bytes.NewReader(data))
+		st, oneErr := DecodeAll(bytes.NewReader(data))
 
 		dec, err := NewDecoder(bytes.NewReader(data))
 		if err != nil {
 			if oneErr == nil {
-				t.Fatalf("NewDecoder rejected (%v) a stream Decode accepted", err)
+				t.Fatalf("NewDecoder rejected (%v) a stream DecodeAll accepted", err)
 			}
 			return
 		}
@@ -107,7 +108,7 @@ func FuzzDecoder(f *testing.F) {
 
 		if oneErr == nil {
 			if streamErr != nil {
-				t.Fatalf("Decoder failed (%v) on a stream Decode accepted", streamErr)
+				t.Fatalf("Decoder failed (%v) on a stream DecodeAll accepted", streamErr)
 			}
 			if dec.Table().Len() != st.Table.Len() {
 				t.Fatalf("table len %d, one-shot %d", dec.Table().Len(), st.Table.Len())
@@ -121,7 +122,7 @@ func FuzzDecoder(f *testing.F) {
 				}
 			}
 		} else if streamErr == nil {
-			t.Fatalf("Decoder accepted a stream Decode rejected: %v", oneErr)
+			t.Fatalf("Decoder accepted a stream DecodeAll rejected: %v", oneErr)
 		}
 	})
 }

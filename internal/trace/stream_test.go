@@ -129,15 +129,15 @@ func TestDecodeTruncatedReportsRecordContext(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			data := full[:tc.cut]
 
-			_, err := Decode(bytes.NewReader(data))
+			_, err := DecodeAll(bytes.NewReader(data))
 			if err == nil {
-				t.Fatal("Decode accepted a truncated stream")
+				t.Fatal("DecodeAll accepted a truncated stream")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Decode error %q missing %q", err, tc.want)
+				t.Errorf("DecodeAll error %q missing %q", err, tc.want)
 			}
 			if !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Errorf("Decode error %q does not wrap io.ErrUnexpectedEOF", err)
+				t.Errorf("DecodeAll error %q does not wrap io.ErrUnexpectedEOF", err)
 			}
 
 			dec, err := NewDecoder(bytes.NewReader(data))

@@ -82,9 +82,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := s.EncodeVersion(&buf, DefaultVersion, 0); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	got, err := Decode(&buf)
+	got, err := DecodeAll(&buf)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeAll: %v", err)
 	}
 	if !reflect.DeepEqual(got.Table.Regions, tb.Regions) {
 		t.Errorf("table mismatch:\n got %+v\nwant %+v", got.Table.Regions, tb.Regions)
@@ -121,7 +121,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if err := s.EncodeVersion(&buf, DefaultVersion, 0); err != nil {
 			return false
 		}
-		got, err := Decode(&buf)
+		got, err := DecodeAll(&buf)
 		if err != nil {
 			return false
 		}
@@ -141,10 +141,10 @@ func TestCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not a trace file....."))); err == nil {
+	if _, err := DecodeAll(bytes.NewReader([]byte("not a trace file....."))); err == nil {
 		t.Error("garbage input must fail")
 	}
-	if _, err := Decode(bytes.NewReader(nil)); err == nil {
+	if _, err := DecodeAll(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input must fail")
 	}
 }
@@ -166,7 +166,7 @@ func TestDecodeHugeCountHeaderDoesNotOOM(t *testing.T) {
 	// Regression for a fuzz finding: a header claiming ~4e9 accesses must
 	// fail with a read error, not preallocate gigabytes.
 	hdr := []byte("TMPC\x01\x00\x00\x00\x00\x00\x00\x00\xf1\xff\xff\xff")
-	if _, err := Decode(bytes.NewReader(hdr)); err == nil {
+	if _, err := DecodeAll(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("truncated huge-count stream accepted")
 	}
 }
