@@ -131,8 +131,11 @@ func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
 	case an.pe.Shards() == 0:
 		an.quantum, an.quantumTo = make([]trace.Access, 0, quantumLen), an.producer(false)
 		stage := func(a trace.Access) {
-			an.quantum = append(an.quantum, a)
-			if len(an.quantum) == quantumLen {
+			n := len(an.quantum)
+			an.quantum = an.quantum[:n+1] // flushed at capacity
+			q := &an.quantum[n]
+			q.Time, q.Addr, q.Size, q.Thread, q.Region, q.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
+			if n+1 == quantumLen {
 				an.flushQuantum()
 			}
 		}
@@ -179,13 +182,15 @@ func (an *analysis) flushQuantum() {
 // reuse; only its length shrinks).
 func (an *analysis) feedBatch(p *pipeline.Producer, batch []trace.Access) {
 	if an.gate != nil {
-		kept := batch[:0]
-		for _, a := range batch {
-			if !an.sampledOut(a.Kind, a.Thread) {
-				kept = append(kept, a)
+		n := 0
+		for i := range batch {
+			if a := &batch[i]; !an.sampledOut(a.Kind, a.Thread) {
+				k := &batch[n]
+				k.Time, k.Addr, k.Size, k.Thread, k.Region, k.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
+				n++
 			}
 		}
-		batch = kept
+		batch = batch[:n]
 	}
 	p.ProcessBatch(batch)
 }
@@ -202,8 +207,8 @@ func (an *analysis) wire(eng *exec.Engine) {
 // finish drains the analyser and renders the report — the one report
 // builder: region tree and hotspots, then one section per layer the run had
 // on (Pipeline, Redundancy, Accuracy, Phases/PhaseTimeline, SampleFraction,
-// Telemetry/Overhead). stats is the source's own access tally.
-func (an *analysis) finish(name string, stats exec.Stats) (*Report, error) {
+// Telemetry/Overhead). accesses is the source's own access count.
+func (an *analysis) finish(name string, accesses uint64) (*Report, error) {
 	tel, pe, opts := an.tel, an.pe, an.opts
 	var drain *obs.SpanHandle
 	if pe.Shards() > 0 {
@@ -239,7 +244,7 @@ func (an *analysis) finish(name string, stats exec.Stats) (*Report, error) {
 	rep := &Report{
 		Workload:       name,
 		Threads:        an.threads,
-		Accesses:       stats.Accesses,
+		Accesses:       accesses,
 		Dependencies:   st.Detected,
 		CommBytes:      st.CommBytes,
 		SignatureBytes: pe.SigFootprintBytes(),
@@ -309,7 +314,7 @@ func profileEngine(opts Options, src engineSource) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return an.finish(src.name, stats)
+	return an.finish(src.name, stats.Accesses)
 }
 
 // fillTree renders a finished communication tree into the report's Global,

@@ -192,6 +192,7 @@ func (m *module) check(p *pkg, stack []string) (*types.Package, error) {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
 	}
 	conf := types.Config{
 		Importer: importerFunc(func(ip string) (*types.Package, error) {
@@ -683,6 +684,50 @@ func (s *Asymmetric) Own(owned bool) {}
 import "commprof/internal/patterns"
 
 var plantedTrain = patterns.NewKNN
+`},
+	},
+	{
+		// On the per-access path an access reaches its buffer one field at a
+		// time (DESIGN §5, "the copy rule"): append(buf, a) or buf[i] = a with
+		// a trace.Access spills the value and reloads it with one wide load
+		// the core cannot forward from the narrow stores.
+		name: "an access is copied whole into a buffer",
+		check: func(m *module) (out findings) {
+			access := func(p *pkg, e ast.Expr) bool {
+				t := p.info.TypeOf(e)
+				return t != nil && types.TypeString(t, nil) == modulePath+"/internal/trace.Access"
+			}
+			dirs := []string{".", "internal/pipeline", "internal/detect", "internal/trace", "internal/exec", "probe"}
+			m.each(scope{dirs: dirs}, func(p *pkg, f *file) {
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						id, ok := n.Fun.(*ast.Ident)
+						if _, builtin := p.info.Uses[id].(*types.Builtin); !ok || !builtin || id.Name != "append" || n.Ellipsis.IsValid() {
+							return true
+						}
+						for _, arg := range n.Args[1:] {
+							if access(p, arg) {
+								out.add(m, arg.Pos(), "appends a trace.Access whole")
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if ix, ok := lhs.(*ast.IndexExpr); ok && access(p, ix) {
+								out.add(m, ix.Pos(), "assigns a trace.Access whole to %s", types.ExprString(ix))
+							}
+						}
+					}
+					return true
+				})
+			})
+			return out
+		},
+		plant: map[string]string{"internal/pipeline/planted.go": `package pipeline
+
+import "commprof/internal/trace"
+
+func plantedStage(buf []trace.Access, a trace.Access) []trace.Access { return append(buf, a) }
 `},
 	},
 }

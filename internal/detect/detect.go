@@ -166,9 +166,9 @@ const overheadSampleShift = 8
 
 // Process applies Algorithm 1 to one access and reports whether it produced
 // a communication event: the kernel over a batch of one. The access is copied
-// field by field: a whole-struct copy of a value just assembled from registers
-// is a wide load over narrow stores, which the core cannot forward and so
-// waits out every cache miss in flight (it doubled this call's cost).
+// field by field, never whole (DESIGN §5, "the copy rule"): a whole-struct
+// copy of a value just assembled from registers is a wide load over narrow
+// stores, which the core cannot forward (it doubled this call's cost).
 func (d *Detector) Process(a trace.Access) (Event, bool) {
 	var one [1]trace.Access
 	p := &one[0]

@@ -1,6 +1,10 @@
 package detect
 
-import "commprof/internal/trace"
+import (
+	"slices"
+
+	"commprof/internal/trace"
+)
 
 // ClockedQueue reproduces the analysis architecture of the *original*
 // DiscoPoP profiler that the paper improves upon (§V-A2): the program
@@ -39,7 +43,10 @@ func NewClockedQueue(d *Detector, cost int) *ClockedQueue {
 
 // Process enqueues one access and lets the tick it took pass.
 func (q *ClockedQueue) Process(a trace.Access) {
-	q.queue = append(q.queue, a)
+	n := len(q.queue)
+	q.queue = slices.Grow(q.queue, 1)[:n+1]
+	p := &q.queue[n]
+	p.Time, p.Addr, p.Size, p.Thread, p.Region, p.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
 	q.peak = max(q.peak, len(q.queue)-q.head)
 	q.Compute(1)
 }

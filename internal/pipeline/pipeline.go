@@ -599,7 +599,10 @@ func (p *Producer) Process(a trace.Access) {
 		p.lastThread = a.Thread
 	}
 	i := e.route(a.Addr)
-	buf := append(p.pending[i], a)
+	buf := p.pending[i]
+	buf = buf[:len(buf)+1] // every staging buffer holds e.batch and is handed on full
+	b := &buf[len(buf)-1]
+	b.Time, b.Addr, b.Size, b.Thread, b.Region, b.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
 	p.staged++
 	if int64(p.staged) > p.peak.Load() {
 		p.peak.Store(int64(p.staged))

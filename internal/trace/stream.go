@@ -636,7 +636,9 @@ func (d *Decoder) nextBatchAny(buf []Access) ([]Access, error) {
 			}
 			break // the error stays sticky and surfaces on the next call
 		}
-		buf = append(buf, a)
+		buf = buf[:len(buf)+1]
+		b := &buf[len(buf)-1]
+		b.Time, b.Addr, b.Size, b.Thread, b.Region, b.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
 	}
 	return buf, nil
 }

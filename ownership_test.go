@@ -175,7 +175,7 @@ func TestQuantumBufferMatchesPerAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := an.finish("custom", stats)
+		want, err := an.finish("custom", stats.Accesses)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -230,11 +230,11 @@ func (g *TG) record(kind trace.Kind, p unsafe.Pointer, size uint32, region int32
 	}
 	// The clock is drawn under the lock, so a sweep that has held this lock
 	// after reading the clock as W has seen every record of g's up to W.
-	g.cur = append(g.cur, trace.Access{
-		Time: s.clock.Add(1), Addr: uint64(uintptr(p)), Size: size,
-		Thread: g.id, Region: region, Kind: kind,
-	})
-	if len(g.cur) < batchSize {
+	n := len(g.cur)
+	g.cur = g.cur[:n+1] // a batch holds batchSize and is handed over full
+	a := &g.cur[n]
+	a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind = s.clock.Add(1), uint64(uintptr(p)), size, g.id, region, kind
+	if n+1 < batchSize {
 		g.mu.Unlock()
 		return
 	}

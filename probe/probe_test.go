@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,7 +39,7 @@ func TestMain(m *testing.M) {
 // directory (the state is otherwise process-global, like the real runtime's),
 // and retires the previous one: its writer exits, its signal watcher hears
 // no more.
-func reset(t *testing.T) (s *shim, tracePath string) {
+func reset(t testing.TB) (s *shim, tracePath string) {
 	t.Helper()
 	old := std
 	old.closed.Store(true)
@@ -212,6 +213,99 @@ func TestFreeRunningGoroutines(t *testing.T) {
 			t.Errorf("goroutine %d: %d records, want %d", id, perG[id], probes)
 		}
 	}
+}
+
+// TestProbesSurviveConcurrentSweeps: 8 goroutines probe while another keeps
+// asking for sweeps, so the writer takes half-filled batches out from under
+// the probes all run long. Every probe has its own address, and the trace
+// holds each exactly once, from one goroutine, in strictly increasing clock
+// order.
+func TestProbesSurviveConcurrentSweeps(t *testing.T) {
+	s, path := reset(t)
+	Register(twoRegions)
+	const workers, probes = 8, 20_000
+	stop, swept := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.kick()
+				runtime.Gosched()
+			}
+		}
+	}()
+	words := make([][]byte, workers)
+	var wg sync.WaitGroup
+	for w := range words {
+		words[w] = make([]byte, probes)
+		wg.Add(1)
+		go func(mine []byte) {
+			defer wg.Done()
+			g := G()
+			for i := range mine {
+				g.W(unsafe.Pointer(&mine[i]), 1, 1)
+			}
+		}(words[w])
+	}
+	wg.Wait()
+	close(stop)
+	<-swept
+	Shutdown()
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec, err := trace.NewDecoder(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := map[uint64]int32{}
+	var prev uint64
+	if err := dec.ForEach(func(a trace.Access) error {
+		if a.Time <= prev {
+			return fmt.Errorf("records out of temporal order: %d after %d", a.Time, prev)
+		}
+		prev = a.Time
+		if _, dup := by[a.Addr]; dup {
+			return fmt.Errorf("address %#x recorded twice", a.Addr)
+		}
+		by[a.Addr] = a.Thread
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(by) != workers*probes {
+		t.Fatalf("trace holds %d distinct probes, want %d", len(by), workers*probes)
+	}
+	for w, mine := range words {
+		first, ok := by[uint64(uintptr(unsafe.Pointer(&mine[0])))]
+		for i := range mine {
+			if g, seen := by[uint64(uintptr(unsafe.Pointer(&mine[i])))]; !ok || !seen || g != first {
+				t.Fatalf("worker %d probe %d: recorded %v by goroutine %d, want once by goroutine %d", w, i, seen, g, first)
+			}
+		}
+	}
+}
+
+// BenchmarkProbe times one goroutine's W probe, the writer streaming the
+// batches to a trace file beside it, and reports ns per probe.
+func BenchmarkProbe(b *testing.B) {
+	reset(b)
+	Register(twoRegions)
+	g := G()
+	var word uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.W(unsafe.Pointer(&word), 8, 1)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/probe")
+	Shutdown()
 }
 
 // TestParkedGoroutineDoesNotStall: a goroutine blocked with half a batch holds

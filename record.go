@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"commprof/internal/exec"
 	"commprof/internal/trace"
 )
 
@@ -105,7 +104,7 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	// through the detector here, sharded per-shard batching applies at full
 	// strength.
 	p := an.producer(false)
-	var stats exec.Stats
+	var accesses uint64
 	batch := make([]trace.Access, 0, replayBatchSize)
 	for {
 		batch, err = dec.NextBatch(batch)
@@ -115,18 +114,13 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, a := range batch {
-			if a.Thread < 0 || int(a.Thread) >= threads {
-				return nil, fmt.Errorf("commprof: trace access %d has thread %d, outside [0,%d)", stats.Accesses, a.Thread, threads)
-			}
-			stats.Accesses++
-			if a.Kind == trace.Write {
-				stats.Writes++
-			} else {
-				stats.Reads++
+		for i := range batch {
+			if th := batch[i].Thread; th < 0 || int(th) >= threads {
+				return nil, fmt.Errorf("commprof: trace access %d has thread %d, outside [0,%d)", accesses+uint64(i), th, threads)
 			}
 		}
+		accesses += uint64(len(batch))
 		an.feedBatch(p, batch)
 	}
-	return an.finish("replay", stats)
+	return an.finish("replay", accesses)
 }
