@@ -605,8 +605,9 @@ var plantedFilter = bloom.New(bloom.Derive(64, 0.01), 1)
 `},
 	},
 	{
-		// The single-owner kernel reads and writes plain []uint64/[]int32
-		// arrays; it may not reach any other structure by casting.
+		// The single-owner kernel reads and writes plain slices (the
+		// signature's []byte arena through encoding/binary); it may not reach
+		// any other structure by casting.
 		name: "package unsafe is imported on the analysis path",
 		check: func(m *module) (out findings) {
 			m.each(scope{tests: true, dirs: []string{"internal/sig", "internal/detect", "internal/comm", "internal/redundancy", "internal/pipeline"}}, func(p *pkg, f *file) {

@@ -125,10 +125,10 @@ func fmix64(k uint64) uint64 {
 }
 
 // Mix64 applies MurmurHash3's 64-bit finalizer (fmix64) to x: an invertible
-// full-avalanche mix, far cheaper than a hash pass. The asymmetric signature
-// re-mixes HashAddrPair's second half with its write seed through it, so the
-// write-slot mapping keeps the collision statistics of an independent hash
-// without paying for one.
+// full-avalanche mix, far cheaper than a hash pass. The paper's signature
+// layout (sig.Bloom) re-mixes HashAddrPair's second half with its write seed
+// through it, so its write-slot mapping keeps the collision statistics of an
+// independent hash without paying for one.
 func Mix64(x uint64) uint64 { return fmix64(x) }
 
 // HashAddr hashes a 64-bit memory address with the given seed. It inlines the
@@ -153,11 +153,10 @@ func HashAddr(addr uint64, seed uint64) uint64 {
 // HashAddrPair returns two independent 64-bit hashes of addr — exactly the
 // two halves of the 128-bit x64 MurmurHash3 digest of the address's 8
 // little-endian bytes, computed in one allocation-free pass. The bloom filter
-// double-hashes with it to derive its k probe positions, and the asymmetric
-// signature memory fuses its read-slot and write-slot addressing into this
-// single call: the first half reproduces HashAddr (the historical read-array
-// hash) bit for bit, the second half addresses the write array, so one hash
-// pass replaces the two the hot loop used to pay per access.
+// double-hashes with it to derive its k probe positions, and the paper's
+// signature layout (sig.Bloom) fuses its read-slot and write-slot addressing
+// into this single call: the first half reproduces HashAddr (the read-array
+// hash) bit for bit, the second half addresses the write array.
 func HashAddrPair(addr uint64, seed uint64) (uint64, uint64) {
 	h1, h2 := seed, seed
 	k1 := addr

@@ -6,12 +6,14 @@ import (
 	"sync/atomic"
 
 	"commprof/internal/bloom"
+	"commprof/internal/murmur"
 )
 
 // Bloom is the asymmetric signature memory as the paper builds it (§IV-D2,
-// Fig. 3a): Asymmetric's slot addressing, Eq. 2's 4-byte write slots, and each
-// read slot's reader set in a lazily allocated bloom filter sized for t
-// threads at a false-positive rate. Its memory grows toward Eq. 2's bound as
+// Fig. 3): a read array at Asymmetric's slot index, a separate write array of
+// Eq. 2's 4-byte slots under an independent hash, and each read slot's reader
+// set in a lazily allocated bloom filter sized for t threads at a
+// false-positive rate. Its memory grows toward Eq. 2's bound as
 // slots fill. The reproduction experiments (internal/experiments) are its one
 // user, so Fig. 5, Eq. 2, the §V-A3 sweep and the hash ablation keep measuring
 // the paper's structure; the profiler itself runs on Asymmetric's exact masks.
@@ -43,6 +45,26 @@ func NewBloom(opts Options, fpRate float64) (*Bloom, error) {
 		write:  make([]int32, opts.Slots),
 		read:   make([]atomic.Pointer[bloom.Filter], opts.Slots),
 	}, nil
+}
+
+// slots maps addr to its (read, write) slot pair from one 128-bit hash pass:
+// the first half of MurmurHash3 x64/128 is HashAddr(addr, SeedRead), the read
+// mapping Asymmetric shares, and the second half, folded with SeedWrite
+// through the fmix64 finalizer, addresses the write array with the collision
+// statistics of an independent hash.
+func (s *Bloom) slots(addr uint64) (rs, ws uint64) {
+	if s.opts.Hash == HashFold {
+		// Weak fold: mixes poorly, so regular access strides map to
+		// clustered slots. Exists only to quantify what MurmurHash buys.
+		return s.reduce(foldHash(addr, s.opts.SeedRead)), s.reduce(foldHash(addr, s.opts.SeedWrite))
+	}
+	h1, h2 := murmur.HashAddrPair(addr, s.opts.SeedRead)
+	return s.reduce(h1), s.reduce(murmur.Mix64(h2 ^ s.opts.SeedWrite))
+}
+
+func foldHash(addr, seed uint64) uint64 {
+	v := addr ^ seed
+	return v ^ (v >> 17) ^ (v << 9)
 }
 
 // filterAt returns the bloom filter for a read slot, allocating it on first

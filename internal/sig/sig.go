@@ -15,17 +15,21 @@
 //     per-slot bloom filters are kept for the reproduction experiments
 //     (Bloom);
 //
-//   - the WRITE signature is one-level: a fixed array of slots, each holding
-//     only the ID of the last thread that wrote an address hashing to the
-//     slot (Fig. 3b).
+//   - the WRITE signature is one-level: slots holding only the ID of the last
+//     thread that wrote an address hashing there (Fig. 3b). The paper
+//     addresses them with a second, independent hash (Bloom); the profiler
+//     keeps each last writer beside the reader set of the same slot, so an
+//     access costs one hash and one slot (Asymmetric).
 //
 // Collisions (h(v1)==h(v2), v1!=v2) produce dependencies that do not exist —
 // false positives — at a rate controlled by the slot count, which is the
-// trade-off the paper quantifies. Total memory is fixed: 2 + 4·⌈t/32⌉ bytes
-// per slot for the masks, Eq. 2 for the paper's filters.
+// trade-off the paper quantifies. Asymmetric is exactly Perfect run on the
+// slot index instead of the address. Total memory is fixed: 2 + 4·⌈t/32⌉
+// bytes per slot for Asymmetric, Eq. 2 for the paper's filters.
 package sig
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -55,9 +59,9 @@ type Backend interface {
 
 // Options configures an asymmetric signature memory.
 type Options struct {
-	// Slots is the signature size n: the element count of both the
-	// first-level read array and the write array. The paper evaluates
-	// 1e6, 4e6, 1e7 and 1e8; 1e7 is its standard operating point.
+	// Slots is the signature size n: Asymmetric's slot count, and the
+	// element count of both of Bloom's arrays. The paper evaluates 1e6,
+	// 4e6, 1e7 and 1e8; 1e7 is its standard operating point.
 	Slots uint64
 	// Threads is t, the thread count of the target program. Thread IDs
 	// passed to ObserveRead/ObserveWrite lie in [0, t). It sizes the reader
@@ -68,14 +72,16 @@ type Options struct {
 	// as an argument. Kept only because bench/layers.go still sets it;
 	// ROADMAP item 0(d) deletes it.
 	FPRate float64
-	// SeedRead / SeedWrite select independent hash functions for the two
-	// arrays; zero values get deterministic defaults.
+	// SeedRead selects the slot hash; SeedWrite selects Bloom's independent
+	// write-array hash, and Asymmetric, whose writer shares the read slot,
+	// does not use it. Zero values get deterministic defaults.
 	SeedRead, SeedWrite uint64
 	// Hash selects the slot-addressing hash function. The default,
 	// HashMurmur, is the paper's choice ("much lower time complexity while
 	// having less collisions in comparison with other hash functions",
 	// §IV-D2); HashFold is a deliberately weaker xor-fold kept for the
-	// hash-quality ablation experiment.
+	// hash-quality ablation experiment, which runs on Bloom. NewAsymmetric
+	// refuses it.
 	Hash HashKind
 	// Probes, when non-nil, counts reader resets, the one signature probe.
 	// Nil keeps the hot path uninstrumented at the cost of one nil check per
@@ -110,9 +116,8 @@ func (o *Options) setDefaults() error {
 	return nil
 }
 
-// base is what both read-signature layouts share: the slot addressing. Each
-// layout keeps its own write signature, because Bloom's goes through
-// sync/atomic, which has no 16-bit operations.
+// base is what both read-signature layouts share: the options and the
+// reduction of a hash to a slot.
 type base struct {
 	opts Options
 	// pow2 marks a power-of-two slot count, reduced with slotMask instead of
@@ -132,67 +137,50 @@ func newBase(opts Options) (base, error) {
 	}, nil
 }
 
-// slots maps addr to its (read, write) slot pair. Every backend operation
-// needs both slots (ObserveRead looks up the writer and records the reader;
-// ObserveWrite invalidates the readers and records the writer), so the murmur
-// path derives them from ONE 128-bit hash pass: the two halves of MurmurHash3
-// x64/128 are designed to be independent, the first half reproduces the
-// historical HashAddr(addr, SeedRead) read mapping exactly, and the second
-// half — folded with SeedWrite through the fmix64 finalizer, so both seed
-// options stay meaningful and the write mapping keeps independent-hash
-// collision statistics — addresses the write array. This halves the
-// per-access hash cost relative to the old two-pass scheme (a finalizer is
-// three shifts and two multiplies, not a hash pass).
-func (b *base) slots(addr uint64) (rs, ws uint64) {
-	var h1, h2 uint64
-	if b.opts.Hash == HashFold {
-		// Weak fold: mixes poorly, so regular access strides map to
-		// clustered slots. Exists only to quantify what MurmurHash buys.
-		h1, h2 = foldHash(addr, b.opts.SeedRead), foldHash(addr, b.opts.SeedWrite)
-	} else {
-		h1, h2 = murmur.HashAddrPair(addr, b.opts.SeedRead)
-		h2 = murmur.Mix64(h2 ^ b.opts.SeedWrite)
-	}
+// reduce maps hash h to a slot in [0, Slots).
+func (b *base) reduce(h uint64) uint64 {
 	if b.pow2 {
-		return h1 & b.slotMask, h2 & b.slotMask
+		return h & b.slotMask
 	}
-	return h1 % b.opts.Slots, h2 % b.opts.Slots
+	return h % b.opts.Slots
 }
 
-func foldHash(addr, seed uint64) uint64 {
-	v := addr ^ seed
-	return v ^ (v >> 17) ^ (v << 9)
+// slot maps addr to its read slot, HashAddr(addr, SeedRead) mod Slots:
+// Asymmetric's one slot, and the read half of Bloom's pair. Declared on base,
+// it fits the inlining budget that the same method on Asymmetric exceeds.
+func (b *base) slot(addr uint64) uint64 {
+	return b.reduce(murmur.HashAddr(addr, b.opts.SeedRead))
 }
 
 // maxWords bounds the mask words per read slot.
 const maxWords = 8
 
 // MaxThreads is the largest thread count the mask arena holds: maxWords
-// words of 32 reader bits per slot. Its tid+1 fits the uint16 write array.
+// words of 32 reader bits per slot. Its tid+1 fits a slot's uint16 writer.
 const MaxThreads = 32 * maxWords
 
-// Asymmetric is the profiler's asymmetric signature memory. Each read slot's
-// reader set is w = ⌈t/32⌉ exact mask words in one flat arena: bit tid%32 of
-// word tid/32 records that thread tid has read. Against the paper's per-slot
-// bloom filter (14.4·t bits at FPRate 0.001, see Bloom) that is t bits rounded
-// up to a word, with no second-level false positives, no allocation and no
-// second hash pass; slot addressing, and so every first-level collision, is
-// the same. The write signature holds each last writer as a uint16 tid+1. At
-// w = 1 (t ≤ 32) a slot is one word at index rs: 6 bytes per slot with the
-// write array.
+// Asymmetric is the profiler's asymmetric signature memory. Both halves of an
+// address's state sit at one slot i = HashAddr(addr, SeedRead) mod n, the
+// paper's read mapping, in one flat arena of 2 + 4·w bytes a slot: the last
+// writer's tid+1 as a little-endian uint16 (0 if none), then the slot's reader
+// set as w = ⌈t/32⌉ little-endian uint32 mask words, bit tid%32 of word tid/32
+// recording that thread tid has read. So an access touches one slot, most
+// often one cache line, after one hash pass, and Asymmetric computes exactly
+// what Perfect computes on the key i instead of the address. Against the
+// paper's layout (Bloom) the reader set is exact — t bits rounded up to a word
+// against 14.4·t bits at FPRate 0.001 — and the writer collides exactly where
+// the reader set does, not under a second, independent hash. At w = 1
+// (t ≤ 32) a slot is 6 bytes.
 //
 // An Asymmetric has one caller at a time (the Backend contract) and reads and
-// writes its arrays plainly. Another goroutine may call Occupancy while a run
+// writes its arena plainly. Another goroutine may call Occupancy while a run
 // is in flight and nothing else.
 type Asymmetric struct {
 	base
-	// words is w, the mask words per read slot.
-	words uint64
-	// masks is the read signature: slot rs's reader set is
-	// masks[rs*w : rs*w+w].
-	masks []uint32
-	// write is the write signature: slot ws's last writer tid+1, 0 if none.
-	write []uint16
+	// words is w, the mask words per slot; stride is a slot's 2 + 4·w bytes.
+	words, stride uint64
+	// arena holds slot i at arena[i·stride : (i+1)·stride].
+	arena []byte
 
 	// nonEmpty counts the non-empty reader sets; Publish copies it to
 	// occupied, the one thing another goroutine may read mid-run.
@@ -201,71 +189,61 @@ type Asymmetric struct {
 }
 
 // NewAsymmetric builds an asymmetric signature memory. It refuses more than
-// MaxThreads threads.
+// MaxThreads threads, and HashFold, which only Bloom takes.
 func NewAsymmetric(opts Options) (*Asymmetric, error) {
 	if opts.Threads > MaxThreads {
 		return nil, fmt.Errorf("sig: %d threads exceed the exact reader-set limit of %d threads (%d mask words per slot)",
 			opts.Threads, MaxThreads, maxWords)
+	}
+	if opts.Hash != HashMurmur {
+		return nil, fmt.Errorf("sig: Asymmetric addresses its slots with MurmurHash only; the HashFold ablation runs on sig.Bloom, the paper's layout")
 	}
 	b, err := newBase(opts)
 	if err != nil {
 		return nil, err
 	}
 	words := uint64(opts.Threads+31) / 32
-	return &Asymmetric{base: b, words: words, masks: make([]uint32, opts.Slots*words), write: make([]uint16, opts.Slots)}, nil
+	return &Asymmetric{base: b, words: words, stride: 2 + 4*words, arena: make([]byte, opts.Slots*(2+4*words))}, nil
 }
 
 // Publish makes the caller's count of occupied slots visible to Occupancy.
 func (s *Asymmetric) Publish() { s.occupied.Store(s.nonEmpty) }
 
-// readers returns read slot rs's reader set. At w = 1 (here and in
-// ObserveRead) the index is rs itself: no multiply delays the address of the
-// access's likely cache miss.
-func (s *Asymmetric) readers(rs uint64) []uint32 {
-	if s.words == 1 {
-		return s.masks[rs : rs+1]
-	}
-	return s.masks[rs*s.words : (rs+1)*s.words]
-}
-
-// ObserveRead implements Backend. One fused hash pass yields both slots.
+// ObserveRead implements Backend.
 func (s *Asymmetric) ObserveRead(addr uint64, tid int32) (int32, bool) {
-	rs, ws := s.slots(addr)
-	i, bit := rs, uint32(1)<<(uint(tid)&31)
-	if s.words > 1 {
-		i = rs*s.words + uint64(tid)>>5
-	}
-	old := s.masks[i]
+	at := s.slot(addr) * s.stride
+	m, bit := at+2+uint64(tid)>>5*4, uint32(1)<<(uint(tid)&31)
+	old := binary.LittleEndian.Uint32(s.arena[m : m+4 : m+4])
 	if old&bit == 0 {
-		if old == 0 && (s.words == 1 || empty(s.readers(rs))) {
+		if old == 0 && (s.words == 1 || unread(s.arena[at+2:at+s.stride])) {
 			s.nonEmpty++
 		}
-		s.masks[i] = old | bit
+		binary.LittleEndian.PutUint32(s.arena[m:m+4:m+4], old|bit)
 	}
-	return int32(s.write[ws]) - 1, old&bit == 0 // an empty slot reads 0: NoWriter
+	return int32(binary.LittleEndian.Uint16(s.arena[at:at+2:at+2])) - 1, old&bit == 0 // an empty slot reads 0: NoWriter
 }
 
-// empty reports whether a reader set holds no thread.
-func empty(set []uint32) bool {
-	for _, m := range set {
-		if m != 0 {
+// unread reports whether a reader set's mask words hold no thread.
+func unread(set []byte) bool {
+	for _, b := range set {
+		if b != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// ObserveWrite implements Backend. One fused hash pass yields both slots.
+// ObserveWrite implements Backend.
 func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
-	rs, ws := s.slots(addr)
-	// Clear the correspondent reader set in the read signature: the write
-	// produces a new value, so earlier readers must count again (Fig. 2's
-	// communicating-access rule). Only non-empty words are stored to.
+	at := s.slot(addr) * s.stride
+	// Clear the slot's reader set: the write produces a new value, so
+	// earlier readers must count again (Fig. 2's communicating-access rule).
+	// Only non-empty words are stored to.
 	cleared := false
-	set := s.readers(rs)
-	for j, m := range set {
-		if m != 0 {
-			set[j], cleared = 0, true
+	for m := at + 2; m < at+s.stride; m += 4 {
+		if word := s.arena[m : m+4 : m+4]; binary.LittleEndian.Uint32(word) != 0 {
+			binary.LittleEndian.PutUint32(word, 0)
+			cleared = true
 		}
 	}
 	if cleared {
@@ -274,15 +252,11 @@ func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
 			p.ReaderResets.Inc()
 		}
 	}
-	s.write[ws] = uint16(tid + 1)
+	binary.LittleEndian.PutUint16(s.arena[at:at+2:at+2], uint16(tid+1))
 }
 
-// FootprintBytes implements Backend: the two arrays, a constant
-// (2 + 4·w)·Slots.
-func (s *Asymmetric) FootprintBytes() uint64 {
-	return s.opts.Slots*2 + // write array (2-byte slots; Eq. 2 prices 4)
-		uint64(len(s.masks))*4 // read arena
-}
+// FootprintBytes implements Backend: the arena, a constant (2 + 4·w)·Slots.
+func (s *Asymmetric) FootprintBytes() uint64 { return uint64(len(s.arena)) }
 
 // AllocatedFilters is always 0: the mask arena has no filters. Kept only
 // because bench/layers.go still reports it; ROADMAP item 0(d) deletes it.

@@ -1,10 +1,10 @@
 package sig
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -81,6 +81,15 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := NewBloom(Options{Slots: 10, Threads: MaxThreads + 1}, 0.001); err != nil {
 		t.Errorf("NewBloom refused t = %d: %v", MaxThreads+1, err)
+	}
+	// The weak fold is the paper layout's ablation hash: the arena refuses it
+	// and names the layout that takes it, rather than ignore the option.
+	fold := Options{Slots: 10, Threads: 4, Hash: HashFold}
+	if _, err := NewAsymmetric(fold); err == nil || !strings.Contains(err.Error(), "sig.Bloom") {
+		t.Errorf("NewAsymmetric with HashFold: err %v, want a refusal naming sig.Bloom", err)
+	}
+	if _, err := NewBloom(fold, 0.001); err != nil {
+		t.Errorf("NewBloom refused HashFold: %v", err)
 	}
 }
 
@@ -333,16 +342,20 @@ func TestBackendInterfaceCompliance(t *testing.T) {
 }
 
 func TestFusedSlotsPreserveReadMapping(t *testing.T) {
-	// The fused single-pass addressing must keep the read-slot mapping
-	// bit-identical to the historical per-array hash (HashAddr with
-	// SeedRead), and the write half must not degenerate into the read half.
-	s := newTestSig(t, 1<<16)
+	// The arena's one slot is the paper's read mapping, HashAddr with
+	// SeedRead, and so is the read half of the paper layout's fused
+	// single-pass pair, whose write half must not degenerate into it.
+	s, b := newTestSig(t, 1<<16), newBloomSig(t, 1<<16)
 	same := 0
 	for i := 0; i < 4096; i++ {
 		addr := uint64(i) * 2654435761
-		rs, ws := s.slots(addr)
-		if want := murmur.HashAddr(addr, s.opts.SeedRead) % s.opts.Slots; rs != want {
-			t.Fatalf("addr %#x: fused read slot %d, historical mapping %d", addr, rs, want)
+		want := murmur.HashAddr(addr, s.opts.SeedRead) % s.opts.Slots
+		if got := s.slot(addr); got != want {
+			t.Fatalf("addr %#x: arena slot %d, read mapping %d", addr, got, want)
+		}
+		rs, ws := b.slots(addr)
+		if rs != want {
+			t.Fatalf("addr %#x: bloom read slot %d, read mapping %d", addr, rs, want)
 		}
 		if rs == ws {
 			same++
@@ -367,8 +380,7 @@ func TestFillRatioSamplesWholeSlotRange(t *testing.T) {
 			}
 			used := map[uint64]bool{}
 			for i := uint64(0); i < 300; i++ {
-				rs, _ := s.slots(i * 8)
-				used[rs] = true
+				used[s.slot(i*8)] = true
 				for tid := 0; tid < threads; tid++ {
 					s.ObserveRead(i*8, int32(tid))
 				}
@@ -384,8 +396,8 @@ func TestFillRatioSamplesWholeSlotRange(t *testing.T) {
 	})
 }
 
-// maskModel is the naive reference for the mask arena: the same two-array
-// structure held in maps, addressed through the signature's own slots(), with
+// maskModel is the naive reference for the mask arena: each slot's last
+// writer and reader set held in maps, keyed by the signature's own slot(), with
 // bit tid%32 of word tid/32 for thread tid.
 type maskModel struct {
 	readers map[uint64][maxWords]uint32
@@ -396,36 +408,36 @@ func newMaskModel() *maskModel {
 	return &maskModel{readers: map[uint64][maxWords]uint32{}, writers: map[uint64]int32{}}
 }
 
-func (m *maskModel) read(rs, ws uint64, tid int32) (int32, bool) {
-	w, ok := m.writers[ws]
+func (m *maskModel) read(i uint64, tid int32) (int32, bool) {
+	w, ok := m.writers[i]
 	if !ok {
 		w = NoWriter
 	}
-	set := m.readers[rs]
+	set := m.readers[i]
 	word, bit := tid/32, uint32(1)<<uint(tid%32)
 	first := set[word]&bit == 0
 	set[word] |= bit
-	m.readers[rs] = set
+	m.readers[i] = set
 	return w, first
 }
 
-func (m *maskModel) write(rs, ws uint64, tid int32) {
-	delete(m.readers, rs)
-	m.writers[ws] = tid
+func (m *maskModel) write(i uint64, tid int32) {
+	delete(m.readers, i)
+	m.writers[i] = tid
 }
 
 // apply runs one operation on the arena and the model and fails on a read
 // whose verdict differs.
 func (m *maskModel) apply(t testing.TB, s *Asymmetric, write bool, addr uint64, tid int32) {
 	t.Helper()
-	rs, ws := s.slots(addr)
+	i := s.slot(addr)
 	if write {
 		s.ObserveWrite(addr, tid)
-		m.write(rs, ws, tid)
+		m.write(i, tid)
 		return
 	}
 	gw, gf := s.ObserveRead(addr, tid)
-	if ww, wf := m.read(rs, ws, tid); gw != ww || gf != wf {
+	if ww, wf := m.read(i, tid); gw != ww || gf != wf {
 		t.Fatalf("read(%#x, T%d) = (%d,%v), model (%d,%v)", addr, tid, gw, gf, ww, wf)
 	}
 }
@@ -435,27 +447,43 @@ func (m *maskModel) occupancy(slots uint64) float64 {
 	return float64(len(m.readers)) / float64(slots)
 }
 
-// checkArena holds the arena to the model word for word: slot rs's reader set
-// is masks[rs*w : rs*w+w] (masks[rs] itself at w = 1), and the footprint is
-// (2 + 4·w) bytes a slot.
+// checkArena holds the arena to the model byte for byte: slot i is the
+// 2 + 4·w bytes at offset i·(2 + 4·w), the writer's tid+1 as a little-endian
+// uint16, then the w little-endian uint32 mask words; and the footprint is
+// the arena.
 func (m *maskModel) checkArena(t testing.TB, s *Asymmetric) {
 	t.Helper()
 	slots, w := s.opts.Slots, s.words
-	if got, want := s.FootprintBytes(), slots*(2+4*w); got != want {
-		t.Errorf("FootprintBytes = %d, want %d", got, want)
+	stride := 2 + 4*w
+	if got, want := s.FootprintBytes(), slots*stride; got != want || uint64(len(s.arena)) != want {
+		t.Errorf("FootprintBytes = %d over a %d-byte arena, want %d", got, len(s.arena), want)
 	}
-	for rs := uint64(0); rs < slots; rs++ {
-		want := m.readers[rs]
-		if got := s.masks[rs*w : (rs+1)*w]; !slices.Equal(got, want[:w]) {
-			t.Fatalf("slot %d holds %x, model %x", rs, got, want[:w])
+	for i := uint64(0); i < slots; i++ {
+		slot := s.arena[i*stride : (i+1)*stride]
+		writer, ok := m.writers[i]
+		if !ok {
+			writer = NoWriter
+		}
+		if got := int32(slot[0]) | int32(slot[1])<<8; got-1 != writer {
+			t.Fatalf("slot %d holds writer %d, model %d", i, got-1, writer)
+		}
+		want := m.readers[i]
+		for j := uint64(0); j < w; j++ {
+			if got := binary.LittleEndian.Uint32(slot[2+4*j:]); got != want[j] {
+				t.Fatalf("slot %d word %d holds %x, model %x", i, j, got, want[j])
+			}
 		}
 	}
 }
 
+// modelSeeds are the read-hash seeds the reference-model wall addresses the
+// arena with: the default and a second member of the murmur family.
+var modelSeeds = []uint64{0, 0x5bd1e9955bd1e995}
+
 func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
 	for _, threads := range []int{1, 2, 31, 32, 33, 64, 65, 128, 256} {
 		for _, slots := range []uint64{1, 64, 1 << 10, 1000, 37} {
-			for _, hash := range []HashKind{HashMurmur, HashFold} {
+			for hash, seedRead := range modelSeeds {
 				// The /owned variant publishes after every operation, as an
 				// owner's batch kernel does per batch, and holds Occupancy to
 				// the model at each step; the plain one publishes at the end.
@@ -465,7 +493,7 @@ func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
 						name += "/owned"
 					}
 					t.Run(name, func(t *testing.T) {
-						s, err := NewAsymmetric(Options{Slots: slots, Threads: threads, Hash: hash})
+						s, err := NewAsymmetric(Options{Slots: slots, Threads: threads, SeedRead: seedRead})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -501,6 +529,42 @@ func TestMaskLayoutMatchesReferenceModel(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestAsymmetricIsPerfectOnSlotKey is the arena's semantics as one statement:
+// Asymmetric fed an address computes exactly what the collision-free Perfect
+// computes fed the key HashAddr(addr, SeedRead) mod n. A last writer kept
+// under any other index, or a mask word at any other offset, breaks it on
+// streams where collisions are the rule.
+func TestAsymmetricIsPerfectOnSlotKey(t *testing.T) {
+	for _, slots := range []uint64{1, 37, 1024} {
+		for _, threads := range []int{1, 32, 33, 256} {
+			t.Run(fmt.Sprintf("slots=%d/t=%d", slots, threads), func(t *testing.T) {
+				s, err := NewAsymmetric(Options{Slots: slots, Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := NewPerfect(threads)
+				rng := rand.New(rand.NewSource(int64(slots)*257 + int64(threads)))
+				for i := 0; i < 50000; i++ {
+					// ~8 addresses a slot, a third of the operations writes.
+					addr := uint64(0x9000 + 8*rng.Intn(int(8*slots)))
+					key := murmur.HashAddr(addr, s.opts.SeedRead) % slots
+					tid := int32(rng.Intn(threads))
+					if rng.Intn(3) == 0 {
+						s.ObserveWrite(addr, tid)
+						p.ObserveWrite(key, tid)
+						continue
+					}
+					gw, gf := s.ObserveRead(addr, tid)
+					if pw, pf := p.ObserveRead(key, tid); gw != pw || gf != pf {
+						t.Fatalf("op %d: read(%#x, T%d) = (%d,%v), Perfect on key %d says (%d,%v)",
+							i, addr, tid, gw, gf, key, pw, pf)
+					}
+				}
+			})
 		}
 	}
 }
@@ -550,16 +614,22 @@ func TestPow2ReductionMatchesModulo(t *testing.T) {
 			if err := opts.setDefaults(); err != nil {
 				t.Fatal(err)
 			}
-			// Bare structs: slots() touches no array, and 2^24 real slots
-			// would cost 200 MB per size.
-			and := &base{opts: opts, pow2: true, slotMask: opts.Slots - 1}
-			mod := &base{opts: opts}
+			// Bare structs: slot() and slots() touch no array, and 2^24 real
+			// slots would cost 200 MB per size.
+			and := base{opts: opts, pow2: true, slotMask: opts.Slots - 1}
+			mod := base{opts: opts}
 			for _, a := range addrs {
-				ar, aw := and.slots(a)
-				mr, mw := mod.slots(a)
+				ar, aw := (&Bloom{base: and}).slots(a)
+				mr, mw := (&Bloom{base: mod}).slots(a)
 				if ar != mr || aw != mw {
 					t.Fatalf("hash %d, 2^%d slots, addr %#x: & gives (%d,%d), %% gives (%d,%d)",
 						hash, k, a, ar, aw, mr, mw)
+				}
+				if hash != HashMurmur {
+					continue
+				}
+				if ai, mi := and.slot(a), mod.slot(a); ai != mi || ai != ar {
+					t.Fatalf("2^%d slots, addr %#x: arena slot & gives %d, %% gives %d, read mapping %d", k, a, ai, mi, ar)
 				}
 			}
 		}
@@ -597,7 +667,7 @@ func TestMaskObserveDoesNotAllocate(t *testing.T) {
 }
 
 // BenchmarkObserveRead is the miss-heavy hot-loop shape (every access a new
-// address): one fused hash pass, one write-slot load, one mask store.
+// address): one hash pass, one mask store and one writer load in one slot.
 func BenchmarkObserveRead(b *testing.B) {
 	s, _ := NewAsymmetric(Options{Slots: 1 << 20, Threads: 32})
 	b.ResetTimer()
@@ -624,8 +694,30 @@ func BenchmarkObserveWrite(b *testing.B) {
 
 // BenchmarkReaderSets prices the two reader-set layouts beyond one mask word:
 // the arena at w = ⌈t/32⌉ against the paper's per-slot bloom filters at the
-// same t, over a read-mostly stream on 2^16 addresses in 2^20 slots.
+// same t, over a read-mostly stream on 2^16 addresses in 2^20 slots. Its
+// spread case is the arena alone at t = 32 on bench/'s synth-spread shape:
+// 2^22 random accesses over twice as many granules as slots, 20 % writes,
+// so nearly every access lands on a slot no cache holds.
 func BenchmarkReaderSets(b *testing.B) {
+	b.Run("spread/t=32/mask", func(b *testing.B) {
+		const slots, n = 1 << 20, 1 << 22
+		rng := rand.New(rand.NewSource(1))
+		addrs := make([]uint64, n)
+		for i := range addrs {
+			addrs[i] = uint64(rng.Intn(2*slots)) * 8
+		}
+		s, _ := NewAsymmetric(Options{Slots: slots, Threads: 32})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			addr, tid := addrs[i&(n-1)], int32(i&31)
+			if i%5 == 0 {
+				s.ObserveWrite(addr, tid)
+			} else {
+				s.ObserveRead(addr, tid)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
+	})
 	for _, threads := range []int{33, 128, 256} {
 		for _, layout := range []string{"mask", "bloom"} {
 			b.Run(fmt.Sprintf("t=%d/%s", threads, layout), func(b *testing.B) {
