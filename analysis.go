@@ -2,7 +2,6 @@ package commprof
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,12 +38,10 @@ type analysis struct {
 
 	// quantum buffers an in-thread engine source's accesses — what passed the
 	// record tap and the sampling gate, in issue order — for the detector's
-	// batch kernel: handed to quantumTo when full and in finish. Under
-	// Options.Parallel the program's threads share it, and quantumMu orders
-	// their appends and flushes, so the detector has one caller at a time.
+	// batch kernel: handed to quantumTo when full and in finish. The
+	// scheduler's turn makes the probe its one caller.
 	quantum   []trace.Access
 	quantumTo *pipeline.Producer
-	quantumMu sync.Mutex
 }
 
 // quantumLen is the in-thread buffer's capacity in accesses (32 KB); live
@@ -113,24 +110,18 @@ func (an *analysis) producer(flushOnThreadSwitch bool) *pipeline.Producer {
 	return p
 }
 
-// probe returns the per-access hook a simulated-thread engine drives.
-// In-thread, accesses collect in the quantum buffer and reach the detector a
-// batch at a time: the deterministic scheduler's one serialized probe is a
-// single caller, and under the parallel scheduler the threads take quantumMu
-// around each append, so the detector sees them in lock order, one caller at
-// a time. Sharded, producer-side staging amortises shard-queue locking: under
-// the parallel scheduler each thread produces only its own accesses, so a
-// per-thread producer is contention-free (staging merely widens the
-// enqueue-order race the mode already accepts); the deterministic scheduler's
-// single producer is flushed on thread switches (= quantum boundaries), which
-// preserves the exact global arrival order. tap, when non-nil, encodes every
-// access in front of the sampling gate.
+// probe returns the per-access hook a simulated-thread engine drives; the
+// scheduler's turn makes it a single caller. In-thread, accesses collect in
+// the quantum buffer and reach the detector a batch at a time. Sharded,
+// producer-side staging amortises shard-queue locking: the one producer is
+// flushed on thread switches (= quantum boundaries), which preserves the
+// exact global arrival order. tap, when non-nil, encodes every access in
+// front of the sampling gate.
 func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
 	var process exec.Probe
-	switch {
-	case an.pe.Shards() == 0:
+	if an.pe.Shards() == 0 {
 		an.quantum, an.quantumTo = make([]trace.Access, 0, quantumLen), an.producer(false)
-		stage := func(a trace.Access) {
+		process = func(a trace.Access) {
 			n := len(an.quantum)
 			an.quantum = an.quantum[:n+1] // flushed at capacity
 			q := &an.quantum[n]
@@ -139,21 +130,7 @@ func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
 				an.flushQuantum()
 			}
 		}
-		process = stage
-		if an.opts.Parallel {
-			process = func(a trace.Access) {
-				an.quantumMu.Lock()
-				stage(a)
-				an.quantumMu.Unlock()
-			}
-		}
-	case an.opts.Parallel:
-		producers := make([]*pipeline.Producer, an.threads)
-		for i := range producers {
-			producers[i] = an.producer(false)
-		}
-		process = func(a trace.Access) { producers[a.Thread].Process(a) }
-	default:
+	} else {
 		process = an.producer(true).Process
 	}
 	if an.gate == nil && tap == nil {
@@ -290,7 +267,7 @@ type engineSource struct {
 	// source; it ends once the analyser is wired and the run can start.
 	setup *obs.SpanHandle
 	// tap, when non-nil, is written every access the program issues, in issue
-	// order (Record's encoder). It needs the deterministic scheduler.
+	// order (Record's encoder).
 	tap *trace.Encoder
 }
 
@@ -303,8 +280,7 @@ func profileEngine(opts Options, src engineSource) (*Report, error) {
 	}
 	defer an.pe.Close()
 	eng := exec.New(exec.Options{
-		Threads: src.threads, Probe: an.probe(src.tap), Parallel: opts.Parallel,
-		Probes: an.tel.Probes().Engine,
+		Threads: src.threads, Probe: an.probe(src.tap), Probes: an.tel.Probes().Engine,
 	})
 	an.wire(eng)
 	src.setup.End()

@@ -11,7 +11,7 @@
 //	commprof -app ocean_cp -shards 8 -shard-queue 1024
 //	commprof -app fft -shards 4 -phases 5000 -telemetry-addr :9090
 //	commprof -app radix -record radix.trace
-//	commprof -replay radix.trace -threads 32
+//	commprof -replay radix.trace
 package main
 
 import (
@@ -46,10 +46,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		replay   = fs.String("replay", "", "analyse a recorded trace file instead of running a benchmark")
 	)
 	fs.StringVar(&opts.Workload, "app", "", "benchmark to profile (see -list)")
-	fs.IntVar(&opts.Threads, "threads", 32, "simulated thread count")
+	fs.IntVar(&opts.Threads, "threads", 0, "simulated thread count (0: 32 under -app, the trace's declared count under -replay)")
 	fs.StringVar(&opts.InputSize, "size", "simdev", "input size: simdev, simsmall or simlarge")
 	fs.Int64Var(&opts.Seed, "seed", 42, "workload random seed")
-	fs.BoolVar(&opts.Parallel, "parallel", false, "run threads as free goroutines (non-deterministic); without -shards they take turns at the in-thread analyser under one lock")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -62,8 +62,9 @@ func TestUnknownApp(t *testing.T) {
 func TestBadFlag(t *testing.T) {
 	// -fpr set the per-slot bloom filters' rate; the reader sets are exact
 	// masks and it no longer parses. -coalesce switched a MiniPar pass no
-	// commprof run goes through, so it is not defined either.
-	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-app", "fft", "-fpr", "0.01"}, {"-app", "fft", "-coalesce=false"}} {
+	// commprof run goes through, so it is not defined either, nor is
+	// -parallel: the engine has one scheduler.
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-app", "fft", "-fpr", "0.01"}, {"-app", "fft", "-coalesce=false"}, {"-app", "fft", "-parallel"}} {
 		if code, _, _ := runCLI(t, args...); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
@@ -124,6 +125,22 @@ func TestRecordAndReplay(t *testing.T) {
 	}
 	if depLine(out1) == "" || depLine(out1) != depLine(out2) {
 		t.Fatalf("replay diverged:\n%q\n%q", depLine(out1), depLine(out2))
+	}
+}
+
+// TestReplayReadsTraceThreads: without -threads, -replay analyses the
+// trace's declared thread count, not the -app default of 32.
+func TestReplayReadsTraceThreads(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "fft.trace")
+	if code, _, errOut := runCLI(t, "-app", "fft", "-threads", "8", "-record", tracePath); code != 0 {
+		t.Fatalf("record exit %d: %s", code, errOut)
+	}
+	code, out, errOut := runCLI(t, "-replay", tracePath)
+	if code != 0 {
+		t.Fatalf("replay exit %d: %s", code, errOut)
+	}
+	if !strings.Contains(out, ": 8 threads,") {
+		t.Fatalf("replay without -threads does not report the trace's 8 threads:\n%s", out)
 	}
 }
 

@@ -61,16 +61,6 @@ type Options struct {
 	// in-thread analyser builds. The timeline classifies with the shipped
 	// default model (NewPatternClassifier(0)) whatever Seed is.
 	PhaseWindow uint64
-	// Parallel runs threads as free goroutines instead of the deterministic
-	// round-robin scheduler. Results remain correct but are no longer
-	// bit-reproducible across runs. With in-thread analysis (AnalysisShards
-	// 0) the threads share one buffer of accesses under a lock, so the
-	// detector still has one caller at a time and every other option
-	// composes as in a deterministic run; the analysis is then serialised,
-	// so AnalysisShards ≥ 1 is how a parallel run gets analysis off the
-	// program's threads. Record always runs the
-	// deterministic scheduler (a trace needs one temporal order).
-	Parallel bool
 	// SamplePeriod enables read sampling (the paper's §VII
 	// overhead-reduction outlook): of every SamplePeriod reads per thread,
 	// the first is analysed; writes are always analysed. Zero disables
@@ -132,8 +122,8 @@ type Options struct {
 	// on the asymmetric signature; Report.Redundancy carries the hit-rate
 	// telemetry. 10–14 bits (a cache that fits in L1/L2) is the sweet spot.
 	// The cache has a single consumer: in-thread that is the detector's one
-	// caller (the engine's probe, serialised under Parallel, or the replay
-	// loop), sharded each worker owns a private one.
+	// caller (the engine's probe, which the scheduler's turn serialises, or
+	// the replay loop), sharded each worker owns a private one.
 	RedundancyCacheBits uint
 	// AccuracyTargetFPR, when positive (and < 1), enables the online
 	// signature-accuracy monitor: a deterministically hash-selected

@@ -60,16 +60,6 @@ func TestProfileWithPhases(t *testing.T) {
 	}
 }
 
-func TestProfileParallelMode(t *testing.T) {
-	rep, err := Profile(Options{Workload: "fft", Threads: 8, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Dependencies == 0 {
-		t.Fatal("parallel mode detected nothing")
-	}
-}
-
 func TestWorkloadsList(t *testing.T) {
 	if got := len(Workloads()); got != 14 {
 		t.Fatalf("Workloads() = %d entries", got)

@@ -29,7 +29,7 @@ func parseAnalyserFlags(args ...string) (Options, *flag.FlagSet, error) {
 // run would honour is refused by the table, for flags and environment alike.
 func TestFlagsCoverOptions(t *testing.T) {
 	perFrontend := map[string]bool{
-		"Workload": true, "Threads": true, "InputSize": true, "Seed": true, "Parallel": true,
+		"Workload": true, "Threads": true, "InputSize": true, "Seed": true,
 		"DisableCoalesce": true, "MaxHotspots": true, "Telemetry": true,
 	}
 	// A non-default value per flag. -accuracy-bits also switches the monitor

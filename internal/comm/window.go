@@ -238,12 +238,12 @@ func (ws *WindowSet) Equal(other *WindowSet) bool {
 // merges the drained partials into one done-set, and emits each newly
 // completed window exactly once, in increasing Start order.
 //
-// A window that reappears after its emission — possible only when per-source
-// event order is not monotone in time, i.e. the parallel engine mode, where
-// clock stamping and enqueueing are not jointly atomic — is still merged
-// into the done-set (the final timeline is recomputed from complete merged
-// windows) but is counted late rather than re-emitted, so a live consumer's
-// window sequence stays ordered and duplicate-free.
+// Every feed is time-ordered per source, so no window reappears after its
+// emission. One that does (per-source event order not monotone in time) is
+// still merged into the done-set (the final timeline is recomputed from
+// complete merged windows) but is counted late rather than re-emitted, so a
+// live consumer's window sequence stays ordered and duplicate-free; Late is
+// the tripwire for the invariant.
 type WindowCloser struct {
 	mu      sync.Mutex
 	done    *WindowSet
@@ -312,8 +312,8 @@ func (c *WindowCloser) Closed() uint64 {
 }
 
 // Late returns the number of drained partial windows that arrived after
-// their window had already been emitted (possible only under non-monotone
-// per-source event order, i.e. parallel engine mode).
+// their window had already been emitted: 0 while every source's event order
+// is monotone in time, as every feed's is.
 func (c *WindowCloser) Late() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -482,8 +482,8 @@ func plantedMaterialise(s *trace.Stream, a trace.Access) { s.Accesses = append(s
 	{
 		// The sharded engine has one overload behaviour (backpressure) and one
 		// hand-off (buffers over a channel). sync.Cond is the deleted ring's
-		// signature, so it is looked for in internal/pipeline only:
-		// internal/exec's barrier uses one legitimately.
+		// signature, so it is looked for in internal/pipeline here (the
+		// second-scheduler rule looks for it in internal/exec).
 		name: "an overload policy or a hand-rolled ring is back",
 		check: func(m *module) (out findings) {
 			m.each(scope{}, func(p *pkg, f *file) {
@@ -623,8 +623,8 @@ var plantedSize = unsafe.Sizeof(Asymmetric{})
 `},
 	},
 	{
-		// Every detector has one owner, one caller at a time (DESIGN §5); under
-		// Options.Parallel the facade serialises the program's threads itself.
+		// Every detector has one owner, one caller at a time (DESIGN §5); on
+		// the engine the scheduler's turn serialises the program's threads.
 		// So no ownership option comes back (detect's SingleOwner,
 		// pipeline.Options' Concurrent), nor an owned-only matrix add, an Own
 		// switch on the signature, the mask arena's CAS loop or an atomic
@@ -730,6 +730,52 @@ import "commprof/internal/trace"
 
 func plantedStage(buf []trace.Access, a trace.Access) []trace.Access { return append(buf, a) }
 `},
+	},
+	{
+		// The engine has one scheduler, the deterministic turn hand-off (DESIGN
+		// §5, "The batch kernel and who owns it"): no option or flag runs the threads as free goroutines again,
+		// and internal/exec builds no condition-variable barrier for them.
+		// Real concurrency has its own frontend (commprof/probe). MiniPar's
+		// parfor (minipar.ForStmt.Parallel) is a loop kind, not a scheduler.
+		name: "a second scheduler is back",
+		check: func(m *module) (out findings) {
+			for _, c := range []struct{ dir, typ string }{{".", "Options"}, {"internal/exec", "Options"}} {
+				p := m.pkgs[importPath(c.dir)]
+				obj := p.types.Scope().Lookup(c.typ)
+				if member, _, _ := types.LookupFieldOrMethod(types.NewPointer(obj.Type()), true, p.types, "Parallel"); member != nil {
+					out.add(m, member.Pos(), "%s.%s has Parallel", p.types.Name(), c.typ)
+				}
+			}
+			m.each(scope{tests: true, dirs: []string{"cmd"}}, func(p *pkg, f *file) {
+				out.flags(m, p, f, "parallel")
+			})
+			m.each(scope{tests: true, dirs: []string{"internal/exec"}}, func(p *pkg, f *file) {
+				if f.test {
+					out.idents(m, f, "NewCond")
+				} else {
+					out.uses(m, p, f, "sync", "Cond", "NewCond")
+				}
+			})
+			return out
+		},
+		plant: map[string]string{
+			"planted.go": `package commprof
+
+func (o Options) Parallel() bool { return false }
+`,
+			"cmd/commprof/planted_test.go": `package main
+
+import "flag"
+
+func plantedParallel(fs *flag.FlagSet) *bool { return fs.Bool("parallel", false, "free goroutines") }
+`,
+			"internal/exec/planted.go": `package exec
+
+import "sync"
+
+type plantedBarrier struct{ cond *sync.Cond }
+`,
+		},
 	},
 }
 

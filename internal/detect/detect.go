@@ -96,9 +96,8 @@ type Options struct {
 
 // Detector consumes accesses in temporal order and accumulates communication
 // matrices. It has one caller at a time, each call ordered after the last by
-// a happens-before edge (a shard worker; a replay loop; the deterministic
-// executor, whose threads hand the turn over a channel; the parallel
-// executor's threads, which take a lock), and it touches its matrices,
+// a happens-before edge (a shard worker; a replay loop; the executor, whose
+// threads hand the turn over a channel), and it touches its matrices,
 // backend, cache and monitor without atomics. Only Stats, RedundancyStats and
 // the backend's Occupancy may be read from elsewhere before that caller is
 // done. Those are published once per ProcessBatch, so mid-run they trail by at

@@ -18,8 +18,8 @@ import (
 // record and reader-set invalidation, turning undersampling into wrong
 // attribution rather than mere volume loss.
 //
-// Each phase counter is only ever advanced by its own thread, so a Gate is
-// safe in parallel engine mode without atomics.
+// A Gate sits on the analyser's one time-ordered feed (the executor's turn,
+// a replay loop), so it has one caller at a time and needs no atomics.
 type Gate struct {
 	period uint32
 	// Per-thread read counters; sized at construction.

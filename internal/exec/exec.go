@@ -1,46 +1,38 @@
 // Package exec runs workloads on simulated shared-memory threads and fires
 // the instrumentation probe on every memory access.
 //
-// Two modes are provided:
-//
-//   - Deterministic (default): threads execute cooperatively under a strict
-//     round-robin scheduler with a configurable access quantum, so every run
-//     produces the identical temporal access order. This supplies Algorithm
-//     1's requirement that accesses be processed in temporal order, and makes
-//     all experiments reproducible.
-//
-//   - Parallel: threads run as free goroutines and the probe is invoked
-//     concurrently, so the analysis runs in the program's own threads as the
-//     paper describes ("we use the same threads in the program ... without
-//     any need to any extra threads", §IV-D3); the probe serialises what it
-//     must.
+// Threads execute cooperatively under a strict round-robin scheduler with a
+// configurable access quantum: each thread is a goroutine, and the turn
+// passes from one to the next over a channel, so exactly one runs at a time
+// and every run produces the identical temporal access order on any number
+// of cores. This supplies Algorithm 1's requirement that accesses be
+// processed in temporal order, and makes all experiments reproducible.
 //
 // The engine substitutes for native pthread execution of the paper's testbed;
 // communication-matrix shape depends only on which threads touch which
-// addresses and in what order, which both modes preserve (the deterministic
-// mode fixes one valid interleaving).
+// addresses and in what order, and the scheduler fixes one valid
+// interleaving. Real concurrent programs reach the analyser through the
+// commprof/probe runtime instead, which merges their goroutines into one
+// time-ordered stream.
 package exec
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"commprof/internal/obs"
 	"commprof/internal/trace"
 )
 
-// Probe receives every instrumented access. In parallel mode it must be safe
-// for concurrent use.
+// Probe receives every instrumented access, from one thread at a time.
 type Probe func(a trace.Access)
 
 // Options configures an Engine.
 type Options struct {
-	Threads  int   // number of simulated threads (>=1)
-	Quantum  int   // deterministic mode: accesses per scheduling turn; default 64
-	Parallel bool  // run threads as free goroutines instead of round-robin
-	Probe    Probe // may be nil (uninstrumented "native" run)
+	Threads int   // number of simulated threads (>=1)
+	Quantum int   // accesses per scheduling turn; default 64
+	Probe   Probe // may be nil (uninstrumented "native" run)
 	// Probes, when non-nil, receives scheduler telemetry (quantum switches,
 	// barrier/lock wait episodes). Nil keeps the uninstrumented path
 	// allocation-free at the cost of one nil check per hook site.
@@ -71,27 +63,21 @@ const (
 type Engine struct {
 	opts Options
 
-	// clock is the logical time: parallel mode advances it; deterministic
-	// mode advances now and publishes it here (Thread.publish).
+	// clock is the logical time for live readers: the thread holding the
+	// turn advances now and publishes it here (Thread.publish).
 	clock atomic.Uint64
 
 	// threads is allocated at New (not Run) so live-introspection readers
 	// can snapshot per-thread progress without racing on the slice itself.
 	threads []*Thread
 
-	// Deterministic-mode scheduler state, owned by whichever goroutine holds
-	// the turn: the channel send that passes the turn orders every access.
+	// Scheduler state, owned by whichever goroutine holds the turn: the channel send that passes the turn orders every access.
 	now           uint64
 	cursor        int // next thread to consider in the current round
 	live, parked  int // threads not yet done; threads waiting at the barrier
 	done          chan struct{}
 	locks         map[int]int32 // lock id -> holding thread, absent/-1 when free
 	barrierEpochs atomic.Uint64
-
-	// Parallel-mode state.
-	parMu      sync.Mutex
-	parLocks   map[int]*sync.Mutex
-	parBarrier *barrier
 
 	ran bool
 	err error
@@ -107,22 +93,13 @@ func New(opts Options) *Engine {
 		opts.Quantum = 64
 	}
 	e := &Engine{
-		opts:     opts,
-		done:     make(chan struct{}),
-		locks:    map[int]int32{},
-		parLocks: map[int]*sync.Mutex{},
+		opts:  opts,
+		done:  make(chan struct{}),
+		locks: map[int]int32{},
 	}
 	e.threads = make([]*Thread, opts.Threads)
 	for i := range e.threads {
-		e.threads[i] = &Thread{
-			id:       int32(i),
-			eng:      e,
-			resume:   make(chan struct{}),
-			parallel: opts.Parallel,
-		}
-	}
-	if opts.Parallel {
-		e.parBarrier = newBarrier(opts.Threads)
+		e.threads[i] = &Thread{id: int32(i), eng: e, resume: make(chan struct{})}
 	}
 	return e
 }
@@ -140,13 +117,6 @@ func (e *Engine) Run(body func(t *Thread)) (Stats, error) {
 		return Stats{}, errors.New("exec: engine already ran")
 	}
 	e.ran = true
-	if e.opts.Parallel {
-		return e.runParallel(body)
-	}
-	return e.runDeterministic(body)
-}
-
-func (e *Engine) runDeterministic(body func(t *Thread)) (Stats, error) {
 	e.live = len(e.threads)
 	for _, t := range e.threads {
 		go t.main(body)
@@ -229,29 +199,6 @@ func (e *Engine) collectStats() Stats {
 	return s
 }
 
-func (e *Engine) runParallel(body func(t *Thread)) (Stats, error) {
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	for _, t := range e.threads {
-		t := t
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer t.publish()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { e.err = fmt.Errorf("exec: thread %d panicked: %v", t.id, r) })
-					// Unblock peers that might wait at a barrier forever.
-					e.parBarrier.abort()
-				}
-			}()
-			body(t)
-		}()
-	}
-	wg.Wait()
-	return e.collectStats(), e.err
-}
-
 // ThreadProgress snapshots each thread's instrumented access count. Safe to
 // call while a run is in flight (trailing by up to a quantum) — this is the
 // per-thread progress feed of the live /progress endpoint.
@@ -264,56 +211,4 @@ func (e *Engine) ThreadProgress() []uint64 {
 }
 
 // BarrierEpochs reports completed barrier episodes so far; safe mid-run.
-func (e *Engine) BarrierEpochs() uint64 {
-	if e.opts.Parallel {
-		return e.parBarrier.epochs.Load()
-	}
-	return e.barrierEpochs.Load()
-}
-
-// barrier is a reusable counting barrier for parallel mode.
-type barrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	count  int
-	epoch  uint64
-	broken bool
-	epochs atomic.Uint64
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.broken {
-		panic("exec: barrier broken by peer panic")
-	}
-	epoch := b.epoch
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.epoch++
-		b.epochs.Add(1)
-		b.cond.Broadcast()
-		return
-	}
-	for b.epoch == epoch && !b.broken {
-		b.cond.Wait()
-	}
-	if b.broken {
-		panic("exec: barrier broken by peer panic")
-	}
-}
-
-func (b *barrier) abort() {
-	b.mu.Lock()
-	b.broken = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
+func (e *Engine) BarrierEpochs() uint64 { return e.barrierEpochs.Load() }

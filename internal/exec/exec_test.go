@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -37,7 +36,7 @@ func TestDeterministicRunBasics(t *testing.T) {
 		t.Fatalf("probe saw %d accesses", len(got))
 	}
 	// Logical times must be strictly increasing in probe order
-	// (deterministic mode runs one thread at a time).
+	// (the scheduler runs one thread at a time).
 	for i := 1; i < len(got); i++ {
 		if got[i].Time <= got[i-1].Time {
 			t.Fatalf("time not increasing at %d: %d then %d", i, got[i-1].Time, got[i].Time)
@@ -275,64 +274,6 @@ func TestInvalidThreadCountPanics(t *testing.T) {
 		}
 	}()
 	New(Options{Threads: 0})
-}
-
-func TestParallelModeRuns(t *testing.T) {
-	var mu sync.Mutex
-	var count int
-	e := New(Options{Threads: 8, Parallel: true, Probe: func(a trace.Access) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	}})
-	stats, err := e.Run(func(th *Thread) {
-		for i := 0; i < 100; i++ {
-			th.Write(uint64(0x9000+int(th.ID())*1024+i*8), 8)
-		}
-		th.Barrier()
-		for i := 0; i < 100; i++ {
-			th.Read(uint64(0x9000+((int(th.ID())+1)%8)*1024+i*8), 8)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if count != 1600 || stats.Accesses != 1600 {
-		t.Fatalf("count=%d stats=%+v", count, stats)
-	}
-	if stats.Barriers != 1 {
-		t.Fatalf("Barriers = %d", stats.Barriers)
-	}
-}
-
-func TestParallelLocks(t *testing.T) {
-	counter := 0
-	e := New(Options{Threads: 8, Parallel: true})
-	if _, err := e.Run(func(th *Thread) {
-		for i := 0; i < 1000; i++ {
-			th.Acquire(1)
-			counter++
-			th.Release(1)
-		}
-	}); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if counter != 8000 {
-		t.Fatalf("counter = %d", counter)
-	}
-}
-
-func TestParallelPanicPropagates(t *testing.T) {
-	e := New(Options{Threads: 4, Parallel: true})
-	_, err := e.Run(func(th *Thread) {
-		if th.ID() == 2 {
-			panic("kaput")
-		}
-		th.Barrier() // would hang forever if abort did not break the barrier
-	})
-	if err == nil {
-		t.Fatal("expected error from panicking parallel thread")
-	}
 }
 
 func TestWorkAdvancesClock(t *testing.T) {

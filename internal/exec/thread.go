@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"commprof/internal/trace"
@@ -26,14 +25,12 @@ type Thread struct {
 	work     uint64
 	progress atomic.Uint64
 
-	// Scheduling (budget paces parallel mode's publication too).
+	// Scheduling.
 	resume   chan struct{}
 	state    threadState
 	waitLock int
 	budget   int
 	aborted  bool
-
-	parallel bool
 
 	// spin is the state of the simulated-computation PRNG; burning cycles in
 	// Work gives the uninstrumented "native" run a real, measurable cost so
@@ -44,8 +41,8 @@ type Thread struct {
 // ID returns the thread's index in [0, Threads).
 func (t *Thread) ID() int32 { return t.id }
 
-// main drives a deterministic-mode thread: wait for the first turn, run the
-// body, then pass the turn on (back to Run if the scheduler aborted it).
+// main drives a thread: wait for the first turn, run the body, then pass the
+// turn on (back to Run if the scheduler aborted it).
 func (t *Thread) main(body func(*Thread)) {
 	<-t.resume
 	func() {
@@ -82,39 +79,25 @@ func (t *Thread) yield() {
 	}
 }
 
-// publish stores the counts live readers poll: this thread's accesses and,
-// in deterministic mode, the logical clock.
+// publish stores the counts live readers poll: this thread's accesses and
+// the logical clock.
 func (t *Thread) publish() {
 	t.progress.Store(t.accesses)
-	if !t.parallel {
-		t.eng.clock.Store(t.eng.now)
-	}
+	t.eng.clock.Store(t.eng.now)
 }
 
-// tick advances the logical clock by n; only parallel mode needs an atomic.
+// tick advances the logical clock by n; the turn orders it, no atomic needed.
 func (t *Thread) tick(n uint64) uint64 {
-	if t.parallel {
-		return t.eng.clock.Add(n)
-	}
 	t.eng.now += n
 	return t.eng.now
 }
 
 // afterStep accounts n scheduling units after an access (and its probe) have
-// fully completed; at the quantum's end it publishes or yields. Yield must
-// come last: preempting between the clock tick and the probe would let other
-// threads emit newer timestamps first, breaking temporal order.
+// fully completed; at the quantum's end it yields. Yield must come last:
+// preempting between the clock tick and the probe would let other threads
+// emit newer timestamps first, breaking temporal order.
 func (t *Thread) afterStep(n int) {
 	if t.budget -= n; t.budget <= 0 {
-		t.endQuantum()
-	}
-}
-
-func (t *Thread) endQuantum() {
-	if t.parallel {
-		t.publish()
-		t.budget = t.eng.opts.Quantum
-	} else {
 		t.state = stRunnable
 		t.yield()
 	}
@@ -195,10 +178,6 @@ func (t *Thread) Barrier() {
 	if p := t.eng.opts.Probes; p != nil {
 		p.BarrierWaits.Inc()
 	}
-	if t.parallel {
-		t.eng.parBarrier.wait()
-		return
-	}
 	t.state = stBarrier
 	t.eng.parked++
 	t.yield()
@@ -207,23 +186,6 @@ func (t *Thread) Barrier() {
 // Acquire takes the mutex identified by lock, blocking while it is held by
 // another thread. Locks are plain integers so workloads need no setup.
 func (t *Thread) Acquire(lock int) {
-	if t.parallel {
-		t.eng.parMu.Lock()
-		m, ok := t.eng.parLocks[lock]
-		if !ok {
-			m = new(sync.Mutex)
-			t.eng.parLocks[lock] = m
-		}
-		t.eng.parMu.Unlock()
-		if m.TryLock() {
-			return
-		}
-		if p := t.eng.opts.Probes; p != nil {
-			p.LockWaits.Inc()
-		}
-		m.Lock()
-		return
-	}
 	for {
 		holder, held := t.eng.locks[lock]
 		if !held || holder == -1 {
@@ -245,16 +207,6 @@ func (t *Thread) Acquire(lock int) {
 // Release frees the mutex identified by lock. It panics if the caller does
 // not hold it (a workload bug).
 func (t *Thread) Release(lock int) {
-	if t.parallel {
-		t.eng.parMu.Lock()
-		m := t.eng.parLocks[lock]
-		t.eng.parMu.Unlock()
-		if m == nil {
-			panic(fmt.Sprintf("exec: thread %d released unknown lock %d", t.id, lock))
-		}
-		m.Unlock()
-		return
-	}
 	if holder, held := t.eng.locks[lock]; !held || holder != t.id {
 		panic(fmt.Sprintf("exec: thread %d released lock %d it does not hold", t.id, lock))
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"commprof/internal/exec"
 	"commprof/internal/ir"
@@ -43,9 +42,9 @@ type Runtime struct {
 	nthreads int
 
 	// regionElided counts elided-probe executions per static region, indexed
-	// by region ID + 1 so trace.NoRegion (-1) lands in slot 0. Atomic so the
-	// parallel engine mode can bump them concurrently.
-	regionElided []atomic.Uint64
+	// by region ID + 1 so trace.NoRegion (-1) lands in slot 0. The engine's
+	// turn orders every bump, and they are read once the run is over.
+	regionElided []uint64
 
 	// onceIdx, parallel to mod.Funcs, maps a loop anchor pc (its
 	// OpRegionEnter) to the pcs of the probes anchored there; nil for
@@ -84,14 +83,14 @@ func New(mod *ir.Module) (*Runtime, error) {
 			}
 		}
 	}
-	r.regionElided = make([]atomic.Uint64, maxRegion+2)
+	r.regionElided = make([]uint64, maxRegion+2)
 	return r, nil
 }
 
 // countElided attributes one elided-probe execution to region.
 func (r *Runtime) countElided(region int32) {
 	if i := int(region) + 1; i >= 0 && i < len(r.regionElided) {
-		r.regionElided[i].Add(1)
+		r.regionElided[i]++
 	}
 }
 
@@ -99,8 +98,8 @@ func (r *Runtime) countElided(region int32) {
 // static region ID (only regions with a non-zero count appear).
 func (r *Runtime) ElidedByRegion() map[int32]uint64 {
 	out := map[int32]uint64{}
-	for i := range r.regionElided {
-		if n := r.regionElided[i].Load(); n > 0 {
+	for i, n := range r.regionElided {
+		if n > 0 {
 			out[int32(i)-1] = n
 		}
 	}

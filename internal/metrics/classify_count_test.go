@@ -165,8 +165,8 @@ func TestSnapshotClassifiesOutsideLock(t *testing.T) {
 	}
 }
 
-// TestLiveTimelineReclassifiesChangedWindows covers the parallel engine's
-// late partials: a window that gained events after its emission, and one that
+// TestLiveTimelineReclassifiesChangedWindows covers late partials, which no
+// time-ordered feed produces but the closer still handles: a window that gained events after its emission, and one that
 // was never emitted, are classified afresh — the live Timeline still equals
 // BuildTimeline over the final set — while a Snapshot keeps describing the
 // loop window it was handed, not the closer's since-merged one.

@@ -88,10 +88,10 @@ type PhaseProbes struct {
 	// consecutive closed windows.
 	Transitions *Counter
 	// LateWindows counts shard window partials that surfaced after their
-	// window had already been emitted live (possible only in parallel engine
-	// mode, where per-shard arrival order is not monotone in event time; the
-	// final report timeline is recomputed from complete merged windows and is
-	// unaffected).
+	// window had already been emitted live. Every feed is time-ordered per
+	// shard, so it reads 0: it stays as the tripwire for that invariant (the
+	// final report timeline is recomputed from complete merged windows and
+	// would be unaffected).
 	LateWindows *Counter
 }
 

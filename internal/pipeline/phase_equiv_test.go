@@ -114,8 +114,8 @@ func TestPhaseIdentityAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestPhaseWindowsParallelProducersComplete pins the weaker parallel-mode
-// guarantee: with concurrent producers (arrival order racy, so live windows
+// TestPhaseWindowsParallelProducersComplete pins the multi-producer API's
+// weaker guarantee: with concurrent producers (arrival order racy, so live windows
 // may close early and partials may surface late), the final merged window
 // set still accounts for every detected byte — late partials are merged,
 // never dropped.

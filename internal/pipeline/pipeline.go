@@ -211,8 +211,8 @@ type shard struct {
 	// producers to pick up; neither side ever blocks on it. It has room for
 	// everything one producer keeps in circulation — the queue's buffers plus
 	// the one a blocked sender has let go of — so a replay allocates nothing
-	// in steady state; many parallel producers stalling at once can overflow
-	// it, and the surplus goes to the GC.
+	// in steady state; many concurrent producers stalling at once can
+	// overflow it, and the surplus goes to the GC.
 	full chan []trace.Access
 	free chan []trace.Access
 
@@ -245,8 +245,9 @@ func (s *shard) Depth() int { return int(max(s.depth.Load(), 0)) }
 // worker catches up — backpressure, the engine's one overload behaviour.
 // Once the engine is closed the accesses are ignored instead. The next
 // buffer comes from the free list when it has one and is allocated otherwise:
-// waiting for one could deadlock, because every producer parked at a barrier
-// (Options.Parallel in the facade) keeps a partly filled buffer.
+// waiting for one would stall the producer behind the worker, and with
+// several producers it could deadlock, because a producer blocked elsewhere
+// keeps its partly filled buffers out of circulation.
 func (e *Engine) handOff(i int, buf []trace.Access) []trace.Access {
 	s, p := e.shards[i], e.opts.Probes.Pipeline
 	select {
@@ -274,14 +275,10 @@ func (e *Engine) handOff(i int, buf []trace.Access) []trace.Access {
 			s.stages.QueueWait.Observe(uint64(time.Since(t0)))
 		}
 	}
-	// Several producers may hand over to one shard in parallel engine mode,
-	// hence the CAS loop on the peak.
-	depth := s.depth.Add(int64(n))
-	for {
-		peak := s.peak.Load()
-		if depth <= peak || s.peak.CompareAndSwap(peak, depth) {
-			break
-		}
+	// Every facade source has one producer, so a load and a store keep the
+	// peak; concurrent producers (the multi-producer API) may under-report it.
+	if depth := s.depth.Add(int64(n)); depth > s.peak.Load() {
+		s.peak.Store(depth)
 	}
 	if p != nil {
 		p.Enqueued.Add(uint64(n))
@@ -523,7 +520,7 @@ func (e *Engine) route(addr uint64) int {
 // accesses accumulate in one private buffer per shard, and a buffer is handed
 // to its shard's worker whole once it holds Engine.BatchSize accesses. A
 // Producer is not safe for concurrent use — give each producing goroutine its
-// own (its buffers are private, so parallel producers never contend on
+// own (its buffers are private, so concurrent producers never contend on
 // staging). Call Flush before Close to push out any staged remainder.
 //
 // Staged accesses are invisible to shard workers until a flush, so a
@@ -560,10 +557,10 @@ type Producer struct {
 }
 
 // NewProducer returns a staging handle for one producing goroutine.
-// flushOnThreadSwitch selects the deterministic-scheduler mode described on
-// Producer; leave it false when every access the handle sees comes from one
-// thread (parallel engine mode) or when stream order alone fixes per-shard
-// order (single-producer replay).
+// flushOnThreadSwitch selects the scheduler mode described on Producer, for
+// a handle that carries every simulated thread's accesses; leave it false
+// when stream order alone fixes per-shard order (replay, the real-Go probe's
+// merged stream) or when every access the handle sees comes from one thread.
 func (e *Engine) NewProducer(flushOnThreadSwitch bool) *Producer {
 	if e.inThread != nil {
 		return &Producer{e: e}
@@ -774,11 +771,11 @@ func (e *Engine) advancePhasesAt(frontier uint64) int {
 // periodically; Close runs a final exhaustive advance. Safe from any
 // goroutine while the run is in flight; a no-op when PhaseWindow is 0.
 //
-// In parallel engine mode, clock stamping and enqueueing are not jointly
-// atomic, so a shard's arrival order is not strictly time-ordered and a
-// window partial can surface after its window was emitted. Such partials are
-// merged (the final PhaseWindows set is always complete and exact) but not
-// re-emitted, and are counted by the LateWindows probe.
+// Every facade feed is time-ordered per shard, so no window partial surfaces
+// after its window was emitted. Should one (several concurrent producers can
+// interleave their stamps), it is merged (the final PhaseWindows set is always
+// complete and exact) but not re-emitted, and is counted by the LateWindows
+// probe, the tripwire for that invariant.
 func (e *Engine) AdvancePhases() int {
 	if e.phaseCloser == nil {
 		return 0

@@ -154,7 +154,7 @@ func TestConcurrentProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Per-thread address ranges plus one shared block; every producer
-	// goroutine plays one target thread, mirroring live parallel mode.
+	// goroutine plays one target thread through its own producer.
 	var wg sync.WaitGroup
 	const perThread = 2000
 	for tid := int32(0); tid < threads; tid++ {

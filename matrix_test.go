@@ -189,45 +189,3 @@ func TestRecordUnderSamplingWritesCompleteTrace(t *testing.T) {
 			replayed.Accesses, replayed.Dependencies, live.Accesses, live.Dependencies)
 	}
 }
-
-// TestParallelInThreadComposesEveryLayer pins that Parallel with in-thread
-// analysis is one more single-owner source: the program's threads share the
-// quantum buffer under one lock, so the redundancy cache, the accuracy
-// monitor, the phase windows and read sampling each produce their report
-// section there, alone and all at once, as on any other run.
-func TestParallelInThreadComposesEveryLayer(t *testing.T) {
-	points := entryPoints(t)
-	for _, name := range []string{"Profile", "Run", "ProfileMiniPar"} {
-		all := Options{Parallel: true}
-		var layers []string
-		for _, opt := range analyserOptions {
-			if opt.present == nil || opt.name == "AnalysisShards" {
-				continue
-			}
-			layers = append(layers, opt.name)
-			o := Options{Parallel: true}
-			opt.set(&o)
-			opt.set(&all)
-			rep, err := points[name](o)
-			if err != nil {
-				t.Errorf("%s: Parallel + in-thread + %s: %v", name, opt.name, err)
-				continue
-			}
-			if !opt.present(rep) {
-				t.Errorf("%s: Parallel + in-thread + %s: report section missing or empty", name, opt.name)
-			}
-		}
-		if len(layers) != 4 {
-			t.Fatalf("layers under test %v, want the cache, the monitor, the phase windows and sampling", layers)
-		}
-		rep, err := points[name](all)
-		if err != nil {
-			t.Fatalf("%s: Parallel + in-thread + every layer: %v", name, err)
-		}
-		for _, opt := range analyserOptions {
-			if opt.present != nil && opt.name != "AnalysisShards" && !opt.present(rep) {
-				t.Errorf("%s: Parallel + in-thread + every layer: %s section missing or empty", name, opt.name)
-			}
-		}
-	}
-}

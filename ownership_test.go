@@ -80,45 +80,6 @@ func TestOwnedAnalysisUnderLiveTelemetry(t *testing.T) {
 	}
 }
 
-// TestParallelInThreadSerialisesCallers is the parallel scheduler's side, also
-// for -race: an in-thread run there has as many probe callers as threads,
-// every one hammering the same few signature slots and matrix cells, and
-// they reach the one detector through the quantum buffer's lock, one at a
-// time, so the counters must sum exactly while telemetry reads them.
-func TestParallelInThreadSerialisesCallers(t *testing.T) {
-	const (
-		threads = 8
-		rounds  = 200
-		words   = 16
-		size    = 8
-	)
-	regions := []Region{{Name: "main", Parent: -1}, {Name: "exchange", Parent: 0, Loop: true}}
-	tel := NewTelemetry()
-	defer tel.Close()
-	rep, err := Run(threads, regions, func(th *Thread) {
-		th.InRegion(1, func() {
-			for r := 0; r < rounds; r++ {
-				for w := uint64(0); w < words; w++ {
-					th.Write(0x1000+w*size, size)
-					th.Read(0x1000+(w+1)%words*size, size)
-				}
-			}
-		})
-	}, Options{Parallel: true, Telemetry: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(threads * rounds * words * 2); rep.Accesses != want || tel.Progress().Accesses != want {
-		t.Fatalf("analysed %d accesses (progress %d), want %d", rep.Accesses, tel.Progress().Accesses, want)
-	}
-	if rep.Global.Total() != rep.CommBytes || rep.CommBytes != rep.Dependencies*size {
-		t.Fatalf("matrix total %d, CommBytes %d, %d dependencies of %d bytes: the counters do not sum", rep.Global.Total(), rep.CommBytes, rep.Dependencies, size)
-	}
-	if rep.Regions[1].Accesses != rep.Accesses {
-		t.Fatalf("region counter %d, want every access (%d)", rep.Regions[1].Accesses, rep.Accesses)
-	}
-}
-
 // TestQuantumBufferMatchesPerAccess pins the in-thread quantum buffer's
 // semantics: a custom body whose access count is no multiple of the buffer
 // (so finish must flush a remainder), analysed through Run, reports the same

@@ -23,9 +23,6 @@ import (
 // failed run writes nothing.
 func Record(opts Options, w io.Writer) (*Report, error) {
 	opts.setDefaults()
-	// Recording requires the deterministic engine: a parallel run would
-	// write to the encoder concurrently and lose the temporal order.
-	opts.Parallel = false
 	src, err := splashSource(opts)
 	if err != nil {
 		return nil, err

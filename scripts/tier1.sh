@@ -4,7 +4,7 @@
 # the type-checked structural contracts, things that must stay deleted or
 # out), a race-detector pass
 # over the packages with lock-free hot paths (the paper's bloom signature), real
-# concurrency (the parallel engine mode, the sharded analysis pipeline and its
+# concurrency (the executor's turn hand-off, the sharded analysis pipeline and its
 # bounded buffer hand-off, replay producer staging, the real-Go probe runtime's
 # per-goroutine batches and watermark writer), merge-order algebra (comm),
 # the static-coalescing differential wall (passes) and the observability
