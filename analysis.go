@@ -36,15 +36,16 @@ type analysis struct {
 	// finish flushes them before closing the engine.
 	producers []*pipeline.Producer
 
-	// quantum buffers an in-thread engine source's accesses — what passed the
-	// record tap and the sampling gate, in issue order — for the detector's
-	// batch kernel: handed to quantumTo when full and in finish. The
+	// quantum buffers an engine source's accesses in issue order, handed on
+	// when full and in finish: written to tap (Record's encoder, nil
+	// otherwise), thinned by the gate, then taken by quantumTo. The
 	// scheduler's turn makes the probe its one caller.
 	quantum   []trace.Access
 	quantumTo *pipeline.Producer
+	tap       *trace.Encoder
 }
 
-// quantumLen is the in-thread buffer's capacity in accesses (32 KB); live
+// quantumLen is the quantum buffer's capacity in accesses (32 KB); live
 // telemetry trails the program by at most this many.
 const quantumLen = 1024
 
@@ -111,52 +112,41 @@ func (an *analysis) producer(flushOnThreadSwitch bool) *pipeline.Producer {
 }
 
 // probe returns the per-access hook a simulated-thread engine drives; the
-// scheduler's turn makes it a single caller. In-thread, accesses collect in
-// the quantum buffer and reach the detector a batch at a time. Sharded,
-// producer-side staging amortises shard-queue locking: the one producer is
-// flushed on thread switches (= quantum boundaries), which preserves the
-// exact global arrival order. tap, when non-nil, encodes every access in
-// front of the sampling gate.
+// scheduler's turn makes it a single caller. Every access collects in the
+// quantum buffer and reaches the rest of the analyser a quantum at a time
+// (flushQuantum). tap, when non-nil, is written each quantum in front of the
+// sampling gate.
 func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
-	var process exec.Probe
-	if an.pe.Shards() == 0 {
-		an.quantum, an.quantumTo = make([]trace.Access, 0, quantumLen), an.producer(false)
-		process = func(a trace.Access) {
-			n := len(an.quantum)
-			an.quantum = an.quantum[:n+1] // flushed at capacity
-			q := &an.quantum[n]
-			q.Time, q.Addr, q.Size, q.Thread, q.Region, q.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
-			if n+1 == quantumLen {
-				an.flushQuantum()
-			}
-		}
-	} else {
-		process = an.producer(true).Process
-	}
-	if an.gate == nil && tap == nil {
-		return process
-	}
+	// Sharded, the one producer flushes its staging on thread switches
+	// (= quantum boundaries), which preserves the exact global arrival order.
+	an.quantum, an.tap = make([]trace.Access, 0, quantumLen), tap
+	an.quantumTo = an.producer(an.pe.Shards() > 0)
 	return func(a trace.Access) {
-		if tap != nil {
-			_ = tap.Write(a) // a failed Write is sticky: Record sees it at Close
-		}
-		if !an.sampledOut(a.Kind, a.Thread) {
-			process(a)
+		n := len(an.quantum)
+		an.quantum = an.quantum[:n+1] // flushed at capacity
+		q := &an.quantum[n]
+		q.Time, q.Addr, q.Size, q.Thread, q.Region, q.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
+		if n+1 == quantumLen {
+			an.flushQuantum()
 		}
 	}
 }
 
-// flushQuantum hands the buffered in-thread accesses to the detector.
+// flushQuantum hands the buffered accesses on in issue order: to the tap,
+// then through the sampling gate to the producer.
 func (an *analysis) flushQuantum() {
 	if len(an.quantum) > 0 {
-		an.quantumTo.ProcessBatch(an.quantum)
+		if an.tap != nil {
+			_ = an.tap.WriteBatch(an.quantum) // a failed write is sticky: Record sees it at Close
+		}
+		an.feedBatch(an.quantumTo, an.quantum)
 		an.quantum = an.quantum[:0]
 	}
 }
 
-// feedBatch hands one decoded batch to the analyser through p, thinning
-// sampled-out reads in place first (the batch buffer is the caller's to
-// reuse; only its length shrinks).
+// feedBatch hands one batch (a decoded one, or a quantum) to the analyser
+// through p, thinning sampled-out reads in place first (the batch buffer is
+// the caller's to reuse; only its length shrinks).
 func (an *analysis) feedBatch(p *pipeline.Producer, batch []trace.Access) {
 	if an.gate != nil {
 		n := 0

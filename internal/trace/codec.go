@@ -47,8 +47,8 @@ const DefaultVersion = codecVersion3
 
 // EncodeVersion writes the stream in the given format version, which must be
 // DefaultVersion — the materialised wrapper over NewEncoderVersion: header
-// and region table first, then one record per access. threads is the header
-// thread count; 0 derives max(Thread)+1 from the accesses. Since the
+// and region table first, then the accesses in one WriteBatch. threads is the
+// header thread count; 0 derives max(Thread)+1 from the accesses. Since the
 // materialised stream knows its counts up front, no seeking is needed.
 func (s *Stream) EncodeVersion(w io.Writer, version, threads int) error {
 	if threads == 0 {
@@ -62,10 +62,8 @@ func (s *Stream) EncodeVersion(w io.Writer, version, threads int) error {
 	if err != nil {
 		return err
 	}
-	for _, a := range s.Accesses {
-		if err := enc.Write(a); err != nil {
-			return err
-		}
+	if err := enc.WriteBatch(s.Accesses); err != nil {
+		return err
 	}
 	return enc.Close()
 }

@@ -99,22 +99,46 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// BenchmarkCodecEncode meters the v3 encoder per record: "write" is one
+// Encoder.Write call per access, "batch" one WriteBatch over the whole stream
+// (EncodeVersion), mirroring BenchmarkCodecDecode's v3-next and v3-batch.
 func BenchmarkCodecEncode(b *testing.B) {
 	s := codecStream(b)
-	b.ReportAllocs()
-	var written int64
-	for i := 0; i < b.N; i++ {
-		var cw countWriter
-		if err := s.EncodeVersion(&cw, trace.DefaultVersion, 0); err != nil {
-			b.Fatal(err)
-		}
-		written = cw.n
+	threads := 0
+	for _, a := range s.Accesses {
+		threads = max(threads, int(a.Thread)+1)
 	}
-	b.SetBytes(written)
-	b.ReportMetric(float64(written)/float64(len(s.Accesses)), "B/rec")
-	b.ReportMetric(float64(len(s.Accesses)), "records")
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(len(s.Accesses))*float64(b.N)/sec, "acc/s")
+	for _, path := range []string{"write", "batch"} {
+		b.Run(path, func(b *testing.B) {
+			b.ReportAllocs()
+			var written int64
+			for i := 0; i < b.N; i++ {
+				var cw countWriter
+				enc, err := trace.NewEncoderVersion(&cw, s.Table, len(s.Accesses), threads, trace.DefaultVersion)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if path == "batch" {
+					err = enc.WriteBatch(s.Accesses)
+				} else {
+					for _, a := range s.Accesses {
+						if err = enc.Write(a); err != nil {
+							break
+						}
+					}
+				}
+				if err == nil {
+					err = enc.Close()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				written = cw.n
+			}
+			b.SetBytes(written)
+			b.ReportMetric(float64(written)/float64(len(s.Accesses)), "B/rec")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(s.Accesses)), "ns/rec")
+		})
 	}
 }
 

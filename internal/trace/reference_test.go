@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -12,6 +14,16 @@ import (
 	"strings"
 	"testing"
 )
+
+// update folds a decoded record into its thread context.
+func (c *v3Ctx) update(a Access) {
+	c.timeStride = a.Time - c.lastTime
+	c.lastTime = a.Time
+	c.addrStride = a.Addr - c.lastAddr
+	c.lastAddr = a.Addr
+	c.size = a.Size
+	c.region = a.Region
+}
 
 // referenceDecode is the per-record v3 decode body the codec shipped before
 // decodeInto became the one decoder: each field through a bounds-checked
@@ -316,6 +328,261 @@ func FuzzV3DecodeReference(f *testing.F) {
 			if failed {
 				return
 			}
+		}
+	})
+}
+
+// refEncoder is a v3 access section written one record at a time, straight
+// from the format comment in v3.go: a context per thread in a map that every
+// block boundary empties, the tag bits and fields in comment order, and the
+// framing (record count, payload length, CRC32 of the payload) done here.
+type refEncoder struct {
+	out       []byte // framed blocks
+	payload   []byte // the open block's records
+	recs      int
+	ctxs      map[int32]*refCtx
+	prev      int32
+	hasPrev   bool
+	maxThread int32
+}
+
+type refCtx struct {
+	lastTime, timeStride, lastAddr, addrStride uint64
+	size                                       uint32
+	region                                     int32
+}
+
+func newRefEncoder() *refEncoder {
+	return &refEncoder{ctxs: map[int32]*refCtx{}, maxThread: -1}
+}
+
+// write encodes a, framing the block at 4 096 records; it refuses a thread
+// outside [0, 2^16) and a kind other than read or write.
+func (r *refEncoder) write(a Access) error {
+	if a.Thread < 0 || a.Thread >= 1<<16 {
+		return fmt.Errorf("thread %d not encodable", a.Thread)
+	}
+	if a.Kind != Read && a.Kind != Write {
+		return fmt.Errorf("kind %d not encodable", a.Kind)
+	}
+	c := r.ctxs[a.Thread]
+	if c == nil {
+		c = &refCtx{region: NoRegion}
+		r.ctxs[a.Thread] = c
+	}
+	zigzag := func(d uint64) uint64 { return d<<1 ^ uint64(int64(d)>>63) }
+	var tag byte
+	var fields []byte
+	if a.Kind == Write {
+		tag |= 1 << 0
+	}
+	if r.hasPrev && a.Thread == r.prev {
+		tag |= 1 << 1
+	} else {
+		fields = binary.AppendUvarint(fields, uint64(a.Thread))
+	}
+	if pred := c.lastTime + c.timeStride; a.Time == pred {
+		tag |= 1 << 2
+	} else {
+		fields = binary.AppendUvarint(fields, zigzag(a.Time-pred))
+	}
+	if pred := c.lastAddr + c.addrStride; a.Addr == pred {
+		tag |= 1 << 3
+	} else {
+		fields = binary.AppendUvarint(fields, zigzag(a.Addr-pred))
+	}
+	if a.Size == c.size {
+		tag |= 1 << 4
+	} else {
+		fields = binary.AppendUvarint(fields, uint64(a.Size))
+	}
+	if a.Region == c.region {
+		tag |= 1 << 5
+	} else {
+		fields = binary.AppendUvarint(fields, zigzag(uint64(int64(a.Region))))
+	}
+	r.payload = append(append(r.payload, tag), fields...)
+	*c = refCtx{a.Time, a.Time - c.lastTime, a.Addr, a.Addr - c.lastAddr, a.Size, a.Region}
+	r.prev, r.hasPrev, r.maxThread = a.Thread, true, max(r.maxThread, a.Thread)
+	if r.recs++; r.recs == 4096 {
+		r.frame()
+	}
+	return nil
+}
+
+// frame closes the open block, if it holds a record, and starts a fresh one.
+func (r *refEncoder) frame() {
+	if r.recs == 0 {
+		return
+	}
+	r.out = binary.LittleEndian.AppendUint32(r.out, uint32(r.recs))
+	r.out = binary.LittleEndian.AppendUint32(r.out, uint32(len(r.payload)))
+	r.out = binary.LittleEndian.AppendUint32(r.out, crc32.ChecksumIEEE(r.payload))
+	r.out = append(r.out, r.payload...)
+	r.payload, r.recs, r.ctxs, r.hasPrev = nil, 0, map[int32]*refCtx{}, false
+}
+
+// encodeRefInput draws FuzzV3EncodeReference's accesses from seed: runs of
+// one thread at a time on a global clock, addresses on a per-thread stride
+// with jumps, occasional 64-bit times, large threads, odd sizes and regions,
+// and, when bad is set, one record with an invalid thread or kind.
+func encodeRefInput(rng *rand.Rand, n int, bad bool) []Access {
+	acc := make([]Access, 0, n)
+	var clock uint64
+	addr := map[int32]uint64{}
+	for len(acc) < n {
+		th := int32(rng.Intn(6))
+		if rng.Intn(50) == 0 {
+			th = int32(rng.Intn(1 << 16))
+		}
+		region := int32(rng.Intn(4)) - 1
+		size := uint32(8)
+		for run := 1 + rng.Intn(200); run > 0 && len(acc) < n; run-- {
+			clock++
+			a := Access{Time: clock, Thread: th, Region: region, Size: size, Kind: Kind(rng.Intn(2))}
+			switch rng.Intn(40) {
+			case 0:
+				a.Time = rng.Uint64()
+			case 1:
+				addr[th] = rng.Uint64()
+			case 2:
+				a.Size, size = rng.Uint32(), a.Size
+			case 3:
+				a.Region = int32(rng.Uint32())
+			}
+			addr[th] += 8
+			a.Addr = addr[th]
+			acc = append(acc, a)
+		}
+	}
+	if bad && n > 0 {
+		a := &acc[rng.Intn(n)]
+		switch rng.Intn(4) {
+		case 0:
+			a.Thread = -1 - rng.Int31n(1<<20)
+		case 1:
+			a.Thread = 1<<16 + rng.Int31n(1<<20)
+		default:
+			a.Kind = Kind(2 + rng.Intn(254))
+		}
+	}
+	return acc
+}
+
+// FuzzV3EncodeReference holds Encoder.WriteBatch (and Write, for a batch of
+// one) to refEncoder over batches split at random points, many of them
+// across 4 096-record blocks: the same trace bytes, Written(), failing record
+// and stickiness. A declared encoder that is handed more than its count fails
+// there without latching the error (its stream still holds what it
+// declared); an unencodable record fails the stream for good.
+func FuzzV3EncodeReference(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, n := range []uint16{0, 1, 4095, 4096, 4097, 9000} {
+			for mode := byte(0); mode < 4; mode++ {
+				f.Add(seed, n, mode)
+			}
+		}
+	}
+	table := NewTable()
+	table.AddLoop("loop", table.AddFunc("main", -1))
+
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, mode byte) {
+		rng := rand.New(rand.NewSource(seed))
+		acc := encodeRefInput(rng, int(n%13000), mode&1 != 0)
+		declared := mode&2 != 0
+		capacity := len(acc)
+		if declared && capacity > 0 {
+			capacity -= rng.Intn(2) * rng.Intn(capacity)
+		}
+
+		// The reference: one record at a time until the first refusal.
+		ref := newRefEncoder()
+		refFail, refSticky := -1, false
+		for i, a := range acc {
+			if declared && i == capacity {
+				refFail = i
+				break
+			}
+			if ref.write(a) != nil {
+				refFail, refSticky = i, true
+				break
+			}
+		}
+		refWritten := len(acc)
+		if refFail >= 0 {
+			refWritten = refFail
+		}
+
+		var staged Buffer
+		var enc *Encoder
+		var err error
+		if declared {
+			enc, err = NewEncoderVersion(&staged, table, capacity, 7, DefaultVersion)
+		} else {
+			enc, err = NewDynamicEncoder(&staged, table)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var werr error
+		for rest := acc; len(rest) > 0 && werr == nil; {
+			k := min(len(rest), rng.Intn(3*4096)+1)
+			if rng.Intn(4) == 0 {
+				k = min(len(rest), rng.Intn(8)+1)
+			}
+			if k == 1 {
+				werr = enc.Write(rest[0])
+			} else {
+				werr = enc.WriteBatch(rest[:k])
+			}
+			rest = rest[k:]
+		}
+		if got := enc.Written(); got != refWritten {
+			t.Fatalf("Written() = %d, reference wrote %d", got, refWritten)
+		}
+		switch {
+		case (werr != nil) != (refFail >= 0):
+			t.Fatalf("WriteBatch error %v, reference fails at record %d", werr, refFail)
+		case werr != nil && !strings.Contains(werr.Error(), fmt.Sprintf("record %d:", refFail+1)):
+			t.Fatalf("WriteBatch error %q does not name record %d", werr, refFail+1)
+		case werr != nil && (enc.WriteBatch(nil) != nil) != refSticky:
+			t.Fatalf("error %q sticky %v, reference sticky %v", werr, !refSticky, refSticky)
+		}
+
+		header := func(accesses, threads uint32) []byte {
+			var hb bytes.Buffer
+			bw := bufio.NewWriter(&hb)
+			if err := writeHeaderAndTable(bw, table, accesses, threads); err != nil {
+				t.Fatal(err)
+			}
+			bw.Flush()
+			return hb.Bytes()
+		}
+		var want []byte
+		switch {
+		case refSticky:
+			if cerr := enc.Close(); cerr == nil || cerr.Error() != werr.Error() {
+				t.Fatalf("Close after a sticky %q returned %v", werr, cerr)
+			}
+			enc.bw.Flush() // the blocks framed before the failure
+			want = header(countUnpatched, countUnpatched)
+		default:
+			if err := enc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ref.frame()
+			want = header(uint32(refWritten), uint32(ref.maxThread+1))
+		}
+		if declared {
+			want = header(uint32(capacity), 7)
+		}
+		want = append(want, ref.out...)
+		if got := staged.Bytes(); !bytes.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("trace of %d bytes differs from the reference's %d at byte %d", len(got), len(want), i)
 		}
 	})
 }

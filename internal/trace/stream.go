@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the incremental half of the codec: an Encoder that writes the
-// binary trace format record by record, and a Decoder that reads any of the
+// binary trace format a batch at a time, and a Decoder that reads any of the
 // three format versions back the same way (DESIGN §9 has the byte-level
 // spec). Only v3 is written; v1 and v2 are decode-only:
 //
@@ -43,8 +43,8 @@ import (
 const telemetryFlushEvery = 256
 
 // Encoder writes a trace stream incrementally: header and region table up
-// front, then one access record per Write call. It is the only trace writer,
-// in one of two count modes.
+// front, then the access records of each WriteBatch or Write call. It is the
+// only trace writer, in one of two count modes.
 //
 // Declared (NewEncoderVersion): the access and thread counts go into the
 // header at construction, so any io.Writer will do; Close verifies the caller
@@ -61,18 +61,17 @@ const telemetryFlushEvery = 256
 type Encoder struct {
 	// Probes, when non-nil, receives encode-progress telemetry (batched, one
 	// publish per v3 block or telemetryFlushEvery records). Set it before the
-	// first Write call.
+	// first write.
 	Probes *obs.TraceProbes
 
-	bw        *bufio.Writer
-	ws        io.WriteSeeker // patched mode: where Close patches the counts; nil when declared
-	n, i      uint32         // records the stream may hold (declared count, or the format's capacity); records written
-	blk       *v3BlockWriter // records staged for the next block
-	pending   uint32         // records not yet published to Probes
-	maxThread int32          // largest Access.Thread written; -1 before the first record
-	threads   int            // SetThreads floor for the patched thread count
-	closed    bool
-	err       error // sticky failure
+	bw      *bufio.Writer
+	ws      io.WriteSeeker // patched mode: where Close patches the counts; nil when declared
+	n, i    uint32         // records the stream may hold (declared count, or the format's capacity); records written
+	blk     *v3BlockWriter // records staged for the next block
+	pending uint32         // records not yet published to Probes
+	threads int            // SetThreads floor for the patched thread count
+	closed  bool
+	err     error // sticky failure
 }
 
 // NewEncoderVersion writes a stream header and region table in the given
@@ -117,7 +116,7 @@ func newEncoder(w io.Writer, table *Table, accesses, threads uint32) (*Encoder, 
 	if err := writeHeaderAndTable(bw, table, accesses, threads); err != nil {
 		return nil, err
 	}
-	return &Encoder{bw: bw, n: accesses, blk: newV3BlockWriter(), maxThread: -1}, nil
+	return &Encoder{bw: bw, n: accesses, blk: newV3BlockWriter()}, nil
 }
 
 // writeHeaderAndTable emits the 20-byte v3 stream header (magic, version,
@@ -195,36 +194,48 @@ func (e *Encoder) fail(err error) error {
 	return err
 }
 
-// Write appends one access record.
+// Write appends one access record: WriteBatch over a one-record batch.
 func (e *Encoder) Write(a Access) error {
+	var one [1]Access
+	p := &one[0]
+	p.Time, p.Addr, p.Size, p.Thread, p.Region, p.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
+	return e.WriteBatch(one[:])
+}
+
+// WriteBatch appends batch's records in order, a block at a time. It fails
+// at the first record it cannot write, which is the record a loop of Write
+// calls fails at with the same error, and every record before it is written.
+func (e *Encoder) WriteBatch(batch []Access) error {
 	if e.err != nil {
 		return e.err
 	}
 	if e.closed {
 		return fmt.Errorf("trace: write after Close")
 	}
-	if e.i == e.n {
-		err := fmt.Errorf("trace: encode access record %d: the stream holds at most %d", e.i+1, e.n)
-		if e.ws != nil {
-			// A patched stream stands for the whole run, so outgrowing the
-			// format fails it; a declared one still holds what it declared.
-			e.err = err
+	for len(batch) > 0 {
+		if e.i == e.n {
+			err := fmt.Errorf("trace: encode access record %d: the stream holds at most %d", e.i+1, e.n)
+			if e.ws != nil {
+				// A patched stream stands for the whole run, so outgrowing the
+				// format fails it; a declared one still holds what it declared.
+				e.err = err
+			}
+			return err
 		}
-		return err
-	}
-	if err := e.blk.append(a); err != nil {
-		return e.fail(fmt.Errorf("trace: encode access record %d: %w", e.i+1, err))
-	}
-	if e.blk.full() {
-		n, err := e.blk.flush(e.bw)
+		k := min(len(batch), v3BlockRecords-int(e.blk.recs), int(e.n-e.i))
+		n, err := e.blk.appendBatch(batch[:k])
+		e.i += uint32(n)
 		if err != nil {
-			return e.fail(err)
+			return e.fail(fmt.Errorf("trace: encode access record %d: %w", e.i+1, err))
 		}
-		e.noteEncoded(n)
-	}
-	e.i++
-	if a.Thread > e.maxThread {
-		e.maxThread = a.Thread
+		if e.blk.full() {
+			n, err := e.blk.flush(e.bw)
+			if err != nil {
+				return e.fail(err)
+			}
+			e.noteEncoded(n)
+		}
+		batch = batch[k:]
 	}
 	return nil
 }
@@ -261,7 +272,7 @@ func (e *Encoder) Close() error {
 	}
 	var counts [8]byte
 	binary.LittleEndian.PutUint32(counts[0:], e.i)
-	binary.LittleEndian.PutUint32(counts[4:], uint32(max(e.threads, int(e.maxThread)+1)))
+	binary.LittleEndian.PutUint32(counts[4:], uint32(max(e.threads, int(e.blk.maxThread)+1)))
 	if _, err := e.ws.Seek(12, io.SeekStart); err != nil {
 		return e.fail(fmt.Errorf("trace: seek to patch header: %w", err))
 	}

@@ -114,80 +114,90 @@ func (t *v3Ctxs) ctx(thread int32) *v3Ctx {
 	return c
 }
 
-// update folds a decoded/encoded record into its thread context.
-func (c *v3Ctx) update(a Access) {
-	c.timeStride = a.Time - c.lastTime
-	c.lastTime = a.Time
-	c.addrStride = a.Addr - c.lastAddr
-	c.lastAddr = a.Addr
-	c.size = a.Size
-	c.region = a.Region
-}
-
 // v3BlockWriter stages one block's worth of compact records.
 type v3BlockWriter struct {
-	payload []byte
-	recs    uint32
+	payload   []byte
+	recs      uint32
+	maxThread int32 // largest thread encoded since the writer was built; -1 before the first record
 	v3Ctxs
 }
 
 func newV3BlockWriter() *v3BlockWriter {
-	w := &v3BlockWriter{}
+	w := &v3BlockWriter{maxThread: -1}
 	w.reset()
 	return w
 }
 
-// append encodes one access into the staged payload.
-func (w *v3BlockWriter) append(a Access) error {
-	if a.Thread < 0 || a.Thread >= v3MaxThreads {
-		return fmt.Errorf("trace: v3 record thread %d outside [0, %d)", a.Thread, v3MaxThreads)
+// appendBatch encodes batch into the staged payload and returns how many
+// records it encoded and, for the first record it refuses, the cause, which
+// the Encoder prefixes with the record's number. The caller keeps the block
+// within v3BlockRecords. It is the one v3 record
+// encoder, and one call per block/batch intersection replaces a call chain
+// per record: the payload and the previous thread stay in locals, and the
+// thread's context is fetched again only when the thread changes (the
+// pointer stays valid until then: only ctx grows the table).
+func (w *v3BlockWriter) appendBatch(batch []Access) (int, error) {
+	p, prev, hasPrev := w.payload, w.prevThread, w.hasPrev
+	var c *v3Ctx
+	if hasPrev {
+		c = w.ctx(prev)
 	}
-	if a.Kind != Read && a.Kind != Write {
-		return fmt.Errorf("trace: v3 record kind %d not encodable (read/write only)", a.Kind)
+	var err error
+	i := 0
+	for ; i < len(batch); i++ {
+		a := &batch[i]
+		same := hasPrev && a.Thread == prev
+		if !same && (a.Thread < 0 || a.Thread >= v3MaxThreads) {
+			err = fmt.Errorf("trace: v3 record thread %d outside [0, %d)", a.Thread, v3MaxThreads)
+			break
+		}
+		if a.Kind != Read && a.Kind != Write {
+			err = fmt.Errorf("trace: v3 record kind %d not encodable (read/write only)", a.Kind)
+			break
+		}
+		tag := byte(a.Kind) // v3TagWrite is Write's value
+		if same {
+			tag |= v3TagSameThread
+		} else {
+			c, prev, hasPrev = w.ctx(a.Thread), a.Thread, true
+			w.maxThread = max(w.maxThread, a.Thread)
+		}
+		predTime, predAddr := c.lastTime+c.timeStride, c.lastAddr+c.addrStride
+		if a.Time == predTime {
+			tag |= v3TagTimePred
+		}
+		if a.Addr == predAddr {
+			tag |= v3TagAddrPred
+		}
+		if a.Size == c.size {
+			tag |= v3TagSameSize
+		}
+		if a.Region == c.region {
+			tag |= v3TagSameRegion
+		}
+		p = append(p, tag)
+		if tag&v3TagSameThread == 0 {
+			p = binary.AppendUvarint(p, uint64(uint32(a.Thread)))
+		}
+		if tag&v3TagTimePred == 0 {
+			p = binary.AppendVarint(p, int64(a.Time-predTime))
+		}
+		if tag&v3TagAddrPred == 0 {
+			p = binary.AppendVarint(p, int64(a.Addr-predAddr))
+		}
+		if tag&v3TagSameSize == 0 {
+			p = binary.AppendUvarint(p, uint64(a.Size))
+		}
+		if tag&v3TagSameRegion == 0 {
+			p = binary.AppendVarint(p, int64(a.Region))
+		}
+		c.timeStride, c.lastTime = a.Time-c.lastTime, a.Time
+		c.addrStride, c.lastAddr = a.Addr-c.lastAddr, a.Addr
+		c.size, c.region = a.Size, a.Region
 	}
-	c := w.ctx(a.Thread)
-	predTime := c.lastTime + c.timeStride
-	predAddr := c.lastAddr + c.addrStride
-	tag := byte(0)
-	if a.Kind == Write {
-		tag |= v3TagWrite
-	}
-	if w.hasPrev && a.Thread == w.prevThread {
-		tag |= v3TagSameThread
-	}
-	if a.Time == predTime {
-		tag |= v3TagTimePred
-	}
-	if a.Addr == predAddr {
-		tag |= v3TagAddrPred
-	}
-	if a.Size == c.size {
-		tag |= v3TagSameSize
-	}
-	if a.Region == c.region {
-		tag |= v3TagSameRegion
-	}
-	w.payload = append(w.payload, tag)
-	if tag&v3TagSameThread == 0 {
-		w.payload = binary.AppendUvarint(w.payload, uint64(uint32(a.Thread)))
-	}
-	if tag&v3TagTimePred == 0 {
-		w.payload = binary.AppendVarint(w.payload, int64(a.Time-predTime))
-	}
-	if tag&v3TagAddrPred == 0 {
-		w.payload = binary.AppendVarint(w.payload, int64(a.Addr-predAddr))
-	}
-	if tag&v3TagSameSize == 0 {
-		w.payload = binary.AppendUvarint(w.payload, uint64(a.Size))
-	}
-	if tag&v3TagSameRegion == 0 {
-		w.payload = binary.AppendVarint(w.payload, int64(a.Region))
-	}
-	c.update(a)
-	w.prevThread = a.Thread
-	w.hasPrev = true
-	w.recs++
-	return nil
+	w.payload, w.prevThread, w.hasPrev = p, prev, hasPrev
+	w.recs += uint32(i)
+	return i, err
 }
 
 // full reports whether the staged block has reached the flush threshold.

@@ -68,6 +68,12 @@ type shim struct {
 	closed  atomic.Bool
 	once    sync.Once
 
+	// Live mode's analyser options, parsed from COMMPROF_OPTS once: at the
+	// first Register, so a malformed value is reported before the target runs.
+	optsOnce sync.Once
+	opts     commprof.Options
+	optsErr  error
+
 	// free is the pool: poolSize slots, nil until a buffer is first needed.
 	// Every buffer not in it is in a handle or in the writer's hands.
 	free chan []trace.Access
@@ -113,7 +119,9 @@ type Region struct {
 // Register installs the instrumented package's static region table. The
 // rewriter emits exactly one Register call in a generated init function, so
 // it runs before main and before any probe; one that arrives after the trace
-// header went out cannot be recorded and is reported.
+// header went out cannot be recorded and is reported. In live mode
+// (COMMPROF_TRACE unset) a malformed COMMPROF_OPTS is reported here, before
+// the target runs, and again by Shutdown in place of the report.
 func Register(regions []Region) {
 	s := std
 	s.mu.Lock()
@@ -133,6 +141,11 @@ func Register(regions []Region) {
 		s.table.Regions[id].Line = r.Line
 	}
 	if s.sigc == nil {
+		if os.Getenv("COMMPROF_TRACE") == "" {
+			if _, err := s.options(); err != nil {
+				fmt.Fprintln(os.Stderr, "commprof/probe:", err)
+			}
+		}
 		s.sigc = make(chan os.Signal, 1)
 		signal.Notify(s.sigc, os.Interrupt, syscall.SIGTERM)
 		go s.onSignal()
@@ -350,10 +363,11 @@ func (s *shim) drain(g *TG, limit uint64) bool {
 	enc := s.enc // nil if open failed: the records go nowhere
 	for len(g.q) > 0 {
 		b, i := g.q[0], g.pos
-		for ; i < len(b) && b[i].Time <= limit; i++ {
-			if enc != nil {
-				enc.Write(b[i]) // a failure is sticky: Close reports it
-			}
+		for i < len(b) && b[i].Time <= limit {
+			i++
+		}
+		if enc != nil {
+			enc.WriteBatch(b[g.pos:i]) // a failure is sticky: Close reports it
 		}
 		if i < len(b) {
 			g.pos = i
@@ -441,12 +455,18 @@ func (s *shim) shutdown() {
 	})
 }
 
+// options returns live mode's analyser options: the flags commtrace -mode
+// live was given, in COMMPROF_OPTS (without it a stand-alone binary analyses
+// at the flag defaults), parsed once.
+func (s *shim) options() (commprof.Options, error) {
+	s.optsOnce.Do(func() { s.opts, s.optsErr = commprof.OptionsFromEnv() })
+	return s.opts, s.optsErr
+}
+
 // report is live mode's second half: the recorded bytes replayed through the
 // standard analysis, so an instrumented binary is useful stand-alone.
 func (s *shim) report(goroutines int) error {
-	// COMMPROF_OPTS holds the analyser flags commtrace -mode live was given;
-	// without it a stand-alone binary analyses at the flag defaults.
-	opts, err := commprof.OptionsFromEnv()
+	opts, err := s.options()
 	if err != nil {
 		return err
 	}

@@ -478,6 +478,33 @@ func TestOptionsCrossAsOneVariable(t *testing.T) {
 	}
 }
 
+// TestBadOptionsReportedBeforeTheRun: live mode parses COMMPROF_OPTS at the
+// first Register, so a malformed value is said before the target issues an
+// access, not only after the whole run; Shutdown reuses that parse (a value
+// changed in between is not read) and prints no report.
+func TestBadOptionsReportedBeforeTheRun(t *testing.T) {
+	s, _ := reset(t)
+	t.Setenv("COMMPROF_TRACE", "")
+	t.Setenv("COMMPROF_OPTS", "-bogus")
+	_, stderr := captured(t, func() { Register(twoRegions) })
+	if !strings.Contains(stderr, "COMMPROF_OPTS") || s.optsErr == nil {
+		t.Fatalf("a malformed COMMPROF_OPTS is not reported at Register; held error %v, stderr %q", s.optsErr, stderr)
+	}
+	if n := s.clock.Load(); n != 0 {
+		t.Fatalf("%d accesses recorded before Register returned", n)
+	}
+	t.Setenv("COMMPROF_OPTS", "")
+	var word uint64
+	g := G()
+	for i := 0; i < 100; i++ {
+		g.W(unsafe.Pointer(&word), 8, 1)
+	}
+	stdout, stderr := captured(t, Shutdown)
+	if stdout != "" || strings.Count(stderr, "COMMPROF_OPTS") != 1 {
+		t.Errorf("Shutdown after a malformed COMMPROF_OPTS: want no report and the held diagnostic; stdout %q, stderr %q", stdout, stderr)
+	}
+}
+
 // streamChild is the target the exit-path tests kill: two goroutines probe
 // without end (the pool's backpressure holds them to the writer's pace), and
 // the main goroutine reports once on stdout how many full blocks are on disk.

@@ -16,7 +16,8 @@ import (
 // profiler's signature stays fixed — which is precisely why DiscoPoP
 // analyses online.
 //
-// Each access is encoded as it is issued; nothing holds the run as access
+// The accesses are encoded a quantum (1 024 accesses) at a time, in issue
+// order and in front of the sampling gate; nothing holds the run as access
 // records. The header's counts are known only when the run ends and w need
 // not seek, so the encoded stream is staged in memory and handed to w in one
 // Write after a successful run: resident memory is O(encoded bytes), and a

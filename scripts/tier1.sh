@@ -69,7 +69,7 @@ for pkg in workerpool chanpipe striped exitpaths; do
 done
 
 echo "== go test -fuzz smoke (trace codec, instrumenter, coalescing pass, mask arena) =="
-for target in FuzzDecode FuzzDecoder FuzzStreamRoundTrip FuzzV3RoundTrip FuzzV3Decoder FuzzV3DecodeReference; do
+for target in FuzzDecode FuzzDecoder FuzzStreamRoundTrip FuzzV3RoundTrip FuzzV3Decoder FuzzV3DecodeReference FuzzV3EncodeReference; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/trace
 done
 go test -run '^$' -fuzz '^FuzzInstrument$' -fuzztime 5s ./internal/instrument
