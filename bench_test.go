@@ -7,6 +7,7 @@ package commprof
 // paper's 32. The tracked performance numbers are bench/'s, not these.
 
 import (
+	"bytes"
 	"testing"
 
 	"commprof/internal/experiments"
@@ -40,4 +41,34 @@ func BenchmarkProfileEndToEnd(b *testing.B) {
 			b.Fatal("no dependencies")
 		}
 	}
+}
+
+// BenchmarkReplay replays the six traces of bench/'s splash mix, recorded
+// once in set-up at 32 threads, and reports ns/access over all of them.
+// Replay decodes on a goroutine of its own beside the analyser, so
+// `go test -bench Replay -cpu 1,2` compares one core with two.
+func BenchmarkReplay(b *testing.B) {
+	mix := []struct{ program, size string }{
+		{"fft", "simlarge"}, {"lu_ncb", "simlarge"}, {"water_nsq", "simlarge"},
+		{"barnes", "simsmall"}, {"radix", "simdev"}, {"ocean_cp", "simdev"},
+	}
+	traces := make([][]byte, len(mix))
+	var accesses uint64
+	for i, m := range mix {
+		var buf bytes.Buffer
+		rep, err := Record(Options{Workload: m.program, InputSize: m.size, Threads: 32}, &buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces[i], accesses = buf.Bytes(), accesses+rep.Accesses
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range traces {
+			if _, err := Replay(bytes.NewReader(tr), 32, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses)/float64(b.N), "ns/access")
 }

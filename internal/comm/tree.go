@@ -132,22 +132,27 @@ func (t *Tree) Hotspots(k int) []Hotspot {
 
 // CheckSummationLaw verifies that every node's cumulative matrix equals its
 // own plus the sum of its children's cumulative matrices — the invariant the
-// paper states for nested patterns. Returns the first violating region ID.
+// paper states for nested patterns. Returns the first violating region ID in
+// Walk's order. One scratch matrix holds each node's expected sum in turn.
 func (t *Tree) CheckSummationLaw() error {
-	var firstErr error
-	t.Walk(func(n *Node, _ int) {
-		if firstErr != nil {
-			return
-		}
-		want := n.Own.Clone()
+	return checkSummationLaw(t.Roots, NewMatrix(t.Global.N()))
+}
+
+// checkSummationLaw checks nodes and their subtrees in Walk's order.
+func checkSummationLaw(nodes []*Node, want *Matrix) error {
+	for _, n := range nodes {
+		want.CopyFrom(n.Own)
 		for _, c := range n.Children {
 			want.AddMatrix(c.Cumulative)
 		}
 		if !want.Equal(n.Cumulative) {
-			firstErr = fmt.Errorf("comm: summation law violated at region %d (%s)", n.Region.ID, n.Region.Name)
+			return fmt.Errorf("comm: summation law violated at region %d (%s)", n.Region.ID, n.Region.Name)
 		}
-	})
-	return firstErr
+		if err := checkSummationLaw(n.Children, want); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // String renders the tree as an indented outline with traffic totals.

@@ -69,6 +69,33 @@ func TestBuildTreeSummation(t *testing.T) {
 	}
 }
 
+// TestSummationLawReportsLaterChild: the check reuses one scratch matrix
+// across nodes, so a violation at a later child must still be found after
+// clean nodes have passed through the scratch, and a clean check allocates
+// the scratch alone.
+func TestSummationLawReportsLaterChild(t *testing.T) {
+	tb, own, acc := buildFixture(t)
+	tree, err := BuildTree(tb, own, acc, NewMatrix(4), NewMatrix(4))
+	if err != nil {
+		t.Fatalf("BuildTree: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := tree.CheckSummationLaw(); err != nil {
+			t.Fatalf("summation law: %v", err)
+		}
+	}); allocs > 1 {
+		t.Errorf("clean CheckSummationLaw made %.0f allocations, want at most 1", allocs)
+	}
+	// daxpy is main's last child, checked after main, outer and inner; its
+	// own matrix no longer matches its cumulative one, and every ancestor's
+	// law still holds.
+	tree.nodes[3].Own.Add(2, 1, 1)
+	err = tree.CheckSummationLaw()
+	if err == nil || !strings.Contains(err.Error(), "region 3 (daxpy)") {
+		t.Fatalf("CheckSummationLaw = %v, want a violation at region 3 (daxpy)", err)
+	}
+}
+
 func TestBuildTreeValidation(t *testing.T) {
 	tb, own, acc := buildFixture(t)
 	if _, err := BuildTree(tb, own[:1], acc, NewMatrix(4), NewMatrix(4)); err == nil {

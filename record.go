@@ -50,10 +50,10 @@ func Record(opts Options, w io.Writer) (*Report, error) {
 	return rep, nil
 }
 
-// replayBatchSize is the NextBatch buffer capacity the Replay loops reuse:
-// large enough to amortise per-batch overhead across a v3 block's worth of
-// records, small enough to stay resident in cache.
-const replayBatchSize = 1024
+// replayBatchSize is the capacity of each of Replay's three decode buffers
+// (64 KB each): one hand-off per 2 048 records is noise beside decoding and
+// analysing them, and the three buffers stay resident in cache.
+const replayBatchSize = 2048
 
 // Replay runs the profiler offline over a trace previously written by
 // Record. threads must match the recording's thread count (the matrix
@@ -62,13 +62,13 @@ const replayBatchSize = 1024
 // final goroutine count the shim registered — threads may be 0, meaning
 // "use the count the trace declares". All codec versions replay.
 //
-// Replay decodes the trace incrementally and in batches: the region table
-// is read up front and each decoded batch then flows straight into the
-// analyser (Decoder.NextBatch into a reused buffer), so resident memory is
-// O(region table + one batch) in-thread and O(region table + shard queues +
-// staging) with AnalysisShards — never O(accesses). A
-// truncated or corrupt access section fails with "record i of n" context
-// after the prefix before it has been analysed.
+// Replay decodes the trace incrementally, one batch ahead of the analyser:
+// the region table is read up front, then a goroutine of its own decodes
+// into three circulating buffers (Decoder.NextBatch) while the caller's
+// goroutine analyses the last one filled. Resident memory is O(region table
+// + three batches), plus the shard queues and staging with AnalysisShards —
+// never O(accesses). A truncated or corrupt access section fails with
+// "record i of n" context after the prefix before it has been analysed.
 func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	opts.setDefaults()
 	if threads < 0 {
@@ -85,11 +85,51 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	}
 	probes := opts.Telemetry.Probes()
 	dec.Probes = probes.Trace
-	// Stage timing: decode time is observed inside the decoder, the analyser
-	// side of each batch inside Producer.ProcessBatch. Nil probes keep both
-	// bare.
+	// Stage timing: decode time is observed inside the decoder (on the decode
+	// goroutine, overlapping the analyser), the analyser side of each batch
+	// inside Producer.ProcessBatch. Nil probes keep both bare.
 	dec.Stages = probes.Stage
-	an, err := newAnalysis(opts, threads, dec.Table())
+	table := dec.Table()
+	// From here one goroutine owns dec. It fills buffers taken from free,
+	// checks every record's thread and sends them on full, until the first
+	// error (io.EOF at the end), which it leaves in decErr before closing
+	// full. It starts before the analyser is built, so the first batches
+	// decode while the signature arena is zeroed; on any other return the
+	// deferred close of stop ends it, and Replay waits until it has. full
+	// holds the two buffers the analyser is not working on.
+	full, free, stop := make(chan []trace.Access, 2), make(chan []trace.Access, 3), make(chan struct{})
+	for range cap(free) {
+		free <- make([]trace.Access, 0, replayBatchSize)
+	}
+	var decErr error
+	go func() {
+		defer close(full)
+		for decoded := uint64(0); ; {
+			var batch []trace.Access
+			select {
+			case batch = <-free:
+			case <-stop:
+				return
+			}
+			if batch, decErr = dec.NextBatch(batch); decErr != nil {
+				return
+			}
+			for i := range batch {
+				if th := batch[i].Thread; th < 0 || int(th) >= threads {
+					decErr = fmt.Errorf("commprof: trace access %d has thread %d, outside [0,%d)", decoded+uint64(i), th, threads)
+					return
+				}
+			}
+			decoded += uint64(len(batch))
+			full <- batch // the deferred drain below receives it after a stop
+		}
+	}()
+	defer func() {
+		close(stop)
+		for range full { // until the goroutine has returned
+		}
+	}()
+	an, err := newAnalysis(opts, threads, table)
 	if err != nil {
 		return nil, err
 	}
@@ -103,22 +143,13 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	// strength.
 	p := an.producer(false)
 	var accesses uint64
-	batch := make([]trace.Access, 0, replayBatchSize)
-	for {
-		batch, err = dec.NextBatch(batch)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i := range batch {
-			if th := batch[i].Thread; th < 0 || int(th) >= threads {
-				return nil, fmt.Errorf("commprof: trace access %d has thread %d, outside [0,%d)", accesses+uint64(i), th, threads)
-			}
-		}
+	for batch := range full {
 		accesses += uint64(len(batch))
 		an.feedBatch(p, batch)
+		free <- batch
+	}
+	if decErr != io.EOF {
+		return nil, decErr
 	}
 	return an.finish("replay", accesses)
 }

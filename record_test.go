@@ -3,11 +3,15 @@ package commprof
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"commprof/internal/trace"
 )
 
 func TestRecordReplayRoundTrip(t *testing.T) {
@@ -160,6 +164,143 @@ func TestReplayErrors(t *testing.T) {
 	if _, err := Replay(&buf2, 4, Options{}); err == nil {
 		t.Error("trace with out-of-range threads accepted")
 	}
+
+	// Errors raised on the decode goroutine reach the caller with the
+	// message and record index the trace dictates, and the goroutine has
+	// ended once Replay returns. The synthetic trace holds 10 000 records in
+	// v3 blocks of 4 096, 4 096 and 1 808.
+	const n = 10000
+	good := syntheticTrace(t, n, -1)
+	if _, err := Replay(bytes.NewReader(good), 4, Options{}); err != nil {
+		t.Fatalf("synthetic trace: %v", err)
+	}
+	// The access section starts where a record-less trace over the same
+	// table ends; each block header is record count, payload length, CRC.
+	blk2 := len(syntheticTrace(t, 0, -1))
+	if got := binary.LittleEndian.Uint32(good[blk2:]); got != 4096 {
+		t.Fatalf("first block holds %d records, want 4096", got)
+	}
+	blk2 += 12 + int(binary.LittleEndian.Uint32(good[blk2+4:]))
+	truncated := good[:blk2+12+int(binary.LittleEndian.Uint32(good[blk2+4:]))/2]
+	flipped := bytes.Clone(good)
+	flipped[blk2+8] ^= 0xFF
+	for _, c := range []struct {
+		name string
+		data []byte
+		opts Options
+		want []string
+	}{
+		// Access 4 196 lies in the third 2 048-record decode batch.
+		{"thread out of range", syntheticTrace(t, n, 4196), Options{}, []string{"trace access 4196 has thread 7, outside [0,4)"}},
+		{"truncated mid-block", truncated, Options{}, []string{"record 4097 of 10000", io.ErrUnexpectedEOF.Error()}},
+		{"block CRC flipped", flipped, Options{}, []string{"record 4097 of 10000", "checksum mismatch"}},
+		// The analyser is refused after decoding has started: the goroutine
+		// must be stopped, not left blocked on a full hand-off.
+		{"analyser refused", good, Options{GranularityBits: 64}, []string{"GranularityBits"}},
+	} {
+		before := runtime.NumGoroutine()
+		rep, err := Replay(bytes.NewReader(c.data), 4, c.opts)
+		if err == nil || rep != nil {
+			t.Errorf("%s: Replay = %v, %v; want an error and no report", c.name, rep, err)
+		} else {
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("%s: err = %v, want it to contain %q", c.name, err, w)
+				}
+			}
+		}
+		waitGoroutines(t, before)
+	}
+}
+
+// syntheticTrace encodes n accesses by threads 0-3, one loop region, as a v3
+// trace declaring 8 threads; access bad (if in range) is by thread 7.
+func syntheticTrace(t testing.TB, n, bad int) []byte {
+	t.Helper()
+	tb := trace.NewTable()
+	loop := tb.AddLoop("main#loop", tb.AddFunc("main", trace.NoRegion))
+	accs := make([]trace.Access, n)
+	for i := range accs {
+		a := &accs[i]
+		a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind = uint64(i), uint64(i%512)*8, 8, int32(i/16%4), loop, trace.Read
+		if i%3 == 0 {
+			a.Kind = trace.Write
+		}
+		if i == bad {
+			a.Thread = 7
+		}
+	}
+	var buf bytes.Buffer
+	enc, err := trace.NewEncoderVersion(&buf, tb, n, 8, trace.DefaultVersion)
+	if err == nil {
+		err = enc.WriteBatch(accs)
+	}
+	if err == nil {
+		err = enc.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// waitGoroutines polls until the goroutine count is back to want.
+func waitGoroutines(t testing.TB, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Replay, %d before", runtime.NumGoroutine(), want)
+		}
+	}
+}
+
+// FuzzReplay holds Replay to "a report or an error" on arbitrary bytes at
+// any thread count in [0,40): never a panic, a hang, or a decode goroutine
+// left running.
+func FuzzReplay(f *testing.F) {
+	var rec bytes.Buffer
+	if _, err := Record(Options{Workload: "fft", InputSize: "simdev", Threads: 4}, &rec); err != nil {
+		f.Fatal(err)
+	}
+	valid := rec.Bytes()
+	for _, cut := range []int{len(valid), len(valid) * 3 / 4, len(valid) / 2, len(valid) / 4, len(valid) - 7, 40} {
+		f.Add(valid[:cut], uint8(4))
+	}
+	f.Add(valid, uint8(0))
+	f.Add(valid, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, threads uint8) {
+		th := int(threads % 40)
+		// The analyser holds dense threads x threads matrices per region, so
+		// a fuzzed region table can ask for any amount of memory before the
+		// first access; keep each input's share of it small.
+		if dec, err := trace.NewDecoder(bytes.NewReader(data)); err == nil {
+			if th == 0 {
+				th = dec.Threads()
+			}
+			if th > 40 || dec.Table().Len()*th*th*24 > 32<<20 {
+				t.Skip("the region table's matrices exceed the 32 MB budget")
+			}
+		}
+		before := runtime.NumGoroutine()
+		type result struct {
+			rep *Report
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			rep, err := Replay(bytes.NewReader(data), int(threads%40), Options{SignatureSlots: 1 << 12})
+			done <- result{rep, err}
+		}()
+		select {
+		case r := <-done:
+			if (r.rep == nil) == (r.err == nil) {
+				t.Fatalf("Replay = %v, %v; want exactly one of a report and an error", r.rep, r.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Replay did not return within 10 s")
+		}
+		waitGoroutines(t, before)
+	})
 }
 
 func TestProfileWithSampling(t *testing.T) {

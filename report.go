@@ -288,14 +288,14 @@ func accuracyReport(est accuracy.Estimate, rec accuracy.Recommendation, shadowBy
 // the sampled estimates clamped so the split always sums to the measured
 // batch-service total. BatchService is timed per batch — by the shard
 // workers, and in-thread by whatever hands the detector its batches (replay's
-// loop, a live run's quantum buffer, under Options.Parallel too, and
-// ProfileTrace's chunks).
+// loop, a live run's quantum buffer and ProfileTrace's chunks).
 type OverheadReport struct {
 	// EngineWallNanos is wall time from run wiring to report build. With K
-	// parallel shard workers the attributed stage time can legitimately
-	// exceed it (the buckets sum CPU time across workers).
+	// parallel shard workers, or Replay's decode goroutine, the attributed
+	// stage time can legitimately exceed it (the buckets sum across goroutines).
 	EngineWallNanos uint64
-	// DecodeNanos is trace decode time (Decoder.NextBatch).
+	// DecodeNanos is trace decode time (Decoder.NextBatch). On Replay it is
+	// spent on the decode goroutine and overlaps the analyser's stages.
 	DecodeNanos uint64
 	// QueueNanos is producer-side time: staging, routing and enqueueing into
 	// the shard queues, including time blocked on a full queue.
@@ -315,7 +315,7 @@ type OverheadReport struct {
 	MergeNanos uint64
 	// AttributedNanos sums the exactly-measured buckets (decode + queue +
 	// batch service + window + merge); AttributedShare divides it by
-	// EngineWallNanos.
+	// EngineWallNanos, so it can exceed 1 on Replay and at K > 0.
 	AttributedNanos uint64
 	AttributedShare float64
 }

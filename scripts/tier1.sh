@@ -19,8 +19,8 @@
 # internal APIs that `go build ./...` from the root does not reach, and its
 # smoke is the one place the shard hand-off runs behind commprof.Replay with
 # every optional layer on), plus a short fuzz smoke over
-# the trace codec, the source instrumenter, the coalescing pass and the
-# signature's mask arena, and an
+# the trace codec, Replay (its decode goroutine's exits), the source
+# instrumenter, the coalescing pass and the signature's mask arena, and an
 # instrument+vet check of every example program under testdata/ via the
 # commtrace driver.
 set -eu
@@ -68,10 +68,11 @@ for pkg in workerpool chanpipe striped exitpaths; do
 	go run ./cmd/commtrace -mode check -pkg "./testdata/$pkg"
 done
 
-echo "== go test -fuzz smoke (trace codec, instrumenter, coalescing pass, mask arena) =="
+echo "== go test -fuzz smoke (trace codec, Replay, instrumenter, coalescing pass, mask arena) =="
 for target in FuzzDecode FuzzDecoder FuzzStreamRoundTrip FuzzV3RoundTrip FuzzV3Decoder FuzzV3DecodeReference FuzzV3EncodeReference; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/trace
 done
+go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzInstrument$' -fuzztime 5s ./internal/instrument
 go test -run '^$' -fuzz '^FuzzCoalesce$' -fuzztime 5s ./internal/passes
 go test -run '^$' -fuzz '^FuzzMaskArena$' -fuzztime 5s ./internal/sig
