@@ -18,10 +18,12 @@ import (
 // analysis is one run's analyser, and the only way an entry point reaches
 // one: every entry point is a source of accesses (a simulated-thread engine,
 // an access slice, a trace decoder) feeding this value. The engine runs
-// Algorithm 1 in the source's own threads (AnalysisShards 0, the paper's mode)
-// or on K shard workers; the gate thins reads in front of it; ps is the
-// windowed phase layer's facade wiring. Every Options field that shapes the
-// analysis is read here and nowhere else, so no entry point can drop one.
+// Algorithm 1 on one goroutine (AnalysisShards 0, the paper's mode) — the
+// caller's for an access slice or a trace, for a simulated-thread engine one
+// analyser goroutine behind the threads — or on K shard workers; the gate
+// thins reads in front of it; ps is the windowed phase layer's facade
+// wiring. Every Options field that shapes the analysis is read here and
+// nowhere else, so no entry point can drop one.
 type analysis struct {
 	opts    Options
 	threads int
@@ -36,17 +38,17 @@ type analysis struct {
 	// finish flushes them before closing the engine.
 	producers []*pipeline.Producer
 
-	// quantum buffers an engine source's accesses in issue order, handed on
-	// when full and in finish: written to tap (Record's encoder, nil
-	// otherwise), thinned by the gate, then taken by quantumTo. The
-	// scheduler's turn makes the probe its one caller.
-	quantum   []trace.Access
-	quantumTo *pipeline.Producer
-	tap       *trace.Encoder
+	// quantum is the buffer an engine source's probe, its one writer, fills
+	// in issue order; full, it is sent on full and the probe takes the next
+	// from free (three circulate). From probe until endQuanta one analyser
+	// goroutine owns the tap, the gate, the producer and its detectors.
+	quantum    []trace.Access
+	full, free chan []trace.Access
+	analysed   chan struct{}
 }
 
-// quantumLen is the quantum buffer's capacity in accesses (32 KB); live
-// telemetry trails the program by at most this many.
+// quantumLen is each quantum buffer's capacity in accesses (32 KB); live
+// telemetry trails the program by at most three quanta.
 const quantumLen = 1024
 
 // newAnalysis builds the analyser for a run over threads threads and the
@@ -113,35 +115,54 @@ func (an *analysis) producer(flushOnThreadSwitch bool) *pipeline.Producer {
 
 // probe returns the per-access hook a simulated-thread engine drives; the
 // scheduler's turn makes it a single caller. Every access collects in the
-// quantum buffer and reaches the rest of the analyser a quantum at a time
-// (flushQuantum). tap, when non-nil, is written each quantum in front of the
-// sampling gate.
+// quantum buffer; the analyser goroutine this starts takes each full one
+// behind the program, writes it to tap when non-nil (in front of the
+// sampling gate), thins it through the gate and hands it to the producer.
+// Call endQuanta on every path once the engine has run.
 func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
 	// Sharded, the one producer flushes its staging on thread switches
 	// (= quantum boundaries), which preserves the exact global arrival order.
-	an.quantum, an.tap = make([]trace.Access, 0, quantumLen), tap
-	an.quantumTo = an.producer(an.pe.Shards() > 0)
+	p := an.producer(an.pe.Shards() > 0)
+	an.full, an.free, an.analysed = make(chan []trace.Access, 2), make(chan []trace.Access, 3), make(chan struct{})
+	for range 2 {
+		an.free <- make([]trace.Access, 0, quantumLen)
+	}
+	an.quantum = make([]trace.Access, 0, quantumLen)
+	go func() {
+		defer close(an.analysed)
+		for q := range an.full {
+			if tap != nil {
+				_ = tap.WriteBatch(q) // a failed write is sticky: Record sees it at Close
+			}
+			an.feedBatch(p, q)
+			an.free <- q[:0]
+		}
+	}()
 	return func(a trace.Access) {
 		n := len(an.quantum)
-		an.quantum = an.quantum[:n+1] // flushed at capacity
+		an.quantum = an.quantum[:n+1] // handed on at capacity
 		q := &an.quantum[n]
 		q.Time, q.Addr, q.Size, q.Thread, q.Region, q.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
 		if n+1 == quantumLen {
-			an.flushQuantum()
+			an.full <- an.quantum
+			an.quantum = <-an.free
 		}
 	}
 }
 
-// flushQuantum hands the buffered accesses on in issue order: to the tap,
-// then through the sampling gate to the producer.
-func (an *analysis) flushQuantum() {
-	if len(an.quantum) > 0 {
-		if an.tap != nil {
-			_ = an.tap.WriteBatch(an.quantum) // a failed write is sticky: Record sees it at Close
-		}
-		an.feedBatch(an.quantumTo, an.quantum)
-		an.quantum = an.quantum[:0]
+// endQuanta hands the last partial quantum to the analyser goroutine, ends
+// it and waits until it has exited, so the caller owns the analyser again.
+// A no-op without probe, or once done.
+func (an *analysis) endQuanta() {
+	if an.full == nil {
+		return
 	}
+	if len(an.quantum) > 0 {
+		an.full <- an.quantum
+	}
+	close(an.full)
+	<-an.analysed
+	an.full = nil
 }
 
 // feedBatch hands one batch (a decoded one, or a quantum) to the analyser
@@ -181,7 +202,7 @@ func (an *analysis) finish(name string, accesses uint64) (*Report, error) {
 	if pe.Shards() > 0 {
 		drain = tel.Span("pipeline-drain")
 	}
-	an.flushQuantum()
+	an.endQuanta()
 	for _, p := range an.producers {
 		p.Flush()
 	}
@@ -272,6 +293,7 @@ func profileEngine(opts Options, src engineSource) (*Report, error) {
 	eng := exec.New(exec.Options{
 		Threads: src.threads, Probe: an.probe(src.tap), Probes: an.tel.Probes().Engine,
 	})
+	defer an.endQuanta() // on the engine-error path, before the engine closes
 	an.wire(eng)
 	src.setup.End()
 	run := an.tel.Span("engine-run")

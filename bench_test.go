@@ -29,18 +29,32 @@ func BenchmarkExperiments(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileEndToEnd measures one full Profile call (the public API
-// path a downstream user hits).
+// splashMix is bench/'s splash mix: six bundled workloads and input sizes.
+var splashMix = []struct{ program, size string }{
+	{"fft", "simlarge"}, {"lu_ncb", "simlarge"}, {"water_nsq", "simlarge"},
+	{"barnes", "simsmall"}, {"radix", "simdev"}, {"ocean_cp", "simdev"},
+}
+
+// BenchmarkProfileEndToEnd profiles the six workloads of bench/'s splash mix
+// at 32 threads through Profile (the public API path a downstream user
+// hits) and reports ns/access over all of them. The simulated threads hand
+// each full quantum to an analyser goroutine behind them, so
+// `go test -bench ProfileEndToEnd -cpu 1,2` compares one core with two.
 func BenchmarkProfileEndToEnd(b *testing.B) {
+	var accesses uint64
 	for i := 0; i < b.N; i++ {
-		rep, err := Profile(Options{Workload: "lu_ncb", Threads: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Dependencies == 0 {
-			b.Fatal("no dependencies")
+		for _, m := range splashMix {
+			rep, err := Profile(Options{Workload: m.program, InputSize: m.size, Threads: 32})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Dependencies == 0 {
+				b.Fatalf("%s: no dependencies", m.program)
+			}
+			accesses += rep.Accesses
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
 }
 
 // BenchmarkReplay replays the six traces of bench/'s splash mix, recorded
@@ -48,13 +62,9 @@ func BenchmarkProfileEndToEnd(b *testing.B) {
 // Replay decodes on a goroutine of its own beside the analyser, so
 // `go test -bench Replay -cpu 1,2` compares one core with two.
 func BenchmarkReplay(b *testing.B) {
-	mix := []struct{ program, size string }{
-		{"fft", "simlarge"}, {"lu_ncb", "simlarge"}, {"water_nsq", "simlarge"},
-		{"barnes", "simsmall"}, {"radix", "simdev"}, {"ocean_cp", "simdev"},
-	}
-	traces := make([][]byte, len(mix))
+	traces := make([][]byte, len(splashMix))
 	var accesses uint64
-	for i, m := range mix {
+	for i, m := range splashMix {
 		var buf bytes.Buffer
 		rep, err := Record(Options{Workload: m.program, InputSize: m.size, Threads: 32}, &buf)
 		if err != nil {

@@ -115,7 +115,8 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 // the paper's instrumentation points (memory accesses, loop entry/exit,
 // synchronization).
 type Thread struct {
-	t *exec.Thread
+	t       *exec.Thread
+	regions int32 // length of Run's regions slice
 }
 
 // ID returns the thread index in [0, threads).
@@ -139,14 +140,23 @@ func (t *Thread) Acquire(lock int) { t.t.Acquire(lock) }
 // Release frees the mutex identified by lock.
 func (t *Thread) Release(lock int) { t.t.Release(lock) }
 
-// EnterRegion pushes static region id (an index into Run's regions slice).
-func (t *Thread) EnterRegion(id int32) { t.t.EnterRegion(id) }
+// EnterRegion pushes static region id: an index into Run's regions slice,
+// or -1 for none; any other id fails the run.
+func (t *Thread) EnterRegion(id int32) { t.t.EnterRegion(t.region(id)) }
 
 // ExitRegion pops the innermost region.
 func (t *Thread) ExitRegion() { t.t.ExitRegion() }
 
-// InRegion runs fn inside region id.
-func (t *Thread) InRegion(id int32, fn func()) { t.t.InRegion(id, fn) }
+// InRegion runs fn inside region id, as EnterRegion takes it.
+func (t *Thread) InRegion(id int32, fn func()) { t.t.InRegion(t.region(id), fn) }
+
+// region returns a valid id and panics, failing the run, on any other.
+func (t *Thread) region(id int32) int32 {
+	if id != trace.NoRegion && (id < 0 || id >= t.regions) {
+		panic(fmt.Sprintf("commprof: thread %d enters unknown region %d of %d", t.t.ID(), id, t.regions))
+	}
+	return id
+}
 
 // Run executes a custom workload body once per thread on the simulated
 // engine with the profiler attached, and reports its communication patterns.
@@ -164,7 +174,7 @@ func Run(threads int, regions []Region, body func(*Thread), opts Options) (*Repo
 	return profileEngine(opts, engineSource{
 		name: "custom", threads: threads, table: table,
 		run: func(eng *exec.Engine) (exec.Stats, error) {
-			return eng.Run(func(et *exec.Thread) { body(&Thread{t: et}) })
+			return eng.Run(func(et *exec.Thread) { body(&Thread{t: et, regions: int32(table.Len())}) })
 		},
 	})
 }

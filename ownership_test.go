@@ -2,6 +2,7 @@ package commprof
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
@@ -31,51 +32,77 @@ func pollTelemetry(tel *Telemetry, stop <-chan struct{}, wg *sync.WaitGroup) {
 	}
 }
 
-// TestOwnedAnalysisUnderLiveTelemetry exists to run under -race: a replay's
-// detectors own their signatures and matrices and write them plainly, at
-// K = 0 on the replay goroutine and at K = 2 on the shard workers, while
-// telemetry consumers read mid-run. What they may read of an owned structure
-// is what the owner publishes per batch, and that must be enough for the
-// answer to come out the same as an unobserved run's.
+// TestOwnedAnalysisUnderLiveTelemetry exists to run under -race: a run's
+// detectors own their signatures and matrices and write them plainly — at
+// K = 0 on the replay goroutine or an engine source's analyser goroutine, at
+// K = 2 on the shard workers — while telemetry consumers read mid-run. What
+// they may read of an owned structure is what the owner publishes per batch,
+// and that must be enough for the answer to come out the same as an
+// unobserved run's, for Replay and for the engine sources Profile and Record
+// (whose trace must not change either).
 func TestOwnedAnalysisUnderLiveTelemetry(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := Record(Options{Workload: "radix", Threads: 8}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for _, shards := range []int{0, 2} {
-		opts := Options{AnalysisShards: shards, PhaseWindow: 2000, RedundancyCacheBits: 8}
-		want, err := Replay(bytes.NewReader(data), 8, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, src := range []struct {
+		name string
+		run  func(Options) (*Report, error)
+	}{
+		{"Replay", func(opts Options) (*Report, error) { return Replay(bytes.NewReader(data), 8, opts) }},
+		{"Profile", func(opts Options) (*Report, error) {
+			opts.Workload, opts.Threads = "radix", 8
+			return Profile(opts)
+		}},
+		{"Record", func(opts Options) (*Report, error) {
+			opts.Workload, opts.Threads = "radix", 8
+			var rec bytes.Buffer
+			rep, err := Record(opts, &rec)
+			if err == nil && !bytes.Equal(rec.Bytes(), data) {
+				err = errors.New("the recorded trace differs from an unobserved recording's")
+			}
+			return rep, err
+		}},
+	} {
+		for _, shards := range []int{0, 2} {
+			opts := Options{AnalysisShards: shards, PhaseWindow: 2000, RedundancyCacheBits: 8}
+			want, err := src.run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-		tel := NewTelemetry()
-		opts.Telemetry = tel
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go pollTelemetry(tel, stop, &wg)
-		go pollTelemetry(tel, stop, &wg)
-		got, err := Replay(bytes.NewReader(data), 8, opts)
-		close(stop)
-		wg.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Global, want.Global) || !reflect.DeepEqual(got.Regions, want.Regions) ||
-			got.Dependencies != want.Dependencies || got.CommBytes != want.CommBytes {
-			t.Errorf("shards %d: a replay observed mid-run reports differently from an unobserved one", shards)
-		}
-		p := tel.Progress()
-		if p.Accesses != got.Accesses || p.CommBytes != got.CommBytes {
-			t.Errorf("shards %d: final progress %d accesses / %d bytes, report %d / %d", shards, p.Accesses, p.CommBytes, got.Accesses, got.CommBytes)
-		}
-		if p.SigOccupancy <= 0 || p.SigOccupancy > 1 {
-			t.Errorf("shards %d: owned signature occupancy = %v, want in (0,1]", shards, p.SigOccupancy)
-		}
-		if err := tel.Close(); err != nil {
-			t.Fatal(err)
+			tel := NewTelemetry()
+			opts.Telemetry = tel
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go pollTelemetry(tel, stop, &wg)
+			go pollTelemetry(tel, stop, &wg)
+			got, err := src.run(opts)
+			close(stop)
+			wg.Wait()
+			if err != nil {
+				t.Fatalf("%s, shards %d: %v", src.name, shards, err)
+			}
+			p := tel.Progress()
+			// Only the sections that hold timing-dependent peaks and the
+			// telemetry itself differ between the two runs.
+			got.Pipeline, got.Telemetry, got.Overhead = nil, nil, nil
+			want.Pipeline = nil
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, shards %d: a run observed mid-run reports differently from an unobserved one", src.name, shards)
+			}
+			if p.Accesses != got.Accesses || p.CommBytes != got.CommBytes {
+				t.Errorf("%s, shards %d: final progress %d accesses / %d bytes, report %d / %d",
+					src.name, shards, p.Accesses, p.CommBytes, got.Accesses, got.CommBytes)
+			}
+			if p.SigOccupancy <= 0 || p.SigOccupancy > 1 {
+				t.Errorf("%s, shards %d: owned signature occupancy = %v, want in (0,1]", src.name, shards, p.SigOccupancy)
+			}
+			if err := tel.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 // analyses online.
 //
 // The accesses are encoded a quantum (1 024 accesses) at a time, in issue
-// order and in front of the sampling gate; nothing holds the run as access
-// records. The header's counts are known only when the run ends and w need
+// order and in front of the sampling gate, behind the simulated threads;
+// nothing holds the run as access records. The header's counts are known only when the run ends and w need
 // not seek, so the encoded stream is staged in memory and handed to w in one
 // Write after a successful run: resident memory is O(encoded bytes), and a
 // failed run writes nothing.

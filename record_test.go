@@ -249,7 +249,7 @@ func waitGoroutines(t testing.TB, want int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Replay, %d before", runtime.NumGoroutine(), want)
+			t.Fatalf("%d goroutines after the call, %d before", runtime.NumGoroutine(), want)
 		}
 	}
 }

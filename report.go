@@ -288,11 +288,12 @@ func accuracyReport(est accuracy.Estimate, rec accuracy.Recommendation, shadowBy
 // the sampled estimates clamped so the split always sums to the measured
 // batch-service total. BatchService is timed per batch — by the shard
 // workers, and in-thread by whatever hands the detector its batches (replay's
-// loop, a live run's quantum buffer and ProfileTrace's chunks).
+// loop, an engine source's analyser goroutine and ProfileTrace's chunks).
 type OverheadReport struct {
 	// EngineWallNanos is wall time from run wiring to report build. With K
-	// parallel shard workers, or Replay's decode goroutine, the attributed
-	// stage time can legitimately exceed it (the buckets sum across goroutines).
+	// shard workers, Replay's decode goroutine or an engine source's analyser
+	// goroutine, the attributed stage time can legitimately exceed it (the
+	// buckets sum across goroutines).
 	EngineWallNanos uint64
 	// DecodeNanos is trace decode time (Decoder.NextBatch). On Replay it is
 	// spent on the decode goroutine and overlaps the analyser's stages.
@@ -315,7 +316,8 @@ type OverheadReport struct {
 	MergeNanos uint64
 	// AttributedNanos sums the exactly-measured buckets (decode + queue +
 	// batch service + window + merge); AttributedShare divides it by
-	// EngineWallNanos, so it can exceed 1 on Replay and at K > 0.
+	// EngineWallNanos, so it can exceed 1 on Replay, on engine sources and
+	// at K > 0.
 	AttributedNanos uint64
 	AttributedShare float64
 }

@@ -13,7 +13,8 @@
 # samplers and the /metrics and /progress scrapers, exactly as sharded runs
 # do), a -cpu 1,2,4 pass over the packages whose tests involve more than one
 # goroutine (no result may depend on how many cores the host has; the
-# deterministic executor's threads pass the turn to one another; the two
+# deterministic executor's threads pass the turn to one another and each
+# full quantum to the analyser goroutine behind them; the two
 # experiment goldens run sharded rows, so their bytes may not either), a vet+test
 # of the nested bench/ module, also under -cpu 1,2,4 (it compiles against
 # internal APIs that `go build ./...` from the root does not reach, and its
@@ -56,8 +57,9 @@ go test -race .
 echo "== go test -cpu 1,2,4 (facade) =="
 go test -cpu 1,2,4 .
 
-echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, probe, exec, experiments queue + throughput + both goldens) =="
+echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, probe, exec, the facade walls across the engine sources' analyser hand-off, experiments queue + throughput + both goldens) =="
 go test -cpu 1,2,4 -count 3 ./internal/detect/... ./internal/pipeline/... ./internal/sig/... ./probe/... ./internal/exec/...
+go test -cpu 1,2,4 -count 3 -run '^(TestReportsIndependentOfCoreCount|TestRecordBytesPinned|TestQuantumBufferMatchesPerAccess|TestEngineSourcesLeaveNoGoroutine)$' .
 go test -cpu 1,2,4 -count 3 -run 'TestQueueArchitecture|TestThroughputComparison|TestPaperSignatureGolden|TestExperimentsGolden' ./internal/experiments
 
 echo "== bench module: go vet + go test -cpu 1,2,4 =="
