@@ -2,6 +2,7 @@ package commprof
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,13 +18,12 @@ import (
 
 // analysis is one run's analyser, and the only way an entry point reaches
 // one: every entry point is a source of accesses (a simulated-thread engine,
-// an access slice, a trace decoder) feeding this value. The engine runs
-// Algorithm 1 on one goroutine (AnalysisShards 0, the paper's mode) — the
-// caller's for an access slice or a trace, for a simulated-thread engine one
-// analyser goroutine behind the threads — or on K shard workers; the gate
-// thins reads in front of it; ps is the windowed phase layer's facade
-// wiring. Every Options field that shapes the analysis is read here and
-// nowhere else, so no entry point can drop one.
+// an access slice, a trace decoder) that fills the analysis's quantum ring
+// on its own goroutine. One analyser goroutine behind the source runs
+// Algorithm 1 (AnalysisShards 0, the paper's mode) or hands each quantum to K
+// shard workers; the gate thins reads in front of it; ps is the windowed
+// phase layer's facade wiring. Every Options field that shapes the analysis
+// is read here and nowhere else, so no entry point can drop one.
 type analysis struct {
 	opts    Options
 	threads int
@@ -34,22 +34,27 @@ type analysis struct {
 	gate    *detect.Gate  // nil without read sampling
 	skipped atomic.Uint64 // reads the gate turned away
 
-	// producers are the staging handles probe and producer handed out;
-	// finish flushes them before closing the engine.
-	producers []*pipeline.Producer
-
-	// quantum is the buffer an engine source's probe, its one writer, fills
-	// in issue order; full, it is sent on full and the probe takes the next
-	// from free (three circulate). From probe until endQuanta one analyser
-	// goroutine owns the tap, the gate, the producer and its detectors.
+	// quantum is the buffer the source, its one writer, fills in issue
+	// order; full, handOn sends it on full and takes the next from free
+	// (three circulate). From start until endQuanta one analyser goroutine
+	// owns the tap, the gate, the run's one producer and its detectors.
 	quantum    []trace.Access
 	full, free chan []trace.Access
 	analysed   chan struct{}
 }
 
-// quantumLen is each quantum buffer's capacity in accesses (32 KB); live
-// telemetry trails the program by at most three quanta.
-const quantumLen = 1024
+// quantumLen is each quantum buffer's capacity in accesses (64 KB), for
+// every source; live telemetry trails the source by at most three quanta.
+// Each hand-off can park and wake a goroutine, which at 1 024 cost replay
+// about a third of its speed on a 2-core host.
+const quantumLen = 2048
+
+// ring is the three quantum buffers of one run. rings recycles them from
+// one run to the next: allocated per run, their 192 KB came to 3 % of all
+// that a million-access ProfileTrace allocates.
+type ring [3][quantumLen]trace.Access
+
+var rings sync.Pool
 
 // newAnalysis builds the analyser for a run over threads threads and the
 // given region table. Close its engine (idempotent; finish does) on every
@@ -105,29 +110,24 @@ func (an *analysis) sampledOut(kind trace.Kind, thread int32) bool {
 	return true
 }
 
-// producer returns a staging handle for one producing goroutine that finish
-// will flush. In-thread it stages nothing and runs the detector directly.
-func (an *analysis) producer(flushOnThreadSwitch bool) *pipeline.Producer {
+// start builds the run's one producer and starts the analyser goroutine
+// behind the source: it takes each full quantum, writes it to tap when
+// non-nil (in front of the sampling gate), thins it through the gate and
+// hands it to the producer, which it flushes once the ring closes. The
+// source then fills an.quantum and calls handOn at capacity. Sharded, an
+// engine source's producer flushes its staging on thread switches (= the
+// scheduler's quantum boundaries), which preserves the exact global arrival
+// order. Call endQuanta on every path once the source has run.
+func (an *analysis) start(tap *trace.Encoder, flushOnThreadSwitch bool) {
 	p := an.pe.NewProducer(flushOnThreadSwitch)
-	an.producers = append(an.producers, p)
-	return p
-}
-
-// probe returns the per-access hook a simulated-thread engine drives; the
-// scheduler's turn makes it a single caller. Every access collects in the
-// quantum buffer; the analyser goroutine this starts takes each full one
-// behind the program, writes it to tap when non-nil (in front of the
-// sampling gate), thins it through the gate and hands it to the producer.
-// Call endQuanta on every path once the engine has run.
-func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
-	// Sharded, the one producer flushes its staging on thread switches
-	// (= quantum boundaries), which preserves the exact global arrival order.
-	p := an.producer(an.pe.Shards() > 0)
-	an.full, an.free, an.analysed = make(chan []trace.Access, 2), make(chan []trace.Access, 3), make(chan struct{})
-	for range 2 {
-		an.free <- make([]trace.Access, 0, quantumLen)
+	r, _ := rings.Get().(*ring)
+	if r == nil {
+		r = new(ring)
 	}
-	an.quantum = make([]trace.Access, 0, quantumLen)
+	an.full, an.free, an.analysed = make(chan []trace.Access, 2), make(chan []trace.Access, 3), make(chan struct{})
+	an.free <- r[1][:0]
+	an.free <- r[2][:0]
+	an.quantum = r[0][:0]
 	go func() {
 		defer close(an.analysed)
 		for q := range an.full {
@@ -137,22 +137,21 @@ func (an *analysis) probe(tap *trace.Encoder) exec.Probe {
 			an.feedBatch(p, q)
 			an.free <- q[:0]
 		}
+		p.Flush()
+		rings.Put(r) // full is closed: the source is done with every buffer
 	}()
-	return func(a trace.Access) {
-		n := len(an.quantum)
-		an.quantum = an.quantum[:n+1] // handed on at capacity
-		q := &an.quantum[n]
-		q.Time, q.Addr, q.Size, q.Thread, q.Region, q.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
-		if n+1 == quantumLen {
-			an.full <- an.quantum
-			an.quantum = <-an.free
-		}
-	}
+}
+
+// handOn sends the filled quantum to the analyser goroutine and takes the
+// next empty buffer.
+func (an *analysis) handOn() {
+	an.full <- an.quantum
+	an.quantum = <-an.free
 }
 
 // endQuanta hands the last partial quantum to the analyser goroutine, ends
 // it and waits until it has exited, so the caller owns the analyser again.
-// A no-op without probe, or once done.
+// A no-op without start, or once done.
 func (an *analysis) endQuanta() {
 	if an.full == nil {
 		return
@@ -203,9 +202,6 @@ func (an *analysis) finish(name string, accesses uint64) (*Report, error) {
 		drain = tel.Span("pipeline-drain")
 	}
 	an.endQuanta()
-	for _, p := range an.producers {
-		p.Flush()
-	}
 	pe.Close()
 	drain.End()
 
@@ -283,17 +279,25 @@ type engineSource struct {
 }
 
 // profileEngine runs an engine source with the analyser attached: build the
-// analyser, hand its probe to the engine, run, finish.
+// analyser, hand the engine a probe that fills its ring, run, finish.
 func profileEngine(opts Options, src engineSource) (*Report, error) {
 	an, err := newAnalysis(opts, src.threads, src.table)
 	if err != nil {
 		return nil, err
 	}
 	defer an.pe.Close()
-	eng := exec.New(exec.Options{
-		Threads: src.threads, Probe: an.probe(src.tap), Probes: an.tel.Probes().Engine,
-	})
+	an.start(src.tap, an.pe.Shards() > 0)
 	defer an.endQuanta() // on the engine-error path, before the engine closes
+	// The scheduler's turn makes the probe a single caller.
+	eng := exec.New(exec.Options{Threads: src.threads, Probes: an.tel.Probes().Engine, Probe: func(a trace.Access) {
+		n := len(an.quantum)
+		an.quantum = an.quantum[:n+1] // handed on at capacity
+		q := &an.quantum[n]
+		q.Time, q.Addr, q.Size, q.Thread, q.Region, q.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
+		if n+1 == quantumLen {
+			an.handOn()
+		}
+	}})
 	an.wire(eng)
 	src.setup.End()
 	run := an.tel.Span("engine-run")

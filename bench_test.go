@@ -59,8 +59,8 @@ func BenchmarkProfileEndToEnd(b *testing.B) {
 
 // BenchmarkReplay replays the six traces of bench/'s splash mix, recorded
 // once in set-up at 32 threads, and reports ns/access over all of them.
-// Replay decodes on a goroutine of its own beside the analyser, so
-// `go test -bench Replay -cpu 1,2` compares one core with two.
+// Replay decodes on the caller's goroutine beside the analyser goroutine,
+// so `go test -bench Replay -cpu 1,2` compares one core with two.
 func BenchmarkReplay(b *testing.B) {
 	traces := make([][]byte, len(splashMix))
 	var accesses uint64

@@ -122,8 +122,8 @@ type Options struct {
 	// on the asymmetric signature; Report.Redundancy carries the hit-rate
 	// telemetry. 10–14 bits (a cache that fits in L1/L2) is the sweet spot.
 	// The cache has a single consumer: in-thread that is the detector's one
-	// caller (the engine's probe, which the scheduler's turn serialises, or
-	// the replay loop), sharded each worker owns a private one.
+	// caller, the analyser goroutine behind every source; sharded each
+	// worker owns a private one.
 	RedundancyCacheBits uint
 	// AccuracyTargetFPR, when positive (and < 1), enables the online
 	// signature-accuracy monitor: a deterministically hash-selected
@@ -139,8 +139,8 @@ type Options struct {
 	// is a reasonable starting point. Like RedundancyCacheBits, the monitor
 	// has a single consumer (the production and shadow verdicts of a granule
 	// must interleave in one temporal order to stay paired): in-thread that
-	// is the detector's one caller, sharded each worker monitors its own
-	// partition.
+	// is the detector's one caller, the analyser goroutine behind every
+	// source; sharded each worker monitors its own partition.
 	AccuracyTargetFPR float64
 	// AccuracySampleBits is k in the 1/2^k accuracy sample: 0 shadows every
 	// granule (exact — Report.Accuracy.EstimatedFPR equals the offline

@@ -11,9 +11,10 @@ import (
 // TestReportsIndependentOfCoreCount pins that a report depends on the
 // program and the options, never on how many cores the host lends the run:
 // the scheduler hands the turn from thread to thread, so Profile, Record (and
-// the Replay of its trace) and Run see one access order under GOMAXPROCS 1
-// and 4 alike, in-thread and sharded, with the phase windows, the redundancy
-// cache and the accuracy monitor on. Only the sections that hold
+// the Replay of its trace, and ProfileTrace over the same trace decoded) and
+// Run see one access order under GOMAXPROCS 1 and 4 alike, in-thread and
+// sharded, with the phase windows, the redundancy cache and the accuracy
+// monitor on; ProfileTrace's report is Replay's. Only the sections that hold
 // timing-dependent peaks (Pipeline, Telemetry, Overhead) are left out of the
 // comparison. The Run body is a single-writer scatter: thread 0 writes a
 // block per consumer, a barrier separates production from consumption, and
@@ -66,8 +67,11 @@ func TestReportsIndependentOfCoreCount(t *testing.T) {
 			var buf bytes.Buffer
 			rep, err = Record(opts, &buf)
 			add("Record", rep, err)
+			accesses, traceRegions, _ := publicTrace(t, buf.Bytes())
 			rep, err = Replay(&buf, 0, opts)
 			add("Replay", rep, err)
+			rep, err = ProfileTrace(accesses, traceRegions, threads, opts)
+			add("ProfileTrace", rep, err)
 			rep, err = Run(threads, regions, body, opts)
 			add("Run", rep, err)
 		}
@@ -82,6 +86,13 @@ func TestReportsIndependentOfCoreCount(t *testing.T) {
 		if rep.PhaseTimeline == nil || rep.Redundancy == nil || rep.Accuracy == nil {
 			t.Fatalf("%s: a layer's report section is missing: timeline %v, redundancy %v, accuracy %v",
 				name, rep.PhaseTimeline != nil, rep.Redundancy != nil, rep.Accuracy != nil)
+		}
+	}
+	for _, shards := range []int{0, 2} {
+		got, want := *one[fmt.Sprintf("ProfileTrace/shards=%d", shards)], *one[fmt.Sprintf("Replay/shards=%d", shards)]
+		got.Workload = want.Workload
+		if !reflect.DeepEqual(&got, &want) {
+			t.Errorf("shards %d: ProfileTrace's report differs from Replay's over the same trace", shards)
 		}
 	}
 	for name, rep := range runs(4) {

@@ -78,12 +78,11 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 	}
 	defer an.pe.Close()
 	an.wire(nil)
-	// The caller's slice is the only O(accesses) state: accesses are converted
-	// a chunk at a time into a buffer on this stack, never into a second
-	// stream, and each chunk goes to the analyser as one batch.
-	p := an.producer(false)
-	var chunk [256]trace.Access
-	n := 0
+	// The caller's slice is the only O(accesses) state: each access is
+	// checked and converted straight into the analysis's quantum ring, never
+	// into a second stream.
+	an.start(nil, false)
+	defer an.endQuanta()
 	for i := range accesses {
 		a := &accesses[i]
 		if a.Thread < 0 || int(a.Thread) >= threads {
@@ -96,18 +95,15 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 		if a.Kind == WriteAccess {
 			k = trace.Write
 		}
-		if an.sampledOut(k, a.Thread) {
-			continue
-		}
 		// Field by field, never a whole trace.Access (DESIGN §5, "the copy rule").
-		c := &chunk[n]
-		c.Time, c.Addr, c.Size, c.Thread, c.Region, c.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, k
-		if n++; n == len(chunk) {
-			p.ProcessBatch(chunk[:])
-			n = 0
+		n := len(an.quantum)
+		an.quantum = an.quantum[:n+1] // handed on at capacity
+		q := &an.quantum[n]
+		q.Time, q.Addr, q.Size, q.Thread, q.Region, q.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, k
+		if n+1 == quantumLen {
+			an.handOn()
 		}
 	}
-	p.ProcessBatch(chunk[:n])
 	return an.finish("trace", uint64(len(accesses)))
 }
 

@@ -777,6 +777,36 @@ type plantedBarrier struct{ cond *sync.Cond }
 `,
 		},
 	},
+	{
+		// Every source reaches the analyser through the analysis's one quantum
+		// ring (analysis.go: start, handOn, endQuanta): a source fills it on
+		// its own goroutine and the one analyser goroutine drains it. No other
+		// root-package file builds a channel of access buffers, so no source
+		// grows a second ring of its own.
+		name: "a second source-side ring is back",
+		check: func(m *module) (out findings) {
+			m.each(scope{dirs: []string{"."}}, func(p *pkg, f *file) {
+				if f.name == "analysis.go" {
+					return
+				}
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					if ct, ok := n.(*ast.ChanType); ok {
+						if t := p.info.TypeOf(ct.Value); t != nil && types.TypeString(t, nil) == "[]"+modulePath+"/internal/trace.Access" {
+							out.add(m, ct.Pos(), "chan []trace.Access outside analysis.go")
+						}
+					}
+					return true
+				})
+			})
+			return out
+		},
+		plant: map[string]string{"planted.go": `package commprof
+
+import "commprof/internal/trace"
+
+var plantedRing = make(chan []trace.Access, 2)
+`},
+	},
 }
 
 // writesFixedRecord reports whether call hands a v1/v2 record to a writer:

@@ -23,10 +23,9 @@ import (
 //	v3  v2 header and region table, access section framed into CRC-checked
 //	    blocks of delta/varint records (see v3.go)
 //
-// The point of the split is memory: replaying a recorded trace through the
-// sharded pipeline only ever needs one access in flight per producer plus the
-// bounded shard queues, so decoding must not materialise the whole access
-// section first. A Decoder holds the region table (small, static) and one
+// The point of the split is memory: replaying a recorded trace only ever
+// needs the decoded batches in flight to the analyser plus the bounded shard
+// queues, so decoding must not materialise the whole access section first. A Decoder holds the region table (small, static) and one
 // block buffer at most; resident memory is O(region table + one block).
 //
 // Error semantics are strict: any truncated or corrupt access record fails

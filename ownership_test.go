@@ -154,7 +154,7 @@ func TestQuantumBufferMatchesPerAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := an.producer(false)
+		p := an.pe.NewProducer(false)
 		stats, err := exec.New(exec.Options{Threads: threads, Probe: func(a trace.Access) {
 			if !an.sampledOut(a.Kind, a.Thread) {
 				p.Process(a)

@@ -16,7 +16,7 @@ import (
 // profiler's signature stays fixed — which is precisely why DiscoPoP
 // analyses online.
 //
-// The accesses are encoded a quantum (1 024 accesses) at a time, in issue
+// The accesses are encoded a quantum (2 048 accesses) at a time, in issue
 // order and in front of the sampling gate, behind the simulated threads;
 // nothing holds the run as access records. The header's counts are known only when the run ends and w need
 // not seek, so the encoded stream is staged in memory and handed to w in one
@@ -50,11 +50,6 @@ func Record(opts Options, w io.Writer) (*Report, error) {
 	return rep, nil
 }
 
-// replayBatchSize is the capacity of each of Replay's three decode buffers
-// (64 KB each): one hand-off per 2 048 records is noise beside decoding and
-// analysing them, and the three buffers stay resident in cache.
-const replayBatchSize = 2048
-
 // Replay runs the profiler offline over a trace previously written by
 // Record. threads must match the recording's thread count (the matrix
 // dimension); it is validated against the trace contents. For a v2/v3 trace
@@ -62,13 +57,14 @@ const replayBatchSize = 2048
 // final goroutine count the shim registered — threads may be 0, meaning
 // "use the count the trace declares". All codec versions replay.
 //
-// Replay decodes the trace incrementally, one batch ahead of the analyser:
-// the region table is read up front, then a goroutine of its own decodes
-// into three circulating buffers (Decoder.NextBatch) while the caller's
-// goroutine analyses the last one filled. Resident memory is O(region table
-// + three batches), plus the shard queues and staging with AnalysisShards —
-// never O(accesses). A truncated or corrupt access section fails with
-// "record i of n" context after the prefix before it has been analysed.
+// Replay decodes the trace incrementally, a quantum (2 048 records) ahead of
+// the analyser: the region table is read up front, then the caller's
+// goroutine decodes straight into the analysis's quantum ring
+// (Decoder.NextBatch) while the analyser goroutine works on the last quantum
+// filled. Resident memory is O(region table + three quanta), plus the shard
+// queues and staging with AnalysisShards — never O(accesses). A truncated or
+// corrupt access section fails with "record i of n" context after the
+// prefix before it has been analysed.
 func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	opts.setDefaults()
 	if threads < 0 {
@@ -85,51 +81,11 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	}
 	probes := opts.Telemetry.Probes()
 	dec.Probes = probes.Trace
-	// Stage timing: decode time is observed inside the decoder (on the decode
-	// goroutine, overlapping the analyser), the analyser side of each batch
+	// Stage timing: decode time is observed inside the decoder (on this
+	// goroutine, overlapping the analyser), the analyser side of each quantum
 	// inside Producer.ProcessBatch. Nil probes keep both bare.
 	dec.Stages = probes.Stage
-	table := dec.Table()
-	// From here one goroutine owns dec. It fills buffers taken from free,
-	// checks every record's thread and sends them on full, until the first
-	// error (io.EOF at the end), which it leaves in decErr before closing
-	// full. It starts before the analyser is built, so the first batches
-	// decode while the signature arena is zeroed; on any other return the
-	// deferred close of stop ends it, and Replay waits until it has. full
-	// holds the two buffers the analyser is not working on.
-	full, free, stop := make(chan []trace.Access, 2), make(chan []trace.Access, 3), make(chan struct{})
-	for range cap(free) {
-		free <- make([]trace.Access, 0, replayBatchSize)
-	}
-	var decErr error
-	go func() {
-		defer close(full)
-		for decoded := uint64(0); ; {
-			var batch []trace.Access
-			select {
-			case batch = <-free:
-			case <-stop:
-				return
-			}
-			if batch, decErr = dec.NextBatch(batch); decErr != nil {
-				return
-			}
-			for i := range batch {
-				if th := batch[i].Thread; th < 0 || int(th) >= threads {
-					decErr = fmt.Errorf("commprof: trace access %d has thread %d, outside [0,%d)", decoded+uint64(i), th, threads)
-					return
-				}
-			}
-			decoded += uint64(len(batch))
-			full <- batch // the deferred drain below receives it after a stop
-		}
-	}()
-	defer func() {
-		close(stop)
-		for range full { // until the goroutine has returned
-		}
-	}()
-	an, err := newAnalysis(opts, threads, table)
+	an, err := newAnalysis(opts, threads, dec.Table())
 	if err != nil {
 		return nil, err
 	}
@@ -138,18 +94,24 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	// analysis engine's merged state, which stays valid after Close — a
 	// post-run scrape sees the final hit rates instead of unbound zeros.
 	an.wire(nil)
-	// A recorded stream is a single producer: in-thread each batch runs
-	// through the detector here, sharded per-shard batching applies at full
-	// strength.
-	p := an.producer(false)
+	// A recorded stream is a single producer: sharded, per-shard batching
+	// applies at full strength.
+	an.start(nil, false)
+	defer an.endQuanta()
 	var accesses uint64
-	for batch := range full {
-		accesses += uint64(len(batch))
-		an.feedBatch(p, batch)
-		free <- batch
+	for {
+		if an.quantum, err = dec.NextBatch(an.quantum); err == io.EOF {
+			return an.finish("replay", accesses)
+		} else if err != nil {
+			return nil, err
+		}
+		for i := range an.quantum {
+			if th := an.quantum[i].Thread; th < 0 || int(th) >= threads {
+				an.quantum = an.quantum[:i] // the analyser sees only checked records
+				return nil, fmt.Errorf("commprof: trace access %d has thread %d, outside [0,%d)", accesses+uint64(i), th, threads)
+			}
+		}
+		accesses += uint64(len(an.quantum))
+		an.handOn()
 	}
-	if decErr != io.EOF {
-		return nil, decErr
-	}
-	return an.finish("replay", accesses)
 }

@@ -165,9 +165,9 @@ func TestReplayErrors(t *testing.T) {
 		t.Error("trace with out-of-range threads accepted")
 	}
 
-	// Errors raised on the decode goroutine reach the caller with the
-	// message and record index the trace dictates, and the goroutine has
-	// ended once Replay returns. The synthetic trace holds 10 000 records in
+	// Errors raised while decoding reach the caller with the message and
+	// record index the trace dictates, and the analyser goroutine has ended
+	// once Replay returns. The synthetic trace holds 10 000 records in
 	// v3 blocks of 4 096, 4 096 and 1 808.
 	const n = 10000
 	good := syntheticTrace(t, n, -1)
@@ -190,12 +190,12 @@ func TestReplayErrors(t *testing.T) {
 		opts Options
 		want []string
 	}{
-		// Access 4 196 lies in the third 2 048-record decode batch.
+		// Access 4 196 lies in the third 2 048-access quantum.
 		{"thread out of range", syntheticTrace(t, n, 4196), Options{}, []string{"trace access 4196 has thread 7, outside [0,4)"}},
 		{"truncated mid-block", truncated, Options{}, []string{"record 4097 of 10000", io.ErrUnexpectedEOF.Error()}},
 		{"block CRC flipped", flipped, Options{}, []string{"record 4097 of 10000", "checksum mismatch"}},
-		// The analyser is refused after decoding has started: the goroutine
-		// must be stopped, not left blocked on a full hand-off.
+		// The analyser is refused before decoding starts: Replay returns
+		// the refusal and starts no goroutine.
 		{"analyser refused", good, Options{GranularityBits: 64}, []string{"GranularityBits"}},
 	} {
 		before := runtime.NumGoroutine()
@@ -255,8 +255,8 @@ func waitGoroutines(t testing.TB, want int) {
 }
 
 // FuzzReplay holds Replay to "a report or an error" on arbitrary bytes at
-// any thread count in [0,40): never a panic, a hang, or a decode goroutine
-// left running.
+// any thread count in [0,40): never a panic, a hang, or an analyser
+// goroutine left running.
 func FuzzReplay(f *testing.F) {
 	var rec bytes.Buffer
 	if _, err := Record(Options{Workload: "fft", InputSize: "simdev", Threads: 4}, &rec); err != nil {

@@ -287,16 +287,16 @@ func accuracyReport(est accuracy.Estimate, rec accuracy.Recommendation, shadowBy
 // Signature, Redundancy and Shadow using a 1-in-256 sampled sub-timing, with
 // the sampled estimates clamped so the split always sums to the measured
 // batch-service total. BatchService is timed per batch — by the shard
-// workers, and in-thread by whatever hands the detector its batches (replay's
-// loop, an engine source's analyser goroutine and ProfileTrace's chunks).
+// workers, and in-thread by the analyser goroutine that hands the detector
+// each quantum, whatever the source.
 type OverheadReport struct {
 	// EngineWallNanos is wall time from run wiring to report build. With K
-	// shard workers, Replay's decode goroutine or an engine source's analyser
-	// goroutine, the attributed stage time can legitimately exceed it (the
-	// buckets sum across goroutines).
+	// shard workers, or the analyser goroutine beside every source, the
+	// attributed stage time can legitimately exceed it (the buckets sum
+	// across goroutines).
 	EngineWallNanos uint64
 	// DecodeNanos is trace decode time (Decoder.NextBatch). On Replay it is
-	// spent on the decode goroutine and overlaps the analyser's stages.
+	// spent on the caller's goroutine and overlaps the analyser's stages.
 	DecodeNanos uint64
 	// QueueNanos is producer-side time: staging, routing and enqueueing into
 	// the shard queues, including time blocked on a full queue.
@@ -316,8 +316,8 @@ type OverheadReport struct {
 	MergeNanos uint64
 	// AttributedNanos sums the exactly-measured buckets (decode + queue +
 	// batch service + window + merge); AttributedShare divides it by
-	// EngineWallNanos, so it can exceed 1 on Replay, on engine sources and
-	// at K > 0.
+	// EngineWallNanos, so it can exceed 1 on Replay, on ProfileTrace, on
+	// engine sources and at K > 0.
 	AttributedNanos uint64
 	AttributedShare float64
 }

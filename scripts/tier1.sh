@@ -59,7 +59,7 @@ go test -cpu 1,2,4 .
 
 echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, probe, exec, the facade walls across the engine sources' analyser hand-off, experiments queue + throughput + both goldens) =="
 go test -cpu 1,2,4 -count 3 ./internal/detect/... ./internal/pipeline/... ./internal/sig/... ./probe/... ./internal/exec/...
-go test -cpu 1,2,4 -count 3 -run '^(TestReportsIndependentOfCoreCount|TestRecordBytesPinned|TestQuantumBufferMatchesPerAccess|TestEngineSourcesLeaveNoGoroutine)$' .
+go test -cpu 1,2,4 -count 3 -run '^(TestReportsIndependentOfCoreCount|TestRecordBytesPinned|TestQuantumBufferMatchesPerAccess|TestEngineSourcesLeaveNoGoroutine|TestReplayErrors|TestProfileTraceMatchesReplay)$' .
 go test -cpu 1,2,4 -count 3 -run 'TestQueueArchitecture|TestThroughputComparison|TestPaperSignatureGolden|TestExperimentsGolden' ./internal/experiments
 
 echo "== bench module: go vet + go test -cpu 1,2,4 =="

@@ -255,9 +255,8 @@ type ProgressSnapshot struct {
 	Clock uint64 `json:"clock"`
 	// Accesses is the number of accesses the detector has consumed. The
 	// detector publishes its counters once per batch, so mid-run this (and
-	// Dependencies, CommBytes) trails the program: by at most three
-	// 1 024-access quanta on an engine source, by the decoded blocks in
-	// flight on Replay, or by a shard hand-off.
+	// Dependencies, CommBytes) trails the source: by at most three
+	// 2 048-access quanta (the analyser's ring), or by a shard hand-off.
 	Accesses uint64 `json:"accesses"`
 	// AccessesPerSec is detection throughput: Accesses / ElapsedSeconds.
 	AccessesPerSec float64 `json:"accesses_per_sec"`

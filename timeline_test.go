@@ -252,7 +252,7 @@ func TestReportOverheadAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := uint64(0)
-	for batch := make([]trace.Access, 0, replayBatchSize); ; {
+	for batch := make([]trace.Access, 0, quantumLen); ; {
 		calls++
 		if batch, err = dec.NextBatch(batch); err == io.EOF {
 			break
