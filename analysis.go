@@ -114,12 +114,10 @@ func (an *analysis) sampledOut(kind trace.Kind, thread int32) bool {
 // behind the source: it takes each full quantum, writes it to tap when
 // non-nil (in front of the sampling gate), thins it through the gate and
 // hands it to the producer, which it flushes once the ring closes. The
-// source then fills an.quantum and calls handOn at capacity. Sharded, an
-// engine source's producer flushes its staging on thread switches (= the
-// scheduler's quantum boundaries), which preserves the exact global arrival
-// order. Call endQuanta on every path once the source has run.
-func (an *analysis) start(tap *trace.Encoder, flushOnThreadSwitch bool) {
-	p := an.pe.NewProducer(flushOnThreadSwitch)
+// source then fills an.quantum and calls handOn at capacity. Call endQuanta
+// on every path once the source has run.
+func (an *analysis) start(tap *trace.Encoder) {
+	p := an.pe.NewProducer(false)
 	r, _ := rings.Get().(*ring)
 	if r == nil {
 		r = new(ring)
@@ -286,7 +284,7 @@ func profileEngine(opts Options, src engineSource) (*Report, error) {
 		return nil, err
 	}
 	defer an.pe.Close()
-	an.start(src.tap, an.pe.Shards() > 0)
+	an.start(src.tap)
 	defer an.endQuanta() // on the engine-error path, before the engine closes
 	// The scheduler's turn makes the probe a single caller.
 	eng := exec.New(exec.Options{Threads: src.threads, Probes: an.tel.Probes().Engine, Probe: func(a trace.Access) {

@@ -19,8 +19,8 @@
 // without rebuilding the target. A target that exits non-zero is still
 // analysed — its trace, or what recover salvages of it — and commtrace exits
 // with the target's code. recover, which needs no -pkg, salvages the complete
-// prefix of a trace (any version) whose writer died before finalizing it into
-// a finalized v3 trace, then replays what survived.
+// prefix of a trace whose writer died before finalizing it into a finalized
+// trace, then replays what survived.
 package main
 
 import (

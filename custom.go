@@ -81,7 +81,7 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 	// The caller's slice is the only O(accesses) state: each access is
 	// checked and converted straight into the analysis's quantum ring, never
 	// into a second stream.
-	an.start(nil, false)
+	an.start(nil)
 	defer an.endQuanta()
 	for i := range accesses {
 		a := &accesses[i]

@@ -364,13 +364,12 @@ type contract struct {
 
 var contracts = []contract{
 	{
-		// One trace format is written (v3): no option, flag or environment
-		// variable may select another, no mode converts a trace into another,
-		// and no non-test code writes the fixed 29-byte v1/v2 record. v1 and v2
-		// are decode-only; internal/trace/export_test.go writes their bytes for
-		// the decoder's tests. (bench/ still exports the variable the shim used
-		// to read.)
-		name: "a trace-format knob is back",
+		// One trace format, v3, is written and read: no non-test code in
+		// internal/trace reads or writes a fixed 29-byte record (the retired
+		// v1/v2 access layout), no option, flag or environment variable may
+		// select a format, and no mode converts a trace into another. (bench/
+		// still exports the variable the shim used to read.)
+		name: "a fixed 29-byte trace record or a trace-format knob is back",
 		check: func(m *module) (out findings) {
 			m.each(scope{tests: true}, func(p *pkg, f *file) {
 				out.idents(m, f, "TraceFormat")
@@ -379,22 +378,36 @@ var contracts = []contract{
 					return
 				}
 				out.literals(m, f, regexp.MustCompile(`^(trace-format|recode)$`))
-				out.idents(m, f, "writeFixedRecord")
-				ast.Inspect(f.ast, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok && writesFixedRecord(p, call) {
-						out.add(m, call.Pos(), "writes a fixed-length record")
-					}
-					return true
-				})
+				out.idents(m, f, "writeFixedRecord", "accessRecLen")
+				if p.dir == "internal/trace" {
+					out.fixedRecords(m, p, f)
+				}
 			})
 			return out
 		},
-		plant: map[string]string{"cmd/commprof/planted.go": `package main
+		plant: map[string]string{
+			"cmd/commprof/planted.go": `package main
 
 import "flag"
 
 var plantedFormat = flag.Int("trace-format", 3, "trace format")
-`},
+`,
+			"internal/trace/planted.go": `package trace
+
+import (
+	"encoding/binary"
+	"io"
+)
+
+func (d *Decoder) plantedNext() (Access, error) {
+	var rec [8 + 8 + 4 + 4 + 4 + 1]byte
+	if _, err := io.ReadFull(d.br, rec[:]); err != nil {
+		return Access{}, err
+	}
+	return Access{Time: binary.LittleEndian.Uint64(rec[0:]), Kind: Kind(rec[28])}, nil
+}
+`,
+		},
 	},
 	{
 		// Write paths stream through trace.Encoder; none holds the run as a
@@ -809,44 +822,36 @@ var plantedRing = make(chan []trace.Access, 2)
 	},
 }
 
-// writesFixedRecord reports whether call hands a v1/v2 record to a writer:
-// a Write/Put/Append call whose arguments involve the record length
-// (trace.accessRecLen), or a PutUint32/PutUint64/Write into rec[...].
-func writesFixedRecord(p *pkg, call *ast.CallExpr) bool {
-	var name string
-	switch fn := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		name = fn.Sel.Name
-	case *ast.Ident:
-		name = fn.Name
+// fixedRecords reports every place in f that sizes a buffer, a read or a
+// write to the 29 bytes of a fixed access record: an array length, a call
+// argument or a slice bound whose constant value is 29, however it is
+// spelled (a literal, 8+8+4+4+4+1, a named constant). f is a non-test file of
+// internal/trace, where no other constant is 29.
+func (out *findings) fixedRecords(m *module, p *pkg, f *file) {
+	is29 := func(x ast.Expr) bool {
+		tv, ok := p.info.Types[x]
+		return ok && tv.Value != nil && tv.Value.String() == "29"
 	}
-	if !strings.HasPrefix(name, "Write") && !strings.HasPrefix(name, "Put") && !strings.HasPrefix(name, "Append") {
-		return false
-	}
-	if len(call.Args) > 0 && (name == "Write" || name == "PutUint32" || name == "PutUint64") {
-		var x ast.Expr
-		switch a := call.Args[0].(type) {
-		case *ast.IndexExpr:
-			x = a.X
-		case *ast.SliceExpr:
-			x = a.X
-		}
-		if id, ok := x.(*ast.Ident); ok && id.Name == "rec" {
-			return true
+	report := func(x ast.Expr) {
+		if x != nil && is29(x) {
+			out.add(m, x.Pos(), "a fixed 29-byte record")
 		}
 	}
-	found := false
-	for _, arg := range call.Args {
-		ast.Inspect(arg, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && id.Name == "accessRecLen" {
-				if obj := p.info.Uses[id]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == modulePath+"/internal/trace" {
-					found = true
-				}
+	ast.Inspect(f.ast, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ArrayType:
+			report(n.Len)
+		case *ast.CallExpr:
+			for _, arg := range n.Args {
+				report(arg)
 			}
-			return !found
-		})
-	}
-	return found
+		case *ast.SliceExpr:
+			report(n.Low)
+			report(n.High)
+			report(n.Max)
+		}
+		return true
+	})
 }
 
 // testOnlyAllowed are the exports kept although only tests call them, each

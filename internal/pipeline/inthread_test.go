@@ -133,7 +133,7 @@ func TestInThreadAllocatesNoQueue(t *testing.T) {
 	if e.Shards() != 0 {
 		t.Fatalf("Shards() = %d on the in-thread engine, want 0", e.Shards())
 	}
-	p := e.NewProducer(true)
+	p := e.NewProducer(false)
 	if p.pending != nil || len(e.producers) != 0 {
 		t.Fatalf("in-thread producer staged: pending %v, %d registered", p.pending, len(e.producers))
 	}

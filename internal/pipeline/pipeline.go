@@ -536,16 +536,6 @@ type Producer struct {
 	pending [][]trace.Access
 	staged  int
 
-	// flushOnThreadSwitch flushes all staged batches whenever the producing
-	// thread changes between consecutive accesses. The deterministic
-	// scheduler interleaves threads only at quantum boundaries, so this is
-	// the quantum-switch trigger: it preserves the exact global arrival
-	// order across threads (thread A's staged accesses reach the queues
-	// before thread B's first enqueue), keeping single-producer staging
-	// order-exact even when one handle carries every thread's accesses.
-	flushOnThreadSwitch bool
-	lastThread          int32
-
 	// peak/flushes are written only by the owning goroutine but read by
 	// concurrent stats snapshots, hence atomics.
 	peak    atomic.Int64
@@ -556,19 +546,19 @@ type Producer struct {
 	track *obs.Track
 }
 
-// NewProducer returns a staging handle for one producing goroutine.
-// flushOnThreadSwitch selects the scheduler mode described on Producer, for
-// a handle that carries every simulated thread's accesses; leave it false
-// when stream order alone fixes per-shard order (replay, the real-Go probe's
-// merged stream) or when every access the handle sees comes from one thread.
-func (e *Engine) NewProducer(flushOnThreadSwitch bool) *Producer {
+// NewProducer returns a staging handle for one producing goroutine. A single
+// producer needs no flush between threads, whatever the mix of threads it
+// carries: each shard's FIFO receives its accesses in stream order, which is
+// all Algorithm 1 needs per address. The bool is ignored; the parameter is
+// kept only because bench/layers.go still passes it, and ROADMAP item 0(d)
+// deletes it.
+func (e *Engine) NewProducer(bool) *Producer {
 	if e.inThread != nil {
 		return &Producer{e: e}
 	}
 	p := &Producer{
-		e:                   e,
-		pending:             make([][]trace.Access, len(e.shards)),
-		flushOnThreadSwitch: flushOnThreadSwitch,
+		e:       e,
+		pending: make([][]trace.Access, len(e.shards)),
 	}
 	for i := range p.pending {
 		p.pending[i] = make([]trace.Access, 0, e.batch)
@@ -581,19 +571,12 @@ func (e *Engine) NewProducer(flushOnThreadSwitch bool) *Producer {
 }
 
 // Process stages one access, handing the target shard's buffer over when it
-// is full (and, in flushOnThreadSwitch mode, handing over everything staged
-// when the producing thread changes).
+// is full.
 func (p *Producer) Process(a trace.Access) {
 	e := p.e
 	if e.inThread != nil {
 		e.inThread.Process(a)
 		return
-	}
-	if p.flushOnThreadSwitch {
-		if a.Thread != p.lastThread && p.staged > 0 {
-			p.flush()
-		}
-		p.lastThread = a.Thread
 	}
 	i := e.route(a.Addr)
 	buf := p.pending[i]

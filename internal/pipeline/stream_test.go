@@ -117,12 +117,12 @@ func TestStreamingReplayMatchesMaterialised(t *testing.T) {
 	}
 }
 
-// TestProducerThreadSwitchFlushIsOrderExact pins the deterministic-engine
-// staging mode: a single flushOnThreadSwitch producer carrying a
-// multi-threaded interleaved stream must match an unstaged feed (every access
-// flushed on its own) exactly, because every staged batch drains before the
-// next thread's first access is enqueued.
-func TestProducerThreadSwitchFlushIsOrderExact(t *testing.T) {
+// TestOneProducerInterleavedStreamIsOrderExact pins single-producer staging:
+// one producer carrying a multi-threaded interleaved stream, flushed only
+// when its buffers fill and at the end, must match an unstaged feed (every
+// access flushed on its own) exactly, because each shard's FIFO receives its
+// accesses in stream order whatever the thread mix.
+func TestOneProducerInterleavedStreamIsOrderExact(t *testing.T) {
 	const threads = 8
 	stream, table := recordStream(t, "radix", threads)
 
@@ -152,13 +152,13 @@ func TestProducerThreadSwitchFlushIsOrderExact(t *testing.T) {
 		}
 	})
 	staged := run(func(e *Engine) {
-		p := e.NewProducer(true)
+		p := e.NewProducer(false)
 		for _, a := range stream {
 			p.Process(a)
 		}
 		p.Flush()
 	})
 	if !staged.Equal(unstaged) {
-		t.Fatal("thread-switch-flushed producer diverges from unstaged Process")
+		t.Fatal("staged producer diverges from unstaged Process")
 	}
 }

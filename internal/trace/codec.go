@@ -16,34 +16,23 @@ type Stream struct {
 }
 
 const (
-	codecMagic   = 0x43504d54 // "CPMT"
-	codecVersion = 1
-	// codecVersion2 extends the v1 layout for real-program recordings: the
-	// header gains a thread-count field after the access count, and each
-	// region entry gains a length-prefixed source file name and a line
-	// number. Both counts may be written as countUnpatched by a streaming
-	// writer that does not know them up front (NewDynamicEncoder, today in
-	// v3's identical header); its Close patches the real values in place, so
-	// a sentinel surviving to decode time means the recording process died
-	// before finalizing the trace.
-	codecVersion2 = 2
-	// codecVersion3 keeps the v2 header and region table but replaces the
-	// fixed-record access section with CRC-framed blocks of delta/varint
-	// records — the compact wire format (see v3.go and DESIGN §9).
-	codecVersion3 = 3
-	// countUnpatched is the v2/v3 "not yet finalized" sentinel for the
-	// access and thread counts.
+	codecMagic = 0x43504d54 // "CPMT"
+	// countUnpatched is the "not yet finalized" sentinel for the header's
+	// access and thread counts. A streaming writer that does not know them up
+	// front (NewDynamicEncoder) writes it, and its Close patches the real
+	// values in place, so a sentinel surviving to decode time means the
+	// recording process died before finalizing the trace.
 	countUnpatched = 0xFFFFFFFF
-	accessRecLen   = 8 + 8 + 4 + 4 + 4 + 1
-	// headerLenV2 is the v2/v3 header: magic, version, region count, access
+	// headerLen is the stream header: magic, version, region count, access
 	// count, thread count.
-	headerLenV2 = 20
+	headerLen = 20
 )
 
-// DefaultVersion is the one format written (Record, the probe shim,
-// commtrace recover). v1 and v2 are decode-only: they stay readable forever,
-// and nothing in the module writes them.
-const DefaultVersion = codecVersion3
+// DefaultVersion is the one format, v3, written (Record, the probe shim,
+// commtrace recover) and read: a 20-byte header, a region table with
+// file:line per region, and an access section framed into CRC-checked
+// blocks of delta/varint records (see v3.go and DESIGN §9).
+const DefaultVersion = 3
 
 // EncodeVersion writes the stream in the given format version, which must be
 // DefaultVersion — the materialised wrapper over NewEncoderVersion: header

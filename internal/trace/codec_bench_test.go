@@ -32,13 +32,12 @@ const codecBenchThreads = 32
 var codecFixture struct {
 	once sync.Once
 	s    *trace.Stream
-	enc  map[int][]byte
+	enc  []byte
 	err  error
 }
 
 func codecStream(b *testing.B) *trace.Stream {
 	codecFixture.once.Do(func() {
-		codecFixture.enc = make(map[int][]byte)
 		if path := os.Getenv("BENCH_TRACE"); path != "" {
 			f, err := os.Open(path)
 			if err != nil {
@@ -73,23 +72,17 @@ func codecStream(b *testing.B) *trace.Stream {
 	return codecFixture.s
 }
 
-// codecEncoded renders the fixture in the given version: v3 through the
-// encoder, decode-only v1 through the test writer.
-func codecEncoded(b *testing.B, version int) []byte {
+// codecEncoded renders the fixture through the encoder, once.
+func codecEncoded(b *testing.B) []byte {
 	s := codecStream(b)
-	if data, ok := codecFixture.enc[version]; ok {
-		return data
+	if codecFixture.enc == nil {
+		var buf bytes.Buffer
+		if err := s.EncodeVersion(&buf, trace.DefaultVersion, 0); err != nil {
+			b.Fatal(err)
+		}
+		codecFixture.enc = buf.Bytes()
 	}
-	if version != trace.DefaultVersion {
-		codecFixture.enc[version] = trace.EncodeFixed(s, version, 0)
-		return codecFixture.enc[version]
-	}
-	var buf bytes.Buffer
-	if err := s.EncodeVersion(&buf, version, 0); err != nil {
-		b.Fatal(err)
-	}
-	codecFixture.enc[version] = buf.Bytes()
-	return buf.Bytes()
+	return codecFixture.enc
 }
 
 type countWriter struct{ n int64 }
@@ -144,20 +137,9 @@ func BenchmarkCodecEncode(b *testing.B) {
 
 func BenchmarkCodecDecode(b *testing.B) {
 	s := codecStream(b)
-	cases := []struct {
-		name    string
-		version int
-		path    string // "next", "batch" or "foreach"
-	}{
-		{"v1-next", 1, "next"},
-		{"v1-batch", 1, "batch"},
-		{"v3-next", 3, "next"},
-		{"v3-batch", 3, "batch"},
-		{"v3-foreach", 3, "foreach"},
-	}
-	for _, tc := range cases {
-		data := codecEncoded(b, tc.version)
-		b.Run(tc.name, func(b *testing.B) {
+	data := codecEncoded(b)
+	for _, path := range []string{"next", "batch", "foreach"} {
+		b.Run("v3-"+path, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			buf := make([]trace.Access, 0, 1024)
@@ -168,7 +150,7 @@ func BenchmarkCodecDecode(b *testing.B) {
 					b.Fatal(err)
 				}
 				decoded := 0
-				switch tc.path {
+				switch path {
 				case "foreach":
 					if err := dec.ForEach(func(trace.Access) error { decoded++; return nil }); err != nil {
 						b.Fatal(err)

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -121,31 +122,45 @@ func TestDynamicUnfinalizedRejected(t *testing.T) {
 	}
 }
 
-// TestDynamicTruncatedRecord mirrors the v1 sticky-error tests: a finalized
-// v2 stream cut mid-record must fail with "record i of n" context wrapping
-// io.ErrUnexpectedEOF, and the error must stick. Pinned to v2: the cut
-// below removes half a fixed-size record.
+// TestDynamicTruncatedRecord mirrors the strict sticky-error tests on a
+// patched stream: finalized by Close, then cut inside its second block, it
+// must decode the first block, fail at the second's first record with
+// "record i of n" context wrapping io.ErrUnexpectedEOF, and the error must
+// stick.
 func TestDynamicTruncatedRecord(t *testing.T) {
-	data := EncodeFixed(&Stream{Table: sourceTable(), Accesses: []Access{{Time: 0}, {Time: 1}, {Time: 2}}}, 2, 0)
-	cut := data[:len(data)-accessRecLen/2] // half of the final record gone
+	var ms Buffer
+	enc, err := NewDynamicEncoder(&ms, sourceTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = v3BlockRecords + 3
+	for i := 0; i < n; i++ {
+		if err := enc.Write(Access{Time: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cut := ms.Bytes()[:len(ms.Bytes())-2] // the final block's payload ends short
 	dec, err := NewDecoder(bytes.NewReader(cut))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < v3BlockRecords; i++ {
 		if _, err := dec.Next(); err != nil {
 			t.Fatalf("Next %d: %v", i, err)
 		}
 	}
 	_, err = dec.Next()
 	if err == nil {
-		t.Fatal("decoder accepted a truncated record")
+		t.Fatal("decoder accepted a truncated block")
 	}
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("error %v does not wrap io.ErrUnexpectedEOF", err)
 	}
-	if !strings.Contains(err.Error(), "record 3 of 3") {
-		t.Fatalf("error %q does not carry record position context", err)
+	if want := fmt.Sprintf("record %d of %d", v3BlockRecords+1, n); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not carry record position context %q", err, want)
 	}
 	if _, err2 := dec.Next(); err2 == nil || err2.Error() != err.Error() {
 		t.Fatalf("error did not stick: %v then %v", err, err2)

@@ -8,17 +8,17 @@ import (
 )
 
 // FuzzDecode checks that arbitrary bytes never panic the trace decoder and
-// that anything it accepts re-encodes, through the v3 encoder every recorder
+// that anything it accepts re-encodes, through the encoder every recorder
 // uses, to a decodable stream of the same shape (round-trip stability).
 func FuzzDecode(f *testing.F) {
-	// Seed with a valid v1 encoding and a few corruptions of it.
+	// Seed with a valid encoding and a few corruptions of it.
 	tb := NewTable()
 	fn := tb.AddFunc("f", NoRegion)
 	lp := tb.AddLoop("f#0", fn)
-	valid := EncodeFixed(&Stream{Table: tb, Accesses: []Access{
+	valid := encode(f, &Stream{Table: tb, Accesses: []Access{
 		{Time: 1, Addr: 0x1000, Size: 8, Thread: 0, Region: lp, Kind: Write},
 		{Time: 2, Addr: 0x1000, Size: 8, Thread: 1, Region: lp, Kind: Read},
-	}}, 1, 0)
+	}})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
@@ -32,15 +32,9 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// The decoder yields only what the encoder can represent.
 		var out bytes.Buffer
 		if err := st.EncodeVersion(&out, DefaultVersion, 0); err != nil {
-			// A fixed v1/v2 record holds any thread and kind byte; v3 refuses
-			// what it cannot represent, and that is the only refusal allowed.
-			for _, a := range st.Accesses {
-				if a.Thread < 0 || a.Thread >= v3MaxThreads || a.Kind > Write {
-					return
-				}
-			}
 			t.Fatalf("accepted stream failed to re-encode: %v", err)
 		}
 		st2, err := DecodeAll(&out)
@@ -56,27 +50,30 @@ func FuzzDecode(f *testing.F) {
 // FuzzDecoder feeds arbitrary bytes to the incremental Decoder record by
 // record and holds it to the batched contract: it must never panic or hang,
 // and it must accept exactly the streams DecodeAll (1 024-record batches)
-// accepts, producing the same table and records.
+// accepts, producing the same table and records. It is the one fuzz target
+// that decodes a record at a time (capacity 1); FuzzV3Decoder compares
+// 1 024-record batches with 64-record ones.
 // Corrupt or truncated input must surface as an error from NewDecoder or
 // Next, never as a silent short read.
 func FuzzDecoder(f *testing.F) {
-	valid := EncodeFixed(randomStream(rand.New(rand.NewSource(1)), 3, 20), 1, 0)
+	valid := encode(f, randomStream(rand.New(rand.NewSource(1)), 3, 20))
 	f.Add(valid)
-	f.Add(valid[:len(valid)-accessRecLen/2]) // truncated mid-record
-	f.Add(valid[:17])                        // truncated in the region table
+	f.Add(valid[:len(valid)-7]) // truncated inside the block
+	f.Add(valid[:30])           // truncated in the region table
 	f.Add([]byte{})
 	corrupt := append([]byte(nil), valid...)
 	corrupt[12] ^= 0x40 // access count
 	f.Add(corrupt)
-	// v2 seeds: a finalized real-source stream, a truncation of it, and an
-	// unfinalized header (sentinel counts — must be rejected, not decoded).
-	validV2 := EncodeFixed(&Stream{Table: sourceTable(), Accesses: []Access{
+	// A finalized real-source stream (file:line per region), a truncation of
+	// it, and an unfinalized header (sentinel counts — must be rejected, not
+	// decoded).
+	source := encode(f, &Stream{Table: sourceTable(), Accesses: []Access{
 		{Time: 1, Addr: 0x10, Size: 8, Thread: 0, Region: 1, Kind: Write},
 		{Time: 2, Addr: 0x10, Size: 8, Thread: 3, Region: 1, Kind: Read},
-	}}, 2, 0)
-	f.Add(validV2)
-	f.Add(validV2[:len(validV2)-accessRecLen/2])
-	unfinalized := append([]byte(nil), validV2...)
+	}})
+	f.Add(source)
+	f.Add(source[:len(source)-3])
+	unfinalized := append([]byte(nil), source...)
 	for i := 12; i < 20; i++ {
 		unfinalized[i] = 0xFF
 	}

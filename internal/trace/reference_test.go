@@ -174,11 +174,11 @@ func compareBlockCall(got, ref *v3BlockReader, want int) (failed bool, diff erro
 // capacity capacity (a batch's remainder, cut at block ends). It returns how
 // many records both decoded and the first difference, nil when the two
 // bodies agree on every chunk until the stream ends or a decode error stops
-// both. Streams of other versions, and framing failures, which the bodies
+// both. Streams the decoder refuses, and framing failures, which the bodies
 // never see, end the comparison.
 func compareV3Bodies(data []byte, capacity int, tolerant bool) (int, error) {
 	d, err := newDecoder(bytes.NewReader(data), tolerant)
-	if err != nil || d.version != codecVersion3 {
+	if err != nil {
 		return 0, nil
 	}
 	var ref v3BlockReader

@@ -12,16 +12,12 @@ import (
 )
 
 // This file is the incremental half of the codec: an Encoder that writes the
-// binary trace format a batch at a time, and a Decoder that reads any of the
-// three format versions back the same way (DESIGN §9 has the byte-level
-// spec). Only v3 is written; v1 and v2 are decode-only:
-//
-//	v1  16-byte header (magic "CPMT", version, region count, access count),
-//	    region table, fixed 29-byte access records
-//	v2  20-byte header (adds thread count), regions gain file:line, same
-//	    fixed records
-//	v3  v2 header and region table, access section framed into CRC-checked
-//	    blocks of delta/varint records (see v3.go)
+// binary trace format a batch at a time, and a Decoder that reads it back the
+// same way (DESIGN §9 has the byte-level spec). There is one format, v3: a
+// 20-byte header (magic "CPMT", version, region count, access count, thread
+// count), the region table with file:line per region, and an access section
+// framed into CRC-checked blocks of delta/varint records (see v3.go). A
+// stream declaring any other version is refused by name.
 //
 // The point of the split is memory: replaying a recorded trace only ever
 // needs the decoded batches in flight to the analyser plus the bounded shard
@@ -75,12 +71,12 @@ type Encoder struct {
 
 // NewEncoderVersion writes a stream header and region table in the given
 // format version to w and returns an encoder expecting exactly accesses Write
-// calls. version must be DefaultVersion: v1 and v2 are decode-only. threads
+// calls. version must be DefaultVersion, the one format. threads
 // is the header thread count; pass the recorded thread count, or 0 if it is
 // unknown — decoders treat 0 as "the caller supplies it".
 func NewEncoderVersion(w io.Writer, table *Table, accesses, threads, version int) (*Encoder, error) {
 	if version != DefaultVersion {
-		return nil, fmt.Errorf("trace: cannot encode version %d: only v%d is written (v1 and v2 are decode-only)", version, DefaultVersion)
+		return nil, fmt.Errorf("trace: cannot encode version %d: only v%d is written", version, DefaultVersion)
 	}
 	if accesses < 0 || uint64(accesses) >= countUnpatched {
 		return nil, fmt.Errorf("trace: access count %d outside the format's range", accesses)
@@ -122,7 +118,7 @@ func newEncoder(w io.Writer, table *Table, accesses, threads uint32) (*Encoder, 
 // region count, access count, thread count) and the region table, per region
 // id/parent/kind/name and file:line.
 func writeHeaderAndTable(bw *bufio.Writer, table *Table, accesses, threads uint32) error {
-	hdr := make([]byte, 0, headerLenV2)
+	hdr := make([]byte, 0, headerLen)
 	hdr = binary.LittleEndian.AppendUint32(hdr, codecMagic)
 	hdr = binary.LittleEndian.AppendUint32(hdr, DefaultVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(table.Len()))
@@ -346,13 +342,11 @@ type Decoder struct {
 	Stages *obs.StageProbes
 
 	br      *bufio.Reader
-	version uint32
 	table   *Table
 	n, i    uint32
-	threads int                // v2/v3 header thread count; 0 for v1 streams
-	rec     [accessRecLen]byte // reused v1/v2 record buffer
-	err     error              // sticky failure; io.EOF is not stored here
-	blk     v3BlockReader      // v3 block state
+	threads int           // header thread count
+	err     error         // sticky failure; io.EOF is not stored here
+	blk     v3BlockReader // block state
 
 	// Salvage-mode state (NewDecoderTolerant).
 	tolerant    bool
@@ -364,9 +358,7 @@ type Decoder struct {
 }
 
 // NewDecoder reads and validates the stream header and region table from r.
-// All format versions are accepted: v1 (fixed counts, no thread count, no
-// region source positions), v2 (thread count in the header, file:line per
-// region) and v3 (v2 header, block-compressed access section). A v2/v3
+// Only v3 is read: any other version fails with "unsupported version N". A
 // stream whose counts still hold the unpatched sentinel was never finalized
 // — the recording process died before its encoder's Close — and is rejected
 // here rather than silently decoded as empty.
@@ -374,7 +366,7 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	return newDecoder(r, false)
 }
 
-// NewDecoderTolerant is NewDecoder for salvage: an unfinalized v2/v3 stream
+// NewDecoderTolerant is NewDecoder for salvage: an unfinalized stream
 // (sentinel counts) is accepted and read to its last complete record or
 // block, and decode errors surface as a clean early io.EOF instead of
 // failing, with the suppressed cause kept in SalvageErr. Header and region
@@ -386,45 +378,35 @@ func NewDecoderTolerant(r io.Reader) (*Decoder, error) {
 
 func newDecoder(r io.Reader, tolerant bool) (*Decoder, error) {
 	br := bufio.NewReader(r)
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: read header: %w", err)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != codecMagic {
-		return nil, fmt.Errorf("trace: bad magic %#x", binary.LittleEndian.Uint32(hdr[0:]))
+	le := binary.LittleEndian
+	if magic := le.Uint32(hdr[0:]); magic != codecMagic {
+		return nil, fmt.Errorf("trace: bad magic %#x", magic)
 	}
-	version := binary.LittleEndian.Uint32(hdr[4:])
-	if version < codecVersion || version > codecVersion3 {
-		return nil, fmt.Errorf("trace: unsupported version %d", version)
+	if version := le.Uint32(hdr[4:]); version != DefaultVersion {
+		return nil, fmt.Errorf("trace: unsupported version %d (only v%d is read)", version, DefaultVersion)
 	}
-	nRegions := binary.LittleEndian.Uint32(hdr[8:])
+	nRegions, threads := le.Uint32(hdr[8:]), le.Uint32(hdr[16:])
 	d := &Decoder{
 		br:        br,
-		version:   version,
 		table:     NewTable(),
-		n:         binary.LittleEndian.Uint32(hdr[12:]),
+		n:         le.Uint32(hdr[12:]),
 		tolerant:  tolerant,
 		maxThread: -1,
 	}
-	d.declared = d.n
-	if version >= codecVersion2 {
-		var tc [4]byte
-		if _, err := io.ReadFull(br, tc[:]); err != nil {
-			return nil, fmt.Errorf("trace: read thread count: %w", err)
+	if d.n == countUnpatched || threads == countUnpatched {
+		if !tolerant {
+			return nil, fmt.Errorf("trace: stream was never finalized (writer exited before Close; recording truncated?)")
 		}
-		threads := binary.LittleEndian.Uint32(tc[:])
-		if d.n == countUnpatched || threads == countUnpatched {
-			if !tolerant {
-				return nil, fmt.Errorf("trace: stream was never finalized (writer exited before Close; recording truncated?)")
-			}
-			d.unfinalized = true
-			d.nUnknown = true
-			d.n = 0
-			d.declared = 0
-			threads = 0
-		}
-		d.threads = int(threads)
+		d.unfinalized = true
+		d.nUnknown = true
+		d.n = 0
+		threads = 0
 	}
+	d.threads, d.declared = int(threads), d.n
 	for i := uint32(0); i < nRegions; i++ {
 		var buf [9]byte
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
@@ -434,25 +416,22 @@ func newDecoder(r io.Reader, tolerant bool) (*Decoder, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: read region %d name: %w", i, err)
 		}
-		reg := Region{
-			ID:     int32(binary.LittleEndian.Uint32(buf[0:])),
-			Parent: int32(binary.LittleEndian.Uint32(buf[4:])),
+		file, err := readString(br)
+		if err != nil {
+			return nil, fmt.Errorf("trace: read region %d file: %w", i, err)
+		}
+		var line [4]byte
+		if _, err := io.ReadFull(br, line[:]); err != nil {
+			return nil, fmt.Errorf("trace: read region %d line: %w", i, err)
+		}
+		d.table.Regions = append(d.table.Regions, Region{
+			ID:     int32(le.Uint32(buf[0:])),
+			Parent: int32(le.Uint32(buf[4:])),
 			Kind:   RegionKind(buf[8]),
 			Name:   name,
-		}
-		if version >= codecVersion2 {
-			file, err := readString(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: read region %d file: %w", i, err)
-			}
-			var line [4]byte
-			if _, err := io.ReadFull(br, line[:]); err != nil {
-				return nil, fmt.Errorf("trace: read region %d line: %w", i, err)
-			}
-			reg.File = file
-			reg.Line = int(binary.LittleEndian.Uint32(line[:]))
-		}
-		d.table.Regions = append(d.table.Regions, reg)
+			File:   file,
+			Line:   int(le.Uint32(line[:])),
+		})
 	}
 	if err := d.table.Validate(); err != nil {
 		return nil, err
@@ -463,9 +442,9 @@ func newDecoder(r io.Reader, tolerant bool) (*Decoder, error) {
 // Table returns the decoded region table.
 func (d *Decoder) Table() *Table { return d.table }
 
-// Threads returns the recorded thread (goroutine) count a v2/v3 stream
-// carries in its header, or 0 for a v1 stream (or an unfinalized salvage),
-// whose thread count the caller must know out of band.
+// Threads returns the recorded thread (goroutine) count the header
+// declares, or 0 when the recorder left it to the caller (or for an
+// unfinalized salvage), who must then know it out of band.
 func (d *Decoder) Threads() int { return d.threads }
 
 // Len returns the access-record count the header declares (0 when decoding
@@ -520,41 +499,6 @@ func (d *Decoder) endTolerant() error {
 	d.nUnknown = false
 	d.n = d.i
 	return io.EOF
-}
-
-// next12 decodes one fixed-size v1/v2 record, the per-record step of those
-// formats' NextBatch loop.
-func (d *Decoder) next12() (Access, error) {
-	if d.err != nil {
-		return Access{}, d.err
-	}
-	if !d.nUnknown && d.i == d.n {
-		return Access{}, io.EOF
-	}
-	if _, err := io.ReadFull(d.br, d.rec[:]); err != nil {
-		if err == io.EOF && d.nUnknown {
-			// An unfinalized fixed-record stream that ends exactly on a
-			// record boundary was cut at a clean point: salvage everything.
-			return Access{}, d.endTolerant()
-		}
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Access{}, d.fail(err)
-	}
-	a := Access{
-		Time:   binary.LittleEndian.Uint64(d.rec[0:]),
-		Addr:   binary.LittleEndian.Uint64(d.rec[8:]),
-		Size:   binary.LittleEndian.Uint32(d.rec[16:]),
-		Thread: int32(binary.LittleEndian.Uint32(d.rec[20:])),
-		Region: int32(binary.LittleEndian.Uint32(d.rec[24:])),
-		Kind:   Kind(d.rec[28]),
-	}
-	d.i++
-	if d.tolerant && a.Thread > d.maxThread {
-		d.maxThread = a.Thread
-	}
-	return a, nil
 }
 
 // loadBlock reads and verifies the next v3 block header and payload.
@@ -622,7 +566,7 @@ func (d *Decoder) NextBatch(buf []Access) ([]Access, error) {
 	if d.Stages != nil {
 		t0 = time.Now()
 	}
-	out, err := d.nextBatchAny(buf)
+	out, err := d.nextBatch(buf)
 	if d.Stages != nil {
 		d.Stages.Decode.Observe(uint64(time.Since(t0)))
 	}
@@ -632,33 +576,10 @@ func (d *Decoder) NextBatch(buf []Access) ([]Access, error) {
 	return out, err
 }
 
-// nextBatchAny dispatches to the per-version bulk decode.
-func (d *Decoder) nextBatchAny(buf []Access) ([]Access, error) {
-	if d.version == codecVersion3 {
-		return d.nextBatch3(buf)
-	}
-	buf = buf[:0]
-	for len(buf) < cap(buf) {
-		a, err := d.next12()
-		if err != nil {
-			if len(buf) == 0 {
-				return buf, err
-			}
-			break // the error stays sticky and surfaces on the next call
-		}
-		buf = buf[:len(buf)+1]
-		b := &buf[len(buf)-1]
-		b.Time, b.Addr, b.Size, b.Thread, b.Region, b.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
-	}
-	return buf, nil
-}
-
-// nextBatch3 is the v3 bulk decode: records drain straight out of the block
-// buffer via decodeInto, with no per-record dispatch, which would otherwise
-// dominate the cost of the few-ns compact records. Semantics are identical
-// to the fixed-record loop (partial batch first, error sticky on the
-// following call).
-func (d *Decoder) nextBatch3(buf []Access) ([]Access, error) {
+// nextBatch is NextBatch's record loop: records drain straight out of the
+// block buffer via decodeInto, with no per-record dispatch, which would
+// otherwise dominate the cost of the few-ns compact records.
+func (d *Decoder) nextBatch(buf []Access) ([]Access, error) {
 	buf = buf[:0]
 	for len(buf) < cap(buf) {
 		if d.err != nil {

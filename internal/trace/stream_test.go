@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -109,21 +110,24 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 }
 
 // TestDecodeTruncatedReportsRecordContext pins the "record i of n" error
-// contract on both decode paths: truncation inside a record and truncation
-// at a record boundary each name the failing record and the declared count,
-// and wrap io.ErrUnexpectedEOF.
+// contract on both decode paths: truncation inside a block's records and
+// truncation at a block boundary each name the first record of the block
+// that could not be read and the declared count, and wrap
+// io.ErrUnexpectedEOF.
 func TestDecodeTruncatedReportsRecordContext(t *testing.T) {
-	full := EncodeFixed(randomStream(rand.New(rand.NewSource(3)), 2, 5), 1, 0)
-	accessStart := len(full) - 5*accessRecLen
+	s := randomStream(rand.New(rand.NewSource(3)), 2, 2*v3BlockRecords+5)
+	full := encode(t, s)
+	bounds := blockBounds(t, full, s.Table)
+	record := func(i int) string { return fmt.Sprintf("record %d of %d", i, len(s.Accesses)) }
 
 	cases := []struct {
 		name string
 		cut  int
 		want string
 	}{
-		{"mid-record", accessStart + 2*accessRecLen + 7, "record 3 of 5"},
-		{"record-boundary", accessStart + 3*accessRecLen, "record 4 of 5"},
-		{"empty-section", accessStart, "record 1 of 5"},
+		{"mid-record", bounds[1] + v3BlockHdrLen + 7, record(v3BlockRecords + 1)},
+		{"record-boundary", bounds[2], record(2*v3BlockRecords + 1)},
+		{"empty-section", bounds[0], record(1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,7 +209,7 @@ func TestEncoderCountContract(t *testing.T) {
 // contract: decoding n records performs no per-record heap allocation, so a
 // replay's resident set cannot scale with trace length through the decoder.
 func TestDecoderDoesNotMaterialise(t *testing.T) {
-	data := EncodeFixed(randomStream(rand.New(rand.NewSource(11)), 3, 4096), 1, 0)
+	data := encode(t, randomStream(rand.New(rand.NewSource(11)), 3, 4096))
 	dec, err := NewDecoder(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +226,7 @@ func TestDecoderDoesNotMaterialise(t *testing.T) {
 
 func TestDecoderForEachAndProbes(t *testing.T) {
 	s := randomStream(rand.New(rand.NewSource(5)), 2, 40)
-	data := EncodeFixed(s, 1, 0)
+	data := encode(t, s)
 	dec, err := NewDecoder(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)

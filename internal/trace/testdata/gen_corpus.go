@@ -19,31 +19,10 @@ import (
 )
 
 func main() {
-	// A valid two-region, three-access stream built against the wire format
-	// directly (header, region table, fixed 29-byte records) so this
-	// generator has no dependency on the package under test.
-	var buf bytes.Buffer
-	le := binary.LittleEndian
-	hdr := make([]byte, 16)
-	le.PutUint32(hdr[0:], 0x43504d54) // "CPMT"
-	le.PutUint32(hdr[4:], 1)          // version
-	le.PutUint32(hdr[8:], 2)          // regions
-	le.PutUint32(hdr[12:], 3)         // accesses
-	buf.Write(hdr)
-	writeRegion(&buf, 0, -1, 0, "main")
-	writeRegion(&buf, 1, 0, 1, "main#0")
-	writeAccess(&buf, 1, 0x1000, 8, 0, 1, 1) // write
-	writeAccess(&buf, 2, 0x1000, 8, 1, 1, 0) // read
-	writeAccess(&buf, 3, 0x2000, 4, 2, 0, 0)
-	valid := buf.Bytes()
-
-	truncated := valid[:len(valid)-10]
-	corrupt := append([]byte(nil), valid...)
-	corrupt[12] ^= 0x40 // access count
-
-	// A valid v3 stream, likewise built against the wire format directly:
-	// 20-byte header (thread count appended), one v2-layout region
-	// (file:line after the name), then a single CRC-framed varint block.
+	// A valid stream built against the wire format directly, so this
+	// generator has no dependency on the package under test: 20-byte header,
+	// one region (file:line after the name), then a single CRC-framed varint
+	// block.
 	v3 := buildV3Stream()
 	v3Truncated := v3[:len(v3)-6] // cuts inside the block payload
 	v3BadCRC := append([]byte(nil), v3...)
@@ -52,10 +31,12 @@ func main() {
 	for i := 12; i < 20; i++ { // access + thread counts left unpatched
 		v3Unfinalized[i] = 0xFF
 	}
+	v3BadCount := append([]byte(nil), v3...)
+	v3BadCount[12] ^= 0x40 // access count
 
 	byteSeeds := map[string][][]byte{
-		"FuzzDecode":    {valid, truncated, corrupt},
-		"FuzzDecoder":   {valid, truncated, corrupt, valid[:20]},
+		"FuzzDecode":    {v3, v3Truncated, v3BadCount},
+		"FuzzDecoder":   {v3, v3Truncated, v3BadCount, v3[:20]},
 		"FuzzV3Decoder": {v3, v3Truncated, v3BadCRC, v3Unfinalized, v3[:20]},
 	}
 	for target, seeds := range byteSeeds {
@@ -126,7 +107,7 @@ func buildV3Stream() []byte {
 	le.PutUint32(hdr[16:], 2)         // threads
 	buf.Write(hdr)
 	writeRegion(&buf, 0, -1, 0, "main")
-	writeStr(&buf, "main.go") // v2/v3 regions carry file:line
+	writeStr(&buf, "main.go") // regions carry file:line
 	var line [4]byte
 	le.PutUint32(line[:], 7)
 	buf.Write(line[:])
@@ -174,15 +155,4 @@ func writeRegion(buf *bytes.Buffer, id, parent int32, kind byte, name string) {
 	binary.LittleEndian.PutUint32(l[:], uint32(len(name)))
 	buf.Write(l[:])
 	buf.WriteString(name)
-}
-
-func writeAccess(buf *bytes.Buffer, time, addr uint64, size uint32, thread, region int32, kind byte) {
-	var b [29]byte
-	binary.LittleEndian.PutUint64(b[0:], time)
-	binary.LittleEndian.PutUint64(b[8:], addr)
-	binary.LittleEndian.PutUint32(b[16:], size)
-	binary.LittleEndian.PutUint32(b[20:], uint32(thread))
-	binary.LittleEndian.PutUint32(b[24:], uint32(region))
-	b[28] = kind
-	buf.Write(b[:])
 }

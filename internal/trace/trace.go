@@ -62,8 +62,7 @@ type Region struct {
 	// File/Line locate the region in real source when the table was built by
 	// the source instrumenter (internal/instrument): the file base name and
 	// the 1-based line of the function or loop keyword. Synthetic workloads
-	// (splash, minipar) leave them zero; the v3 trace codec carries them, as
-	// v2 did, and a decoded v1 trace has none.
+	// (splash, minipar) leave them zero; the trace codec carries them.
 	File string
 	Line int
 }

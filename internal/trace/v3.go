@@ -8,10 +8,9 @@ import (
 	"math"
 )
 
-// Codec v3: the compact block format. The header and region table are laid
-// out exactly like v2 (thread count in the header, file:line per region),
-// but the access section is a sequence of framed blocks instead of fixed
-// 29-byte records:
+// Codec v3: the compact block format. After the 20-byte header and the
+// region table (stream.go), the access section is a sequence of framed
+// blocks:
 //
 //	block header  12 bytes: record count, payload length, CRC32 (IEEE) of
 //	              the payload

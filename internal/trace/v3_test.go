@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -14,18 +15,28 @@ import (
 	"commprof/internal/obs"
 )
 
-// encodeVersion renders s in the given format version: v3 through the
-// encoder, v1 and v2 (decode-only) through the test writer.
-func encodeVersion(t testing.TB, s *Stream, version int) []byte {
+// encode renders s through the encoder, the header thread count derived
+// from the records.
+func encode(t testing.TB, s *Stream) []byte {
 	t.Helper()
-	if version != DefaultVersion {
-		return EncodeFixed(s, version, 0)
-	}
 	var buf bytes.Buffer
-	if err := s.EncodeVersion(&buf, version, 0); err != nil {
-		t.Fatalf("EncodeVersion(%d): %v", version, err)
+	if err := s.EncodeVersion(&buf, DefaultVersion, 0); err != nil {
+		t.Fatalf("EncodeVersion: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// blockBounds returns where data's access section starts, then where each of
+// its blocks ends: the header and region table span what an encoding of the
+// same table without accesses spans.
+func blockBounds(t testing.TB, data []byte, table *Table) []int {
+	t.Helper()
+	bounds := []int{len(encode(t, &Stream{Table: table}))}
+	for off := bounds[0]; off < len(data); {
+		off += v3BlockHdrLen + int(binary.LittleEndian.Uint32(data[off+4:]))
+		bounds = append(bounds, off)
+	}
+	return bounds
 }
 
 // decodeAll strict-decodes every record of data incrementally.
@@ -69,7 +80,7 @@ func TestV3RoundTripShapes(t *testing.T) {
 	shapes = append(shapes, adv)
 
 	for si, s := range shapes {
-		data := encodeVersion(t, s, 3)
+		data := encode(t, s)
 		dec, accs := decodeAll(t, data)
 		if len(accs) != len(s.Accesses) {
 			t.Fatalf("shape %d: decoded %d records, want %d", si, len(accs), len(s.Accesses))
@@ -87,49 +98,14 @@ func TestV3RoundTripShapes(t *testing.T) {
 	}
 }
 
-// TestCrossVersionSameRecords pins the compatibility contract: the same
-// stream encoded as v1, v2 and v3 decodes to the identical record sequence
-// from every version.
-func TestCrossVersionSameRecords(t *testing.T) {
-	s := randomStream(rand.New(rand.NewSource(21)), 6, 2000)
-	var ref []Access
-	for _, version := range []int{1, 2, 3} {
-		data := encodeVersion(t, s, version)
-		dec, accs := decodeAll(t, data)
-		if len(accs) != len(s.Accesses) {
-			t.Fatalf("v%d: decoded %d records, want %d", version, len(accs), len(s.Accesses))
-		}
-		if version == 1 {
-			ref = accs
-			continue
-		}
-		for i := range accs {
-			if accs[i] != ref[i] {
-				t.Fatalf("v%d: record %d = %+v, v1 decoded %+v", version, i, accs[i], ref[i])
-			}
-		}
-		// v2/v3 headers carry the thread count; derived here from records.
-		wantThreads := 0
-		for _, a := range s.Accesses {
-			if int(a.Thread)+1 > wantThreads {
-				wantThreads = int(a.Thread) + 1
-			}
-		}
-		if dec.Threads() != wantThreads {
-			t.Fatalf("v%d: Threads = %d, want %d", version, dec.Threads(), wantThreads)
-		}
-	}
-}
-
-// TestV3Compacts sanity-checks the size win on a random stream (real
-// workload streams compress far better; bench/'s trace.bytes_per_access
-// measures them).
+// TestV3Compacts sanity-checks the size win on a random stream against the
+// 29 bytes a record takes unpacked (real workload streams compress far
+// better; bench/'s trace.bytes_per_access measures them).
 func TestV3Compacts(t *testing.T) {
 	s := randomStream(rand.New(rand.NewSource(33)), 4, 20000)
-	v1 := encodeVersion(t, s, 1)
-	v3 := encodeVersion(t, s, 3)
-	if len(v3)*2 >= len(v1) {
-		t.Fatalf("v3 %d bytes vs v1 %d bytes: expected at least 2x smaller even on random input", len(v3), len(v1))
+	unpacked := 29 * len(s.Accesses)
+	if v3 := len(encode(t, s)); v3*2 >= unpacked {
+		t.Fatalf("v3 %d bytes vs %d unpacked: expected at least 2x smaller even on random input", v3, unpacked)
 	}
 }
 
@@ -138,7 +114,7 @@ func TestV3Compacts(t *testing.T) {
 func v3Craft(n uint32, blocks ...[]byte) []byte {
 	out := make([]byte, 0, 64)
 	out = binary.LittleEndian.AppendUint32(out, codecMagic)
-	out = binary.LittleEndian.AppendUint32(out, codecVersion3)
+	out = binary.LittleEndian.AppendUint32(out, DefaultVersion)
 	out = binary.LittleEndian.AppendUint32(out, 0) // regions
 	out = binary.LittleEndian.AppendUint32(out, n)
 	out = binary.LittleEndian.AppendUint32(out, 1) // threads
@@ -328,40 +304,38 @@ func TestV3CorruptionTable(t *testing.T) {
 }
 
 // TestNextBatchMatchesNext holds the batched decode path to the Next
-// contract across versions and batch capacities, including batches that
-// cross v3 block boundaries.
+// contract across batch capacities, including batches that cross block
+// boundaries.
 func TestNextBatchMatchesNext(t *testing.T) {
 	s := randomStream(rand.New(rand.NewSource(14)), 4, v3BlockRecords+321)
-	for _, version := range []int{1, 2, 3} {
-		data := encodeVersion(t, s, version)
-		_, want := decodeAll(t, data)
-		for _, capacity := range []int{1, 7, 512, len(s.Accesses) + 9} {
-			dec, err := NewDecoder(bytes.NewReader(data))
+	data := encode(t, s)
+	_, want := decodeAll(t, data)
+	for _, capacity := range []int{1, 7, 512, len(s.Accesses) + 9} {
+		dec, err := NewDecoder(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]Access, 0, capacity)
+		var got []Access
+		for {
+			batch, err := dec.NextBatch(buf)
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("cap %d: NextBatch: %v", capacity, err)
 			}
-			buf := make([]Access, 0, capacity)
-			var got []Access
-			for {
-				batch, err := dec.NextBatch(buf)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatalf("v%d cap %d: NextBatch: %v", version, capacity, err)
-				}
-				if len(batch) == 0 {
-					t.Fatalf("v%d cap %d: empty batch without error", version, capacity)
-				}
-				got = append(got, batch...)
+			if len(batch) == 0 {
+				t.Fatalf("cap %d: empty batch without error", capacity)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("v%d cap %d: %d records, want %d", version, capacity, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("v%d cap %d: record %d = %+v, want %+v", version, capacity, i, got[i], want[i])
-				}
+			got = append(got, batch...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("cap %d: %d records, want %d", capacity, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("cap %d: record %d = %+v, want %+v", capacity, i, got[i], want[i])
 			}
 		}
 	}
@@ -374,22 +348,23 @@ func TestNextBatchMatchesNext(t *testing.T) {
 // contract: records decoded before a failure are returned with a nil error,
 // and the sticky failure surfaces on the following call.
 func TestNextBatchSurfacesErrorAfterPartialBatch(t *testing.T) {
-	s := randomStream(rand.New(rand.NewSource(2)), 2, 10)
-	data := encodeVersion(t, s, 1)
-	cut := data[:len(data)-accessRecLen/2] // half of the last record gone
+	s := randomStream(rand.New(rand.NewSource(2)), 2, v3BlockRecords+10)
+	data := encode(t, s)
+	cut := data[:blockBounds(t, data, s.Table)[2]-5] // the second block's payload ends short
 	dec, err := NewDecoder(bytes.NewReader(cut))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := dec.NextBatch(make([]Access, 0, 64))
+	batch, err := dec.NextBatch(make([]Access, 0, 2*v3BlockRecords))
 	if err != nil {
 		t.Fatalf("partial batch returned error %v, want records first", err)
 	}
-	if len(batch) != 9 {
-		t.Fatalf("partial batch has %d records, want 9", len(batch))
+	if len(batch) != v3BlockRecords {
+		t.Fatalf("partial batch has %d records, want the first block's %d", len(batch), v3BlockRecords)
 	}
-	if _, err := dec.NextBatch(batch); err == nil || !strings.Contains(err.Error(), "record 10 of 10") {
-		t.Fatalf("second NextBatch = %v, want sticky record-10 failure", err)
+	want := fmt.Sprintf("record %d of %d", v3BlockRecords+1, len(s.Accesses))
+	if _, err := dec.NextBatch(batch); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("second NextBatch = %v, want sticky %q failure", err, want)
 	}
 }
 
@@ -419,7 +394,7 @@ func uniformStream(n int) *Stream {
 // only storage.
 func TestV3NextBatchZeroAlloc(t *testing.T) {
 	s := uniformStream(6 * v3BlockRecords)
-	data := encodeVersion(t, s, 3)
+	data := encode(t, s)
 	dec, err := NewDecoder(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +421,7 @@ func TestV3NextBatchZeroAlloc(t *testing.T) {
 // record.
 func TestV3CompactCommonRecord(t *testing.T) {
 	s := uniformStream(4 * v3BlockRecords)
-	data := encodeVersion(t, s, 3)
+	data := encode(t, s)
 	accessBytes := len(data) - 20 // minus header; table is tiny
 	perRecord := float64(accessBytes) / float64(len(s.Accesses))
 	if perRecord > 4 {
@@ -459,7 +434,7 @@ func TestV3CompactCommonRecord(t *testing.T) {
 // a block (complete blocks salvaged, cause reported).
 func TestDecodeTolerantV3(t *testing.T) {
 	s := uniformStream(2*v3BlockRecords + 500) // two full blocks + partial
-	data := encodeVersion(t, s, 3)
+	data := encode(t, s)
 
 	// Simulate a writer that died before Close: sentinel counts.
 	unfinalize := func(d []byte) []byte {
@@ -537,51 +512,19 @@ func TestDecodeTolerantV3(t *testing.T) {
 			t.Fatalf("decoded %d accesses", len(st.Accesses))
 		}
 	})
-}
 
-// TestDecodeTolerantV2 covers the fixed-record salvage path: an unfinalized
-// v2 stream cut at a record boundary salvages everything written; cut
-// mid-record it salvages the complete prefix and reports the cause.
-func TestDecodeTolerantV2(t *testing.T) {
-	s := uniformStream(100)
-	data := EncodeFixed(s, 2, 0)
-	out := append([]byte(nil), data...)
-	for i := 12; i < 20; i++ {
-		out[i] = 0xFF
-	}
-	t.Run("record-boundary", func(t *testing.T) {
-		_, rec, err := decodeTolerant(bytes.NewReader(out[:len(out)-3*accessRecLen]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Records != 97 || rec.Err != nil || !rec.Unfinalized {
-			t.Fatalf("recovery = %+v, want 97 clean records", rec)
-		}
-		if rec.Threads != 8 {
-			t.Fatalf("derived threads = %d, want 8", rec.Threads)
-		}
-	})
-	t.Run("mid-record", func(t *testing.T) {
-		_, rec, err := decodeTolerant(bytes.NewReader(out[:len(out)-accessRecLen/2]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Records != 99 || rec.Err == nil {
-			t.Fatalf("recovery = %+v, want 99 records + cause", rec)
-		}
-	})
 	t.Run("finalized-truncated", func(t *testing.T) {
 		// A finalized header with a short tail also salvages tolerantly
 		// (declared count known, so the shortfall is reported as the cause).
-		_, rec, err := decodeTolerant(bytes.NewReader(data[:len(data)-accessRecLen]))
+		_, rec, err := decodeTolerant(bytes.NewReader(data[:len(data)-3]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Records != 99 || rec.Err == nil || rec.Unfinalized {
-			t.Fatalf("recovery = %+v, want 99 records + cause, finalized", rec)
+		if rec.Records != 2*v3BlockRecords || rec.Err == nil || rec.Unfinalized {
+			t.Fatalf("recovery = %+v, want the two full blocks + cause, finalized", rec)
 		}
-		if !strings.Contains(rec.Err.Error(), "record 100 of 100") {
-			t.Fatalf("cause %v missing record context", rec.Err)
+		if want := fmt.Sprintf("record %d of %d", 2*v3BlockRecords+1, len(s.Accesses)); !strings.Contains(rec.Err.Error(), want) {
+			t.Fatalf("cause %v missing %q", rec.Err, want)
 		}
 	})
 }
@@ -651,25 +594,23 @@ func TestCodecProbesExactTotals(t *testing.T) {
 		t.Errorf("EncodedRecords = %d, want %d", v, len(s.Accesses))
 	}
 
-	for _, version := range []int{1, 3} {
-		probes := &obs.TraceProbes{DecodedRecords: obs.NewRegistry().Counter("dec")}
-		dec, err := NewDecoder(bytes.NewReader(encodeVersion(t, s, version)))
-		if err != nil {
-			t.Fatal(err)
+	probes := &obs.TraceProbes{DecodedRecords: obs.NewRegistry().Counter("dec")}
+	dec, err := NewDecoder(bytes.NewReader(encode(t, s)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec.Probes = probes
+	batch := make([]Access, 0, 300)
+	for {
+		if batch, err = dec.NextBatch(batch); err != nil {
+			break
 		}
-		dec.Probes = probes
-		batch := make([]Access, 0, 300)
-		for {
-			if batch, err = dec.NextBatch(batch); err != nil {
-				break
-			}
-		}
-		if err != io.EOF {
-			t.Fatal(err)
-		}
-		if v := probes.DecodedRecords.Value(); v != uint64(len(s.Accesses)) {
-			t.Errorf("v%d: DecodedRecords = %d, want %d", version, v, len(s.Accesses))
-		}
+	}
+	if err != io.EOF {
+		t.Fatal(err)
+	}
+	if v := probes.DecodedRecords.Value(); v != uint64(len(s.Accesses)) {
+		t.Errorf("DecodedRecords = %d, want %d", v, len(s.Accesses))
 	}
 
 	// The dynamic encoder batches the same way.

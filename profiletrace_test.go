@@ -62,7 +62,7 @@ func encodeTrace(t *testing.T, accesses []Access, table *trace.Table, threads in
 // TestProfileTraceMatchesReplay holds ProfileTrace's conversion loop to the
 // decoder path: the same stream through ProfileTrace and through Replay gives
 // bit-identical reports, in-thread and sharded, with and without read
-// sampling, on lengths that end in a partial 256-access chunk. A bad thread
+// sampling, on lengths that end in a partial quantum. A bad thread
 // is named by its index on both paths.
 func TestProfileTraceMatchesReplay(t *testing.T) {
 	const threads = 8

@@ -52,10 +52,10 @@ func Record(opts Options, w io.Writer) (*Report, error) {
 
 // Replay runs the profiler offline over a trace previously written by
 // Record. threads must match the recording's thread count (the matrix
-// dimension); it is validated against the trace contents. For a v2/v3 trace
-// — one recorded from a real goroutine program, whose header carries the
-// final goroutine count the shim registered — threads may be 0, meaning
-// "use the count the trace declares". All codec versions replay.
+// dimension); it is validated against the trace contents. threads may be 0,
+// meaning "use the count the trace declares": Record and the probe shim
+// (whose header carries the final goroutine count it registered) always
+// declare one. Only v3 traces replay; any other version is refused by name.
 //
 // Replay decodes the trace incrementally, a quantum (2 048 records) ahead of
 // the analyser: the region table is read up front, then the caller's
@@ -76,7 +76,7 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	}
 	if threads == 0 {
 		if threads = dec.Threads(); threads == 0 {
-			return nil, fmt.Errorf("commprof: threads 0 requires a v2 or v3 trace that declares its goroutine count; this trace does not")
+			return nil, fmt.Errorf("commprof: threads 0 requires a trace that declares its goroutine count; this trace's header declares 0")
 		}
 	}
 	probes := opts.Telemetry.Probes()
@@ -96,7 +96,7 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	an.wire(nil)
 	// A recorded stream is a single producer: sharded, per-shard batching
 	// applies at full strength.
-	an.start(nil, false)
+	an.start(nil)
 	defer an.endQuanta()
 	var accesses uint64
 	for {

@@ -139,11 +139,12 @@ func TestReplayErrors(t *testing.T) {
 	if _, err := Replay(strings.NewReader("garbage"), 4, Options{}); err == nil {
 		t.Error("garbage trace accepted")
 	}
-	// A v1 trace carries no thread count, so threads=0 cannot be resolved:
-	// the 16-byte v1 header (magic, version 1, no regions, no records).
-	v1 := "TMPC\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
-	if _, err := Replay(strings.NewReader(v1), 0, Options{}); err == nil || !strings.Contains(err.Error(), "threads 0") {
-		t.Errorf("zero threads on a v1 trace: err = %v, want the threads-0 refusal", err)
+	// A trace whose header declares 0 threads leaves the count to the
+	// caller, so threads=0 cannot be resolved: the 20-byte v3 header (magic,
+	// version 3, no regions, no records, 0 threads).
+	noThreads := "TMPC\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+	if _, err := Replay(strings.NewReader(noThreads), 0, Options{}); err == nil || !strings.Contains(err.Error(), "threads 0") {
+		t.Errorf("zero threads on a trace declaring none: err = %v, want the threads-0 refusal", err)
 	}
 	var v3buf bytes.Buffer
 	if _, err := Record(Options{Workload: "fft", Threads: 8}, &v3buf); err != nil {

@@ -5,7 +5,7 @@
 # out), a race-detector pass
 # over the packages with lock-free hot paths (the paper's bloom signature), real
 # concurrency (the executor's turn hand-off, the sharded analysis pipeline and its
-# bounded buffer hand-off, replay producer staging, the real-Go probe runtime's
+# bounded buffer hand-off, single-producer staging, the real-Go probe runtime's
 # per-goroutine batches and watermark writer), merge-order algebra (comm),
 # the static-coalescing differential wall (passes) and the observability
 # primitives (obs timelines, tracers, histograms) plus a race pass over the
@@ -20,7 +20,7 @@
 # internal APIs that `go build ./...` from the root does not reach, and its
 # smoke is the one place the shard hand-off runs behind commprof.Replay with
 # every optional layer on), plus a short fuzz smoke over
-# the trace codec, Replay (its decode goroutine's exits), the source
+# the trace codec, Replay (its analyser goroutine's exits), the source
 # instrumenter, the coalescing pass and the signature's mask arena, and an
 # instrument+vet check of every example program under testdata/ via the
 # commtrace driver.

@@ -2,7 +2,12 @@ package commprof
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
+
+	"commprof/internal/trace"
 )
 
 // TestTraceFormatComposesWithAnalysisOptions is a regression guard for the
@@ -53,6 +58,32 @@ func TestTraceFormatComposesWithAnalysisOptions(t *testing.T) {
 				t.Error("replayed global matrix differs from the live run's")
 			}
 		})
+	}
+}
+
+// TestOnlyV3IsRead pins the one trace format on the read side: a header
+// declaring any version but 3 is refused by name, by the decoder and by
+// Replay, while the same header declaring 3 (no regions, no records, 8
+// threads) replays to an empty report.
+func TestOnlyV3IsRead(t *testing.T) {
+	header := func(version uint32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, 0x43504d54) // "CPMT"
+		b = binary.LittleEndian.AppendUint32(b, version)
+		b = binary.LittleEndian.AppendUint32(b, 0) // regions
+		b = binary.LittleEndian.AppendUint32(b, 0) // accesses
+		return binary.LittleEndian.AppendUint32(b, 8)
+	}
+	for _, version := range []uint32{0, 1, 2, 4, 0xFFFFFFFF} {
+		want := fmt.Sprintf("unsupported version %d (only v3 is read)", version)
+		if _, err := trace.NewDecoder(bytes.NewReader(header(version))); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewDecoder on version %d: err = %v, want %q", version, err, want)
+		}
+		if _, err := Replay(bytes.NewReader(header(version)), 0, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Replay on version %d: err = %v, want %q", version, err, want)
+		}
+	}
+	if rep, err := Replay(bytes.NewReader(header(3)), 0, Options{}); err != nil || rep.Threads != 8 {
+		t.Errorf("Replay on version 3: %v", err)
 	}
 }
 
