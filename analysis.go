@@ -37,7 +37,7 @@ type analysis struct {
 	// quantum is the buffer the source, its one writer, fills in issue
 	// order; full, handOn sends it on full and takes the next from free
 	// (three circulate). From start until endQuanta one analyser goroutine
-	// owns the tap, the gate, the run's one producer and its detectors.
+	// owns the tap, the gate and the engine, whose one producer it is.
 	quantum    []trace.Access
 	full, free chan []trace.Access
 	analysed   chan struct{}
@@ -84,7 +84,6 @@ func newAnalysis(opts Options, threads int, table *trace.Table) (*analysis, erro
 		Threads:             threads,
 		Table:               table,
 		GranularityBits:     opts.GranularityBits,
-		QueueCapacity:       opts.ShardQueueCapacity,
 		RedundancyCacheBits: opts.RedundancyCacheBits,
 		Accuracy:            opts.accuracyOptions(threads, probes),
 		NewBackend:          pipeline.AsymmetricFactory(opts.SignatureSlots, opts.AnalysisShards, threads, 0, probes.Sig),
@@ -110,14 +109,13 @@ func (an *analysis) sampledOut(kind trace.Kind, thread int32) bool {
 	return true
 }
 
-// start builds the run's one producer and starts the analyser goroutine
-// behind the source: it takes each full quantum, writes it to tap when
-// non-nil (in front of the sampling gate), thins it through the gate and
-// hands it to the producer, which it flushes once the ring closes. The
-// source then fills an.quantum and calls handOn at capacity. Call endQuanta
-// on every path once the source has run.
+// start starts the analyser goroutine behind the source: it takes each full
+// quantum, writes it to tap when non-nil (in front of the sampling gate),
+// thins it through the gate and hands it to the engine. The source then
+// fills an.quantum and calls handOn at capacity. Call endQuanta on every path
+// once the source has run, and only then Close the engine, which flushes
+// what the engine has staged.
 func (an *analysis) start(tap *trace.Encoder) {
-	p := an.pe.NewProducer(false)
 	r, _ := rings.Get().(*ring)
 	if r == nil {
 		r = new(ring)
@@ -132,10 +130,9 @@ func (an *analysis) start(tap *trace.Encoder) {
 			if tap != nil {
 				_ = tap.WriteBatch(q) // a failed write is sticky: Record sees it at Close
 			}
-			an.feedBatch(p, q)
+			an.feedBatch(q)
 			an.free <- q[:0]
 		}
-		p.Flush()
 		rings.Put(r) // full is closed: the source is done with every buffer
 	}()
 }
@@ -162,10 +159,9 @@ func (an *analysis) endQuanta() {
 	an.full = nil
 }
 
-// feedBatch hands one batch (a decoded one, or a quantum) to the analyser
-// through p, thinning sampled-out reads in place first (the batch buffer is
-// the caller's to reuse; only its length shrinks).
-func (an *analysis) feedBatch(p *pipeline.Producer, batch []trace.Access) {
+// feedBatch hands one quantum to the engine, thinning sampled-out reads in
+// place first (the buffer is the caller's to reuse; only its length shrinks).
+func (an *analysis) feedBatch(batch []trace.Access) {
 	if an.gate != nil {
 		n := 0
 		for i := range batch {
@@ -177,7 +173,7 @@ func (an *analysis) feedBatch(p *pipeline.Producer, batch []trace.Access) {
 		}
 		batch = batch[:n]
 	}
-	p.ProcessBatch(batch)
+	an.pe.ProcessBatch(batch)
 }
 
 // wire binds the run's live surfaces — gauges, /progress, the periodic
@@ -250,7 +246,7 @@ func (an *analysis) finish(name string, accesses uint64) (*Report, error) {
 	if an.ps != nil {
 		ws, err := pe.PhaseWindows()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("commprof: internal invariant violated: %w", err)
 		}
 		an.ps.attach(rep, ws)
 	}

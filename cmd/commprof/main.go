@@ -8,7 +8,7 @@
 //	commprof -app lu_ncb -threads 32 -size simdev
 //	commprof -list
 //	commprof -app fft -heatmap -classify
-//	commprof -app ocean_cp -shards 8 -shard-queue 1024
+//	commprof -app ocean_cp -shards 8
 //	commprof -app fft -shards 4 -phases 5000 -telemetry-addr :9090
 //	commprof -app radix -record radix.trace
 //	commprof -replay radix.trace

@@ -64,28 +64,32 @@ func TestBadFlag(t *testing.T) {
 	// masks and it no longer parses. -coalesce switched a MiniPar pass no
 	// commprof run goes through, so it is not defined either, nor is
 	// -parallel: the engine has one scheduler.
-	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-app", "fft", "-fpr", "0.01"}, {"-app", "fft", "-coalesce=false"}, {"-app", "fft", "-parallel"}} {
+	for _, args := range [][]string{
+		{"-definitely-not-a-flag"}, {"-app", "fft", "-fpr", "0.01"}, {"-app", "fft", "-coalesce=false"}, {"-app", "fft", "-parallel"},
+	} {
 		if code, _, _ := runCLI(t, args...); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
 	}
 }
 
-// TestShardQueueNeedsShards: a flag the chosen mode would ignore is refused
-// by name, and the deleted overload-policy flags no longer parse.
+// TestShardQueueNeedsShards: the sharded engine's queue bound is its own, so
+// -shard-queue no longer parses, with -shards or without; nor do the deleted
+// overload-policy and batch flags. Each is refused by name.
 func TestShardQueueNeedsShards(t *testing.T) {
-	code, _, errOut := runCLI(t, "-app", "fft", "-threads", "8", "-shards", "0", "-shard-queue", "64")
-	if code != 2 || !strings.Contains(errOut, "-shards") {
-		t.Fatalf("exit %d, err %q; want 2 naming -shards", code, errOut)
-	}
-	code, out, errOut := runCLI(t, "-app", "fft", "-threads", "8", "-shards", "2", "-shard-queue", "64")
-	if code != 0 || !strings.Contains(out, "queue capacity 64, batch 64") {
-		t.Fatalf("exit %d, err %q, out:\n%s", code, errOut, out)
-	}
-	for _, gone := range [][]string{{"-shard-policy", "degrade"}, {"-shard-batch", "16"}} {
-		args := append([]string{"-app", "fft", "-threads", "8", "-shards", "2"}, gone...)
-		if code, _, _ := runCLI(t, args...); code != 2 {
-			t.Errorf("%s: exit %d, want 2 (flag deleted)", gone[0], code)
+	for _, args := range [][]string{
+		{"-shards", "0", "-shard-queue", "64"},
+		{"-shards", "2", "-shard-queue", "64"},
+		{"-shards", "2", "-shard-policy", "degrade"},
+		{"-shards", "2", "-shard-batch", "16"},
+	} {
+		gone := args[2]
+		code, out, errOut := runCLI(t, append([]string{"-app", "fft", "-threads", "8"}, args...)...)
+		if code != 2 || !strings.Contains(errOut, gone) {
+			t.Errorf("%v: exit %d, err %q; want 2 naming %s (flag deleted)", args, code, errOut, gone)
+		}
+		if out != "" {
+			t.Errorf("%v: refused run printed a profile:\n%s", args, out)
 		}
 	}
 }

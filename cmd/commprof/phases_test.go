@@ -57,7 +57,7 @@ func TestPhaseTelemetryGolden(t *testing.T) {
 	}
 	names := parseProm(t, string(data))
 	for _, want := range []string{
-		"phase_windows_closed_total", "phase_transitions_total", "phase_late_windows_total",
+		"phase_windows_closed_total", "phase_transitions_total",
 		"comm_current_pattern", "comm_current_pattern_confidence",
 		"comm_pattern_windows_pipeline", "comm_pattern_windows_barrier",
 		"comm_pattern_windows_master_worker", "comm_pattern_windows_linear_algebra",

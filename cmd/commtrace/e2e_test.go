@@ -71,7 +71,7 @@ func TestEndToEndShardDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pe.ProcessStream(accs)
+				pe.ProcessBatch(accs)
 				pe.Close()
 				tree, err := pe.Tree()
 				if err != nil {

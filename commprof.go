@@ -105,13 +105,6 @@ type Options struct {
 	// global access index and the per-shard window partials merge to the
 	// in-thread analyser's exact window set.
 	AnalysisShards int
-	// ShardQueueCapacity bounds the accesses handed to each shard and not yet
-	// analysed when AnalysisShards is active (0 = the pipeline default of
-	// 8192): the run's memory bound. A producer facing a full queue blocks
-	// until the shard's worker catches up — analysis stays exhaustive; to
-	// analyse less, use SamplePeriod. In-thread analysis (AnalysisShards 0)
-	// has no queue.
-	ShardQueueCapacity int
 	// RedundancyCacheBits, when non-zero, enables the redundancy-filtering
 	// fast path: a 2^bits-entry direct-mapped cache of the last (thread,
 	// kind) to touch each analysis granule, which skips the signature

@@ -27,7 +27,6 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.Var(sampleFlag{o}, "sample", "read-sampling period: analyse 1 of every `N` reads (0 = all)")
 	fs.UintVar(&o.GranularityBits, "granularity", 0, "analysis granularity in address bits (0 = per address, 6 = 64B lines)")
 	fs.IntVar(&o.AnalysisShards, "shards", 0, "analysis shards K of the analysis engine (0 = the paper's in-thread analysis, K > 0 = K shard workers)")
-	fs.IntVar(&o.ShardQueueCapacity, "shard-queue", 0, "per-shard bounded queue capacity in accesses, the memory bound of -shards K (0 = default 8192); a producer facing a full queue blocks, use -sample to analyse less")
 	fs.UintVar(&o.RedundancyCacheBits, "redundancy-bits", 0, fmt.Sprintf("redundancy fast-path cache size in bits: 2^N entries (12 B each) per analyser filtering same-thread repeated accesses before the signature (0 = off, at most %d)", redundancy.MaxBits))
 	fs.Var(accuracyBitsFlag{o}, "accuracy-bits", "accuracy-monitor sample slice: shadow 1 of every 2^`N` granules with an exact detector (0 = every granule); setting it at all enables the monitor, at the default target unless -accuracy-target names one")
 	fs.Var(rateFlag{&o.AccuracyTargetFPR}, "accuracy-target", "enable the online signature-accuracy monitor and alarm when the estimated FPR crosses this `rate`, e.g. 0.05 (0 = off unless -accuracy-bits is set)")
@@ -39,10 +38,6 @@ func (o *Options) CheckFlags() error {
 	switch {
 	case o.AnalysisShards < 0:
 		return fmt.Errorf("-shards must be non-negative, got %d", o.AnalysisShards)
-	case o.ShardQueueCapacity < 0:
-		return fmt.Errorf("-shard-queue must be non-negative, got %d", o.ShardQueueCapacity)
-	case o.ShardQueueCapacity != 0 && o.AnalysisShards == 0:
-		return fmt.Errorf("-shard-queue applies to the sharded analyser only: set -shards >= 1 (in-thread analysis, -shards 0, has no queue)")
 	}
 	return nil
 }

@@ -36,7 +36,7 @@ func TestFlagsCoverOptions(t *testing.T) {
 	// on, which is AccuracyTargetFPR moving: an implication, not a second owner.
 	nonDefault := map[string]string{
 		"sig": "4096", "phases": "500", "sample": "4", "granularity": "6",
-		"shards": "2", "shard-queue": "64", "redundancy-bits": "10",
+		"shards": "2", "redundancy-bits": "10",
 		"accuracy-bits": "3", "accuracy-target": "0.2",
 	}
 	implied := map[string]string{"accuracy-bits": "AccuracyTargetFPR"}
@@ -53,18 +53,12 @@ func TestFlagsCoverOptions(t *testing.T) {
 			return
 		}
 		args := []string{"-" + f.Name + "=" + val}
-		if f.Name == "shard-queue" {
-			args = append(args, "-shards=2")
-		}
 		got, _, err := parseAnalyserFlags(args...)
 		if err != nil {
 			t.Errorf("%v: %v", args, err)
 			return
 		}
 		base := zero
-		if f.Name == "shard-queue" {
-			base.AnalysisShards = 2
-		}
 		moved := 0
 		for i := 0; i < reflect.TypeOf(got).NumField(); i++ {
 			field := reflect.TypeOf(got).Field(i).Name
@@ -96,7 +90,7 @@ func TestFlagsCoverOptions(t *testing.T) {
 		nil,
 		{"-shards", "2", "-phases", "2000", "-threads", "4"},
 		{"-accuracy-target=0", "-accuracy-bits=0", "-sample=2"},
-		{"-sig=512", "-granularity=6", "-shards=3", "-shard-queue=128", "-redundancy-bits=12", "-accuracy-target=0.1"},
+		{"-sig=512", "-granularity=6", "-shards=3", "-redundancy-bits=12", "-accuracy-target=0.1"},
 	} {
 		var want Options
 		fs := flag.NewFlagSet("frontend", flag.ContinueOnError)
@@ -117,7 +111,8 @@ func TestFlagsCoverOptions(t *testing.T) {
 	}
 
 	// The environment is parsed by the same table, so one rejection table
-	// covers both (-fpr is no flag: the reader sets have no rate to set).
+	// covers both (-fpr is no flag: the reader sets have no rate to set; nor
+	// is -shard-queue: the queue bound is the engine's own).
 	for _, bad := range []string{
 		"-granularity=-1", "-phases=x", "-bogus=1", "-shards=2 stray", "-shard-queue=64",
 		"-shards=-1", "-sample=-2", "-fpr=0.01", "-accuracy-bits=x", "-accuracy-target=-0.1",

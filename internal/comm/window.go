@@ -63,9 +63,8 @@ type WindowSet struct {
 	threads int
 	size    uint64
 
-	mu      sync.Mutex
-	wins    map[uint64]*Window
-	maxTime uint64
+	mu   sync.Mutex
+	wins map[uint64]*Window
 }
 
 // NewWindowSet builds an empty set with the given window length in
@@ -96,9 +95,6 @@ func (ws *WindowSet) Observe(time uint64, region, src, dst int32, bytes uint64) 
 	if !ok {
 		w = &Window{Start: start, Global: NewMatrix(ws.threads), Regions: make(map[int32]*Matrix)}
 		ws.wins[start] = w
-	}
-	if time > ws.maxTime {
-		ws.maxTime = time
 	}
 	w.Global.Add(src, dst, bytes)
 	if region >= 0 {
@@ -147,9 +143,6 @@ func (ws *WindowSet) ObserveBatch(evs []WindowEvent) {
 			cw, cwStart = w, start
 			crRegion = -1
 		}
-		if ev.Time > ws.maxTime {
-			ws.maxTime = ev.Time
-		}
 		cw.Global.Add(ev.Src, ev.Dst, ev.Bytes)
 		if ev.Region >= 0 {
 			if ev.Region != crRegion {
@@ -164,13 +157,6 @@ func (ws *WindowSet) ObserveBatch(evs []WindowEvent) {
 		}
 	}
 	ws.mu.Unlock()
-}
-
-// MaxTime returns the largest event time observed so far.
-func (ws *WindowSet) MaxTime() uint64 {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return ws.maxTime
 }
 
 // MergeWindow sums one window into the set. Merging is off the access hot

@@ -70,9 +70,6 @@ func TestWindowSetBuckets(t *testing.T) {
 	if _, ok := wins[0].Regions[-1]; ok {
 		t.Fatal("NoRegion event must not create a region sub-matrix")
 	}
-	if got := ws.MaxTime(); got != 100 {
-		t.Fatalf("MaxTime %d, want 100", got)
-	}
 }
 
 func TestWindowSetRejectsBadConfig(t *testing.T) {

@@ -518,8 +518,9 @@ type plantedRing struct{ notEmpty sync.Cond }
 	{
 		// The analyser's flags are declared once, in flags.go's BindFlags, and
 		// cross into an instrumented program as the one variable COMMPROF_OPTS:
-		// no frontend declares one of the nine names itself, and the
-		// per-option variables and their parser stay gone.
+		// no frontend declares one of the eight names itself (nor the deleted
+		// -shard-queue, so that it stays dead), and the per-option variables
+		// and their parser stay gone.
 		name: "an analyser option is spelled out by hand again",
 		check: func(m *module) (out findings) {
 			m.each(scope{tests: true}, func(p *pkg, f *file) {
@@ -789,6 +790,42 @@ import "sync"
 type plantedBarrier struct{ cond *sync.Cond }
 `,
 		},
+	},
+	{
+		// The analysis engine is its own single producer (DESIGN §5): the
+		// analyser goroutine feeds it through ProcessBatch, and Close flushes.
+		// internal/pipeline declares no Producer type and keeps no slice of
+		// producers, so concurrent producers — and with them late window
+		// partials, a producer registry and atomics on staged accesses —
+		// stay out.
+		name: "a second producer is back",
+		check: func(m *module) (out findings) {
+			producer := func(name string) bool { return strings.Contains(strings.ToLower(name), "producer") }
+			m.each(scope{dirs: []string{"internal/pipeline"}}, func(p *pkg, f *file) {
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.TypeSpec:
+						if producer(n.Name.Name) {
+							out.add(m, n.Pos(), "declares type %s", n.Name.Name)
+						}
+					case *ast.Ident:
+						if v, ok := p.info.Defs[n].(*types.Var); ok && producer(n.Name) {
+							if _, slice := v.Type().Underlying().(*types.Slice); slice {
+								out.add(m, n.Pos(), "declares %s, a slice of producers", n.Name)
+							}
+						}
+					}
+					return true
+				})
+			})
+			return out
+		},
+		plant: map[string]string{"internal/pipeline/planted.go": `package pipeline
+
+type Producer struct{ staged int }
+
+type plantedRegistry struct{ producers []*Engine }
+`},
 	},
 	{
 		// Every source reaches the analyser through the analysis's one quantum

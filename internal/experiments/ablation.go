@@ -288,7 +288,7 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 			if err != nil {
 				return 0, 0
 			}
-			e.ProcessStream(stream)
+			e.ProcessBatch(stream)
 			e.Close()
 			return e.SigFootprintBytes(), e.Stats().Processed
 		})

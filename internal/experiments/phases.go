@@ -90,7 +90,7 @@ func Phases(env Env, app string, size splash.Size) (*PhasesResult, error) {
 			return nil, 0, err
 		}
 		start := time.Now()
-		e.ProcessStream(stream)
+		e.ProcessBatch(stream)
 		e.Close()
 		ns := 0.0
 		if len(stream) > 0 {

@@ -290,10 +290,9 @@ func (l *LivePhases) Snapshot(maxLoops int) LiveSnapshot {
 // this layer's classifier and loop predicate, reusing the class and
 // confidence ObserveWindow gave every window that has not changed since (same
 // classifier, same matrix: its byte total, which only grows, is the one it
-// had then). A window that gained a late partial after its emission (no
-// time-ordered feed produces one; phase_late_windows_total counts them) or
-// was never emitted is classified afresh, so the result equals
-// BuildTimeline's.
+// had then). A window that was never emitted is classified afresh, so the
+// result equals BuildTimeline's. (One that gained a late partial after its
+// emission never gets here: the engine's PhaseWindows refuses such a run.)
 func (l *LivePhases) Timeline(ws *comm.WindowSet, maxLoops int) Timeline {
 	l.mu.Lock()
 	seen := l.seen

@@ -256,7 +256,7 @@ func TestSegmenterStreamingMatchesFinish(t *testing.T) {
 		streamed.Observe(ev)
 		plain.Observe(ev)
 		if i%97 == 0 {
-			streamed.closer.Advance(streamed.live.MaxTime(), []*comm.WindowSet{streamed.live}, onClose)
+			streamed.closer.Advance(ev.Time, []*comm.WindowSet{streamed.live}, onClose)
 		}
 	}
 	streamed.Flush(onClose)

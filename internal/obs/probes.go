@@ -44,9 +44,9 @@ type PipelineProbes struct {
 	// QueueDepth is the shard queue depth sampled at each worker drain,
 	// the throughput-facing complement of the per-shard live depth gauges.
 	QueueDepth *Histogram
-	// ProducerFlushes counts producer staging-buffer flushes (batch-full,
-	// quantum-switch and end-of-stream flushes alike); Enqueued over
-	// ProducerFlushes is the realised enqueue amortization factor.
+	// ProducerFlushes counts the producer's staging-buffer flushes (batch-full
+	// and end-of-stream flushes alike); Enqueued over ProducerFlushes is the
+	// realised enqueue amortization factor.
 	ProducerFlushes *Counter
 }
 
@@ -87,12 +87,6 @@ type PhaseProbes struct {
 	// Transitions counts whole-program pattern-class changes between
 	// consecutive closed windows.
 	Transitions *Counter
-	// LateWindows counts shard window partials that surfaced after their
-	// window had already been emitted live. Every feed is time-ordered per
-	// shard, so it reads 0: it stays as the tripwire for that invariant (the
-	// final report timeline is recomputed from complete merged windows and
-	// would be unaffected).
-	LateWindows *Counter
 }
 
 // StageProbes holds the pipeline's stage latency histograms, one log2
@@ -105,16 +99,17 @@ type StageProbes struct {
 	// QueueWait is the time a producer spent blocked on a full shard queue,
 	// one observation per stalled hand-off (backpressure).
 	QueueWait *Histogram
-	// Drain is one worker drain cycle: detector batch + window flush.
-	// BatchService and Window are its two timed sub-stages.
+	// Drain is one analyse step — a shard worker's drain, or an in-thread
+	// batch: detector batch + window flush. BatchService and Window are its
+	// two timed sub-stages.
 	Drain *Histogram
-	// BatchService is the detector's batch service time within a drain.
+	// BatchService is the detector's batch service time within a step.
 	BatchService *Histogram
-	// Window is the windowed phase layer's cost: the per-drain window flush
+	// Window is the windowed phase layer's cost: the per-step window flush
 	// plus frontier advances.
 	Window *Histogram
-	// Producer is one producer staging call on the replay path (stage +
-	// enqueue, including any backpressure blocking).
+	// Producer is one sharded ProcessBatch or Flush call of the engine's
+	// producer (stage + enqueue, including any backpressure blocking).
 	Producer *Histogram
 	// Decode is one streaming Decoder.NextBatch call.
 	Decode *Histogram
@@ -206,7 +201,6 @@ func DefaultProbes(r *Registry) Probes {
 		Phase: &PhaseProbes{
 			WindowsClosed: r.Counter("phase_windows_closed_total"),
 			Transitions:   r.Counter("phase_transitions_total"),
-			LateWindows:   r.Counter("phase_late_windows_total"),
 		},
 		Stage: &StageProbes{
 			QueueWait:    r.Histogram("stage_queue_wait_nanos"),

@@ -29,7 +29,7 @@ func shardReplay(t *testing.T, run miniParRun, threads, shards int) *comm.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe.ProcessStream(run.accesses)
+	pe.ProcessBatch(run.accesses)
 	pe.Close()
 	tree, err := pe.Tree()
 	if err != nil {

@@ -39,7 +39,7 @@ func TestShardedAccuracyMergeMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("bits=%d shards=%d: %v", bits, shards, err)
 			}
-			e.ProcessStream(stream)
+			e.ProcessBatch(stream)
 			e.Close()
 			got, ok := e.AccuracyStats()
 			if !ok {
@@ -66,7 +66,7 @@ func TestShardedAccuracyOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ProcessStream(synthetic(4, 2, 8))
+	e.ProcessBatch(synthetic(4, 2, 8))
 	e.Close()
 	if _, ok := e.AccuracyStats(); ok {
 		t.Error("AccuracyStats reported a monitor on an unmonitored engine")
@@ -121,7 +121,7 @@ func TestShardedAccuracyAlarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ProcessStream(stream)
+	e.ProcessBatch(stream)
 	e.Close()
 	est, ok := e.AccuracyEstimate()
 	if !ok {

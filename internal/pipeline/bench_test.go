@@ -103,7 +103,7 @@ func BenchmarkPipelineProcessStream(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				e.ProcessStream(stream)
+				e.ProcessBatch(stream)
 				e.Close()
 			}
 			reportEventRate(b, len(stream))

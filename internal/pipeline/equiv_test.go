@@ -92,7 +92,7 @@ func TestEquivalenceAllWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.ProcessStream(stream)
+				e.ProcessBatch(stream)
 				e.Close()
 
 				g, err := e.Global()
@@ -133,7 +133,7 @@ func TestShardedAsymmetricIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.ProcessStream(stream)
+		e.ProcessBatch(stream)
 		e.Close()
 		g, err := e.Global()
 		if err != nil {

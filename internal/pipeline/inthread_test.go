@@ -68,13 +68,11 @@ func TestInThreadMatchesBareDetector(t *testing.T) {
 			}
 			// Half access by access, half as one batch: the two in-thread
 			// feeds are the same detector.
-			p := e.NewProducer(false)
 			half := len(stream) / 2
-			for _, a := range stream[:half] {
-				p.Process(a)
+			for i := range stream[:half] {
+				e.ProcessBatch(stream[i : i+1])
 			}
-			p.ProcessBatch(stream[half:])
-			p.Flush()
+			e.ProcessBatch(stream[half:])
 			e.Close()
 
 			gotTree, err := e.Tree()
@@ -120,29 +118,22 @@ func TestInThreadMatchesBareDetector(t *testing.T) {
 }
 
 // TestInThreadAllocatesNoQueue pins what K = 0 does not build: no queue, no
-// worker, no producer staging, no producer registry entry — and therefore a
-// zero resident-access peak and zero flushes however much it analyses.
+// worker, no staging buffers — and therefore a zero resident-access peak and
+// zero flushes however much it analyses.
 func TestInThreadAllocatesNoQueue(t *testing.T) {
 	e, err := New(Options{Threads: 4, QueueCapacity: 1 << 20, NewBackend: PerfectFactory(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.shards) != 1 || e.shards[0].full != nil || e.shards[0].free != nil {
-		t.Fatalf("K = 0 engine has %d shards, queue %v, free list %v", len(e.shards), e.shards[0].full, e.shards[0].free)
+	if len(e.shards) != 1 || e.shards[0].full != nil || e.shards[0].free != nil || e.pending != nil {
+		t.Fatalf("K = 0 engine has %d shards, queue %v, free list %v, staging %v",
+			len(e.shards), e.shards[0].full, e.shards[0].free, e.pending)
 	}
 	if e.Shards() != 0 {
 		t.Fatalf("Shards() = %d on the in-thread engine, want 0", e.Shards())
 	}
-	p := e.NewProducer(false)
-	if p.pending != nil || len(e.producers) != 0 {
-		t.Fatalf("in-thread producer staged: pending %v, %d registered", p.pending, len(e.producers))
-	}
-	if n := testing.AllocsPerRun(10, func() { e.NewProducer(false) }); n > 1 {
-		t.Fatalf("NewProducer at K = 0 makes %v allocations, want the handle alone", n)
-	}
 	stream := synthetic(4, 4, 16)
-	p.ProcessBatch(stream)
-	p.Flush()
+	e.ProcessBatch(stream)
 	e.Close()
 	if e.PeakResidentAccesses() != 0 || e.ProducerFlushes() != 0 {
 		t.Fatalf("in-thread engine reports %d resident accesses, %d flushes", e.PeakResidentAccesses(), e.ProducerFlushes())

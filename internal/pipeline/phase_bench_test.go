@@ -30,7 +30,7 @@ func BenchmarkPhaseWindowOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			e.ProcessStream(stream)
+			e.ProcessBatch(stream)
 			e.Close()
 		}
 		if s := b.Elapsed().Seconds(); s > 0 && len(stream) > 0 {

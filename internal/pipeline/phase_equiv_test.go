@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"commprof/internal/comm"
@@ -65,17 +66,14 @@ func TestPhaseIdentityAllWorkloads(t *testing.T) {
 				}
 				// Feed in chunks with interleaved advances so the live path (not
 				// just the final flush) carries most of the windows.
-				p := e.NewProducer(false)
-				for i, a := range stream {
-					p.Process(a)
-					if i%5000 == 4999 {
-						p.Flush()
-						e.AdvancePhases()
-					}
+				for i := 0; i < len(stream); i += 5000 {
+					e.ProcessBatch(stream[i:min(i+5000, len(stream))])
+					e.Flush()
+					e.AdvancePhases()
 				}
-				p.Flush()
 				e.Close()
 
+				// PhaseWindows fails had a partial surfaced late.
 				ws, err := e.PhaseWindows()
 				if err != nil {
 					t.Fatal(err)
@@ -95,11 +93,8 @@ func TestPhaseIdentityAllWorkloads(t *testing.T) {
 					}
 				}
 
-				// Live-emission invariants: exactly once, in order, none late,
-				// and complete.
-				if e.phaseLateWindows() > 0 {
-					t.Fatalf("%s: K=%d: late windows on a replay feed", name, shards)
-				}
+				// Live-emission invariants: exactly once, in order, and
+				// complete.
 				wins := ws.Sorted()
 				if len(emitted) != len(wins) {
 					t.Fatalf("%s: K=%d: emitted %d windows live, final set holds %d", name, shards, len(emitted), len(wins))
@@ -114,52 +109,34 @@ func TestPhaseIdentityAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestPhaseWindowsParallelProducersComplete pins the multi-producer API's
-// weaker guarantee: with concurrent producers (arrival order racy, so live windows
-// may close early and partials may surface late), the final merged window
-// set still accounts for every detected byte — late partials are merged,
-// never dropped.
-func TestPhaseWindowsParallelProducersComplete(t *testing.T) {
-	const threads, shards, window = 8, 4, 2000
-	stream, table := recordStream(t, "fft", threads)
-
-	e, err := New(Options{
-		Shards: shards, Threads: threads, Table: table,
-		PhaseWindow: window,
-		NewBackend:  PerfectFactory(threads),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{}, threads)
-	for tid := 0; tid < threads; tid++ {
-		tid := tid
-		go func() {
-			p := e.NewProducer(false)
-			for _, a := range stream {
-				if int(a.Thread) == tid {
-					p.Process(a)
-				}
-			}
-			p.Flush()
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < threads; i++ {
-		<-done
-	}
-	e.Close()
-
-	ws, err := e.PhaseWindows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var windowed uint64
-	for _, w := range ws.Sorted() {
-		windowed += w.Global.Total()
-	}
-	if got := e.Stats().CommBytes; windowed != got {
-		t.Fatalf("windowed bytes %d != detected bytes %d", windowed, got)
+// TestLateWindowIsAnInvariantError plants a window partial below the
+// frontier the engine has already emitted, as only a feed out of time order
+// could leave one, in-thread and sharded: Close still completes, and
+// PhaseWindows refuses the run instead of merging the partial silently.
+func TestLateWindowIsAnInvariantError(t *testing.T) {
+	const threads, window = 4, 100
+	stream := synthetic(threads, 10, 32) // times 1..1280 across every address
+	for _, shards := range []int{0, 2} {
+		e, err := New(Options{
+			Shards: shards, Threads: threads, PhaseWindow: window,
+			NewBackend: PerfectFactory(threads),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.ProcessBatch(stream)
+		e.Flush()
+		waitFor(t, "every shard to analyse past the first windows", func() bool {
+			return e.phaseFrontier() >= 4*window
+		})
+		if n := e.AdvancePhases(); n == 0 {
+			t.Fatalf("K = %d: no window emitted below frontier %d", shards, e.phaseFrontier())
+		}
+		e.shards[0].windows.Observe(5, -1, 0, 1, 8) // window [0, 100), already emitted
+		e.Close()
+		if _, err := e.PhaseWindows(); err == nil || !strings.Contains(err.Error(), "not time-ordered") {
+			t.Fatalf("K = %d: PhaseWindows after a late partial: err %v, want the invariant error", shards, err)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package pipeline is the analysis engine every profiling entry point feeds:
 // with K = 0 shards it is the paper's in-thread analyser (§IV-D3, §V-A2) — one
-// detect.Detector over the whole signature, run on the caller's goroutine,
+// detect.Detector over the whole signature, run on the producer's goroutine,
 // bit-identical to a bare detector — and with K > 0 the sharded parallel
 // engine, the scale-out successor to that single funnel.
 //
@@ -25,19 +25,21 @@
 // serial analyser exactly whenever the run is collision-free and
 // statistically otherwise.
 //
-// Queues are bounded, so analysis memory stays fixed no matter how bursty
-// the producers are, and there is one overload behaviour: backpressure. A
-// producer facing a full shard queue blocks until the worker catches up, so
-// analysis stays exhaustive and producer speed follows the slowest shard
-// (EnqueueStalls counts the episodes, the QueueWait stage times them). To
-// analyse less, thin reads in front of the engine (detect.Gate, the facade's
-// Options.SamplePeriod).
+// The engine has one producer, as PROMPT's backends have one frontend: every
+// facade source feeds it from the run's one analyser goroutine through
+// ProcessBatch, and Close, which first flushes what is staged, ends the run.
+// In-thread, ProcessBatch runs the analyse step on that goroutine; sharded, it
+// stages each access in its shard's buffer, sends a full buffer over the
+// shard's bounded channel by pointer and takes an empty one from the shard's
+// free list, and the worker runs the same analyse step on the buffer in place.
+// An access is copied once, into the buffer, and never again.
 //
-// The hand-off is by pointer, as between PROMPT's frontend and backends: a
-// Producer fills a buffer it owns, sends the whole buffer over the shard's
-// bounded channel and takes an empty one from the shard's free list; the
-// worker analyses the buffer in place and puts it back. An access is copied
-// once, into the buffer, and never again.
+// Queues are bounded, so analysis memory stays fixed however bursty the
+// source is, and there is one overload behaviour: backpressure. The producer
+// blocks on a full shard queue until the worker catches up, so analysis
+// stays exhaustive (EnqueueStalls counts the episodes, the QueueWait stage
+// times them). To analyse less, thin reads in front of the engine
+// (detect.Gate, the facade's Options.SamplePeriod).
 package pipeline
 
 import (
@@ -59,9 +61,9 @@ import (
 	"commprof/internal/trace"
 )
 
-// batchLen is the hand-off unit: a producer sends a shard its staged accesses
-// once this many have accumulated (or at Flush / a thread switch), and a
-// worker analyses one such buffer per wakeup. Clamped to QueueCapacity.
+// batchLen is the hand-off unit: the producer sends a shard its staged
+// accesses once this many have accumulated (or at Flush), and a worker
+// analyses one such buffer per wakeup. Clamped to QueueCapacity.
 const batchLen = 256
 
 // shardSeed routes addresses to shards with a hash independent of both
@@ -73,10 +75,10 @@ const shardSeed uint64 = 0xA0761D6478BD642F
 type Options struct {
 	// Shards is the number of analysis shards K. 0 is the in-thread analyser:
 	// one shard that owns the whole slot budget and runs Algorithm 1 on the
-	// calling goroutine — no queue, no worker, no producer staging — so
-	// QueueCapacity does not apply. Every detector has one caller at a time
-	// (see detect.Detector): a shard worker, or at K = 0 the source, which
-	// serialises its own callers.
+	// producer's goroutine — no queue, no worker, no staging — so
+	// QueueCapacity does not apply. Every detector has one caller (see
+	// detect.Detector): a shard worker, or at K = 0 the engine's producer, the
+	// facade's analyser goroutine.
 	Shards int
 	// Threads is the target program's thread count (matrix dimension).
 	Threads int
@@ -89,9 +91,8 @@ type Options struct {
 	// QueueCapacity bounds the accesses handed over to one shard and not yet
 	// analysed (default 8192): the memory bound of a K > 0 run. The queue
 	// holds whole buffers of min(256, QueueCapacity) accesses, so a request
-	// that is not a whole number of buffers is rounded down to one
-	// (Engine.QueueCapacity reports the effective bound). A producer facing
-	// a full queue blocks.
+	// that is not a whole number of buffers is rounded down to one. The
+	// producer blocks on a full queue.
 	QueueCapacity int
 	// RedundancyCacheBits, when non-zero, gives every shard worker a private
 	// 2^bits-entry redundancy-filtering cache in front of its signature
@@ -135,18 +136,17 @@ type Options struct {
 	//     obs counters are atomic, so one bundle is safely shared across shard
 	//     workers.
 	//   - Stage: per-batch latency observations — producer blocking on a full
-	//     queue (QueueWait), the worker drain cycle (Drain, with BatchService
-	//     and Window as timed sub-stages), and the periodic window advance.
+	//     queue (QueueWait), the analyse step (Drain, with BatchService and
+	//     Window as timed sub-stages), and the periodic window advance.
 	//     Timing is per batch — a handful of monotonic-clock reads per few
 	//     hundred accesses — never per access.
-	//   - Phase: late-window counts (see obs.PhaseProbes.LateWindows).
-	//     Window-close and transition counters are the OnWindowClose
-	//     consumer's business.
+	//   - Phase is not read: window-close and transition counters are the
+	//     OnWindowClose consumer's business.
 	Probes obs.Probes
 	// Timeline, when non-nil, records execution-timeline events: one track
-	// per shard worker (busy-period spans) and one per producer (flush
-	// spans). Nil keeps the hot path free of timeline work beyond one nil
-	// check per drain/flush.
+	// per shard worker (busy-period spans) and one for the producer (flush
+	// spans, track producer-0). Nil keeps the hot path free of timeline work
+	// beyond one nil check per drain/flush.
 	Timeline *obs.Timeline
 }
 
@@ -197,8 +197,8 @@ func PerfectFactory(threads int) func(int) (sig.Backend, error) {
 
 // shard owns one address partition: a bounded queue of access buffers, a
 // worker, a private detector and a private signature partition. The in-thread
-// engine's single shard has no queue and no worker: callers run its detector
-// directly.
+// engine's single shard has no queue and no worker: the producer runs its
+// analyse step directly.
 type shard struct {
 	d       *detect.Detector
 	backend sig.Backend
@@ -208,30 +208,25 @@ type shard struct {
 	// full carries filled buffers to the worker and is the bound: it holds
 	// one buffer fewer than QueueCapacity allows because the worker holds one
 	// while analysing it. free is where the worker leaves drained buffers for
-	// producers to pick up; neither side ever blocks on it. It has room for
-	// everything one producer keeps in circulation — the queue's buffers plus
-	// the one a blocked sender has let go of — so a replay allocates nothing
-	// in steady state; many concurrent producers stalling at once can
-	// overflow it, and the surplus goes to the GC.
+	// the producer to pick up. It has room for every buffer the shard ever
+	// circulates — the queue's, the worker's and the producer's — so neither
+	// side blocks on it and a replay allocates nothing in steady state.
 	full chan []trace.Access
 	free chan []trace.Access
 
 	// depth counts accesses handed over and not yet analysed, peak its
-	// maximum. Producers add after a successful send and the worker subtracts
-	// after analysing, so a fast worker can briefly drive depth below zero:
-	// read it through Depth.
+	// maximum. The producer adds after a successful send and the worker
+	// subtracts after analysing, so a fast worker can briefly drive depth
+	// below zero: read it through Depth.
 	depth atomic.Int64
 	peak  atomic.Int64
 
 	// windows accumulates this shard's time-windowed sub-matrices (nil when
-	// Options.PhaseWindow is 0); maxTime is the largest access time the
-	// worker has finished processing, the shard's contribution to the
-	// window-close frontier. evbuf stages detected events between worker
-	// drains — written only from the detector's OnEvent on the worker
-	// goroutine, flushed into windows once per batch so the windowed layer
-	// costs one lock per drain, not one per event. In-thread, events go
-	// straight into the locked window set (a telemetry goroutine may be
-	// advancing the frontier) and evbuf and maxTime stay unused.
+	// Options.PhaseWindow is 0); maxTime is the largest access time the shard
+	// has finished analysing, its contribution to the window-close frontier.
+	// evbuf stages the events of one batch — written only from the
+	// detector's OnEvent, by the analyse step's one caller — and analyse
+	// applies them to windows under one lock per batch, not one per event.
 	windows *comm.WindowSet
 	evbuf   []comm.WindowEvent
 	maxTime atomic.Uint64
@@ -241,20 +236,14 @@ type shard struct {
 func (s *shard) Depth() int { return int(max(s.depth.Load(), 0)) }
 
 // handOff gives shard i's worker a filled buffer by pointer and returns an
-// empty one for the producer to fill next. A full queue blocks the caller until the
-// worker catches up — backpressure, the engine's one overload behaviour.
-// Once the engine is closed the accesses are ignored instead. The next
-// buffer comes from the free list when it has one and is allocated otherwise:
-// waiting for one would stall the producer behind the worker, and with
-// several producers it could deadlock, because a producer blocked elsewhere
-// keeps its partly filled buffers out of circulation.
+// empty one for the producer to fill next. A full queue blocks the producer
+// until the worker catches up — backpressure, the engine's one overload
+// behaviour. The next buffer comes from the free list when it has one and is
+// allocated otherwise, so the shard's circulation grows to its bound (the
+// queue's buffers, the worker's and the producer's) as the queue first fills
+// instead of the producer waiting behind the worker.
 func (e *Engine) handOff(i int, buf []trace.Access) []trace.Access {
 	s, p := e.shards[i], e.opts.Probes.Pipeline
-	select {
-	case <-e.done:
-		return buf[:0]
-	default:
-	}
 	n := len(buf)
 	select {
 	case s.full <- buf:
@@ -266,17 +255,12 @@ func (e *Engine) handOff(i int, buf []trace.Access) []trace.Access {
 		if s.stages != nil {
 			t0 = time.Now()
 		}
-		select {
-		case s.full <- buf:
-		case <-e.done:
-			return buf[:0]
-		}
+		s.full <- buf
 		if s.stages != nil {
 			s.stages.QueueWait.Observe(uint64(time.Since(t0)))
 		}
 	}
-	// Every facade source has one producer, so a load and a store keep the
-	// peak; concurrent producers (the multi-producer API) may under-report it.
+	// The producer is depth's only adder, so a load and a store keep the peak.
 	if depth := s.depth.Add(int64(n)); depth > s.peak.Load() {
 		s.peak.Store(depth)
 	}
@@ -304,10 +288,8 @@ func (s *shard) worker(idx int, p *obs.PipelineProbes, wg *sync.WaitGroup) {
 // drainLoop is the worker body: analyse each buffer in place, then return it
 // to the free list. Timeline spans are busy periods — one span from the first
 // buffer after an idle wait until the queue next runs dry — so a saturated
-// run records a handful of spans, not one per buffer. Stage timing is per
-// buffer: at most three monotonic-clock reads per batch of accesses.
+// run records a handful of spans, not one per buffer.
 func (s *shard) drainLoop(p *obs.PipelineProbes) {
-	st := s.stages
 	busy := false
 	for {
 		var buf []trace.Access
@@ -331,68 +313,77 @@ func (s *shard) drainLoop(p *obs.PipelineProbes) {
 			busy = true
 			s.track.Begin("busy")
 		}
-		var t0 time.Time
-		if st != nil {
-			t0 = time.Now()
-		}
 		if p != nil {
 			p.QueueDepth.Observe(uint64(s.Depth()))
 		}
-		s.d.ProcessBatch(buf)
-		var t1 time.Time
-		if st != nil {
-			t1 = time.Now()
-			st.BatchService.Observe(uint64(t1.Sub(t0)))
-		}
-		if s.windows != nil {
-			if len(s.evbuf) > 0 {
-				s.windows.ObserveBatch(s.evbuf)
-				s.evbuf = s.evbuf[:0]
-			}
-			// Advance this shard's window-close frontier to the largest access
-			// time now fully processed. Deterministic and replay feeds arrive
-			// time-ordered per shard, so every future event on this shard has a
-			// strictly larger time; the engine frontier is the min across
-			// shards. This goroutine is maxTime's only writer.
-			latest := s.maxTime.Load()
-			for i := range buf {
-				latest = max(latest, buf[i].Time)
-			}
-			s.maxTime.Store(latest)
-		}
-		if st != nil {
-			t2 := time.Now()
-			if s.windows != nil {
-				st.Window.Observe(uint64(t2.Sub(t1)))
-			}
-			st.Drain.Observe(uint64(t2.Sub(t0)))
-		}
+		s.analyse(buf)
 		if p != nil {
 			p.BatchSizes.Observe(uint64(len(buf)))
 		}
 		s.depth.Add(int64(-len(buf)))
-		select {
-		case s.free <- buf[:0]:
-		default: // more buffers than the queue needs: leave this one to the GC
-		}
+		s.free <- buf[:0]
 	}
 }
 
-// Engine is the analysis engine. Feed accesses through a Producer per
-// producing goroutine (or ProcessStream, which is one) — in-thread, through
-// one Producer at a time — then Close before reading merged results.
+// analyse is the one analyse step, at every K: Algorithm 1 over the batch,
+// then the batch's window events applied under one lock, then the shard's
+// window-close frontier advanced to the batch's newest access. Its one
+// caller is the shard worker, or in-thread the engine's producer. Every feed
+// arrives time-ordered per shard, so every future event on this shard has a
+// larger time; the engine frontier is the minimum across shards. Stage timing
+// is per batch: at most three monotonic-clock reads.
+func (s *shard) analyse(buf []trace.Access) {
+	st := s.stages
+	var t0 time.Time
+	if st != nil {
+		t0 = time.Now()
+	}
+	s.d.ProcessBatch(buf)
+	var t1 time.Time
+	if st != nil {
+		t1 = time.Now()
+		st.BatchService.Observe(uint64(t1.Sub(t0)))
+	}
+	if s.windows != nil {
+		if len(s.evbuf) > 0 {
+			s.windows.ObserveBatch(s.evbuf)
+			s.evbuf = s.evbuf[:0]
+		}
+		latest := s.maxTime.Load()
+		for i := range buf {
+			latest = max(latest, buf[i].Time)
+		}
+		s.maxTime.Store(latest)
+	}
+	if st != nil {
+		t2 := time.Now()
+		if s.windows != nil {
+			st.Window.Observe(uint64(t2.Sub(t1)))
+		}
+		st.Drain.Observe(uint64(t2.Sub(t0)))
+	}
+}
+
+// Engine is the analysis engine and its own single producer: one goroutine
+// at a time feeds it through ProcessBatch (and, at an ordering boundary of
+// its own, Flush), then Close ends the run before merged results are read.
 type Engine struct {
 	opts   Options
 	shards []*shard
 	wg     sync.WaitGroup
 
-	// inThread is the K = 0 engine's only detector, nil when K > 0.
-	inThread *detect.Detector
-
-	// batch is the hand-off buffer length, min(batchLen, QueueCapacity); done
-	// is closed by Close so that no producer hands over, or waits, after it.
-	batch int
-	done  chan struct{}
+	// batch is the hand-off buffer length, min(batchLen, QueueCapacity).
+	// pending holds one staging buffer per shard (nil in-thread); staged
+	// counts the accesses in them, peakStaged its maximum, flushes the
+	// hand-offs. The producer alone writes them, and they are read after
+	// Close. track is the producer's timeline row (nil when the timeline is
+	// off).
+	batch      int
+	pending    [][]trace.Access
+	staged     int
+	peakStaged int
+	flushes    uint64
+	track      *obs.Track
 
 	// monitors holds each shard's private accuracy monitor (empty when
 	// Options.Accuracy is nil); accAlarm is the engine-level warn-once latch
@@ -403,9 +394,6 @@ type Engine struct {
 	// phaseCloser merges shard window partials and emits completed windows
 	// (nil when Options.PhaseWindow is 0).
 	phaseCloser *comm.WindowCloser
-
-	prodMu    sync.Mutex
-	producers []*Producer
 
 	closeOnce sync.Once
 	closed    atomic.Bool
@@ -431,7 +419,7 @@ func New(opts Options) (*Engine, error) {
 	queued := opts.Shards > 0
 	e := &Engine{
 		opts: opts, shards: make([]*shard, max(opts.Shards, 1)),
-		batch: min(batchLen, opts.QueueCapacity), done: make(chan struct{}),
+		batch: min(batchLen, opts.QueueCapacity),
 	}
 	if opts.PhaseWindow > 0 {
 		closer, err := comm.NewWindowCloser(opts.Threads, opts.PhaseWindow)
@@ -467,15 +455,10 @@ func New(opts Options) (*Engine, error) {
 				return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
 			}
 			onEvent = func(ev detect.Event) {
-				if queued {
-					// Worker-goroutine only: stage lock-free, flush per drain.
-					s.evbuf = append(s.evbuf, comm.WindowEvent{
-						Time: ev.Time, Region: ev.Region,
-						Src: ev.Writer, Dst: ev.Reader, Bytes: uint64(ev.Bytes),
-					})
-				} else {
-					s.windows.Observe(ev.Time, ev.Region, ev.Writer, ev.Reader, uint64(ev.Bytes))
-				}
+				s.evbuf = append(s.evbuf, comm.WindowEvent{
+					Time: ev.Time, Region: ev.Region,
+					Src: ev.Writer, Dst: ev.Reader, Bytes: uint64(ev.Bytes),
+				})
 			}
 		}
 		d, err := detect.New(detect.Options{
@@ -493,9 +476,13 @@ func New(opts Options) (*Engine, error) {
 		e.shards[i] = s
 	}
 	if !queued {
-		e.inThread = e.shards[0].d
 		return e, nil
 	}
+	e.pending = make([][]trace.Access, len(e.shards))
+	for i := range e.pending {
+		e.pending[i] = make([]trace.Access, 0, e.batch)
+	}
+	e.track = opts.Timeline.Track("producer-0")
 	for i, s := range e.shards {
 		e.wg.Add(1)
 		go s.worker(i, e.opts.Probes.Pipeline, &e.wg)
@@ -516,175 +503,101 @@ func (e *Engine) route(addr uint64) int {
 	return int(murmur.HashAddr(addr>>e.opts.GranularityBits, shardSeed) % uint64(len(e.shards)))
 }
 
-// Producer is a per-producer staging handle in front of the shard queues:
-// accesses accumulate in one private buffer per shard, and a buffer is handed
-// to its shard's worker whole once it holds Engine.BatchSize accesses. A
-// Producer is not safe for concurrent use — give each producing goroutine its
-// own (its buffers are private, so concurrent producers never contend on
-// staging). Call Flush before Close to push out any staged remainder.
-//
-// Staged accesses are invisible to shard workers until a flush, so a
-// producer's resident footprint is at most Shards×BatchSize accesses and the
-// detection latency of a staged access is bounded by its buffer's fill time
-// plus the configured flush triggers.
-//
-// On the in-thread engine a Producer stages nothing: Process and ProcessBatch
-// run the detector on the calling goroutine and Flush is a no-op, so batch
-// sources feed either engine through the same handle.
-type Producer struct {
-	e       *Engine
-	pending [][]trace.Access
-	staged  int
+// NewProducer returns the engine, which is its own producer. It is kept only
+// because bench/layers.go still calls it; ROADMAP item 0(d) deletes it.
+func (e *Engine) NewProducer(bool) *Engine { return e }
 
-	// peak/flushes are written only by the owning goroutine but read by
-	// concurrent stats snapshots, hence atomics.
-	peak    atomic.Int64
-	flushes atomic.Uint64
-
-	// track is this producer's timeline row; flush spans land here (nil when
-	// the timeline is off).
-	track *obs.Track
-}
-
-// NewProducer returns a staging handle for one producing goroutine. A single
-// producer needs no flush between threads, whatever the mix of threads it
-// carries: each shard's FIFO receives its accesses in stream order, which is
-// all Algorithm 1 needs per address. The bool is ignored; the parameter is
-// kept only because bench/layers.go still passes it, and ROADMAP item 0(d)
-// deletes it.
-func (e *Engine) NewProducer(bool) *Producer {
-	if e.inThread != nil {
-		return &Producer{e: e}
-	}
-	p := &Producer{
-		e:       e,
-		pending: make([][]trace.Access, len(e.shards)),
-	}
-	for i := range p.pending {
-		p.pending[i] = make([]trace.Access, 0, e.batch)
-	}
-	e.prodMu.Lock()
-	p.track = e.opts.Timeline.Track("producer-" + strconv.Itoa(len(e.producers)))
-	e.producers = append(e.producers, p)
-	e.prodMu.Unlock()
-	return p
-}
-
-// Process stages one access, handing the target shard's buffer over when it
-// is full.
-func (p *Producer) Process(a trace.Access) {
-	e := p.e
-	if e.inThread != nil {
-		e.inThread.Process(a)
+// ProcessBatch feeds a run of accesses to the engine: in-thread it runs the
+// analyse step on the calling goroutine; sharded it stages each access in its
+// shard's buffer and hands the buffer over whole once it holds a batch, so
+// each shard's FIFO receives its accesses in stream order, which is all
+// Algorithm 1 needs per address. The engine has one producer: call
+// ProcessBatch, Flush and Close from one goroutine at a time, and
+// ProcessBatch never after Close (a batch that follows Close is ignored).
+// With Options.Probes.Stage the call is timed where the time goes: in-thread
+// by the analyse step, sharded as staging plus any wait on a full shard queue
+// (the Producer stage) — the workers time their analyse steps themselves, so
+// no nanosecond is counted twice.
+func (e *Engine) ProcessBatch(batch []trace.Access) {
+	if e.closed.Load() {
 		return
 	}
-	i := e.route(a.Addr)
-	buf := p.pending[i]
-	buf = buf[:len(buf)+1] // every staging buffer holds e.batch and is handed on full
-	b := &buf[len(buf)-1]
-	b.Time, b.Addr, b.Size, b.Thread, b.Region, b.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
-	p.staged++
-	if int64(p.staged) > p.peak.Load() {
-		p.peak.Store(int64(p.staged))
+	if e.pending == nil {
+		e.shards[0].analyse(batch)
+		return
 	}
-	if len(buf) == e.batch {
-		p.track.Begin("flush")
-		buf = e.handOff(i, buf)
-		p.track.End("flush")
-		p.staged -= e.batch
-		p.noteFlush()
-	}
-	p.pending[i] = buf
-}
-
-// ProcessBatch stages a run of accesses — the natural feed from
-// trace.Decoder.NextBatch, pairing the codec's block-at-a-time decode with
-// the producer's per-shard staging. Semantically identical to calling
-// Process on each element. With Options.Probes.Stage the call is timed where the
-// time goes: in-thread it is the detector's own work (BatchService), queued
-// it is staging plus any wait on a full shard queue (Producer) — the workers
-// time their BatchService themselves, so no nanosecond is counted twice.
-func (p *Producer) ProcessBatch(batch []trace.Access) {
-	st := p.e.opts.Probes.Stage
+	st := e.opts.Probes.Stage
 	var t0 time.Time
 	if st != nil {
 		t0 = time.Now()
 	}
-	if d := p.e.inThread; d != nil {
-		d.ProcessBatch(batch)
-		if st != nil {
-			st.BatchService.Observe(uint64(time.Since(t0)))
+	for j := range batch {
+		a := &batch[j]
+		i := e.route(a.Addr)
+		buf := e.pending[i]
+		buf = buf[:len(buf)+1] // every staging buffer holds e.batch and is handed on full
+		b := &buf[len(buf)-1]
+		b.Time, b.Addr, b.Size, b.Thread, b.Region, b.Kind = a.Time, a.Addr, a.Size, a.Thread, a.Region, a.Kind
+		e.staged++
+		e.peakStaged = max(e.peakStaged, e.staged)
+		if len(buf) == e.batch {
+			e.track.Begin("flush")
+			buf = e.handOff(i, buf)
+			e.track.End("flush")
+			e.staged -= e.batch
+			e.noteFlush()
 		}
-		return
-	}
-	for _, a := range batch {
-		p.Process(a)
+		e.pending[i] = buf
 	}
 	if st != nil {
 		st.Producer.Observe(uint64(time.Since(t0)))
 	}
 }
 
-// Flush hands over every staged buffer. Call it when the producer is done (or
-// at any ordering boundary); staged accesses are otherwise invisible to the
-// shard workers. Timed into the Producer stage like ProcessBatch.
-func (p *Producer) Flush() {
-	if p.staged == 0 {
+// Flush hands over every staged buffer; staged accesses are otherwise
+// invisible to the shard workers until their buffer fills. Close calls it
+// first, so a producer needs it only at an ordering boundary of its own.
+// Timed into the Producer stage like ProcessBatch.
+func (e *Engine) Flush() {
+	if e.staged == 0 {
 		return
 	}
-	st := p.e.opts.Probes.Stage
+	st := e.opts.Probes.Stage
 	var t0 time.Time
 	if st != nil {
 		t0 = time.Now()
 	}
-	p.flush()
-	if st != nil {
-		st.Producer.Observe(uint64(time.Since(t0)))
-	}
-}
-
-// flush is Flush without the stage timing, for the thread-switch trigger
-// inside Process (which an enclosing ProcessBatch already times). Callers
-// check that something is staged.
-func (p *Producer) flush() {
-	p.track.Begin("flush")
-	for i, buf := range p.pending {
+	e.track.Begin("flush")
+	for i, buf := range e.pending {
 		if len(buf) > 0 {
-			p.pending[i] = p.e.handOff(i, buf)
+			e.pending[i] = e.handOff(i, buf)
 		}
 	}
-	p.staged = 0
-	p.noteFlush()
-	p.track.End("flush")
+	e.staged = 0
+	e.noteFlush()
+	e.track.End("flush")
+	if st != nil {
+		st.Producer.Observe(uint64(time.Since(t0)))
+	}
 }
 
-func (p *Producer) noteFlush() {
-	p.flushes.Add(1)
-	if pr := p.e.opts.Probes.Pipeline; pr != nil {
+func (e *Engine) noteFlush() {
+	e.flushes++
+	if pr := e.opts.Probes.Pipeline; pr != nil {
 		pr.ProducerFlushes.Inc()
 	}
 }
 
-// ProcessStream feeds a recorded access stream through the pipeline with
-// per-shard batching. Single producer only: concurrent callers would
-// interleave their staging batches and break per-address order. Per-shard
-// order equals stream order, so results are deterministic for a fixed stream
-// and shard count.
-func (e *Engine) ProcessStream(accesses []trace.Access) {
-	p := e.NewProducer(false)
-	p.ProcessBatch(accesses)
-	p.Flush()
-}
-
-// Close drains every shard queue, stops the workers and merges shard results.
-// Idempotent; call it before reading Global, Tree or Stats. Accesses a
-// Producer hands over after (or racing) Close are ignored. In-thread there is
-// nothing to drain: the callers' Process calls have already returned.
+// Close flushes what is staged, drains every shard queue, stops the workers
+// and closes the last phase windows. Idempotent; call it on the producer's
+// goroutine, or once the producer is done, before reading Tree or Stats.
+// In-thread there is nothing to drain: the producer's ProcessBatch calls
+// have already returned.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		// done turns away producers from here on; the nil buffer queues up
-		// behind everything handed over before it and ends the worker.
-		close(e.done)
+		e.Flush()
+		// The nil buffer queues up behind everything handed over before it
+		// and ends the worker.
 		for _, s := range e.shards {
 			if s.full != nil {
 				s.full <- nil
@@ -699,17 +612,11 @@ func (e *Engine) Close() {
 }
 
 // phaseFrontier is the largest logical time no in-flight access can precede:
-// the minimum over all shards of the largest fully-processed access time. A
-// shard that has processed nothing holds the frontier at 0, so nothing is
+// the minimum over all shards of the largest fully-analysed access time. A
+// shard that has analysed nothing holds the frontier at 0, so nothing is
 // emitted until every shard has made progress — late emission is impossible
-// in deterministic and replay feeds, whose per-shard arrival order is time
-// order. In-thread the frontier is the newest event's time, as in
-// metrics.PhaseSegmenter: event time is monotone in those feeds, so a window
-// wholly below the newest event is final.
+// with one producer, whose per-shard arrival order is time order.
 func (e *Engine) phaseFrontier() uint64 {
-	if e.inThread != nil {
-		return e.shards[0].windows.MaxTime()
-	}
 	frontier := ^uint64(0)
 	for _, s := range e.shards {
 		if t := s.maxTime.Load(); t < frontier {
@@ -735,13 +642,7 @@ func (e *Engine) advancePhasesAt(frontier uint64) int {
 	for i, s := range e.shards {
 		sources[i] = s.windows
 	}
-	lateBefore := e.phaseCloser.Late()
 	n := e.phaseCloser.Advance(frontier, sources, e.opts.OnWindowClose)
-	if p := e.opts.Probes.Phase; p != nil {
-		if d := e.phaseCloser.Late() - lateBefore; d > 0 {
-			p.LateWindows.Add(d)
-		}
-	}
 	if st != nil {
 		st.Window.Observe(uint64(time.Since(t0)))
 	}
@@ -753,12 +654,6 @@ func (e *Engine) advancePhasesAt(frontier uint64) int {
 // Options.OnWindowClose. The live observability sampler drives this
 // periodically; Close runs a final exhaustive advance. Safe from any
 // goroutine while the run is in flight; a no-op when PhaseWindow is 0.
-//
-// Every facade feed is time-ordered per shard, so no window partial surfaces
-// after its window was emitted. Should one (several concurrent producers can
-// interleave their stamps), it is merged (the final PhaseWindows set is always
-// complete and exact) but not re-emitted, and is counted by the LateWindows
-// probe, the tripwire for that invariant.
 func (e *Engine) AdvancePhases() int {
 	if e.phaseCloser == nil {
 		return 0
@@ -767,8 +662,10 @@ func (e *Engine) AdvancePhases() int {
 }
 
 // PhaseWindows returns the complete merged set of time-windowed
-// communication sub-matrices. It errors until Close, or when the engine was
-// built without PhaseWindow.
+// communication sub-matrices. It errors until Close, when the engine was
+// built without PhaseWindow, or when a window partial surfaced after its
+// window was emitted live — impossible with one time-ordered producer, so
+// that error is a broken invariant.
 func (e *Engine) PhaseWindows() (*comm.WindowSet, error) {
 	if e.phaseCloser == nil {
 		return nil, fmt.Errorf("pipeline: PhaseWindow not configured")
@@ -776,24 +673,17 @@ func (e *Engine) PhaseWindows() (*comm.WindowSet, error) {
 	if !e.closed.Load() {
 		return nil, fmt.Errorf("pipeline: PhaseWindows before Close")
 	}
-	return e.phaseCloser.Done(), nil
-}
-
-// phaseLateWindows counts shard window partials that surfaced after their
-// window was emitted live; always 0 in deterministic and replay feeds, which
-// the tests hold it to.
-func (e *Engine) phaseLateWindows() uint64 {
-	if e.phaseCloser == nil {
-		return 0
+	if late := e.phaseCloser.Late(); late > 0 {
+		return nil, fmt.Errorf("pipeline: %d window partials surfaced after their window was emitted: the feed was not time-ordered", late)
 	}
-	return e.phaseCloser.Late()
+	return e.phaseCloser.Done(), nil
 }
 
 // merge sums the shard matrices and counters into the standard global /
 // outside / per-region form. Runs once, after Close. A single shard's
 // matrices already are the result, so they are aliased rather than copied.
 // The detectors wrote them plainly: Close's wg.Wait (K > 0), or the in-thread
-// source having returned to Close's caller, orders those writes before this.
+// producer having returned to Close's caller, orders those writes before this.
 func (e *Engine) merge() {
 	e.mergeOnce.Do(func() {
 		if len(e.shards) == 1 {
@@ -890,42 +780,21 @@ func (e *Engine) ShardStats() []ShardStat {
 // ShardDepth reports shard i's current queue depth — the live gauge source.
 func (e *Engine) ShardDepth(i int) int { return e.shards[i].Depth() }
 
-// ProducerFlushes sums staging-buffer flushes across all producers; safe
-// while the run is in flight.
-func (e *Engine) ProducerFlushes() uint64 {
-	e.prodMu.Lock()
-	defer e.prodMu.Unlock()
-	var total uint64
-	for _, p := range e.producers {
-		total += p.flushes.Load()
-	}
-	return total
-}
+// ProducerFlushes counts the producer's staging-buffer hand-offs; read it
+// after Close.
+func (e *Engine) ProducerFlushes() uint64 { return e.flushes }
 
 // PeakResidentAccesses bounds the engine's in-flight access residency: the
-// sum of every shard's peak queue depth plus every producer's peak staging
+// sum of every shard's peak queue depth plus the producer's peak staging
 // occupancy. This is the O(queue depth + staging) quantity streaming replay
-// holds resident instead of the whole trace. Safe while the run is in flight.
+// holds resident instead of the whole trace. Read it after Close.
 func (e *Engine) PeakResidentAccesses() int {
-	total := 0
+	total := e.peakStaged
 	for _, s := range e.shards {
 		total += int(s.peak.Load())
 	}
-	e.prodMu.Lock()
-	for _, p := range e.producers {
-		total += int(p.peak.Load())
-	}
-	e.prodMu.Unlock()
 	return total
 }
-
-// BatchSize reports the hand-off buffer length: 256 accesses, or the queue
-// capacity when that is smaller.
-func (e *Engine) BatchSize() int { return e.batch }
-
-// QueueCapacity reports the effective per-shard bound: the requested capacity
-// rounded down to a whole number of buffers.
-func (e *Engine) QueueCapacity() int { return e.opts.QueueCapacity }
 
 // RedundancyStats merges every shard cache's fast-path counters. The second
 // return is false when RedundancyCacheBits was 0. Safe while the run is in

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"commprof/internal/comm"
@@ -75,7 +74,7 @@ func TestShardedMatchesSerialOnSyntheticStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		e.ProcessStream(stream)
+		e.ProcessBatch(stream)
 		e.Close()
 		g, err := e.Global()
 		if err != nil {
@@ -117,7 +116,7 @@ func TestShardedTreeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ProcessStream(stream)
+	e.ProcessBatch(stream)
 	e.Close()
 	tree, err := e.Tree()
 	if err != nil {
@@ -144,42 +143,48 @@ func TestShardedTreeMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestConcurrentProducers(t *testing.T) {
-	const threads = 8
-	e, err := New(Options{
-		Shards: 4, Threads: threads, QueueCapacity: 64,
-		NewBackend: PerfectFactory(threads),
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestProcessBatchThenCloseMatchesSerial pins the facade's feed: batches
+// through ProcessBatch and then Close, with no Flush of the caller's own,
+// leave nothing staged behind and match the serial detector bit for bit.
+func TestProcessBatchThenCloseMatchesSerial(t *testing.T) {
+	const threads = 4
+	stream := synthetic(threads, 12, 100) // no multiple of the 256-access batch
+	ref := serialDetector(t, threads, nil)
+	ref.ProcessBatch(stream)
+	for _, shards := range []int{1, 3} {
+		e, err := New(Options{Shards: shards, Threads: threads, NewBackend: PerfectFactory(threads)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(stream); i += 1000 {
+			e.ProcessBatch(stream[i:min(i+1000, len(stream))])
+		}
+		e.Close()
+		g, err := e.Global()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.Equal(ref.Global()) {
+			t.Errorf("K = %d: global matrix differs from the serial detector's", shards)
+		}
+		if got, want := e.Stats(), ref.Stats(); got.Processed != want.Processed || got.Detected != want.Detected || got.CommBytes != want.CommBytes {
+			t.Errorf("K = %d: Stats %+v, serial detector %+v", shards, got, want)
+		}
 	}
-	// Per-thread address ranges plus one shared block; every producer
-	// goroutine plays one target thread through its own producer.
-	var wg sync.WaitGroup
-	const perThread = 2000
-	for tid := int32(0); tid < threads; tid++ {
-		wg.Add(1)
-		go func(tid int32) {
-			defer wg.Done()
-			p := e.NewProducer(false)
-			for i := 0; i < perThread; i++ {
-				addr := uint64(tid)<<20 | uint64(i%128)
-				k := trace.Write
-				if i%3 != 0 {
-					k = trace.Read
-				}
-				p.Process(trace.Access{Time: uint64(i), Addr: addr, Size: 4, Thread: tid, Kind: k})
-			}
-			p.Flush()
-		}(tid)
-	}
-	wg.Wait()
-	e.Close()
-	if st := e.Stats(); st.Processed != threads*perThread {
-		t.Errorf("processed %d of %d accesses", st.Processed, threads*perThread)
-	}
-	if _, err := e.Global(); err != nil {
-		t.Fatalf("Global: %v", err)
+}
+
+// TestEngineIsItsOwnProducer pins the one producer: NewProducer, kept for
+// bench/, hands back the engine itself at every K.
+func TestEngineIsItsOwnProducer(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		e, err := New(Options{Shards: shards, Threads: 2, NewBackend: PerfectFactory(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.NewProducer(false) != e {
+			t.Errorf("K = %d: NewProducer(false) is not the engine", shards)
+		}
+		e.Close()
 	}
 }
 
@@ -194,7 +199,7 @@ func TestBoundedQueuePeakNeverExceedsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ProcessStream(synthetic(threads, 30, 64))
+	e.ProcessBatch(synthetic(threads, 30, 64))
 	e.Close()
 	for i, st := range e.ShardStats() {
 		if st.PeakDepth > capacity {
@@ -219,7 +224,7 @@ func TestProbesCountEnqueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ProcessStream(stream)
+	e.ProcessBatch(stream)
 	e.Close()
 	snap := reg.Snapshot()
 	if got := snap.Counters["pipeline_enqueued_total"]; got != uint64(len(stream)) {

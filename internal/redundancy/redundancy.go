@@ -82,7 +82,7 @@ type Cache struct {
 	meta  []uint32 // metaValid | kind bit | thread ID of the last toucher
 
 	// Counters are written only by the owning goroutine but read by live
-	// telemetry snapshots, hence atomics (cf. pipeline.Producer.flushes).
+	// telemetry snapshots, hence atomics.
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64

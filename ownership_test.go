@@ -154,10 +154,9 @@ func TestQuantumBufferMatchesPerAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := an.pe.NewProducer(false)
 		stats, err := exec.New(exec.Options{Threads: threads, Probe: func(a trace.Access) {
 			if !an.sampledOut(a.Kind, a.Thread) {
-				p.Process(a)
+				an.pe.ProcessBatch([]trace.Access{a})
 			}
 		}}).Run(body)
 		if err != nil {

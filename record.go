@@ -83,7 +83,7 @@ func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
 	dec.Probes = probes.Trace
 	// Stage timing: decode time is observed inside the decoder (on this
 	// goroutine, overlapping the analyser), the analyser side of each quantum
-	// inside Producer.ProcessBatch. Nil probes keep both bare.
+	// inside the engine's ProcessBatch. Nil probes keep both bare.
 	dec.Stages = probes.Stage
 	an, err := newAnalysis(opts, threads, dec.Table())
 	if err != nil {

@@ -117,18 +117,12 @@ type HotspotReport struct {
 type PipelineReport struct {
 	// Shards is the analysis shard count K.
 	Shards int
-	// QueueCapacity is each shard's bound on accesses handed over and not yet
-	// analysed: the requested capacity rounded down to whole buffers.
-	QueueCapacity int
-	// BatchSize is the length in accesses of the buffers producers hand to
-	// shard workers (256, or QueueCapacity when that is smaller).
-	BatchSize int
-	// ProducerFlushes counts staging-buffer flushes across all producers;
-	// the total enqueued access count over this is the realised enqueue
-	// amortization factor.
+	// ProducerFlushes counts the engine's staging-buffer flushes; the total
+	// enqueued access count over this is the realised enqueue amortization
+	// factor.
 	ProducerFlushes uint64
 	// PeakResidentAccesses is the peak number of access records the analyser
-	// held in flight (shard queue peaks plus producer staging peaks) — the
+	// held in flight (shard queue peaks plus the staging peak) — the
 	// O(queue depth) bound streaming replay keeps resident instead of the
 	// whole trace.
 	PeakResidentAccesses int
@@ -416,8 +410,7 @@ func (r *Report) Summary() string {
 		r.Workload, r.Threads, r.Accesses, r.Dependencies, r.CommBytes)
 	fmt.Fprintf(&b, "profiler memory: %.1f KB\n", float64(r.SignatureBytes)/1024)
 	if p := r.Pipeline; p != nil {
-		fmt.Fprintf(&b, "sharded analysis: %d shards, queue capacity %d, batch %d\n",
-			p.Shards, p.QueueCapacity, p.BatchSize)
+		fmt.Fprintf(&b, "sharded analysis: %d shards\n", p.Shards)
 		fmt.Fprintf(&b, "peak resident accesses: %d (%d producer flushes)\n",
 			p.PeakResidentAccesses, p.ProducerFlushes)
 	}

@@ -5,8 +5,8 @@
 # out), a race-detector pass
 # over the packages with lock-free hot paths (the paper's bloom signature), real
 # concurrency (the executor's turn hand-off, the sharded analysis pipeline and its
-# bounded buffer hand-off, single-producer staging, the real-Go probe runtime's
-# per-goroutine batches and watermark writer), merge-order algebra (comm),
+# bounded buffer hand-off from the engine's one producer, the real-Go probe
+# runtime's per-goroutine batches and watermark writer), merge-order algebra (comm),
 # the static-coalescing differential wall (passes) and the observability
 # primitives (obs timelines, tracers, histograms) plus a race pass over the
 # whole facade (in-thread runs share the analysis engine with the live
@@ -14,7 +14,8 @@
 # do), a -cpu 1,2,4 pass over the packages whose tests involve more than one
 # goroutine (no result may depend on how many cores the host has; the
 # deterministic executor's threads pass the turn to one another and each
-# full quantum to the analyser goroutine behind them; the two
+# full quantum to the analyser goroutine behind them, which stages it for
+# the shard workers when sharded; the two
 # experiment goldens run sharded rows, so their bytes may not either), a vet+test
 # of the nested bench/ module, also under -cpu 1,2,4 (it compiles against
 # internal APIs that `go build ./...` from the root does not reach, and its
@@ -57,9 +58,9 @@ go test -race .
 echo "== go test -cpu 1,2,4 (facade) =="
 go test -cpu 1,2,4 .
 
-echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, probe, exec, the facade walls across the engine sources' analyser hand-off, experiments queue + throughput + both goldens) =="
+echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, probe, exec, the facade walls across the engine sources' analyser hand-off and the sharded entry points, experiments queue + throughput + both goldens) =="
 go test -cpu 1,2,4 -count 3 ./internal/detect/... ./internal/pipeline/... ./internal/sig/... ./probe/... ./internal/exec/...
-go test -cpu 1,2,4 -count 3 -run '^(TestReportsIndependentOfCoreCount|TestRecordBytesPinned|TestQuantumBufferMatchesPerAccess|TestEngineSourcesLeaveNoGoroutine|TestReplayErrors|TestProfileTraceMatchesReplay)$' .
+go test -cpu 1,2,4 -count 3 -run '^(TestReportsIndependentOfCoreCount|TestRecordBytesPinned|TestQuantumBufferMatchesPerAccess|TestEngineSourcesLeaveNoGoroutine|TestReplayErrors|TestProfileTraceMatchesReplay|TestReplaySharded|TestProfileTraceParallelMatchesSerial|TestProfileSharded)$' .
 go test -cpu 1,2,4 -count 3 -run 'TestQueueArchitecture|TestThroughputComparison|TestPaperSignatureGolden|TestExperimentsGolden' ./internal/experiments
 
 echo "== bench module: go vet + go test -cpu 1,2,4 =="

@@ -7,8 +7,6 @@ func pipelineReport(pe *pipeline.Engine) *PipelineReport {
 	sstats := pe.ShardStats()
 	rep := &PipelineReport{
 		Shards:               pe.Shards(),
-		QueueCapacity:        pe.QueueCapacity(),
-		BatchSize:            pe.BatchSize(),
 		ProducerFlushes:      pe.ProducerFlushes(),
 		PeakResidentAccesses: pe.PeakResidentAccesses(),
 		PeakDepths:           make([]int, len(sstats)),

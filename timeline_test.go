@@ -102,9 +102,8 @@ func shardedTimelineRun(t testing.TB, size string, shards int) (*Report, []byte)
 	tel := NewTelemetry()
 	tel.EnableTimeline()
 	rep, err := Replay(bytes.NewReader(buf.Bytes()), 8, Options{
-		AnalysisShards:     shards,
-		ShardQueueCapacity: 512,
-		Telemetry:          tel,
+		AnalysisShards: shards,
+		Telemetry:      tel,
 	})
 	if err != nil {
 		t.Fatal(err)
