@@ -56,14 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *dis {
-		var onlySet map[string]bool
-		if only != nil {
-			onlySet = map[string]bool{}
-			for _, f := range only {
-				onlySet[f] = true
-			}
-		}
-		mod, _, _, err := passes.CompileWith(string(src), passes.Options{Only: onlySet, Coalesce: *coal})
+		mod, _, _, err := passes.CompileWith(string(src), passes.Options{Only: only, Coalesce: *coal})
 		if err != nil {
 			fmt.Fprintln(stderr, "minipar:", err)
 			return 1

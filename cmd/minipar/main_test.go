@@ -90,6 +90,21 @@ func f() { parfor i = 0..8 { A[i] = i; } }
 	}
 }
 
+// TestOnlyUnknownFunction: -only naming a function the program lacks exits 1
+// and names it, whether the program would run or only be disassembled.
+func TestOnlyUnknownFunction(t *testing.T) {
+	p := writeProgram(t, cliProgram)
+	for _, args := range [][]string{{"-only", "main,nosuch"}, {"-dis", "-only", "nosuch"}} {
+		code, out, errOut := runCLI(t, append(args, p)...)
+		if code != 1 || !strings.Contains(errOut, `"nosuch"`) {
+			t.Errorf("%v: exit %d, stderr %q, want exit 1 naming nosuch", args, code, errOut)
+		}
+		if out != "" {
+			t.Errorf("%v: printed %q, want nothing", args, out)
+		}
+	}
+}
+
 const redundantProgram = `
 array A[8];
 func main() {

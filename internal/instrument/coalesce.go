@@ -4,28 +4,20 @@ import (
 	"go/ast"
 	"go/token"
 	"strings"
+
+	"commprof/internal/cover"
 )
 
-// This file is the source-level twin of internal/passes/coalesce.go: after
-// the rewriter has interleaved _cp.R/_cp.W probe statements into a block, the
-// coalescer walks each statement list once and drops probes whose detector
-// effect is provably covered by an earlier probe of the same operand in the
-// same block.
+// After the rewriter has interleaved _cp.R/_cp.W probe statements into a
+// block, the coalescer walks each statement list once and drops probes whose
+// detector effect is provably covered by an earlier probe of the same operand
+// in the same block. Whether a probe is covered is decided by
+// internal/cover's rule, the one the MiniPar IR pass runs too; a probe's key
+// is its operand expression, size and region.
 //
-// The decision procedure mirrors the IR pass:
-//
-//   - A read probe is dropped when its key (operand expression, size, region)
-//     is already covered by a kept read or write probe.
-//   - A write probe is dropped only when the same key is covered by a kept
-//     write AND no read probe of any key was seen since it (at coarse
-//     granularity any read may alias the written granule, whose reader-set
-//     the covering write must be able to re-clear).
-//   - A kept write starts a new epoch: it clears ALL coverage first (its
-//     granule may alias any other key's granule).
-//
-// Coverage is strictly block-local and dies at every statement that could
-// synchronize, run foreign code, or change the value of an identifier a
-// covered operand depends on:
+// What this file decides is where coverage dies. It is strictly block-local
+// and dies at every statement that could synchronize, run foreign code, or
+// change the value of an identifier a covered operand depends on:
 //
 //   - Any statement containing a call, function literal, channel operation,
 //     or any statement form not explicitly whitelisted below, is a boundary
@@ -44,41 +36,26 @@ import (
 // granularity; under coarse granularity false sharing carries the same
 // statistical caveat as the -granularity option itself.
 
-// coverKind mirrors the IR pass's kindCover.
-type coverKind int
-
-const (
-	coverNone coverKind = iota
-	coverRead
-	coverWrite
-)
-
-// coverState tracks block-local probe coverage during coalescing.
+// coverState tracks block-local probe coverage during coalescing: the rule's
+// Set, and what each key's operand mentions, to forget keys on assignment.
+// A key's entries may outlive its coverage (a kept write clears only the
+// Set); they are a function of the key, and forgetting an uncovered key is a
+// no-op.
 type coverState struct {
-	cover      map[string]coverKind
-	exprOf     map[string]string          // key → operand expression string
-	identsOf   map[string]map[string]bool // key → identifiers the operand mentions
-	reads      int                        // read probes seen (kept or dropped)
-	writeReads map[string]int             // reads count at the covering write
+	cover    cover.Set
+	exprOf   map[string]string          // key → operand expression string
+	identsOf map[string]map[string]bool // key → identifiers the operand mentions
 }
 
 func newCoverState() *coverState {
-	return &coverState{
-		cover:      map[string]coverKind{},
-		exprOf:     map[string]string{},
-		identsOf:   map[string]map[string]bool{},
-		writeReads: map[string]int{},
-	}
+	return &coverState{exprOf: map[string]string{}, identsOf: map[string]map[string]bool{}}
 }
 
-// clear forgets all coverage (boundary statement or write epoch).
+// clear forgets all coverage (boundary statement).
 func (cv *coverState) clear() {
-	for k := range cv.cover {
-		delete(cv.cover, k)
-		delete(cv.exprOf, k)
-		delete(cv.identsOf, k)
-		delete(cv.writeReads, k)
-	}
+	cv.cover.Clear()
+	clear(cv.exprOf)
+	clear(cv.identsOf)
 }
 
 // invalidateIdent drops every key whose operand mentions name. A key whose
@@ -111,10 +88,9 @@ func (cv *coverState) invalidateContains(lhs string) {
 }
 
 func (cv *coverState) drop(k string) {
-	delete(cv.cover, k)
+	cv.cover.Forget(k)
 	delete(cv.exprOf, k)
 	delete(cv.identsOf, k)
-	delete(cv.writeReads, k)
 }
 
 // coalesceList runs the block-local decision procedure over one rewritten
@@ -124,21 +100,13 @@ func (b *bodyRewriter) coalesceList(list []ast.Stmt) []ast.Stmt {
 	out := make([]ast.Stmt, 0, len(list))
 	for _, s := range list {
 		if kind, key, operand, idents, ok := b.probeInfo(s); ok {
+			covered := cv.cover.Write
 			if kind == probeRead {
-				cv.reads++
-				if cv.cover[key] != coverNone {
-					b.dropProbe()
-					continue
-				}
-				cv.cover[key] = coverRead
-			} else {
-				if cv.cover[key] == coverWrite && cv.writeReads[key] == cv.reads {
-					b.dropProbe()
-					continue
-				}
-				cv.clear()
-				cv.cover[key] = coverWrite
-				cv.writeReads[key] = cv.reads
+				covered = cv.cover.Read
+			}
+			if covered(key) {
+				b.dropProbe()
+				continue
 			}
 			cv.exprOf[key] = operand
 			cv.identsOf[key] = idents

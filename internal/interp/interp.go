@@ -212,7 +212,7 @@ func (th *thread) call(fi int) {
 		case ir.OpBin:
 			r := th.pop()
 			l := th.pop()
-			v, err := evalBin(in.A, l, r)
+			v, err := ir.EvalBin(in.A, l, r)
 			if err != nil {
 				th.fail(f, pc, "%v", err)
 			}
@@ -318,48 +318,3 @@ func (r *Runtime) emit(tid int32, v int64) {
 
 // threads returns the engine thread count recorded at Run.
 func (r *Runtime) threads() int { return r.nthreads }
-
-func evalBin(code, l, rv int64) (int64, error) {
-	b := func(v bool) int64 {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	switch code {
-	case ir.BinAdd:
-		return l + rv, nil
-	case ir.BinSub:
-		return l - rv, nil
-	case ir.BinMul:
-		return l * rv, nil
-	case ir.BinDiv:
-		if rv == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		return l / rv, nil
-	case ir.BinMod:
-		if rv == 0 {
-			return 0, fmt.Errorf("modulo by zero")
-		}
-		return l % rv, nil
-	case ir.BinEq:
-		return b(l == rv), nil
-	case ir.BinNe:
-		return b(l != rv), nil
-	case ir.BinLt:
-		return b(l < rv), nil
-	case ir.BinLe:
-		return b(l <= rv), nil
-	case ir.BinGt:
-		return b(l > rv), nil
-	case ir.BinGe:
-		return b(l >= rv), nil
-	case ir.BinAnd:
-		return b(l != 0 && rv != 0), nil
-	case ir.BinOr:
-		return b(l != 0 || rv != 0), nil
-	default:
-		return 0, fmt.Errorf("unknown operator code %d", code)
-	}
-}

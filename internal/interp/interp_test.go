@@ -1,11 +1,14 @@
 package interp
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"commprof/internal/detect"
 	"commprof/internal/exec"
+	"commprof/internal/ir"
 	"commprof/internal/passes"
 	"commprof/internal/sig"
 	"commprof/internal/trace"
@@ -264,7 +267,7 @@ func main() {
 func ignored() { parfor i = 0..32 { A[i] = tid; } }
 func analysed() { s = 0; for i = 0..32 { s = s + A[i]; } }
 `
-	mod, table, _, err := passes.CompileWith(src, passes.Options{Only: map[string]bool{"analysed": true}, Coalesce: true})
+	mod, table, _, err := passes.CompileWith(src, passes.Options{Only: []string{"analysed"}, Coalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,5 +347,54 @@ func TestFootprintAndMissingArray(t *testing.T) {
 	}
 	if _, ok := rt.arrayValues("nope"); ok {
 		t.Fatal("missing array found")
+	}
+}
+
+// TestFoldMatchesInterpreter pins the constant folder to the interpreter's
+// arithmetic: for every binary operator and operand pairs that include zero
+// divisors and the largest literals the lexer accepts, the folded
+// `out l op r;` prints what `a = l; b = r; out a op b;` prints at run time,
+// or both fault.
+func TestFoldMatchesInterpreter(t *testing.T) {
+	const maxLit = "9223372036854775807"
+	operands := []string{"0", "1", "(-1)", "7", "(-7)", "3", maxLit, "(-" + maxLit + ")", "(-" + maxLit + " - 1)"}
+	ops := []string{"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||"}
+	eval := func(src string) ([]Output, bool, error) {
+		mod, _, _, err := passes.CompileWith(src, passes.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		folded := true
+		for _, in := range mod.Funcs[mod.MainIndex].Code {
+			folded = folded && in.Op != ir.OpBin
+		}
+		rt, err := New(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = rt.Run(exec.New(exec.Options{Threads: 1}))
+		return rt.Outputs(), folded, err
+	}
+	faults := 0
+	for _, op := range ops {
+		for _, l := range operands {
+			for _, r := range operands {
+				fOut, folded, fErr := eval(fmt.Sprintf("func main() { out %s %s %s; }", l, op, r))
+				iOut, _, iErr := eval(fmt.Sprintf("func main() { a = %s; b = %s; out a %s b; }", l, r, op))
+				switch {
+				case (fErr == nil) != (iErr == nil):
+					t.Errorf("%s %s %s: folded error %v, interpreted error %v", l, op, r, fErr, iErr)
+				case fErr == nil && !reflect.DeepEqual(fOut, iOut):
+					t.Errorf("%s %s %s: folded prints %v, interpreted %v", l, op, r, fOut, iOut)
+				case fErr == nil && !folded:
+					t.Errorf("%s %s %s: left unfolded although it evaluates", l, op, r)
+				case fErr != nil:
+					faults++
+				}
+			}
+		}
+	}
+	if want := 2 * len(operands); faults != want {
+		t.Errorf("%d pairs faulted, want %d (every zero divisor of / and %%)", faults, want)
 	}
 }

@@ -112,6 +112,55 @@ func BinOpCode(op string) (int64, error) {
 	return 0, fmt.Errorf("ir: unknown binary operator %q", op)
 }
 
+// EvalBin applies operator code to l and r: MiniPar's one definition of
+// integer arithmetic, shared by the constant folder and the interpreter so a
+// folded expression always means what the running one would. Comparisons and
+// logic yield 1 or 0; a zero divisor or an unknown code is an error.
+func EvalBin(code, l, r int64) (int64, error) {
+	b := func(v bool) int64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	switch code {
+	case BinAdd:
+		return l + r, nil
+	case BinSub:
+		return l - r, nil
+	case BinMul:
+		return l * r, nil
+	case BinDiv:
+		if r == 0 {
+			return 0, fmt.Errorf("division by zero")
+		}
+		return l / r, nil
+	case BinMod:
+		if r == 0 {
+			return 0, fmt.Errorf("modulo by zero")
+		}
+		return l % r, nil
+	case BinEq:
+		return b(l == r), nil
+	case BinNe:
+		return b(l != r), nil
+	case BinLt:
+		return b(l < r), nil
+	case BinLe:
+		return b(l <= r), nil
+	case BinGt:
+		return b(l > r), nil
+	case BinGe:
+		return b(l >= r), nil
+	case BinAnd:
+		return b(l != 0 && r != 0), nil
+	case BinOr:
+		return b(l != 0 || r != 0), nil
+	default:
+		return 0, fmt.Errorf("unknown operator code %d", code)
+	}
+}
+
 // Instr is one instruction.
 type Instr struct {
 	Op Op

@@ -164,43 +164,3 @@ func TestSnapshotClassifiesOutsideLock(t *testing.T) {
 		t.Fatalf("a snapshot over an unchanged loop classified %d more", n-1)
 	}
 }
-
-// TestLiveTimelineReclassifiesChangedWindows covers late partials, which no
-// time-ordered feed produces but the closer still handles: a window that gained events after its emission, and one that
-// was never emitted, are classified afresh — the live Timeline still equals
-// BuildTimeline over the final set — while a Snapshot keeps describing the
-// loop window it was handed, not the closer's since-merged one.
-func TestLiveTimelineReclassifiesChangedWindows(t *testing.T) {
-	const threads, windows, loops, size = 16, 6, 2, 100
-	knn := timelineKNN(t)
-	isLoop := func(r int32) bool { return r >= 0 }
-	ws := loopyWindowSet(t, threads, windows, loops, size)
-	cc := &countingClassifier{inner: knn}
-	lp := NewLivePhases(cc, isLoop, 0, nil)
-	wins := ws.Sorted()
-	for _, w := range wins {
-		lp.ObserveWindow(w, w.Start+size)
-	}
-	lastLoop := wins[windows-1].Regions[1].Clone()
-
-	// A late partial merges into the last emitted window (changing its class
-	// inputs), and a window below the frontier appears that was never emitted.
-	observePattern(ws, patterns.Barrier, uint64(windows-1)*size, 1, 50, threads, 7)
-	observePattern(ws, patterns.MasterWorker, uint64(windows)*size, -1, 1, threads, 8)
-
-	before := cc.n.Load()
-	got := lp.Timeline(ws, 0)
-	if n := cc.n.Load() - before; n != 2+loops {
-		t.Fatalf("live Timeline classified %d times, want 2 changed windows + %d digest loops", n, loops)
-	}
-	if want := BuildTimeline(ws, knn, isLoop, 0); !reflect.DeepEqual(got, want) {
-		t.Fatalf("live Timeline differs from BuildTimeline after late partials:\n%+v\n%+v", got, want)
-	}
-
-	class, conf := patterns.ClassifyMatrixWithConfidence(knn, lastLoop)
-	for _, l := range lp.Snapshot(0).Loops {
-		if l.Region == 1 && (l.Class != class || l.Confidence != conf) {
-			t.Fatalf("live loop 1 reads (%v, %v), want its emitted window's (%v, %v)", l.Class, l.Confidence, class, conf)
-		}
-	}
-}

@@ -54,7 +54,7 @@ func BuildTimeline(ws *comm.WindowSet, cls patterns.Classifier, isLoop func(int3
 
 // buildTimeline is BuildTimeline taking each window's class and confidence
 // from seen, a start-ordered log of earlier classifications, wherever the log
-// has the window at its current byte total.
+// has the window.
 func buildTimeline(ws *comm.WindowSet, cls patterns.Classifier, isLoop func(int32) bool, maxLoops int, seen []patterns.WindowClass) Timeline {
 	tl := Timeline{WindowSize: ws.WindowSize()}
 	wins := ws.Sorted()
@@ -66,7 +66,7 @@ func buildTimeline(ws *comm.WindowSet, cls patterns.Classifier, isLoop func(int3
 		}
 		var class patterns.Class
 		var conf float64
-		if len(seen) > 0 && seen[0].Start == w.Start && seen[0].Bytes == bytes {
+		if len(seen) > 0 && seen[0].Start == w.Start {
 			class, conf = seen[0].Class, seen[0].Confidence
 		} else {
 			class, conf = patterns.ClassifyMatrixWithConfidence(cls, w.Global)
@@ -165,8 +165,9 @@ type LivePhases struct {
 
 // liveLoop is one loop region's live state.
 type liveLoop struct {
-	// latest is a copy of the loop's newest window matrix: a late partial can
-	// still merge into the closer's window after its emission.
+	// latest is a copy of the loop's newest window matrix, taken at
+	// emission: the window belongs to the engine once ObserveWindow returns,
+	// and Snapshot clones this copy under the lock to classify it outside.
 	latest  *comm.Matrix
 	bytes   uint64
 	windows uint64 // also latest's generation: it grows whenever latest changes
@@ -288,11 +289,10 @@ func (l *LivePhases) Snapshot(maxLoops int) LiveSnapshot {
 
 // Timeline is BuildTimeline over the run's complete merged window set with
 // this layer's classifier and loop predicate, reusing the class and
-// confidence ObserveWindow gave every window that has not changed since (same
-// classifier, same matrix: its byte total, which only grows, is the one it
-// had then). A window that was never emitted is classified afresh, so the
-// result equals BuildTimeline's. (One that gained a late partial after its
-// emission never gets here: the engine's PhaseWindows refuses such a run.)
+// confidence ObserveWindow gave every emitted window (same classifier, same
+// matrix: an emitted window never changes, since the engine's PhaseWindows
+// refuses a run in which one gained a late partial). A window that was never
+// emitted is classified afresh, so the result equals BuildTimeline's.
 func (l *LivePhases) Timeline(ws *comm.WindowSet, maxLoops int) Timeline {
 	l.mu.Lock()
 	seen := l.seen

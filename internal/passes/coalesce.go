@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"commprof/internal/cover"
 	"commprof/internal/ir"
 )
 
@@ -16,21 +17,18 @@ import (
 // The pass is deliberately conservative and purely local:
 //
 //   - Within one basic block, a probed access is elided when an earlier access
-//     in the block covers it: a read is covered by any prior same-address
-//     access (read or write) by the same thread; a write is covered by a prior
-//     same-address write with no intervening reads of any address (the reads
-//     would otherwise need their reader-set marks re-cleared — PR 4's
-//     fall-through rule). A kept write starts a new epoch: it clears all
-//     coverage, which also makes the decision independent of the runtime
-//     granularity (two addresses that alias into one granule can never both
-//     carry coverage across a write).
+//     in the block covers it, by the coverage rule of internal/cover (the one
+//     the Go-source coalescer runs too): a read is covered by any prior
+//     same-address access, a write only by a prior same-address write with
+//     no read of any address since, and a kept write clears all coverage,
+//     which also makes the decision independent of the runtime granularity.
 //   - Addresses are compared symbolically: two accesses match only when their
 //     index expressions are structurally identical and no local they mention
 //     was stored to in between (SSA-style versioning), and no store could have
 //     changed an array value the expressions load.
 //   - Any instruction with cross-thread visibility — call, barrier, lock,
 //     unlock, work (which can exhaust a scheduling quantum) — and any region
-//     marker clears all coverage.
+//     marker clears all coverage (see boundary).
 //   - For structurally simple innermost loops (straight-line body, no
 //     boundary instructions), the block rule is extended across the back
 //     edge: the loop span is simulated twice in sequence; a probe covered in
@@ -59,14 +57,6 @@ type CoalesceStats struct {
 	Once int
 }
 
-// kindCover records which access kind established coverage for a key.
-type kindCover uint8
-
-const (
-	coverRead kindCover = iota + 1
-	coverWrite
-)
-
 // simState is the symbolic per-straight-line-span simulation state.
 type simState struct {
 	stack []string
@@ -76,23 +66,14 @@ type simState struct {
 	// storeCount versions loaded array values: any store (probed or not) or
 	// boundary may change array contents, so value symbols embed the count.
 	storeCount int
-	// cover maps an address key to the kind of the covering access.
-	cover map[string]kindCover
-	// reads counts probed reads (kept or elided) in the span; writeReads
-	// snapshots it at each covering write, so a later same-key write is
-	// elidable only when no reads happened in between.
-	reads      uint64
-	writeReads map[string]uint64
+	// cover holds the probed accesses' coverage, keyed by symbolic address.
+	cover cover.Set
 	// opaque generates fresh symbols for unknown stack entries at span entry.
 	opaque int
 }
 
 func newSimState(entryDepth int) *simState {
-	s := &simState{
-		localVer:   map[int64]int{},
-		cover:      map[string]kindCover{},
-		writeReads: map[string]uint64{},
-	}
+	s := &simState{localVer: map[int64]int{}}
 	for i := 0; i < entryDepth; i++ {
 		s.stack = append(s.stack, s.fresh())
 	}
@@ -121,12 +102,7 @@ func (s *simState) pop() string {
 // clearCoverage starts a new epoch: all coverage facts are dropped and value
 // symbols are invalidated.
 func (s *simState) clearCoverage() {
-	for k := range s.cover {
-		delete(s.cover, k)
-	}
-	for k := range s.writeReads {
-		delete(s.writeReads, k)
-	}
+	s.cover.Clear()
 	s.storeCount++
 }
 
@@ -157,57 +133,41 @@ func (s *simState) step(m *ir.Module, in ir.Instr) (elide bool) {
 	case ir.OpLoadArr:
 		idx := s.pop()
 		key := "A" + strconv.FormatInt(in.A, 10) + "[" + idx + "]"
-		if in.Probed {
-			s.reads++
-			if s.cover[key] != 0 {
-				elide = true
-			} else {
-				s.cover[key] = coverRead
-			}
-		}
+		elide = in.Probed && s.cover.Read(key)
 		s.push("v" + strconv.Itoa(s.storeCount) + "(" + key + ")")
 	case ir.OpStoreArr:
 		s.pop() // value
 		idx := s.pop()
 		key := "A" + strconv.FormatInt(in.A, 10) + "[" + idx + "]"
-		if in.Probed {
-			if s.cover[key] == coverWrite && s.writeReads[key] == s.reads {
-				elide = true
-				s.storeCount++ // the store still changes memory
-			} else {
-				s.clearCoverage()
-				s.cover[key] = coverWrite
-				s.writeReads[key] = s.reads
-			}
-		} else {
-			// Invisible to the detector: no coverage effect, but the store
-			// still invalidates loaded values.
-			s.storeCount++
-		}
-	case ir.OpJumpZero:
+		// An unprobed store is invisible to the detector: no coverage
+		// effect. Any store, elided or not, still invalidates loaded values.
+		elide = in.Probed && s.cover.Write(key)
+		s.storeCount++
+	case ir.OpJumpZero, ir.OpWork, ir.OpOut, ir.OpLock, ir.OpUnlock:
 		s.pop()
-	case ir.OpJump, ir.OpRet:
-		// No stack effect.
-	case ir.OpWork, ir.OpOut:
-		s.pop()
-		if in.Op == ir.OpWork {
-			// Work can exhaust the scheduling quantum and yield mid-span.
-			s.clearCoverage()
-		}
-	case ir.OpBarrier, ir.OpRegionEnter, ir.OpRegionExit:
-		s.clearCoverage()
-	case ir.OpLock, ir.OpUnlock:
-		s.pop()
-		s.clearCoverage()
 	case ir.OpCall:
 		for i := 0; i < m.Funcs[in.A].NumParams; i++ {
 			s.pop()
 		}
-		s.clearCoverage()
-	default:
+	}
+	if boundary(in.Op) {
 		s.clearCoverage()
 	}
 	return elide
+}
+
+// boundary reports whether coverage dies at op: an instruction with
+// cross-thread visibility (call, barrier, lock, unlock, and work, which can
+// exhaust a scheduling quantum and yield mid-span), a region marker, or an
+// opcode this pass does not know. Everything else is thread-local.
+func boundary(op ir.Op) bool {
+	switch op {
+	case ir.OpPush, ir.OpLoadLocal, ir.OpStoreLocal, ir.OpTid, ir.OpNThreads,
+		ir.OpBin, ir.OpNeg, ir.OpNot, ir.OpLoadArr, ir.OpStoreArr,
+		ir.OpJump, ir.OpJumpZero, ir.OpOut, ir.OpRet:
+		return false
+	}
+	return true
 }
 
 // coalesceFunc analyses one function and marks elidable probes in place.
@@ -222,9 +182,9 @@ func coalesceFunc(m *ir.Module, f *ir.Func, st *CoalesceStats) {
 	if !probed {
 		return
 	}
-	depth, reach, ok := stackDepths(m, f)
-	if !ok {
-		return
+	depth, reach, err := stackDepths(m, f)
+	if err != nil {
+		return // Verify reports it
 	}
 	leaders := blockLeaders(f)
 	loops := eligibleLoops(f, leaders, depth)
@@ -282,47 +242,6 @@ func coalesceFunc(m *ir.Module, f *ir.Func, st *CoalesceStats) {
 	}
 }
 
-// stackDepths runs the verifier's abstract stack interpretation, returning
-// the entry depth and reachability of every pc. ok is false when the code is
-// structurally inconsistent (the later Verify will reject it).
-func stackDepths(m *ir.Module, f *ir.Func) (depth []int, reach []bool, ok bool) {
-	n := len(f.Code)
-	depth = make([]int, n)
-	reach = make([]bool, n)
-	type state struct{ pc, d int }
-	work := []state{{0, f.NumParams}}
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		if s.pc < 0 || s.pc >= n {
-			continue
-		}
-		if reach[s.pc] {
-			if depth[s.pc] != s.d {
-				return nil, nil, false
-			}
-			continue
-		}
-		reach[s.pc] = true
-		depth[s.pc] = s.d
-		in := f.Code[s.pc]
-		d := s.d + stackDelta(m, in)
-		if d < 0 {
-			return nil, nil, false
-		}
-		switch in.Op {
-		case ir.OpJump:
-			work = append(work, state{int(in.A), d})
-		case ir.OpJumpZero:
-			work = append(work, state{int(in.A), d}, state{s.pc + 1, d})
-		case ir.OpRet:
-		default:
-			work = append(work, state{s.pc + 1, d})
-		}
-	}
-	return depth, reach, true
-}
-
 // blockLeaders marks the first instruction of every basic block.
 func blockLeaders(f *ir.Func) []bool {
 	leaders := make([]bool, len(f.Code))
@@ -377,9 +296,8 @@ func eligibleLoops(f *ir.Func, leaders []bool, depth []int) []loopSpan {
 					ok = false
 				}
 				jz = p
-			case ir.OpCall, ir.OpBarrier, ir.OpLock, ir.OpUnlock, ir.OpWork,
-				ir.OpRegionEnter, ir.OpRegionExit:
-				ok = false
+			default:
+				ok = !boundary(f.Code[p].Op)
 			}
 		}
 		if !ok || jz < 0 {

@@ -528,3 +528,29 @@ func TestCoalesceVerifierClean(t *testing.T) {
 		}
 	}
 }
+
+// TestCoalesceSkipsRejectedFunctions: the pass runs before Verify and shares
+// its stack-depth interpretation, so a function that interpretation rejects
+// (here an out-of-range jump target or callee, appended after code that
+// would coalesce) is left unmarked, without a panic, for Verify to report.
+func TestCoalesceSkipsRejectedFunctions(t *testing.T) {
+	const src = `array A[4]; func main() { x = A[1] + A[1]; out x; }`
+	for _, corrupt := range []ir.Instr{{Op: ir.OpJump, A: 999}, {Op: ir.OpCall, A: 99}} {
+		mod, _, _, err := CompileWith(src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		main := &mod.Funcs[mod.MainIndex]
+		main.Code = append(main.Code, corrupt)
+		if st := Coalesce(mod); st != (CoalesceStats{}) {
+			t.Errorf("%s: coalesced a function Verify rejects: %+v", corrupt, st)
+		}
+		if err := Verify(mod); err == nil {
+			t.Errorf("%s: Verify accepted it", corrupt)
+		}
+		main.Code = main.Code[:len(main.Code)-1]
+		if st := Coalesce(mod); st.Elided == 0 {
+			t.Errorf("%s: the uncorrupted function coalesces nothing, the test shows nothing", corrupt)
+		}
+	}
+}

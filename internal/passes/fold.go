@@ -1,12 +1,16 @@
 package passes
 
-import "commprof/internal/minipar"
+import (
+	"commprof/internal/ir"
+	"commprof/internal/minipar"
+)
 
 // FoldConstants rewrites constant subexpressions of the AST in place:
 // binary and unary operations whose operands are integer literals become
-// literals. Division and modulo by a constant zero are left unfolded so the
-// error surfaces at runtime with its source position, matching the
-// interpreter's behaviour for dynamic zero divisors.
+// literals. Binary operators evaluate through ir.EvalBin, the interpreter's
+// own arithmetic; an operation it refuses (division or modulo by a constant
+// zero) is left unfolded so the error surfaces at runtime with its source
+// position, as it does for dynamic zero divisors.
 func FoldConstants(p *minipar.Program) {
 	for i := range p.Funcs {
 		foldStmts(p.Funcs[i].Body)
@@ -74,47 +78,15 @@ func foldExpr(e minipar.Expr) minipar.Expr {
 		if !lok || !rok {
 			return ex
 		}
-		b := func(v bool) *minipar.IntLit {
-			if v {
-				return &minipar.IntLit{Value: 1}
-			}
-			return &minipar.IntLit{Value: 0}
+		code, err := ir.BinOpCode(ex.Op)
+		if err != nil {
+			return ex
 		}
-		switch ex.Op {
-		case "+":
-			return &minipar.IntLit{Value: l.Value + r.Value}
-		case "-":
-			return &minipar.IntLit{Value: l.Value - r.Value}
-		case "*":
-			return &minipar.IntLit{Value: l.Value * r.Value}
-		case "/":
-			if r.Value == 0 {
-				return ex
-			}
-			return &minipar.IntLit{Value: l.Value / r.Value}
-		case "%":
-			if r.Value == 0 {
-				return ex
-			}
-			return &minipar.IntLit{Value: l.Value % r.Value}
-		case "==":
-			return b(l.Value == r.Value)
-		case "!=":
-			return b(l.Value != r.Value)
-		case "<":
-			return b(l.Value < r.Value)
-		case "<=":
-			return b(l.Value <= r.Value)
-		case ">":
-			return b(l.Value > r.Value)
-		case ">=":
-			return b(l.Value >= r.Value)
-		case "&&":
-			return b(l.Value != 0 && r.Value != 0)
-		case "||":
-			return b(l.Value != 0 || r.Value != 0)
+		v, err := ir.EvalBin(code, l.Value, r.Value)
+		if err != nil {
+			return ex // a zero divisor faults at run time, at its position
 		}
-		return ex
+		return &minipar.IntLit{Value: v}
 	default:
 		return e
 	}

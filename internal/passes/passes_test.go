@@ -156,7 +156,7 @@ func TestSelectiveInstrumentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := Instrument(mod, map[string]bool{"finish": true})
+	n := Instrument(mod, []string{"finish"})
 	if n == 0 {
 		t.Fatal("no probes inserted")
 	}
@@ -168,8 +168,14 @@ func TestSelectiveInstrumentation(t *testing.T) {
 		}
 	}
 	// Idempotent: re-instrumenting inserts nothing new.
-	if again := Instrument(mod, map[string]bool{"finish": true}); again != 0 {
+	if again := Instrument(mod, []string{"finish"}); again != 0 {
 		t.Fatalf("re-instrumentation inserted %d probes", again)
+	}
+	// A name that is no function of the program is refused by name, not
+	// silently matched against nothing.
+	_, _, _, err = CompileWith(pipelineSrc, Options{Only: []string{"finish", "nosuch"}})
+	if err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Fatalf("Only naming an unknown function: err = %v, want one naming it", err)
 	}
 }
 

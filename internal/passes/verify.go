@@ -17,48 +17,52 @@ func Verify(m *ir.Module) error {
 		return fmt.Errorf("passes: invalid main index %d", m.MainIndex)
 	}
 	for fi := range m.Funcs {
-		if err := verifyFunc(m, &m.Funcs[fi]); err != nil {
+		if _, _, err := stackDepths(m, &m.Funcs[fi]); err != nil {
 			return fmt.Errorf("passes: func %s: %w", m.Funcs[fi].Name, err)
 		}
 	}
 	return nil
 }
 
-func verifyFunc(m *ir.Module, f *ir.Func) error {
+// stackDepths checks one function as Verify does and returns the entry
+// stack depth and reachability of every pc. It is the one stack-depth
+// interpretation: the verifier reports its error, and the coalescing pass,
+// which runs before the verifier, leaves a function it rejects unmarked.
+func stackDepths(m *ir.Module, f *ir.Func) (depth []int, reach []bool, err error) {
 	n := len(f.Code)
 	if n == 0 {
-		return fmt.Errorf("empty body")
+		return nil, nil, fmt.Errorf("empty body")
 	}
 	// Static reference checks.
 	for pc, in := range f.Code {
 		switch in.Op {
 		case ir.OpJump, ir.OpJumpZero:
 			if in.A < 0 || in.A > int64(n) {
-				return fmt.Errorf("pc %d: jump target %d out of range", pc, in.A)
+				return nil, nil, fmt.Errorf("pc %d: jump target %d out of range", pc, in.A)
 			}
 		case ir.OpLoadArr, ir.OpStoreArr:
 			if in.A < 0 || int(in.A) >= len(m.Arrays) {
-				return fmt.Errorf("pc %d: array %d out of range", pc, in.A)
+				return nil, nil, fmt.Errorf("pc %d: array %d out of range", pc, in.A)
 			}
 		case ir.OpCall:
 			if in.A < 0 || int(in.A) >= len(m.Funcs) {
-				return fmt.Errorf("pc %d: callee %d out of range", pc, in.A)
+				return nil, nil, fmt.Errorf("pc %d: callee %d out of range", pc, in.A)
 			}
 		case ir.OpLoadLocal, ir.OpStoreLocal:
 			if in.A < 0 || int(in.A) >= f.NumLocals {
-				return fmt.Errorf("pc %d: local slot %d out of range [0,%d)", pc, in.A, f.NumLocals)
+				return nil, nil, fmt.Errorf("pc %d: local slot %d out of range [0,%d)", pc, in.A, f.NumLocals)
 			}
 		case ir.OpBin:
 			if ir.BinOpName(in.A) == fmt.Sprintf("bin(%d)", in.A) {
-				return fmt.Errorf("pc %d: unknown binary operator %d", pc, in.A)
+				return nil, nil, fmt.Errorf("pc %d: unknown binary operator %d", pc, in.A)
 			}
 		}
 	}
 
 	// Abstract stack-depth interpretation. Entry depth is the parameter
 	// count (the caller pushed the arguments).
-	depth := make([]int, n)
-	seen := make([]bool, n)
+	depth = make([]int, n)
+	reach = make([]bool, n)
 	type state struct{ pc, d int }
 	work := []state{{0, f.NumParams}}
 	for len(work) > 0 {
@@ -66,22 +70,22 @@ func verifyFunc(m *ir.Module, f *ir.Func) error {
 		work = work[:len(work)-1]
 		if s.pc == n {
 			if s.d != 0 {
-				return fmt.Errorf("fall-off with stack depth %d", s.d)
+				return nil, nil, fmt.Errorf("fall-off with stack depth %d", s.d)
 			}
 			continue
 		}
-		if seen[s.pc] {
+		if reach[s.pc] {
 			if depth[s.pc] != s.d {
-				return fmt.Errorf("pc %d: inconsistent stack depth %d vs %d", s.pc, depth[s.pc], s.d)
+				return nil, nil, fmt.Errorf("pc %d: inconsistent stack depth %d vs %d", s.pc, depth[s.pc], s.d)
 			}
 			continue
 		}
-		seen[s.pc] = true
+		reach[s.pc] = true
 		depth[s.pc] = s.d
 		in := f.Code[s.pc]
 		d := s.d + stackDelta(m, in)
 		if d < 0 {
-			return fmt.Errorf("pc %d (%s): stack underflow", s.pc, in)
+			return nil, nil, fmt.Errorf("pc %d (%s): stack underflow", s.pc, in)
 		}
 		switch in.Op {
 		case ir.OpJump:
@@ -90,13 +94,13 @@ func verifyFunc(m *ir.Module, f *ir.Func) error {
 			work = append(work, state{int(in.A), d}, state{s.pc + 1, d})
 		case ir.OpRet:
 			if d != 0 {
-				return fmt.Errorf("pc %d: return with stack depth %d", s.pc, d)
+				return nil, nil, fmt.Errorf("pc %d: return with stack depth %d", s.pc, d)
 			}
 		default:
 			work = append(work, state{s.pc + 1, d})
 		}
 	}
-	return nil
+	return depth, reach, nil
 }
 
 // stackDelta returns the net evaluation-stack effect of an instruction.

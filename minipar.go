@@ -24,7 +24,8 @@ type MiniParOutput struct {
 //
 // onlyFuncs, when non-empty, restricts instrumentation to the named
 // functions (the paper's §IV-A decomposition into analysed and unanalysed
-// code); an empty slice instruments the whole program.
+// code); a name that is not a function of the program is an error. An empty
+// slice instruments the whole program.
 //
 // See the package example under examples/miniparlang and cmd/minipar for the
 // language reference (grammar documented in the internal front end):
@@ -40,15 +41,8 @@ func ProfileMiniPar(src string, threads int, onlyFuncs []string, opts Options) (
 	if threads <= 0 {
 		return nil, nil, fmt.Errorf("commprof: threads must be positive, got %d", threads)
 	}
-	var only map[string]bool
-	if len(onlyFuncs) > 0 {
-		only = map[string]bool{}
-		for _, f := range onlyFuncs {
-			only[f] = true
-		}
-	}
 	mod, table, cs, err := passes.CompileWith(src, passes.Options{
-		Only: only, Coalesce: !opts.DisableCoalesce,
+		Only: onlyFuncs, Coalesce: !opts.DisableCoalesce,
 	})
 	if err != nil {
 		return nil, nil, err
