@@ -747,10 +747,13 @@ func plantedStage(buf []trace.Access, a trace.Access) []trace.Access { return ap
 	},
 	{
 		// The engine has one scheduler, the deterministic turn hand-off (DESIGN
-		// §5, "The batch kernel and who owns it"): no option or flag runs the threads as free goroutines again,
-		// and internal/exec builds no condition-variable barrier for them.
-		// Real concurrency has its own frontend (commprof/probe). MiniPar's
-		// parfor (minipar.ForStmt.Parallel) is a loop kind, not a scheduler.
+		// §5, "The batch kernel and who owns it"): each simulated thread is a
+		// coroutine that Run's loop resumes. No option or flag runs the threads
+		// as free goroutines again, and internal/exec's non-test files start no
+		// goroutine, spell no channel type (the deleted per-thread resume
+		// channels) and build no condition-variable barrier. Real concurrency
+		// has its own frontend (commprof/probe). MiniPar's parfor
+		// (minipar.ForStmt.Parallel) is a loop kind, not a scheduler.
 		name: "a second scheduler is back",
 		check: func(m *module) (out findings) {
 			for _, c := range []struct{ dir, typ string }{{".", "Options"}, {"internal/exec", "Options"}} {
@@ -766,9 +769,18 @@ func plantedStage(buf []trace.Access, a trace.Access) []trace.Access { return ap
 			m.each(scope{tests: true, dirs: []string{"internal/exec"}}, func(p *pkg, f *file) {
 				if f.test {
 					out.idents(m, f, "NewCond")
-				} else {
-					out.uses(m, p, f, "sync", "Cond", "NewCond")
+					return
 				}
+				out.uses(m, p, f, "sync", "Cond", "NewCond")
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					switch n.(type) {
+					case *ast.GoStmt:
+						out.add(m, n.Pos(), "a go statement")
+					case *ast.ChanType:
+						out.add(m, n.Pos(), "a channel type")
+					}
+					return true
+				})
 			})
 			return out
 		},
@@ -788,6 +800,14 @@ func plantedParallel(fs *flag.FlagSet) *bool { return fs.Bool("parallel", false,
 import "sync"
 
 type plantedBarrier struct{ cond *sync.Cond }
+`,
+			"internal/exec/planted_go.go": `package exec
+
+func plantedSpawn(t *Thread, body func(*Thread)) { go t.main(body) }
+`,
+			"internal/exec/planted_chan.go": `package exec
+
+type plantedTurn struct{ resume chan struct{} }
 `,
 		},
 	},

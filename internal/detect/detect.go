@@ -96,12 +96,12 @@ type Options struct {
 
 // Detector consumes accesses in temporal order and accumulates communication
 // matrices. It has one caller at a time, each call ordered after the last by
-// a happens-before edge (a shard worker; a replay loop; the executor, whose
-// threads hand the turn over a channel), and it touches its matrices,
-// backend, cache and monitor without atomics. Only Stats, RedundancyStats and
-// the backend's Occupancy may be read from elsewhere before that caller is
-// done. Those are published once per ProcessBatch, so mid-run they trail by at
-// most one batch.
+// a happens-before edge (a shard worker, or the run's one analyser
+// goroutine, which takes each quantum over a channel), and it touches its
+// matrices, backend, cache and monitor without atomics. Only Stats,
+// RedundancyStats and the backend's Occupancy may be read from elsewhere
+// before that caller is done. Those are published once per ProcessBatch, so
+// mid-run they trail by at most one batch.
 type Detector struct {
 	opts Options
 	// asym is opts.Backend when that is the asymmetric signature: the kernel

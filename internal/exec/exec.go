@@ -1,12 +1,19 @@
+// This file imports iter, which needs go1.23, while go.mod says go 1.22 (and
+// bench/go.mod must declare the same version): the build line lifts this one
+// file's language version so iter.Pull type-checks and vets.
+
+//go:build go1.23
+
 // Package exec runs workloads on simulated shared-memory threads and fires
 // the instrumentation probe on every memory access.
 //
 // Threads execute cooperatively under a strict round-robin scheduler with a
-// configurable access quantum: each thread is a goroutine, and the turn
-// passes from one to the next over a channel, so exactly one runs at a time
-// and every run produces the identical temporal access order on any number
-// of cores. This supplies Algorithm 1's requirement that accesses be
-// processed in temporal order, and makes all experiments reproducible.
+// configurable access quantum: each thread is an iter.Pull coroutine, and
+// Run's loop resumes whichever one the scheduler picked next, so exactly one
+// runs at a time and every run produces the identical temporal access order
+// on any number of cores. This supplies Algorithm 1's requirement that
+// accesses be processed in temporal order, and makes all experiments
+// reproducible.
 //
 // The engine substitutes for native pthread execution of the paper's testbed;
 // communication-matrix shape depends only on which threads touch which
@@ -19,6 +26,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync/atomic"
 
 	"commprof/internal/obs"
@@ -71,11 +79,12 @@ type Engine struct {
 	// can snapshot per-thread progress without racing on the slice itself.
 	threads []*Thread
 
-	// Scheduler state, owned by whichever goroutine holds the turn: the channel send that passes the turn orders every access.
+	// Scheduler state, owned by whichever coroutine holds the turn: the
+	// coroutine switch that passes the turn orders every access.
 	now           uint64
-	cursor        int // next thread to consider in the current round
-	live, parked  int // threads not yet done; threads waiting at the barrier
-	done          chan struct{}
+	cursor        int           // next thread to consider in the current round
+	live, parked  int           // threads not yet done; threads waiting at the barrier
+	turn          *Thread       // the thread Run's loop resumes next; nil ends the run
 	locks         map[int]int32 // lock id -> holding thread, absent/-1 when free
 	barrierEpochs atomic.Uint64
 
@@ -94,12 +103,11 @@ func New(opts Options) *Engine {
 	}
 	e := &Engine{
 		opts:  opts,
-		done:  make(chan struct{}),
 		locks: map[int]int32{},
 	}
 	e.threads = make([]*Thread, opts.Threads)
 	for i := range e.threads {
-		e.threads[i] = &Thread{id: int32(i), eng: e, resume: make(chan struct{})}
+		e.threads[i] = &Thread{id: int32(i), eng: e}
 	}
 	return e
 }
@@ -119,10 +127,14 @@ func (e *Engine) Run(body func(t *Thread)) (Stats, error) {
 	e.ran = true
 	e.live = len(e.threads)
 	for _, t := range e.threads {
-		go t.main(body)
+		t.resume, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+			t.pause = yield
+			t.main(body)
+		})
 	}
-	e.next() <- struct{}{}
-	<-e.done
+	for e.turn = e.next(); e.turn != nil; {
+		e.turn.resume()
+	}
 	if live := e.live; live > 0 {
 		e.failStuckThreads()
 		return e.collectStats(), fmt.Errorf("exec: deadlock with %d live threads (mixed barrier/lock wait)", live)
@@ -130,11 +142,12 @@ func (e *Engine) Run(body func(t *Thread)) (Stats, error) {
 	return e.collectStats(), e.err
 }
 
-// next makes the round-robin decision on the goroutine that holds the turn:
-// the rest of the round in thread order (waking lock waiters whose lock is
-// free), then the barrier release and the deadlock check. It returns the
-// next thread's resume, its budget refilled, or done when the run is over.
-func (e *Engine) next() chan struct{} {
+// next makes the round-robin decision on the coroutine that holds the turn
+// (on Run's goroutine for the first turn): the rest of the round in thread
+// order (waking lock waiters whose lock is free), then the barrier release
+// and the deadlock check. It returns the next thread, its budget refilled,
+// or nil when the run is over.
+func (e *Engine) next() *Thread {
 	for e.live > 0 {
 		start := e.cursor
 		for e.cursor < len(e.threads) {
@@ -150,7 +163,7 @@ func (e *Engine) next() chan struct{} {
 					p.QuantumSwitches.Inc()
 				}
 				t.budget = e.opts.Quantum
-				return t.resume
+				return t
 			}
 		}
 		e.cursor = 0
@@ -166,21 +179,19 @@ func (e *Engine) next() chan struct{} {
 			continue
 		}
 		if start == 0 { // a whole round ran no thread: deadlock
-			return e.done
+			return nil
 		}
 	}
-	return e.done
+	return nil
 }
 
-// failStuckThreads unblocks deadlocked goroutines so they exit; the engine is
-// unusable afterwards but does not leak goroutines.
+// failStuckThreads stops the deadlocked threads' coroutines, so each one's
+// pending yield aborts it; the engine is unusable afterwards but does not
+// leak goroutines.
 func (e *Engine) failStuckThreads() {
 	for _, t := range e.threads {
 		if t.state != stDone {
-			t.aborted = true
-			t.budget = 1 << 30
-			t.resume <- struct{}{}
-			<-e.done
+			t.stop()
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"commprof/internal/obs"
 	"commprof/internal/trace"
 )
 
@@ -402,5 +405,74 @@ func BenchmarkDeterministicAccess(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestTurnOrderGolden pins the exact interleaving the scheduler produces: the
+// ordered (Time, Thread, Addr, Kind) sequence, the run's Stats and its
+// scheduler counters, hashed with FNV-64a. The body exercises every turn decision at once: quantum exhaustion,
+// Work, two barriers, a contended lock, elided accesses, a thread that
+// finishes before the barriers, and a last thread that runs on alone (the
+// scheduler hands it its own turn back). Any scheduler rewrite must keep this
+// value; TestDeterministicReproducible only compares a run with itself.
+func TestTurnOrderGolden(t *testing.T) {
+	const want = uint64(0xae7b2a3d8f643612)
+	var got []trace.Access
+	probes := obs.DefaultProbes(obs.NewRegistry()).Engine
+	e := New(Options{Threads: 5, Quantum: 3, Probe: collectProbe(&got), Probes: probes})
+	stats, err := e.Run(func(th *Thread) {
+		id := uint64(th.ID())
+		base := 0x1000 + 0x40*id
+		if id == 4 {
+			th.Write(base, 8)
+			th.Read(0x1000, 8)
+			return
+		}
+		for i := uint64(0); i < 4; i++ {
+			th.Write(base+8*i, 8)
+			th.Work(int(id) + 1)
+			th.Read(0x1000+0x40*((id+i)%4), 8)
+		}
+		th.ReadElided(8)
+		th.WriteElided(4)
+		th.Barrier()
+		for i := 0; i < 2; i++ {
+			th.Acquire(1)
+			th.Read(0x9000, 8)
+			th.Work(2)
+			th.Write(0x9000, 8)
+			th.Release(1)
+		}
+		th.Barrier()
+		if id == 0 {
+			for i := uint64(0); i < 10; i++ {
+				th.Read(0xa000+8*i, 8)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if probes.LockWaits.Value() == 0 {
+		t.Fatal("the lock was never contended")
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, a := range got {
+		put(a.Time)
+		put(uint64(a.Thread))
+		put(a.Addr)
+		put(uint64(a.Kind))
+	}
+	for _, v := range []uint64{stats.Accesses, stats.Reads, stats.Writes, stats.Elided, stats.WorkUnits, stats.Barriers, stats.Clock,
+		probes.QuantumSwitches.Value(), probes.BarrierWaits.Value(), probes.LockWaits.Value()} {
+		put(v)
+	}
+	if sum := h.Sum64(); sum != want {
+		t.Fatalf("turn order hash %#x, want %#x (%d accesses, stats %+v, threads %v)", sum, want, len(got), stats, threadsOf(got))
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // Thread is the handle a workload body uses to issue memory accesses,
 // synchronise, and maintain its static-region context. All methods must be
-// called only from the goroutine running the body.
+// called only from the coroutine running the body.
 type Thread struct {
 	id  int32
 	eng *Engine
@@ -25,8 +25,12 @@ type Thread struct {
 	work     uint64
 	progress atomic.Uint64
 
-	// Scheduling.
-	resume   chan struct{}
+	// Scheduling: resume runs the thread's coroutine until it passes the
+	// turn on, pause (called inside it) passes the turn back to Run's loop
+	// and reports false once stop has aborted the thread.
+	resume   func() (struct{}, bool)
+	pause    func(struct{}) bool
+	stop     func()
 	state    threadState
 	waitLock int
 	budget   int
@@ -41,10 +45,9 @@ type Thread struct {
 // ID returns the thread's index in [0, Threads).
 func (t *Thread) ID() int32 { return t.id }
 
-// main drives a thread: wait for the first turn, run the body, then pass the
-// turn on (back to Run if the scheduler aborted it).
+// main drives a thread: run the body, then pick the next turn for Run's loop
+// (unless the scheduler aborted the thread, when Run no longer loops).
 func (t *Thread) main(body func(*Thread)) {
-	<-t.resume
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -57,21 +60,20 @@ func (t *Thread) main(body func(*Thread)) {
 	}()
 	t.publish()
 	t.state = stDone
-	next := t.eng.done
 	if !t.aborted {
 		t.eng.live--
-		next = t.eng.next()
+		t.eng.turn = t.eng.next()
 	}
-	next <- struct{}{}
 }
 
-// yield publishes the counts and passes the turn on until it comes back.
+// yield publishes the counts and passes the turn on until it comes back; a
+// thread picked again runs on without a switch.
 func (t *Thread) yield() {
 	if !t.aborted {
 		t.publish()
-		if next := t.eng.next(); next != t.resume {
-			next <- struct{}{}
-			<-t.resume
+		if next := t.eng.next(); next != t {
+			t.eng.turn = next
+			t.aborted = !t.pause(struct{}{})
 		}
 	}
 	if t.aborted {

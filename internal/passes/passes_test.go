@@ -229,6 +229,20 @@ func TestVerifyCatchesCorruptIR(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsUnknownOpcode: an opcode outside ir's table has no stack
+// effect to interpret, so Verify names its pc instead of counting it as 0.
+func TestVerifyRejectsUnknownOpcode(t *testing.T) {
+	mod, _, _, err := CompileWith(`func main() { out 1; }`, Options{Coalesce: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	main := &mod.Funcs[mod.MainIndex]
+	main.Code = append([]ir.Instr{{Op: 200}}, main.Code...)
+	if err := Verify(mod); err == nil || !strings.Contains(err.Error(), "pc 0: unknown opcode 200") {
+		t.Fatalf("Verify = %v, want the unknown opcode at pc 0", err)
+	}
+}
+
 func TestCompileRejectsParseErrors(t *testing.T) {
 	if _, _, _, err := CompileWith("this is not minipar", Options{Coalesce: true}); err == nil {
 		t.Fatal("garbage accepted")

@@ -56,6 +56,10 @@ func stackDepths(m *ir.Module, f *ir.Func) (depth []int, reach []bool, err error
 			if ir.BinOpName(in.A) == fmt.Sprintf("bin(%d)", in.A) {
 				return nil, nil, fmt.Errorf("pc %d: unknown binary operator %d", pc, in.A)
 			}
+		default:
+			if in.Op.String() == fmt.Sprintf("op(%d)", uint8(in.Op)) {
+				return nil, nil, fmt.Errorf("pc %d: unknown opcode %d", pc, uint8(in.Op))
+			}
 		}
 	}
 

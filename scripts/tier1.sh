@@ -13,9 +13,9 @@
 # samplers and the /metrics and /progress scrapers, exactly as sharded runs
 # do), a -cpu 1,2,4 pass over the packages whose tests involve more than one
 # goroutine (no result may depend on how many cores the host has; the
-# deterministic executor's threads pass the turn to one another and each
-# full quantum to the analyser goroutine behind them, which stages it for
-# the shard workers when sharded; the two
+# deterministic executor's threads are coroutines that Run's loop resumes in
+# turn, and each full quantum goes to the analyser goroutine behind them,
+# which stages it for the shard workers when sharded; the two
 # experiment goldens run sharded rows, so their bytes may not either), a vet+test
 # of the nested bench/ module, also under -cpu 1,2,4 (it compiles against
 # internal APIs that `go build ./...` from the root does not reach, and its
@@ -24,7 +24,9 @@
 # the trace codec, Replay (its analyser goroutine's exits), the source
 # instrumenter, the MiniPar compiler (whose verifier's stack-depth
 # interpretation also drives the coalescing pass), the coalescing pass and
-# the signature's mask arena, and an
+# the signature's mask arena, a smoke run of the executor's turn hand-off
+# benchmark (BenchmarkTurnHandOff, the layer meter of that switch) at one
+# and two cores, and an
 # instrument+vet check of every example program under testdata/ via the
 # commtrace driver.
 set -eu
@@ -64,6 +66,9 @@ echo "== go test -cpu 1,2,4 -count 3 (detect, pipeline, sig, probe, exec, the fa
 go test -cpu 1,2,4 -count 3 ./internal/detect/... ./internal/pipeline/... ./internal/sig/... ./probe/... ./internal/exec/...
 go test -cpu 1,2,4 -count 3 -run '^(TestReportsIndependentOfCoreCount|TestRecordBytesPinned|TestQuantumBufferMatchesPerAccess|TestEngineSourcesLeaveNoGoroutine|TestReplayErrors|TestProfileTraceMatchesReplay|TestReplaySharded|TestProfileTraceParallelMatchesSerial|TestProfileSharded)$' .
 go test -cpu 1,2,4 -count 3 -run 'TestQueueArchitecture|TestThroughputComparison|TestPaperSignatureGolden|TestExperimentsGolden' ./internal/experiments
+
+echo "== turn hand-off benchmark smoke (exec) =="
+go test -run '^$' -bench '^BenchmarkTurnHandOff$' -benchtime 2000x -cpu 1,2 ./internal/exec
 
 echo "== bench module: go vet + go test -cpu 1,2,4 =="
 (cd bench && go vet . && go test -cpu 1,2,4 .)
