@@ -169,3 +169,135 @@ func TestConcurrentRunsShareNoRing(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestArenaReuseLeavesNoTrace is the facade's lifecycle wall for the
+// signature arenas one run hands on to the next (sig.Asymmetric.Release):
+// runs at other thread and slot counts — two of them at other layouts of the
+// reference's byte size, which take its arenas —, a Replay of a cut-off
+// trace, a Run whose body panics after three quanta, and Replay and
+// ProfileTrace on four goroutines at once, each followed by the reference
+// Replay with telemetry on. The reference reads two quanta of addresses
+// before anything writes them, then runs fft's trace, so a slot that comes
+// back holding an earlier run's writer or readers shows in its report. Every
+// report equals the one the same call gives on fresh arenas, and no run
+// drops a stale writer. It is meant for -race -count=10.
+func TestArenaReuseLeavesNoTrace(t *testing.T) {
+	const threads = 8
+	var rec bytes.Buffer
+	if _, err := Record(Options{Workload: "fft", Threads: threads}, &rec); err != nil {
+		t.Fatal(err)
+	}
+	fft, regions, table := publicTrace(t, rec.Bytes())
+	accesses := make([]Access, 2*quantumLen, 2*quantumLen+len(fft))
+	for i := range accesses {
+		accesses[i] = Access{Addr: 0x1000 + uint64(i)*8, Size: 8, Thread: int32(i % threads), Time: uint64(i)}
+	}
+	for _, a := range fft {
+		a.Time += 2 * quantumLen
+		accesses = append(accesses, a)
+	}
+	data := encodeTrace(t, accesses, table, threads)
+	// 5·2^17 slots of 6 bytes (t ≤ 32) and 3·2^17 of 10 bytes (t = 40) are
+	// both 3 932 160 bytes, as is each of two shards' half of 5·2^18.
+	ref := Options{SignatureSlots: 5 << 17}
+	others := []Options{
+		{Workload: "fft", Threads: 40, SignatureSlots: 3 << 17},
+		{Workload: "lu_ncb", Threads: 16, SignatureSlots: 5 << 18, AnalysisShards: 2},
+		{Workload: "radix", Threads: 4},
+	}
+	replay := func(data []byte, opts Options) (*Report, error) {
+		return Replay(bytes.NewReader(data), threads, opts)
+	}
+	// bare drops the sections that time the run or its queues.
+	bare := func(rep *Report) *Report {
+		rep.Pipeline, rep.Telemetry, rep.Overhead = nil, nil, nil
+		return rep
+	}
+	// fresh runs a call on fresh arenas: two collections empty the pool.
+	fresh := func(run func() (*Report, error)) *Report {
+		runtime.GC()
+		runtime.GC()
+		rep, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bare(rep)
+	}
+	want := fresh(func() (*Report, error) { return replay(data, ref) })
+	if want.Accesses < 5*quantumLen {
+		t.Fatalf("%d accesses: want a trace that a cut at 4/5 leaves more than three quanta of", want.Accesses)
+	}
+	wantOthers := make([]*Report, len(others))
+	for i, o := range others {
+		wantOthers[i] = fresh(func() (*Report, error) { return Profile(o) })
+	}
+	check := func(after string) {
+		t.Helper()
+		opts := ref
+		opts.Telemetry = NewTelemetry()
+		rep, err := replay(data, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rep.Telemetry.Counters["detect_stale_writer_drops_total"]; n != 0 {
+			t.Errorf("after %s: %d stale writers dropped", after, n)
+		}
+		if !reflect.DeepEqual(bare(rep), want) {
+			t.Errorf("after %s: the reference Replay's report differs from its run on fresh arenas", after)
+		}
+	}
+
+	for i, o := range others {
+		rep, err := Profile(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bare(rep), wantOthers[i]) {
+			t.Errorf("%s at %d threads: the report differs from its run on fresh arenas", o.Workload, o.Threads)
+		}
+		check(fmt.Sprintf("%s at %d threads, %d slots", o.Workload, o.Threads, o.SignatureSlots))
+	}
+
+	if rep, err := replay(data[:len(data)*4/5], ref); err == nil {
+		t.Fatalf("Replay of a cut-off trace = %v, want an error", rep)
+	}
+	check("a cut-off Replay")
+
+	_, err := Run(threads, []Region{{Name: "main", Parent: -1}}, func(th *Thread) {
+		for i := uint64(0); i < 3*quantumLen/threads; i++ {
+			th.Write(0x1000+(i*threads+uint64(th.ID()))%(2*quantumLen)*8, 8)
+		}
+		if th.ID() == 1 {
+			panic("boom")
+		}
+	}, ref)
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run whose body panics = %v, want the panic", err)
+	}
+	check("a Run that panicked")
+
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var rep *Report
+			var err error
+			if g%2 == 0 {
+				rep, err = replay(data, ref)
+			} else {
+				rep, err = ProfileTrace(accesses, regions, threads, ref)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rep.Workload = want.Workload
+			if !reflect.DeepEqual(rep, want) {
+				t.Errorf("goroutine %d: a concurrent run's report differs from a lone Replay's", g)
+			}
+		}()
+	}
+	wg.Wait()
+	check("four concurrent runs")
+}

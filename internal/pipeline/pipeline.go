@@ -588,11 +588,11 @@ func (e *Engine) noteFlush() {
 	}
 }
 
-// Close flushes what is staged, drains every shard queue, stops the workers
-// and closes the last phase windows. Idempotent; call it on the producer's
-// goroutine, or once the producer is done, before reading Tree or Stats.
-// In-thread there is nothing to drain: the producer's ProcessBatch calls
-// have already returned.
+// Close flushes what is staged, drains every shard queue, stops the workers,
+// releases their signature arenas and closes the last phase windows.
+// Idempotent; call it on the producer's goroutine, or once the producer is
+// done, before reading Tree or Stats. In-thread there is nothing to drain:
+// the producer's ProcessBatch calls have already returned.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		e.Flush()
@@ -604,8 +604,13 @@ func (e *Engine) Close() {
 			}
 		}
 		e.wg.Wait()
-		// Workers are quiescent: flush every remaining window partial and
-		// emit the tail of the live window stream.
+		// Workers are quiescent: release the arenas, flush every remaining
+		// window partial and emit the tail of the live window stream.
+		for _, s := range e.shards {
+			if a, ok := s.backend.(*sig.Asymmetric); ok {
+				a.Release()
+			}
+		}
 		e.advancePhasesAt(^uint64(0))
 		e.closed.Store(true)
 	})

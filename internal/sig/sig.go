@@ -31,6 +31,8 @@ package sig
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"commprof/internal/murmur"
@@ -179,8 +181,10 @@ type Asymmetric struct {
 	base
 	// words is w, the mask words per slot; stride is a slot's 2 + 4·w bytes.
 	words, stride uint64
-	// arena holds slot i at arena[i·stride : (i+1)·stride].
+	// arena holds slot i at arena[i·stride : (i+1)·stride]. Bit l%64 of
+	// dirty[l/64] marks 64-byte line l of it as holding a non-empty slot.
 	arena []byte
+	dirty []uint64
 
 	// nonEmpty counts the non-empty reader sets; Publish copies it to
 	// occupied, the one thing another goroutine may read mid-run.
@@ -203,7 +207,48 @@ func NewAsymmetric(opts Options) (*Asymmetric, error) {
 		return nil, err
 	}
 	words := uint64(opts.Threads+31) / 32
-	return &Asymmetric{base: b, words: words, stride: 2 + 4*words, arena: make([]byte, opts.Slots*(2+4*words))}, nil
+	s := &Asymmetric{base: b, words: words, stride: 2 + 4*words}
+	s.acquire(opts.Slots * s.stride)
+	return s, nil
+}
+
+var arenas sync.Pool // released arenas and their bitmaps, of any size
+
+// Release hands the arena to the next NewAsymmetric of its byte size, which
+// zeroes only its dirty lines. A late Observe panics.
+func (s *Asymmetric) Release() {
+	arenas.Put(&Asymmetric{arena: s.arena, dirty: s.dirty}) // a second Release puts no arena
+	s.arena, s.dirty = nil, nil
+}
+
+// acquire takes a released arena of size bytes, or makes one, and zeroes its
+// dirty lines, one clear per run of adjacent ones.
+func (s *Asymmetric) acquire(size uint64) {
+	if a, _ := arenas.Get().(*Asymmetric); a != nil && uint64(len(a.arena)) == size {
+		s.arena, s.dirty = a.arena, a.dirty
+	} else {
+		s.arena, s.dirty = make([]byte, size), make([]uint64, (size+4095)/4096)
+	}
+	lo, hi := 0, 0 // the pending run of dirty lines [lo, hi)
+	for i, w := range s.dirty {
+		for ; w != 0; w &= w + w&-w { // drop w's lowest run of dirty lines
+			b := bits.TrailingZeros64(w)
+			if i*64+b != hi {
+				clear(s.arena[lo*64 : min(hi*64, len(s.arena))])
+				lo = i*64 + b
+			}
+			hi = i*64 + b + bits.TrailingZeros64(^(w >> b))
+		}
+	}
+	clear(s.arena[lo*64 : min(hi*64, len(s.arena))])
+	clear(s.dirty)
+}
+
+// touch marks the line or two lines of the slot at byte at as dirty.
+func (s *Asymmetric) touch(at uint64) {
+	l, h := at/64, (at+s.stride-1)/64
+	s.dirty[l/64] |= 1 << (l % 64)
+	s.dirty[h/64] |= 1 << (h % 64)
 }
 
 // Publish makes the caller's count of occupied slots visible to Occupancy.
@@ -217,6 +262,9 @@ func (s *Asymmetric) ObserveRead(addr uint64, tid int32) (int32, bool) {
 	if old&bit == 0 {
 		if old == 0 && (s.words == 1 || unread(s.arena[at+2:at+s.stride])) {
 			s.nonEmpty++
+			if binary.LittleEndian.Uint16(s.arena[at:at+2:at+2]) == 0 {
+				s.touch(at) // the slot was all zero
+			}
 		}
 		binary.LittleEndian.PutUint32(s.arena[m:m+4:m+4], old|bit)
 	}
@@ -251,12 +299,14 @@ func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
 		if p := s.opts.Probes; p != nil {
 			p.ReaderResets.Inc()
 		}
+	} else if binary.LittleEndian.Uint16(s.arena[at:at+2:at+2]) == 0 {
+		s.touch(at) // the slot was all zero
 	}
 	binary.LittleEndian.PutUint16(s.arena[at:at+2:at+2], uint16(tid+1))
 }
 
 // FootprintBytes implements Backend: the arena, a constant (2 + 4·w)·Slots.
-func (s *Asymmetric) FootprintBytes() uint64 { return uint64(len(s.arena)) }
+func (s *Asymmetric) FootprintBytes() uint64 { return s.opts.Slots * s.stride }
 
 // AllocatedFilters is always 0: the mask arena has no filters. Kept only
 // because bench/layers.go still reports it; ROADMAP item 0(d) deletes it.

@@ -573,8 +573,11 @@ func TestAsymmetricIsPerfectOnSlotKey(t *testing.T) {
 // [1, 256] and slot count in [1, 256], over a fuzzed op sequence of three
 // bytes an op: the kind (low bit) and 15 bits of address, then the thread.
 // Every read's verdict, the Occupancy after every op, and at the end the
-// arena word for word must match the model. Ops past the 64th are ignored,
-// so that minimising a long input stays quick.
+// arena word for word must match the model. The arena is then released and
+// a signature of the same size built again, which takes it back from the
+// pool: a second round of the ops, shifted one granule, must match a fresh
+// model the same way. Ops past the 64th are ignored, so that minimising a
+// long input stays quick.
 func FuzzMaskArena(f *testing.F) {
 	for _, threads := range []uint8{0, 1, 30, 31, 32, 63, 64, 127, 255} {
 		// At every word boundary the highest thread writes and then reads
@@ -583,20 +586,23 @@ func FuzzMaskArena(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, threadsRaw uint8, slotsRaw uint16, ops []byte) {
 		threads, slots := int(threadsRaw)+1, uint64(slotsRaw)%256+1
-		s, err := NewAsymmetric(Options{Slots: slots, Threads: threads})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := newMaskModel()
-		for i := 0; i+3 <= len(ops) && i < 3*64; i += 3 {
-			addr := 0x7000 + 8*(uint64(ops[i]>>1)|uint64(ops[i+1])<<7)
-			ref.apply(t, s, ops[i]&1 == 1, addr, int32(int(ops[i+2])%threads))
-			s.Publish()
-			if got, want := s.Occupancy(), ref.occupancy(slots); got != want {
-				t.Fatalf("op %d: Occupancy = %v, model %v", i/3, got, want)
+		for round := range uint64(2) {
+			s, err := NewAsymmetric(Options{Slots: slots, Threads: threads})
+			if err != nil {
+				t.Fatal(err)
 			}
+			ref := newMaskModel()
+			for i := 0; i+3 <= len(ops) && i < 3*64; i += 3 {
+				addr := 0x7000 + 8*(uint64(ops[i]>>1)|uint64(ops[i+1])<<7+round)
+				ref.apply(t, s, ops[i]&1 == 1, addr, int32(int(ops[i+2])%threads))
+				s.Publish()
+				if got, want := s.Occupancy(), ref.occupancy(slots); got != want {
+					t.Fatalf("round %d op %d: Occupancy = %v, model %v", round, i/3, got, want)
+				}
+			}
+			ref.checkArena(t, s)
+			s.Release()
 		}
-		ref.checkArena(t, s)
 	})
 }
 
@@ -748,5 +754,118 @@ func BenchmarkPerfectObserveRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.ObserveRead(0x1000, int32(i&31))
+	}
+}
+
+// TestReleasedArenaComesBackClean is the reuse wall: a stream over one
+// arena, Release, then NewAsymmetric of the same size must hand back an
+// all-zero arena with a clear bitmap, on which a second stream's verdicts
+// equal a fresh arena's. Strides 6, 10 and 34 put some slots across two
+// lines, and 7 and 1 000 slots end on a partial line; short streams leave
+// most lines untouched, so a slot whose second line went unmarked shows.
+func TestReleasedArenaComesBackClean(t *testing.T) {
+	reused := 0
+	for _, threads := range []int{32, 40, 256} {
+		for _, slots := range []uint64{7, 1000, 4096} {
+			for _, n := range []int{1, 3, 10, 40, 300, 5000} {
+				opts := Options{Slots: slots, Threads: threads}
+				rng := rand.New(rand.NewSource(int64(threads)*7919 + int64(slots)*31 + int64(n)))
+				stream := func(f func(write bool, addr uint64, tid int32)) {
+					for range n {
+						f(rng.Intn(4) == 0, uint64(0x7000+8*rng.Intn(int(4*slots))), int32(rng.Intn(threads)))
+					}
+				}
+				s, err := NewAsymmetric(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream(func(write bool, addr uint64, tid int32) {
+					if write {
+						s.ObserveWrite(addr, tid)
+					} else {
+						s.ObserveRead(addr, tid)
+					}
+				})
+				released := &s.arena[0]
+				s.Release()
+				if s.arena != nil {
+					t.Fatal("Release left the signature its arena")
+				}
+				r, err := NewAsymmetric(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewAsymmetric(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &r.arena[0] != released {
+					continue // the pool may drop what it holds (at a GC, or under -race)
+				}
+				reused++
+				for i, b := range r.arena {
+					if b != 0 {
+						t.Fatalf("t=%d slots=%d n=%d: reacquired arena byte %d (line %d) is %#x", threads, slots, n, i, i/64, b)
+					}
+				}
+				for i, w := range r.dirty {
+					if w != 0 {
+						t.Fatalf("t=%d slots=%d n=%d: reacquired bitmap word %d is %#x", threads, slots, n, i, w)
+					}
+				}
+				stream(func(write bool, addr uint64, tid int32) {
+					if write {
+						r.ObserveWrite(addr, tid)
+						fresh.ObserveWrite(addr, tid)
+						return
+					}
+					gw, gf := r.ObserveRead(addr, tid)
+					if fw, ff := fresh.ObserveRead(addr, tid); gw != fw || gf != ff {
+						t.Fatalf("t=%d slots=%d n=%d: read(%#x, T%d) = (%d,%v) on the reused arena, (%d,%v) on a fresh one",
+							threads, slots, n, addr, tid, gw, gf, fw, ff)
+					}
+				})
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no released arena came back from the pool")
+	}
+}
+
+// BenchmarkArenaSetUp prices a run's signature set-up and tear-down at the
+// facade's default size (2^20 slots at t = 32): NewAsymmetric, k first
+// touches that dirty 1 % or 100 % of the arena's 64-byte lines, and Release.
+// From the second iteration on NewAsymmetric takes the arena the last one
+// released and zeroes its dirty lines.
+func BenchmarkArenaSetUp(b *testing.B) {
+	opts := Options{Slots: 1 << 20, Threads: 32}
+	s, err := NewAsymmetric(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// addrs holds one address for each line, in line order.
+	lines := (uint64(len(s.arena)) + 63) / 64
+	addrs := make([]uint64, lines)
+	for addr, left := uint64(8), lines; left > 0; addr += 8 {
+		if l := s.slot(addr) * s.stride / 64; addrs[l] == 0 {
+			addrs[l] = addr
+			left--
+		}
+	}
+	s.Release()
+	for _, c := range []struct {
+		name  string
+		every int
+	}{{"dirty=1%", 100}, {"dirty=100%", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s, _ := NewAsymmetric(opts)
+				for l := 0; l < len(addrs); l += c.every {
+					s.ObserveWrite(addrs[l], 0)
+				}
+				s.Release()
+			}
+		})
 	}
 }

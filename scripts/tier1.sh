@@ -24,9 +24,11 @@
 # the trace codec, Replay (its analyser goroutine's exits), the source
 # instrumenter, the MiniPar compiler (whose verifier's stack-depth
 # interpretation also drives the coalescing pass), the coalescing pass and
-# the signature's mask arena, a smoke run of the executor's turn hand-off
-# benchmark (BenchmarkTurnHandOff, the layer meter of that switch) at one
-# and two cores, and an
+# the signature's mask arena (with a release-and-reacquire round), a smoke
+# run of the executor's turn hand-off benchmark (BenchmarkTurnHandOff, the
+# layer meter of that switch) and of the signature's arena set-up benchmark
+# (BenchmarkArenaSetUp: NewAsymmetric on a released arena, first touches on
+# 1 % and 100 % of its lines, Release) at one and two cores, and an
 # instrument+vet check of every example program under testdata/ via the
 # commtrace driver.
 set -eu
@@ -69,6 +71,9 @@ go test -cpu 1,2,4 -count 3 -run 'TestQueueArchitecture|TestThroughputComparison
 
 echo "== turn hand-off benchmark smoke (exec) =="
 go test -run '^$' -bench '^BenchmarkTurnHandOff$' -benchtime 2000x -cpu 1,2 ./internal/exec
+
+echo "== arena set-up benchmark smoke (sig) =="
+go test -run '^$' -bench '^BenchmarkArenaSetUp$' -benchtime 200x -cpu 1,2 ./internal/sig
 
 echo "== bench module: go vet + go test -cpu 1,2,4 =="
 (cd bench && go vet . && go test -cpu 1,2,4 .)
