@@ -2,7 +2,6 @@ package commprof
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,23 +37,26 @@ type analysis struct {
 	// order; full, handOn sends it on full and takes the next from free
 	// (three circulate). From start until endQuanta one analyser goroutine
 	// owns the tap, the gate and the engine, whose one producer it is.
-	quantum    []trace.Access
-	full, free chan []trace.Access
-	analysed   chan struct{}
+	quantum                  []trace.Access
+	full, free               chan []trace.Access
+	analysed                 chan struct{}
+	sourceWait, analyserWait uint64 // the ring's waits, with the stage probes on
 }
 
-// quantumLen is each quantum buffer's capacity in accesses (64 KB), for
+// quantumLen is each quantum buffer's capacity in accesses (256 KB), for
 // every source; live telemetry trails the source by at most three quanta.
-// Each hand-off can park and wake a goroutine, which at 1 024 cost replay
-// about a third of its speed on a 2-core host.
-const quantumLen = 2048
+// Each hand-off can park and wake a goroutine, which at 2 048 kept
+// synth-local's two stages taking turns on a 2-core host (10.9 against 8.0
+// ns/access at 8 192) and at 1 024 cost replay about a third of its speed.
+const quantumLen = 8192
 
-// ring is the three quantum buffers of one run. rings recycles them from
-// one run to the next: allocated per run, their 192 KB came to 3 % of all
-// that a million-access ProfileTrace allocates.
+// ring is the three quantum buffers of one run. rings holds the last
+// finished run's for the next run, on any P (a sync.Pool keeps a Put on its
+// own P's side): allocated per run, their 768 KB would add 0.19 bytes an
+// access to synth-local's 0.07 (2^22 accesses a run).
 type ring [3][quantumLen]trace.Access
 
-var rings sync.Pool
+var rings atomic.Pointer[ring]
 
 // newAnalysis builds the analyser for a run over threads threads and the
 // given region table. Close its engine (idempotent; finish does) on every
@@ -116,7 +118,7 @@ func (an *analysis) sampledOut(kind trace.Kind, thread int32) bool {
 // once the source has run, and only then Close the engine, which flushes
 // what the engine has staged.
 func (an *analysis) start(tap *trace.Encoder) {
-	r, _ := rings.Get().(*ring)
+	r := rings.Swap(nil)
 	if r == nil {
 		r = new(ring)
 	}
@@ -126,14 +128,14 @@ func (an *analysis) start(tap *trace.Encoder) {
 	an.quantum = r[0][:0]
 	go func() {
 		defer close(an.analysed)
-		for q := range an.full {
+		for q, ok := an.recv(an.full, &an.analyserWait); ok; q, ok = an.recv(an.full, &an.analyserWait) {
 			if tap != nil {
 				_ = tap.WriteBatch(q) // a failed write is sticky: Record sees it at Close
 			}
 			an.feedBatch(q)
 			an.free <- q[:0]
 		}
-		rings.Put(r) // full is closed: the source is done with every buffer
+		rings.Store(r) // full is closed: the source is done with every buffer
 	}()
 }
 
@@ -141,7 +143,18 @@ func (an *analysis) start(tap *trace.Encoder) {
 // next empty buffer.
 func (an *analysis) handOn() {
 	an.full <- an.quantum
-	an.quantum = <-an.free
+	an.quantum, _ = an.recv(an.free, &an.sourceWait)
+}
+
+// recv is each of the ring's two waits, the source's for a free buffer and
+// the analyser's for a full one. With the stage probes on it adds the wait
+// to *wait.
+func (an *analysis) recv(c chan []trace.Access, wait *uint64) ([]trace.Access, bool) {
+	if an.tel.Probes().Stage != nil {
+		defer func(t0 time.Time) { *wait += uint64(time.Since(t0)) }(time.Now())
+	}
+	q, ok := <-c
+	return q, ok
 }
 
 // endQuanta hands the last partial quantum to the analyser goroutine, ends
@@ -254,6 +267,9 @@ func (an *analysis) finish(name string, accesses uint64) (*Report, error) {
 		rep.SampleFraction = an.gate.Fraction()
 	}
 	tel.finishRun(rep, tree)
+	if ov := rep.Overhead; ov != nil {
+		ov.SourceWaitNanos, ov.AnalyserWaitNanos = an.sourceWait, an.analyserWait
+	}
 	return rep, nil
 }
 

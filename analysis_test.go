@@ -9,7 +9,12 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
+
+	"commprof/internal/sig"
+	"commprof/internal/trace"
 )
 
 // TestRunRejectsUnknownRegions pins that a Run body naming a region outside
@@ -130,7 +135,7 @@ func TestEngineSourcesLeaveNoGoroutine(t *testing.T) {
 func TestConcurrentRunsShareNoRing(t *testing.T) {
 	const threads = 8
 	var rec bytes.Buffer
-	if _, err := Record(Options{Workload: "fft", Threads: threads}, &rec); err != nil {
+	if _, err := Record(Options{Workload: "fft", InputSize: "simsmall", Threads: threads}, &rec); err != nil {
 		t.Fatal(err)
 	}
 	data := rec.Bytes()
@@ -170,6 +175,96 @@ func TestConcurrentRunsShareNoRing(t *testing.T) {
 	wg.Wait()
 }
 
+// TestRingWaitParksOnAStall is the wall that each of the ring's two waits
+// parks when the other stage stalls, so a spin put in front of either must
+// stay bounded: a SPLASH run whose tap's writer stops 200 ms when the first
+// quantum reaches it, on the analyser goroutine, so the source waits, and a
+// Run whose body stops 200 ms on a timer after two full quanta, so the
+// analyser waits. At GOMAXPROCS 2 the process's user CPU time across each
+// stall stays below 50 ms, and the stage probes time the waiting side's
+// wait. At one P each report is the same.
+func TestRingWaitParksOnAStall(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	// stop sleeps through the stall and reports the user CPU time the
+	// process spent meanwhile.
+	stop := func(spent *time.Duration) {
+		var before, after syscall.Rusage
+		syscall.Getrusage(syscall.RUSAGE_SELF, &before)
+		time.Sleep(stall)
+		syscall.Getrusage(syscall.RUSAGE_SELF, &after)
+		*spent = time.Duration(after.Utime.Nano() - before.Utime.Nano())
+	}
+	regions := []Region{{Name: "main", Parent: -1}}
+	for _, c := range []struct {
+		name string
+		run  func(opts Options, spent *time.Duration) (*Report, error)
+		wait func(*OverheadReport) uint64 // the waiting side's wait
+	}{
+		{"the source stalls", func(opts Options, spent *time.Duration) (*Report, error) {
+			return Run(2, regions, func(th *Thread) {
+				for i := uint64(0); i < quantumLen; i++ {
+					th.Write(0x1000+(i*2+uint64(th.ID()))%512*8, 8)
+				}
+				th.Barrier() // two quanta are with the analyser
+				if th.ID() == 0 {
+					stop(spent)
+				}
+				th.Read(0x1000+uint64(1-th.ID())*8, 8)
+			}, opts)
+		}, func(o *OverheadReport) uint64 { return o.AnalyserWaitNanos }},
+		{"the analyser stalls", func(opts Options, spent *time.Duration) (*Report, error) {
+			opts.Workload, opts.InputSize, opts.Threads = "fft", "simsmall", 4
+			opts.setDefaults()
+			src, err := splashSource(opts)
+			if err != nil {
+				return nil, err
+			}
+			if src.tap, err = trace.NewDynamicEncoder(&stallingWriter{stall: func() { stop(spent) }}, src.table); err != nil {
+				return nil, err
+			}
+			return profileEngine(opts, src)
+		}, func(o *OverheadReport) uint64 { return o.SourceWaitNanos }},
+	} {
+		run := func(procs int) (*Report, time.Duration) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var spent time.Duration
+			rep, err := c.run(Options{Telemetry: NewTelemetry()}, &spent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := time.Duration(c.wait(rep.Overhead)); w < stall/2 {
+				t.Errorf("%s, GOMAXPROCS %d: the other stage waited %v across a %v stall, want most of it", c.name, procs, w, stall)
+			}
+			rep.Pipeline, rep.Telemetry, rep.Overhead = nil, nil, nil
+			return rep, spent
+		}
+		want, spent := run(2)
+		if spent >= 50*time.Millisecond {
+			t.Errorf("%s, GOMAXPROCS 2: %v of user CPU time across a %v stall, want under 50ms: the ring's wait did not park", c.name, spent, stall)
+		}
+		if got, _ := run(1); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s, GOMAXPROCS 1: the report differs from the one at GOMAXPROCS 2", c.name)
+		}
+	}
+}
+
+// stallingWriter discards what it is given, after calling stall in its
+// first Write; Seek is a no-op.
+type stallingWriter struct {
+	stall   func()
+	stalled bool
+}
+
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	if !w.stalled {
+		w.stalled = true
+		w.stall()
+	}
+	return len(p), nil
+}
+
+func (*stallingWriter) Seek(int64, int) (int64, error) { return 0, nil }
+
 // TestArenaReuseLeavesNoTrace is the facade's lifecycle wall for the
 // signature arenas one run hands on to the next (sig.Asymmetric.Release):
 // runs at other thread and slot counts — two of them at other layouts of the
@@ -184,7 +279,7 @@ func TestConcurrentRunsShareNoRing(t *testing.T) {
 func TestArenaReuseLeavesNoTrace(t *testing.T) {
 	const threads = 8
 	var rec bytes.Buffer
-	if _, err := Record(Options{Workload: "fft", Threads: threads}, &rec); err != nil {
+	if _, err := Record(Options{Workload: "fft", InputSize: "simsmall", Threads: threads}, &rec); err != nil {
 		t.Fatal(err)
 	}
 	fft, regions, table := publicTrace(t, rec.Bytes())
@@ -213,10 +308,14 @@ func TestArenaReuseLeavesNoTrace(t *testing.T) {
 		rep.Pipeline, rep.Telemetry, rep.Overhead = nil, nil, nil
 		return rep
 	}
-	// fresh runs a call on fresh arenas: two collections empty the pool.
+	// fresh runs a call on fresh arenas: releasing a signature of another
+	// size drops every arena released before it.
 	fresh := func(run func() (*Report, error)) *Report {
-		runtime.GC()
-		runtime.GC()
+		s, err := sig.NewAsymmetric(sig.Options{Slots: 1, Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Release()
 		rep, err := run()
 		if err != nil {
 			t.Fatal(err)

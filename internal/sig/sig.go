@@ -212,23 +212,41 @@ func NewAsymmetric(opts Options) (*Asymmetric, error) {
 	return s, nil
 }
 
-var arenas sync.Pool // released arenas and their bitmaps, of any size
+// shelf holds released arenas and their bitmaps for the next NewAsymmetric
+// of their byte size, which any P sees (a sync.Pool keeps a Put on its own
+// P's side) and which survives collections. They are of one size: a Release
+// of another size drops them, so the shelf keeps only the last size's.
+var shelf struct {
+	sync.Mutex
+	idle []*Asymmetric
+}
 
 // Release hands the arena to the next NewAsymmetric of its byte size, which
-// zeroes only its dirty lines. A late Observe panics.
+// zeroes only its dirty lines. A late Observe panics, a second Release nothing.
 func (s *Asymmetric) Release() {
-	arenas.Put(&Asymmetric{arena: s.arena, dirty: s.dirty}) // a second Release puts no arena
+	if s.arena == nil {
+		return
+	}
+	shelf.Lock()
+	if len(shelf.idle) > 0 && len(shelf.idle[0].arena) != len(s.arena) {
+		shelf.idle = nil
+	}
+	shelf.idle = append(shelf.idle, &Asymmetric{arena: s.arena, dirty: s.dirty})
+	shelf.Unlock()
 	s.arena, s.dirty = nil, nil
 }
 
 // acquire takes a released arena of size bytes, or makes one, and zeroes its
 // dirty lines, one clear per run of adjacent ones.
 func (s *Asymmetric) acquire(size uint64) {
-	if a, _ := arenas.Get().(*Asymmetric); a != nil && uint64(len(a.arena)) == size {
-		s.arena, s.dirty = a.arena, a.dirty
+	shelf.Lock()
+	if n := len(shelf.idle); n > 0 && uint64(len(shelf.idle[n-1].arena)) == size {
+		s.arena, s.dirty = shelf.idle[n-1].arena, shelf.idle[n-1].dirty
+		shelf.idle[n-1], shelf.idle = nil, shelf.idle[:n-1]
 	} else {
 		s.arena, s.dirty = make([]byte, size), make([]uint64, (size+4095)/4096)
 	}
+	shelf.Unlock()
 	lo, hi := 0, 0 // the pending run of dirty lines [lo, hi)
 	for i, w := range s.dirty {
 		for ; w != 0; w &= w + w&-w { // drop w's lowest run of dirty lines

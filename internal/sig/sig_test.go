@@ -3,10 +3,13 @@ package sig
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -830,6 +833,64 @@ func TestReleasedArenaComesBackClean(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("no released arena came back from the pool")
+	}
+}
+
+// TestReleasedArenaReturnsOnAnyGoroutine is the wall for the shelf: each
+// round builds two signatures of one size, as two shards of a run do, each
+// on a fresh goroutine, dirties them and releases each on another, with at
+// least two Ps so that they may run on different ones. The next round must
+// get the same two arenas back, all zero, whichever P it runs on. A
+// sync.Pool loses a Put whenever its Get runs on another P, which the
+// releasing round forces by keeping this goroutine's P busy (and at random
+// under -race).
+func TestReleasedArenaReturnsOnAnyGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	opts := Options{Slots: 1000, Threads: 40}
+	var released map[*byte]bool
+	for round := range 51 {
+		ch := make(chan *Asymmetric)
+		for range 2 {
+			go func() {
+				s, err := NewAsymmetric(opts)
+				if err != nil {
+					t.Error(err)
+				}
+				ch <- s
+			}()
+		}
+		sigs := []*Asymmetric{<-ch, <-ch}
+		got := map[*byte]bool{}
+		for _, s := range sigs {
+			if s == nil {
+				t.FailNow()
+			}
+			got[&s.arena[0]] = true
+			for i, b := range s.arena {
+				if b != 0 {
+					t.Fatalf("round %d: reacquired arena byte %d is %#x", round, i, b)
+				}
+			}
+			for i := range uint64(200) {
+				s.ObserveWrite(0x7000+8*i, int32(i%40))
+				s.ObserveRead(0x7000+16*i, int32(i%39))
+			}
+		}
+		if round > 0 && !maps.Equal(got, released) {
+			t.Fatalf("round %d: NewAsymmetric made new arenas instead of taking the two released last round", round)
+		}
+		released = got
+		// Spinning here, not parking, keeps this P busy, so another P
+		// takes the releasing goroutines and releases on its side.
+		var done atomic.Int32
+		for _, s := range sigs {
+			go func() {
+				s.Release()
+				done.Add(1)
+			}()
+		}
+		for done.Load() < 2 {
+		}
 	}
 }
 

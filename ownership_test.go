@@ -118,7 +118,7 @@ func TestQuantumBufferMatchesPerAccess(t *testing.T) {
 	regions := []Region{{Name: "main", Parent: -1}, {Name: "produce", Parent: 0, Loop: true}, {Name: "consume", Parent: 0, Loop: true}}
 	body := func(th *exec.Thread) {
 		id := uint64(th.ID())
-		for round := uint64(0); round < 5; round++ {
+		for round := uint64(0); round < 20; round++ {
 			th.InRegion(1, func() {
 				for i := uint64(0); i < 211; i++ {
 					th.Write(0x4000+(id*211+i)*8, 8)

@@ -428,13 +428,20 @@ func captured(t *testing.T, f func()) (stdout, stderr string) {
 	return string(said[0]), string(said[1])
 }
 
+// crossWords is what TestOptionsCrossAsOneVariable's target accesses. It is
+// a package variable so that its address is the same in every run: a local
+// the compiler keeps on the goroutine's stack moves whenever the runtime
+// grows or shrinks that stack (a collection may shrink it at any time), and
+// a move in the middle of one run changes that trace's addresses and length.
+var crossWords [2]uint64
+
 // TestOptionsCrossAsOneVariable: live mode takes its analyser options from
 // COMMPROF_OPTS and nothing else. A well-formed value arrives; a malformed
 // one is reported once and nothing is analysed, while Shutdown still returns
 // to the target's own exit path; record mode never reads the variable, so its
 // trace is byte for byte the same with and without it.
 func TestOptionsCrossAsOneVariable(t *testing.T) {
-	var word [2]uint64
+	word := &crossWords
 	run := func(tracePath, opts string) (stdout, stderr string) {
 		reset(t)
 		t.Setenv("COMMPROF_TRACE", tracePath)

@@ -16,7 +16,7 @@ import (
 // profiler's signature stays fixed — which is precisely why DiscoPoP
 // analyses online.
 //
-// The accesses are encoded a quantum (2 048 accesses) at a time, in issue
+// The accesses are encoded a quantum (8 192 accesses) at a time, in issue
 // order and in front of the sampling gate, behind the simulated threads;
 // nothing holds the run as access records. The header's counts are known only when the run ends and w need
 // not seek, so the encoded stream is staged in memory and handed to w in one
@@ -57,7 +57,7 @@ func Record(opts Options, w io.Writer) (*Report, error) {
 // (whose header carries the final goroutine count it registered) always
 // declare one. Only v3 traces replay; any other version is refused by name.
 //
-// Replay decodes the trace incrementally, a quantum (2 048 records) ahead of
+// Replay decodes the trace incrementally, a quantum (8 192 records) ahead of
 // the analyser: the region table is read up front, then the caller's
 // goroutine decodes straight into the analysis's quantum ring
 // (Decoder.NextBatch) while the analyser goroutine works on the last quantum

@@ -191,8 +191,8 @@ func TestReplayErrors(t *testing.T) {
 		opts Options
 		want []string
 	}{
-		// Access 4 196 lies in the third 2 048-access quantum.
-		{"thread out of range", syntheticTrace(t, n, 4196), Options{}, []string{"trace access 4196 has thread 7, outside [0,4)"}},
+		// Access 9 000 lies in the second 8 192-access quantum.
+		{"thread out of range", syntheticTrace(t, n, 9000), Options{}, []string{"trace access 9000 has thread 7, outside [0,4)"}},
 		{"truncated mid-block", truncated, Options{}, []string{"record 4097 of 10000", io.ErrUnexpectedEOF.Error()}},
 		{"block CRC flipped", flipped, Options{}, []string{"record 4097 of 10000", "checksum mismatch"}},
 		// The analyser is refused before decoding starts: Replay returns

@@ -314,6 +314,11 @@ type OverheadReport struct {
 	// engine sources and at K > 0.
 	AttributedNanos uint64
 	AttributedShare float64
+	// SourceWaitNanos is the source's wait on the ring for a free quantum,
+	// spin and park: large, the analyser stage is the critical path.
+	// AnalyserWaitNanos is the analyser's wait for a full one: large, the
+	// source (threads, Replay's decoder, ProfileTrace's loop) is.
+	SourceWaitNanos, AnalyserWaitNanos uint64
 }
 
 // PhaseReport is one detected communication phase (§V-A4).

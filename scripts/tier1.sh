@@ -28,7 +28,10 @@
 # run of the executor's turn hand-off benchmark (BenchmarkTurnHandOff, the
 # layer meter of that switch) and of the signature's arena set-up benchmark
 # (BenchmarkArenaSetUp: NewAsymmetric on a released arena, first touches on
-# 1 % and 100 % of its lines, Release) at one and two cores, and an
+# 1 % and 100 % of its lines, Release) and of ProfileTrace's benchmark
+# (BenchmarkProfileTrace, the layer meter of the analyser ring: a stream of
+# bench/'s synth-local shape, whose source and analyser stages hand quanta
+# across the ring) at one and two cores, and an
 # instrument+vet check of every example program under testdata/ via the
 # commtrace driver.
 set -eu
@@ -74,6 +77,9 @@ go test -run '^$' -bench '^BenchmarkTurnHandOff$' -benchtime 2000x -cpu 1,2 ./in
 
 echo "== arena set-up benchmark smoke (sig) =="
 go test -run '^$' -bench '^BenchmarkArenaSetUp$' -benchtime 200x -cpu 1,2 ./internal/sig
+
+echo "== analyser ring benchmark smoke (facade) =="
+go test -run '^$' -bench '^BenchmarkProfileTrace$' -benchtime 20x -cpu 1,2 .
 
 echo "== bench module: go vet + go test -cpu 1,2,4 =="
 (cd bench && go vet . && go test -cpu 1,2,4 .)

@@ -256,7 +256,7 @@ type ProgressSnapshot struct {
 	// Accesses is the number of accesses the detector has consumed. The
 	// detector publishes its counters once per batch, so mid-run this (and
 	// Dependencies, CommBytes) trails the source: by at most three
-	// 2 048-access quanta (the analyser's ring), or by a shard hand-off.
+	// 8 192-access quanta (the analyser's ring), or by a shard hand-off.
 	Accesses uint64 `json:"accesses"`
 	// AccessesPerSec is detection throughput: Accesses / ElapsedSeconds.
 	AccessesPerSec float64 `json:"accesses_per_sec"`
