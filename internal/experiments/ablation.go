@@ -39,16 +39,13 @@ type SamplingResult struct {
 // sampling at several rates, measuring analysis wall time, matrix shape
 // fidelity and rescaled-volume accuracy against full profiling.
 func SamplingAblation(env Env, app string, size splash.Size) (*SamplingResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	periods := []uint32{1, 2, 4, 8, 16}
 
 	var fullMatrix *comm.Matrix
 	var fullWall int64
 	res := &SamplingResult{App: app}
 	for _, period := range periods {
-		prog, err := splash.New(app, splash.Config{Threads: env.Threads, Size: size, Seed: env.Seed})
+		prog, err := env.program(app, size)
 		if err != nil {
 			return nil, err
 		}
@@ -61,8 +58,8 @@ func SamplingAblation(env Env, app string, size splash.Size) (*SamplingResult, e
 			return nil, err
 		}
 		t0 := time.Now()
-		if _, err := prog.Run(newEngine(env, gated(gate, d))); err != nil {
-			return nil, fmt.Errorf("experiments: %s sampling 1/%d: %w", app, period, err)
+		if _, err := env.run(app, prog, gated(gate, d)); err != nil {
+			return nil, err
 		}
 		wall := time.Since(t0).Nanoseconds()
 		if period == 1 {
@@ -142,12 +139,9 @@ type SparseResult struct {
 // real workload matrices at the experiment thread count, plus synthetic
 // O(n)-pair patterns at high thread counts where the dense n² cost explodes.
 func SparseAblation(env Env, size splash.Size) (*SparseResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	res := &SparseResult{}
 	for _, app := range []string{"ocean_cp", "fft", "radix", "water_spat"} {
-		d, _, _, err := env.profile(app, size)
+		d, _, err := env.profile(app, size)
 		if err != nil {
 			return nil, err
 		}
@@ -219,23 +213,25 @@ type ThroughputResult struct {
 // Throughput records one application's access stream, then replays it
 // through every profiler implementation and measures events/second.
 func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
-	// Record the stream once.
-	var stream []trace.Access
-	prog, _, err := env.runProgram(app, size, func(a trace.Access) { stream = append(stream, a) })
+	stream, _, err := env.record(app, size)
 	if err != nil {
 		return nil, err
 	}
-	_ = prog
 	res := &ThroughputResult{App: app}
 
-	// run returns the profiler's memory and how many accesses it analysed.
-	add := func(name string, run func() (mem, analysed uint64)) {
+	// run returns the profiler's memory and how many accesses it analysed;
+	// the first error ends the comparison.
+	add := func(name string, run func() (mem, analysed uint64, err error)) {
+		if err != nil {
+			return
+		}
 		t0 := time.Now()
-		mem, analysed := run()
+		mem, analysed, runErr := run()
 		wall := time.Since(t0).Nanoseconds()
+		if runErr != nil {
+			err = fmt.Errorf("experiments: throughput %s: %w", name, runErr)
+			return
+		}
 		row := ThroughputRow{Name: name, Events: uint64(len(stream)), Analysed: analysed, WallNs: wall, MemoryBytes: mem}
 		if wall > 0 {
 			row.MEventsPerS = float64(len(stream)) / (float64(wall) / 1e9) / 1e6
@@ -243,40 +239,32 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 		res.Rows = append(res.Rows, row)
 	}
 
-	add("discopop", func() (uint64, uint64) {
-		asym, err := env.newSignature(env.SigSlots, sig.HashMurmur)
+	add("discopop", func() (uint64, uint64, error) {
+		d, asym, err := env.newDetector(nil)
 		if err != nil {
-			return 0, 0
-		}
-		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
-		if err != nil {
-			return 0, 0
+			return 0, 0, err
 		}
 		d.ProcessBatch(stream)
-		return asym.FootprintBytes(), d.Stats().Processed
+		return asym.FootprintBytes(), d.Stats().Processed, nil
 	})
-	add("discopop-sampled-1/8", func() (uint64, uint64) {
-		asym, err := env.newSignature(env.SigSlots, sig.HashMurmur)
+	add("discopop-sampled-1/8", func() (uint64, uint64, error) {
+		d, asym, err := env.newDetector(nil)
 		if err != nil {
-			return 0, 0
-		}
-		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
-		if err != nil {
-			return 0, 0
+			return 0, 0, err
 		}
 		gate, err := detect.NewGate(env.Threads, 8)
 		if err != nil {
-			return 0, 0
+			return 0, 0, err
 		}
 		probe := gated(gate, d)
 		for _, a := range stream {
 			probe(a)
 		}
-		return asym.FootprintBytes(), d.Stats().Processed
+		return asym.FootprintBytes(), d.Stats().Processed, nil
 	})
 	for _, k := range []int{2, 4, 8} {
 		k := k
-		add(fmt.Sprintf("discopop-sharded-%d", k), func() (uint64, uint64) {
+		add(fmt.Sprintf("discopop-sharded-%d", k), func() (uint64, uint64, error) {
 			// The split pipeline.AsymmetricFactory makes, over this
 			// package's signature: ceil(slots/K) per shard.
 			perShard := (env.SigSlots + uint64(k) - 1) / uint64(k)
@@ -286,34 +274,37 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 				Probes:     obs.Probes{Pipeline: env.Probes.Pipeline},
 			})
 			if err != nil {
-				return 0, 0
+				return 0, 0, err
 			}
 			e.ProcessBatch(stream)
 			e.Close()
-			return e.SigFootprintBytes(), e.Stats().Processed
+			return e.SigFootprintBytes(), e.Stats().Processed, nil
 		})
 	}
-	add("perfect", func() (uint64, uint64) {
+	add("perfect", func() (uint64, uint64, error) {
 		p := sig.NewPerfect(env.Threads)
-		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: p})
+		d, err := env.detector(p, nil)
 		if err != nil {
-			return 0, 0
+			return 0, 0, err
 		}
 		d.ProcessBatch(stream)
-		return p.FootprintBytes(), d.Stats().Processed
+		return p.FootprintBytes(), d.Stats().Processed, nil
 	})
 	for _, name := range []string{"memcheck", "helgrind", "helgrind+", "ipm", "sd3", "pairwise"} {
 		name := name
-		add(name, func() (uint64, uint64) {
+		add(name, func() (uint64, uint64, error) {
 			p, err := baselines.NewByName(name)
 			if err != nil {
-				return 0, 0
+				return 0, 0, err
 			}
 			for _, a := range stream {
 				p.ProcessAccess(a)
 			}
-			return p.Result().MemoryBytes, uint64(len(stream))
+			return p.Result().MemoryBytes, uint64(len(stream)), nil
 		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

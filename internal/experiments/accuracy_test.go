@@ -33,7 +33,7 @@ func monitoredFPR(t *testing.T, env Env, app string, size splash.Size, slots uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(newEngine(env, func(a trace.Access) { d.Process(a) })); err != nil {
+	if _, err := env.run(app, prog, func(a trace.Access) { d.Process(a) }); err != nil {
 		t.Fatal(err)
 	}
 	return accuracy.EstimateFrom(mon.Stats(), bits, accuracy.DefaultTargetFPR)
@@ -49,7 +49,7 @@ func TestOnlineFPRMatchesOfflineSweep(t *testing.T) {
 	env.Threads = 16
 	const app = "fft"
 	for _, slots := range []uint64{256, 4096} {
-		cell, err := fprOne(env, app, splash.SimSmall, slots)
+		cell, err := fprOne(env, app, splash.SimSmall, slots, sig.HashMurmur)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,9 +37,6 @@ type CoalesceResult struct {
 // and a bit-identity check of the detected communication on an exact
 // backend, per kernel.
 func Coalesce(env Env) (*CoalesceResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	kernels := passes.CoalesceKernels()
 	names := make([]string, 0, len(kernels))
 	for n := range kernels {
@@ -97,10 +94,7 @@ func runCoalesceKernel(env Env, src string, coalesce bool) (coalesceRun, error) 
 	if err != nil {
 		return coalesceRun{}, err
 	}
-	d, err := detect.New(detect.Options{
-		Threads: env.Threads, Backend: sig.NewPerfect(env.Threads), Table: table,
-		Probes: env.Probes.Detect,
-	})
+	d, err := env.detector(sig.NewPerfect(env.Threads), table)
 	if err != nil {
 		return coalesceRun{}, err
 	}

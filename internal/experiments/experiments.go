@@ -30,10 +30,13 @@ type Env struct {
 	// working sets the equivalent slots/working-set ratio is reached at
 	// 2^20 (see EXPERIMENTS.md, "scaling").
 	SigSlots uint64
-	// Probes, when non-nil, threads self-observability hooks through every
-	// signature/detector/engine the experiment helpers construct, so a live
-	// /metrics endpoint can watch a long commbench sweep. Nil (the default)
-	// keeps experiment runs uninstrumented.
+	// Probes, when set, threads self-observability hooks through every
+	// signature, detector and engine the experiment helpers construct, so a
+	// live /metrics endpoint can watch a long commbench sweep: every
+	// detector an experiment runs in-thread reports to Probes.Detect, so
+	// each experiment but eq2 adds its dependences to detect_events_total
+	// (the sharded rows of phases and throughput leave it out). The zero
+	// value (the default) keeps experiment runs uninstrumented.
 	Probes obs.Probes
 }
 
@@ -70,11 +73,20 @@ type Result interface{ Render() string }
 
 // Experiment is one entry of the evaluation's index (DESIGN.md §4): the ID
 // commbench -exp accepts and the run that regenerates it, with the
-// application, input size and shard arguments fixed. Run's Result is
-// meaningful only when its error is nil.
+// application, input size and shard arguments fixed.
 type Experiment struct {
 	ID  string
-	Run func(Env) (Result, error)
+	run func(Env) (Result, error)
+}
+
+// Run checks env and regenerates the experiment: the one place an Env
+// enters the package, so an invalid one fails here before any workload
+// runs. The Result is meaningful only when the error is nil.
+func (e Experiment) Run(env Env) (Result, error) {
+	if err := env.validate(); err != nil {
+		return nil, err
+	}
+	return e.run(env)
 }
 
 // Experiments is every experiment, sorted by ID: commbench -listexp prints
@@ -119,6 +131,43 @@ func (e Env) newSignature(slots uint64, hash sig.HashKind) (*sig.Bloom, error) {
 	}, fpRate)
 }
 
+// program builds one benchmark at size for this environment: the
+// package's one splash.New.
+func (e Env) program(app string, size splash.Size) (splash.Program, error) {
+	return splash.New(app, splash.Config{Threads: e.Threads, Size: size, Seed: e.Seed})
+}
+
+// run executes prog (app's program) on a default-quantum engine under probe.
+func (e Env) run(app string, prog splash.Program, probe exec.Probe) (exec.Stats, error) {
+	stats, err := prog.Run(exec.New(exec.Options{Threads: e.Threads, Probe: probe, Probes: e.Probes.Engine}))
+	if err != nil {
+		return exec.Stats{}, fmt.Errorf("experiments: %s: %w", app, err)
+	}
+	return stats, nil
+}
+
+// record runs one benchmark and returns its access stream and region table,
+// for the experiments that replay one stream through several analysers.
+func (e Env) record(app string, size splash.Size) ([]trace.Access, *trace.Table, error) {
+	prog, err := e.program(app, size)
+	if err != nil {
+		return nil, nil, err
+	}
+	var stream []trace.Access
+	if _, err := e.run(app, prog, func(a trace.Access) { stream = append(stream, a) }); err != nil {
+		return nil, nil, err
+	}
+	return stream, prog.Table(), nil
+}
+
+// detector builds a detector over backend that reports to Env.Probes.
+func (e Env) detector(backend sig.Backend, table *trace.Table) (*detect.Detector, error) {
+	return detect.New(detect.Options{
+		Threads: e.Threads, Backend: backend, Table: table,
+		Probes: e.Probes.Detect,
+	})
+}
+
 // newDetector builds the standard asymmetric-signature detector for a
 // program.
 func (e Env) newDetector(table *trace.Table) (*detect.Detector, *sig.Bloom, error) {
@@ -126,49 +175,22 @@ func (e Env) newDetector(table *trace.Table) (*detect.Detector, *sig.Bloom, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := detect.New(detect.Options{
-		Threads: e.Threads, Backend: s, Table: table,
-		Probes: e.Probes.Detect,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, s, nil
-}
-
-// runProgram executes one benchmark under the given probe.
-func (e Env) runProgram(name string, size splash.Size, probe exec.Probe) (splash.Program, exec.Stats, error) {
-	prog, err := splash.New(name, splash.Config{Threads: e.Threads, Size: size, Seed: e.Seed})
-	if err != nil {
-		return nil, exec.Stats{}, err
-	}
-	eng := exec.New(exec.Options{Threads: e.Threads, Probe: probe, Probes: e.Probes.Engine})
-	stats, err := prog.Run(eng)
-	if err != nil {
-		return nil, exec.Stats{}, fmt.Errorf("experiments: %s: %w", name, err)
-	}
-	return prog, stats, nil
+	d, err := e.detector(s, table)
+	return d, s, err
 }
 
 // profile runs one benchmark under the standard detector and returns both.
-func (e Env) profile(name string, size splash.Size) (*detect.Detector, splash.Program, exec.Stats, error) {
-	prog, err := splash.New(name, splash.Config{Threads: e.Threads, Size: size, Seed: e.Seed})
+func (e Env) profile(app string, size splash.Size) (*detect.Detector, splash.Program, error) {
+	prog, err := e.program(app, size)
 	if err != nil {
-		return nil, nil, exec.Stats{}, err
+		return nil, nil, err
 	}
 	d, _, err := e.newDetector(prog.Table())
 	if err != nil {
-		return nil, nil, exec.Stats{}, err
+		return nil, nil, err
 	}
-	eng := exec.New(exec.Options{Threads: e.Threads, Probe: d.Probe(), Probes: e.Probes.Engine})
-	stats, err := prog.Run(eng)
-	if err != nil {
-		return nil, nil, exec.Stats{}, fmt.Errorf("experiments: %s: %w", name, err)
+	if _, err := e.run(app, prog, d.Probe()); err != nil {
+		return nil, nil, err
 	}
-	return d, prog, stats, nil
-}
-
-// newEngine builds an executor configured for this environment.
-func newEngine(e Env, probe exec.Probe) *exec.Engine {
-	return exec.New(exec.Options{Threads: e.Threads, Probe: probe, Probes: e.Probes.Engine})
+	return d, prog, nil
 }

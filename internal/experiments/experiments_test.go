@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"commprof/internal/obs"
 	"commprof/internal/splash"
 )
 
@@ -26,6 +27,55 @@ func TestEnvValidation(t *testing.T) {
 	}
 	if err := DefaultEnv().validate(); err != nil {
 		t.Fatalf("default env invalid: %v", err)
+	}
+}
+
+// TestRunChecksEnv: Experiment.Run is where an Env enters the package, so
+// every entry of the table refuses an invalid one with validate's error, and
+// before any workload runs: no counter of the run's probes moves.
+func TestRunChecksEnv(t *testing.T) {
+	for _, bad := range []Env{{Threads: 0, SigSlots: 1}, {Threads: 1, SigSlots: 0}} {
+		want := bad.validate()
+		for _, e := range Experiments {
+			reg := obs.NewRegistry()
+			bad.Probes = obs.DefaultProbes(reg)
+			r, err := e.Run(bad)
+			if err == nil || err.Error() != want.Error() || r != nil {
+				t.Errorf("%s with %+v: got (%v, %v), want validate's %q", e.ID, bad, r, err, want)
+			}
+			for name, n := range reg.Snapshot().Counters {
+				if n != 0 {
+					t.Errorf("%s with %+v: %s = %d, a workload ran", e.ID, bad, name, n)
+				}
+			}
+		}
+	}
+}
+
+// TestExperimentsReportToProbes: with Env.Probes set, every experiment that
+// runs a detector in-thread adds its dependences to detect_events_total.
+func TestExperimentsReportToProbes(t *testing.T) {
+	runs := []struct {
+		id  string
+		run func(Env) error
+	}{
+		{"fpr", func(env Env) error { _, err := FPRSweep(env, splash.SimDev, []uint64{4096}); return err }},
+		{"hash", func(env Env) error { _, err := HashAblation(env, splash.SimDev, 0); return err }},
+		{"queue", func(env Env) error { _, err := Queue(env, "radix", splash.SimDev); return err }},
+		{"fig2", func(env Env) error { _, err := Fig2(env); return err }},
+		{"sampling", func(env Env) error { _, err := SamplingAblation(env, "lu_ncb", splash.SimDev); return err }},
+		{"throughput", func(env Env) error { _, err := Throughput(env, "ocean_cp", splash.SimDev); return err }},
+	}
+	for _, r := range runs {
+		reg := obs.NewRegistry()
+		env := testEnv()
+		env.Probes = obs.DefaultProbes(reg)
+		if err := r.run(env); err != nil {
+			t.Fatalf("%s: %v", r.id, err)
+		}
+		if n := reg.Snapshot().Counters["detect_events_total"]; n == 0 {
+			t.Errorf("%s: detect_events_total = 0 with Env.Probes set", r.id)
+		}
 	}
 }
 

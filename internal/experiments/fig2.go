@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"commprof/internal/detect"
 	"commprof/internal/sig"
 	"commprof/internal/trace"
 )
@@ -28,15 +27,12 @@ type Fig2Result struct {
 // Fig2 runs the scenario through a real detector with the standard
 // asymmetric signature.
 func Fig2(env Env) (*Fig2Result, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	env.Threads = 4 // the figure's T1..T3, whatever the sweep runs with
 	asym, err := env.newSignature(4096, sig.HashMurmur)
 	if err != nil {
 		return nil, err
 	}
-	d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
+	d, err := env.detector(asym, nil)
 	if err != nil {
 		return nil, err
 	}

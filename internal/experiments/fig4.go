@@ -42,9 +42,6 @@ type Fig4Result struct {
 // sit at the high end, compute-dense applications (water, raytrace, volrend)
 // at the low end.
 func Fig4(env Env, size splash.Size) (*Fig4Result, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	res := &Fig4Result{Min: -1}
 	for _, app := range splash.Names() {
 		row, err := slowdownOne(env, app, size)
@@ -70,7 +67,7 @@ func slowdownOne(env Env, app string, size splash.Size) (SlowdownRow, error) {
 	const reps = 3
 	var best SlowdownRow
 	for r := 0; r < reps; r++ {
-		prog, err := splash.New(app, splash.Config{Threads: env.Threads, Size: size, Seed: env.Seed})
+		prog, err := env.program(app, size)
 		if err != nil {
 			return SlowdownRow{}, err
 		}
@@ -79,9 +76,9 @@ func slowdownOne(env Env, app string, size splash.Size) (SlowdownRow, error) {
 			return SlowdownRow{}, err
 		}
 		t0 := time.Now()
-		stats, err := prog.Run(newEngine(env, d.Probe()))
+		stats, err := env.run(app, prog, d.Probe())
 		if err != nil {
-			return SlowdownRow{}, fmt.Errorf("experiments: %s instrumented: %w", app, err)
+			return SlowdownRow{}, err
 		}
 		instrNs := time.Since(t0).Nanoseconds()
 		if r == 0 || instrNs < best.InstrNs {

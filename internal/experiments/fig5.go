@@ -35,9 +35,6 @@ type Fig5Result struct {
 // footprint is fixed by its signature configuration, while the others grow
 // with program footprint (shadow tools) or event count (IPM).
 func Fig5(env Env, size splash.Size) (*Fig5Result, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	res := &Fig5Result{Size: size}
 	for _, app := range splash.Names() {
 		row, err := memoryOne(env, app, size)
@@ -50,7 +47,7 @@ func Fig5(env Env, size splash.Size) (*Fig5Result, error) {
 }
 
 func memoryOne(env Env, app string, size splash.Size) (MemoryRow, error) {
-	prog, err := splash.New(app, splash.Config{Threads: env.Threads, Size: size, Seed: env.Seed})
+	prog, err := env.program(app, size)
 	if err != nil {
 		return MemoryRow{}, err
 	}
@@ -70,8 +67,8 @@ func memoryOne(env Env, app string, size splash.Size) (MemoryRow, error) {
 		helgrindP.ProcessAccess(a)
 		ipm.ProcessAccess(a)
 	}
-	if _, err := prog.Run(newEngine(env, probe)); err != nil {
-		return MemoryRow{}, fmt.Errorf("experiments: %s: %w", app, err)
+	if _, err := env.run(app, prog, probe); err != nil {
+		return MemoryRow{}, err
 	}
 	return MemoryRow{
 		App:          app,

@@ -21,10 +21,7 @@ type NestedResult struct {
 // Nested profiles one application and returns its nested communication
 // pattern; Fig6 and Fig7 are the paper's two instances.
 func Nested(env Env, app string, size splash.Size) (*NestedResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
-	d, _, _, err := env.profile(app, size)
+	d, _, err := env.profile(app, size)
 	if err != nil {
 		return nil, err
 	}
@@ -85,12 +82,9 @@ var Fig8Apps = []string{"radix", "raytrace", "radiosity"}
 // hotspot uses half the threads; raytrace is active on all threads but
 // skewed; radiosity is evenly balanced.
 func Fig8(env Env, size splash.Size) (*Fig8Result, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	res := &Fig8Result{}
 	for _, app := range Fig8Apps {
-		d, prog, _, err := env.profile(app, size)
+		d, prog, err := env.profile(app, size)
 		if err != nil {
 			return nil, err
 		}

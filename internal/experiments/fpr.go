@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"commprof/internal/detect"
 	"commprof/internal/sig"
 	"commprof/internal/splash"
 	"commprof/internal/trace"
@@ -42,9 +41,6 @@ var DefaultFPRSlots = []uint64{256, 4096, 32768, 262144}
 // is a false positive when the perfect signature reports no dependence for
 // the same access, or attributes it to a different writer.
 func FPRSweep(env Env, size splash.Size, slots []uint64) (*FPRResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	if len(slots) == 0 {
 		slots = DefaultFPRSlots
 	}
@@ -52,7 +48,7 @@ func FPRSweep(env Env, size splash.Size, slots []uint64) (*FPRResult, error) {
 	counts := map[uint64]int{}
 	for _, app := range splash.Names() {
 		for _, n := range slots {
-			cell, err := fprOne(env, app, size, n)
+			cell, err := fprOne(env, app, size, n, sig.HashMurmur)
 			if err != nil {
 				return nil, err
 			}
@@ -67,20 +63,23 @@ func FPRSweep(env Env, size splash.Size, slots []uint64) (*FPRResult, error) {
 	return res, nil
 }
 
-func fprOne(env Env, app string, size splash.Size, slots uint64) (FPRCell, error) {
-	prog, err := splash.New(app, splash.Config{Threads: env.Threads, Size: size, Seed: env.Seed})
+// fprOne runs app once with the bounded signature (slots, hash) and the
+// perfect one in lockstep and counts false positives as FPRSweep defines
+// them: the package's one exact diff, which HashAblation measures with too.
+func fprOne(env Env, app string, size splash.Size, slots uint64, hash sig.HashKind) (FPRCell, error) {
+	prog, err := env.program(app, size)
 	if err != nil {
 		return FPRCell{}, err
 	}
-	asym, err := env.newSignature(slots, sig.HashMurmur)
+	asym, err := env.newSignature(slots, hash)
 	if err != nil {
 		return FPRCell{}, err
 	}
-	dA, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
+	dA, err := env.detector(asym, nil)
 	if err != nil {
 		return FPRCell{}, err
 	}
-	dP, err := detect.New(detect.Options{Threads: env.Threads, Backend: sig.NewPerfect(env.Threads)})
+	dP, err := env.detector(sig.NewPerfect(env.Threads), nil)
 	if err != nil {
 		return FPRCell{}, err
 	}
@@ -96,8 +95,8 @@ func fprOne(env Env, app string, size splash.Size, slots uint64) (FPRCell, error
 			}
 		}
 	}
-	if _, err := prog.Run(newEngine(env, probe)); err != nil {
-		return FPRCell{}, fmt.Errorf("experiments: %s: %w", app, err)
+	if _, err := env.run(app, prog, probe); err != nil {
+		return FPRCell{}, err
 	}
 	cell := FPRCell{App: app, Slots: slots, SigEvents: sigEvents, FalsePos: falsePos}
 	if sigEvents > 0 {

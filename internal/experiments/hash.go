@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"commprof/internal/detect"
 	"commprof/internal/sig"
 	"commprof/internal/splash"
-	"commprof/internal/trace"
 )
 
 // HashRow is one cell of the hash-quality ablation.
@@ -29,9 +27,6 @@ type HashResult struct {
 // count; the workloads' strided access patterns are exactly the adversarial
 // input for weak hashes.
 func HashAblation(env Env, size splash.Size, slots uint64) (*HashResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	if slots == 0 {
 		slots = 8192
 	}
@@ -39,56 +34,19 @@ func HashAblation(env Env, size splash.Size, slots uint64) (*HashResult, error) 
 	for _, app := range []string{"lu_ncb", "fft", "ocean_cp", "radix", "barnes", "water_spat"} {
 		row := HashRow{App: app}
 		for _, kind := range []sig.HashKind{sig.HashMurmur, sig.HashFold} {
-			fpr, err := hashFPROne(env, app, size, slots, kind)
+			cell, err := fprOne(env, app, size, slots, kind)
 			if err != nil {
 				return nil, err
 			}
 			if kind == sig.HashMurmur {
-				row.MurmurFPR = fpr
+				row.MurmurFPR = cell.FPR
 			} else {
-				row.FoldFPR = fpr
+				row.FoldFPR = cell.FPR
 			}
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-func hashFPROne(env Env, app string, size splash.Size, slots uint64, kind sig.HashKind) (float64, error) {
-	prog, err := splash.New(app, splash.Config{Threads: env.Threads, Size: size, Seed: env.Seed})
-	if err != nil {
-		return 0, err
-	}
-	asym, err := env.newSignature(slots, kind)
-	if err != nil {
-		return 0, err
-	}
-	dA, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
-	if err != nil {
-		return 0, err
-	}
-	dP, err := detect.New(detect.Options{Threads: env.Threads, Backend: sig.NewPerfect(env.Threads)})
-	if err != nil {
-		return 0, err
-	}
-	var events, fp uint64
-	probe := func(a trace.Access) {
-		evA, okA := dA.Process(a)
-		evP, okP := dP.Process(a)
-		if okA {
-			events++
-			if !okP || evA.Writer != evP.Writer {
-				fp++
-			}
-		}
-	}
-	if _, err := prog.Run(newEngine(env, probe)); err != nil {
-		return 0, fmt.Errorf("experiments: %s: %w", app, err)
-	}
-	if events == 0 {
-		return 0, nil
-	}
-	return float64(fp) / float64(events), nil
 }
 
 // Render formats the ablation.

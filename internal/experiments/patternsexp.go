@@ -27,9 +27,6 @@ type PatternsResult struct {
 // signature false positives" observation, and classifies the communication
 // matrices of the real workloads.
 func Patterns(env Env, size splash.Size) (*PatternsResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	rng := rand.New(rand.NewSource(env.Seed))
 	threadCounts := []int{8, 16, 32}
 
@@ -62,7 +59,7 @@ func Patterns(env Env, size splash.Size) (*PatternsResult, error) {
 
 	// Classify the real workloads' global matrices.
 	for _, app := range []string{"fft", "ocean_cp", "water_nsq", "barnes", "lu_ncb", "radiosity"} {
-		d, _, _, err := env.profile(app, size)
+		d, _, err := env.profile(app, size)
 		if err != nil {
 			return nil, err
 		}

@@ -46,15 +46,10 @@ type PhasesResult struct {
 // recorded stream then runs through the sharded pipeline to demonstrate the
 // windowed layer's merge soundness and measure its cost.
 func Phases(env Env, app string, size splash.Size) (*PhasesResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
-	var stream []trace.Access
-	prog, _, err := env.runProgram(app, size, func(a trace.Access) { stream = append(stream, a) })
+	stream, table, err := env.record(app, size)
 	if err != nil {
 		return nil, err
 	}
-	table := prog.Table()
 	window := phaseWindowFor(size)
 	const shards = 4
 
@@ -65,7 +60,7 @@ func Phases(env Env, app string, size splash.Size) (*PhasesResult, error) {
 	}
 	serial, err := detect.New(detect.Options{
 		Threads: env.Threads, Backend: sig.NewPerfect(env.Threads), Table: table,
-		OnEvent: seg.Observe,
+		OnEvent: seg.Observe, Probes: env.Probes.Detect,
 	})
 	if err != nil {
 		return nil, err

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"commprof/internal/detect"
-	"commprof/internal/sig"
 	"commprof/internal/splash"
-	"commprof/internal/trace"
 )
 
 // QueueRow is one producer regime of the queue-architecture comparison.
@@ -44,20 +42,13 @@ const (
 // growth against the in-thread design's fixed footprint. The replays run on a
 // virtual clock, so the peaks depend on the stream alone and repeat exactly.
 func Queue(env Env, app string, size splash.Size) (*QueueResult, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
-	var stream []trace.Access
-	if _, _, err := env.runProgram(app, size, func(a trace.Access) { stream = append(stream, a) }); err != nil {
+	stream, _, err := env.record(app, size)
+	if err != nil {
 		return nil, err
 	}
 
 	// Reference: in-thread analysis.
-	refSig, err := env.newSignature(env.SigSlots, sig.HashMurmur)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := detect.New(detect.Options{Threads: env.Threads, Backend: refSig})
+	ref, refSig, err := env.newDetector(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -65,11 +56,7 @@ func Queue(env Env, app string, size splash.Size) (*QueueResult, error) {
 
 	res := &QueueResult{App: app, Events: uint64(len(stream)), SignatureBytes: refSig.FootprintBytes()}
 	for _, regime := range []string{"paced", "bursty"} {
-		qSig, err := env.newSignature(env.SigSlots, sig.HashMurmur)
-		if err != nil {
-			return nil, err
-		}
-		qd, err := detect.New(detect.Options{Threads: env.Threads, Backend: qSig})
+		qd, _, err := env.newDetector(nil)
 		if err != nil {
 			return nil, err
 		}

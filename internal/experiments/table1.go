@@ -26,9 +26,6 @@ type Table1Result struct {
 // Table1 reproduces Table I and attaches measured values from quick runs at
 // the given size.
 func Table1(env Env, size splash.Size) (*Table1Result, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
 	res := &Table1Result{
 		Rows:                baselines.TableI(),
 		MeasuredSigMemBytes: sig.SigMem(env.SigSlots, env.Threads, fpRate),

@@ -315,7 +315,7 @@ type OverheadReport struct {
 	AttributedNanos uint64
 	AttributedShare float64
 	// SourceWaitNanos is the source's wait on the ring for a free quantum,
-	// spin and park: large, the analyser stage is the critical path.
+	// parked on the channel: large, the analyser stage is the critical path.
 	// AnalyserWaitNanos is the analyser's wait for a full one: large, the
 	// source (threads, Replay's decoder, ProfileTrace's loop) is.
 	SourceWaitNanos, AnalyserWaitNanos uint64

@@ -33,7 +33,8 @@
 # bench/'s synth-local shape, whose source and analyser stages hand quanta
 # across the ring) at one and two cores, and an
 # instrument+vet check of every example program under testdata/ via the
-# commtrace driver.
+# commtrace driver. After "tier1: OK" it prints the non-test Go line count
+# (scripts/loc.sh), as information only, not as a gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -100,3 +101,4 @@ go test -run '^$' -fuzz '^FuzzCoalesce$' -fuzztime 5s ./internal/passes
 go test -run '^$' -fuzz '^FuzzMaskArena$' -fuzztime 5s ./internal/sig
 
 echo "tier1: OK"
+echo "non-test Go lines: $(sh scripts/loc.sh | awk 'END { print $1 }') (scripts/loc.sh; information, not a gate)" || true
