@@ -3,149 +3,81 @@ package minipar
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
+
+// spellings maps every keyword and punctuation spelling of tokNames to its
+// kind; EOF, INT and IDENT name classes, not spellings, and stay out.
+var spellings = func() map[string]TokKind {
+	m := make(map[string]TokKind, len(tokNames))
+	for k, s := range tokNames {
+		if k > TokIdent {
+			m[s] = k
+		}
+	}
+	return m
+}()
 
 // Lex tokenizes MiniPar source. Comments run from "//" to end of line.
 func Lex(src string) ([]Token, error) {
 	var toks []Token
 	line, col := 1, 1
-	i := 0
-	n := len(src)
-	advance := func(k int) {
-		for j := 0; j < k; j++ {
-			if src[i] == '\n' {
-				line++
-				col = 1
-			} else {
-				col++
-			}
-			i++
-		}
-	}
-	emit := func(kind TokKind, text string, l, c int) {
-		toks = append(toks, Token{Kind: kind, Text: text, Line: l, Col: c})
-	}
-	for i < n {
-		c := src[i]
+	for i := 0; i < len(src); {
+		c, j := src[i], i+1 // j ends the lexeme at i
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			advance(1)
-		case c == '/' && i+1 < n && src[i+1] == '/':
-			for i < n && src[i] != '\n' {
-				advance(1)
+		case c == '\n':
+			line, col, i = line+1, 1, j
+			continue
+		case c == ' ' || c == '\t' || c == '\r':
+		case strings.HasPrefix(src[i:], "//"):
+			j = len(src)
+			if k := strings.IndexByte(src[i:], '\n'); k >= 0 {
+				j = i + k
 			}
-		case c >= '0' && c <= '9':
-			l, cl := line, col
-			j := i
-			for j < n && src[j] >= '0' && src[j] <= '9' {
+		case isDigit(c):
+			for j < len(src) && isDigit(src[j]) {
 				j++
 			}
 			v, err := strconv.ParseInt(src[i:j], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("minipar: %d:%d: bad integer %q: %w", l, cl, src[i:j], err)
+				return nil, fmt.Errorf("minipar: %d:%d: bad integer %q: %w", line, col, src[i:j], err)
 			}
-			toks = append(toks, Token{Kind: TokInt, Int: v, Line: l, Col: cl})
-			advance(j - i)
+			toks = append(toks, Token{Kind: TokInt, Int: v, Line: line, Col: col})
 		case isIdentStart(c):
-			l, cl := line, col
-			j := i
-			for j < n && isIdentPart(src[j]) {
+			for j < len(src) && isIdentPart(src[j]) {
 				j++
 			}
-			word := src[i:j]
-			if kw, ok := keywords[word]; ok {
-				emit(kw, word, l, cl)
-			} else {
-				emit(TokIdent, word, l, cl)
+			kind, ok := spellings[src[i:j]]
+			if !ok {
+				kind = TokIdent
 			}
-			advance(j - i)
+			toks = append(toks, Token{Kind: kind, Text: src[i:j], Line: line, Col: col})
 		default:
-			l, cl := line, col
-			two := ""
-			if i+1 < n {
-				two = src[i : i+2]
+			// Punctuation, longest match first: no spelling is longer than two bytes.
+			if j < len(src) {
+				if _, ok := spellings[src[i:j+1]]; ok {
+					j++
+				}
 			}
-			switch two {
-			case "..":
-				emit(TokDotDot, two, l, cl)
-				advance(2)
-				continue
-			case "==":
-				emit(TokEq, two, l, cl)
-				advance(2)
-				continue
-			case "!=":
-				emit(TokNe, two, l, cl)
-				advance(2)
-				continue
-			case "<=":
-				emit(TokLe, two, l, cl)
-				advance(2)
-				continue
-			case ">=":
-				emit(TokGe, two, l, cl)
-				advance(2)
-				continue
-			case "&&":
-				emit(TokAndAnd, two, l, cl)
-				advance(2)
-				continue
-			case "||":
-				emit(TokOrOr, two, l, cl)
-				advance(2)
-				continue
+			kind, ok := spellings[src[i:j]]
+			if !ok {
+				return nil, fmt.Errorf("minipar: %d:%d: unexpected character %q", line, col, string(c))
 			}
-			var kind TokKind
-			switch c {
-			case '{':
-				kind = TokLBrace
-			case '}':
-				kind = TokRBrace
-			case '(':
-				kind = TokLParen
-			case ')':
-				kind = TokRParen
-			case '[':
-				kind = TokLBracket
-			case ']':
-				kind = TokRBracket
-			case ';':
-				kind = TokSemi
-			case ',':
-				kind = TokComma
-			case '=':
-				kind = TokAssign
-			case '+':
-				kind = TokPlus
-			case '-':
-				kind = TokMinus
-			case '*':
-				kind = TokStar
-			case '/':
-				kind = TokSlash
-			case '%':
-				kind = TokPercent
-			case '<':
-				kind = TokLt
-			case '>':
-				kind = TokGt
-			case '!':
-				kind = TokNot
-			default:
-				return nil, fmt.Errorf("minipar: %d:%d: unexpected character %q", l, cl, string(c))
-			}
-			emit(kind, string(c), l, cl)
-			advance(1)
+			toks = append(toks, Token{Kind: kind, Text: src[i:j], Line: line, Col: col})
 		}
+		col += j - i
+		i = j
 	}
 	toks = append(toks, Token{Kind: TokEOF, Line: line, Col: col})
 	return toks, nil
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isIdentStart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
 func isIdentPart(c byte) bool {
-	return isIdentStart(c) || (c >= '0' && c <= '9')
+	return isIdentStart(c) || isDigit(c)
 }

@@ -1,22 +1,40 @@
 package minipar
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Parse lexes and parses MiniPar source into an AST.
-func Parse(src string) (*Program, error) {
+func Parse(src string) (prog *Program, err error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			se, ok := r.(syntaxError)
+			if !ok {
+				panic(r)
+			}
+			prog, err = nil, se.error
+		}
+	}()
 	p := &parser{toks: toks}
-	prog, err := p.program()
-	if err != nil {
-		return nil, err
-	}
+	prog = p.program()
 	if err := checkProgram(prog); err != nil {
 		return nil, err
 	}
 	return prog, nil
+}
+
+// syntaxError carries a syntax error out of the descent: failf panics with
+// it and Parse alone recovers it.
+type syntaxError struct{ error }
+
+// failf abandons the parse with an error at token at.
+func failf(at Token, format string, args ...any) {
+	panic(syntaxError{fmt.Errorf("minipar: %s: %s", at.Pos(), fmt.Sprintf(format, args...))})
 }
 
 type parser struct {
@@ -35,442 +53,189 @@ func (p *parser) accept(k TokKind) bool {
 	return false
 }
 
-func (p *parser) expect(k TokKind) (Token, error) {
+func (p *parser) expect(k TokKind) Token {
 	if p.cur().Kind != k {
-		return Token{}, fmt.Errorf("minipar: %s: expected %s, found %s", p.cur().Pos(), k, p.cur())
+		failf(p.cur(), "expected %s, found %s", k, p.cur())
 	}
-	return p.next(), nil
+	return p.next()
 }
 
-func (p *parser) program() (*Program, error) {
-	prog := &Program{}
-	for p.cur().Kind != TokEOF {
-		switch p.cur().Kind {
-		case TokArray:
-			d, err := p.arrayDecl()
-			if err != nil {
-				return nil, err
-			}
-			prog.Arrays = append(prog.Arrays, d)
-		case TokFunc:
-			f, err := p.funcDecl()
-			if err != nil {
-				return nil, err
-			}
-			prog.Funcs = append(prog.Funcs, f)
-		default:
-			return nil, fmt.Errorf("minipar: %s: expected array or func declaration, found %s", p.cur().Pos(), p.cur())
-		}
-	}
-	return prog, nil
-}
-
-func (p *parser) arrayDecl() (ArrayDecl, error) {
-	kw := p.next() // array
-	name, err := p.expect(TokIdent)
-	if err != nil {
-		return ArrayDecl{}, err
-	}
-	if _, err := p.expect(TokLBracket); err != nil {
-		return ArrayDecl{}, err
-	}
-	size, err := p.expect(TokInt)
-	if err != nil {
-		return ArrayDecl{}, err
-	}
-	if _, err := p.expect(TokRBracket); err != nil {
-		return ArrayDecl{}, err
-	}
-	if _, err := p.expect(TokSemi); err != nil {
-		return ArrayDecl{}, err
-	}
-	if size.Int <= 0 {
-		return ArrayDecl{}, fmt.Errorf("minipar: %s: array %s has non-positive size %d", kw.Pos(), name.Text, size.Int)
-	}
-	return ArrayDecl{Name: name.Text, Size: size.Int, Line: kw.Line}, nil
-}
-
-func (p *parser) funcDecl() (FuncDecl, error) {
-	kw := p.next() // func
-	name, err := p.expect(TokIdent)
-	if err != nil {
-		return FuncDecl{}, err
-	}
-	if _, err := p.expect(TokLParen); err != nil {
-		return FuncDecl{}, err
-	}
-	var params []string
+// list parses "(" [ elem { "," elem } ] ")".
+func (p *parser) list(elem func()) {
+	p.expect(TokLParen)
 	if p.cur().Kind != TokRParen {
-		for {
-			id, err := p.expect(TokIdent)
-			if err != nil {
-				return FuncDecl{}, err
-			}
-			params = append(params, id.Text)
-			if !p.accept(TokComma) {
-				break
-			}
+		elem()
+		for p.accept(TokComma) {
+			elem()
 		}
 	}
-	if _, err := p.expect(TokRParen); err != nil {
-		return FuncDecl{}, err
-	}
-	body, err := p.block()
-	if err != nil {
-		return FuncDecl{}, err
-	}
-	return FuncDecl{Name: name.Text, Params: params, Body: body, Line: kw.Line, RegionID: -1}, nil
+	p.expect(TokRParen)
 }
 
-func (p *parser) block() ([]Stmt, error) {
-	if _, err := p.expect(TokLBrace); err != nil {
-		return nil, err
+func (p *parser) program() *Program {
+	prog := &Program{}
+	for {
+		switch p.cur().Kind {
+		case TokEOF:
+			return prog
+		case TokArray:
+			prog.Arrays = append(prog.Arrays, p.arrayDecl())
+		case TokFunc:
+			prog.Funcs = append(prog.Funcs, p.funcDecl())
+		default:
+			failf(p.cur(), "expected array or func declaration, found %s", p.cur())
+		}
 	}
+}
+
+func (p *parser) arrayDecl() ArrayDecl {
+	kw := p.next() // array
+	name := p.expect(TokIdent)
+	p.expect(TokLBracket)
+	size := p.expect(TokInt)
+	p.expect(TokRBracket)
+	p.expect(TokSemi)
+	if size.Int <= 0 {
+		failf(kw, "array %s has non-positive size %d", name.Text, size.Int)
+	}
+	return ArrayDecl{Name: name.Text, Size: size.Int, Line: kw.Line}
+}
+
+func (p *parser) funcDecl() FuncDecl {
+	kw := p.next() // func
+	name := p.expect(TokIdent)
+	var params []string
+	p.list(func() { params = append(params, p.expect(TokIdent).Text) })
+	return FuncDecl{Name: name.Text, Params: params, Body: p.block(), Line: kw.Line, RegionID: -1}
+}
+
+func (p *parser) block() []Stmt {
+	p.expect(TokLBrace)
 	var out []Stmt
-	for p.cur().Kind != TokRBrace {
+	for !p.accept(TokRBrace) {
 		if p.cur().Kind == TokEOF {
-			return nil, fmt.Errorf("minipar: %s: unterminated block", p.cur().Pos())
+			failf(p.cur(), "unterminated block")
 		}
-		s, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+		out = append(out, p.stmt())
 	}
-	p.next() // }
-	return out, nil
+	return out
 }
 
-func (p *parser) stmt() (Stmt, error) {
-	t := p.cur()
+// stmt parses one statement. A compound statement returns from its case;
+// a simple one leaves the switch and ends at its ";".
+func (p *parser) stmt() Stmt {
+	t := p.next()
+	var s Stmt
 	switch t.Kind {
 	case TokFor, TokParfor:
-		return p.forStmt()
+		v := p.expect(TokIdent)
+		p.expect(TokAssign)
+		from := p.expr()
+		p.expect(TokDotDot)
+		to := p.expr()
+		return &ForStmt{
+			Var: v.Text, From: from, To: to, Body: p.block(),
+			Parallel: t.Kind == TokParfor, Line: t.Line, RegionID: -1,
+		}
 	case TokWhile:
-		p.next()
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		body, err := p.block()
-		if err != nil {
-			return nil, err
-		}
-		return &WhileStmt{Cond: cond, Body: body, Line: t.Line, RegionID: -1}, nil
+		return &WhileStmt{Cond: p.expr(), Body: p.block(), Line: t.Line, RegionID: -1}
 	case TokIf:
-		p.next()
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		then, err := p.block()
-		if err != nil {
-			return nil, err
-		}
-		var els []Stmt
+		is := &IfStmt{Cond: p.expr(), Then: p.block(), Line: t.Line}
 		if p.accept(TokElse) {
-			els, err = p.block()
-			if err != nil {
-				return nil, err
-			}
+			is.Else = p.block()
 		}
-		return &IfStmt{Cond: cond, Then: then, Else: els, Line: t.Line}, nil
-	case TokBarrier:
-		p.next()
-		if _, err := p.expect(TokSemi); err != nil {
-			return nil, err
-		}
-		return &BarrierStmt{Line: t.Line}, nil
-	case TokWork:
-		p.next()
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSemi); err != nil {
-			return nil, err
-		}
-		return &WorkStmt{Units: e, Line: t.Line}, nil
-	case TokOut:
-		p.next()
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSemi); err != nil {
-			return nil, err
-		}
-		return &OutStmt{Expr: e, Line: t.Line}, nil
-	case TokCall:
-		p.next()
-		name, err := p.expect(TokIdent)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokLParen); err != nil {
-			return nil, err
-		}
-		var args []Expr
-		if p.cur().Kind != TokRParen {
-			for {
-				a, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if !p.accept(TokComma) {
-					break
-				}
-			}
-		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSemi); err != nil {
-			return nil, err
-		}
-		return &CallStmt{Name: name.Text, Args: args, Line: t.Line}, nil
+		return is
 	case TokLock:
-		p.next()
-		id, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		body, err := p.block()
-		if err != nil {
-			return nil, err
-		}
-		return &LockStmt{ID: id, Body: body, Line: t.Line}, nil
+		return &LockStmt{ID: p.expr(), Body: p.block(), Line: t.Line}
+	case TokBarrier:
+		s = &BarrierStmt{Line: t.Line}
+	case TokWork:
+		s = &WorkStmt{Units: p.expr(), Line: t.Line}
+	case TokOut:
+		s = &OutStmt{Expr: p.expr(), Line: t.Line}
+	case TokCall:
+		c := &CallStmt{Name: p.expect(TokIdent).Text, Line: t.Line}
+		p.list(func() { c.Args = append(c.Args, p.expr()) })
+		s = c
 	case TokIdent:
-		name := p.next()
 		if p.accept(TokLBracket) {
-			idx, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokRBracket); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokAssign); err != nil {
-				return nil, err
-			}
-			val, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokSemi); err != nil {
-				return nil, err
-			}
-			return &StoreStmt{Array: name.Text, Index: idx, Expr: val, Line: t.Line}, nil
+			idx := p.expr()
+			p.expect(TokRBracket)
+			p.expect(TokAssign)
+			s = &StoreStmt{Array: t.Text, Index: idx, Expr: p.expr(), Line: t.Line}
+		} else {
+			p.expect(TokAssign)
+			s = &AssignStmt{Name: t.Text, Expr: p.expr(), Line: t.Line}
 		}
-		if _, err := p.expect(TokAssign); err != nil {
-			return nil, err
-		}
-		val, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSemi); err != nil {
-			return nil, err
-		}
-		return &AssignStmt{Name: name.Text, Expr: val, Line: t.Line}, nil
 	default:
-		return nil, fmt.Errorf("minipar: %s: unexpected %s at statement start", t.Pos(), t)
+		failf(t, "unexpected %s at statement start", t)
 	}
+	p.expect(TokSemi)
+	return s
 }
 
-func (p *parser) forStmt() (Stmt, error) {
-	kw := p.next() // for | parfor
-	v, err := p.expect(TokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokAssign); err != nil {
-		return nil, err
-	}
-	from, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokDotDot); err != nil {
-		return nil, err
-	}
-	to, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	body, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	return &ForStmt{
-		Var: v.Text, From: from, To: to, Body: body,
-		Parallel: kw.Kind == TokParfor, Line: kw.Line, RegionID: -1,
-	}, nil
+// levels is the precedence table of the binary operators, loosest first.
+// Every level is left-associative except the comparisons, which do not
+// chain: "1 < 2 < 3" stops after "1 < 2".
+var levels = []struct {
+	ops   []TokKind
+	chain bool
+}{
+	{[]TokKind{TokOrOr}, true},
+	{[]TokKind{TokAndAnd}, true},
+	{[]TokKind{TokEq, TokNe, TokLt, TokLe, TokGt, TokGe}, false},
+	{[]TokKind{TokPlus, TokMinus}, true},
+	{[]TokKind{TokStar, TokSlash, TokPercent}, true},
 }
 
-// Expression parsing: precedence climbing via the grammar's layers.
+func (p *parser) expr() Expr { return p.binary(0) }
 
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
-
-func (p *parser) orExpr() (Expr, error) {
-	l, err := p.andExpr()
-	if err != nil {
-		return nil, err
+// binary parses an expression whose loosest operator is at levels[level]
+// or tighter.
+func (p *parser) binary(level int) Expr {
+	if level == len(levels) {
+		return p.unary()
 	}
-	for p.cur().Kind == TokOrOr {
+	x := p.binary(level + 1)
+	for slices.Contains(levels[level].ops, p.cur().Kind) {
+		op := p.next().Kind.String()
+		x = &BinExpr{Op: op, L: x, R: p.binary(level + 1)}
+		if !levels[level].chain {
+			break
+		}
+	}
+	return x
+}
+
+func (p *parser) unary() Expr {
+	if k := p.cur().Kind; k == TokMinus || k == TokNot {
 		p.next()
-		r, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: "||", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	l, err := p.cmpExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == TokAndAnd {
-		p.next()
-		r, err := p.cmpExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: "&&", L: l, R: r}
-	}
-	return l, nil
-}
-
-var cmpOps = map[TokKind]string{
-	TokEq: "==", TokNe: "!=", TokLt: "<", TokLe: "<=", TokGt: ">", TokGe: ">=",
-}
-
-func (p *parser) cmpExpr() (Expr, error) {
-	l, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	if op, ok := cmpOps[p.cur().Kind]; ok {
-		p.next()
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &BinExpr{Op: op, L: l, R: r}, nil
-	}
-	return l, nil
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	l, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.cur().Kind {
-		case TokPlus:
-			op = "+"
-		case TokMinus:
-			op = "-"
-		default:
-			return l, nil
-		}
-		p.next()
-		r, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: op, L: l, R: r}
-	}
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	l, err := p.unary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.cur().Kind {
-		case TokStar:
-			op = "*"
-		case TokSlash:
-			op = "/"
-		case TokPercent:
-			op = "%"
-		default:
-			return l, nil
-		}
-		p.next()
-		r, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: op, L: l, R: r}
-	}
-}
-
-func (p *parser) unary() (Expr, error) {
-	switch p.cur().Kind {
-	case TokMinus:
-		p.next()
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "-", X: x}, nil
-	case TokNot:
-		p.next()
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "!", X: x}, nil
+		return &UnaryExpr{Op: k.String(), X: p.unary()}
 	}
 	return p.primary()
 }
 
-func (p *parser) primary() (Expr, error) {
-	t := p.cur()
+func (p *parser) primary() Expr {
+	t := p.next()
 	switch t.Kind {
 	case TokInt:
-		p.next()
-		return &IntLit{Value: t.Int}, nil
+		return &IntLit{Value: t.Int}
 	case TokTid:
-		p.next()
-		return &TidRef{}, nil
+		return &TidRef{}
 	case TokNThreads:
-		p.next()
-		return &NThreadsRef{}, nil
+		return &NThreadsRef{}
 	case TokIdent:
-		p.next()
-		if p.accept(TokLBracket) {
-			idx, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokRBracket); err != nil {
-				return nil, err
-			}
-			return &IndexExpr{Array: t.Text, Index: idx}, nil
+		if !p.accept(TokLBracket) {
+			return &VarRef{Name: t.Text}
 		}
-		return &VarRef{Name: t.Text}, nil
+		idx := p.expr()
+		p.expect(TokRBracket)
+		return &IndexExpr{Array: t.Text, Index: idx}
 	case TokLParen:
-		p.next()
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		return e, nil
-	default:
-		return nil, fmt.Errorf("minipar: %s: unexpected %s in expression", t.Pos(), t)
+		e := p.expr()
+		p.expect(TokRParen)
+		return e
 	}
+	failf(t, "unexpected %s in expression", t)
+	return nil
 }

@@ -1,6 +1,7 @@
 package minipar
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -84,6 +85,21 @@ func TestLexTwoCharOperators(t *testing.T) {
 			t.Fatalf("token %d = %s, want %s", i, toks[i].Kind, k)
 		}
 	}
+	// Every punctuation spelling of the table lexes to one token of its kind.
+	for k, s := range tokNames {
+		if isIdentStart(s[0]) {
+			continue
+		}
+		toks, err := Lex(s)
+		if err != nil || len(toks) != 2 || toks[0].Kind != k || toks[0].Text != s {
+			t.Errorf("Lex(%q) = %v, %v; want one %s token", s, toks, err, k)
+		}
+	}
+	// Longest match first: "<==" is "<=" then "=".
+	toks, err = Lex("<==")
+	if err != nil || len(toks) != 3 || toks[0].Kind != TokLe || toks[1].Kind != TokAssign {
+		t.Errorf("Lex(\"<==\") = %v, %v; want <= = EOF", toks, err)
+	}
 }
 
 func TestLexErrors(t *testing.T) {
@@ -147,6 +163,38 @@ func TestParsePrecedence(t *testing.T) {
 	if !ok || mul.Op != "*" {
 		t.Fatalf("right of +: %#v", add.R)
 	}
+
+	for src, want := range map[string]string{
+		"8 - 4 - 2":  "((8 - 4) - 2)", // left associativity
+		"16 / 4 / 2": "((16 / 4) / 2)",
+		"- ! -1":     "(-(!(-1)))", // repeated prefixes
+	} {
+		prog, err := Parse("func main() { x = " + src + "; }")
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := paren(prog.Funcs[0].Body[0].(*AssignStmt).Expr); got != want {
+			t.Errorf("%s parses as %s, want %s", src, got, want)
+		}
+	}
+	// Comparisons do not chain.
+	_, err = Parse("func main() { x = 1 < 2 < 3; }")
+	if want := "minipar: 1:25: expected ;, found <"; err == nil || err.Error() != want {
+		t.Errorf("chained comparison: got %v, want %s", err, want)
+	}
+}
+
+// paren renders an expression of literals and operators fully bracketed.
+func paren(e Expr) string {
+	switch e := e.(type) {
+	case *IntLit:
+		return fmt.Sprint(e.Value)
+	case *BinExpr:
+		return "(" + paren(e.L) + " " + e.Op + " " + paren(e.R) + ")"
+	case *UnaryExpr:
+		return "(" + e.Op + paren(e.X) + ")"
+	}
+	return fmt.Sprintf("%T", e)
 }
 
 func TestParseErrors(t *testing.T) {
@@ -225,11 +273,11 @@ func TestParseErrorBranches(t *testing.T) {
 		`func main() { for i = 0 1 { } }`,         // for: missing ..
 		`func main() { for i = 0.. { } }`,         // for: bad to-expr
 		`func main() { for i = 0..1 ( ) }`,        // for: missing block
-		`func main() { x = 1 || ; }`,              // orExpr: bad rhs
-		`func main() { x = 1 && ; }`,              // andExpr: bad rhs
-		`func main() { x = 1 < ; }`,               // cmpExpr: bad rhs
-		`func main() { x = 1 + ; }`,               // addExpr: bad rhs
-		`func main() { x = 1 * ; }`,               // mulExpr: bad rhs
+		`func main() { x = 1 || ; }`,              // ||: bad rhs
+		`func main() { x = 1 && ; }`,              // &&: bad rhs
+		`func main() { x = 1 < ; }`,               // comparison: bad rhs
+		`func main() { x = 1 + ; }`,               // +: bad rhs
+		`func main() { x = 1 * ; }`,               // *: bad rhs
 		`func main() { x = - ; }`,                 // unary: bad operand
 		`func main() { x = ! ; }`,                 // unary: bad operand
 		`func main() { x = (1; }`,                 // primary: unclosed paren

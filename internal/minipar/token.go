@@ -29,7 +29,7 @@
 //	cmpExpr   = addExpr [ ("=="|"!="|"<"|"<="|">"|">=") addExpr ] .
 //	addExpr   = mulExpr { ("+"|"-") mulExpr } .
 //	mulExpr   = unary { ("*"|"/"|"%") unary } .
-//	unary     = [ "-" | "!" ] primary .
+//	unary     = { "-" | "!" } primary .
 //	primary   = INT | "tid" | "nthreads" | IDENT [ "[" expr "]" ] | "(" expr ")" .
 package minipar
 
@@ -85,6 +85,9 @@ const (
 	TokNot
 )
 
+// tokNames is the one spelling table: the lexer reads its keywords and
+// punctuation from it (spellings), and diagnostics and BinExpr.Op spell a
+// kind with it.
 var tokNames = map[TokKind]string{
 	TokEOF: "EOF", TokInt: "INT", TokIdent: "IDENT",
 	TokArray: "array", TokFunc: "func", TokFor: "for", TokParfor: "parfor",
@@ -105,13 +108,6 @@ func (k TokKind) String() string {
 		return s
 	}
 	return fmt.Sprintf("TokKind(%d)", int(k))
-}
-
-var keywords = map[string]TokKind{
-	"array": TokArray, "func": TokFunc, "for": TokFor, "parfor": TokParfor,
-	"if": TokIf, "else": TokElse, "while": TokWhile, "barrier": TokBarrier,
-	"work": TokWork, "out": TokOut, "call": TokCall, "lock": TokLock,
-	"tid": TokTid, "nthreads": TokNThreads,
 }
 
 // Token is one lexeme with its source position.

@@ -46,11 +46,8 @@ func newBarnes(cfg Config) (Program, error) {
 	p.rGravLoop = t.AddLoop("hackgrav#bodies", p.rHackGrav)
 	p.rAdvLoop = t.AddLoop("advance#own", p.rMain)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
-}
-
-func (p *barnes) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 func (p *barnes) body(t *exec.Thread) {

@@ -39,14 +39,11 @@ func newCholesky(cfg Config) (Program, error) {
 	p.rFactorLoop = t.AddLoop("Factor#supernode", p.rFactor)
 	p.rUpdateLoop = t.AddLoop("Factor#updates", p.rFactor)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
 }
 
 func (p *cholesky) owner(col uint64) int32 { return int32(col % uint64(p.Threads())) }
-
-func (p *cholesky) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
-}
 
 func (p *cholesky) body(t *exec.Thread) {
 	t.EnterRegion(p.rMain)

@@ -43,11 +43,8 @@ func newFFT(cfg Config) (Program, error) {
 	p.rFFT1D = t.AddFunc("FFT1DOnce", trace.NoRegion)
 	p.rFFT1DLoop = t.AddLoop("FFT1DOnce#butterfly", p.rFFT1D)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
-}
-
-func (p *fft) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 func (p *fft) body(t *exec.Thread) {

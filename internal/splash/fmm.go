@@ -46,16 +46,13 @@ func newFMM(cfg Config) (Program, error) {
 	p.rDown = t.AddFunc("DownwardPass", trace.NoRegion)
 	p.rDownLoop = t.AddLoop("DownwardPass#boxes", p.rDown)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
 }
 
 // boxIdx returns the element index of box b of thread tid at a level.
 func (p *fmm) boxIdx(level int, tid int32, b uint64) uint64 {
 	return (uint64(level)*uint64(p.Threads())+uint64(tid))*p.boxes + b
-}
-
-func (p *fmm) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 func (p *fmm) body(t *exec.Thread) {

@@ -61,6 +61,7 @@ func newLU(cfg Config, contiguous bool) (Program, error) {
 	p.rBmod = t.AddFunc("bmod", trace.NoRegion)
 	p.rBmodLoop = t.AddLoop("bmod#interior", p.rBmod)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
 }
 
@@ -104,10 +105,6 @@ func (p *lu) updateBlock(t *exec.Thread, bi, bj int) {
 		t.Work(p.work)
 		t.Write(p.mat.Addr(idx), 8)
 	}
-}
-
-func (p *lu) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 func (p *lu) body(t *exec.Thread) {

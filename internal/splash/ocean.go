@@ -55,6 +55,7 @@ func newOcean(cfg Config, contiguous bool) (Program, error) {
 	p.rRelaxLoop = t.AddLoop("relax#redblack", p.rRelax)
 	p.rMultiLoop = t.AddLoop("multig#residual", p.rRelax)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
 }
 
@@ -78,10 +79,6 @@ func (p *ocean) ownerOf(r, c uint64) int32 {
 	rowsPer := (p.dim + uint64(p.pr) - 1) / uint64(p.pr)
 	colsPer := (p.dim + uint64(p.pc) - 1) / uint64(p.pc)
 	return int32((r/rowsPer)*uint64(p.pc) + c/colsPer)
-}
-
-func (p *ocean) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 func (p *ocean) body(t *exec.Thread) {

@@ -42,11 +42,8 @@ func newRadiosity(cfg Config) (Program, error) {
 	p.rGather = t.AddFunc("radiosity_converged", trace.NoRegion)
 	p.rGatherLoop = t.AddLoop("radiosity_converged#sum", p.rGather)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
-}
-
-func (p *radiosity) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 func (p *radiosity) body(t *exec.Thread) {

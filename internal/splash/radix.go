@@ -54,11 +54,8 @@ func newRadix(cfg Config) (Program, error) {
 	p.rPermute = t.AddFunc("permute", trace.NoRegion)
 	p.rPermuteLoop = t.AddLoop("permute#scatter", p.rPermute)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
-}
-
-func (p *radix) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 func (p *radix) body(t *exec.Thread) {

@@ -47,11 +47,8 @@ func newRaytrace(cfg Config) (Program, error) {
 	p.rSteal = t.AddFunc("GetJobs", trace.NoRegion)
 	p.rStealLoop = t.AddLoop("GetJobs#queue", p.rSteal)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
-}
-
-func (p *raytrace) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 // skewedCell picks a scene cell with ~70% of probability mass in the first

@@ -138,10 +138,11 @@ func New(name string, cfg Config) (Program, error) {
 
 // base carries the state shared by all benchmark implementations.
 type base struct {
-	name  string
-	cfg   Config
-	table *trace.Table
-	space *vmem.Space
+	name   string
+	cfg    Config
+	table  *trace.Table
+	space  *vmem.Space
+	thread func(t *exec.Thread) // every thread's body; each constructor sets it
 }
 
 func newBase(name string, cfg Config) *base {
@@ -152,12 +153,13 @@ func (b *base) Threads() int        { return b.cfg.Threads }
 func (b *base) Table() *trace.Table { return b.table }
 func (b *base) Footprint() uint64   { return b.space.FootprintBytes() }
 
-// run wraps engine execution with a thread-count consistency check.
-func (b *base) run(e *exec.Engine, body func(t *exec.Thread)) (exec.Stats, error) {
+// Run executes the benchmark's thread body on e, after a thread-count
+// consistency check.
+func (b *base) Run(e *exec.Engine) (exec.Stats, error) {
 	if e.Threads() != b.cfg.Threads {
 		return exec.Stats{}, fmt.Errorf("splash: %s built for %d threads, engine has %d", b.name, b.cfg.Threads, e.Threads())
 	}
-	return e.Run(body)
+	return e.Run(b.thread)
 }
 
 // scale3 picks one of three values by input size.

@@ -41,11 +41,8 @@ func newVolrend(cfg Config) (Program, error) {
 	p.rRay = t.AddFunc("Ray_Trace", trace.NoRegion)
 	p.rRayLoop = t.AddLoop("Ray_Trace#pixels", p.rRay)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
-}
-
-func (p *volrend) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 func (p *volrend) body(t *exec.Thread) {

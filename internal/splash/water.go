@@ -47,11 +47,8 @@ func newWaterNsq(cfg Config) (Program, error) {
 	p.rKINETI = t.AddFunc("KINETI", trace.NoRegion)
 	p.rKinetiLoop = t.AddLoop("KINETI#own", p.rKINETI)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
-}
-
-func (p *waterNsq) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 func (p *waterNsq) body(t *exec.Thread) {
@@ -148,16 +145,13 @@ func newWaterSpat(cfg Config) (Program, error) {
 	p.rInterfLoop = t.AddLoop("INTERF#cells", p.rINTERF)
 	p.rUpdateLoop = t.AddLoop("UPDATE#own", p.rINTERF)
 	p.rBarrier = t.AddFunc("barrier", trace.NoRegion)
+	p.thread = p.body
 	return p, nil
 }
 
 // molIndex returns the element index of molecule m of cell (x,y,z).
 func (p *waterSpat) molIndex(x, y, z, m uint64) uint64 {
 	return ((z*p.cells+y)*p.cells+x)*p.molsC + m
-}
-
-func (p *waterSpat) Run(e *exec.Engine) (exec.Stats, error) {
-	return p.run(e, p.body)
 }
 
 func (p *waterSpat) body(t *exec.Thread) {

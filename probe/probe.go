@@ -106,15 +106,10 @@ func newShim() *shim {
 	return s
 }
 
-// Region declares one static region to Register; a mirror of the public
-// commprof.Region so instrumented programs need only this package's API.
-type Region struct {
-	Name   string
-	Parent int32 // index of the enclosing region, or -1 for roots
-	Loop   bool
-	File   string
-	Line   int
-}
+// Region declares one static region to Register. It is commprof.Region
+// under this package's name, so instrumented programs need only this
+// package's API.
+type Region = commprof.Region
 
 // Register installs the instrumented package's static region table. The
 // rewriter emits exactly one Register call in a generated init function, so

@@ -22,7 +22,8 @@
 # smoke is the one place the shard hand-off runs behind commprof.Replay with
 # every optional layer on), plus a short fuzz smoke over
 # the trace codec, Replay (its analyser goroutine's exits), the source
-# instrumenter, the MiniPar compiler (whose verifier's stack-depth
+# instrumenter, the MiniPar lexer and parser (FuzzLex, FuzzParse), the
+# MiniPar compiler (whose verifier's stack-depth
 # interpretation also drives the coalescing pass), the coalescing pass and
 # the signature's mask arena (with a release-and-reacquire round), a smoke
 # run of the executor's turn hand-off benchmark (BenchmarkTurnHandOff, the
@@ -90,12 +91,14 @@ for pkg in workerpool chanpipe striped exitpaths; do
 	go run ./cmd/commtrace -mode check -pkg "./testdata/$pkg"
 done
 
-echo "== go test -fuzz smoke (trace codec, Replay, instrumenter, MiniPar compiler and verifier, coalescing pass, mask arena) =="
+echo "== go test -fuzz smoke (trace codec, Replay, instrumenter, MiniPar lexer, parser, compiler and verifier, coalescing pass, mask arena) =="
 for target in FuzzDecode FuzzDecoder FuzzStreamRoundTrip FuzzV3RoundTrip FuzzV3Decoder FuzzV3DecodeReference FuzzV3EncodeReference; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/trace
 done
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzInstrument$' -fuzztime 5s ./internal/instrument
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/minipar
+go test -run '^$' -fuzz '^FuzzLex$' -fuzztime 5s ./internal/minipar
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 5s ./internal/passes
 go test -run '^$' -fuzz '^FuzzCoalesce$' -fuzztime 5s ./internal/passes
 go test -run '^$' -fuzz '^FuzzMaskArena$' -fuzztime 5s ./internal/sig
